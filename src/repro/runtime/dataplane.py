@@ -313,13 +313,12 @@ class RuntimeConfig:
             insert, O(ops) at the tick boundary — that equals the
             full scan at every tick start, so prices stay bit-exact.
             ``"frozen"`` retains the O(state) full-scan reference.
-        jit: kernel tier for the three irreducible hot kernels (join
-            probe binary search, admission gate, transport
-            arrival-compaction).  ``"auto"`` uses numba when
-            importable and silently falls back to NumPy; ``"numba"``
-            demands numba (raises when absent); ``"numpy"`` always
-            runs the reference.  The tier may never change results
-            (see :mod:`repro.runtime.jit`).
+        jit: kernel tier for the two irreducible hot kernels (join
+            probe binary search, admission gate).  ``"auto"`` uses
+            numba when importable and silently falls back to NumPy;
+            ``"numba"`` demands numba (raises when absent);
+            ``"numpy"`` always runs the reference.  The tier may never
+            change results (see :mod:`repro.runtime.jit`).
     """
 
     window: int = 20
@@ -1510,11 +1509,9 @@ class DataPlane:
             bound = self.config.retransmit_buffer
             if mode == "array":
                 self._transport = (
-                    ReliableTransport(
-                        bound, scratch=self._scratch, kernels=self._jit
-                    )
+                    ReliableTransport(bound, scratch=self._scratch)
                     if reliable
-                    else ArrayTransport(self._scratch, kernels=self._jit)
+                    else ArrayTransport(self._scratch)
                 )
                 # Two-level join state: sorted base + append buffer,
                 # merged once the buffer exceeds _state_merge_limit.
@@ -1939,12 +1936,19 @@ class DataPlane:
         t_cpu_dropped = 0.0
         tick_lat: list[np.ndarray] = []
 
+        if prof is not None:
+            prof.begin("evict")
         self._evict_state_array(now)
+        if prof is not None:
+            prof.end()
+            prof.begin("pricing")
         # Per-op measured CPU cost of this tick (reused scratch; views
         # into it never outlive the tick); admission prices are frozen
         # now, from the post-eviction state (twin-identical).
         self._tick_op_cost = self._scratch.zeros("op_cost", self._num_ops)
         adm = self._admission_costs() if cap is not None else None
+        if prof is not None:
+            prof.end()
 
         # 0. Reliable redelivery: buffered tuples whose target service's
         # current host is alive again rejoin this tick's first round.
@@ -2122,6 +2126,7 @@ class DataPlane:
                         prof.end()
         if prof is not None:
             prof.end()
+            prof.begin("record")
 
         self._usage_total += self._tick_usage
         self._end_tick_stats()
@@ -2132,7 +2137,7 @@ class DataPlane:
         p50, p95, p99 = self._percentiles(lat_all)
         if self._obs is not None:
             self._obs.data_plane_tick(self, lat_all)
-        return TrafficRecord(
+        record = TrafficRecord(
             tick=now,
             emitted=t_emitted,
             delivered=t_delivered,
@@ -2150,6 +2155,9 @@ class DataPlane:
             cpu_dropped=t_cpu_dropped,
             recompiles=self._tick_recompiles,
         )
+        if prof is not None:
+            prof.end()
+        return record
 
     @staticmethod
     def _capacity_filter(
@@ -2761,12 +2769,19 @@ class DataPlane:
         w = self.config.window
         tick_ms = self.config.tick_ms
 
+        if prof is not None:
+            prof.begin("evict")
         self._evict_state_scalar(now)
+        if prof is not None:
+            prof.end()
+            prof.begin("pricing")
         # Same per-tick cost state as step(): admission prices frozen
         # from the post-eviction state, per-op costs accumulated as
         # tuples are processed.
         self._tick_op_cost = np.zeros(self._num_ops)
         adm = self._admission_costs() if cap is not None else None
+        if prof is not None:
+            prof.end()
 
         # 0. Reliable redelivery (per-tuple walk over the buffer).
         t_redelivered = 0
@@ -2912,6 +2927,7 @@ class DataPlane:
             round_ += 1
         if prof is not None:
             prof.end()
+            prof.begin("record")
 
         self._usage_total += self._tick_usage
         self._end_tick_stats()
@@ -2920,7 +2936,7 @@ class DataPlane:
         p50, p95, p99 = self._percentiles(lat_all)
         if self._obs is not None:
             self._obs.data_plane_tick(self, lat_all)
-        return TrafficRecord(
+        record = TrafficRecord(
             tick=now,
             emitted=t_emitted,
             delivered=t_delivered,
@@ -2938,6 +2954,9 @@ class DataPlane:
             cpu_dropped=t_cpu_dropped,
             recompiles=self._tick_recompiles,
         )
+        if prof is not None:
+            prof.end()
+        return record
 
     def _evict_state_scalar(self, now: int) -> None:
         w = self.config.window

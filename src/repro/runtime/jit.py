@@ -1,18 +1,16 @@
-"""Optional numba tier for the data plane's three irreducible kernels.
+"""Optional numba tier for the data plane's two irreducible kernels.
 
-Profiling the batched tick leaves three hot spots that no amount of
+Profiling the batched tick leaves two hot spots that no amount of
 NumPy batching removes — each is a single pass whose per-element work
 is trivial but whose NumPy expression pays several intermediate
 allocations:
 
 * the composite-key ``searchsorted`` join probe (two binary-search
-  sweeps per probe batch),
+  sweeps per probe batch), and
 * the segment-cumsum admission gate (first-come-first-served per-node
-  capacity in canonical order), and
-* the transport arrival-compaction pass (partition the in-flight pool
-  into due rows and survivors).
+  capacity in canonical order).
 
-This module puts all three behind a tier switch
+This module puts both behind a tier switch
 (:attr:`~repro.runtime.dataplane.RuntimeConfig.jit`):
 
 * ``"numpy"`` — the reference implementations below, always available.
@@ -24,10 +22,9 @@ The contract is strict: **NumPy is always the reference and numba may
 never change results.**  Every kernel's numba variant computes the
 same function bit-for-bit (binary search replicates ``searchsorted``
 side semantics; the admission loop admits the identical canonical-
-order prefix per node; the partition returns the identical stable
-index split), which the property suite pins by running twin data
-planes through both tiers.  Nothing here draws randomness or reads
-global state, so the tier choice is invisible to every
+order prefix per node), which the property suite pins by running twin
+data planes through both tiers.  Nothing here draws randomness or
+reads global state, so the tier choice is invisible to every
 :class:`~repro.runtime.dataplane.TrafficRecord`.
 """
 
@@ -82,14 +79,6 @@ def capacity_gate_numpy(
     return keep
 
 
-def due_partition_numpy(
-    arrival: np.ndarray, now: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stable (due indices, survivor indices) split of the pool."""
-    mask = arrival <= now
-    return np.flatnonzero(mask), np.flatnonzero(~mask)
-
-
 # -- optional numba tier ------------------------------------------------
 
 _NUMBA_KERNELS: dict | None = None
@@ -102,7 +91,7 @@ def numba_available() -> bool:
 
 
 def _build_numba() -> dict | None:
-    """Compile (once) and return the numba kernel trio, or None."""
+    """Compile (once) and return the numba kernel pair, or None."""
     global _NUMBA_KERNELS, _NUMBA_FAILED
     if _NUMBA_KERNELS is not None:
         return _NUMBA_KERNELS
@@ -157,43 +146,22 @@ def _build_numba() -> dict | None:
                 keep[i] = False
         return keep
 
-    @njit(nogil=True)
-    def _due_partition(arrival, now):  # pragma: no cover - needs numba
-        c = arrival.size
-        hits = 0
-        for i in range(c):
-            if arrival[i] <= now:
-                hits += 1
-        due = np.empty(hits, dtype=np.int64)
-        keep = np.empty(c - hits, dtype=np.int64)
-        a = 0
-        b = 0
-        for i in range(c):
-            if arrival[i] <= now:
-                due[a] = i
-                a += 1
-            else:
-                keep[b] = i
-                b += 1
-        return due, keep
-
     _NUMBA_KERNELS = {
         "probe_ranges": _probe_ranges,
         "capacity_gate": _capacity_gate,
-        "due_partition": _due_partition,
     }
     return _NUMBA_KERNELS
 
 
 class Kernels:
-    """The resolved kernel trio of one data plane / transport.
+    """The resolved kernel pair of one data plane.
 
     Attributes:
         tier: ``"numpy"`` or ``"numba"`` — the tier actually bound.
-        probe_ranges / capacity_gate / due_partition: the kernels.
+        probe_ranges / capacity_gate: the kernels.
     """
 
-    __slots__ = ("tier", "probe_ranges", "capacity_gate", "due_partition")
+    __slots__ = ("tier", "probe_ranges", "capacity_gate")
 
     def __init__(self, tier: str) -> None:
         self.tier = tier
@@ -202,11 +170,9 @@ class Kernels:
             assert kernels is not None
             self.probe_ranges = kernels["probe_ranges"]
             self.capacity_gate = kernels["capacity_gate"]
-            self.due_partition = kernels["due_partition"]
         else:
             self.probe_ranges = probe_ranges_numpy
             self.capacity_gate = capacity_gate_numpy
-            self.due_partition = due_partition_numpy
 
 
 def resolve_tier(mode: str) -> str:
@@ -231,5 +197,5 @@ def resolve_tier(mode: str) -> str:
 
 
 def resolve(mode: str) -> Kernels:
-    """Build the kernel trio for a ``jit`` config value."""
+    """Build the kernel pair for a ``jit`` config value."""
     return Kernels(resolve_tier(mode))

@@ -2,10 +2,8 @@
 
 Two interchangeable transports move tuples between circuit services:
 
-* :class:`ArrayTransport` — the production path.  In-flight tuples live
-  in one struct-of-arrays pool (one contiguous column per attribute);
-  delivery extracts every due entry with a single vectorized
-  arrival-tick comparison and compacts the survivors in place.
+* :class:`ArrayTransport` — the production path, a **calendar queue
+  keyed by arrival tick**: delivery costs O(due), not O(in flight).
 * :class:`HeapTransport` — the retained per-tuple reference.  Tuples
   are individual heap entries popped one at a time, exactly the
   pre-vectorization shape (`CircuitExecutor`-style heapq), and the
@@ -25,6 +23,53 @@ all times::
 (``buffered`` is zero for the base transports) and is exposed by
 :meth:`in_flight` / the counters so the data plane can prove that no
 tuple is ever silently lost.
+
+The calendar
+------------
+
+Network usage *is* the data in transit, so the pool is large by
+construction (hundreds of thousands of rows for ten thousand due per
+tick) and nothing on the per-tick path may touch all of it:
+
+* **Layout.**  Six flat payload columns indexed by row; a row never
+  moves.  ``_slots[tick]`` lists chunks of int32 row indices arriving
+  at ``tick``.  :meth:`~ArrayTransport.send` groups a batch by arrival
+  in O(n) — radix argsort of the tick offsets, one ``bincount`` for the
+  run boundaries, one list append per distinct tick (a single-tick
+  batch skips the sort) — and :meth:`~ArrayTransport.due` pops the
+  slots ``<= now`` whole and gathers only their rows.  The batch it
+  returns is unordered; the caller's ``(op, port, seq)`` sort is the
+  canonical order.
+* **Locality.**  ``send`` writes the batch *in arrival order* into the
+  rows it takes, so one tick's rows are consecutive entries of what
+  earlier slots gave back run by run: a slot's rows stay runs of
+  adjacent pool rows about a chunk long, and both the scatter in
+  ``send`` and the gather in ``due`` walk runs instead of striding a
+  pool that no cache holds.
+* **A row belongs to its slot until the slot pops.**
+  :meth:`~ArrayTransport.remap_ops` re-addresses rows in place and
+  marks dropped ones dead (``op = -1``) without editing the calendar;
+  ``due`` filters dead rows out of what it popped and reclaims *every*
+  popped row, marking it ``op = -1`` too.  ``op >= 0`` over ``[0,
+  top)`` is therefore the live mask, and ``remap_ops`` /
+  ``inflight_seqs`` are a constant number of NumPy calls however many
+  slots exist.  ``in_flight`` is a maintained counter.
+* **Cursor.**  ``_cursor`` is the last fully delivered tick:
+  ``due(now)`` walks the ticks ``cursor + 1 .. now`` (skipped ticks
+  included; after a gap longer than the calendar it scans the slot keys
+  instead) and leaves ``cursor = now - 1``, because tick ``now`` stays
+  open — a zero-delay cascade sent at ``arrival == now`` must be seen by
+  the next ``due(now)`` of the same tick.  A late send (``arrival <=
+  cursor``) is filed under ``cursor + 1`` and joins the next ``due``.
+  No slot key is ever ``<= cursor``, the call that finds nothing due is
+  one dict lookup, and ``now`` must not decrease.
+* **Memory.**  Popped index arrays go onto a free list that feeds later
+  sends (most recently freed first); the bump pointer ``top`` extends
+  the pool only when the list runs dry, so ``top`` tracks the peak of
+  live plus slotted-dead rows.  Indices are int32 and capacity is
+  ``np.empty``: rows past ``top`` are never read, hence never touched,
+  hence never resident.  :meth:`~ArrayTransport.check_calendar`
+  recounts all of it from scratch for the tests.
 
 Reliable delivery
 -----------------
@@ -49,7 +94,6 @@ import heapq
 
 import numpy as np
 
-from repro.runtime import jit as jit_kernels
 from repro.runtime.arena import ScratchArena
 from repro.runtime.hashing import route_bucket, route_bucket_int
 
@@ -62,13 +106,18 @@ __all__ = [
 
 
 class ArrayTransport:
-    """Struct-of-arrays in-flight pool with vectorized delivery.
+    """Calendar-queue in-flight pool with O(due) delivery.
 
-    Columns (``arrival``, ``op``, ``port``, ``key``, ``ts``, ``size``,
-    ``seq``) are preallocated contiguous arrays, grown by doubling; the
-    live region is ``[0, count)``.  :meth:`due` masks
-    ``arrival <= now`` in one comparison, returns the extracted columns,
-    and compacts the remainder — no per-tuple work anywhere.
+    Six payload columns (``op``, ``port``, ``key``, ``ts``, ``size``,
+    ``seq``) are flat arrays grown by doubling; a row is addressed by
+    its index and never moves.  ``_slots`` maps an arrival tick to the
+    chunks of row indices filed under it, so :meth:`due` pops the slots
+    ``<= now`` whole and gathers only those rows, and the call that
+    finds nothing due is a dict lookup.  Popped index arrays go onto a
+    free list that feeds later sends; the bump pointer ``_top`` extends
+    the pool only when the free list runs dry.  See the module
+    docstring for the row-ownership rule, the cursor and the memory
+    contract.
 
     Extraction writes into reusable :class:`~repro.runtime.arena.
     ScratchArena` buffers (shared with the owning data plane when one
@@ -79,26 +128,30 @@ class ArrayTransport:
     """
 
     _INITIAL = 1024
+    _COLUMNS = ("op", "port", "key", "ts", "size", "seq")
+    # Widest arrival span (in ticks) whose offsets fit the int16 keys
+    # NumPy's stable argsort radix-sorts in O(n).
+    _RADIX_SPAN = 1 << 15
 
-    def __init__(
-        self,
-        scratch: ScratchArena | None = None,
-        kernels: jit_kernels.Kernels | None = None,
-    ) -> None:
+    def __init__(self, scratch: ScratchArena | None = None) -> None:
         self._scratch = scratch or ScratchArena()
-        # Arrival-compaction kernel tier (see repro.runtime.jit); the
-        # owning data plane passes its resolved trio, standalone use
-        # defaults to the NumPy reference.
-        self._jit = kernels or jit_kernels.Kernels("numpy")
         self._cap = self._INITIAL
-        self._arrival = np.empty(self._cap, dtype=np.int64)
+        # np.empty, never np.full: capacity beyond _top is never read,
+        # so it is never touched and costs no resident memory.
         self._op = np.empty(self._cap, dtype=np.int64)
         self._port = np.empty(self._cap, dtype=np.int64)
         self._key = np.empty(self._cap, dtype=np.int64)
         self._ts = np.empty(self._cap, dtype=np.int64)
         self._size = np.empty(self._cap, dtype=np.float64)
         self._seq = np.empty(self._cap, dtype=np.int64)
-        self._count = 0
+        self._top = 0  # rows [0, _top) have been handed out at least once
+        self._slots: dict[int, list[np.ndarray]] = {}
+        self._free: list[np.ndarray] = []
+        # Last fully delivered tick: no slot key is <= _cursor, and a
+        # send arriving at or before it is filed under _cursor + 1.
+        self._cursor = -(1 << 62)
+        self._count = 0  # live rows (in_flight)
+        self._dead = 0  # rows remap_ops dropped that still sit in a slot
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
@@ -121,7 +174,8 @@ class ArrayTransport:
 
     def inflight_seqs(self) -> np.ndarray:
         """Sequence numbers currently in the in-flight pool (copy)."""
-        return self._seq[: self._count].copy()
+        top = self._top
+        return self._seq[:top][self._op[:top] >= 0]
 
     def buffered_seqs(self) -> np.ndarray:
         """Sequence numbers parked in the retransmit buffer (none here)."""
@@ -131,12 +185,32 @@ class ArrayTransport:
         cap = self._cap
         while cap < needed:
             cap *= 2
-        for name in ("_arrival", "_op", "_port", "_key", "_ts", "_size", "_seq"):
-            old = getattr(self, name)
+        for name in self._COLUMNS:
+            old = getattr(self, "_" + name)
             fresh = np.empty(cap, dtype=old.dtype)
-            fresh[: self._count] = old[: self._count]
-            setattr(self, name, fresh)
+            fresh[: self._top] = old[: self._top]
+            setattr(self, "_" + name, fresh)
         self._cap = cap
+
+    def _take(self, n: int) -> np.ndarray:
+        """``n`` unused row indices: free list first, then fresh rows."""
+        free = self._free
+        parts = []
+        need = n
+        while need and free:
+            chunk = free.pop()
+            if chunk.size > need:
+                free.append(chunk[need:])
+                chunk = chunk[:need]
+            parts.append(chunk)
+            need -= chunk.size
+        if need:
+            top = self._top
+            if top + need > self._cap:
+                self._grow(top + need)
+            parts.append(np.arange(top, top + need, dtype=np.int32))
+            self._top = top + need
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _append(
         self,
@@ -148,21 +222,55 @@ class ArrayTransport:
         size: np.ndarray,
         seq: np.ndarray,
     ) -> int:
-        """Append columns to the in-flight pool; returns the batch size."""
+        """File a batch under its arrival ticks; returns the batch size."""
         n = arrival.shape[0]
         if n == 0:
             return 0
-        if self._count + n > self._cap:
-            self._grow(self._count + n)
-        lo, hi = self._count, self._count + n
-        self._arrival[lo:hi] = arrival
-        self._op[lo:hi] = op
-        self._port[lo:hi] = port
-        self._key[lo:hi] = key
-        self._ts[lo:hi] = ts
-        self._size[lo:hi] = size
-        self._seq[lo:hi] = seq
-        self._count = hi
+        lo = int(arrival.min())
+        hi = int(arrival.max())
+        first = self._cursor + 1
+        if lo < first:  # late rows join the next due()
+            arrival = np.maximum(arrival, first)
+            lo, hi = first, max(hi, first)
+        if lo == hi:
+            order = None
+            ticks, ends = [lo], [n]
+        else:
+            # Group by arrival in O(n): radix argsort of the tick
+            # offsets, one bincount for the run boundaries.  A batch
+            # spanning more ticks than int16 holds is rank-compressed
+            # first so the bincount stays O(n).
+            d = arrival - lo
+            if hi - lo < self._RADIX_SPAN:
+                offsets = None
+                order = np.argsort(d.astype(np.int16), kind="stable")
+            else:
+                offsets, d = np.unique(d, return_inverse=True)
+                order = np.argsort(d, kind="stable")
+            counts = np.bincount(d)
+            present = np.flatnonzero(counts)
+            ends = np.cumsum(counts[present]).tolist()
+            ticks = (lo + (present if offsets is None else offsets[present])).tolist()
+        # The batch is written in arrival order, so one tick's rows are
+        # consecutive entries of ``rows`` — and ``rows`` is what earlier
+        # slots gave back, run by run.  A slot's rows therefore stay
+        # runs of adjacent pool rows, which this scatter and the gather
+        # in due() walk instead of striding the whole pool.
+        rows = self._take(n)
+        at = rows.astype(np.intp)  # one cast, six scatters
+        for name, values in zip(self._COLUMNS, (op, port, key, ts, size, seq)):
+            getattr(self, "_" + name)[at] = values if order is None else values[order]
+        self._count += n
+        slots = self._slots
+        start = 0
+        for tick, end in zip(ticks, ends):  # one append per distinct tick
+            chunk = rows[start:end]
+            chunks = slots.get(tick)
+            if chunks is None:
+                slots[tick] = [chunk]
+            else:
+                chunks.append(chunk)
+            start = end
         return n
 
     def send(
@@ -175,41 +283,56 @@ class ArrayTransport:
         size: np.ndarray,
         seq: np.ndarray,
     ) -> None:
-        """Append a batch of in-flight tuples (one array per column)."""
+        """Put a batch of tuples in flight (one array per column)."""
         self.sent += self._append(arrival, op, port, key, ts, size, seq)
 
     def due(self, now: int) -> dict[str, np.ndarray] | None:
-        """Extract every tuple with ``arrival <= now`` (one comparison).
+        """Extract every tuple with ``arrival <= now``.
 
-        Returns the extracted columns (unordered — callers sort
-        canonically), or None when nothing is due.  Survivors are
-        compacted to the front of the pool.
+        ``now`` never decreases across calls.  Returns the extracted
+        columns (unordered — callers sort canonically), or None when
+        nothing is due.  Every popped row, live or dead, is reclaimed.
         """
-        c = self._count
-        if c == 0:
+        slots = self._slots
+        cursor = self._cursor
+        self._cursor = max(cursor, now - 1)
+        if not slots:
             return None
-        # One partition pass over the arrival column (the configured
-        # kernel tier; the NumPy reference is a mask + two flatnonzero
-        # sweeps) yields the stable due / survivor index split.
-        idx, keep = self._jit.due_partition(self._arrival[:c], now)
-        hits = idx.size
-        if hits == 0:
+        if now - cursor > len(slots):  # first call or a long gap
+            ticks = sorted(t for t in slots if t <= now)
+        else:
+            ticks = range(cursor + 1, now + 1)
+        popped: list[np.ndarray] = []
+        for tick in ticks:
+            chunks = slots.pop(tick, None)
+            if chunks is not None:
+                popped += chunks
+        if not popped:
             return None
+        rows = popped[0] if len(popped) == 1 else np.concatenate(popped)
+        self._free.append(rows)
+        at = rows.astype(np.intp)  # one cast, six gathers
+        if self._dead:
+            live = self._op[at] >= 0
+            dead = at.size - int(np.count_nonzero(live))
+            if dead:
+                self._dead -= dead
+                at = at[live]
+                if at.size == 0:
+                    return None
+        hits = at.size
         # Extract the due rows into reusable scratch views (valid until
         # the next due() call) — one gather per column, no allocation
         # on the steady-state path.
         scratch = self._scratch
         batch = {}
-        for name in ("op", "port", "key", "ts", "size", "seq"):
+        for name in self._COLUMNS:
             col = getattr(self, "_" + name)
             out = scratch.array("due_" + name, hits, col.dtype)
-            np.take(col[:c], idx, out=out)
+            np.take(col, at, out=out)
             batch[name] = out
-        survivors = keep.size
-        for name in ("_arrival", "_op", "_port", "_key", "_ts", "_size", "_seq"):
-            col = getattr(self, name)
-            col[:survivors] = col[:c][keep]
-        self._count = survivors
+        self._op[at] = -1  # delivered rows leave the live mask
+        self._count -= hits
         self.delivered += hits
         return batch
 
@@ -220,7 +343,9 @@ class ArrayTransport:
         operator's circuit was uninstalled.  Tuples bound for removed
         operators are dropped *with accounting* (they count as both
         delivered-out-of-the-pool and dropped); everything else is
-        re-homed in place.  Returns the number dropped.
+        re-homed in place.  A dropped row is only marked dead — it
+        stays filed in its slot and is reclaimed when the slot pops.
+        Returns the number dropped.
 
         ``key_split`` handles scale events: ``key_split[old_op] =
         (targets, port)`` re-routes that op's tuples by key bucket to
@@ -229,38 +354,61 @@ class ArrayTransport:
         hash-router applies at send time, so re-homed in-flight tuples
         land on the replica that owns their key.
         """
-        c = self._count
-        if c == 0:
+        if self._count == 0:
             return 0
-        ops = self._op[:c]
-        new_op = mapping[ops]
+        top = self._top
+        ops = self._op[:top]
+        live = ops >= 0
+        new_op = np.where(live, mapping[ops], -1)
         if key_split:
-            keys = self._key[:c]
+            keys = self._key[:top]
             for old, (targets, port) in key_split.items():
                 mask = ops == old
                 if not mask.any():
                     continue
                 new_op[mask] = targets[route_bucket(keys[mask], len(targets))]
                 if port is not None:
-                    self._port[:c][mask] = port
-        keep = new_op >= 0
-        dropped = int(c - keep.sum())
+                    self._port[:top][mask] = port
+        drop = live & (new_op < 0)
+        dropped = int(np.count_nonzero(drop))
         if dropped:
             if self.trace is not None:
-                self.trace.record_drop_uninstall(
-                    self._seq[:c][~keep], self._op[:c][~keep]
-                )
-            survivors = int(keep.sum())
-            for name in ("_arrival", "_op", "_port", "_key", "_ts", "_size", "_seq"):
-                col = getattr(self, name)
-                col[:survivors] = col[:c][keep]
-            self._op[:survivors] = new_op[keep]
-            self._count = survivors
+                self.trace.record_drop_uninstall(self._seq[:top][drop], ops[drop])
+            self._count -= dropped
+            self._dead += dropped
             self.delivered += dropped
             self.dropped += dropped
-        else:
-            self._op[:c] = new_op
+        self._op[:top] = new_op
         return dropped
+
+    def check_calendar(self) -> int:
+        """Recount the pool from the calendar; returns the live rows.
+
+        Debug helper, O(top): raises AssertionError unless the slotted
+        rows minus the dead ones equal ``in_flight``, no slot key is at
+        or before the cursor, and the free list, the live rows and the
+        slotted dead rows partition ``[0, top)`` with no index twice.
+        """
+        top = self._top
+        empty = [np.empty(0, dtype=np.int32)]
+        filed = np.concatenate(
+            empty + [c for chunks in self._slots.values() for c in chunks]
+        )
+        free = np.concatenate(empty + self._free)
+        seen = np.bincount(np.concatenate((filed, free)), minlength=top)
+        if seen.size != top or (seen != 1).any():
+            raise AssertionError("free list and slots do not partition [0, top)")
+        if self._slots and min(self._slots) <= self._cursor:
+            raise AssertionError("slot filed at or before the cursor")
+        if (self._op[free] >= 0).any():
+            raise AssertionError("free row marked live")
+        live = int(np.count_nonzero(self._op[filed] >= 0))
+        if live != self._count or filed.size - live != self._dead:
+            raise AssertionError(
+                f"calendar holds {live} live / {filed.size - live} dead rows, "
+                f"counters say {self._count} / {self._dead}"
+            )
+        return live
 
 
 class HeapTransport:
@@ -376,9 +524,8 @@ class ReliableTransport(ArrayTransport):
         self,
         max_buffer: int = 4096,
         scratch: ScratchArena | None = None,
-        kernels: jit_kernels.Kernels | None = None,
     ) -> None:
-        super().__init__(scratch, kernels)
+        super().__init__(scratch)
         if max_buffer < 0:
             raise ValueError("max_buffer must be non-negative")
         self.max_buffer = max_buffer

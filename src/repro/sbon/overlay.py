@@ -72,6 +72,9 @@ class Overlay:
         self.topology = topology
         n = latencies.num_nodes
         self._nodes = [SBONNode(index=i) for i in range(n)]
+        # Per-node liveness, mirrored on the node objects; written only
+        # by apply_liveness (the sole caller of SBONNode.fail/recover).
+        self._alive = np.ones(n, dtype=bool)
         self.circuits: dict[str, Circuit] = {}
         # Array-backed load/memory state (source of truth for loads()).
         self._background = np.zeros(n)
@@ -294,16 +297,14 @@ class Overlay:
         )
 
     def alive_flags(self) -> list[bool]:
-        return [node.alive for node in self._nodes]
+        return self._alive.tolist()
 
     def alive_mask(self) -> np.ndarray:
-        """Per-node liveness as a boolean array."""
-        return np.fromiter(
-            (node.alive for node in self._nodes), dtype=bool, count=len(self._nodes)
-        )
+        """Per-node liveness as a boolean array (a copy)."""
+        return self._alive.copy()
 
     def failed_nodes(self) -> set[int]:
-        return {node.index for node in self._nodes if not node.alive}
+        return set(np.flatnonzero(~self._alive).tolist())
 
     def apply_liveness(self, alive: np.ndarray | list[bool]) -> tuple[list[int], list[int]]:
         """Apply a liveness mask (from churn) in one batched diff.
@@ -319,9 +320,10 @@ class Overlay:
         alive = np.asarray(alive, dtype=bool)
         if alive.shape != (self.num_nodes,):
             raise ValueError("liveness mask has wrong shape")
-        current = self.alive_mask()
-        newly_failed = [int(i) for i in np.flatnonzero(current & ~alive)]
-        newly_recovered = [int(i) for i in np.flatnonzero(~current & alive)]
+        current = self._alive
+        newly_failed = np.flatnonzero(current & ~alive).tolist()
+        newly_recovered = np.flatnonzero(~current & alive).tolist()
+        current[:] = alive
         for idx in newly_failed:
             orphans = self._nodes[idx].fail()
             for service in orphans:

@@ -176,6 +176,32 @@ class TestOverlay:
         with pytest.raises(ValueError):
             overlay.set_node_capacity(0, memory_capacity=-1.0)
 
+    def test_liveness_array_agrees_with_node_objects(self):
+        overlay = self._overlay()
+        up = np.ones(16, dtype=bool)
+        down = up.copy()
+        down[[3, 7]] = False
+        again = up.copy()
+        again[[7, 11]] = False
+        steps = [
+            (down, ([3, 7], [])),
+            (up, ([], [3, 7])),
+            (again, ([7, 11], [])),
+        ]
+        for mask, expected in steps:
+            assert overlay.apply_liveness(mask) == expected
+            from_nodes = [node.alive for node in overlay.nodes]
+            assert overlay.alive_mask().tolist() == from_nodes == mask.tolist()
+            assert overlay.alive_flags() == from_nodes
+            assert overlay.failed_nodes() == {
+                node.index for node in overlay.nodes if not node.alive
+            }
+        # Masks handed out and masks handed in are copies: writing
+        # either afterwards changes nothing.
+        overlay.alive_mask()[:] = False
+        again[0] = False
+        assert overlay.alive_flags() == [node.alive for node in overlay.nodes]
+
 
 class TestTimeSeries:
     def test_append_enforces_time_order(self):
