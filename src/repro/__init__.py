@@ -43,6 +43,7 @@ from repro.core import (
     centroid_placement,
     gradient_descent_placement,
     map_circuit,
+    map_circuits,
     relaxation_placement,
     squared,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "centroid_placement",
     "gradient_descent_placement",
     "map_circuit",
+    "map_circuits",
     "relaxation_placement",
     "squared",
     "CircuitExecutor",

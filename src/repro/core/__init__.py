@@ -50,6 +50,7 @@ from repro.core.physical_mapping import (
     ServiceMapping,
     build_catalog,
     map_circuit,
+    map_circuits,
 )
 from repro.core.precomputed import (
     PlanBook,
@@ -119,6 +120,7 @@ __all__ = [
     "ServiceMapping",
     "build_catalog",
     "map_circuit",
+    "map_circuits",
     "PlanBook",
     "PrecomputedPlansOptimizer",
     "perturbed_cost_space",

@@ -83,17 +83,51 @@ class CostEvaluator(Protocol):
         ...
 
 
-def network_usage(circuit: Circuit, latency_fn: Callable[[int, int], float]) -> float:
-    """Σ rate × latency over all circuit links (requires full placement)."""
+def _link_latencies(
+    circuit: Circuit, latency_fn: Callable[[int, int], float]
+) -> list[float]:
+    """Hop latency of every circuit link, in link order (0.0 when co-hosted)."""
     if not circuit.is_fully_placed():
         raise ValueError(f"circuit {circuit.name} is not fully placed")
-    total = 0.0
+    hops = []
     for link in circuit.links:
         u = circuit.host_of(link.source)
         v = circuit.host_of(link.target)
-        if u != v:
-            total += link.rate * latency_fn(u, v)
+        hops.append(0.0 if u == v else latency_fn(u, v))
+    return hops
+
+
+def _usage(circuit: Circuit, hops: list[float]) -> float:
+    """:func:`network_usage` over already-priced links."""
+    total = 0.0
+    for link, hop in zip(circuit.links, hops):
+        total += link.rate * hop
     return total
+
+
+def _path_delay(circuit: Circuit, hops: list[float]) -> float:
+    """:func:`consumer_latency` over already-priced links."""
+    delay: dict[str, float] = {}
+
+    incoming: dict[str, list[tuple[str, float]]] = {sid: [] for sid in circuit.services}
+    for link, hop in zip(circuit.links, hops):
+        incoming[link.target].append((link.source, hop))
+
+    def arrival(sid: str) -> float:
+        if sid in delay:
+            return delay[sid]
+        worst = 0.0
+        for source, hop in incoming[sid]:
+            worst = max(worst, arrival(source) + hop)
+        delay[sid] = worst
+        return worst
+
+    return max((arrival(sid) for sid in circuit.sink_ids()), default=0.0)
+
+
+def network_usage(circuit: Circuit, latency_fn: Callable[[int, int], float]) -> float:
+    """Σ rate × latency over all circuit links (requires full placement)."""
+    return _usage(circuit, _link_latencies(circuit, latency_fn))
 
 
 def consumer_latency(circuit: Circuit, latency_fn: Callable[[int, int], float]) -> float:
@@ -103,34 +137,7 @@ def consumer_latency(circuit: Circuit, latency_fn: Callable[[int, int], float]) 
     the arrival delay at a service is the max over its inputs of
     (input's delay + link latency).
     """
-    if not circuit.is_fully_placed():
-        raise ValueError(f"circuit {circuit.name} is not fully placed")
-    delay: dict[str, float] = {}
-
-    incoming: dict[str, list] = {sid: [] for sid in circuit.services}
-    for link in circuit.links:
-        incoming[link.target].append(link)
-
-    def arrival(sid: str) -> float:
-        if sid in delay:
-            return delay[sid]
-        links = incoming[sid]
-        if not links:
-            delay[sid] = 0.0
-            return 0.0
-        worst = 0.0
-        for link in links:
-            u = circuit.host_of(link.source)
-            v = circuit.host_of(link.target)
-            hop = 0.0 if u == v else latency_fn(u, v)
-            worst = max(worst, arrival(link.source) + hop)
-        delay[sid] = worst
-        return worst
-
-    sinks = circuit.sink_ids()
-    if not sinks:
-        return 0.0
-    return max(arrival(sid) for sid in sinks)
+    return _path_delay(circuit, _link_latencies(circuit, latency_fn))
 
 
 def _evaluate(
@@ -139,8 +146,10 @@ def _evaluate(
     penalty_fn: Callable[[int], float],
     load_weight: float,
 ) -> CircuitCost:
-    usage = network_usage(circuit, latency_fn)
-    latency = consumer_latency(circuit, latency_fn)
+    # Each link is priced once; both reductions read the same hops.
+    hops = _link_latencies(circuit, latency_fn)
+    usage = _usage(circuit, hops)
+    latency = _path_delay(circuit, hops)
     # Count each distinct hosting node once, but only for unpinned
     # services — pinned endpoints are not a placement choice.
     unpinned_hosts = {

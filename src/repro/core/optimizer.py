@@ -13,11 +13,19 @@ does the best it can for that plan.  Figure 1's inefficiency is exactly
 the gap between the two.
 
 A **random optimizer** provides the floor: random plan, random hosts.
+
+What a query costs: :meth:`_PlacingOptimizerBase.place_plans` is the
+single plan-evaluation loop — it compiles and virtually places each
+candidate plan, maps **all** candidates' services in one mapper batch
+(:func:`~repro.core.physical_mapping.map_circuits`: one catalog round
+per query, however many plans) and then prices each circuit.
+``place_plan`` is its one-plan case.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +37,8 @@ from repro.core.physical_mapping import (
     CatalogMapper,
     ExhaustiveMapper,
     MappingResult,
-    map_circuit,
+    map_circuit,  # noqa: F401 -- bench/ patches this name in this module
+    map_circuits,
 )
 from repro.core.virtual_placement import VirtualPlacement, relaxation_placement
 from repro.query.generator import best_plan, enumerate_all_plans, top_k_plans
@@ -100,7 +109,7 @@ class OptimizationResult:
 
 
 class _PlacingOptimizerBase:
-    """Shared machinery: place+map+price one plan."""
+    """Shared machinery: place, map and price a set of candidate plans."""
 
     def __init__(
         self,
@@ -116,16 +125,76 @@ class _PlacingOptimizerBase:
         self.placement_fn = placement_fn
         self.load_weight = load_weight
 
+    def place_plans(
+        self, plans: Sequence[LogicalPlan], query: QuerySpec, stats: Statistics
+    ) -> list[tuple[Circuit, VirtualPlacement, MappingResult, CircuitCost]]:
+        """Compile and virtually place each plan, map them all, price each.
+
+        Virtual placement stays one opaque ``placement_fn`` call per
+        circuit; physical mapping is one batch for the whole plan set.
+        """
+        circuits = [Circuit.from_plan(plan, query, stats) for plan in plans]
+        placements = [
+            self.placement_fn(
+                circuit, pinned_vector_positions(circuit, self.cost_space)
+            )
+            for circuit in circuits
+        ]
+        mappings = map_circuits(circuits, placements, self.cost_space, self.mapper)
+        return [
+            (
+                circuit,
+                placement,
+                mapping,
+                self.evaluator.evaluate(circuit, load_weight=self.load_weight),
+            )
+            for circuit, placement, mapping in zip(circuits, placements, mappings)
+        ]
+
     def place_plan(
         self, plan: LogicalPlan, query: QuerySpec, stats: Statistics
     ) -> tuple[Circuit, VirtualPlacement, MappingResult, CircuitCost]:
         """Compile, virtually place, map, and price one plan."""
-        circuit = Circuit.from_plan(plan, query, stats)
-        pinned = pinned_vector_positions(circuit, self.cost_space)
-        placement = self.placement_fn(circuit, pinned)
-        mapping = map_circuit(circuit, placement, self.cost_space, self.mapper)
-        cost = self.evaluator.evaluate(circuit, load_weight=self.load_weight)
-        return circuit, placement, mapping, cost
+        return self.place_plans([plan], query, stats)[0]
+
+    def _best_of_plans(
+        self,
+        plans: Sequence[LogicalPlan],
+        query: QuerySpec,
+        stats: Statistics,
+        refinement_candidates: int = 0,
+    ) -> OptimizationResult:
+        """Place every plan (one mapper batch) and keep the cheapest circuit.
+
+        Ties keep the earliest plan.  With ``refinement_candidates > 0``
+        each mapped circuit is refined (:meth:`refine_placement`) before
+        it is compared.
+        """
+        best: tuple | None = None
+        candidates: list[CandidateOutcome] = []
+        for plan, (circuit, placement, mapping, cost) in zip(
+            plans, self.place_plans(plans, query, stats)
+        ):
+            if refinement_candidates:
+                cost = self.refine_placement(
+                    circuit, placement, refinement_candidates
+                )
+            candidates.append(CandidateOutcome(plan, cost))
+            if best is None or cost.total < best[4].total:
+                best = (plan, circuit, placement, mapping, cost)
+        if best is None:
+            raise ValueError("no candidate plans to place")
+        plan, circuit, placement, mapping, cost = best
+        return OptimizationResult(
+            query_name=query.name,
+            plan=plan,
+            circuit=circuit,
+            cost=cost,
+            virtual_placement=placement,
+            mapping=mapping,
+            candidates=candidates,
+            placements_evaluated=len(plans),
+        )
 
     def refine_placement(
         self,
@@ -217,29 +286,11 @@ class IntegratedOptimizer(_PlacingOptimizerBase):
 
     def optimize(self, query: QuerySpec, stats: Statistics) -> OptimizationResult:
         """Full circuit optimization: one placed candidate per plan."""
-        plans = self.candidate_plans(query, stats)
-        best: tuple | None = None
-        candidates: list[CandidateOutcome] = []
-        for plan in plans:
-            circuit, placement, mapping, cost = self.place_plan(plan, query, stats)
-            if self.refinement_candidates:
-                cost = self.refine_placement(
-                    circuit, placement, self.refinement_candidates
-                )
-            candidates.append(CandidateOutcome(plan, cost))
-            if best is None or cost.total < best[4].total:
-                best = (plan, circuit, placement, mapping, cost)
-        assert best is not None
-        plan, circuit, placement, mapping, cost = best
-        return OptimizationResult(
-            query_name=query.name,
-            plan=plan,
-            circuit=circuit,
-            cost=cost,
-            virtual_placement=placement,
-            mapping=mapping,
-            candidates=candidates,
-            placements_evaluated=len(plans),
+        return self._best_of_plans(
+            self.candidate_plans(query, stats),
+            query,
+            stats,
+            self.refinement_candidates,
         )
 
 

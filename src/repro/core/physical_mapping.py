@@ -16,10 +16,18 @@ Two interchangeable backends:
 The difference between the catalog's answer and the exhaustive answer —
 and between either answer and the virtual coordinate itself — is the
 *mapping error* studied in experiments E3/E6.
+
+What a round costs: :func:`map_circuits` stacks the unpinned targets of
+*every* circuit it is given into one array and makes **one**
+``map_coordinates`` call, so a query whose optimizer prices fifteen
+candidate plans pays one mapper batch (one Hilbert encode, one scan per
+distinct catalog owner), not fifteen.  :func:`map_circuit` is its
+one-circuit case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +45,7 @@ __all__ = [
     "ExhaustiveMapper",
     "CatalogMapper",
     "map_circuit",
+    "map_circuits",
     "build_catalog",
 ]
 
@@ -132,6 +141,8 @@ class CatalogMapper:
         scan_width: int = 8,
         excluded: set[int] | None = None,
     ):
+        if scan_width < 1:
+            raise ValueError("scan_width must be >= 1")
         self.cost_space = cost_space
         self.catalog = catalog
         self.scan_width = scan_width
@@ -201,44 +212,66 @@ def build_catalog(
     return catalog
 
 
+def map_circuits(
+    circuits: Sequence[Circuit],
+    placements: Sequence[VirtualPlacement],
+    cost_space: CostSpace,
+    mapper: ExhaustiveMapper | CatalogMapper,
+) -> list[MappingResult]:
+    """Map every unpinned service of many circuits in one mapper batch.
+
+    The target coordinate of a service is its virtual vector position
+    with ideal (zero) scalar components.  Every circuit's targets are
+    stacked into one ``(Σ unpinned, dims)`` array and mapped by a single
+    ``mapper.map_coordinates`` call — mappings are independent (neither
+    exclusions nor coordinates change inside the batch), so each service
+    gets the host, hop count and error it would get mapped alone.  Each
+    circuit's ``placement`` dict is then updated in place, in its own
+    ``unpinned_ids()`` order.  The mapper raises *before* any host is
+    assigned, so a failed batch leaves every circuit as it was.
+    """
+    vector_dims = cost_space.spec.vector_dims
+    ideal_scalars = np.zeros(len(cost_space.spec.scalar_dimensions))
+    unpinned = [circuit.unpinned_ids() for circuit in circuits]
+    results = [MappingResult() for _ in circuits]
+    total = sum(len(ids) for ids in unpinned)
+    if total == 0:
+        return results
+    targets = np.zeros((total, cost_space.spec.dims))
+    row = 0
+    for ids, placement in zip(unpinned, placements):
+        for service_id in ids:
+            targets[row, :vector_dims] = placement.position_of(service_id)
+            row += 1
+    nodes, hops = mapper.map_coordinates(targets)
+    diff = targets - cost_space.full_matrix()[nodes]
+    errors = np.sqrt(np.einsum("md,md->m", diff, diff))
+    row = 0
+    for circuit, ids, result in zip(circuits, unpinned, results):
+        for service_id in ids:
+            node = int(nodes[row])
+            circuit.assign(service_id, node)
+            target = CostCoordinate.from_arrays(
+                targets[row, :vector_dims], ideal_scalars
+            )
+            result.mappings.append(
+                ServiceMapping(
+                    service_id=service_id,
+                    node=node,
+                    target=target,
+                    mapping_error=float(errors[row]),
+                    dht_hops=int(hops[row]),
+                )
+            )
+            row += 1
+    return results
+
+
 def map_circuit(
     circuit: Circuit,
     placement: VirtualPlacement,
     cost_space: CostSpace,
     mapper: ExhaustiveMapper | CatalogMapper,
 ) -> MappingResult:
-    """Map every unpinned service of a circuit and assign its host.
-
-    The target coordinate of a service is its virtual vector position
-    with ideal (zero) scalar components.  The circuit's ``placement``
-    dict is updated in place.  All services map in one batched call
-    (mappings are independent: neither exclusions nor coordinates
-    change mid-circuit), one cost-space pass for the whole circuit.
-    """
-    scalar_dims = len(cost_space.spec.scalar_dimensions)
-    result = MappingResult()
-    unpinned = circuit.unpinned_ids()
-    if not unpinned:
-        return result
-    targets = np.zeros((len(unpinned), cost_space.spec.dims))
-    for i, service_id in enumerate(unpinned):
-        targets[i, : cost_space.spec.vector_dims] = placement.position_of(service_id)
-    nodes, hops = mapper.map_coordinates(targets)
-    diff = targets - cost_space.full_matrix()[nodes]
-    errors = np.sqrt(np.einsum("md,md->m", diff, diff))
-    for i, service_id in enumerate(unpinned):
-        node = int(nodes[i])
-        circuit.assign(service_id, node)
-        target = CostCoordinate.from_arrays(
-            targets[i, : cost_space.spec.vector_dims], np.zeros(scalar_dims)
-        )
-        result.mappings.append(
-            ServiceMapping(
-                service_id=service_id,
-                node=node,
-                target=target,
-                mapping_error=float(errors[i]),
-                dht_hops=int(hops[i]),
-            )
-        )
-    return result
+    """Map one circuit: the one-circuit case of :func:`map_circuits`."""
+    return map_circuits([circuit], [placement], cost_space, mapper)[0]

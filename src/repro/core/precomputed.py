@@ -158,25 +158,4 @@ class PrecomputedPlansOptimizer(_PlacingOptimizerBase):
         for "common anticipated queries", exactly the limitation the
         paper points out.
         """
-        book = self.book_for(query.name)
-        best = None
-        candidates = []
-        from repro.core.optimizer import CandidateOutcome
-
-        for plan in book:
-            circuit, placement, mapping, cost = self.place_plan(plan, query, stats)
-            candidates.append(CandidateOutcome(plan, cost))
-            if best is None or cost.total < best[4].total:
-                best = (plan, circuit, placement, mapping, cost)
-        assert best is not None
-        plan, circuit, placement, mapping, cost = best
-        return OptimizationResult(
-            query_name=query.name,
-            plan=plan,
-            circuit=circuit,
-            cost=cost,
-            virtual_placement=placement,
-            mapping=mapping,
-            candidates=candidates,
-            placements_evaluated=len(book),
-        )
+        return self._best_of_plans(list(self.book_for(query.name)), query, stats)

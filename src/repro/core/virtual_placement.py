@@ -32,7 +32,11 @@ CSR-style neighbor index (:class:`_CircuitArrays`: flat segment /
 neighbor / rate arrays over a dense position matrix whose first rows
 are the unpinned services).  Each sweep then updates *every* unpinned
 service simultaneously from the previous iterate with segment-sum
-matrix operations — no per-service Python loop.  Simultaneous (Jacobi)
+matrix operations — no per-service Python loop.  What does not depend
+on the positions (the weight column, its per-service totals, the mask
+of services that can move) is computed on the first sweep and kept for
+the rest of the solve; only the Weiszfeld weights, which divide by the
+current link lengths, are recomputed per sweep.  Simultaneous (Jacobi)
 sweeps converge to the same unique equilibrium as the earlier in-place
 (Gauss–Seidel) sweeps because the spring energy is strictly convex,
 but propagate information about half as fast per sweep; the default
@@ -47,6 +51,7 @@ tests and before/after benchmarks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,34 +180,61 @@ class _CircuitArrays:
         self.seg = np.asarray(seg, dtype=int)
         self.nbr = np.asarray(nbr, dtype=int)
         self.rates = np.asarray(rates, dtype=float)
+        #: ``rate_weighted`` -> the sweep's position-independent arrays.
+        self._fixed: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
+        self._acc = np.empty((len(unpinned), dims))
+
+    def _segment_sums(
+        self, weights: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """``(weight column, per-service totals column, movable mask)``.
+
+        The mask is None when every service has positive total weight
+        (the usual case), so the sweep can divide without masking.
+        """
+        totals = np.bincount(self.seg, weights=weights, minlength=len(self.unpinned))
+        movable = totals > 0
+        return weights[:, None], totals[:, None], None if movable.all() else movable
 
     def sweep(self, rate_weighted: bool, distance_weighted: bool) -> float:
         """One simultaneous sweep over all unpinned services, in-place.
 
         Returns the largest movement distance.  All segment sums are
-        single vectorized passes over the flat incidence arrays.
+        single vectorized passes over the flat incidence arrays.  Without
+        distance weighting the weights — and so their totals and the
+        movable mask — do not change between sweeps: they are computed on
+        the first sweep and kept.  The Weiszfeld weights depend on the
+        current positions and are recomputed every sweep.
         """
         num_unpinned = len(self.unpinned)
         if self.seg.size == 0 or num_unpinned == 0:
             return 0.0
-        weights = self.rates if rate_weighted else np.ones_like(self.rates)
         neighbor_pos = self.matrix[self.nbr]
-        if distance_weighted:
-            diff = self.matrix[self.seg] - neighbor_pos
-            dist = np.sqrt(np.einsum("ed,ed->e", diff, diff))
-            weights = weights / np.maximum(dist, 1e-9)
-        totals = np.bincount(self.seg, weights=weights, minlength=num_unpinned)
-        weighted = weights[:, None] * neighbor_pos
-        acc = np.empty((num_unpinned, self.matrix.shape[1]))
-        for k in range(self.matrix.shape[1]):
+        fixed = None if distance_weighted else self._fixed.get(rate_weighted)
+        if fixed is None:
+            weights = self.rates if rate_weighted else np.ones_like(self.rates)
+            if distance_weighted:
+                diff = self.matrix[self.seg] - neighbor_pos
+                dist = np.sqrt(np.einsum("ed,ed->e", diff, diff))
+                weights = weights / np.maximum(dist, 1e-9)
+            fixed = self._segment_sums(weights)
+            if not distance_weighted:
+                self._fixed[rate_weighted] = fixed
+        column, totals, movable = fixed
+        weighted = column * neighbor_pos
+        acc = self._acc
+        for k in range(acc.shape[1]):
             acc[:, k] = np.bincount(self.seg, weights=weighted[:, k], minlength=num_unpinned)
-        movable = totals > 0
         old = self.matrix[:num_unpinned]
-        new = old.copy()
-        new[movable] = acc[movable] / totals[movable, None]
-        moves = np.sqrt(np.einsum("ud,ud->u", new - old, new - old))
-        self.matrix[:num_unpinned] = new
-        return float(moves.max(initial=0.0))
+        if movable is None:
+            new = acc / totals
+        else:
+            new = old.copy()
+            new[movable] = acc[movable] / totals[movable]
+        delta = new - old
+        old[:] = new
+        # sqrt is monotone and correctly rounded: sqrt(max) == max(sqrt).
+        return math.sqrt(np.einsum("ud,ud->u", delta, delta).max())
 
     def unpinned_positions(self) -> dict[str, np.ndarray]:
         return {

@@ -14,12 +14,20 @@ candidates by true distance — the standard technique for
 space-filling-curve indexes.  The gap between this answer and the
 exhaustive nearest node is the *mapping error* studied in experiments
 E3/E6.
+
+What a round costs: :meth:`CoordinateCatalog.nearest_batch` makes one
+batched Hilbert encode for all its keys, one hop-counted Chord lookup
+per key (the reported metric — intentionally a pointer chase), one ring
+walk per *distinct* owner, and ranks each owner's group of targets
+against that owner's candidate matrix with one array distance and a
+first-minimum ``argmin``.  Candidates are always ranked by Euclidean
+distance in the full coordinate space; every query method goes through
+the same array distance (:func:`_distances`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,11 +36,30 @@ from repro.dht.hilbert import HilbertMapper
 
 __all__ = ["CatalogEntry", "CoordinateCatalog", "CatalogQueryStats"]
 
-DistanceFn = Callable[[np.ndarray, np.ndarray], float]
+
+def _distances(points: np.ndarray, entries: list[CatalogEntry]) -> np.ndarray:
+    """``(g, k)`` Euclidean distances from ``g`` points to ``k`` entries.
+
+    Column order is the entries' order, so ``argmin`` (first minimum)
+    and a stable ``argsort`` break ties in the entries' favour exactly
+    as ``min`` / ``sorted`` over the list would.
+    """
+    candidates = np.array([e.coordinate for e in entries], dtype=float)
+    diff = points[:, None, :] - candidates[None, :, :]
+    return np.sqrt(np.einsum("gkd,gkd->gk", diff, diff))
 
 
-def _euclidean(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a - b))
+def _finite(coordinates: np.ndarray | list[float]) -> np.ndarray:
+    """Float array of ``coordinates``; NaN / inf would quantize silently."""
+    coordinates = np.asarray(coordinates, dtype=float)
+    if not np.isfinite(coordinates).all():
+        raise ValueError("coordinates must be finite")
+    return coordinates
+
+
+def _check_scan_width(scan_width: int) -> None:
+    if scan_width < 1:
+        raise ValueError("scan_width must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -71,8 +98,6 @@ class CoordinateCatalog:
             created and ``ring_size`` virtual nodes are joined (hashed
             ids), modelling a deployed DHT substrate.
         ring_size: number of DHT participants when creating a ring.
-        distance: metric used to rank candidates; Euclidean by default
-            (the cost-space distance in the full coordinate space).
     """
 
     def __init__(
@@ -80,10 +105,8 @@ class CoordinateCatalog:
         mapper: HilbertMapper,
         ring: ChordRing | None = None,
         ring_size: int = 64,
-        distance: DistanceFn = _euclidean,
     ):
         self.mapper = mapper
-        self.distance = distance
         # Reserve low-order salt bits so nodes sharing a quantization
         # cell still get distinct store keys.
         id_bits = mapper.key_bits + 16
@@ -110,7 +133,7 @@ class CoordinateCatalog:
         Keys are salted with the physical node id so that two nodes in
         the same quantization cell do not collide in the store.
         """
-        coordinate = np.asarray(coordinate, dtype=float)
+        coordinate = _finite(coordinate)
         key = self._salted_key(physical_node, coordinate)
         entry = CatalogEntry(physical_node, tuple(float(v) for v in coordinate))
         previous = self._published.get(physical_node)
@@ -136,7 +159,7 @@ class CoordinateCatalog:
         do not need per-entry routing hops; pass ``route=True`` to go
         through hop-counted :meth:`ChordRing.put` like :meth:`publish`.
         """
-        coordinates = np.asarray(coordinates, dtype=float)
+        coordinates = _finite(coordinates)
         if coordinates.ndim != 2 or coordinates.shape[0] != len(physical_nodes):
             raise ValueError("coordinates must be (len(physical_nodes), dims)")
         base_keys = self.mapper.keys_for(coordinates)
@@ -215,12 +238,11 @@ class CoordinateCatalog:
         Returns:
             ``(entry, stats)`` — entry is None if nothing is published.
         """
-        entries, stats = self._neighborhood(coordinate, scan_width, exclude)
+        _check_scan_width(scan_width)
+        entries, distances, stats = self._neighborhood(coordinate, scan_width, exclude)
         if not entries:
             return None, stats
-        point = np.asarray(coordinate, dtype=float)
-        best = min(entries, key=lambda e: self.distance(point, e.as_array()))
-        return best, stats
+        return entries[int(distances.argmin())], stats
 
     def k_nearest(
         self,
@@ -232,12 +254,12 @@ class CoordinateCatalog:
         """The ``k`` published nodes nearest to ``coordinate`` (approx.)."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        entries, stats = self._neighborhood(
+        _check_scan_width(scan_width)
+        entries, distances, stats = self._neighborhood(
             coordinate, max(scan_width, k), exclude
         )
-        point = np.asarray(coordinate, dtype=float)
-        ranked = sorted(entries, key=lambda e: self.distance(point, e.as_array()))
-        return ranked[:k], stats
+        order = np.argsort(distances, kind="stable")[:k]
+        return [entries[i] for i in order], stats
 
     def within_radius(
         self,
@@ -254,12 +276,9 @@ class CoordinateCatalog:
         """
         if radius < 0:
             raise ValueError("radius must be non-negative")
-        entries, stats = self._neighborhood(coordinate, scan_width, exclude)
-        point = np.asarray(coordinate, dtype=float)
-        hits = [
-            e for e in entries if self.distance(point, e.as_array()) <= radius
-        ]
-        return hits, stats
+        _check_scan_width(scan_width)
+        entries, distances, stats = self._neighborhood(coordinate, scan_width, exclude)
+        return [entries[i] for i in np.flatnonzero(distances <= radius)], stats
 
     def nearest_batch(
         self,
@@ -274,8 +293,8 @@ class CoordinateCatalog:
         ``dht_hops`` remain the reported metric.  The neighborhood walk,
         however, depends only on ``(owner, scan_width, exclude)``, so
         targets whose lookups land on the same catalog owner share one
-        walk instead of repeating it.  Each target then ranks the shared
-        candidate list with its own distance, preserving the per-key
+        walk and are ranked together: one ``(group, candidates)``
+        distance matrix per owner, first minimum per row — the per-key
         answer exactly, including insertion-order tie-breaking.
 
         Args:
@@ -287,25 +306,28 @@ class CoordinateCatalog:
             ``(entries, stats)`` lists parallel to ``coordinates``;
             ``entries[i]`` is None if nothing is published.
         """
-        coordinates = np.asarray(coordinates, dtype=float)
+        _check_scan_width(scan_width)
+        coordinates = _finite(coordinates)
         if coordinates.ndim != 2:
             raise ValueError("coordinates must be an (m, dims) array")
+        if len(coordinates) == 0:
+            return [], []
         exclude = exclude or set()
         spare_bits = max(self.ring.id_bits - self.mapper.key_bits, 0)
         base_keys = self.mapper.keys_for(coordinates)
         routes = [self.ring.lookup(int(base) << spare_bits) for base in base_keys]
 
-        scans: dict[int, tuple[list[CatalogEntry], int]] = {}
-        for route in routes:
-            if route.owner not in scans:
-                scans[route.owner] = self._scan_from(
-                    route.owner, scan_width, exclude
-                )
-
-        results: list[CatalogEntry | None] = []
+        # owner -> (scanned entries, ring entries scanned, batch rows landing there)
+        groups: dict[int, tuple[list[CatalogEntry], int, list[int]]] = {}
         stats_list: list[CatalogQueryStats] = []
-        for point, route in zip(coordinates, routes):
-            entries, scanned = scans[route.owner]
+        for row, route in enumerate(routes):
+            if route.owner not in groups:
+                groups[route.owner] = (
+                    *self._scan_from(route.owner, scan_width, exclude),
+                    [],
+                )
+            entries, scanned, rows = groups[route.owner]
+            rows.append(row)
             stats_list.append(
                 CatalogQueryStats(
                     dht_hops=route.hops,
@@ -313,12 +335,13 @@ class CoordinateCatalog:
                     candidates=len(entries),
                 )
             )
+
+        results: list[CatalogEntry | None] = [None] * len(routes)
+        for entries, _, rows in groups.values():
             if entries:
-                results.append(
-                    min(entries, key=lambda e: self.distance(point, e.as_array()))
-                )
-            else:
-                results.append(None)
+                best = _distances(coordinates[rows], entries).argmin(axis=1)
+                for row, column in zip(rows, best.tolist()):
+                    results[row] = entries[column]
         return results, stats_list
 
     def _neighborhood(
@@ -326,18 +349,18 @@ class CoordinateCatalog:
         coordinate: np.ndarray | list[float],
         scan_width: int,
         exclude: set[int] | None,
-    ) -> tuple[list[CatalogEntry], CatalogQueryStats]:
-        """Collect published entries near the query key on the ring."""
-        coordinate = np.asarray(coordinate, dtype=float)
+    ) -> tuple[list[CatalogEntry], np.ndarray, CatalogQueryStats]:
+        """Published entries near the query key, and their distances to it."""
+        point = _finite(coordinate)
         spare_bits = self.ring.id_bits - self.mapper.key_bits
-        key = self.mapper.key_for(coordinate) << max(spare_bits, 0)
+        key = self.mapper.key_for(point) << max(spare_bits, 0)
         route = self.ring.lookup(key)
-        stats = CatalogQueryStats(dht_hops=route.hops)
-        entries, stats.ring_entries_scanned = self._scan_from(
-            route.owner, scan_width, exclude or set()
+        entries, scanned = self._scan_from(route.owner, scan_width, exclude or set())
+        distances = _distances(point[None, :], entries)[0] if entries else np.empty(0)
+        stats = CatalogQueryStats(
+            dht_hops=route.hops, ring_entries_scanned=scanned, candidates=len(entries)
         )
-        stats.candidates = len(entries)
-        return entries, stats
+        return entries, distances, stats
 
     def _scan_from(
         self, owner: int, scan_width: int, exclude: set[int]
@@ -387,10 +410,10 @@ class CoordinateCatalog:
     ) -> CatalogEntry | None:
         """True nearest published node (reference for mapping error)."""
         exclude = exclude or set()
-        point = np.asarray(coordinate, dtype=float)
         candidates = [
             e for n, e in self._published.items() if n not in exclude
         ]
         if not candidates:
             return None
-        return min(candidates, key=lambda e: self.distance(point, e.as_array()))
+        distances = _distances(_finite(coordinate)[None, :], candidates)[0]
+        return candidates[int(distances.argmin())]

@@ -25,9 +25,17 @@ from repro.core.cost_space import (
 )
 from repro.core import virtual_placement as vp
 from repro.core.costs import CostSpaceEvaluator, GroundTruthEvaluator
+from repro.core.physical_mapping import (
+    CatalogMapper,
+    ExhaustiveMapper,
+    build_catalog,
+    map_circuit,
+    map_circuits,
+)
 from repro.core.reoptimizer import Reoptimizer, _CircuitKernel
 from repro.core.weighting import exponential, linear, squared, threshold, zero
 from repro.dht import hilbert as hb
+from repro.dht.catalog import CoordinateCatalog
 from repro.dht.chord import ChordRing
 from repro.network.dynamics import (
     ChurnProcess,
@@ -206,19 +214,41 @@ class TestPlacementSweeps:
             vp.placement_utilization_scalar(circuit, positions), rel=1e-9
         )
 
+    @pytest.mark.parametrize("isolated", [False, True], ids=["connected", "isolated"])
+    @pytest.mark.parametrize(
+        "placement_fn,rate_weighted",
+        [(vp.relaxation_placement, True), (vp.centroid_placement, False)],
+        ids=["relaxation", "centroid"],
+    )
     @pytest.mark.parametrize("seed", range(3))
-    def test_full_placements_match_scalar_driver(self, seed):
-        """Whole runs agree: same sweeps, same convergence, same result."""
+    def test_full_placements_match_scalar_driver(
+        self, seed, placement_fn, rate_weighted, isolated
+    ):
+        """Whole runs agree: same sweeps, same convergence, same result.
+
+        The matrix sweep keeps its position-independent arrays between
+        sweeps; an isolated unpinned service (no links, so it never
+        moves) takes it through the masked division.
+        """
         circuit, pinned_positions = random_circuit(seed, num_unpinned=20)
+        if isolated:
+            circuit.add_service(
+                Service("t/alone", ServiceSpec.join(), pinned_node=None, producers=frozenset(("Z",)))
+            )
         positions, unpinned = vp._pinned_and_unpinned(circuit, pinned_positions)
         center = np.mean([positions[sid] for sid in circuit.pinned_ids()], axis=0)
         positions.update({sid: center.copy() for sid in unpinned})
-        for _ in range(200):
-            if vp.sweep_scalar(circuit, positions, unpinned, True, False) < 1e-4:
+        converged = False
+        for iterations in range(1, 401):
+            if vp.sweep_scalar(circuit, positions, unpinned, rate_weighted, False) < 1e-4:
+                converged = True
                 break
-        placement = vp.relaxation_placement(circuit, pinned_positions)
+        placement = placement_fn(circuit, pinned_positions)
+        assert (placement.iterations, placement.converged) == (iterations, converged)
         for sid in unpinned:
             assert np.allclose(placement.position_of(sid), positions[sid], atol=1e-9)
+        if isolated:
+            assert np.array_equal(placement.position_of("t/alone"), center)
 
 
 class TestExactEquilibriumSolvers:
@@ -584,3 +614,85 @@ class TestOverlayAndSimulationEquivalence:
         assert overlay.total_network_usage() == pytest.approx(
             overlay.total_network_usage_scalar(), rel=1e-9
         )
+
+
+# -- one catalog round per query -------------------------------------------
+
+
+class TestBatchedMappingEquivalence:
+    """Batches across circuits / keys answer exactly as the per-item path."""
+
+    @pytest.mark.parametrize("backend", ["exhaustive", "catalog"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_map_circuits_matches_per_circuit_mapping(self, seed, backend):
+        rng = np.random.default_rng(seed)
+        spec = CostSpaceSpec.latency_load(vector_dims=2)
+        space = CostSpace.from_embedding(
+            spec,
+            rng.uniform(-60.0, 60.0, size=(80, 2)),
+            {"cpu_load": rng.uniform(0, 1, size=80)},
+        )
+        excluded = set(int(i) for i in rng.choice(80, size=9, replace=False))
+        if backend == "exhaustive":
+            mapper = ExhaustiveMapper(space, excluded=excluded)
+        else:
+            mapper = CatalogMapper(
+                space, build_catalog(space, bits=8, ring_size=24), 5, excluded
+            )
+        circuits, placements = [], []
+        for k in range(7):
+            # k = 0 draws a circuit with no unpinned services at all.
+            circuit, pinned = random_circuit(100 * seed + k, num_unpinned=(k * 5) % 7)
+            circuits.append(circuit)
+            placements.append(vp.relaxation_placement(circuit, pinned))
+        singles = [circuit.copy() for circuit in circuits]
+
+        batched = map_circuits(circuits, placements, space, mapper)
+        for circuit, single, placement, result in zip(
+            circuits, singles, placements, batched
+        ):
+            reference = map_circuit(single, placement, space, mapper)
+            assert result == reference
+            assert circuit.placement == single.placement
+            assert not {circuit.host_of(sid) for sid in circuit.unpinned_ids()} & excluded
+
+
+@st.composite
+def catalogs_and_batches(draw):
+    seed = draw(st.integers(min_value=0, max_value=1 << 16))
+    n = draw(st.integers(min_value=2, max_value=60))
+    batch = draw(st.integers(min_value=1, max_value=24))
+    scan_width = draw(st.integers(min_value=1, max_value=9))
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0.0, 100.0, size=(n, 2))
+    points[1] = points[0]  # two nodes at identical coordinates: a planted tie
+    queries = rng.uniform(0.0, 100.0, size=(batch, 2))
+    queries[rng.integers(batch)] = points[0]
+    queries[rng.integers(batch)] = queries[0]  # duplicate targets
+    num_excluded = draw(st.integers(min_value=0, max_value=n - 1))
+    exclude = set(int(i) for i in rng.choice(n, size=num_excluded, replace=False))
+    moved = int(rng.integers(n))
+    return points, queries, scan_width, exclude, moved, rng.uniform(0.0, 100.0, size=2)
+
+
+class TestCatalogBatchEquivalence:
+    @given(catalogs_and_batches())
+    @settings(max_examples=60, deadline=None)
+    def test_nearest_batch_matches_per_key_nearest(self, case):
+        points, queries, scan_width, exclude, moved, new_point = case
+        mapper = hb.HilbertMapper(lows=(0.0, 0.0), highs=(100.0, 100.0), bits=6)
+        catalog = CoordinateCatalog(mapper, ring_size=12)
+        catalog.publish_batch(list(range(len(points))), points)
+
+        def check():
+            entries, stats = catalog.nearest_batch(queries, scan_width, exclude)
+            for query, entry, stat in zip(queries, entries, stats):
+                reference, reference_stat = catalog.nearest(query, scan_width, exclude)
+                assert entry is reference
+                assert stat == reference_stat
+
+        check()
+        catalog.withdraw(moved)
+        check()
+        catalog.publish(moved, new_point)
+        check()

@@ -198,3 +198,62 @@ class TestNearestBatch:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
             self._populated().nearest_batch(np.zeros(4))
+
+    def test_empty_batch_returns_empty_lists(self):
+        assert self._populated().nearest_batch(np.empty((0, 2))) == ([], [])
+
+    def test_ranking_matches_per_entry_reference(self):
+        # The array ranking replaced a Python ``min`` over entries with a
+        # per-entry norm; keep that loop here as the reference.
+        catalog = self._populated(seed=5, n=60)
+        queries = np.random.default_rng(6).uniform(0, 100, size=(30, 2))
+        entries, _ = catalog.nearest_batch(queries, scan_width=5, exclude={2, 9})
+        for query, entry in zip(queries, entries):
+            key = catalog.mapper.key_for(query) << (
+                catalog.ring.id_bits - catalog.mapper.key_bits
+            )
+            scanned, _ = catalog._scan_from(catalog.ring.lookup(key).owner, 5, {2, 9})
+            reference = min(
+                scanned, key=lambda e: float(np.linalg.norm(query - e.as_array()))
+            )
+            assert entry is reference
+
+
+class TestCatalogBoundary:
+    """Bad arguments fail at the catalog, not as 'no eligible nodes'."""
+
+    def _populated(self) -> CoordinateCatalog:
+        catalog = make_catalog()
+        catalog.publish_batch([0, 1, 2], np.array([[10.0, 10.0], [50.0, 50.0], [90.0, 90.0]]))
+        return catalog
+
+    @pytest.mark.parametrize("scan_width", [0, -3])
+    def test_scan_width_below_one_rejected(self, scan_width):
+        catalog = self._populated()
+        point = [20.0, 20.0]
+        for query in (
+            lambda: catalog.nearest(point, scan_width=scan_width),
+            lambda: catalog.k_nearest(point, k=2, scan_width=scan_width),
+            lambda: catalog.within_radius(point, 30.0, scan_width=scan_width),
+            lambda: catalog.nearest_batch(np.array([point]), scan_width=scan_width),
+        ):
+            with pytest.raises(ValueError, match="scan_width must be >= 1"):
+                query()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        catalog = self._populated()
+        with pytest.raises(ValueError, match="finite"):
+            catalog.nearest([bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            catalog.nearest_batch(np.array([[1.0, 1.0], [1.0, bad]]))
+        with pytest.raises(ValueError, match="finite"):
+            catalog.exhaustive_nearest([bad, bad])
+        with pytest.raises(ValueError, match="finite"):
+            catalog.publish_batch([7], np.array([[bad, 1.0]]))
+        assert catalog.published_nodes == [0, 1, 2]
+
+    def test_ranking_metric_is_not_configurable(self):
+        mapper = HilbertMapper(lows=(0.0, 0.0), highs=(1.0, 1.0), bits=4)
+        with pytest.raises(TypeError):
+            CoordinateCatalog(mapper, distance=lambda a, b: 0.0)

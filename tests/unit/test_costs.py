@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.circuit import Circuit
 from repro.core.costs import (
+    CircuitCost,
     CostSpaceEvaluator,
     GroundTruthEvaluator,
     consumer_latency,
@@ -13,10 +14,12 @@ from repro.core.costs import (
 from repro.core.cost_space import CostSpace, CostSpaceSpec
 from repro.core.weighting import squared
 from repro.network.latency import LatencyMatrix
+from repro.query.generator import enumerate_all_plans
 from repro.query.model import Consumer, Producer, QuerySpec
 from repro.query.plan import JoinNode, LeafNode, LogicalPlan
 from repro.query.selectivity import Statistics
-from repro.workloads.scenarios import planted_latency_matrix
+from repro.workloads.queries import WorkloadParams, random_query
+from repro.workloads.scenarios import perfect_cost_space, planted_latency_matrix
 
 
 def placed_circuit() -> tuple[Circuit, LatencyMatrix]:
@@ -117,3 +120,67 @@ class TestEvaluators:
         circuit.assign("q/join0", 0)
         bad = GroundTruthEvaluator(lm).evaluate(circuit)
         assert good < bad  # CircuitCost ordering by total
+
+
+def _reference_cost(circuit, latency_fn, penalty_fn, load_weight) -> CircuitCost:
+    """The evaluator as it was: each reduction prices every link itself."""
+    usage = 0.0
+    for link in circuit.links:
+        u, v = circuit.host_of(link.source), circuit.host_of(link.target)
+        if u != v:
+            usage += link.rate * latency_fn(u, v)
+
+    def arrival(sid: str) -> float:
+        worst = 0.0
+        for link in circuit.links:
+            if link.target == sid:
+                u, v = circuit.host_of(link.source), circuit.host_of(link.target)
+                hop = 0.0 if u == v else latency_fn(u, v)
+                worst = max(worst, arrival(link.source) + hop)
+        return worst
+
+    latency = max((arrival(sid) for sid in circuit.sink_ids()), default=0.0)
+    hosts = {circuit.host_of(sid) for sid in circuit.unpinned_ids()}
+    penalty = sum(penalty_fn(node) for node in hosts)
+    return CircuitCost(usage, latency, penalty, usage + load_weight * penalty)
+
+
+class TestLinksPricedOnce:
+    def test_costs_equal_per_reduction_pricing_on_random_circuits(self):
+        rng = np.random.default_rng(11)
+        num_nodes = 30
+        positions = rng.uniform(0, 100, size=(num_nodes, 2))
+        loads = rng.uniform(0, 1, size=num_nodes)
+        space = perfect_cost_space([tuple(p) for p in positions], list(loads))
+        evaluators = [
+            CostSpaceEvaluator(space),
+            GroundTruthEvaluator(
+                planted_latency_matrix([tuple(p) for p in positions]), loads
+            ),
+        ]
+        for seed in range(200):
+            query, stats = random_query(
+                num_nodes, WorkloadParams(num_producers=2 + seed % 3), seed=seed
+            )
+            plans = enumerate_all_plans(query.producer_names)
+            circuit = Circuit.from_plan(plans[seed % len(plans)], query, stats)
+            for sid in circuit.unpinned_ids():
+                # A small host pool, so co-hosted (free) links occur.
+                circuit.assign(sid, int(rng.integers(6)))
+            for evaluator in evaluators:
+                assert evaluator.evaluate(circuit, load_weight=0.7) == _reference_cost(
+                    circuit, evaluator.latency, evaluator.node_penalty, 0.7
+                )
+
+    def test_each_link_priced_once(self):
+        circuit, latencies = placed_circuit()
+        calls = []
+
+        def latency_fn(u, v):
+            calls.append((u, v))
+            return latencies.latency(u, v)
+
+        evaluator = GroundTruthEvaluator(latencies)
+        evaluator.latency = latency_fn
+        evaluator.evaluate(circuit)
+        assert len(calls) == len(circuit.links)

@@ -9,6 +9,7 @@ from repro.core.optimizer import (
     RandomOptimizer,
     TwoStepOptimizer,
 )
+from repro.core.physical_mapping import CatalogMapper, ExhaustiveMapper, build_catalog
 from repro.query.generator import count_all_plans
 from repro.workloads.queries import WorkloadParams, random_query
 from repro.workloads.scenarios import figure1_scenario, perfect_cost_space, planted_latency_matrix
@@ -153,3 +154,83 @@ class TestPlacementRefinement:
         ).optimize(sc.query, sc.stats)
         for sid in result.circuit.unpinned_ids():
             assert result.circuit.host_of(sid) not in excluded
+
+
+def _reference_optimize(optimizer, query, stats):
+    """The integrated optimizer as a loop of one-plan rounds."""
+    best = None
+    candidates = []
+    for plan in optimizer.candidate_plans(query, stats):
+        circuit, placement, mapping, cost = optimizer.place_plan(plan, query, stats)
+        if optimizer.refinement_candidates:
+            cost = optimizer.refine_placement(
+                circuit, placement, optimizer.refinement_candidates
+            )
+        candidates.append((plan.signature(), cost))
+        if best is None or cost.total < best[2].total:
+            best = (plan, circuit, cost, mapping)
+    return best, candidates
+
+
+class TestOneMapperBatchPerQuery:
+    """optimize() maps all candidate plans at once; the answer is the
+    per-plan loop's, field for field."""
+
+    @pytest.mark.parametrize("refinement", [0, 2])
+    @pytest.mark.parametrize("backend", ["exhaustive", "catalog"])
+    @pytest.mark.parametrize("producers", [3, 4])
+    def test_optimize_equals_per_plan_rounds(self, producers, backend, refinement):
+        rng = np.random.default_rng(producers)
+        positions = [tuple(p) for p in rng.uniform(0, 100, size=(40, 2))]
+        space = perfect_cost_space(positions, list(rng.uniform(0, 0.8, size=40)))
+        excluded = {1, 17, 30}
+        if backend == "exhaustive":
+            mapper = ExhaustiveMapper(space, excluded=excluded)
+        else:
+            mapper = CatalogMapper(
+                space, build_catalog(space, bits=8, ring_size=16), 4, excluded
+            )
+        optimizer = IntegratedOptimizer(
+            space, mapper=mapper, refinement_candidates=refinement
+        )
+        for seed in range(4):
+            query, stats = random_query(
+                40, WorkloadParams(num_producers=producers), seed=seed
+            )
+            result = optimizer.optimize(query, stats)
+            (plan, circuit, cost, mapping), candidates = _reference_optimize(
+                optimizer, query, stats
+            )
+            assert result.plan.signature() == plan.signature()
+            assert result.circuit.placement == circuit.placement
+            assert result.cost == cost
+            assert [(c.signature, c.cost) for c in result.candidates] == candidates
+            assert result.placements_evaluated == len(candidates)
+            assert result.mapping.total_dht_hops == mapping.total_dht_hops
+            assert [m.mapping_error for m in result.mapping.mappings] == [
+                m.mapping_error for m in mapping.mappings
+            ]
+
+    def test_one_map_coordinates_call_per_query(self):
+        sc = figure1_scenario()
+        mapper = ExhaustiveMapper(sc.cost_space)
+        batches = []
+        original = mapper.map_coordinates
+        mapper.map_coordinates = lambda targets: (
+            batches.append(len(targets)) or original(targets)
+        )
+        IntegratedOptimizer(sc.cost_space, mapper=mapper).optimize(sc.query, sc.stats)
+        assert batches == [45]  # 15 plans x 3 joins
+
+    def test_failed_query_raises_before_placing_any_candidate(self):
+        sc = figure1_scenario()
+        num_nodes = sc.cost_space.num_nodes
+        mapper = CatalogMapper(
+            sc.cost_space,
+            build_catalog(sc.cost_space),
+            excluded=set(range(num_nodes)),
+        )
+        with pytest.raises(RuntimeError, match="no eligible published nodes"):
+            IntegratedOptimizer(sc.cost_space, mapper=mapper).optimize(
+                sc.query, sc.stats
+            )

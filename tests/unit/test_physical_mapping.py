@@ -11,6 +11,7 @@ from repro.core.physical_mapping import (
     ExhaustiveMapper,
     build_catalog,
     map_circuit,
+    map_circuits,
 )
 from repro.core.virtual_placement import relaxation_placement
 from repro.core.weighting import squared
@@ -121,6 +122,17 @@ class TestCatalogMapper:
         with pytest.raises(RuntimeError):
             mapper.map_coordinates(np.zeros((2, 2)))
 
+    def test_scan_width_below_one_rejected(self):
+        space = grid_space()
+        with pytest.raises(ValueError, match="scan_width must be >= 1"):
+            CatalogMapper(space, build_catalog(space), scan_width=0)
+
+    def test_nan_targets_raise(self):
+        space = grid_space()
+        mapper = CatalogMapper(space, build_catalog(space))
+        with pytest.raises(ValueError, match="finite"):
+            mapper.map_coordinates(np.array([[1.0, np.nan]]))
+
     def test_batched_validates_dimensionality(self):
         space = grid_space()
         catalog = build_catalog(space)
@@ -189,3 +201,75 @@ class TestMapCircuit:
             circuit.copy(), placement, space, CatalogMapper(space, catalog)
         )
         assert ex_result.total_error <= cat_result.total_error + 1e-9
+
+
+class TestMapCircuits:
+    """One mapper batch for many circuits (the optimizer's candidate set)."""
+
+    def _candidates(self, space):
+        query = QuerySpec(
+            name="q",
+            producers=[
+                Producer("A", node=0, rate=4.0),
+                Producer("B", node=20, rate=2.0),
+                Producer("C", node=4, rate=3.0),
+            ],
+            consumer=Consumer("K", node=24),
+        )
+        stats = Statistics.build(
+            {"A": 4.0, "B": 2.0, "C": 3.0},
+            {("A", "B"): 0.25, ("A", "C"): 0.5, ("B", "C"): 0.1},
+        )
+        a, b, c = LeafNode("A"), LeafNode("B"), LeafNode("C")
+        plans = [
+            LogicalPlan(JoinNode(JoinNode(a, b), c)),
+            LogicalPlan(JoinNode(JoinNode(a, c), b)),
+            LogicalPlan(JoinNode(JoinNode(b, c), a)),
+        ]
+        circuits = [Circuit.from_plan(plan, query, stats) for plan in plans]
+        placements = [
+            relaxation_placement(
+                circuit,
+                {
+                    sid: space.coordinate(circuit.services[sid].pinned_node).vector_array()
+                    for sid in circuit.pinned_ids()
+                },
+            )
+            for circuit in circuits
+        ]
+        return circuits, placements
+
+    def test_one_mapper_call_for_all_circuits(self):
+        space = grid_space()
+        circuits, placements = self._candidates(space)
+        mapper = ExhaustiveMapper(space)
+        batches = []
+        original = mapper.map_coordinates
+        mapper.map_coordinates = lambda targets: (
+            batches.append(len(targets)) or original(targets)
+        )
+        results = map_circuits(circuits, placements, space, mapper)
+        assert batches == [6]
+        assert [len(r.mappings) for r in results] == [2, 2, 2]
+        assert all(circuit.is_fully_placed() for circuit in circuits)
+
+    def test_no_circuits_and_no_unpinned_services(self):
+        space = grid_space()
+        assert map_circuits([], [], space, ExhaustiveMapper(space)) == []
+
+    @pytest.mark.parametrize("alive", ["none", "all-excluded"])
+    def test_failed_batch_assigns_nothing(self, alive):
+        # The mapper raises before any host is assigned: no candidate
+        # circuit of the batch is left half placed.
+        space = grid_space()
+        if alive == "none":
+            mapper = CatalogMapper(space, build_catalog(space, alive=[False] * 25))
+        else:
+            mapper = CatalogMapper(
+                space, build_catalog(space), excluded=set(range(25))
+            )
+        circuits, placements = self._candidates(space)
+        with pytest.raises(RuntimeError, match="no eligible published nodes"):
+            map_circuits(circuits, placements, space, mapper)
+        for circuit in circuits:
+            assert not set(circuit.unpinned_ids()) & set(circuit.placement)
