@@ -1,26 +1,14 @@
-"""E21 — the global circuit arena: fused dispatch and incremental churn.
+"""E21 — the global circuit arena: dispatch scaling.
 
-PR 7 fuses every installed circuit's compiled arrays into one global
-CSR arena shared by the data plane and the re-optimizer, so a tick runs
-a constant number of array kernels regardless of how many circuits are
-installed.  This benchmark pins the three performance claims:
+Every installed circuit's compiled arrays live in one global CSR arena,
+so a tick runs a constant number of array kernels regardless of how
+many circuits are installed.  This benchmark pins that claim as a
+floor: the per-circuit cost of one traffic tick at ``HI_CIRCUITS``
+circuits is at most 3x the per-circuit cost at ``LO_CIRCUITS``
+circuits — per-tick Python dispatch does not grow with the circuit
+count.
 
-1. **Sublinear dispatch** — the per-circuit cost of one traffic tick at
-   ``HI_CIRCUITS`` circuits is at most 3x the per-circuit cost at
-   ``LO_CIRCUITS`` circuits: per-tick Python dispatch no longer grows
-   with the circuit count.
-2. **Fused re-optimization** — one global placement pass
-   (``Reoptimizer.step_all``) over all circuits beats the retained
-   per-circuit kernel loop (``step_all_percircuit``) at scale, while
-   producing bit-identical migrations.
-3. **Incremental install/uninstall** — under the tenant-churn workload,
-   syncing one departure + one arrival into the arena (append rows,
-   tombstone the dead segment) is >=10x faster than the legacy
-   full-recompile sync, while the two modes stay tick-for-tick
-   equivalent and tuple conservation balances every tick.
-
-Set ``BENCH_QUICK=1`` for the small CI smoke sizes (the Python-loop /
-kernel gap shrinks with size, so quick mode asserts smaller floors).
+Set ``BENCH_QUICK=1`` for the small CI smoke sizes.
 """
 
 from __future__ import annotations
@@ -34,16 +22,14 @@ import numpy as np
 from _harness import report, write_bench_json
 from repro.core.circuit import Circuit, Service
 from repro.core.cost_space import CostSpace, CostSpaceSpec
-from repro.core.reoptimizer import Reoptimizer
 from repro.network.latency import LatencyMatrix
 from repro.query.operators import ServiceSpec
 from repro.runtime.dataplane import DataPlane, RuntimeConfig
 from repro.sbon.overlay import Overlay
-from repro.workloads.scenarios import tenant_churn_scenario
 
 QUICK = os.environ.get("BENCH_QUICK", "") == "1"
 
-#: Node count shared by the dispatch-scaling and fused-reopt stages.
+#: Node count of the dispatch-scaling overlays.
 ARENA_NODES = 120 if QUICK else 1000
 #: Circuit counts for the sublinear-dispatch comparison.
 LO_CIRCUITS, HI_CIRCUITS = (20, 100) if QUICK else (100, 1000)
@@ -52,30 +38,6 @@ WARMUP_TICKS = 3 if QUICK else 5
 TIMED_TICKS = 3
 #: Per-circuit tick cost at HI may be at most this multiple of LO's.
 SUBLINEAR_CEILING = 3.0
-REOPT_PASSES = 2 if QUICK else 3
-REOPT_FLOOR = 1.1 if QUICK else 1.5
-#: Tenant-churn stage: installed tenants and timed churn rounds.
-CHURN_NODES, CHURN_CIRCUITS = (36, 40) if QUICK else (64, 250)
-CHURN_ROUNDS = 4 if QUICK else 6
-CHURN_FLOOR = 2.5 if QUICK else 10.0
-
-#: TickRecord fields compared between twin planes.  ``recompiles`` is
-#: excluded by design: it is the mode observable (0 on the incremental
-#: path, >=1 per churn round on the legacy path).
-RECORD_FIELDS = (
-    "emitted",
-    "delivered",
-    "dropped",
-    "shed",
-    "redelivered",
-    "buffered",
-    "network_usage",
-    "data_usage",
-    "cpu_cost",
-    "migrations",
-    "failures",
-    "circuits",
-)
 
 
 def _make_overlay(n: int, num_circuits: int, joins: int = JOINS, seed: int = 0) -> Overlay:
@@ -137,96 +99,6 @@ def tick_scaling_timings() -> dict[int, float]:
     return times
 
 
-@lru_cache(maxsize=1)
-def reopt_timings() -> tuple[float, float]:
-    """(per-circuit-loop seconds, fused seconds) per full placement pass.
-
-    Twin overlays, twin re-optimizers; migrations are asserted
-    identical pass for pass, so the timed work is equivalent by
-    construction.
-    """
-    ov_fused = _make_overlay(ARENA_NODES, HI_CIRCUITS, seed=5)
-    ov_loop = _make_overlay(ARENA_NODES, HI_CIRCUITS, seed=5)
-    r_fused = Reoptimizer(
-        ov_fused.cost_space,
-        mapper=ov_fused.exhaustive_mapper(),
-        migration_threshold=0.0,
-        kernel_cache={},
-    )
-    r_loop = Reoptimizer(
-        ov_loop.cost_space,
-        mapper=ov_loop.exhaustive_mapper(),
-        migration_threshold=0.0,
-        kernel_cache={},
-    )
-    c_fused = list(ov_fused.circuits.values())
-    c_loop = list(ov_loop.circuits.values())
-
-    def _sigs(reports):
-        return [
-            [(m.service_id, m.from_node, m.to_node) for m in r.migrations]
-            for r in reports
-        ]
-
-    # Warmup builds kernels + arena and checks equivalence once.
-    assert _sigs(r_fused.step_all(c_fused)) == _sigs(r_loop.step_all_percircuit(c_loop))
-
-    t_fused = t_loop = 0.0
-    for _ in range(REOPT_PASSES):
-        t0 = time.perf_counter()
-        reports_f = r_fused.step_all(c_fused)
-        t_fused += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        reports_l = r_loop.step_all_percircuit(c_loop)
-        t_loop += time.perf_counter() - t0
-        assert _sigs(reports_f) == _sigs(reports_l)
-    for name, circuit in ov_fused.circuits.items():
-        assert circuit.placement == ov_loop.circuits[name].placement
-    return t_loop / REOPT_PASSES, t_fused / REOPT_PASSES
-
-
-@lru_cache(maxsize=1)
-def churn_sync_timings() -> tuple[float, float]:
-    """(full-recompile seconds, incremental seconds) per churn sync.
-
-    Each churn round retires the oldest tenant and admits a new one on
-    both twins, then times ``DataPlane._sync`` — the arena maintenance
-    the tick would otherwise perform — on each.  Both twins then step,
-    and their traffic records are asserted equal (minus the
-    ``recompiles`` observable) with balanced accounting.
-    """
-    fast = tenant_churn_scenario(
-        num_nodes=CHURN_NODES, initial_circuits=CHURN_CIRCUITS,
-        incremental=True, seed=1,
-    )
-    slow = tenant_churn_scenario(
-        num_nodes=CHURN_NODES, initial_circuits=CHURN_CIRCUITS,
-        incremental=False, seed=1,
-    )
-    # Let traffic settle before churning so conservation sees deliveries.
-    for _ in range(3):
-        ra, rb = fast.simulation.step(), slow.simulation.step()
-        assert all(getattr(ra, f) == getattr(rb, f) for f in RECORD_FIELDS)
-
-    t_inc = t_full = 0.0
-    for _ in range(CHURN_ROUNDS):
-        fast.churn_tick()
-        slow.churn_tick()
-        t0 = time.perf_counter()
-        fast.data_plane._sync()
-        t_inc += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        slow.data_plane._sync()
-        t_full += time.perf_counter() - t0
-        ra, rb = fast.simulation.step(), slow.simulation.step()
-        assert all(getattr(ra, f) == getattr(rb, f) for f in RECORD_FIELDS), (ra, rb)
-        assert fast.data_plane.accounting()["balanced"]
-        assert slow.data_plane.accounting()["balanced"]
-    assert fast.data_plane.recompiles == 0, "incremental path recompiled"
-    assert slow.data_plane.recompiles >= CHURN_ROUNDS, "legacy path skipped recompiles"
-    return t_full / CHURN_ROUNDS, t_inc / CHURN_ROUNDS
-
-
 def test_tick_dispatch_is_sublinear():
     times = tick_scaling_timings()
     per_lo = times[LO_CIRCUITS] / LO_CIRCUITS
@@ -237,24 +109,8 @@ def test_tick_dispatch_is_sublinear():
     )
 
 
-def test_fused_reopt_beats_percircuit():
-    t_loop, t_fused = reopt_timings()
-    assert t_loop / t_fused >= REOPT_FLOOR, (
-        f"fused step_all only {t_loop / t_fused:.2f}x vs per-circuit loop"
-    )
-
-
-def test_incremental_churn_beats_full_recompile():
-    t_full, t_inc = churn_sync_timings()
-    assert t_full / t_inc >= CHURN_FLOOR, (
-        f"incremental churn sync only {t_full / t_inc:.2f}x vs full recompile"
-    )
-
-
 def test_report_arena():
     times = tick_scaling_timings()
-    t_loop, t_fused = reopt_timings()
-    t_full, t_inc = churn_sync_timings()
     per_lo = times[LO_CIRCUITS] / LO_CIRCUITS
     per_hi = times[HI_CIRCUITS] / HI_CIRCUITS
     rows = [
@@ -265,26 +121,12 @@ def test_report_arena():
             per_hi * 1e6,
             per_lo / per_hi,
         ],
-        [
-            f"reopt pass ({HI_CIRCUITS} circuits)",
-            ARENA_NODES,
-            t_loop * 1e3,
-            t_fused * 1e3,
-            t_loop / t_fused,
-        ],
-        [
-            f"churn sync ({CHURN_CIRCUITS} tenants, 1 in / 1 out)",
-            CHURN_NODES,
-            t_full * 1e3,
-            t_inc * 1e3,
-            t_full / t_inc,
-        ],
     ]
     report(
         "E21",
-        "Global circuit arena: dispatch scaling, fused reopt, incremental churn"
+        "Global circuit arena: dispatch scaling"
         + (" [quick]" if QUICK else ""),
-        ["kernel", "n", "before (us/ms)", "after (us/ms)", "speedup"],
+        ["kernel", "n", "before (us)", "after (us)", "speedup"],
         rows,
     )
     write_bench_json(
@@ -296,20 +138,6 @@ def test_report_arena():
                 "before_s": per_lo,
                 "after_s": per_hi,
                 "speedup": per_lo / per_hi,
-            },
-            {
-                "op": "reopt_pass",
-                "n": HI_CIRCUITS,
-                "before_s": t_loop,
-                "after_s": t_fused,
-                "speedup": t_loop / t_fused,
-            },
-            {
-                "op": "churn_sync",
-                "n": CHURN_CIRCUITS,
-                "before_s": t_full,
-                "after_s": t_inc,
-                "speedup": t_full / t_inc,
             },
         ],
         quick=QUICK,

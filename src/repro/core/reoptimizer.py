@@ -248,7 +248,7 @@ _ARENA_KEY = "__arena__"
 
 
 class _ReoptArena:
-    """Fused concatenation of many circuit kernels (PR 7).
+    """Fused concatenation of many circuit kernels.
 
     One global CSR incidence/link table spanning every active kernel,
     with per-kernel row/segment/link offsets, so a whole-tick local
@@ -258,10 +258,12 @@ class _ReoptArena:
     instead of per-circuit Python dispatch of the same kernels.
 
     All fused reductions visit each circuit's entries contiguously in
-    the same order as the per-circuit kernels (``np.add.at`` is
-    unbuffered and the evaluators are elementwise), so results are
-    bit-identical to :meth:`Reoptimizer.step_all_percircuit` — pinned
-    by the arena property tests.
+    the same order as the per-circuit kernel (``np.add.at`` is
+    unbuffered and the evaluators are elementwise), so each circuit's
+    slice equals what :meth:`Reoptimizer.local_step` computes for it.
+    The arena and simulation property tests pin the decisions of
+    :meth:`Reoptimizer.step_all` to the scalar oracle,
+    :meth:`Reoptimizer.step_all_scalar`.
 
     The arena holds *copies* of each kernel's rate columns; it notices
     in-place re-pricing (``_CircuitKernel.set_rates``, driven by the
@@ -698,7 +700,7 @@ class Reoptimizer:
         return report
 
     def _collect_active(self, circuits: list[Circuit]):
-        """Kernels + host snapshots of the circuits with unpinned work."""
+        """Compiled kernels + host snapshots of the circuits with unpinned work."""
         kernels: list[_CircuitKernel] = []
         hosts_list: list[np.ndarray] = []
         active: list[int] = []
@@ -734,9 +736,11 @@ class Reoptimizer:
         **one** speculative candidate-pricing sweep — no per-circuit
         kernel dispatch.  Only the accept/revert decisions stay
         sequential per circuit (they must: the hysteresis threshold
-        compares against the live running total).  Bit-identical to
-        :meth:`step_all_percircuit`; reports carry migrations only, as
-        there.
+        compares against the live running total).  Makes the same
+        migrations as :meth:`step_all_scalar`, its oracle.  Reports
+        carry migrations only — the full :class:`CircuitCost`
+        breakdowns (which need the consumer-latency DP) are skipped in
+        this bulk path.
         """
         reports = [ReoptimizationReport() for _ in circuits]
         kernels, hosts_list, active = self._collect_active(circuits)
@@ -779,36 +783,6 @@ class Reoptimizer:
                     usage + self.load_weight * penalty,
                 ),
             )
-        return reports
-
-    def step_all_percircuit(
-        self, circuits: list[Circuit]
-    ) -> list[ReoptimizationReport]:
-        """Per-circuit kernel dispatch, mapped in a single batch.
-
-        The pre-arena bulk path, retained as the fused :meth:`step_all`'s
-        reference twin: each circuit's spring targets and speculative
-        prices come from its own kernel; only ``map_coordinates`` is
-        shared.  Reports carry migrations only — the full
-        :class:`CircuitCost` breakdowns (which need the consumer-latency
-        DP) are skipped in this bulk path.
-        """
-        reports = [ReoptimizationReport() for _ in circuits]
-        kernels, hosts_list, active = self._collect_active(circuits)
-        if not active:
-            return reports
-        chunks = [
-            self._full_targets(kernel, hosts)
-            for kernel, hosts in zip(kernels, hosts_list)
-        ]
-        candidates, _ = self.mapper.map_coordinates(np.vstack(chunks))
-        offset = 0
-        for kernel, hosts, i in zip(kernels, hosts_list, active):
-            m = len(kernel.unpinned_sids)
-            reports[i].migrations, _ = self._accept_pass(
-                circuits[i], kernel, hosts, candidates[offset : offset + m]
-            )
-            offset += m
         return reports
 
     def step_all_scalar(self, circuits: list[Circuit]) -> list[ReoptimizationReport]:

@@ -20,10 +20,11 @@ tick, moves actual tuple batches through all of them concurrently:
 4. **Operators run in batch** — relays forward, filters hash-thin,
    aggregates decimate with per-operator credit, joins match arrivals
    against windowed struct-of-arrays state via one composite-key
-   ``searchsorted`` pass over all joins at once.  Join state is
-   two-level — a sorted base plus an append buffer merged every
-   ``_state_merge_limit`` rows — so inserts cost O(batch), not
-   O(state).
+   ``searchsorted`` pass over all joins at once.  Join state is an
+   epoch ring — sealed, sorted chunks in two generations plus an
+   append buffer sealed every ``_epoch_flush_limit`` rows — so inserts
+   cost O(batch), not O(state), and eviction drops whole expired
+   chunks.
 5. **Results are measured** — sink deliveries, end-to-end tuple
    latencies, per-link carried traffic, and Σ latency over every tuple
    actually sent (the *measured* network usage).  Per-tick per-link
@@ -78,8 +79,8 @@ tick via :meth:`DataPlane.accounting`::
 (``buffered`` is 0 without the reliable transport) so no tuple is ever
 silently lost.
 
-The global circuit arena (PR 7)
--------------------------------
+The global circuit arena
+------------------------
 
 All circuits compile into **one** contiguous set of flat arrays (the
 global CSR arena): op columns and link rows span every installed
@@ -87,31 +88,31 @@ circuit, and each circuit owns a contiguous *segment* of them
 (:class:`~repro.runtime.arena.CircuitArena` keeps the bookkeeping).
 Each tick therefore runs a constant number of array kernels over all
 circuits at once — there is no per-circuit Python dispatch in the hot
-path.  With ``RuntimeConfig.incremental`` (the default), installs
-append a new segment, uninstalls tombstone the old one (in-flight /
-state / estimator columns survive untouched), and the arena compacts
-in one gather pass when the dead fraction crosses
+path.  Installs append a new segment, uninstalls tombstone the old one
+(in-flight / state / estimator columns survive untouched), and the
+arena compacts in one gather pass when the dead fraction crosses
 ``RuntimeConfig.compact_threshold`` — tenant churn never triggers a
-full recompile.  ``incremental=False`` retains the legacy
-rebuild-everything sync as the reference; both modes are pinned
-tick-for-tick equivalent (compaction included) by
-``tests/property/test_arena_properties.py``, and full recompiles are
-observable via ``TrafficRecord.recompiles``.  Per-tick scratch
-(transport extraction, cost accumulators, admission bookkeeping) comes
-from a :class:`~repro.runtime.arena.ScratchArena` — preallocated,
-grown geometrically, reused across ticks; never hold a view into a
-scratch buffer across ticks.
+full recompile; only same-name replacement does, observable via
+``TrafficRecord.recompiles``.  Per-tick scratch (transport extraction,
+cost accumulators, admission bookkeeping) comes from a
+:class:`~repro.runtime.arena.ScratchArena` — preallocated, grown
+geometrically, reused across ticks; never hold a view into a scratch
+buffer across ticks.
 
-Scalar reference
-----------------
+Scalar oracle
+-------------
 
 :meth:`DataPlane.step_scalar` implements the *same* tick semantics with
 per-tuple Python loops over a heapq transport and per-key join tables,
 consuming the *same* RNG draws (the per-tick source draw is shared), so
 twin data planes stepped through either path agree exactly — tuple for
-tuple — and the pair is the before/after of the E18 benchmark.  A
-single instance commits to one path on first use (the two paths keep
-different state layouts); build a twin to compare.
+tuple — and the pair is the before/after of the E18 benchmark.  It is
+the one reference of the batched path: the epoch ring, the high-water
+admission ledger and the arena's install / tombstone / compaction are
+each pinned directly to it (``tests/property/test_dataplane_properties.py``,
+``tests/property/test_arena_properties.py``).  A single instance
+commits to one path on first use (the two paths keep different state
+layouts); build a twin to compare.
 
 Randomness discipline: the only RNG draws are the per-tick source
 draws.  Filter predicates and join match thinning are deterministic
@@ -136,7 +137,6 @@ from repro.core.load_model import (
     LoadModel,
 )
 from repro.query.operators import ServiceKind
-from repro.runtime import jit as jit_kernels
 from repro.runtime.arena import CircuitArena, ScratchArena
 from repro.runtime.hashing import (
     M1,
@@ -200,6 +200,38 @@ def _pair_bucket_int(key: int, ts_a: int, ts_b: int, salt: int) -> float:
     lo, hi = (ts_a, ts_b) if ts_a <= ts_b else (ts_b, ts_a)
     x = (key * _M1 + lo * _M2 + hi * _M3 + salt) & _MASK64
     return (_mix64_int(x) >> 11) * 2.0 ** -53
+
+
+def _capacity_gate(
+    nodes: np.ndarray,
+    node_used: np.ndarray,
+    cap: np.ndarray,
+    costs: np.ndarray,
+) -> np.ndarray:
+    """First-come-first-served per-node admission in canonical order.
+
+    A tuple is admitted while its node's admitted *cost* so far this
+    tick is below the cap, so the admitted set per node is a prefix in
+    canonical order (costs are positive, the running total only
+    grows).  With unit costs the condition degenerates to the
+    historical count rule ``rank + used < cap``.  Mutates
+    ``node_used`` with the admitted costs; returns the keep mask.
+    """
+    order = np.argsort(nodes, kind="stable")
+    sn = nodes[order]
+    sc = costs[order]
+    _, starts, cnts = np.unique(sn, return_index=True, return_counts=True)
+    cum = np.cumsum(sc)
+    group_base = np.repeat(cum[starts] - sc[starts], cnts)
+    # Group-local running cost before self; once it crosses the cap
+    # every later tuple's total is larger too, so the admitted set is
+    # a prefix and "before" equals the admitted cost within it.
+    before = cum - group_base - sc
+    keep_sorted = before + node_used[sn] < cap[sn]
+    keep = np.empty(nodes.size, dtype=bool)
+    keep[order] = keep_sorted
+    np.add.at(node_used, nodes[keep], costs[keep])
+    return keep
 
 
 @dataclass(frozen=True)
@@ -286,39 +318,15 @@ class RuntimeConfig:
             unified load currency measured per node every tick and
             priced at admission.  None uses :meth:`LoadModel.unit`
             (every tuple costs 1: cost == count).
-        incremental: maintain the global circuit arena incrementally
-            (installs append a segment, uninstalls tombstone one,
-            compaction past :class:`~repro.runtime.arena.CircuitArena`'s
-            threshold) — the primary path.  False retains the legacy
-            reference: a full recompile of every flat array on any
-            change of the installed set.  Both paths are tick-for-tick
-            equivalent (operator hashes are salted by a stable global
-            op id, not the physical row).
-        compact_threshold: tombstone fraction above which the
-            incremental arena compacts its dead rows.
-        join_state: vectorized join-state layout.  ``"epoch"`` (the
-            primary path) buckets state rows into a ring of sorted
-            epoch chunks: inserts append to a small buffer, flushes
-            sort only the batch, adjacent chunks merge geometrically
-            (each row is copied O(log state) times over its life, not
-            once per merge), and window eviction drops whole expired
-            chunks — probes mask per-candidate liveness so probe
-            order, match ranks, and probe-cost charges stay
-            bit-identical.  ``"twolevel"`` retains the PR-7 sorted
-            base + append buffer reference layout.  The scalar
-            per-key tables are untouched by this knob.
-        admission: how the tick-start admission prices obtain their
-            per-(op, side) state counts.  ``"highwater"`` (primary)
-            maintains an exact incremental ledger — O(batch) on
-            insert, O(ops) at the tick boundary — that equals the
-            full scan at every tick start, so prices stay bit-exact.
-            ``"frozen"`` retains the O(state) full-scan reference.
-        jit: kernel tier for the two irreducible hot kernels (join
-            probe binary search, admission gate).  ``"auto"`` uses
-            numba when importable and silently falls back to NumPy;
-            ``"numba"`` demands numba (raises when absent);
-            ``"numpy"`` always runs the reference.  The tier may never
-            change results (see :mod:`repro.runtime.jit`).
+        compact_threshold: tombstone fraction above which the arena
+            compacts its dead rows (installs append a segment,
+            uninstalls tombstone one; see
+            :class:`~repro.runtime.arena.CircuitArena`).
+
+    Every field shapes behaviour; none selects an implementation.  The
+    batched path has one layout (epoch-ring join state, high-water
+    admission ledger, incrementally maintained arena) and one
+    reference, :meth:`DataPlane.step_scalar`.
     """
 
     window: int = 20
@@ -330,11 +338,7 @@ class RuntimeConfig:
     retransmit_buffer: int = 4096
     drift: tuple[ParameterDrift, ...] = ()
     load_model: LoadModel | None = None
-    incremental: bool = True
     compact_threshold: float = 0.25
-    join_state: str = "epoch"
-    admission: str = "highwater"
-    jit: str = "auto"
 
     def __post_init__(self) -> None:
         if self.window < 0:
@@ -347,12 +351,6 @@ class RuntimeConfig:
             raise ValueError("eviction_slack must be non-negative")
         if self.retransmit_buffer < 0:
             raise ValueError("retransmit_buffer must be non-negative")
-        if self.join_state not in ("epoch", "twolevel"):
-            raise ValueError("join_state must be 'epoch' or 'twolevel'")
-        if self.admission not in ("highwater", "frozen"):
-            raise ValueError("admission must be 'highwater' or 'frozen'")
-        if self.jit not in ("auto", "numba", "numpy"):
-            raise ValueError("jit must be 'auto', 'numba', or 'numpy'")
 
 
 @dataclass(frozen=True)
@@ -383,10 +381,10 @@ class TrafficRecord:
             over all nodes (Σ of :attr:`DataPlane.tick_node_cpu`).
         cpu_dropped: CPU cost units of admission demand rejected this
             tick (capacity + shed rejections at their admission price).
-        recompiles: full kernel recompiles triggered by this tick's
-            sync (0 on the incremental arena path except for same-name
-            circuit replacement; 1 per changed set on the legacy path)
-            — the observable for compile churn.
+        recompiles: full arena recompiles triggered by this tick's
+            sync — only same-name circuit replacement (including scale
+            events) recompiles; installs and uninstalls append and
+            tombstone segments — the observable for compile churn.
     """
 
     tick: int
@@ -413,11 +411,11 @@ class _EpochChunk:
     Rows are sorted by composite key; within equal keys they sit in
     insertion order, and every row of an older chunk was inserted
     before every equal-key row of a younger one — the invariant that
-    lets cross-chunk rank offsets reproduce the reference's
+    lets cross-chunk rank offsets reproduce the scalar oracle's
     insertion-order match enumeration exactly.  ``e`` is the stored
     expiry tick (``ts + window + slack``, clamped up to the insert
     tick so dead-on-arrival rows stay probe-visible for the remainder
-    of their insert tick, exactly like the reference, which only
+    of their insert tick, exactly like the oracle, which only
     evicts at tick starts); a row is live at tick ``now`` iff
     ``e >= now``.  ``max_e`` gates the O(1) whole-chunk drop;
     ``min_e`` gates the probe fast path (a chunk with ``min_e >= now``
@@ -426,8 +424,8 @@ class _EpochChunk:
     Because a chunk is immutable between merges, probes amortise a
     run-index over its lifetime: the distinct composite keys plus the
     row offset of every run (:meth:`index`).  One binary-search sweep
-    over the distinct keys then replaces the reference's two sweeps
-    over all rows — the dominant probe cost at scale.
+    over the distinct keys then replaces two sweeps over all rows —
+    the dominant probe cost at scale.
     """
 
     __slots__ = ("comp", "ts", "size", "e", "max_e", "min_e", "_runs")
@@ -514,25 +512,10 @@ class DataPlane:
         # Controller-set per-node shed limits (inf = inactive).
         self._shed = np.full(n, np.inf)
         self._shed_active = 0
-        # Join-state batch bound: the append-buffer size at which the
-        # two-level base absorbs it / the epoch ring flushes a chunk;
-        # overridable for layout tests (small values force many epoch
-        # boundaries).
-        self._state_merge_limit = 1024
-        # Epoch-ring layout flag (array path only; the scalar per-key
-        # tables ignore it).
-        self._epoch = self.config.join_state == "epoch"
-        # Epoch append-buffer seal bound.  Separate from the two-level
-        # merge limit on purpose: the reference layout keeps PR 9's
-        # exact batching, while the ring amortises better with larger
-        # seals (the buffer is probed through a cached sort either
-        # way).  Layout tests shrink both to force epoch churn.
+        # Epoch append-buffer seal bound (array path only; the scalar
+        # per-key tables ignore it).  Tests shrink it to force many
+        # seals and generation folds.
         self._epoch_flush_limit = 2048
-        # Two-generation rebalance ratio: the young generation folds
-        # into the old one once old <= young * ratio.  None switches to
-        # the binary-counter ladder (more levels, rarer big merges) —
-        # kept for layout experiments.
-        self._epoch_gen_ratio: int | None = 4
         # High-water admission ledger: exact per-(op, side) live-state
         # counts plus a circular death histogram indexed by expiry tick
         # modulo the horizon.  Rebuilt lazily (dirty flag) after any
@@ -542,8 +525,6 @@ class DataPlane:
         self._hw_h = 1
         self._hw_clock = 0
         self._hw_dirty = True
-        # Kernel tier (numba or the NumPy reference; see runtime.jit).
-        self._jit = jit_kernels.resolve(self.config.jit)
         # Per-(circuit, link) stats survive recompiles in this fold.
         self._link_stats_folded: dict[tuple[str, str, str], list] = {}
         # Global circuit arena: segment bookkeeping, stable global op
@@ -574,8 +555,8 @@ class DataPlane:
         """Compile one circuit into segment-local flat columns.
 
         Shared by the full recompile (which assembles every segment)
-        and the incremental install path (which appends one), so both
-        derive identical operator parameters.  All op/link indices in
+        and the install path (which appends one), so both derive
+        identical operator parameters.  All op/link indices in
         the returned columns are segment-local; callers shift them by
         the segment base.
         """
@@ -750,9 +731,9 @@ class DataPlane:
         dropped with accounting.  Returns the number dropped.
 
         Compiled parameters of identity-surviving circuits are
-        *preserved* (not re-derived), matching the incremental path:
-        an executing data plane keeps its compiled realized behavior
-        across structural changes of *other* circuits.
+        *preserved* (not re-derived), matching segment install /
+        tombstone: an executing data plane keeps its compiled realized
+        behavior across structural changes of *other* circuits.
         """
         old_credit = getattr(self, "_agg_credit", None)
         old_num_ops = getattr(self, "_num_ops", 0)
@@ -790,10 +771,8 @@ class DataPlane:
         circuits = list(self.overlay.circuits.values())
         segs = [self._derive_circuit(c) for c in circuits]
         op_index: dict[tuple[str, str], int] = {}
-        rows: list[tuple[object, list[str], int]] = []
         names_of_op: list[tuple[str, str]] = []
         for circuit, seg in zip(circuits, segs):
-            rows.append((circuit, seg["sids"], len(op_index)))
             for sid in seg["sids"]:
                 op_index[(circuit.name, sid)] = len(op_index)
                 names_of_op.append((circuit.name, sid))
@@ -865,8 +844,9 @@ class DataPlane:
 
         # Stable global op ids: survivors keep theirs (the hash salt
         # must not change when rows move), fresh ops resolve through
-        # the persistent gid-key registry — identically on the
-        # full-rebuild and incremental paths, so twin planes agree.
+        # the persistent gid-key registry — identically on the full
+        # rebuild and segment install, so hash decisions never depend
+        # on how the arena was assembled.
         # Replica siblings share their base's gid key, so a family's
         # salts equal the unreplicated op's across every scale event.
         gid_keys_all: list[tuple[str, str]] = []
@@ -892,7 +872,6 @@ class DataPlane:
                     src_domain[new_pos] = old_src[2][old_pos]
 
         self._op_index = op_index
-        self._circuit_rows = rows
         self._num_ops = num_ops
         self._kind = kind
         self._kind_cost = self._model.kind_costs()[kind]
@@ -1116,23 +1095,6 @@ class DataPlane:
         ):
             return 0
         old_by_name = dict(zip(self._compiled_names, self._compiled_circuits))
-        if not self.config.incremental:
-            new = {c.name for c in current}
-            old = set(self._compiled_names)
-            parts = []
-            if new - old:
-                parts.append(f"installed {len(new - old)}")
-            if old - new:
-                parts.append(f"uninstalled {len(old - new)}")
-            if any(
-                old_by_name.get(c.name) is not None
-                and old_by_name[c.name] is not c
-                for c in current
-            ):
-                parts.append("replaced")
-            return self._compile(
-                remap_from=self._op_index, reason=", ".join(parts) or "changed"
-            )
         for circuit in current:
             old = old_by_name.get(circuit.name)
             if old is not None and old is not circuit:
@@ -1159,7 +1121,7 @@ class DataPlane:
     def _refresh_live_links(self) -> None:
         """Recompute the live-link index + published key list.
 
-        Called after any incremental structural change; the fresh list
+        Called after any segment install or tombstone; the fresh list
         identity signals estimator column caches to rebuild.
         """
         self._live_links = self._arena.live_link_rows()
@@ -1265,7 +1227,7 @@ class DataPlane:
             self._op_index.pop(self._op_names[row], None)
         # Sources stay *compact* (not tombstoned): the per-tick Poisson
         # draw consumes the source-rate vector in row order, which must
-        # match the legacy rebuild's install-order vector exactly.
+        # equal a full recompile's install-order vector exactly.
         src_dead = (self._src_ops >= seg.op_base) & (self._src_ops < op_end)
         if src_dead.any():
             keep = ~src_dead
@@ -1292,42 +1254,28 @@ class DataPlane:
         alive = self._arena.op_alive
         if self._mode == "array":
             self._hw_dirty = True
-            if self._st_comp.size:
-                keep = alive[(self._st_comp >> _U(33)).astype(np.int64)]
-                if not keep.all():
-                    self._st_comp = self._st_comp[keep]
-                    self._st_ts = self._st_ts[keep]
-                    self._st_size = self._st_size[keep]
-            if self._stb_comp.size:
-                keep = alive[(self._stb_comp >> _U(33)).astype(np.int64)]
-                if not keep.all():
-                    self._stb_comp = self._stb_comp[keep]
-                    self._stb_ts = self._stb_ts[keep]
-                    self._stb_size = self._stb_size[keep]
-                    self._stb_sorted = None
-            if self._epoch:
-                ring = []
-                for ch in self._ring:
-                    keep = alive[(ch.comp >> _U(33)).astype(np.int64)]
-                    if keep.all():
-                        ring.append(ch)
-                    elif keep.any():
-                        ring.append(
-                            _EpochChunk(
-                                ch.comp[keep], ch.ts[keep],
-                                ch.size[keep], ch.e[keep],
-                            )
+            ring = []
+            for ch in self._ring:
+                keep = alive[(ch.comp >> _U(33)).astype(np.int64)]
+                if keep.all():
+                    ring.append(ch)
+                elif keep.any():
+                    ring.append(
+                        _EpochChunk(
+                            ch.comp[keep], ch.ts[keep],
+                            ch.size[keep], ch.e[keep],
                         )
-                self._ring = ring
-                if self._epb_comp.size:
-                    keep = alive[(self._epb_comp >> _U(33)).astype(np.int64)]
-                    if not keep.all():
-                        self._epb_comp = self._epb_comp[keep]
-                        self._epb_ts = self._epb_ts[keep]
-                        self._epb_size = self._epb_size[keep]
-                        self._epb_e = self._epb_e[keep]
-                        self._epb_sorted = None
-                        self._epb_runs = None
+                    )
+            self._ring = ring
+            if self._epb_comp.size:
+                keep = alive[(self._epb_comp >> _U(33)).astype(np.int64)]
+                if not keep.all():
+                    self._epb_comp = self._epb_comp[keep]
+                    self._epb_ts = self._epb_ts[keep]
+                    self._epb_size = self._epb_size[keep]
+                    self._epb_e = self._epb_e[keep]
+                    self._epb_sorted = None
+                    self._epb_runs = None
         elif self._mode == "heap" and self._tables:
             self._tables = {
                 key: entries
@@ -1401,7 +1349,7 @@ class DataPlane:
     def _remap_state(
         self, mapping: np.ndarray, key_split: dict | None = None
     ) -> None:
-        """Re-address join state after a recompile (both layouts).
+        """Re-address join state after a recompile (both step paths).
 
         ``key_split`` (see the transports) re-homes split ops' state by
         key bucket — the partition each key's state lands on is the
@@ -1409,7 +1357,7 @@ class DataPlane:
         which is what keeps replicated join results exact across scale
         events.
         """
-        if self._mode == "array" and self._epoch:
+        if self._mode == "array":
             self._hw_dirty = True
             self._flush_epoch(merge=False)
             if not self._ring:
@@ -1417,7 +1365,7 @@ class DataPlane:
             # Chunks concatenated in ring order preserve global
             # insertion order within equal composite keys, so one
             # stable re-sort by the rewritten keys rebuilds a single
-            # chunk with the exact reference enumeration order (split
+            # chunk with the scalar oracle's enumeration order (split
             # siblings own disjoint key ranges, so no two old sources
             # collide under one new key).
             comp0 = np.concatenate([ch.comp for ch in self._ring])
@@ -1439,7 +1387,7 @@ class DataPlane:
             keep = new_ops >= 0
             # Stored expiries are recomputed against the *new* slack
             # column (placement-dependent, refreshed by the compile);
-            # the reference derives its eviction threshold from the
+            # the scalar oracle derives its eviction threshold from the
             # live slack every tick, so the remapped ring must too.
             new_ops = new_ops[keep]
             ts0 = ts0[keep]
@@ -1458,29 +1406,6 @@ class DataPlane:
                         e[order].astype(np.int32),
                     )
                 ]
-        elif self._mode == "array":
-            self._hw_dirty = True
-            self._merge_state()
-            if not self._st_comp.size:
-                return
-            ops = (self._st_comp >> _U(33)).astype(np.int64)
-            rest = self._st_comp & _U((1 << 33) - 1)
-            new_ops = mapping[ops]
-            if key_split:
-                keys = (self._st_comp & _U((1 << 32) - 1)).astype(np.int64)
-                for old, (targets, _port) in key_split.items():
-                    mask = ops == old
-                    if not mask.any():
-                        continue
-                    new_ops[mask] = targets[
-                        route_bucket(keys[mask], len(targets))
-                    ]
-            keep = new_ops >= 0
-            comp = (new_ops[keep].astype(_U) << _U(33)) | rest[keep]
-            order = np.argsort(comp, kind="stable")
-            self._st_comp = comp[order]
-            self._st_ts = self._st_ts[keep][order]
-            self._st_size = self._st_size[keep][order]
         elif self._mode == "heap" and self._tables:
             split = key_split or {}
             tables: dict = {}
@@ -1513,20 +1438,9 @@ class DataPlane:
                     if reliable
                     else ArrayTransport(self._scratch)
                 )
-                # Two-level join state: sorted base + append buffer,
-                # merged once the buffer exceeds _state_merge_limit.
-                # (Allocated in both layouts: the epoch ring keeps the
-                # reference arrays empty.)
-                self._st_comp = np.empty(0, dtype=np.uint64)
-                self._st_ts = np.empty(0, dtype=np.int64)
-                self._st_size = np.empty(0, dtype=np.float64)
-                self._stb_comp = np.empty(0, dtype=np.uint64)
-                self._stb_ts = np.empty(0, dtype=np.int64)
-                self._stb_size = np.empty(0, dtype=np.float64)
-                self._stb_sorted: tuple[np.ndarray, np.ndarray] | None = None
                 # Epoch-ring join state: a ring of sorted chunks (older
                 # first) plus an append buffer carrying stored expiry
-                # ticks; see _flush_epoch / _probe_epoch.  Tick columns
+                # ticks; see _flush_epoch / _probe_array.  Tick columns
                 # (ts, e) are int32 — tick counts stay far below 2^31
                 # and halving their width halves the merge and gather
                 # bandwidth of the hottest columns (_pair_bucket casts
@@ -1557,19 +1471,11 @@ class DataPlane:
         tuples across migrations for free: delivery looks the target
         service's node up *now*, not at send time.
 
-        On the arena path the column is cached and refreshed per
-        segment only when the owning circuit's placement-version
-        counter changed (``Circuit.assign`` bumps it), eliminating the
-        per-tick Python loop over every service; the legacy path keeps
-        the full rebuild as the reference.
+        The column is cached and refreshed per segment only when the
+        owning circuit's placement-version counter changed
+        (``Circuit.assign`` bumps it), so there is no per-tick Python
+        loop over every service.
         """
-        if not self.config.incremental:
-            host = np.zeros(self._num_ops, dtype=np.int64)
-            for circuit, sids, base in self._circuit_rows:
-                placement = circuit.placement
-                for i, sid in enumerate(sids):
-                    host[base + i] = placement[sid]
-            return host
         cache = self._host_cache
         if cache is None or cache.size != self._num_ops:
             cache = self._host_cache = np.zeros(self._num_ops, dtype=np.int64)
@@ -1675,29 +1581,20 @@ class DataPlane:
     def _state_counts(self) -> np.ndarray:
         """Windowed join-state entries per (op, side), committed mode.
 
-        The O(state) full scan — the ``admission="frozen"`` reference
-        and the rebuild source of the high-water ledger.  On the epoch
-        ring only live rows (``e >= now``) count: they are exactly the
-        rows the eager-evicting reference layouts still hold.
+        The O(state) full scan: the scalar path's admission pricing and
+        the recount the high-water ledger must equal on every clean
+        tick.  On the epoch ring only live rows (``e >= now``) count:
+        they are exactly the rows the eagerly evicting per-key tables
+        still hold.
         """
         counts = np.zeros(2 * self._num_ops)
         if self._mode == "array":
-            if self._epoch:
-                now = self.tick
-                for ch in self._ring:
-                    live = ch.e >= now
-                    idx = (ch.comp[live] >> _U(32)).astype(np.int64)
-                    if idx.size:
-                        counts += np.bincount(idx, minlength=2 * self._num_ops)
-                if self._epb_comp.size:
-                    live = self._epb_e >= now
-                    idx = (self._epb_comp[live] >> _U(32)).astype(np.int64)
-                    if idx.size:
-                        counts += np.bincount(idx, minlength=2 * self._num_ops)
-                return counts.reshape(self._num_ops, 2)
-            for comp in (self._st_comp, self._stb_comp):
-                if comp.size:
-                    idx = (comp >> _U(32)).astype(np.int64)
+            now = self.tick
+            levels = [(ch.comp, ch.e) for ch in self._ring]
+            levels.append((self._epb_comp, self._epb_e))
+            for comp, e in levels:
+                idx = (comp[e >= now] >> _U(32)).astype(np.int64)
+                if idx.size:
                     counts += np.bincount(idx, minlength=2 * self._num_ops)
         elif self._mode == "heap":
             for (op, side, _key), entries in self._tables.items():
@@ -1706,25 +1603,23 @@ class DataPlane:
 
     # -- high-water admission ledger ---------------------------------------
     #
-    # ``admission="highwater"`` replaces the tick-start O(state) scan
-    # with an exact incremental ledger: per-(op, side) live counts plus
-    # a circular death histogram indexed by stored expiry tick modulo
-    # the expiry horizon (window + max slack + margin).  Inserts are a
-    # bincount plus one scatter-add into the histogram — O(batch) with
-    # no sort; the tick boundary retires exactly one histogram row —
-    # O(ops).  At every tick start the ledger equals the full scan, so
-    # the 1/256-quantized admission prices are bit-identical to the
-    # frozen-scan reference.  Structural remaps (compaction,
-    # recompiles, scale events, uninstalls) mark the ledger dirty; the
-    # next price computation rebuilds it from state.
+    # The batched path prices admission from an exact incremental
+    # ledger instead of a tick-start O(state) scan: per-(op, side) live
+    # counts plus a circular death histogram indexed by stored expiry
+    # tick modulo the expiry horizon (window + max slack + margin).
+    # Inserts are a bincount plus one scatter-add into the histogram —
+    # O(batch) with no sort; the tick boundary retires exactly one
+    # histogram row — O(ops).  At every tick start a clean ledger
+    # equals the full scan (:meth:`_state_counts`), so the
+    # 1/256-quantized admission prices are bit-identical to the scalar
+    # oracle's.  Structural remaps (compaction, recompiles, scale
+    # events, uninstalls) mark the ledger dirty; the next price
+    # computation rebuilds it from state.
 
     @property
     def _hw_on(self) -> bool:
         """Ledger maintenance needed?  Only join probe prices read it."""
-        return (
-            self.config.admission == "highwater"
-            and self._model.probe_cost != 0
-        )
+        return self._model.probe_cost != 0
 
     def _hw_state_counts(self) -> np.ndarray:
         """Ledger view of :meth:`_state_counts`, rebuilt when dirty."""
@@ -1747,21 +1642,9 @@ class DataPlane:
         self._hw_deaths = np.zeros((self._hw_h, num2), dtype=np.int64)
         self._hw_clock = now
         counts = np.zeros(num2, dtype=np.int64)
-        if self._epoch:
-            levels = [(ch.comp, ch.e) for ch in self._ring]
-            if self._epb_comp.size:
-                levels.append((self._epb_comp, self._epb_e))
-        else:
-            levels = []
-            for comp, ts in (
-                (self._st_comp, self._st_ts),
-                (self._stb_comp, self._stb_ts),
-            ):
-                if comp.size:
-                    ops = (comp >> _U(33)).astype(np.int64)
-                    levels.append(
-                        (comp, ts + self.config.window + self._slack[ops])
-                    )
+        levels = [(ch.comp, ch.e) for ch in self._ring]
+        if self._epb_comp.size:
+            levels.append((self._epb_comp, self._epb_e))
         for comp, e in levels:
             live = e >= now
             if not live.all():
@@ -1826,7 +1709,6 @@ class DataPlane:
                 counts = (
                     self._hw_state_counts()
                     if self._mode == "array"
-                    and self.config.admission == "highwater"
                     else self._state_counts()
                 )
                 # A k-replica join sees only its domain/k key slice, so
@@ -2041,7 +1923,7 @@ class DataPlane:
                     seq = seq[live]
             if cap is not None and op.size:
                 costs = adm[op, np.minimum(port, 1)]
-                keep = self._jit.capacity_gate(node, node_used, cap, costs)
+                keep = _capacity_gate(node, node_used, cap, costs)
                 ncap = int(op.size - keep.sum())
                 if ncap:
                     rejected = node[~keep]
@@ -2159,80 +2041,15 @@ class DataPlane:
             prof.end()
         return record
 
-    @staticmethod
-    def _capacity_filter(
-        nodes: np.ndarray,
-        node_used: np.ndarray,
-        cap: np.ndarray,
-        costs: np.ndarray,
-    ) -> np.ndarray:
-        """First-come-first-served per-node admission in canonical order.
-
-        The NumPy reference implementation lives in
-        :func:`repro.runtime.jit.capacity_gate_numpy`; the hot loop
-        dispatches through the configured kernel tier instead, which
-        must admit the identical canonical-order prefix per node.
-        """
-        return jit_kernels.capacity_gate_numpy(nodes, node_used, cap, costs)
-
     def _evict_state_array(self, now: int) -> None:
-        if self._epoch:
-            # O(expired): drop whole chunks whose youngest row expired;
-            # partially-expired chunks stay — their dead rows are
-            # invisible to probes (liveness mask) and to the admission
-            # counts, and are physically shed at the next merge that
-            # touches them.
-            if self._ring and any(ch.max_e < now for ch in self._ring):
-                self._ring = [ch for ch in self._ring if ch.max_e >= now]
-        else:
-            if self._st_comp.size:
-                ops = (self._st_comp >> _U(33)).astype(np.int64)
-                thr = now - self.config.window - self._slack[ops]
-                keep = self._st_ts >= thr
-                if not keep.all():
-                    self._st_comp = self._st_comp[keep]
-                    self._st_ts = self._st_ts[keep]
-                    self._st_size = self._st_size[keep]
-            if self._stb_comp.size:
-                ops = (self._stb_comp >> _U(33)).astype(np.int64)
-                thr = now - self.config.window - self._slack[ops]
-                keep = self._stb_ts >= thr
-                if not keep.all():
-                    self._stb_comp = self._stb_comp[keep]
-                    self._stb_ts = self._stb_ts[keep]
-                    self._stb_size = self._stb_size[keep]
-                    self._stb_sorted = None
+        # O(expired): drop whole chunks whose youngest row expired;
+        # partially-expired chunks stay — their dead rows are invisible
+        # to probes (liveness mask) and to the admission counts, and
+        # are physically shed at the next merge that touches them.
+        if self._ring and any(ch.max_e < now for ch in self._ring):
+            self._ring = [ch for ch in self._ring if ch.max_e >= now]
         if self._hw_on:
             self._hw_advance(now)
-
-    def _merge_state(self) -> None:
-        """Absorb the append buffer into the sorted base (one copy).
-
-        Buffer entries are younger than every base entry with the same
-        composite key, so a stable sort of the buffer followed by a
-        ``side="right"`` insert preserves global insertion order within
-        equal keys — the invariant the match-rank enumeration relies
-        on.
-        """
-        if not self._stb_comp.size:
-            return
-        order = np.argsort(self._stb_comp, kind="stable")
-        comp = self._stb_comp[order]
-        where = np.searchsorted(self._st_comp, comp, side="right")
-        self._st_comp = np.insert(self._st_comp, where, comp)
-        self._st_ts = np.insert(self._st_ts, where, self._stb_ts[order])
-        self._st_size = np.insert(self._st_size, where, self._stb_size[order])
-        self._stb_comp = np.empty(0, dtype=np.uint64)
-        self._stb_ts = np.empty(0, dtype=np.int64)
-        self._stb_size = np.empty(0, dtype=np.float64)
-        self._stb_sorted = None
-
-    def _buffer_sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        """(stable order, sorted comps) view of the append buffer, cached."""
-        if self._stb_sorted is None:
-            order = np.argsort(self._stb_comp, kind="stable")
-            self._stb_sorted = (order, self._stb_comp[order])
-        return self._stb_sorted
 
     def _epb_sorted_view(self) -> tuple[np.ndarray, np.ndarray]:
         """(stable order, sorted comps) view of the epoch buffer, cached."""
@@ -2265,8 +2082,8 @@ class DataPlane:
         the young generation folds into the old one only once it
         reaches a quarter of its size — so probes see at most three
         sorted levels (old, young, buffer) while each row is copied
-        only O(ratio) times into the old generation over its life,
-        instead of the reference's every-merge O(state) rewrite.
+        O(log state) times over its life, instead of an O(state)
+        rewrite per seal.
         """
         if self._epb_comp.size:
             order, comp = self._epb_sorted_view()
@@ -2292,28 +2109,12 @@ class DataPlane:
             self._epb_runs = None
         if merge:
             ring = self._ring
-            ratio = self._epoch_gen_ratio
-            if ratio is None:
-                # Binary-counter ladder: absorb while the youngest is
-                # at least as large as its elder.
-                while (
-                    len(ring) >= 2
-                    and ring[-2].comp.size <= ring[-1].comp.size
-                ):
-                    young = ring.pop()
-                    merged = self._merge_chunks(ring.pop(), young, shed=True)
-                    if merged is not None:
-                        ring.append(merged)
-                return
             if len(ring) > 2:
                 sealed = ring.pop()
                 young = self._merge_chunks(ring.pop(), sealed)
                 if young is not None:
                     ring.append(young)
-            if (
-                len(ring) == 2
-                and ring[1].comp.size * ratio >= ring[0].comp.size
-            ):
+            if len(ring) == 2 and ring[1].comp.size * 4 >= ring[0].comp.size:
                 young = ring.pop()
                 merged = self._merge_chunks(ring.pop(), young, shed=True)
                 if merged is not None:
@@ -2441,96 +2242,17 @@ class DataPlane:
     def _probe_array(self, op, key, ts, size, pos, side: int):
         """Match arrivals against the other side's windowed join state.
 
-        One composite-key ``searchsorted`` over *all* joins at once,
-        against both state levels: the sorted base first, then the
-        append buffer (probed through its cached stable sort).  Base
-        entries are older than buffer entries with the same key, so
-        offsetting the buffer match ranks by the base hit count per
-        query reproduces the per-tuple reference's insertion-order
-        enumeration exactly.
-        """
-        if self._epoch:
-            return self._probe_epoch(op, key, ts, size, pos, side)
-        if op.size == 0 or (not self._st_comp.size and not self._stb_comp.size):
-            return None
-        qcomp = (op.astype(_U) << _U(33)) | (_U(side) << _U(32)) | key.astype(_U)
-        hits: list[tuple] = []
-
-        lo, hi = self._jit.probe_ranges(self._st_comp, qcomp)
-        base_cnt = hi - lo
-        probes = base_cnt
-        total = int(base_cnt.sum())
-        if total:
-            rep = np.repeat(np.arange(op.size), base_cnt)
-            starts = np.concatenate(([0], np.cumsum(base_cnt)[:-1]))
-            within = np.arange(total) - starts[rep]
-            sidx = lo[rep] + within
-            hits.append((rep, within, self._st_ts[sidx], self._st_size[sidx]))
-
-        if self._stb_comp.size:
-            border, bcomp = self._buffer_sorted()
-            blo, bhi = self._jit.probe_ranges(bcomp, qcomp)
-            cnt = bhi - blo
-            probes = probes + cnt
-            btotal = int(cnt.sum())
-            if btotal:
-                rep = np.repeat(np.arange(op.size), cnt)
-                starts = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-                within = np.arange(btotal) - starts[rep]
-                sidx = border[blo[rep] + within]
-                hits.append(
-                    (
-                        rep,
-                        base_cnt[rep] + within,
-                        self._stb_ts[sidx],
-                        self._stb_size[sidx],
-                    )
-                )
-
-        if self._model.probe_cost and probes.any():
-            # Probes are charged whether or not they produced a match:
-            # every candidate state entry examined costs c₂.
-            self._tick_op_cost += np.bincount(
-                op, weights=self._model.probe_cost * probes, minlength=self._num_ops
-            )
-        if not hits:
-            return None
-        if len(hits) == 1:
-            rep, rank, sts, ssize = hits[0]
-        else:
-            rep = np.concatenate([h[0] for h in hits])
-            rank = np.concatenate([h[1] for h in hits])
-            sts = np.concatenate([h[2] for h in hits])
-            ssize = np.concatenate([h[3] for h in hits])
-        ats = ts[rep]
-        ok = np.abs(ats - sts) <= self.config.window
-        ok &= (
-            _pair_bucket(key[rep], ats, sts, self._gid[op[rep]])
-            < self._op_pmatch[op[rep]]
-        )
-        if not ok.any():
-            return None
-        return (
-            op[rep][ok],
-            key[rep][ok],
-            np.maximum(ats, sts)[ok],
-            (size[rep] + ssize)[ok],
-            pos[rep][ok],
-            rank[ok],
-        )
-
-    def _probe_epoch(self, op, key, ts, size, pos, side: int):
-        """Epoch-ring variant of :meth:`_probe_array`.
-
-        Each chunk is probed oldest-first; per-query rank offsets
-        accumulate the *enumerated* candidate count across levels, so
-        live candidates carry strictly increasing ranks in global
-        insertion order — dead rows in partially-expired chunks bump
-        the offsets but never match, and ranks only order outputs, so
-        the canonical ``(input position, match rank)`` output order is
-        bit-identical to the eager-evicting reference.  Probe costs
-        charge live candidates only (exactly the rows the reference
-        still holds).
+        One composite-key ``searchsorted`` per ring level over *all*
+        joins at once.  Each chunk is probed oldest-first, then the
+        append buffer (through its cached stable sort); per-query rank
+        offsets accumulate the *enumerated* candidate count across
+        levels, so live candidates carry strictly increasing ranks in
+        global insertion order — dead rows in partially-expired chunks
+        bump the offsets but never match, and ranks only order outputs,
+        so the canonical ``(input position, match rank)`` output order
+        is bit-identical to the scalar oracle's per-key table walk.
+        Probe costs charge live candidates only (exactly the rows the
+        eagerly evicting oracle still holds).
         """
         if op.size == 0 or (not self._ring and not self._epb_comp.size):
             return None
@@ -2582,8 +2304,8 @@ class DataPlane:
 
         for ch in self._ring:
             # One binary-search sweep over the chunk's distinct keys
-            # (amortised over its immutable lifetime) instead of the
-            # two row-level sweeps of the reference layout.
+            # (amortised over its immutable lifetime) instead of two
+            # row-level sweeps.
             uniq, starts = ch.index()
             if not uniq.size:
                 continue
@@ -2641,42 +2363,26 @@ class DataPlane:
 
     def _insert_state_array(self, op, key, ts, size, side: int) -> None:
         """Append new join state to the buffer level (O(batch), not
-        O(state)); the sorted base / epoch ring absorbs it on the
-        periodic merge or flush."""
+        O(state)); the epoch ring absorbs it when the buffer seals."""
         if op.size == 0:
             return
         comp = (op.astype(_U) << _U(33)) | (_U(side) << _U(32)) | key.astype(_U)
-        if self._epoch:
-            # Stored expiry, clamped up to the insert tick: rows dead
-            # on arrival stay probe-visible until the next tick start,
-            # exactly as under eager tick-start eviction.
-            e = np.maximum(
-                ts + self.config.window + self._slack[op], self.tick
-            )
-            # Cast BEFORE concatenating: mixing an int32 column with an
-            # int64 batch would silently upcast the whole buffer.
-            self._epb_comp = np.concatenate((self._epb_comp, comp))
-            self._epb_ts = np.concatenate((self._epb_ts, ts.astype(np.int32)))
-            self._epb_size = np.concatenate((self._epb_size, size))
-            self._epb_e = np.concatenate((self._epb_e, e.astype(np.int32)))
-            self._epb_sorted = None
-            self._epb_runs = None
-            if self._hw_on:
-                self._hw_insert(comp, e)
-            if self._epb_comp.size >= self._epoch_flush_limit:
-                self._flush_epoch()
-            return
+        # Stored expiry, clamped up to the insert tick: rows dead on
+        # arrival stay probe-visible until the next tick start, exactly
+        # as under eager tick-start eviction.
+        e = np.maximum(ts + self.config.window + self._slack[op], self.tick)
+        # Cast BEFORE concatenating: mixing an int32 column with an
+        # int64 batch would silently upcast the whole buffer.
+        self._epb_comp = np.concatenate((self._epb_comp, comp))
+        self._epb_ts = np.concatenate((self._epb_ts, ts.astype(np.int32)))
+        self._epb_size = np.concatenate((self._epb_size, size))
+        self._epb_e = np.concatenate((self._epb_e, e.astype(np.int32)))
+        self._epb_sorted = None
+        self._epb_runs = None
         if self._hw_on:
-            e = np.maximum(
-                ts + self.config.window + self._slack[op], self.tick
-            )
             self._hw_insert(comp, e)
-        self._stb_comp = np.concatenate((self._stb_comp, comp))
-        self._stb_ts = np.concatenate((self._stb_ts, ts))
-        self._stb_size = np.concatenate((self._stb_size, size))
-        self._stb_sorted = None
-        if self._stb_comp.size >= self._state_merge_limit:
-            self._merge_state()
+        if self._epb_comp.size >= self._epoch_flush_limit:
+            self._flush_epoch()
 
     def _send_array(
         self, ops, keys, ts, sizes, now, host, lat, trace=None, emit=False

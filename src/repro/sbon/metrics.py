@@ -52,9 +52,10 @@ class TickRecord:
             to processed tuple counts under the unit load model).
         cpu_dropped: CPU cost units of admission demand rejected this
             tick (capacity + shed, at the admission price).
-        recompiles: full data-plane kernel recompiles this tick (0 on
-            the incremental arena path except for same-name circuit
-            replacement) — the observable for compile churn.
+        recompiles: full data-plane arena recompiles this tick — only
+            same-name circuit replacement (scale events included)
+            recompiles; installs and uninstalls append and tombstone
+            arena segments — the observable for compile churn.
     """
 
     tick: int

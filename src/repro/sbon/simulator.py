@@ -72,19 +72,16 @@ class SimulationConfig:
             circuits with true latencies/loads (omniscient variant);
             if False it uses cost-space estimates (deployable variant).
         load_weight: load-penalty weight in re-optimization decisions.
-        fused_reopt: if True (default) bulk re-optimization runs the
-            fused cross-circuit arena pass (:meth:`Reoptimizer.
-            step_all`); if False, the per-circuit kernel reference
-            (:meth:`Reoptimizer.step_all_percircuit`).  Bit-identical
-            by construction — the flag exists for twin testing and the
-            E21 benchmark.
+
+    Bulk re-optimization always runs the fused cross-circuit pass
+    (:meth:`Reoptimizer.step_all`); :meth:`Simulation.step_scalar`
+    runs its oracle (:meth:`Reoptimizer.step_all_scalar`).
     """
 
     reopt_interval: int = 10
     migration_threshold: float = 0.02
     use_ground_truth_for_reopt: bool = False
     load_weight: float = 1.0
-    fused_reopt: bool = True
 
     def __post_init__(self) -> None:
         if self.reopt_interval < 0:
@@ -422,12 +419,8 @@ class Simulation:
         if self.autoscaler is not None:
             reopt.frozen = self.autoscaler.frozen_services()
         circuits = list(self.overlay.circuits.values())
-        if scalar:
-            reports = reopt.step_all_scalar(circuits)
-        elif self.config.fused_reopt:
-            reports = reopt.step_all(circuits)
-        else:
-            reports = reopt.step_all_percircuit(circuits)
+        step_all = reopt.step_all_scalar if scalar else reopt.step_all
+        reports = step_all(circuits)
         migrations = 0
         for circuit, report in zip(circuits, reports):
             for migration in report.migrations:

@@ -536,17 +536,17 @@ def chaos_scenario(
 class TenantChurnScenario:
     """Rolling tenant arrivals/departures over a live data plane.
 
-    The structural-churn fixture behind the arena runtime path (PR 7):
-    the driver calls :meth:`churn_tick` between simulation steps, so
-    every data-plane tick starts with circuits freshly installed and
-    uninstalled — the worst case for full recompilation and exactly
-    what incremental segment install/tombstone amortizes.
+    The structural-churn fixture behind the arena runtime path: the
+    driver calls :meth:`churn_tick` between simulation steps, so every
+    data-plane tick starts with circuits freshly installed and
+    uninstalled — exactly what segment install / tombstone /
+    compaction amortizes.
 
     Circuit construction is fully deterministic in ``(seed, tenant
-    index)``, so two scenarios built with the same arguments but
-    different :class:`~repro.runtime.dataplane.RuntimeConfig` modes
-    (incremental arena vs legacy full-recompile) see bit-identical
-    workloads — the property tests drive such twins in lockstep.
+    index)``, so two scenarios built with the same arguments see
+    bit-identical workloads — the property tests step one through
+    :meth:`Simulation.step` and its twin through the scalar oracle
+    (:meth:`Simulation.step_scalar`) in lockstep.
 
     Attributes:
         overlay: the assembled overlay with the initial tenants.
@@ -606,7 +606,6 @@ def tenant_churn_scenario(
     initial_circuits: int = 8,
     node_capacity: float | None = 60.0,
     reopt_interval: int = 0,
-    incremental: bool = True,
     compact_threshold: float = 0.25,
     seed: int = 0,
 ) -> TenantChurnScenario:
@@ -615,9 +614,8 @@ def tenant_churn_scenario(
     Builds a geometric overlay, installs ``initial_circuits`` optimized
     tenant circuits, and returns a scenario whose :meth:`~
     TenantChurnScenario.churn_tick` rolls the tenant population between
-    simulation steps.  ``incremental`` / ``compact_threshold`` select
-    the data plane's arena mode — the E21 benchmark and the arena
-    property tests run incremental/legacy twins of this fixture.
+    simulation steps.  ``compact_threshold`` sets how eagerly the
+    data plane's arena compacts tombstoned segments.
     Re-optimization is off by default: the fixture isolates *structural*
     churn cost (install/uninstall/compaction), not placement quality.
     """
@@ -636,7 +634,6 @@ def tenant_churn_scenario(
         RuntimeConfig(
             seed=seed + 4,
             node_capacity=node_capacity,
-            incremental=incremental,
             compact_threshold=compact_threshold,
         ),
     )

@@ -4,14 +4,15 @@ Same discipline as the data-plane properties: every vectorized path
 keeps a scalar reference consuming identical inputs, and twin instances
 stepped through either path must agree exactly — here extended to the
 retransmit buffer (tuples bound to failed nodes), the controller's
-estimator banks and decisions, and the two-level join-state layout
-(whose merge threshold must be unobservable).
+estimator banks and decisions, and the epoch-ring join state (whose
+seal threshold must be unobservable).
 """
 
 import numpy as np
 import pytest
 
 from repro.control import ControlConfig, Controller
+from repro.core.load_model import LoadModel
 from repro.runtime import DataPlane, RuntimeConfig
 from repro.sbon.simulator import Simulation, SimulationConfig
 from repro.workloads.scenarios import selectivity_drift_scenario
@@ -104,27 +105,41 @@ class TestReliableTwins:
 
 
 class TestJoinStateLayout:
-    """The two-level (base + append buffer) layout is unobservable."""
+    """The epoch ring's seal threshold is unobservable.
 
-    @pytest.mark.parametrize("merge_limit", [1, 16, 1 << 30])
-    def test_merge_threshold_never_changes_results(self, merge_limit):
-        reference = DataPlane(traffic_overlay(seed=11)[0], RuntimeConfig(seed=3, window=30))
-        tuned = DataPlane(traffic_overlay(seed=11)[0], RuntimeConfig(seed=3, window=30))
-        tuned._state_merge_limit = merge_limit
+    Run under the CPU-cost model with binding capacity, so the probe
+    charges and the admission ledger see every seal and fold.
+    """
+
+    @pytest.mark.parametrize("flush_limit", [1, 16, 1 << 30])
+    def test_merge_threshold_never_changes_results(self, flush_limit):
+        cfg = RuntimeConfig(
+            seed=3, window=30, node_capacity=40.0, load_model=LoadModel()
+        )
+        reference = DataPlane(traffic_overlay(seed=11)[0], cfg)
+        tuned = DataPlane(traffic_overlay(seed=11)[0], cfg)
+        tuned._epoch_flush_limit = flush_limit
         for _ in range(25):
             rv, rs = tuned.step(), reference.step()
             assert rv == rs
         assert tuned.accounting() == reference.accounting()
+        assert tuned.cpu_dropped_total > 0
+        # The threshold took effect: small bounds sealed chunks, the
+        # huge one kept every row in the append buffer.
+        assert bool(tuned._ring) == (flush_limit < 1 << 30)
 
     def test_layout_matches_scalar_reference_with_large_windows(self):
-        cfg = RuntimeConfig(seed=9, window=40)
+        cfg = RuntimeConfig(
+            seed=9, window=40, node_capacity=40.0, load_model=LoadModel()
+        )
         a = DataPlane(traffic_overlay(seed=12)[0], cfg)
         b = DataPlane(traffic_overlay(seed=12)[0], cfg)
-        a._state_merge_limit = 8  # force frequent merges mid-tick
+        a._epoch_flush_limit = 8  # force frequent seals mid-tick
         for _ in range(30):
             assert_traffic_equal(a.step(), b.step_scalar())
         assert a.accounting() == b.accounting()
         assert a.accounting()["balanced"]
+        assert a._ring
 
 
 class TestControllerTwins:

@@ -12,8 +12,8 @@ backpressure — and the conservation balance must hold at every tick.
 import numpy as np
 import pytest
 
+from repro.core.load_model import LoadModel
 from repro.network.dynamics import ChurnProcess, HotspotEvent, LatencyDriftProcess, LoadProcess
-from repro.runtime import jit as jit_kernels
 from repro.network.topology import grid_topology
 from repro.runtime.dataplane import (
     DataPlane,
@@ -26,7 +26,8 @@ from repro.runtime.dataplane import (
 from repro.sbon.overlay import Overlay
 from repro.sbon.simulator import Simulation, SimulationConfig
 from repro.workloads.queries import WorkloadParams, random_query
-from repro.workloads.scenarios import chaos_scenario
+from repro.workloads.scenarios import chaos_scenario, tenant_churn_scenario
+from tests.property.test_arena_properties import assert_simulations_agree
 
 PARAMS = WorkloadParams(
     num_producers=3, rate_bounds=(3.0, 8.0), selectivity_bounds=(0.2, 0.6)
@@ -150,112 +151,144 @@ class TestStepEquivalence:
         assert a.accounting()["balanced"]
 
 
-class TestJoinStateLayouts:
-    """Epoch-ring join state is pinned bit-identical to the two-level
-    reference — and the high-water admission ledger to the frozen-scan
-    reference — under the full chaos mix: churn, live migration,
-    capacity backpressure, and window expiry.  Tiny merge/flush limits
-    force many epoch seals and generation folds, so expiring windows
-    cross epoch boundaries constantly instead of staying inside the
-    append buffer.
+def _oracle_case(case):
+    """(fast twin, oracle twin, per-tick hook, fixture check) of a case.
+
+    Every case prices admission with the CPU-cost model, so join probe
+    charges reach ``cpu_cost`` and the high-water ledger is live.
+    """
+    cost = LoadModel()
+    hook = None
+    if case.startswith("chaos-seed"):
+        a, b = (
+            chaotic_simulation(seed=int(case[10:]), window=8, load_model=cost)
+            for _ in range(2)
+        )
+        # A tiny seal bound makes expiring windows cross epoch
+        # boundaries constantly instead of staying in the buffer.
+        a.data_plane._epoch_flush_limit = 16
+
+        def check():
+            assert a.data_plane._ring, "the ring never sealed a chunk"
+            assert a.data_plane.cpu_dropped_total > 0
+            assert a.series.total_migrations() > 0
+
+    elif case == "window-0":
+        a, b = (
+            chaotic_simulation(seed=5, window=0, load_model=cost) for _ in range(2)
+        )
+
+        def check():
+            assert a.data_plane.cpu_dropped_total > 0
+            assert a.series.total_delivered() > 0
+
+    elif case == "all-uninstalled":
+        a, b = (chaotic_simulation(seed=5, load_model=cost) for _ in range(2))
+
+        def hook(tick):
+            if tick == 9:
+                for sim in (a, b):
+                    for name in list(sim.overlay.circuits):
+                        sim.overlay.uninstall(name)
+
+        def check():
+            assert a.data_plane.dropped_uninstalled > 0
+            assert a.data_plane.accounting()["in_flight"] == 0
+            assert a.series.records[-1].emitted == 0
+
+    else:  # all-dead-reliable: no churn process, so nothing evacuates
+        cfg = RuntimeConfig(
+            seed=7, node_capacity=40.0, reliable=True, load_model=cost
+        )
+        a, b = (
+            Simulation(
+                overlay,
+                config=SimulationConfig(reopt_interval=0),
+                data_plane=DataPlane(overlay, cfg),
+            )
+            for overlay in (traffic_overlay(seed=4)[0] for _ in range(2))
+        )
+
+        def hook(tick):
+            if tick in (3, 13):  # dead from tick 5, alive from tick 15
+                for sim in (a, b):
+                    n = sim.overlay.num_nodes
+                    sim.overlay.apply_liveness(np.full(n, tick == 13))
+
+        def check():
+            assert max(r.buffered for r in a.series.records) > 0
+            assert a.data_plane.redelivered > 0
+
+    return a, b, hook, check
+
+
+class TestScalarOracle:
+    """The batched path — epoch-ring join state, high-water admission
+    ledger, capacity gate — is pinned directly to the per-tuple scalar
+    oracle on every ``TRAFFIC_FIELDS`` entry
+    (``tests/property/test_arena_properties.py``): under the full chaos
+    mix (churn, live migration, capacity backpressure, window expiry)
+    on two seeds, and on three hostile inputs.
     """
 
-    VARIANTS = [
-        ("epoch", "highwater", "auto"),  # the defaults, jit fallback live
-        ("epoch", "frozen", "numpy"),
-        ("twolevel", "highwater", "numpy"),
-    ]
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "chaos-seed5",
+            "chaos-seed7",
+            "window-0",
+            "all-uninstalled",
+            "all-dead-reliable",
+        ],
+    )
+    def test_step_matches_scalar_oracle(self, case):
+        a, b, hook, check = _oracle_case(case)
+        assert_simulations_agree(a, b, ticks=40, between=hook)
+        check()
+
+
+class TestLedgerRecount:
+    """The high-water admission ledger equals a full recount of live
+    join state (:meth:`DataPlane._state_counts`) at the end of every
+    tick on which it is clean — the ledger's reference."""
 
     @staticmethod
-    def _shrink(sim):
-        sim.data_plane._state_merge_limit = 16
-        sim.data_plane._epoch_flush_limit = 16
-        return sim
-
-    def test_all_layouts_agree_under_chaos(self):
-        common = dict(seed=5, window=8)
-        ref = self._shrink(
-            chaotic_simulation(
-                join_state="twolevel", admission="frozen", jit="numpy", **common
-            )
-        )
-        others = [
-            self._shrink(
-                chaotic_simulation(
-                    join_state=js, admission=adm, jit=jit, **common
+    def _clean_ticks(plane, step, ticks, between=None):
+        clean = 0
+        for tick in range(ticks):
+            step()
+            if not plane._hw_dirty:
+                # Sized for the current arena, so reading it never
+                # triggers a rebuild that would make the check vacuous.
+                assert plane._hw_counts.size == 2 * plane._num_ops
+                np.testing.assert_array_equal(
+                    plane._hw_state_counts(), plane._state_counts()
                 )
-            )
-            for js, adm, jit in self.VARIANTS
-        ]
-        for _ in range(40):
-            r0 = ref.step()
-            for sim in others:
-                assert sim.step() == r0
-        acct = ref.data_plane.accounting()
-        assert acct["balanced"]
-        for sim in others:
-            assert sim.data_plane.accounting() == acct
-        # The equivalence exercised real epoch machinery: the ring
-        # sealed chunks and chaos produced churn-driven eviction.
-        epoch_plane = others[0].data_plane
-        assert len(epoch_plane._ring) >= 1
-        assert acct["dropped"] > 0
+                clean += 1
+            if between is not None:
+                between(tick)
+        return clean
 
-    def test_epoch_scalar_twin_still_agrees(self):
-        """The scalar per-key reference is layout-blind: epoch defaults
-        on the vectorized side must still match it tuple for tuple."""
-        a = chaotic_simulation(seed=7, window=8)
-        b = chaotic_simulation(seed=7, window=8)
-        a.data_plane._state_merge_limit = 16
-        a.data_plane._epoch_flush_limit = 16
-        for _ in range(25):
-            rv, rs = a.step(), b.step_scalar()
-            assert (rv.migrations, rv.failures) == (rs.migrations, rs.failures)
-            assert_traffic_equal(rv, rs)
-        assert a.data_plane.accounting() == b.data_plane.accounting()
+    def test_ledger_equals_recount_under_chaos(self):
+        sim = chaotic_simulation(seed=5, window=8, load_model=LoadModel())
+        plane = sim.data_plane
+        plane._epoch_flush_limit = 16
+        assert self._clean_ticks(plane, sim.step, 40) >= 1
+        assert plane.load_model.probe_cost > 0
+        assert plane._ring
 
-
-class TestJitTier:
-    """The optional numba tier is a pure accelerator: same records."""
-
-    def test_auto_matches_numpy_bit_for_bit(self):
-        # With numba absent "auto" silently falls back to NumPy; with
-        # numba present it compiles — either way records are identical.
-        a = DataPlane(
-            traffic_overlay(seed=4)[0],
-            RuntimeConfig(seed=7, node_capacity=40.0, jit="auto"),
+    def test_ledger_equals_recount_under_tenant_churn(self):
+        scenario = tenant_churn_scenario(
+            num_nodes=20, initial_circuits=5, seed=11, compact_threshold=0.01
         )
-        b = DataPlane(
-            traffic_overlay(seed=4)[0],
-            RuntimeConfig(seed=7, node_capacity=40.0, jit="numpy"),
+        plane = scenario.data_plane
+        plane.set_load_model(LoadModel())
+        clean = self._clean_ticks(
+            plane, scenario.simulation.step, 24, lambda tick: scenario.churn_tick()
         )
-        for _ in range(30):
-            assert a.step() == b.step()
-        assert a.accounting() == b.accounting()
-        assert a.accounting()["balanced"]
-
-    def test_numba_tier_matches_numpy_bit_for_bit(self):
-        if not jit_kernels.numba_available():
-            pytest.skip("numba not installed in this environment")
-        a = DataPlane(
-            traffic_overlay(seed=4)[0],
-            RuntimeConfig(seed=7, node_capacity=40.0, jit="numba"),
-        )
-        b = DataPlane(
-            traffic_overlay(seed=4)[0],
-            RuntimeConfig(seed=7, node_capacity=40.0, jit="numpy"),
-        )
-        for _ in range(30):
-            assert a.step() == b.step()
-        assert a.accounting() == b.accounting()
-
-    def test_explicit_numba_errors_without_numba(self):
-        if jit_kernels.numba_available():
-            pytest.skip("numba installed: the explicit tier works")
-        with pytest.raises(RuntimeError):
-            DataPlane(
-                traffic_overlay(seed=4)[0], RuntimeConfig(seed=7, jit="numba")
-            )
+        assert clean >= 1
+        assert plane.load_model.probe_cost > 0
+        assert plane.dropped_uninstalled > 0
 
 
 class TestConservation:

@@ -1,12 +1,13 @@
 """Unit tests for the data-plane runtime (transport + coordinator)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.circuit import Circuit, Service
 from repro.network.topology import grid_topology
 from repro.query.operators import ServiceSpec
-from repro.runtime import jit as jit_kernels
 from repro.runtime.dataplane import DataPlane, RuntimeConfig, _JOIN
 from repro.runtime.transport import ArrayTransport, HeapTransport
 from repro.sbon.overlay import Overlay
@@ -120,31 +121,27 @@ class TestRuntimeConfig:
         with pytest.raises(ValueError):
             RuntimeConfig(eviction_slack=-2)
 
-    def test_layout_and_tier_switches_validated(self):
-        with pytest.raises(ValueError):
-            RuntimeConfig(join_state="btree")
-        with pytest.raises(ValueError):
-            RuntimeConfig(admission="lottery")
-        with pytest.raises(ValueError):
-            RuntimeConfig(jit="cython")
-        # Every retained variant still constructs.
-        for join_state in ("epoch", "twolevel"):
-            for admission in ("highwater", "frozen"):
-                RuntimeConfig(join_state=join_state, admission=admission)
-
-    def test_jit_resolution_contract(self):
-        assert jit_kernels.resolve("numpy").tier == "numpy"
-        auto = jit_kernels.resolve("auto")
-        if jit_kernels.numba_available():
-            assert auto.tier == "numba"
-            assert jit_kernels.resolve("numba").tier == "numba"
-        else:
-            # auto degrades silently; an explicit demand must not.
-            assert auto.tier == "numpy"
-            with pytest.raises(RuntimeError):
-                jit_kernels.resolve("numba")
-        with pytest.raises(ValueError):
-            jit_kernels.resolve_tier("cython")
+    def test_no_field_selects_a_reference_path(self):
+        # One fast path per layer, pinned to the scalar oracle: every
+        # config field shapes behaviour, none picks an implementation.
+        assert {f.name for f in dataclasses.fields(RuntimeConfig)} == {
+            "window",
+            "tick_ms",
+            "node_capacity",
+            "eviction_slack",
+            "seed",
+            "reliable",
+            "retransmit_buffer",
+            "drift",
+            "load_model",
+            "compact_threshold",
+        }
+        assert {f.name for f in dataclasses.fields(SimulationConfig)} == {
+            "reopt_interval",
+            "migration_threshold",
+            "use_ground_truth_for_reopt",
+            "load_weight",
+        }
 
 
 class TestCompile:
