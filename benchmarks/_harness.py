@@ -30,8 +30,6 @@ def env_metadata() -> dict:
 
     Timings are only comparable within an environment; this records
     enough to tell apples from oranges across CI runs and machines.
-    ``check_regression.py`` compares only the ``results`` key, so extra
-    metadata never perturbs baselines.
     """
     return {
         "python": platform.python_version(),

@@ -12,6 +12,7 @@ by the physical-mapping stage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.query.model import QuerySpec
@@ -342,8 +343,11 @@ class Circuit:
         """
         if len(rates) != len(self.links):
             raise ValueError("rates must align with the circuit's links")
+        rates = [float(rate) for rate in rates]
+        if not all(math.isfinite(rate) and rate >= 0.0 for rate in rates):
+            raise ValueError("link rates must be finite and non-negative")
         self.links = [
-            CircuitLink(link.source, link.target, float(rate))
+            CircuitLink(link.source, link.target, rate)
             for link, rate in zip(self.links, rates)
         ]
 

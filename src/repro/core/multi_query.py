@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.circuit import Circuit, Service, effective_statistics
-from repro.core.coordinates import CostCoordinate
 from repro.core.costs import CircuitCost, CostEvaluator, CostSpaceEvaluator
 from repro.core.cost_space import CostSpace
 from repro.core.optimizer import (
@@ -173,7 +172,7 @@ class MultiQueryOptimizer:
                         node=deployed.node,
                         reuse_key=(deployed.kind, deployed.producers),
                         coordinate=tuple(
-                            self.cost_space.coordinate(deployed.node).full_array()
+                            self.cost_space.full_matrix()[deployed.node]
                         ),
                         output_rate=output_rate,
                     )
@@ -188,7 +187,7 @@ class MultiQueryOptimizer:
     # -- reuse search ------------------------------------------------------
 
     def _within_radius(
-        self, target: CostCoordinate, key: tuple[ServiceKind, frozenset[str]]
+        self, target: np.ndarray, key: tuple[ServiceKind, frozenset[str]]
     ) -> tuple[list[DeployedService], int]:
         """Deployed services matching ``key`` within the pruning radius.
 
@@ -202,9 +201,7 @@ class MultiQueryOptimizer:
         ring-neighborhood scan around the target's Hilbert key.
         """
         if self.directory is not None:
-            ads, examined = self.directory.search(
-                target.full_array(), key, self.radius
-            )
+            ads, examined = self.directory.search(target, key, self.radius)
             matches = [
                 DeployedService(
                     circuit_name=ad.circuit_name,
@@ -272,9 +269,7 @@ class MultiQueryOptimizer:
             producers = node.producers
             position = position_by_producers.get(producers)
             if position is not None:
-                target = CostCoordinate.from_arrays(
-                    position, np.zeros(scalar_dims)
-                )
+                target = np.concatenate([position, np.zeros(scalar_dims)])
                 matches, examined = self._within_radius(
                     target, (ServiceKind.JOIN, producers)
                 )
@@ -282,13 +277,10 @@ class MultiQueryOptimizer:
                 if matches:
                     # Rank only the matched hosts: O(matches) row
                     # lookups, not another full matrix pass.
-                    target_arr = target.full_array()
                     full = self.cost_space.full_matrix()
                     best = min(
                         matches,
-                        key=lambda d: float(
-                            np.linalg.norm(full[d.node] - target_arr)
-                        ),
+                        key=lambda d: float(np.linalg.norm(full[d.node] - target)),
                     )
                     taps[producers] = best
                     return  # whole subtree satisfied; do not recurse

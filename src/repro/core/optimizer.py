@@ -63,9 +63,14 @@ FULL_ENUMERATION_LIMIT = 5
 def pinned_vector_positions(
     circuit: Circuit, cost_space: CostSpace
 ) -> dict[str, np.ndarray]:
-    """Vector coordinates of a circuit's pinned services."""
+    """Vector coordinates of a circuit's pinned services.
+
+    Reads rows of the live matrix (copied, so callers own them) instead
+    of materialising every :class:`CostCoordinate` of the snapshot.
+    """
+    vectors = cost_space.vector_matrix()
     return {
-        sid: cost_space.coordinate(circuit.services[sid].pinned_node).vector_array()
+        sid: vectors[circuit.services[sid].pinned_node].copy()
         for sid in circuit.pinned_ids()
     }
 

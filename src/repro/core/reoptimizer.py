@@ -56,11 +56,7 @@ from repro.core.circuit import Circuit
 from repro.core.coordinates import CostCoordinate
 from repro.core.costs import CircuitCost, CostEvaluator, CostSpaceEvaluator
 from repro.core.cost_space import CostSpace
-from repro.core.optimizer import (
-    IntegratedOptimizer,
-    OptimizationResult,
-    pinned_vector_positions,
-)
+from repro.core.optimizer import IntegratedOptimizer, OptimizationResult
 from repro.core.physical_mapping import CatalogMapper, ExhaustiveMapper
 from repro.core.virtual_placement import relaxation_placement
 from repro.query.model import QuerySpec

@@ -174,6 +174,9 @@ _U = U64
 _mix64 = mix64
 _mix64_int = mix64_int
 
+# Largest tick the batched path's int32 (ts, e) state columns can hold.
+_TICK_LIMIT = int(np.iinfo(np.int32).max)
+
 
 def _filter_bucket(key: np.ndarray, salt: np.ndarray) -> np.ndarray:
     """Deterministic uniform-[0,1) bucket of (key, operator) pairs."""
@@ -907,7 +910,9 @@ class DataPlane:
         # still a different object and must trigger a recompile.
         self._compiled_circuits = tuple(circuits)
 
-        # Reset arena bookkeeping: everything compact and live.
+        # Reset arena bookkeeping: everything compact and live.  A
+        # compile re-keys join state, so the ledger recounts.
+        self._hw_dirty = True
         self._arena.reset(
             [
                 (c.name, len(seg["sids"]), int(seg["out_offsets"][-1]))
@@ -1199,6 +1204,7 @@ class DataPlane:
                 )
             )
             self._src_pos = {int(op): i for i, op in enumerate(self._src_ops)}
+        self._hw_append(n, seg_cols["slack"])
         self._num_ops = self._arena.num_ops
         if self._host_cache is not None:
             self._host_cache = cat(
@@ -1249,11 +1255,15 @@ class DataPlane:
 
         Survivor rows keep their composite keys and relative order (the
         mapping is the identity on live ops), so a mask is enough — no
-        comp rewrite, no re-sort.
+        comp rewrite, no re-sort.  The ledger zeroes the dead ops'
+        columns: exactly the rows removed here.
         """
         alive = self._arena.op_alive
         if self._mode == "array":
-            self._hw_dirty = True
+            if self._hw_valid():
+                dead = np.repeat(~alive, 2)
+                self._hw_counts[dead] = 0
+                self._hw_deaths[:, dead] = 0
             ring = []
             for ch in self._ring:
                 keep = alive[(ch.comp >> _U(33)).astype(np.int64)]
@@ -1329,6 +1339,10 @@ class DataPlane:
         self._src_pos = {int(op): i for i, op in enumerate(self._src_ops)}
         if self._transport is not None:
             self._transport.remap_ops(op_map)  # all live: drops nothing
+        if self._hw_valid():
+            pairs = (2 * op_gather[:, None] + np.arange(2)).ravel()
+            self._hw_counts = self._hw_counts[pairs]
+            self._hw_deaths = self._hw_deaths[:, pairs]
         self._remap_state(op_map)
         if self._host_cache is not None:
             self._host_cache = self._host_cache[op_gather]
@@ -1358,7 +1372,6 @@ class DataPlane:
         events.
         """
         if self._mode == "array":
-            self._hw_dirty = True
             self._flush_epoch(merge=False)
             if not self._ring:
                 return
@@ -1441,8 +1454,9 @@ class DataPlane:
                 # Epoch-ring join state: a ring of sorted chunks (older
                 # first) plus an append buffer carrying stored expiry
                 # ticks; see _flush_epoch / _probe_array.  Tick columns
-                # (ts, e) are int32 — tick counts stay far below 2^31
-                # and halving their width halves the merge and gather
+                # (ts, e) are int32 — step() refuses a tick whose
+                # expiries would pass 2^31 - 1 (_TICK_LIMIT) — and
+                # halving their width halves the merge and gather
                 # bandwidth of the hottest columns (_pair_bucket casts
                 # operands through uint64, so hashes are unchanged, and
                 # arithmetic against int64 upcasts before any output).
@@ -1578,6 +1592,18 @@ class DataPlane:
             return self._shed
         return np.minimum(self._cap, self._shed)
 
+    def state_rows(self) -> np.ndarray:
+        """Live join-state rows per (op, side), shape ``(num_ops, 2)``.
+
+        Rows are arena op rows (a tombstoned op reads 0).  Equals the
+        full recount (:meth:`_state_counts`): read from the high-water
+        ledger when it is clean, recounted otherwise — reading never
+        rebuilds the ledger.
+        """
+        if self._mode == "array" and self._hw_valid():
+            return self._hw_counts.astype(np.float64).reshape(self._num_ops, 2)
+        return self._state_counts()
+
     def _state_counts(self) -> np.ndarray:
         """Windowed join-state entries per (op, side), committed mode.
 
@@ -1612,20 +1638,36 @@ class DataPlane:
     # histogram row — O(ops).  At every tick start a clean ledger
     # equals the full scan (:meth:`_state_counts`), so the
     # 1/256-quantized admission prices are bit-identical to the scalar
-    # oracle's.  Structural remaps (compaction, recompiles, scale
-    # events, uninstalls) mark the ledger dirty; the next price
-    # computation rebuilds it from state.
+    # oracle's.
+    #
+    # Lifecycle: the ledger's columns move with the arena's op rows, so
+    # tenant churn costs O(tenant), not a recount.  A segment install
+    # appends zero columns (widening the histogram first if the new
+    # segment's horizon is longer); an uninstall zeroes the tombstoned
+    # ops' columns — exactly the rows ``_drop_dead_state`` removes;
+    # compaction gathers the columns by (op, side) pair like every
+    # other op column.  Only what re-keys join state marks the ledger
+    # dirty — a compile (same-name replacement, scale events) and
+    # ``set_load_model`` — and the next price computation recounts it
+    # from state (:meth:`_hw_rebuild`).
 
     @property
     def _hw_on(self) -> bool:
         """Ledger maintenance needed?  Only join probe prices read it."""
         return self._model.probe_cost != 0
 
+    def _hw_valid(self) -> bool:
+        """Is the ledger current?  A stale one stays dirty until rebuilt."""
+        if self._hw_dirty or self._hw_counts.size != 2 * self._num_ops:
+            self._hw_dirty = True
+            return False
+        return True
+
     def _hw_state_counts(self) -> np.ndarray:
         """Ledger view of :meth:`_state_counts`, rebuilt when dirty."""
-        if self._hw_dirty or self._hw_counts.size != 2 * self._num_ops:
+        if not self._hw_valid():
             self._hw_rebuild()
-        return self._hw_counts.astype(np.float64).reshape(self._num_ops, 2)
+        return self.state_rows()
 
     def _hw_rebuild(self) -> None:
         """Recount live state and re-derive the death histogram."""
@@ -1659,18 +1701,43 @@ class DataPlane:
 
     def _hw_insert(self, comp: np.ndarray, e_sched: np.ndarray) -> None:
         """Fold one insert batch into the ledger (O(batch), no sort)."""
-        num2 = 2 * self._num_ops
-        if self._hw_dirty or self._hw_counts.size != num2:
-            self._hw_dirty = True
+        if not self._hw_valid():
             return
         if e_sched.size and int(e_sched.max()) - self._hw_clock >= self._hw_h:
-            # Horizon outgrown (e.g. slack raised without a remap in
-            # between) — fall back to a rebuild at the next pricing.
+            # Horizon outgrown — installs widen it and compiles
+            # recount, so this is a safety net: rebuild at the next
+            # pricing rather than alias two expiry ticks.
             self._hw_dirty = True
             return
         opside = (comp >> _U(32)).astype(np.int64)
-        self._hw_counts += np.bincount(opside, minlength=num2)
+        self._hw_counts += np.bincount(opside, minlength=self._hw_counts.size)
         np.add.at(self._hw_deaths, (e_sched % self._hw_h, opside), 1)
+
+    def _hw_append(self, n: int, slack: np.ndarray) -> None:
+        """Give a freshly installed segment's ``n`` ops zero columns.
+
+        Called before ``_num_ops`` grows.  A segment whose expiry
+        horizon exceeds the histogram's widens it first: every counted
+        row expires in ``[clock, clock + H)``, so re-indexing those H
+        rows by the new modulus moves each death to its new bucket.
+        """
+        if not self._hw_valid():
+            return
+        if slack.size:
+            h = self.config.window + int(slack.max()) + 2
+            if h > self._hw_h:
+                t = np.arange(self._hw_clock, self._hw_clock + self._hw_h)
+                deaths = np.zeros((h, self._hw_deaths.shape[1]), dtype=np.int64)
+                deaths[t % h] = self._hw_deaths[t % self._hw_h]
+                self._hw_deaths = deaths
+                self._hw_h = h
+        self._hw_counts = np.concatenate(
+            (self._hw_counts, np.zeros(2 * n, dtype=np.int64))
+        )
+        self._hw_deaths = np.concatenate(
+            (self._hw_deaths, np.zeros((self._hw_h, 2 * n), dtype=np.int64)),
+            axis=1,
+        )
 
     def _hw_advance(self, now: int) -> None:
         """Retire expired histogram rows at the tick boundary (O(ops))."""
@@ -1797,6 +1864,14 @@ class DataPlane:
         dropped_sync = self._sync()
         if prof is not None:
             prof.end()
+        horizon = self.tick + 1 + self.config.window
+        if self._slack.size:
+            horizon += int(self._slack.max())
+        if horizon > _TICK_LIMIT:
+            raise OverflowError(
+                f"tick {self.tick + 1} would store join-state expiries up to "
+                f"{horizon}, past the int32 tick columns' limit {_TICK_LIMIT}"
+            )
         self.tick += 1
         now = self.tick
         self._apply_drift(now)

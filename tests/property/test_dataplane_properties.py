@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from repro.core.load_model import LoadModel
+from repro.core.rewriting import replicate_operator
 from repro.network.dynamics import ChurnProcess, HotspotEvent, LatencyDriftProcess, LoadProcess
 from repro.network.topology import grid_topology
 from repro.runtime.dataplane import (
     DataPlane,
     RuntimeConfig,
+    _TICK_LIMIT,
     _filter_bucket,
     _filter_bucket_int,
     _pair_bucket,
@@ -27,7 +29,8 @@ from repro.sbon.overlay import Overlay
 from repro.sbon.simulator import Simulation, SimulationConfig
 from repro.workloads.queries import WorkloadParams, random_query
 from repro.workloads.scenarios import chaos_scenario, tenant_churn_scenario
-from tests.property.test_arena_properties import assert_simulations_agree
+from tests.property.test_arena_properties import assert_simulations_agree, spy
+from tests.property.test_scaling_properties import join_circuit, make_overlay
 
 PARAMS = WorkloadParams(
     num_producers=3, rate_bounds=(3.0, 8.0), selectivity_bounds=(0.2, 0.6)
@@ -196,6 +199,18 @@ def _oracle_case(case):
             assert a.data_plane.accounting()["in_flight"] == 0
             assert a.series.records[-1].emitted == 0
 
+    elif case == "tick-at-int32-limit":
+        a, b = (chaotic_simulation(seed=5, load_model=cost) for _ in range(2))
+        plane = a.data_plane
+        last = _TICK_LIMIT - plane.config.window - int(plane._slack.max())
+        for sim in (a, b):
+            sim.data_plane.tick = last - 40  # the 40th tick is the last legal one
+
+        def check():
+            assert plane.tick == last
+            with pytest.raises(OverflowError, match="int32"):
+                a.step()
+
     else:  # all-dead-reliable: no churn process, so nothing evacuates
         cfg = RuntimeConfig(
             seed=7, node_capacity=40.0, reliable=True, load_model=cost
@@ -228,7 +243,8 @@ class TestScalarOracle:
     oracle on every ``TRAFFIC_FIELDS`` entry
     (``tests/property/test_arena_properties.py``): under the full chaos
     mix (churn, live migration, capacity backpressure, window expiry)
-    on two seeds, and on three hostile inputs.
+    on two seeds, and on four hostile inputs — the last runs right up to
+    the int32 tick columns' limit, where the next step() must refuse.
     """
 
     @pytest.mark.parametrize(
@@ -239,6 +255,7 @@ class TestScalarOracle:
             "window-0",
             "all-uninstalled",
             "all-dead-reliable",
+            "tick-at-int32-limit",
         ],
     )
     def test_step_matches_scalar_oracle(self, case):
@@ -250,21 +267,22 @@ class TestScalarOracle:
 class TestLedgerRecount:
     """The high-water admission ledger equals a full recount of live
     join state (:meth:`DataPlane._state_counts`) at the end of every
-    tick on which it is clean — the ledger's reference."""
+    tick on which it is clean — the ledger's reference.  Its columns
+    move with the arena's op rows, so tenant churn (install, uninstall,
+    compaction) keeps it clean; only a recompile recounts."""
 
     @staticmethod
     def _clean_ticks(plane, step, ticks, between=None):
-        clean = 0
+        """Per tick, whether the ledger was clean after it."""
+        clean = []
         for tick in range(ticks):
             step()
-            if not plane._hw_dirty:
-                # Sized for the current arena, so reading it never
-                # triggers a rebuild that would make the check vacuous.
+            clean.append(not plane._hw_dirty)
+            if clean[-1]:
+                # Sized for the current arena, so state_rows() reads the
+                # ledger itself; the check would be vacuous otherwise.
                 assert plane._hw_counts.size == 2 * plane._num_ops
-                np.testing.assert_array_equal(
-                    plane._hw_state_counts(), plane._state_counts()
-                )
-                clean += 1
+            np.testing.assert_array_equal(plane.state_rows(), plane._state_counts())
             if between is not None:
                 between(tick)
         return clean
@@ -273,22 +291,82 @@ class TestLedgerRecount:
         sim = chaotic_simulation(seed=5, window=8, load_model=LoadModel())
         plane = sim.data_plane
         plane._epoch_flush_limit = 16
-        assert self._clean_ticks(plane, sim.step, 40) >= 1
+        assert all(self._clean_ticks(plane, sim.step, 40))
         assert plane.load_model.probe_cost > 0
         assert plane._ring
 
-    def test_ledger_equals_recount_under_tenant_churn(self):
+    def test_state_rows_never_rebuilds_the_ledger(self):
+        sim = chaotic_simulation(seed=5, window=8, load_model=LoadModel())
+        plane = sim.data_plane
+        rebuilds = spy(plane, "_hw_rebuild")
+        np.testing.assert_array_equal(plane.state_rows(), np.zeros((plane._num_ops, 2)))
+        for _ in range(10):
+            sim.step()
+        assert len(rebuilds) == 1
+        plane.set_load_model(LoadModel())  # dirty: read from the recount
+        np.testing.assert_array_equal(plane.state_rows(), plane._state_counts())
+        assert plane._hw_dirty and len(rebuilds) == 1
+        assert plane.state_rows().sum() > 0
+
+    def test_ledger_equals_recount_through_scale_events(self):
+        overlay = make_overlay(join_circuit())
+        plane = DataPlane(
+            overlay,
+            RuntimeConfig(seed=7, node_capacity=30.0, load_model=LoadModel()),
+        )
+        rebuilds = spy(plane, "_hw_rebuild")
+
+        def rescale(tick):
+            if tick in (9, 19):  # split into 3 key-range replicas, then merge
+                k = 3 if tick == 9 else 1
+                rewrite = replicate_operator(overlay.circuits["t"], "j", k)
+                overlay.replace_circuit(rewrite.circuit)
+
+        assert all(self._clean_ticks(plane, plane.step, 30, rescale))
+        # Each scale event re-keys join state: one recount apiece.
+        assert plane.recompiles == 2
+        assert len(rebuilds) == 3
+        assert plane.state_rows().sum() > 0
+
+    @classmethod
+    def _churn(cls, replace_at=None):
+        """24 churn ticks, compacting every tombstone; optionally swap
+        the oldest (already compiled) tenant for an equal copy under its
+        name (a recompile) after tick ``replace_at``.  Returns (plane,
+        _hw_rebuild calls)."""
         scenario = tenant_churn_scenario(
             num_nodes=20, initial_circuits=5, seed=11, compact_threshold=0.01
         )
         plane = scenario.data_plane
         plane.set_load_model(LoadModel())
-        clean = self._clean_ticks(
-            plane, scenario.simulation.step, 24, lambda tick: scenario.churn_tick()
-        )
-        assert clean >= 1
+        rebuilds = spy(plane, "_hw_rebuild")
+        compactions = spy(plane._arena, "apply_compaction")
+
+        def between(tick):
+            scenario.churn_tick()
+            if tick == replace_at:
+                oldest = scenario.overlay.circuits[scenario.installed[0]]
+                scenario.overlay.replace_circuit(oldest.copy())
+
+        clean = cls._clean_ticks(plane, scenario.simulation.step, 24, between)
+        # The first step prices admission, so every tick ends clean.
+        assert all(clean), clean
+        assert len(compactions) >= 1
         assert plane.load_model.probe_cost > 0
         assert plane.dropped_uninstalled > 0
+        return plane, rebuilds
+
+    def test_ledger_equals_recount_under_tenant_churn(self):
+        plane, rebuilds = self._churn()
+        # Installs, uninstalls and compactions carry the ledger: the
+        # only recount is the first pricing after set_load_model.
+        assert len(rebuilds) == 1
+        assert plane.recompiles == 0
+
+    def test_same_name_replacement_recounts_and_equals_recount(self):
+        plane, rebuilds = self._churn(replace_at=11)
+        assert plane.recompiles == 1
+        assert len(rebuilds) == 2
 
 
 class TestConservation:

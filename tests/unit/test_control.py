@@ -239,6 +239,14 @@ class TestKernelRateHook:
         with pytest.raises(ValueError):
             circuit.set_link_rates([1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    def test_circuit_set_link_rates_rejects_hostile_rates(self, bad):
+        circuit = chain_circuit()
+        before = list(circuit.links)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            circuit.set_link_rates([2.0, bad])
+        assert circuit.links == before
+
 
 class TestController:
     def make_plane(self, sel=0.5, drift_to=None, seed=2):

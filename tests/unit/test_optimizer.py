@@ -8,6 +8,7 @@ from repro.core.optimizer import (
     IntegratedOptimizer,
     RandomOptimizer,
     TwoStepOptimizer,
+    pinned_vector_positions,
 )
 from repro.core.physical_mapping import CatalogMapper, ExhaustiveMapper, build_catalog
 from repro.query.generator import count_all_plans
@@ -234,3 +235,31 @@ class TestOneMapperBatchPerQuery:
             IntegratedOptimizer(sc.cost_space, mapper=mapper).optimize(
                 sc.query, sc.stats
             )
+
+
+class TestPerQueryPathsReadRows:
+    """The ``CostSpace`` rule: a per-query path reads matrix rows and
+    never materialises the snapshot's :class:`CostCoordinate` views."""
+
+    def test_optimize_after_refresh_builds_no_coordinates(self):
+        rng = np.random.default_rng(3)
+        positions = [tuple(p) for p in rng.uniform(0, 100, size=(30, 2))]
+        space = perfect_cost_space(positions, list(rng.uniform(0, 0.8, size=30)))
+        space.update_metrics({"cpu_load": rng.uniform(0, 0.8, size=30)})
+        query, stats = random_query(30, WorkloadParams(num_producers=4), seed=1)
+        IntegratedOptimizer(space).optimize(query, stats)
+        assert space._coord_cache is None
+
+    def test_pinned_positions_are_owned_copies_of_rows(self):
+        sc = figure1_scenario()
+        circuit = IntegratedOptimizer(sc.cost_space).optimize(sc.query, sc.stats).circuit
+        positions = pinned_vector_positions(circuit, sc.cost_space)
+        assert set(positions) == set(circuit.pinned_ids())
+        live = sc.cost_space.vector_matrix()
+        for sid, position in positions.items():
+            node = circuit.services[sid].pinned_node
+            np.testing.assert_array_equal(
+                position, sc.cost_space.coordinate(node).vector_array()
+            )
+            assert position.flags.writeable
+            assert not np.shares_memory(position, live)
