@@ -2,11 +2,10 @@
 
 The optimizer prices circuits from *estimated* rates; this example
 optimizes the paper's Figure 1 query both ways (integrated and
-two-step), then actually runs both circuits on synthetic Poisson
-streams with windowed symmetric-hash joins and latency-delayed
-delivery — and shows that the network really carries what the cost
-model said it would, and that the integrated circuit really moves
-less data.
+two-step), then runs each circuit alone on the data plane — Poisson
+sources, windowed joins, latency-delayed delivery — and shows that the
+network really carries what the cost model said it would, and that the
+integrated circuit really moves less data.
 
 Run:
     python examples/executed_streams.py
@@ -16,8 +15,9 @@ from __future__ import annotations
 
 from repro.core.costs import GroundTruthEvaluator
 from repro.core.optimizer import IntegratedOptimizer, TwoStepOptimizer
-from repro.engine import CircuitExecutor
 from repro.query.selectivity import Statistics
+from repro.runtime import DataPlane, RuntimeConfig
+from repro.sbon.overlay import Overlay
 from repro.workloads.scenarios import figure1_scenario
 
 TICKS = 2000
@@ -39,25 +39,29 @@ def main() -> None:
         ("two-step", TwoStepOptimizer(sc.cost_space)),
     ):
         result = optimizer.optimize(sc.query, stats)
-        estimated = judge.evaluate(result.circuit).network_usage
+        circuit = result.circuit
+        estimated = judge.evaluate(circuit).network_usage
         print(f"\n=== {label}: {result.plan}")
-        print(f"estimated network usage: {estimated:9.1f}")
+        print(f"estimated usage: {estimated:9.1f}")
 
-        executor = CircuitExecutor.from_query(
-            result.circuit, sc.query, stats, sc.latencies, window=20, seed=42
-        )
-        report = executor.run(TICKS)
-        print(f"measured  network usage: {report.measured_network_usage():9.1f} "
-              f"(ratio {report.measured_network_usage() / estimated:.3f})")
-        print(f"results delivered: {report.delivered} "
-              f"({report.delivery_rate():.2f}/tick), "
-              f"mean data latency {report.mean_delivery_latency_ms():.0f} ms")
+        overlay = Overlay(sc.latencies, sc.cost_space)
+        overlay.install_circuit(circuit)
+        plane = DataPlane(overlay, RuntimeConfig(window=20, seed=42))
+        records = [plane.step() for _ in range(TICKS)]
+        measured = plane.measured_usage_rate()
+        delivered = plane.accounting()["delivered"]
+        latency = sum(r.latency_p50 * r.delivered for r in records) / max(delivered, 1)
+        print(f"measured usage : {measured:9.1f} "
+              f"(ratio {measured / estimated:.3f})")
+        print(f"results delivered: {delivered} ({delivered / TICKS:.2f}/tick), "
+              f"delivery-weighted tick-median latency {latency:.0f} ms")
         print("per-link measured vs estimated rates:")
-        for (src, dst), (measured, predicted) in sorted(
-            report.rate_agreement(result.circuit).items()
-        ):
-            bar = "#" * min(40, int(measured * 2))
-            print(f"  {src:14s} -> {dst:14s} {measured:7.2f} vs {predicted:7.2f}  {bar}")
+        links = plane.link_stats()
+        for link in sorted(circuit.links, key=lambda l: (l.source, l.target)):
+            rate = links[(circuit.name, link.source, link.target)]["rate"]
+            bar = "#" * min(40, int(rate * 2))
+            print(f"  {link.source:14s} -> {link.target:14s} "
+                  f"{rate:7.2f} vs {link.rate:7.2f}  {bar}")
 
     print(
         "\nThe cost model holds on executed tuples, and the integrated "

@@ -18,8 +18,9 @@ Quickstart::
     result = overlay.integrated_optimizer().optimize(query, stats)
     print(result.plan, result.cost.total)
 
-See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for
-the paper-vs-measured experiment log.
+See ``ROADMAP.md`` for the architecture and open directions and
+``bench/README.md`` for the end-to-end benchmark's workloads and
+metrics.
 """
 
 from repro.core import (
@@ -47,7 +48,6 @@ from repro.core import (
     relaxation_placement,
     squared,
 )
-from repro.engine import CircuitExecutor, ExecutionReport, SourceConfig
 from repro.network import (
     LatencyMatrix,
     Topology,
@@ -94,9 +94,6 @@ __all__ = [
     "map_circuits",
     "relaxation_placement",
     "squared",
-    "CircuitExecutor",
-    "ExecutionReport",
-    "SourceConfig",
     "LatencyMatrix",
     "Topology",
     "VivaldiSystem",

@@ -16,8 +16,9 @@ Subcommands:
   prices every tuple with the per-operator CPU cost model (joins ≫
   relays) so backpressure, shedding, and the controller's load
   write-back all gate on one cost currency.
-* ``execute``   — optimize a query and then execute the winning circuit
-  on synthetic streams, validating the cost model.
+* ``execute``   — optimize a query, install the winning circuit alone
+  and run it on the data plane, validating the cost model against
+  measured traffic.
 * ``topology``  — generate a topology and print its statistics.
 """
 
@@ -27,7 +28,6 @@ import argparse
 import sys
 
 from repro.core.costs import GroundTruthEvaluator
-from repro.engine import CircuitExecutor
 from repro.network.dynamics import LoadProcess
 from repro.network.topology import (
     TransitStubParams,
@@ -52,6 +52,13 @@ def _make_topology(args):
         )
         return transit_stub_topology(params, seed=args.seed)
     return random_geometric_topology(args.nodes, seed=args.seed)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def _build_overlay(args) -> Overlay:
@@ -220,14 +227,17 @@ def cmd_execute(args) -> int:
     estimated = judge.evaluate(result.circuit).network_usage
     print(f"plan: {result.plan}")
     print(f"estimated usage: {estimated:.1f}")
-    executor = CircuitExecutor.from_query(
-        result.circuit, query, stats, overlay.latencies, seed=args.seed
-    )
-    report = executor.run(args.ticks)
-    measured = report.measured_network_usage()
+    from repro.runtime import DataPlane, RuntimeConfig
+
+    overlay.install(result)
+    plane = DataPlane(overlay, RuntimeConfig(seed=args.seed))
+    records = [plane.step() for _ in range(args.ticks)]
+    measured = plane.measured_usage_rate()
+    delivered = plane.accounting()["delivered"]
+    latency = sum(r.latency_p50 * r.delivered for r in records) / max(delivered, 1)
     print(f"measured usage : {measured:.1f} (ratio {measured / max(estimated, 1e-9):.3f})")
-    print(f"delivered      : {report.delivered} tuples, "
-          f"mean latency {report.mean_delivery_latency_ms():.0f} ms")
+    print(f"delivered      : {delivered} tuples, "
+          f"delivery-weighted tick-median latency {latency:.0f} ms")
     return 0
 
 
@@ -309,9 +319,9 @@ def main(argv: list[str] | None = None) -> int:
         "instruments) under DIR; implies --data-plane",
     )
 
-    p_exe = sub.add_parser("execute", help="execute a circuit on streams")
+    p_exe = sub.add_parser("execute", help="run one circuit on the data plane")
     p_exe.add_argument("--producers", type=int, default=3)
-    p_exe.add_argument("--ticks", type=int, default=2000)
+    p_exe.add_argument("--ticks", type=_positive_int, default=2000)
 
     args = parser.parse_args(argv)
     handlers = {

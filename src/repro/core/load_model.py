@@ -40,7 +40,7 @@ intact for the cost columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,6 +83,9 @@ class LoadModel:
     probe_cost: float = 0.5
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("relay_cost", "filter_cost", "aggregate_cost", "join_cost"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

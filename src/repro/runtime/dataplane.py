@@ -308,7 +308,7 @@ class RuntimeConfig:
             bound.
         eviction_slack: extra ticks of join-state retention beyond the
             window; None derives each join's path staleness from the
-            placement at compile time (like the executor).
+            placement at compile time.
         seed: RNG seed of the per-tick source draws.
         reliable: buffer tuples bound to failed nodes in a bounded
             retransmit buffer (redelivered when the host recovers or
@@ -603,10 +603,9 @@ class DataPlane:
                 outs[0].rate if outs else 0.0,
             )
 
-        # Key domain realizing the largest implied join selectivity,
-        # as in CircuitExecutor.from_query: the binding join matches
-        # on key equality alone, the others thin further via the
-        # deterministic match bucket.
+        # Key domain realizing the largest implied join selectivity:
+        # the binding join matches on key equality alone, the others
+        # thin further via the deterministic match bucket.
         w = self.config.window
         needs = []
         for sid, service in circuit.services.items():
@@ -1050,10 +1049,9 @@ class DataPlane:
         """Per-join state-retention slack = path staleness at compile.
 
         A tuple can arrive at a join delayed by its whole upstream path,
-        so join state must outlive the window by that delay (mirrors
-        ``CircuitExecutor``).  Uses the placement current at compile
-        time; ``RuntimeConfig.eviction_slack`` overrides with a flat
-        value.
+        so join state must outlive the window by that delay.  Uses the
+        placement current at compile time;
+        ``RuntimeConfig.eviction_slack`` overrides with a flat value.
         """
         if self.config.eviction_slack is not None:
             for sid, service in circuit.services.items():

@@ -6,8 +6,7 @@ Two interchangeable transports move tuples between circuit services:
   keyed by arrival tick**: delivery costs O(due), not O(in flight).
 * :class:`HeapTransport` — the retained per-tuple reference.  Tuples
   are individual heap entries popped one at a time, exactly the
-  pre-vectorization shape (`CircuitExecutor`-style heapq), and the
-  "before" side of the E18 benchmark.
+  pre-vectorization shape, and the "before" side of the E18 benchmark.
 
 Both transports implement identical delivery semantics — the data plane
 steps one through batched kernels and the other through per-tuple
@@ -15,8 +14,7 @@ loops, and the equivalence properties pin them to each other tick for
 tick.  Delivery is grouped into *rounds*: round 1 of a tick delivers
 everything in flight that is due, and each later round delivers the
 zero-delay outputs of the previous round (colocated services cascade
-within a tick, like the executor's drain loop).  Conservation holds at
-all times::
+within a tick).  Conservation holds at all times::
 
     sent == delivered + in_flight + buffered
 

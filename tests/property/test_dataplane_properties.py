@@ -9,16 +9,21 @@ tuple for tuple — including under churn, live migration, and
 backpressure — and the conservation balance must hold at every tick.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from repro.core.circuit import Circuit, Service
 from repro.core.load_model import LoadModel
 from repro.core.rewriting import replicate_operator
 from repro.network.dynamics import ChurnProcess, HotspotEvent, LatencyDriftProcess, LoadProcess
 from repro.network.topology import grid_topology
+from repro.query.operators import ServiceSpec
 from repro.runtime.dataplane import (
     DataPlane,
     RuntimeConfig,
+    _JOIN,
     _TICK_LIMIT,
     _filter_bucket,
     _filter_bucket_int,
@@ -262,6 +267,167 @@ class TestScalarOracle:
         a, b, hook, check = _oracle_case(case)
         assert_simulations_agree(a, b, ticks=40, between=hook)
         check()
+
+
+class TestJoinOracle:
+    """The windowed join against a brute-force oracle that shares no
+    code with the runtime: every cross-side pair with equal key and
+    ``|ta - tb| <= w`` is emitted exactly once, as ``(key, max(ta, tb))``.
+
+    Unless a test places them elsewhere, every service sits on node 0,
+    so nothing is delayed and every pair completes within the run; tap
+    sinks on both sources log every input tuple.  Rates give key domain
+    8 and a match probability of exactly 1, so key equality alone
+    decides a match.
+    """
+
+    # On the 3x3 grid: a is 1 tick from the join, b 2 ticks, and the
+    # join 2 ticks from the sink; each tap shares its source's node.
+    DELAYED = {"a": 1, "tapa": 1, "b": 8, "tapb": 8, "join": 4, "sink": 2}
+
+    @staticmethod
+    def _circuit(window, hosts=None):
+        hosts = hosts or {}
+        c = Circuit(name="o")
+        for sid, spec, producers in (
+            ("a", ServiceSpec.relay(), {"a"}),
+            ("b", ServiceSpec.relay(), {"b"}),
+            ("join", ServiceSpec.join(), {"a", "b"}),
+            ("sink", ServiceSpec.relay(), {"a", "b"}),
+            ("tapa", ServiceSpec.relay(), {"a"}),
+            ("tapb", ServiceSpec.relay(), {"b"}),
+        ):
+            c.add_service(Service(sid, spec, hosts.get(sid, 0), frozenset(producers)))
+        c.add_link("a", "join", 2.0)  # port 0
+        c.add_link("b", "join", 2.0)  # port 1
+        c.add_link("join", "sink", 4.0 * (2 * window + 1) / 8)
+        c.add_link("a", "tapa", 2.0)
+        c.add_link("b", "tapb", 2.0)
+        return c
+
+    @staticmethod
+    def _run(circuit, path, ticks, **config):
+        plane = DataPlane(make_overlay(circuit), RuntimeConfig(**config))
+        assert plane._op_pmatch[plane._kind == _JOIN].tolist() == [1.0]
+        plane.sink_log = []
+        for _ in range(ticks):
+            getattr(plane, path)()
+        logged = {"sink": [], "tapa": [], "tapb": []}
+        for sid, key, ts, _ in plane.sink_log:
+            logged[sid].append((key, ts))
+        return plane, logged
+
+    @staticmethod
+    def _pairs(logged, window, horizon):
+        """Brute force: every in-window equal-key cross-tap pair whose
+        output timestamp is at most ``horizon``."""
+        return Counter(
+            (ka, max(ta, tb))
+            for ka, ta in logged["tapa"]
+            for kb, tb in logged["tapb"]
+            if ka == kb and abs(ta - tb) <= window and max(ta, tb) <= horizon
+        )
+
+    @pytest.mark.parametrize("path", ["step", "step_scalar"])
+    @pytest.mark.parametrize("window", [0, 1, 3, 8])
+    def test_join_output_equals_brute_force_pairs(self, window, path):
+        for seed in (0, 1):
+            _, logged = self._run(
+                self._circuit(window), path, 150, window=window, seed=seed
+            )
+            expected = self._pairs(logged, window, horizon=150)
+            assert sum(expected.values()) > 0
+            assert Counter(logged["sink"]) == expected
+
+    @pytest.mark.parametrize("path", ["step", "step_scalar"])
+    @pytest.mark.parametrize("window", [1, 3])
+    def test_delayed_partners_kept_by_derived_slack(self, window, path):
+        # b's tuples reach the join a tick after a's: state must outlive
+        # the window by the path delay, or late partners find nothing.
+        plane, logged = self._run(
+            self._circuit(window, self.DELAYED), path, 200, window=window, seed=2
+        )
+        assert plane._slack[plane._kind == _JOIN].tolist() == [2]
+        horizon = 190  # every pair stamped by then reached the sink
+        expected = self._pairs(logged, window, horizon)
+        assert sum(expected.values()) > 0
+        sink = Counter(e for e in logged["sink"] if e[1] <= horizon)
+        assert sink == expected
+
+    @pytest.mark.parametrize("path", ["step", "step_scalar"])
+    def test_zero_slack_loses_delayed_partners(self, path):
+        window = 3
+        _, logged = self._run(
+            self._circuit(window, self.DELAYED),
+            path,
+            200,
+            window=window,
+            seed=2,
+            eviction_slack=0,
+        )
+        expected = self._pairs(logged, window, horizon=190)
+        sink = Counter(e for e in logged["sink"] if e[1] <= 190)
+        assert not sink - expected  # nothing outside the window
+        assert sum(sink.values()) < sum(expected.values())
+
+
+class TestStatelessOperatorOracles:
+    """Filters and aggregates against counts taken from tap sinks, with
+    every service on node 0 so each tuple is processed in its tick."""
+
+    @staticmethod
+    def _run(circuit, path, ticks, **config):
+        plane = DataPlane(make_overlay(circuit), RuntimeConfig(**config))
+        plane.sink_log = []
+        for _ in range(ticks):
+            getattr(plane, path)()
+        return plane
+
+    @pytest.mark.parametrize("path", ["step", "step_scalar"])
+    @pytest.mark.parametrize("factor", [0.1, 0.25, 0.5, 0.9])
+    def test_aggregate_emits_factor_of_inputs_within_one(self, factor, path):
+        # Credit carried across ticks: after n inputs the aggregate has
+        # emitted floor(factor * n) tuples, never a whole tuple off.
+        c = Circuit(name="g")
+        c.add_service(Service("a", ServiceSpec.relay(), 0, frozenset(("a",))))
+        c.add_service(Service("agg", ServiceSpec.aggregate(), 0, frozenset(("a",))))
+        c.add_service(Service("sink", ServiceSpec.relay(), 0, frozenset(("a",))))
+        c.add_link("a", "agg", 4.0)
+        c.add_link("agg", "sink", 4.0 * factor)
+        plane = self._run(c, path, 300, seed=3)
+        stats = plane.link_stats()
+        n_in = stats[("g", "a", "agg")]["tuples"]
+        n_out = stats[("g", "agg", "sink")]["tuples"]
+        assert n_in > 1000
+        assert abs(n_out - factor * n_in) <= 1
+        assert plane.accounting()["delivered"] == n_out
+
+    @pytest.mark.parametrize("path", ["step", "step_scalar"])
+    def test_filter_verdict_is_per_key(self, path):
+        # The verdict hashes the key alone: a key that passes once
+        # passes every time, and the passing share of the key domain
+        # realizes the selectivity.
+        window = 200  # non-join key domain is 2 * window + 1 = 401
+        c = Circuit(name="f")
+        c.add_service(Service("a", ServiceSpec.relay(), 0, frozenset(("a",))))
+        c.add_service(Service("filt", ServiceSpec.filter(0.3), 0, frozenset(("a",))))
+        c.add_service(Service("sink", ServiceSpec.relay(), 0, frozenset(("a",))))
+        c.add_service(Service("tapa", ServiceSpec.relay(), 0, frozenset(("a",))))
+        c.add_link("a", "filt", 5.0)
+        c.add_link("filt", "sink", 1.5)
+        c.add_link("a", "tapa", 5.0)
+        plane = self._run(c, path, 300, window=window, seed=4)
+        logged = {"sink": [], "tapa": []}
+        for sid, key, ts, _ in plane.sink_log:
+            logged[sid].append((key, ts))
+        assert all(0 <= key < 2 * window + 1 for key, _ in logged["tapa"])
+        passed = {key for key, _ in logged["sink"]}
+        assert Counter(logged["sink"]) == Counter(
+            e for e in logged["tapa"] if e[0] in passed
+        )
+        share = len(logged["sink"]) / len(logged["tapa"])
+        assert share == pytest.approx(0.3, abs=0.08)
+        assert plane.accounting()["delivered"] == len(plane.sink_log)
 
 
 class TestLedgerRecount:

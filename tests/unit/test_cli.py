@@ -42,6 +42,10 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "measured usage" in out
 
+    def test_execute_rejects_non_positive_ticks(self):
+        with pytest.raises(SystemExit):
+            main(BASE + ["execute", "--ticks", "0"])
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(BASE + ["nope"])

@@ -7,7 +7,10 @@ import pytest
 
 from repro.core.circuit import Circuit, Service
 from repro.network.topology import grid_topology
+from repro.query.model import Consumer, Producer, QuerySpec
 from repro.query.operators import ServiceSpec
+from repro.query.plan import JoinNode, LeafNode, LogicalPlan
+from repro.query.selectivity import Statistics
 from repro.runtime.dataplane import DataPlane, RuntimeConfig, _JOIN
 from repro.runtime.transport import ArrayTransport, HeapTransport
 from repro.sbon.overlay import Overlay
@@ -91,12 +94,17 @@ def small_overlay(seed=0, circuits=2):
     return overlay
 
 
-def planted_join_overlay(rate_a=5.0, rate_b=5.0, sel=0.4):
-    """Two sources -> join -> sink on a planted 4-node latency matrix."""
+def planted_overlay():
+    """An empty overlay on a planted 4-node latency matrix."""
     positions = [(0.0, 0.0), (8.0, 0.0), (4.0, 6.0), (4.0, 2.0)]
     latencies = planted_latency_matrix(positions, scale=10.0)
     space = perfect_cost_space([tuple(10.0 * c for c in p) for p in positions])
-    overlay = Overlay(latencies, space)
+    return Overlay(latencies, space)
+
+
+def planted_join_overlay(rate_a=5.0, rate_b=5.0, sel=0.4):
+    """Two sources -> join -> sink on a planted 4-node latency matrix."""
+    overlay = planted_overlay()
     circuit = Circuit(name="q")
     circuit.add_service(Service("q/a", ServiceSpec.relay(), 0, frozenset(("A",))))
     circuit.add_service(Service("q/b", ServiceSpec.relay(), 1, frozenset(("B",))))
@@ -175,6 +183,28 @@ class TestCompile:
         stats = plane.link_stats()
         assert stats[("q", "q/a", "q/join")]["rate"] == pytest.approx(5.0, rel=0.15)
 
+    def test_aggregate_factor_realized_downstream_of_join(self):
+        query = QuerySpec(
+            "q",
+            [Producer("A", node=0, rate=4.0), Producer("B", node=1, rate=4.0)],
+            Consumer("C", node=2),
+            aggregate_factor=0.25,
+        )
+        stats = Statistics.build({"A": 4.0, "B": 4.0}, {("A", "B"): 0.1})
+        plan = LogicalPlan(JoinNode(LeafNode("A"), LeafNode("B")))
+        circuit = Circuit.from_plan(plan, query, stats)
+        circuit.assign("q/join0", 3)
+        circuit.assign("q/agg", 3)
+        overlay = planted_overlay()
+        overlay.install_circuit(circuit)
+        plane = DataPlane(overlay, RuntimeConfig(seed=5))
+        for _ in range(2000):
+            plane.step()
+        measured = plane.link_stats()
+        for src, dst in (("q/join0", "q/agg"), ("q/agg", "q/sink:C")):
+            link = next(l for l in circuit.links if (l.source, l.target) == (src, dst))
+            assert measured[("q", src, dst)]["rate"] == pytest.approx(link.rate, rel=0.2)
+
 
 class TestTraffic:
     def test_deliveries_and_latency_percentiles(self):
@@ -240,6 +270,20 @@ class TestTraffic:
         acct = plane.accounting()
         assert acct["balanced"]
         assert acct["dropped"] == 0  # re-homed, not dropped
+
+    @pytest.mark.parametrize("path", ["step", "step_scalar"])
+    def test_measured_usage_is_link_tuples_times_latency(self, path):
+        overlay, circuit = planted_join_overlay()
+        plane = DataPlane(overlay, RuntimeConfig(seed=12))
+        for _ in range(300):
+            getattr(plane, path)()
+        lat = overlay.latencies
+        total = sum(
+            stats["tuples"] * lat.latency(circuit.host_of(src), circuit.host_of(dst))
+            for (_, src, dst), stats in plane.link_stats().items()
+        )
+        assert total > 0
+        assert plane.measured_usage_rate() * plane.tick == pytest.approx(total, rel=1e-9)
 
     def test_uninstall_drops_in_flight_with_accounting(self):
         overlay = small_overlay(seed=1)

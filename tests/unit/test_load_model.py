@@ -6,6 +6,8 @@ load-process cost units, and the controller's CPU write-back and
 quantile calibration.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,16 @@ class TestLoadModel:
             LoadModel(probe_cost=-0.1)
         with pytest.raises(ValueError):
             LoadModel(aggregate_batch_cost=-1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "name",
+        [f.name for f in dataclasses.fields(LoadModel)],
+    )
+    def test_non_finite_coefficient_rejected(self, name, value):
+        # nan <= 0 is False, so a sign check alone lets nan through.
+        with pytest.raises(ValueError, match="finite"):
+            LoadModel(**{name: value})
 
 
 class TestDataPlaneCostAccounting:
