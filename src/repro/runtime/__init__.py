@@ -6,11 +6,11 @@ inside the simulation tick loop, so heavy-traffic experiments measure
 what the network really carries under churn, hotspots, and migration.
 
 * :mod:`repro.runtime.transport` — in-flight tuple storage: a
-  struct-of-arrays pool delivered by one vectorized arrival-tick
-  comparison, plus the per-tuple heapq reference twin.  The reliable
-  variants add a bounded retransmit buffer for tuples bound to failed
-  nodes, extending conservation to
-  ``sent == delivered + in_flight + buffered``.
+  struct-of-arrays pool filed in a calendar queue keyed by arrival
+  tick (delivery costs O(due)), plus the per-tuple heapq reference
+  twin.  Both carry a bounded retransmit buffer for tuples bound to
+  failed nodes (``RuntimeConfig.reliable`` sizes it), extending
+  conservation to ``sent == delivered + in_flight + buffered``.
 * :mod:`repro.runtime.dataplane` — the :class:`DataPlane` coordinator:
   compiles *all* installed circuits into one global CSR arena (flat op
   and link arrays with per-circuit segments), steps sources and
@@ -36,12 +36,7 @@ from repro.runtime.dataplane import (
     RuntimeConfig,
     TrafficRecord,
 )
-from repro.runtime.transport import (
-    ArrayTransport,
-    HeapTransport,
-    ReliableHeapTransport,
-    ReliableTransport,
-)
+from repro.runtime.transport import ArrayTransport, HeapTransport
 
 __all__ = [
     "LoadModel",
@@ -54,6 +49,4 @@ __all__ = [
     "TrafficRecord",
     "ArrayTransport",
     "HeapTransport",
-    "ReliableHeapTransport",
-    "ReliableTransport",
 ]

@@ -76,7 +76,7 @@ tick via :meth:`DataPlane.accounting`::
     sent == transport-delivered + in_flight + buffered
     transport-delivered == processed + dropped
 
-(``buffered`` is 0 without the reliable transport) so no tuple is ever
+(``buffered`` is 0 without ``RuntimeConfig.reliable``) so no tuple is ever
 silently lost.
 
 The global circuit arena
@@ -149,12 +149,7 @@ from repro.runtime.hashing import (
     route_bucket,
     route_bucket_int,
 )
-from repro.runtime.transport import (
-    ArrayTransport,
-    HeapTransport,
-    ReliableHeapTransport,
-    ReliableTransport,
-)
+from repro.runtime.transport import ArrayTransport, HeapTransport
 
 _LOG = logging.getLogger(__name__)
 
@@ -376,8 +371,8 @@ class TrafficRecord:
         latency_p99: 99th percentile of the same.
         shed: tuples dropped this tick by a controller-set shed limit
             (subset of ``dropped``).
-        redelivered: buffered tuples re-injected this tick by the
-            reliable transport.
+        redelivered: buffered tuples re-injected this tick from the
+            retransmit buffer.
         buffered: tuples parked in the retransmit buffer after the
             tick (0 without ``reliable``).
         cpu_cost: measured CPU cost units consumed this tick, summed
@@ -1441,14 +1436,9 @@ class DataPlane:
     def _use_mode(self, mode: str) -> None:
         if self._mode is None:
             self._mode = mode
-            reliable = self.config.reliable
-            bound = self.config.retransmit_buffer
+            bound = self.config.retransmit_buffer if self.config.reliable else 0
             if mode == "array":
-                self._transport = (
-                    ReliableTransport(bound, scratch=self._scratch)
-                    if reliable
-                    else ArrayTransport(self._scratch)
-                )
+                self._transport = ArrayTransport(self._scratch, bound)
                 # Epoch-ring join state: a ring of sorted chunks (older
                 # first) plus an append buffer carrying stored expiry
                 # ticks; see _flush_epoch / _probe_array.  Tick columns
@@ -1466,9 +1456,7 @@ class DataPlane:
                 self._epb_sorted: tuple[np.ndarray, np.ndarray] | None = None
                 self._epb_runs: tuple[np.ndarray, np.ndarray] | None = None
             else:
-                self._transport = (
-                    ReliableHeapTransport(bound) if reliable else HeapTransport()
-                )
+                self._transport = HeapTransport(bound)
                 self._tables = {}
         elif self._mode != mode:
             raise RuntimeError(
@@ -2891,7 +2879,7 @@ class DataPlane:
                 "drop_uninstall": self.dropped_uninstalled,
                 "drop_overflow": self.dropped_overflow,
                 "redeliver": self.redelivered,
-                "buffer": getattr(tr, "buffered_total", 0),
+                "buffer": tr.buffered_total,
             }
         return tracer.check_completeness(
             tr.inflight_seqs(), tr.buffered_seqs(), totals

@@ -14,12 +14,22 @@ loops, and the equivalence properties pin them to each other tick for
 tick.  Delivery is grouped into *rounds*: round 1 of a tick delivers
 everything in flight that is due, and each later round delivers the
 zero-delay outputs of the previous round (colocated services cascade
-within a tick).  Conservation holds at all times::
+within a tick).
+
+Both carry a *bounded retransmit buffer* of ``max_buffer`` tuples (0,
+the default, rejects everything): a tuple delivered to a failed node is
+handed back via ``buffer`` instead of being dropped, parked until its
+target service's host is alive again, and re-injected by ``redeliver``
+at the start of a tick as a round-1 arrival with its original sequence
+number.  Overflow is *rejected* deterministically (first come, first
+buffered, in canonical delivery order) so the data plane can drop the
+excess with explicit accounting.  A buffered tuple is subtracted from
+``delivered`` — it is back inside the transport — so conservation
+holds at all times as::
 
     sent == delivered + in_flight + buffered
 
-(``buffered`` is zero for the base transports) and is exposed by
-:meth:`in_flight` / the counters so the data plane can prove that no
+and is exposed by the counters so the data plane can prove that no
 tuple is ever silently lost.
 
 The calendar
@@ -44,14 +54,20 @@ tick) and nothing on the per-tick path may touch all of it:
   adjacent pool rows about a chunk long, and both the scatter in
   ``send`` and the gather in ``due`` walk runs instead of striding a
   pool that no cache holds.
-* **A row belongs to its slot until the slot pops.**
+* **Every row in** ``[0, top)`` **is exactly one of free, slotted or
+  parked.**  A slotted row belongs to its slot until the slot pops:
   :meth:`~ArrayTransport.remap_ops` re-addresses rows in place and
   marks dropped ones dead (``op = -1``) without editing the calendar;
   ``due`` filters dead rows out of what it popped and reclaims *every*
-  popped row, marking it ``op = -1`` too.  ``op >= 0`` over ``[0,
-  top)`` is therefore the live mask, and ``remap_ops`` /
-  ``inflight_seqs`` are a constant number of NumPy calls however many
-  slots exist.  ``in_flight`` is a maintained counter.
+  popped row, marking it ``op = -1`` too.  A parked row is a buffered
+  tuple, filed under no slot; ``_parked`` lists parked rows in
+  acceptance order.  ``buffer`` parks rows taken like a send's,
+  ``redeliver`` files the released ones under the next open tick
+  without copying them, and ``remap_ops`` frees a dropped parked row
+  at once.  ``op >= 0`` over ``[0, top)`` is therefore the live mask
+  (in flight or parked), and ``remap_ops`` / ``inflight_seqs`` are a
+  constant number of NumPy calls however many slots exist.
+  ``in_flight`` is a maintained counter.
 * **Cursor.**  ``_cursor`` is the last fully delivered tick:
   ``due(now)`` walks the ticks ``cursor + 1 .. now`` (skipped ticks
   included; after a gap longer than the calendar it scans the slot keys
@@ -62,28 +78,12 @@ tick) and nothing on the per-tick path may touch all of it:
   No slot key is ever ``<= cursor``, the call that finds nothing due is
   one dict lookup, and ``now`` must not decrease.
 * **Memory.**  Popped index arrays go onto a free list that feeds later
-  sends (most recently freed first); the bump pointer ``top`` extends
-  the pool only when the list runs dry, so ``top`` tracks the peak of
-  live plus slotted-dead rows.  Indices are int32 and capacity is
-  ``np.empty``: rows past ``top`` are never read, hence never touched,
-  hence never resident.  :meth:`~ArrayTransport.check_calendar`
+  sends and parks (most recently freed first); the bump pointer ``top``
+  extends the pool only when the list runs dry, so ``top`` tracks the
+  peak of live plus slotted-dead rows.  Indices are int32 and capacity
+  is ``np.empty``: rows past ``top`` are never read, hence never
+  touched, hence never resident.  :meth:`~ArrayTransport.check_calendar`
   recounts all of it from scratch for the tests.
-
-Reliable delivery
------------------
-
-:class:`ReliableTransport` / :class:`ReliableHeapTransport` extend the
-pair with a *bounded retransmit buffer*: a tuple delivered to a failed
-node is handed back via :meth:`buffer` instead of being dropped, parked
-until its target service's host is alive again, and then re-injected
-into the in-flight pool by a single vectorized :meth:`redeliver` pass
-at the start of a tick (the heap twin loops per tuple over the same
-buffer order).  The buffer is bounded by ``max_buffer``; overflow is
-*rejected* deterministically (first-come-first-buffered in canonical
-delivery order) so the data plane can drop the excess with explicit
-accounting.  A buffered tuple is subtracted from ``delivered`` — it is
-back inside the transport — which is what extends the conservation
-balance to ``sent == delivered + in_flight + buffered``.
 """
 
 from __future__ import annotations
@@ -95,12 +95,7 @@ import numpy as np
 from repro.runtime.arena import ScratchArena
 from repro.runtime.hashing import route_bucket, route_bucket_int
 
-__all__ = [
-    "ArrayTransport",
-    "HeapTransport",
-    "ReliableTransport",
-    "ReliableHeapTransport",
-]
+__all__ = ["ArrayTransport", "HeapTransport"]
 
 
 class ArrayTransport:
@@ -113,9 +108,9 @@ class ArrayTransport:
     ``<= now`` whole and gathers only those rows, and the call that
     finds nothing due is a dict lookup.  Popped index arrays go onto a
     free list that feeds later sends; the bump pointer ``_top`` extends
-    the pool only when the free list runs dry.  See the module
-    docstring for the row-ownership rule, the cursor and the memory
-    contract.
+    the pool only when the free list runs dry.  Buffered tuples are
+    parked rows of the same pool.  See the module docstring for the
+    row-ownership rule, the cursor and the memory contract.
 
     Extraction writes into reusable :class:`~repro.runtime.arena.
     ScratchArena` buffers (shared with the owning data plane when one
@@ -131,7 +126,11 @@ class ArrayTransport:
     # NumPy's stable argsort radix-sorts in O(n).
     _RADIX_SPAN = 1 << 15
 
-    def __init__(self, scratch: ScratchArena | None = None) -> None:
+    def __init__(
+        self, scratch: ScratchArena | None = None, max_buffer: int = 0
+    ) -> None:
+        if max_buffer < 0:
+            raise ValueError("max_buffer must be non-negative")
         self._scratch = scratch or ScratchArena()
         self._cap = self._INITIAL
         # np.empty, never np.full: capacity beyond _top is never read,
@@ -145,14 +144,17 @@ class ArrayTransport:
         self._top = 0  # rows [0, _top) have been handed out at least once
         self._slots: dict[int, list[np.ndarray]] = {}
         self._free: list[np.ndarray] = []
+        self._parked = np.empty(0, dtype=np.int32)  # the retransmit buffer
+        self.max_buffer = max_buffer
         # Last fully delivered tick: no slot key is <= _cursor, and a
         # send arriving at or before it is filed under _cursor + 1.
         self._cursor = -(1 << 62)
-        self._count = 0  # live rows (in_flight)
+        self._count = 0  # live slotted rows (in_flight)
         self._dead = 0  # rows remap_ops dropped that still sit in a slot
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
+        self.buffered_total = 0  # tuples buffer() ever accepted
         # Duck-typed tracer handle (see repro.obs.trace); None means no
         # tracing and every hook is a single attribute check.
         self.trace = None
@@ -163,21 +165,23 @@ class ArrayTransport:
 
     @property
     def buffered(self) -> int:
-        """Tuples parked in the retransmit buffer (0 without one)."""
-        return 0
+        """Tuples parked in the retransmit buffer."""
+        return self._parked.size
 
     def buffered_by_op(self, num_ops: int) -> np.ndarray:
-        """Retransmit-buffer backlog per target op (all zero here)."""
-        return np.zeros(num_ops, dtype=np.int64)
+        """Retransmit-buffer backlog per target op (one bincount)."""
+        return np.bincount(self._op[self._parked], minlength=num_ops)
 
     def inflight_seqs(self) -> np.ndarray:
         """Sequence numbers currently in the in-flight pool (copy)."""
         top = self._top
-        return self._seq[:top][self._op[:top] >= 0]
+        live = self._op[:top] >= 0
+        live[self._parked] = False
+        return self._seq[:top][live]
 
     def buffered_seqs(self) -> np.ndarray:
-        """Sequence numbers parked in the retransmit buffer (none here)."""
-        return np.empty(0, dtype=np.int64)
+        """Sequence numbers parked in the retransmit buffer (copy)."""
+        return self._seq[self._parked]
 
     def _grow(self, needed: int) -> None:
         cap = self._cap
@@ -210,7 +214,27 @@ class ArrayTransport:
             self._top = top + need
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    def _append(
+    def _store(self, rows: np.ndarray, columns: tuple, pick=None) -> None:
+        """Scatter the six payload columns (``pick`` of each) into ``rows``."""
+        at = rows.astype(np.intp)  # one cast, six scatters
+        for name, values in zip(self._COLUMNS, columns):
+            getattr(self, "_" + name)[at] = values if pick is None else values[pick]
+
+    def _file(self, rows: np.ndarray, ticks: list, ends: list) -> None:
+        """Put ``rows`` in flight: the run ending at ``ends[i]`` under ``ticks[i]``."""
+        self._count += rows.size
+        slots = self._slots
+        start = 0
+        for tick, end in zip(ticks, ends):  # one append per distinct tick
+            chunk = rows[start:end]
+            chunks = slots.get(tick)
+            if chunks is None:
+                slots[tick] = [chunk]
+            else:
+                chunks.append(chunk)
+            start = end
+
+    def send(
         self,
         arrival: np.ndarray,
         op: np.ndarray,
@@ -219,11 +243,11 @@ class ArrayTransport:
         ts: np.ndarray,
         size: np.ndarray,
         seq: np.ndarray,
-    ) -> int:
-        """File a batch under its arrival ticks; returns the batch size."""
+    ) -> None:
+        """Put a batch of tuples in flight (one array per column)."""
         n = arrival.shape[0]
         if n == 0:
-            return 0
+            return
         lo = int(arrival.min())
         hi = int(arrival.max())
         first = self._cursor + 1
@@ -255,34 +279,9 @@ class ArrayTransport:
         # runs of adjacent pool rows, which this scatter and the gather
         # in due() walk instead of striding the whole pool.
         rows = self._take(n)
-        at = rows.astype(np.intp)  # one cast, six scatters
-        for name, values in zip(self._COLUMNS, (op, port, key, ts, size, seq)):
-            getattr(self, "_" + name)[at] = values if order is None else values[order]
-        self._count += n
-        slots = self._slots
-        start = 0
-        for tick, end in zip(ticks, ends):  # one append per distinct tick
-            chunk = rows[start:end]
-            chunks = slots.get(tick)
-            if chunks is None:
-                slots[tick] = [chunk]
-            else:
-                chunks.append(chunk)
-            start = end
-        return n
-
-    def send(
-        self,
-        arrival: np.ndarray,
-        op: np.ndarray,
-        port: np.ndarray,
-        key: np.ndarray,
-        ts: np.ndarray,
-        size: np.ndarray,
-        seq: np.ndarray,
-    ) -> None:
-        """Put a batch of tuples in flight (one array per column)."""
-        self.sent += self._append(arrival, op, port, key, ts, size, seq)
+        self._store(rows, (op, port, key, ts, size, seq), order)
+        self._file(rows, ticks, ends)
+        self.sent += n
 
     def due(self, now: int) -> dict[str, np.ndarray] | None:
         """Extract every tuple with ``arrival <= now``.
@@ -334,25 +333,76 @@ class ArrayTransport:
         self.delivered += hits
         return batch
 
+    def buffer(
+        self,
+        op: np.ndarray,
+        port: np.ndarray,
+        key: np.ndarray,
+        ts: np.ndarray,
+        size: np.ndarray,
+        seq: np.ndarray,
+    ) -> int:
+        """Park dead-bound tuples; returns how many overflowed the bound.
+
+        The first ``max_buffer - buffered`` tuples (in the caller's
+        canonical order) are parked in rows taken like a send's and
+        subtracted from ``delivered`` (they are back inside the
+        transport); the rest are rejected and stay counted as delivered
+        so the caller can account the drop.
+        """
+        n = op.shape[0]
+        accept = min(n, self.max_buffer - self._parked.size)
+        if accept:
+            rows = self._take(accept)
+            self._store(rows, (op, port, key, ts, size, seq), slice(accept))
+            self._parked = np.concatenate((self._parked, rows))
+            self.delivered -= accept
+            self.buffered_total += accept
+        return n - accept
+
+    def redeliver(self, alive_of_op: np.ndarray, now: int) -> int:
+        """Re-inject parked tuples whose target op is alive again.
+
+        One boolean mask over the parked rows; the released rows are
+        filed as they are under the next open tick, ``max(now, cursor +
+        1)``, and join its first delivery round with their original
+        sequence numbers.  Returns the number released.
+        """
+        parked = self._parked
+        if parked.size == 0:
+            return 0
+        mask = alive_of_op[self._op[parked]]
+        rows = parked[mask]
+        hits = rows.size
+        if hits == 0:
+            return 0
+        if self.trace is not None:
+            self.trace.record_redeliver(self._seq[rows], self._op[rows])
+        self._parked = parked[~mask]
+        self._file(rows, [max(now, self._cursor + 1)], [hits])
+        return hits
+
     def remap_ops(self, mapping: np.ndarray, key_split: dict | None = None) -> int:
-        """Re-address in-flight tuples after a recompile.
+        """Re-address in-flight and parked tuples after a recompile.
 
         ``mapping[old_op]`` is the new operator index, or -1 when the
         operator's circuit was uninstalled.  Tuples bound for removed
         operators are dropped *with accounting* (they count as both
-        delivered-out-of-the-pool and dropped); everything else is
-        re-homed in place.  A dropped row is only marked dead — it
-        stays filed in its slot and is reclaimed when the slot pops.
-        Returns the number dropped.
+        delivered-out-of-the-transport and dropped); everything else is
+        re-homed in place.  A dropped slotted row is only marked dead —
+        it stays filed in its slot and is reclaimed when the slot pops;
+        a dropped parked row is freed at once.  Returns the number
+        dropped.
 
         ``key_split`` handles scale events: ``key_split[old_op] =
         (targets, port)`` re-routes that op's tuples by key bucket to
         ``targets[bucket(key, len(targets))]`` (overriding ``mapping``),
         overwriting the port when one is given — the same rule the
-        hash-router applies at send time, so re-homed in-flight tuples
-        land on the replica that owns their key.
+        hash-router applies at send time, so re-homed tuples land on
+        the replica that owns their key.
         """
-        if self._count == 0:
+        parked = self._parked
+        if self._count == 0 and parked.size == 0:
             return 0
         top = self._top
         ops = self._op[:top]
@@ -372,8 +422,13 @@ class ArrayTransport:
         if dropped:
             if self.trace is not None:
                 self.trace.record_drop_uninstall(self._seq[:top][drop], ops[drop])
-            self._count -= dropped
-            self._dead += dropped
+            gone = drop[parked]
+            unparked = int(np.count_nonzero(gone))
+            if unparked:
+                self._free.append(parked[gone])
+                self._parked = parked[~gone]
+            self._count -= dropped - unparked
+            self._dead += dropped - unparked
             self.delivered += dropped
             self.dropped += dropped
         self._op[:top] = new_op
@@ -384,8 +439,9 @@ class ArrayTransport:
 
         Debug helper, O(top): raises AssertionError unless the slotted
         rows minus the dead ones equal ``in_flight``, no slot key is at
-        or before the cursor, and the free list, the live rows and the
-        slotted dead rows partition ``[0, top)`` with no index twice.
+        or before the cursor, every parked row is live and within the
+        bound, and the free, slotted and parked rows partition ``[0,
+        top)`` with no index twice.
         """
         top = self._top
         empty = [np.empty(0, dtype=np.int32)]
@@ -393,13 +449,16 @@ class ArrayTransport:
             empty + [c for chunks in self._slots.values() for c in chunks]
         )
         free = np.concatenate(empty + self._free)
-        seen = np.bincount(np.concatenate((filed, free)), minlength=top)
+        parked = self._parked
+        seen = np.bincount(np.concatenate((filed, free, parked)), minlength=top)
         if seen.size != top or (seen != 1).any():
-            raise AssertionError("free list and slots do not partition [0, top)")
+            raise AssertionError("free, slotted and parked rows do not partition [0, top)")
         if self._slots and min(self._slots) <= self._cursor:
             raise AssertionError("slot filed at or before the cursor")
         if (self._op[free] >= 0).any():
             raise AssertionError("free row marked live")
+        if (self._op[parked] < 0).any() or parked.size > self.max_buffer:
+            raise AssertionError("parked row marked dead, or more parked than the bound")
         live = int(np.count_nonzero(self._op[filed] >= 0))
         if live != self._count or filed.size - live != self._dead:
             raise AssertionError(
@@ -409,6 +468,11 @@ class ArrayTransport:
         return live
 
 
+# bench/ wraps ``buffer`` / ``redeliver`` under this name, from when the
+# retransmit buffer was a subclass of its own.
+ReliableTransport = ArrayTransport
+
+
 class HeapTransport:
     """Per-tuple heapq transport (the retained scalar reference).
 
@@ -416,14 +480,23 @@ class HeapTransport:
     tuples; the heap order ``(arrival, round, seq)`` reproduces exactly
     the delivery grouping of :class:`ArrayTransport` — all in-flight
     due tuples form round 1 of a tick, zero-delay cascade outputs of
-    round *r* form round *r + 1*.
+    round *r* form round *r + 1*.  The retransmit buffer is a list of
+    ``(op, port, key, ts, size, seq)`` in acceptance order:
+    :meth:`buffer_one` accepts until the bound is hit and
+    :meth:`redeliver` walks it, pushing released tuples back onto the
+    heap as round-1 arrivals at ``now``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, max_buffer: int = 0) -> None:
+        if max_buffer < 0:
+            raise ValueError("max_buffer must be non-negative")
         self._heap: list[tuple] = []
+        self._buffer: list[tuple] = []
+        self.max_buffer = max_buffer
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
+        self.buffered_total = 0  # tuples buffer_one() ever accepted
         # Duck-typed tracer handle (see repro.obs.trace); None means no
         # tracing and every hook is a single attribute check.
         self.trace = None
@@ -434,20 +507,23 @@ class HeapTransport:
 
     @property
     def buffered(self) -> int:
-        """Tuples parked in the retransmit buffer (0 without one)."""
-        return 0
+        """Tuples parked in the retransmit buffer."""
+        return len(self._buffer)
 
     def buffered_by_op(self, num_ops: int) -> np.ndarray:
-        """Retransmit-buffer backlog per target op (all zero here)."""
-        return np.zeros(num_ops, dtype=np.int64)
+        """Per-op backlog (per-tuple twin of the bincount version)."""
+        counts = np.zeros(num_ops, dtype=np.int64)
+        for entry in self._buffer:
+            counts[entry[0]] += 1
+        return counts
 
     def inflight_seqs(self) -> np.ndarray:
         """Sequence numbers currently in the in-flight heap."""
         return np.array([entry[2] for entry in self._heap], dtype=np.int64)
 
     def buffered_seqs(self) -> np.ndarray:
-        """Sequence numbers parked in the retransmit buffer (none here)."""
-        return np.empty(0, dtype=np.int64)
+        """Sequence numbers parked in the retransmit buffer."""
+        return np.array([entry[5] for entry in self._buffer], dtype=np.int64)
 
     def send_one(
         self,
@@ -472,235 +548,6 @@ class HeapTransport:
         self.delivered += len(out)
         return out
 
-    def remap_ops(self, mapping: np.ndarray, key_split: dict | None = None) -> int:
-        """Re-address in-flight tuples after a recompile (see twin)."""
-        kept = []
-        dropped = 0
-        split = key_split or {}
-        for arrival, round_, seq, op, port, key, ts, size in self._heap:
-            route = split.get(op)
-            if route is not None:
-                targets, new_port = route
-                new = int(targets[route_bucket_int(key, len(targets))])
-                if new_port is not None:
-                    port = new_port
-            else:
-                new = int(mapping[op])
-                if new < 0:
-                    dropped += 1
-                    if self.trace is not None:
-                        self.trace.record_drop_uninstall_one(seq, op)
-                    continue
-            kept.append((arrival, round_, seq, new, port, key, ts, size))
-        if dropped:
-            heapq.heapify(kept)
-            self._heap = kept
-            self.delivered += dropped
-            self.dropped += dropped
-        elif kept != self._heap:
-            heapq.heapify(kept)
-            self._heap = kept
-        return dropped
-
-
-class ReliableTransport(ArrayTransport):
-    """Array transport with a bounded struct-of-arrays retransmit buffer.
-
-    Tuples bound for a failed node are parked via :meth:`buffer` (the
-    data plane hands back the dead-bound slice of a delivery batch, in
-    canonical order) and moved back into the in-flight pool by one
-    vectorized :meth:`redeliver` mask pass once the target service's
-    host is alive again.  The buffer holds at most ``max_buffer``
-    tuples; excess tuples are rejected (returned as an overflow count)
-    so the caller can drop them with explicit accounting.  Conservation
-    extends to ``sent == delivered + in_flight + buffered``.
-    """
-
-    _BUF_INITIAL = 256
-
-    def __init__(
-        self,
-        max_buffer: int = 4096,
-        scratch: ScratchArena | None = None,
-    ) -> None:
-        super().__init__(scratch)
-        if max_buffer < 0:
-            raise ValueError("max_buffer must be non-negative")
-        self.max_buffer = max_buffer
-        self._b_cap = min(self._BUF_INITIAL, max(1, max_buffer))
-        for name in ("_b_op", "_b_port", "_b_key", "_b_ts", "_b_seq"):
-            setattr(self, name, np.empty(self._b_cap, dtype=np.int64))
-        self._b_size = np.empty(self._b_cap, dtype=np.float64)
-        self._b_count = 0
-        self.redelivered = 0
-        self.buffered_total = 0
-
-    @property
-    def buffered(self) -> int:
-        return self._b_count
-
-    def buffered_by_op(self, num_ops: int) -> np.ndarray:
-        """Retransmit-buffer backlog per target op (one bincount)."""
-        return np.bincount(self._b_op[: self._b_count], minlength=num_ops)
-
-    def buffered_seqs(self) -> np.ndarray:
-        """Sequence numbers parked in the retransmit buffer (copy)."""
-        return self._b_seq[: self._b_count].copy()
-
-    def _grow_buffer(self, needed: int) -> None:
-        cap = self._b_cap
-        while cap < needed:
-            cap *= 2
-        cap = min(cap, max(1, self.max_buffer))
-        for name in ("_b_op", "_b_port", "_b_key", "_b_ts", "_b_size", "_b_seq"):
-            old = getattr(self, name)
-            fresh = np.empty(cap, dtype=old.dtype)
-            fresh[: self._b_count] = old[: self._b_count]
-            setattr(self, name, fresh)
-        self._b_cap = cap
-
-    def buffer(
-        self,
-        op: np.ndarray,
-        port: np.ndarray,
-        key: np.ndarray,
-        ts: np.ndarray,
-        size: np.ndarray,
-        seq: np.ndarray,
-    ) -> int:
-        """Park dead-bound tuples; returns how many overflowed the bound.
-
-        The first ``max_buffer - buffered`` tuples (in the caller's
-        canonical order) are accepted and subtracted from ``delivered``
-        (they are back inside the transport); the rest are rejected and
-        stay counted as delivered so the caller can account the drop.
-        """
-        n = op.shape[0]
-        if n == 0:
-            return 0
-        accept = min(n, self.max_buffer - self._b_count)
-        if accept > 0:
-            if self._b_count + accept > self._b_cap:
-                self._grow_buffer(self._b_count + accept)
-            lo, hi = self._b_count, self._b_count + accept
-            self._b_op[lo:hi] = op[:accept]
-            self._b_port[lo:hi] = port[:accept]
-            self._b_key[lo:hi] = key[:accept]
-            self._b_ts[lo:hi] = ts[:accept]
-            self._b_size[lo:hi] = size[:accept]
-            self._b_seq[lo:hi] = seq[:accept]
-            self._b_count = hi
-            self.delivered -= accept
-            self.buffered_total += accept
-        return n - max(accept, 0)
-
-    def redeliver(self, alive_of_op: np.ndarray, now: int) -> int:
-        """Re-inject buffered tuples whose target op is alive again.
-
-        One boolean mask over the buffer; the released tuples enter the
-        in-flight pool due *now* (they join the tick's first delivery
-        round with their original sequence numbers, so canonical
-        ordering is preserved).  Returns the number released.
-        """
-        c = self._b_count
-        if c == 0:
-            return 0
-        mask = alive_of_op[self._b_op[:c]]
-        hits = int(mask.sum())
-        if hits == 0:
-            return 0
-        if self.trace is not None:
-            self.trace.record_redeliver(self._b_seq[:c][mask], self._b_op[:c][mask])
-        self._append(
-            np.full(hits, now, dtype=np.int64),
-            self._b_op[:c][mask],
-            self._b_port[:c][mask],
-            self._b_key[:c][mask],
-            self._b_ts[:c][mask],
-            self._b_size[:c][mask],
-            self._b_seq[:c][mask],
-        )
-        keep = ~mask
-        survivors = int(keep.sum())
-        for name in ("_b_op", "_b_port", "_b_key", "_b_ts", "_b_size", "_b_seq"):
-            col = getattr(self, name)
-            col[:survivors] = col[:c][keep]
-        self._b_count = survivors
-        self.redelivered += hits
-        return hits
-
-    def remap_ops(self, mapping: np.ndarray, key_split: dict | None = None) -> int:
-        """Re-address pool *and* buffer; buffered orphans drop too."""
-        dropped = super().remap_ops(mapping, key_split)
-        c = self._b_count
-        if c == 0:
-            return dropped
-        ops = self._b_op[:c]
-        new_op = mapping[ops]
-        if key_split:
-            keys = self._b_key[:c]
-            for old, (targets, port) in key_split.items():
-                mask = ops == old
-                if not mask.any():
-                    continue
-                new_op[mask] = targets[route_bucket(keys[mask], len(targets))]
-                if port is not None:
-                    self._b_port[:c][mask] = port
-        keep = new_op >= 0
-        b_dropped = int(c - keep.sum())
-        if b_dropped:
-            if self.trace is not None:
-                self.trace.record_drop_uninstall(
-                    self._b_seq[:c][~keep], self._b_op[:c][~keep]
-                )
-            survivors = int(keep.sum())
-            for name in ("_b_op", "_b_port", "_b_key", "_b_ts", "_b_size", "_b_seq"):
-                col = getattr(self, name)
-                col[:survivors] = col[:c][keep]
-            self._b_op[:survivors] = new_op[keep]
-            self._b_count = survivors
-            # Dropped buffered tuples exit the transport: they count as
-            # delivered again (restoring the balance) and as dropped.
-            self.delivered += b_dropped
-            self.dropped += b_dropped
-        else:
-            self._b_op[:c] = new_op
-        return dropped + b_dropped
-
-
-class ReliableHeapTransport(HeapTransport):
-    """Per-tuple retransmit-buffer twin of :class:`ReliableTransport`.
-
-    The buffer is a plain list in insertion order; :meth:`buffer_one`
-    accepts until the bound is hit (same first-come-first-buffered
-    policy) and :meth:`redeliver` walks the list pushing released
-    tuples back onto the heap as round-1 arrivals at ``now``.
-    """
-
-    def __init__(self, max_buffer: int = 4096) -> None:
-        super().__init__()
-        if max_buffer < 0:
-            raise ValueError("max_buffer must be non-negative")
-        self.max_buffer = max_buffer
-        self._buffer: list[tuple] = []
-        self.redelivered = 0
-        self.buffered_total = 0
-
-    @property
-    def buffered(self) -> int:
-        return len(self._buffer)
-
-    def buffered_by_op(self, num_ops: int) -> np.ndarray:
-        """Per-op backlog (per-tuple twin of the bincount version)."""
-        counts = np.zeros(num_ops, dtype=np.int64)
-        for entry in self._buffer:
-            counts[entry[0]] += 1
-        return counts
-
-    def buffered_seqs(self) -> np.ndarray:
-        """Sequence numbers parked in the retransmit buffer."""
-        return np.array([entry[5] for entry in self._buffer], dtype=np.int64)
-
     def buffer_one(
         self, op: int, port: int, key: int, ts: int, size: float, seq: int
     ) -> bool:
@@ -713,6 +560,7 @@ class ReliableHeapTransport(HeapTransport):
         return True
 
     def redeliver(self, alive_of_op: np.ndarray, now: int) -> int:
+        """Re-inject buffered tuples whose target op is alive again."""
         kept = []
         hits = 0
         for entry in self._buffer:
@@ -725,32 +573,40 @@ class ReliableHeapTransport(HeapTransport):
             else:
                 kept.append(entry)
         self._buffer = kept
-        self.redelivered += hits
         return hits
 
+    def _reroute(self, op, port, key, seq, mapping, split):
+        """``(new op, port)`` of one tuple, or None when its op is gone."""
+        route = split.get(op)
+        if route is not None:
+            targets, new_port = route
+            new = int(targets[route_bucket_int(key, len(targets))])
+            return new, port if new_port is None else new_port
+        new = int(mapping[op])
+        if new < 0:
+            if self.trace is not None:
+                self.trace.record_drop_uninstall_one(seq, op)
+            return None
+        return new, port
+
     def remap_ops(self, mapping: np.ndarray, key_split: dict | None = None) -> int:
-        dropped = super().remap_ops(mapping, key_split)
-        kept = []
-        b_dropped = 0
+        """Re-address in-flight and buffered tuples (see the array twin)."""
         split = key_split or {}
-        for entry in self._buffer:
-            op, port, key, ts, size, seq = entry
-            route = split.get(op)
-            if route is not None:
-                targets, new_port = route
-                new = int(targets[route_bucket_int(key, len(targets))])
-                if new_port is not None:
-                    port = new_port
-            else:
-                new = int(mapping[op])
-                if new < 0:
-                    b_dropped += 1
-                    if self.trace is not None:
-                        self.trace.record_drop_uninstall_one(seq, op)
-                    continue
-            kept.append((new, port, key, ts, size, seq))
-        self._buffer = kept
-        if b_dropped:
-            self.delivered += b_dropped
-            self.dropped += b_dropped
-        return dropped + b_dropped
+        kept = []
+        for arrival, round_, seq, op, port, key, ts, size in self._heap:
+            hop = self._reroute(op, port, key, seq, mapping, split)
+            if hop is not None:
+                kept.append((arrival, round_, seq, *hop, key, ts, size))
+        parked = []
+        for op, port, key, ts, size, seq in self._buffer:
+            hop = self._reroute(op, port, key, seq, mapping, split)
+            if hop is not None:
+                parked.append((*hop, key, ts, size, seq))
+        dropped = len(self._heap) + len(self._buffer) - len(kept) - len(parked)
+        if kept != self._heap:
+            heapq.heapify(kept)
+            self._heap = kept
+        self._buffer = parked
+        self.delivered += dropped
+        self.dropped += dropped
+        return dropped

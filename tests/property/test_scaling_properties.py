@@ -18,6 +18,7 @@ PR 9's replication invariants, as stated in ROADMAP:
 """
 
 import numpy as np
+import pytest
 
 from repro.core.circuit import Circuit, Service
 from repro.core.rewriting import (
@@ -57,6 +58,27 @@ def make_overlay(circuit, seed=0):
     )
     overlay.install_circuit(circuit)
     return overlay
+
+
+class _Outage:
+    """A churn process whose alive mask also holds ``nodes`` down while
+    its tick is in ``ticks``, without reporting them failed (so the
+    simulator never evacuates them)."""
+
+    def __init__(self, churn, nodes, ticks):
+        self.churn, self.nodes, self.ticks = churn, nodes, ticks
+
+    def step(self):
+        return self.churn.step()
+
+    def step_scalar(self):
+        return self.churn.step_scalar()
+
+    def alive_mask(self):
+        mask = self.churn.alive_mask()
+        if self.churn.tick in self.ticks:
+            mask[self.nodes] = False
+        return mask
 
 
 def circuit_shape(circuit):
@@ -194,31 +216,44 @@ class TestTwinEquivalenceUnderScaling:
             for _, plane in planes:
                 assert plane.accounting()["balanced"], t
 
-    def test_simulation_twins_with_churn_and_trace_completeness(self):
+    @pytest.mark.parametrize("reliable", [False, True])
+    def test_simulation_twins_with_churn_and_trace_completeness(self, reliable):
         """Full tick loop with churn: twins emit equal records and the
         per-span trace completeness invariant holds on every tick —
-        including the scale-event and merge ticks."""
+        including the scale-event and merge ticks.
+
+        Replica hosts 4 and 8 are forced down from tick 12 through the
+        merge at tick 20 without being reported failed, so nothing
+        evacuates them: with ``reliable`` the merge re-routes parked
+        tuples by key, and they are redelivered once the hosts return.
+        """
         sims = []
         for _ in range(2):
             overlay = make_overlay(join_circuit())
             obs = Observability(tracing=True, trace_rate=1.0, metrics=True)
+            churn = ChurnProcess(
+                overlay.num_nodes,
+                fail_prob=0.03,
+                recover_prob=0.3,
+                protected={0, 1, 2, 3},
+                seed=3,
+            )
             sims.append(
                 Simulation(
                     overlay,
-                    churn=ChurnProcess(
-                        overlay.num_nodes,
-                        fail_prob=0.03,
-                        recover_prob=0.3,
-                        protected={0, 1, 2, 3},
-                        seed=3,
-                    ),
+                    churn=_Outage(churn, nodes=[4, 8], ticks=range(12, 21)),
                     config=SimulationConfig(reopt_interval=0),
-                    data_plane=DataPlane(overlay, RuntimeConfig(seed=9)),
+                    data_plane=DataPlane(
+                        overlay, RuntimeConfig(seed=9, reliable=reliable)
+                    ),
                     obs=obs,
                 )
             )
+        parked_at_scale_event = 0
         for t in range(30):
             recs = []
+            if t in (8, 20):
+                parked_at_scale_event += sims[0].data_plane.accounting()["buffered"]
             for sim, scalar in zip(sims, (False, True)):
                 if t == 8:
                     up = replicate_operator(
@@ -233,3 +268,6 @@ class TestTwinEquivalenceUnderScaling:
                 assert res["ok"], (t, res["violations"])
                 assert sim.data_plane.accounting()["balanced"], t
             assert recs[0] == recs[1], t
+        if reliable:
+            assert parked_at_scale_event > 0
+            assert sims[0].data_plane.redelivered > 0

@@ -1,7 +1,8 @@
 """Properties of the calendar-queue transport.
 
-* The array transports deliver, count and re-address exactly like their
-  per-tuple heap twins under random interleavings of every public call.
+* The array transport delivers, buffers, counts and re-addresses exactly
+  like its per-tuple heap twin under random interleavings of every
+  public call, at every retransmit-buffer bound.
 * The calendar's own bookkeeping recounts exactly every tick of a long
   chaos run with tenant churn, and its row pool stays bounded.
 """
@@ -12,12 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.network.dynamics import ChurnProcess, LatencyDriftProcess, LoadProcess
 from repro.network.topology import random_geometric_topology
 from repro.runtime.dataplane import DataPlane, RuntimeConfig
-from repro.runtime.transport import (
-    ArrayTransport,
-    HeapTransport,
-    ReliableHeapTransport,
-    ReliableTransport,
-)
+from repro.runtime.transport import ArrayTransport, HeapTransport
 from repro.sbon.overlay import Overlay
 from repro.sbon.simulator import Simulation, SimulationConfig
 from repro.workloads.queries import WorkloadParams, random_query
@@ -75,17 +71,16 @@ def _assert_twins_agree(arr, heap):
         assert getattr(arr, name) == getattr(heap, name), name
     assert sorted(arr.inflight_seqs()) == sorted(heap.inflight_seqs())
     assert sorted(arr.buffered_seqs()) == sorted(heap.buffered_seqs())
+    assert np.array_equal(arr.buffered_by_op(NUM_OPS), heap.buffered_by_op(NUM_OPS))
     assert arr.sent == arr.delivered + arr.in_flight + arr.buffered
     assert arr.check_calendar() == arr.in_flight
 
 
 @settings(max_examples=150, deadline=None)
-@given(steps=steps, max_buffer=st.sampled_from([None, 0, 3, 4096]))
+@given(steps=steps, max_buffer=st.sampled_from([0, 3, 4096]))
 def test_array_transport_equals_heap_twin(steps, max_buffer):
-    if max_buffer is None:
-        arr, heap = ArrayTransport(), HeapTransport()
-    else:
-        arr, heap = ReliableTransport(max_buffer), ReliableHeapTransport(max_buffer)
+    # With max_buffer=0 every buffer() call overflows.
+    arr, heap = ArrayTransport(max_buffer=max_buffer), HeapTransport(max_buffer)
     now = 0
     seq = 0
     for step in steps:
@@ -112,7 +107,7 @@ def test_array_transport_equals_heap_twin(steps, max_buffer):
             got, want = _canonical(got), _canonical(want)
             assert got == want
             dead = [e for e in got if e[0] in step[2]]
-            if max_buffer is not None and dead:
+            if dead:
                 op, port, key, ts, size, s = _columns(
                     dead, (np.int64,) * 4 + (np.float64, np.int64)
                 )
@@ -128,7 +123,7 @@ def test_array_transport_equals_heap_twin(steps, max_buffer):
                 old, targets, port = step[2]
                 split = {old: (np.asarray(targets, dtype=np.int64), port)}
             assert arr.remap_ops(mapping, split) == heap.remap_ops(mapping, split)
-        elif max_buffer is not None:
+        else:
             alive = np.asarray(step[1], dtype=bool)
             assert arr.redeliver(alive, now) == heap.redeliver(alive, now)
         _assert_twins_agree(arr, heap)

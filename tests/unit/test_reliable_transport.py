@@ -1,9 +1,9 @@
-"""Unit tests for the reliable (retransmit-buffer) transports."""
+"""Unit tests for the transports' bounded retransmit buffer."""
 
 import numpy as np
 import pytest
 
-from repro.runtime.transport import ReliableHeapTransport, ReliableTransport
+from repro.runtime.transport import ArrayTransport, HeapTransport
 
 
 def send_batch(tr, n, arrival=5, op=0):
@@ -18,41 +18,39 @@ def send_batch(tr, n, arrival=5, op=0):
     )
 
 
+def park(tr, batch):
+    return tr.buffer(
+        batch["op"], batch["port"], batch["key"], batch["ts"],
+        batch["size"], batch["seq"],
+    )
+
+
 def balance(tr):
     return tr.sent == tr.delivered + tr.in_flight + tr.buffered
 
 
-class TestReliableTransport:
+class TestArrayTransportBuffer:
     def test_buffer_holds_conservation(self):
-        tr = ReliableTransport(max_buffer=100)
+        tr = ArrayTransport(max_buffer=100)
         send_batch(tr, 10)
         batch = tr.due(5)
         assert batch is not None and balance(tr)
-        overflow = tr.buffer(
-            batch["op"], batch["port"], batch["key"], batch["ts"],
-            batch["size"], batch["seq"],
-        )
-        assert overflow == 0
+        assert park(tr, batch) == 0
         assert tr.buffered == 10
         assert tr.delivered == 0  # buffered tuples are back inside
         assert balance(tr)
 
     def test_bounded_buffer_rejects_overflow_deterministically(self):
-        tr = ReliableTransport(max_buffer=4)
+        tr = ArrayTransport(max_buffer=4)
         send_batch(tr, 10)
-        batch = tr.due(5)
-        overflow = tr.buffer(
-            batch["op"], batch["port"], batch["key"], batch["ts"],
-            batch["size"], batch["seq"],
-        )
-        assert overflow == 6
+        assert park(tr, tr.due(5)) == 6
         assert tr.buffered == 4
-        # First-come-first-buffered: the first four keys were accepted.
-        assert sorted(tr._b_key[:4]) == [0, 1, 2, 3]
+        # First-come-first-buffered: the first four tuples were accepted.
+        assert sorted(tr.buffered_seqs()) == [0, 1, 2, 3]
         assert balance(tr)
 
     def test_redeliver_releases_only_alive_ops(self):
-        tr = ReliableTransport(max_buffer=100)
+        tr = ArrayTransport(max_buffer=100)
         for op in (0, 1):
             tr.send(
                 np.array([3], dtype=np.int64), np.array([op], dtype=np.int64),
@@ -60,47 +58,59 @@ class TestReliableTransport:
                 np.zeros(1, dtype=np.int64), np.ones(1),
                 np.array([op], dtype=np.int64),
             )
-        batch = tr.due(3)
-        tr.buffer(batch["op"], batch["port"], batch["key"], batch["ts"],
-                  batch["size"], batch["seq"])
-        released = tr.redeliver(np.array([True, False]), now=7)
-        assert released == 1
+        park(tr, tr.due(3))
+        assert tr.redeliver(np.array([True, False]), now=7) == 1
         assert tr.buffered == 1
-        assert tr.redelivered == 1
         assert balance(tr)
         again = tr.due(7)
         assert again is not None and list(again["op"]) == [0]
         assert balance(tr)
 
-    def test_remap_drops_buffered_orphans_with_accounting(self):
-        tr = ReliableTransport(max_buffer=100)
-        send_batch(tr, 6, op=1)
+    def test_parking_reuses_the_rows_due_reclaimed(self):
+        """send → due → buffer → redeliver → due never grows the pool."""
+        tr = ArrayTransport(max_buffer=100)
+        send_batch(tr, 10)
+        top = tr._top
+        tr.check_calendar()
         batch = tr.due(5)
-        tr.buffer(batch["op"], batch["port"], batch["key"], batch["ts"],
-                  batch["size"], batch["seq"])
+        tr.check_calendar()
+        assert park(tr, batch) == 0
+        assert tr._top == top
+        assert tr.check_calendar() == 0 and tr.buffered == 10
+        assert tr.redeliver(np.array([True]), now=6) == 10
+        assert tr._top == top
+        assert tr.check_calendar() == 10 and tr.buffered == 0
+        again = tr.due(6)
+        assert sorted(again["seq"]) == list(range(10))
+        assert tr._top == top and tr.check_calendar() == 0
+        assert balance(tr)
+
+    def test_remap_drops_buffered_orphans_with_accounting(self):
+        tr = ArrayTransport(max_buffer=100)
+        send_batch(tr, 6, op=1)
+        park(tr, tr.due(5))
         dropped = tr.remap_ops(np.array([0, -1], dtype=np.int64))
         assert dropped == 6
         assert tr.buffered == 0
         assert tr.dropped == 6
+        assert tr.check_calendar() == 0
         assert balance(tr)
 
     def test_zero_capacity_buffer_rejects_everything(self):
-        tr = ReliableTransport(max_buffer=0)
+        tr = ArrayTransport(max_buffer=0)
         send_batch(tr, 3)
-        batch = tr.due(5)
-        overflow = tr.buffer(batch["op"], batch["port"], batch["key"],
-                             batch["ts"], batch["size"], batch["seq"])
-        assert overflow == 3 and tr.buffered == 0
+        assert park(tr, tr.due(5)) == 3 and tr.buffered == 0
         assert balance(tr)
 
     def test_negative_bound_rejected(self):
-        with pytest.raises(ValueError):
-            ReliableTransport(max_buffer=-1)
+        for transport in (ArrayTransport, HeapTransport):
+            with pytest.raises(ValueError):
+                transport(max_buffer=-1)
 
 
-class TestReliableHeapTransport:
+class TestHeapTransportBuffer:
     def test_buffer_and_redeliver_mirror_array_twin(self):
-        hp = ReliableHeapTransport(max_buffer=2)
+        hp = HeapTransport(max_buffer=2)
         for seq in range(4):
             hp.send_one(3, 1, seq, 0, 0, seq, 0, 1.0)
         batch = hp.due(3, 1)
@@ -115,7 +125,7 @@ class TestReliableHeapTransport:
         assert balance(hp)
 
     def test_remap_drops_buffered_orphans(self):
-        hp = ReliableHeapTransport(max_buffer=10)
+        hp = HeapTransport(max_buffer=10)
         hp.send_one(1, 1, 0, 1, 0, 7, 0, 1.0)
         batch = hp.due(1, 1)
         for _, _, seq, op, port, key, ts, size in batch:
