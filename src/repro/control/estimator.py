@@ -14,7 +14,7 @@ contiguous state block — ``ewma (m,)``, ``seen (m,)`` and a
 every observed column with three vectorized expressions.  The column
 index of a stable key list is cached by list identity, so the steady
 state does no per-key Python work at all (the data plane reuses its
-``link_keys()`` list object between recompiles).
+``link_keys()`` list object between structural syncs).
 
 Scalar reference
 ----------------

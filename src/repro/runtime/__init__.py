@@ -22,8 +22,8 @@ what the network really carries under churn, hotspots, and migration.
   estimates (:class:`ParameterDrift`).
 * :mod:`repro.runtime.arena` — the arena building blocks:
   :class:`CircuitArena` segment bookkeeping (append on install,
-  tombstone on uninstall, compact past a dead-row threshold — tenant
-  churn never forces a full recompile) and :class:`ScratchArena`
+  tombstone on uninstall, compact past a dead-row threshold; a scale
+  event swaps one segment) and :class:`ScratchArena`
   reusable per-tick scratch buffers (preallocated, grown
   geometrically; never hold a view across ticks).
 """

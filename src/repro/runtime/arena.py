@@ -1,7 +1,7 @@
 """Global circuit arena: shared segment bookkeeping + reusable scratch.
 
 Two small, dependency-free building blocks behind the arena runtime
-path (PR 7):
+path:
 
 :class:`ScratchArena`
     A pool of named, geometrically grown numpy buffers reused across
@@ -17,17 +17,23 @@ path (PR 7):
 :class:`CircuitArena`
     Segment bookkeeping for the one global CSR op/link table the data
     plane compiles every installed circuit into.  Each circuit owns a
-    contiguous *segment* of op rows and link rows; installs append a
-    new segment at the end, uninstalls *tombstone* the segment (rows
-    stay allocated, marked dead), and once the dead fraction crosses
-    ``compact_threshold`` the owner gathers the live rows (order
-    preserved) using the mapping this class computes.
+    contiguous *segment* of op rows and link rows.
+    :meth:`~CircuitArena.append`, :meth:`~CircuitArena.tombstone` and
+    :meth:`~CircuitArena.apply_compaction` are the only structural
+    calls: installs append a new segment at the end, uninstalls
+    *tombstone* the segment (rows stay allocated, marked dead), and
+    compaction gathers the live segments in a given order using the
+    mapping this class computes.  A segment swap (same-name circuit
+    replacement) is a tombstone plus an append, then a compaction
+    that gathers the new segment back into its circuit's place.
 
-    Segment-boundary invariant: live segments appear in arrays in
-    circuit-install order, each occupying contiguous ``[op_base,
-    op_base + num_ops)`` / ``[link_base, link_base + num_links)`` row
-    ranges; link rows are grouped by source op in op-row order.
-    Compaction preserves this invariant (it only removes dead holes).
+    Segment-boundary invariant: after every sync, live segments follow
+    the overlay's circuit order, each occupying contiguous
+    ``[op_base, op_base + num_ops)`` / ``[link_base, link_base +
+    num_links)`` row ranges; link rows are grouped by source op in
+    op-row order.  Installs keep it (a new circuit is last in the
+    overlay too), tombstones only leave holes, and the compaction
+    that follows a swap restores it.
 
 The actual column arrays (operator kinds/parameters, CSR link table,
 join state) live with their owner — :class:`~repro.runtime.dataplane.
@@ -123,26 +129,6 @@ class CircuitArena:
 
     # -- structural changes -------------------------------------------------
 
-    def reset(self, segments: list[tuple[str, int, int]]) -> None:
-        """Rebuild bookkeeping from scratch (after a full recompile).
-
-        ``segments`` is ``[(name, num_ops, num_links), ...]`` in
-        install order; every row is live.
-        """
-        self.segments = {}
-        op_base = link_base = 0
-        for name, n_ops, n_links in segments:
-            self.segments[name] = ArenaSegment(
-                name, op_base, n_ops, link_base, n_links
-            )
-            op_base += n_ops
-            link_base += n_links
-        self.num_ops = op_base
-        self.num_links = link_base
-        self.dead_ops = self.dead_links = 0
-        self.op_alive = np.ones(op_base, dtype=bool)
-        self.link_alive = np.ones(link_base, dtype=bool)
-
     def append(self, name: str, n_ops: int, n_links: int) -> ArenaSegment:
         """Claim a new segment at the end of the arena; returns it."""
         if name in self.segments:
@@ -181,7 +167,7 @@ class CircuitArena:
         return self.tombstone_fraction > self.compact_threshold
 
     def live_op_rows(self) -> np.ndarray:
-        """Live op-row indices, ascending (== install order)."""
+        """Live op-row indices, ascending."""
         return np.flatnonzero(self.op_alive)
 
     def live_link_rows(self) -> np.ndarray:
@@ -201,16 +187,29 @@ class CircuitArena:
 
     # -- compaction ---------------------------------------------------------
 
-    def compaction(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def compaction(
+        self, order=None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Compute the live-row gather and old->new mappings.
 
-        Returns ``(op_gather, link_gather, op_map, link_map)`` where
-        the gathers are ascending live-row indices and the maps send
-        old rows to new compact rows (-1 for dead).  The caller gathers
-        every column with these, then calls :meth:`apply_compaction`.
+        ``order`` names every live segment in the order to gather them
+        (default: their current order); :attr:`segments` is re-ordered
+        to match.  Returns ``(op_gather, link_gather, op_map,
+        link_map)`` where the gathers list live rows segment by
+        segment and the maps send old rows to new compact rows (-1 for
+        dead).  The caller gathers every column with these, then calls
+        :meth:`apply_compaction`.
         """
-        op_gather = self.live_op_rows()
-        link_gather = self.live_link_rows()
+        segs = list(self.segments.values())
+        if order is not None:
+            segs = [self.segments[name] for name in order]
+            if len(segs) != len(self.segments):
+                raise ValueError("compaction order must name every live segment")
+            self.segments = {seg.name: seg for seg in segs}
+        op_gather = _gather([s.op_base for s in segs], [s.num_ops for s in segs])
+        link_gather = _gather(
+            [s.link_base for s in segs], [s.num_links for s in segs]
+        )
         op_map = np.full(max(self.num_ops, 1), -1, dtype=np.int64)
         op_map[op_gather] = np.arange(op_gather.size)
         link_map = np.full(max(self.num_links, 1), -1, dtype=np.int64)
@@ -220,7 +219,7 @@ class CircuitArena:
     def apply_compaction(self) -> None:
         """Rewrite segment bases assuming live rows were gathered."""
         op_base = link_base = 0
-        # Dict order is install order, which equals row order.
+        # Dict order is the gather order of the last compaction.
         for seg in self.segments.values():
             seg.op_base = op_base
             seg.link_base = link_base
@@ -231,3 +230,11 @@ class CircuitArena:
         self.dead_ops = self.dead_links = 0
         self.op_alive = np.ones(op_base, dtype=bool)
         self.link_alive = np.ones(link_base, dtype=bool)
+
+
+def _gather(bases: list[int], sizes: list[int]) -> np.ndarray:
+    """The rows ``[base, base + size)`` of every segment, concatenated."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    shift = np.asarray(bases, dtype=np.int64) - starts
+    return np.repeat(shift, sizes) + np.arange(int(sizes.sum()), dtype=np.int64)

@@ -88,14 +88,18 @@ circuit, and each circuit owns a contiguous *segment* of them
 (:class:`~repro.runtime.arena.CircuitArena` keeps the bookkeeping).
 Each tick therefore runs a constant number of array kernels over all
 circuits at once — there is no per-circuit Python dispatch in the hot
-path.  Installs append a new segment, uninstalls tombstone the old one
-(in-flight / state / estimator columns survive untouched), and the
-arena compacts in one gather pass when the dead fraction crosses
-``RuntimeConfig.compact_threshold`` — tenant churn never triggers a
-full recompile; only same-name replacement does, observable via
-``TrafficRecord.recompiles``.  Per-tick scratch (transport extraction,
-cost accumulators, admission bookkeeping) comes from a
-:class:`~repro.runtime.arena.ScratchArena` — preallocated, grown
+path.  The arena has one way to change: installs append a new segment
+(the initial build is one batched install), uninstalls tombstone the
+old one (in-flight / state / estimator columns survive untouched), and
+the arena compacts in one gather pass, into overlay circuit order,
+when the dead fraction crosses ``RuntimeConfig.compact_threshold``.  A
+same-name replacement (every scale event) is a *segment swap*: the old
+segment retires, the new circuit appends, and a compaction puts it
+back in its circuit's place and re-homes the retired rows' tuples,
+join state and aggregate credit.  Only the swapped circuit is derived;
+swaps are counted in ``TrafficRecord.recompiles``.  Per-tick scratch
+(transport extraction, cost accumulators, admission bookkeeping) comes
+from a :class:`~repro.runtime.arena.ScratchArena` — preallocated, grown
 geometrically, reused across ticks; never hold a view into a scratch
 buffer across ticks.
 
@@ -137,7 +141,7 @@ from repro.core.load_model import (
     LoadModel,
 )
 from repro.query.operators import ServiceKind
-from repro.runtime.arena import CircuitArena, ScratchArena
+from repro.runtime.arena import ArenaSegment, CircuitArena, ScratchArena
 from repro.runtime.hashing import (
     M1,
     M2,
@@ -159,45 +163,71 @@ __all__ = ["ParameterDrift", "RuntimeConfig", "TrafficRecord", "DataPlane"]
 # shared with the LoadModel's kind-cost convention.
 _RELAY, _FILTER, _AGG, _JOIN = KIND_RELAY, KIND_FILTER, KIND_AGGREGATE, KIND_JOIN
 
-# SplitMix64 primitives live in repro.runtime.hashing (shared with the
-# transports' scale-event re-routing); the historical aliases remain.
-_MASK64 = MASK64
-_M1 = M1
-_M2 = M2
-_M3 = M3
-_U = U64
-_mix64 = mix64
-_mix64_int = mix64_int
 
 # Largest tick the batched path's int32 (ts, e) state columns can hold.
 _TICK_LIMIT = int(np.iinfo(np.int32).max)
 
+# The global arena's columns, each name mapped to its dtype: one row
+# per op, one row per link (grouped by source op), and one per source
+# (compact, in row order — the order the per-tick draw consumes).
+# Empty init, segment install and compaction all iterate these tables.
+_OP_COLUMNS = {
+    "_kind": np.int8,
+    "_in_deg": np.int64,
+    "_op_sel": np.float64,
+    "_op_factor": np.float64,
+    "_op_pmatch": np.float64,
+    "_op_domain": np.float64,
+    "_op_replicas": np.int64,
+    "_slack": np.int64,
+    "_out_deg": np.int64,
+    "_out_offsets": np.int64,
+    "_is_sink": np.bool_,
+    "_kind_cost": np.float64,
+    "_gid": np.int64,
+    "_agg_credit": np.float64,
+}
+_LINK_COLUMNS = {
+    "_link_dst": np.int64,
+    "_link_port": np.int64,
+    "_link_src_op": np.int64,
+    "_link_group": np.int64,
+    "_link_index": np.int64,
+    "_link_tuples": np.int64,
+    "_link_size": np.float64,
+}
+_SRC_COLUMNS = {
+    "_src_ops": np.int64,
+    "_src_rate": np.float64,
+    "_src_domain": np.float64,
+}
+
 
 def _filter_bucket(key: np.ndarray, salt: np.ndarray) -> np.ndarray:
     """Deterministic uniform-[0,1) bucket of (key, operator) pairs."""
-    x = key.astype(_U) * _U(_M1) + salt.astype(_U) * _U(_M3)
-    return (_mix64(x) >> _U(11)).astype(np.float64) * 2.0 ** -53
+    x = key.astype(U64) * U64(M1) + salt.astype(U64) * U64(M3)
+    return (mix64(x) >> U64(11)).astype(np.float64) * 2.0 ** -53
 
 
 def _filter_bucket_int(key: int, salt: int) -> float:
-    x = (key * _M1 + salt * _M3) & _MASK64
-    return (_mix64_int(x) >> 11) * 2.0 ** -53
+    x = (key * M1 + salt * M3) & MASK64
+    return (mix64_int(x) >> 11) * 2.0 ** -53
 
 
 def _pair_bucket(
     key: np.ndarray, ts_a: np.ndarray, ts_b: np.ndarray, salt: np.ndarray
 ) -> np.ndarray:
     """Symmetric match bucket of a candidate join pair (order-free)."""
-    lo = np.minimum(ts_a, ts_b).astype(_U)
-    hi = np.maximum(ts_a, ts_b).astype(_U)
-    x = key.astype(_U) * _U(_M1) + lo * _U(_M2) + hi * _U(_M3) + salt.astype(_U)
-    return (_mix64(x) >> _U(11)).astype(np.float64) * 2.0 ** -53
+    lo = np.minimum(ts_a, ts_b).astype(U64)
+    hi = np.maximum(ts_a, ts_b).astype(U64)
+    x = key.astype(U64) * U64(M1) + lo * U64(M2) + hi * U64(M3) + salt.astype(U64)
+    return (mix64(x) >> U64(11)).astype(np.float64) * 2.0 ** -53
 
 
 def _pair_bucket_int(key: int, ts_a: int, ts_b: int, salt: int) -> float:
     lo, hi = (ts_a, ts_b) if ts_a <= ts_b else (ts_b, ts_a)
-    x = (key * _M1 + lo * _M2 + hi * _M3 + salt) & _MASK64
-    return (_mix64_int(x) >> 11) * 2.0 ** -53
+    x = (key * M1 + lo * M2 + hi * M3 + salt) & MASK64
+    return (mix64_int(x) >> 11) * 2.0 ** -53
 
 
 def _capacity_gate(
@@ -379,10 +409,10 @@ class TrafficRecord:
             over all nodes (Σ of :attr:`DataPlane.tick_node_cpu`).
         cpu_dropped: CPU cost units of admission demand rejected this
             tick (capacity + shed rejections at their admission price).
-        recompiles: full arena recompiles triggered by this tick's
-            sync — only same-name circuit replacement (including scale
-            events) recompiles; installs and uninstalls append and
-            tombstone segments — the observable for compile churn.
+        recompiles: segment swaps made by this tick's sync — one per
+            same-name circuit replacement (including scale events);
+            installs and uninstalls append and tombstone segments —
+            the observable for compile churn.
     """
 
     tick: int
@@ -494,8 +524,8 @@ class DataPlane:
         self.cpu_dropped_total = 0.0
         self.cpu_by_node = np.zeros(n)
         # Per-tick measured statistics (diffed snapshots; see
-        # _begin_tick_stats / _end_tick_stats).
-        self.tick_link_tuples = np.zeros(0, dtype=np.int64)
+        # _begin_tick_stats / _end_tick_stats; tick_link_tuples is sized
+        # once the arena is built).
         self.tick_node_drops = np.zeros(n, dtype=np.int64)
         self.tick_node_processed = np.zeros(n, dtype=np.int64)
         self.tick_node_cpu = np.zeros(n)
@@ -523,7 +553,7 @@ class DataPlane:
         self._hw_h = 1
         self._hw_clock = 0
         self._hw_dirty = True
-        # Per-(circuit, link) stats survive recompiles in this fold.
+        # Per-(circuit, link) stats of tombstoned segments.
         self._link_stats_folded: dict[tuple[str, str, str], list] = {}
         # Global circuit arena: segment bookkeeping, stable global op
         # ids (hash salts that survive row moves), reusable scratch.
@@ -538,25 +568,40 @@ class DataPlane:
         # every sink delivery appends (service, key, ts, size).  None
         # keeps the hot loop at a single attribute check.
         self.sink_log: list | None = None
-        # Full-recompile observability (satellite: compile churn).
+        # Segment swaps (same-name replacements, scale events).
         self.recompiles = 0
         self._tick_recompiles = 0
         # Attached observability layer (repro.obs.Observability), or
         # None.  Handles are resolved once per tick; with no layer the
         # hot loop pays a single attribute check.
         self._obs = None
-        self._compile(remap_from=None, reason="initial")
+        # The arena starts empty; the first sync installs every circuit.
+        for name, dtype in {**_OP_COLUMNS, **_LINK_COLUMNS, **_SRC_COLUMNS}.items():
+            setattr(self, name, np.zeros(0, dtype=dtype))
+        self._num_ops = 0
+        self._has_partitioned = False
+        self._op_index: dict[tuple[str, str], int] = {}
+        self._op_names: list[tuple[str, str]] = []
+        self._link_names: list[tuple[str, str, str]] = []
+        self._src_pos: dict[int, int] = {}
+        self._arena_rows: list = []
+        self._compiled_names: tuple[str, ...] = ()
+        self._compiled_circuits: tuple = ()
+        self._live_links = np.zeros(0, dtype=np.int64)
+        self._live_link_names: list[tuple[str, str, str]] = []
+        self._sync()
+        self.tick_link_tuples = np.zeros(self._live_links.size, dtype=np.int64)
 
     # -- compilation -------------------------------------------------------
 
     def _derive_circuit(self, circuit) -> dict:
         """Compile one circuit into segment-local flat columns.
 
-        Shared by the full recompile (which assembles every segment)
-        and the install path (which appends one), so both derive
-        identical operator parameters.  All op/link indices in
-        the returned columns are segment-local; callers shift them by
-        the segment base.
+        Returns the circuit's slice of every arena column, keyed by
+        column name, plus its ``sids`` and ``link_names``.  All op/link
+        indices in the returned columns are segment-local;
+        :meth:`_install_segments` shifts them by the segment base.
+        Gids resolve here, so a batch resolves them in install order.
         """
         sids = list(circuit.services.keys())
         local = {(circuit.name, sid): i for i, sid in enumerate(sids)}
@@ -589,7 +634,7 @@ class DataPlane:
             compiled operator parameter (domain, pmatch, factor) is
             bitwise-identical to the unreplicated circuit's.
             """
-            info = getattr(service, "replica", None)
+            info = service.replica
             if info is not None and not info.is_merge:
                 return info.in_rates, info.out_rate
             outs = outgoing[sid]
@@ -620,7 +665,7 @@ class DataPlane:
         gid_keys: list[tuple[str, str]] = []
         for sid, service in circuit.services.items():
             op = local[(circuit.name, sid)]
-            info = getattr(service, "replica", None)
+            info = service.replica
             if info is not None and not info.is_merge:
                 op_replicas[op] = info.count
                 tgt_group[op] = info.count
@@ -661,7 +706,7 @@ class DataPlane:
                 first = outgoing[sid][0]
                 rate = first.rate
                 tgt = circuit.services[first.target]
-                tgt_info = getattr(tgt, "replica", None)
+                tgt_info = tgt.replica
                 if tgt_info is not None and not tgt_info.is_merge:
                     # Out-links were expanded into k split links; the
                     # source's emission rate is the family in-rate of
@@ -696,263 +741,40 @@ class DataPlane:
         link_index = tgt_index[link_dst]
         return {
             "sids": sids,
-            "kind": kind,
-            "in_deg": in_deg,
-            "op_sel": op_sel,
-            "op_factor": op_factor,
-            "op_pmatch": op_pmatch,
-            "op_domain": op_domain,
-            "op_replicas": op_replicas,
-            "slack": slack,
-            "out_deg": out_deg,
-            "out_offsets": out_offsets,
-            "link_dst": link_dst,
-            "link_port": link_port,
-            "link_src": link_src,
-            "link_group": link_group,
-            "link_index": link_index,
             "link_names": link_names,
-            "src_ops": src_ops,
-            "src_rate": src_rate,
-            "src_domain": src_domain,
-            "gid_keys": gid_keys,
+            "_kind": kind,
+            "_in_deg": in_deg,
+            "_op_sel": op_sel,
+            "_op_factor": op_factor,
+            "_op_pmatch": op_pmatch,
+            "_op_domain": op_domain,
+            "_op_replicas": op_replicas,
+            "_slack": slack,
+            "_out_deg": out_deg,
+            "_out_offsets": out_offsets[:-1],
+            "_is_sink": (out_deg == 0) & (in_deg > 0),
+            "_kind_cost": self._model.kind_costs()[kind],
+            "_gid": np.asarray(
+                [self._resolve_gid(k) for k in gid_keys], dtype=np.int64
+            ),
+            "_agg_credit": np.zeros(n),
+            "_link_dst": link_dst,
+            "_link_port": link_port,
+            "_link_src_op": link_src,
+            "_link_group": link_group,
+            "_link_index": link_index,
+            "_link_tuples": np.zeros(num_links, dtype=np.int64),
+            "_link_size": np.zeros(num_links),
+            "_src_ops": np.asarray(src_ops, dtype=np.int64),
+            "_src_rate": np.asarray(src_rate, dtype=np.float64),
+            "_src_domain": np.asarray(src_domain, dtype=np.float64),
         }
-
-    def _compile(self, remap_from: dict | None, reason: str = "replaced") -> int:
-        """Full (re)build of the arena from the overlay's circuit set.
-
-        ``remap_from`` is the previous ``(circuit, sid) -> op`` index
-        when recompiling; surviving state (in-flight tuples, join
-        state, aggregate credit, compiled parameters, global op ids)
-        is carried over, and tuples of uninstalled circuits are
-        dropped with accounting.  Returns the number dropped.
-
-        Compiled parameters of identity-surviving circuits are
-        *preserved* (not re-derived), matching segment install /
-        tombstone: an executing data plane keeps its compiled realized
-        behavior across structural changes of *other* circuits.
-        """
-        old_credit = getattr(self, "_agg_credit", None)
-        old_num_ops = getattr(self, "_num_ops", 0)
-        survivors: dict[tuple[str, str], int] = {}
-        old_cols = old_src = None
-        old_services: dict[tuple[str, str], object] = {}
-        if remap_from is not None:
-            self._fold_link_stats()
-            self.recompiles += 1
-            self._tick_recompiles += 1
-            _LOG.debug(
-                "data-plane full recompile (%s): %d circuits installed",
-                reason,
-                len(self.overlay.circuits),
-            )
-            # Service snapshot of the outgoing compile — scale-event
-            # detection diffs replica families old vs new.
-            for c in self._compiled_circuits:
-                for sid, svc in c.services.items():
-                    old_services[(c.name, sid)] = svc
-            old_by_name = {c.name: c for c in self._compiled_circuits}
-            for key, old_i in remap_from.items():
-                if old_by_name.get(key[0]) is self.overlay.circuits.get(key[0]):
-                    survivors[key] = old_i
-            old_cols = (
-                self._op_sel,
-                self._op_factor,
-                self._op_pmatch,
-                self._op_domain,
-                self._slack,
-                self._gid,
-            )
-            old_src = (self._src_pos, self._src_rate, self._src_domain)
-
-        circuits = list(self.overlay.circuits.values())
-        segs = [self._derive_circuit(c) for c in circuits]
-        op_index: dict[tuple[str, str], int] = {}
-        names_of_op: list[tuple[str, str]] = []
-        for circuit, seg in zip(circuits, segs):
-            for sid in seg["sids"]:
-                op_index[(circuit.name, sid)] = len(op_index)
-                names_of_op.append((circuit.name, sid))
-        num_ops = len(op_index)
-
-        def cat(key: str, dtype) -> np.ndarray:
-            if not segs:
-                return np.zeros(0, dtype=dtype)
-            return np.concatenate([s[key] for s in segs])
-
-        kind = cat("kind", np.int8)
-        in_deg = cat("in_deg", np.int64)
-        op_sel = cat("op_sel", np.float64)
-        op_factor = cat("op_factor", np.float64)
-        op_pmatch = cat("op_pmatch", np.float64)
-        op_domain = cat("op_domain", np.float64)
-        op_replicas = cat("op_replicas", np.int64)
-        slack = cat("slack", np.int64)
-        out_deg = cat("out_deg", np.int64)
-        link_group = cat("link_group", np.int64)
-        link_index = cat("link_index", np.int64)
-
-        # Global CSR assembly: each segment's link rows shift by its
-        # bases; grouping by source op in row order is preserved.
-        op_bases = np.zeros(len(segs), dtype=np.int64)
-        link_bases = np.zeros(len(segs), dtype=np.int64)
-        ob = lb = 0
-        for i, seg in enumerate(segs):
-            op_bases[i] = ob
-            link_bases[i] = lb
-            ob += len(seg["sids"])
-            lb += int(seg["out_offsets"][-1])
-        num_links = lb
-        if segs:
-            link_dst = np.concatenate(
-                [s["link_dst"] + b for s, b in zip(segs, op_bases)]
-            )
-            link_src_op = np.concatenate(
-                [s["link_src"] + b for s, b in zip(segs, op_bases)]
-            )
-            link_port = cat("link_port", np.int64)
-            out_offsets = np.concatenate(
-                [s["out_offsets"][:-1] + b for s, b in zip(segs, link_bases)]
-            )
-            src_ops = np.concatenate(
-                [
-                    np.asarray(s["src_ops"], dtype=np.int64) + b
-                    for s, b in zip(segs, op_bases)
-                ]
-            )
-            src_rate = np.concatenate(
-                [np.asarray(s["src_rate"], dtype=np.float64) for s in segs]
-            )
-            src_domain = np.concatenate(
-                [np.asarray(s["src_domain"], dtype=np.float64) for s in segs]
-            )
-        else:
-            link_dst = np.zeros(0, dtype=np.int64)
-            link_src_op = np.zeros(0, dtype=np.int64)
-            link_port = np.zeros(0, dtype=np.int64)
-            out_offsets = np.zeros(0, dtype=np.int64)
-            src_ops = np.zeros(0, dtype=np.int64)
-            src_rate = np.zeros(0, dtype=np.float64)
-            src_domain = np.zeros(0, dtype=np.float64)
-        link_names: list[tuple[str, str, str]] = []
-        for seg in segs:
-            link_names.extend(seg["link_names"])
-        src_pos = {int(op): i for i, op in enumerate(src_ops)}
-
-        # Stable global op ids: survivors keep theirs (the hash salt
-        # must not change when rows move), fresh ops resolve through
-        # the persistent gid-key registry — identically on the full
-        # rebuild and segment install, so hash decisions never depend
-        # on how the arena was assembled.
-        # Replica siblings share their base's gid key, so a family's
-        # salts equal the unreplicated op's across every scale event.
-        gid_keys_all: list[tuple[str, str]] = []
-        for seg in segs:
-            gid_keys_all.extend(seg["gid_keys"])
-        gid = np.zeros(num_ops, dtype=np.int64)
-        for key, new_i in op_index.items():
-            old_i = survivors.get(key)
-            if old_i is None:
-                gid[new_i] = self._resolve_gid(gid_keys_all[new_i])
-                continue
-            gid[new_i] = old_cols[5][old_i]
-            op_sel[new_i] = old_cols[0][old_i]
-            op_factor[new_i] = old_cols[1][old_i]
-            op_pmatch[new_i] = old_cols[2][old_i]
-            op_domain[new_i] = old_cols[3][old_i]
-            slack[new_i] = old_cols[4][old_i]
-            old_pos = old_src[0].get(old_i)
-            if old_pos is not None:
-                new_pos = src_pos.get(new_i)
-                if new_pos is not None:
-                    src_rate[new_pos] = old_src[1][old_pos]
-                    src_domain[new_pos] = old_src[2][old_pos]
-
-        self._op_index = op_index
-        self._num_ops = num_ops
-        self._kind = kind
-        self._kind_cost = self._model.kind_costs()[kind]
-        self._op_names = names_of_op
-        self._is_sink = (out_deg == 0) & (in_deg > 0)
-        self._out_deg = out_deg
-        self._out_offsets = out_offsets
-        self._link_dst = link_dst
-        self._link_port = link_port
-        self._link_src_op = link_src_op
-        self._link_names = link_names
-        self._link_tuples = np.zeros(num_links, dtype=np.int64)
-        self._link_size = np.zeros(num_links, dtype=np.float64)
-        self._op_sel = op_sel
-        self._op_factor = op_factor
-        self._op_pmatch = op_pmatch
-        self._op_domain = op_domain
-        self._op_replicas = op_replicas
-        self._in_deg = in_deg
-        self._slack = slack
-        self._gid = gid
-        self._link_group = link_group
-        self._link_index = link_index
-        self._has_partitioned = bool((link_group > 1).any())
-        self._src_ops = src_ops
-        self._src_rate = src_rate
-        self._src_domain = src_domain
-        self._src_pos = src_pos
-        self._agg_credit = np.zeros(num_ops, dtype=np.float64)
-        self.tick_link_tuples = np.zeros(num_links, dtype=np.int64)
-        self._compiled_names = tuple(self.overlay.circuits.keys())
-        # Held by identity: replacing a circuit under the same name is
-        # still a different object and must trigger a recompile.
-        self._compiled_circuits = tuple(circuits)
-
-        # Reset arena bookkeeping: everything compact and live.  A
-        # compile re-keys join state, so the ledger recounts.
-        self._hw_dirty = True
-        self._arena.reset(
-            [
-                (c.name, len(seg["sids"]), int(seg["out_offsets"][-1]))
-                for c, seg in zip(circuits, segs)
-            ]
-        )
-        self._arena_rows = [
-            (c, seg["sids"], self._arena.segments[c.name])
-            for c, seg in zip(circuits, segs)
-        ]
-        self._host_cache = None
-        self._live_links: np.ndarray | None = None
-        self._live_link_names: list[tuple[str, str, str]] = link_names
-
-        dropped = 0
-        if remap_from is not None:
-            key_split, credit_moves = self._scale_transitions(
-                old_services, remap_from, op_index
-            )
-            mapping = np.full(max(old_num_ops, 1), -1, dtype=np.int64)
-            for key, old_i in remap_from.items():
-                new_i = op_index.get(key)
-                if new_i is not None:
-                    mapping[old_i] = new_i
-                    # Members of a changed replica family re-home by key
-                    # bucket instead (a rescale keeps low-index sids in
-                    # both compiles — the plain copy would leave their
-                    # state on a stale key range).
-                    if old_credit is not None and old_i not in key_split:
-                        self._agg_credit[new_i] = old_credit[old_i]
-            if old_credit is not None:
-                for old_i, dest in credit_moves:
-                    self._agg_credit[dest] = (
-                        self._agg_credit[dest] + old_credit[old_i]
-                    ) % 1.0
-            if self._transport is not None:
-                dropped = self._transport.remap_ops(mapping, key_split or None)
-                self.dropped_uninstalled += dropped
-            self._remap_state(mapping, key_split or None)
-        return dropped
 
     def _resolve_gid(self, gid_key: tuple[str, str]) -> int:
         """Persistent gid of a (circuit, service-family) key.
 
         First appearance draws from the monotone counter and registers;
-        later compiles — including replaced circuits and scale events —
+        later installs — including replaced circuits and scale events —
         get the same salt back, keeping hash decisions stable across
         the topology change.
         """
@@ -963,15 +785,13 @@ class DataPlane:
             self._gid_by_key[gid_key] = g
         return g
 
-    def _scale_transitions(
-        self,
-        old_services: dict,
-        remap_from: dict,
-        op_index: dict,
-    ) -> tuple[dict, list]:
-        """Diff replica families across a recompile into key routes.
+    def _scale_transitions(self, carry: dict, swapped) -> tuple[dict, list]:
+        """Diff replica families across a segment swap into key routes.
 
-        Returns ``(key_split, credit_moves)``: ``key_split[old_op] =
+        ``carry`` maps every retired row's ``(circuit, sid)`` to its
+        ``(old row, old service)``; ``swapped`` are the replacement
+        circuits, already gathered into :attr:`_op_index`.  Returns
+        ``(key_split, credit_moves)``: ``key_split[old_op] =
         (targets, port)`` re-homes that op's in-flight tuples and join
         state by key bucket (the same routing rule the hash-router
         applies at send time), covering scale-up (base splits to the
@@ -979,13 +799,13 @@ class DataPlane:
         family), and merge-down (members fold into the restored base;
         the old merge relay's in-flight output forwards to the base's
         downstream target).  ``credit_moves`` carries aggregate credit
-        of split ops into the first target.  Called from the remap
-        block of :meth:`_compile` once the new arrays are assigned.
+        of split ops into the first target.
         """
+        op_index = self._op_index
         new_fams: dict[tuple[str, str], list[int]] = {}
-        for circuit in self._compiled_circuits:
+        for circuit in swapped:
             for sid, svc in circuit.services.items():
-                info = getattr(svc, "replica", None)
+                info = svc.replica
                 if info is None or info.is_merge:
                     continue
                 fam = new_fams.setdefault(
@@ -996,11 +816,10 @@ class DataPlane:
 
         key_split: dict[int, tuple[np.ndarray, int | None]] = {}
         credit_moves: list[tuple[int, int]] = []
-        for key, old_i in remap_from.items():
-            svc = old_services.get(key)
+        for key, (old_i, svc) in carry.items():
             if svc is None:
                 continue
-            info = getattr(svc, "replica", None)
+            info = svc.replica
             if info is None:
                 if key in complete and key not in op_index:
                     # Scale-up: the unreplicated base became a family.
@@ -1077,40 +896,51 @@ class DataPlane:
             if service.kind is ServiceKind.JOIN:
                 slack[op_index[(circuit.name, sid)]] = staleness(sid)
 
-    def _fold_link_stats(self) -> None:
-        for i, name in enumerate(self._link_names):
-            if self._link_tuples[i] or self._link_size[i]:
-                entry = self._link_stats_folded.setdefault(name, [0, 0.0])
-                entry[0] += int(self._link_tuples[i])
-                entry[1] += float(self._link_size[i])
-
     def _sync(self) -> int:
-        current = tuple(self.overlay.circuits.values())
-        if (
-            tuple(self.overlay.circuits.keys()) == self._compiled_names
-            and len(current) == len(self._compiled_circuits)
-            and all(a is b for a, b in zip(current, self._compiled_circuits))
+        """Bring the arena in line with the overlay's circuit set.
+
+        Uninstalls tombstone their segment and installs append one.  A
+        same-name replacement (every scale event) is a *segment swap*:
+        the old segment is retired — tombstoned, its in-flight tuples
+        and join state left in place — and the new circuit is appended
+        with this sync's installs; one compaction then gathers the
+        segments back into overlay order and re-homes the retired rows
+        onto the new ones (:meth:`_compact_arena`).  Only the swapped
+        circuits are derived.  Returns the in-flight tuples dropped.
+        """
+        installed = self.overlay.circuits
+        current = tuple(installed.values())
+        if tuple(installed) == self._compiled_names and all(
+            a is b for a, b in zip(current, self._compiled_circuits)
         ):
             return 0
         old_by_name = dict(zip(self._compiled_names, self._compiled_circuits))
-        for circuit in current:
-            old = old_by_name.get(circuit.name)
-            if old is not None and old is not circuit:
-                # Same-name replacement: the new object's structure may
-                # differ arbitrarily, so rebuild the arena — counted and
-                # logged as a recompile (the churn observable).
-                return self._compile(remap_from=self._op_index, reason="replaced")
         dropped = 0
-        installed = self.overlay.circuits
         for name in self._compiled_names:
             if name not in installed:
                 dropped += self._uninstall_segment(name)
+        carry: dict[tuple[str, str], tuple[int, object]] = {}
+        swapped = []
         for circuit in current:
-            if circuit.name not in old_by_name:
-                self._install_segment(circuit)
-        if self._arena.needs_compaction:
-            self._compact_arena()
-        self._compiled_names = tuple(installed.keys())
+            old = old_by_name.get(circuit.name)
+            if old is None or old is circuit:
+                continue
+            swapped.append(circuit)
+            self.recompiles += 1
+            self._tick_recompiles += 1
+            seg = self._retire_segment(circuit.name)
+            for row in range(seg.op_base, seg.op_base + seg.num_ops):
+                key = self._op_names[row]
+                carry[key] = (row, old.services.get(key[1]))
+        self._install_segments(
+            [c for c in current if old_by_name.get(c.name) is not c]
+        )
+        if swapped or self._arena.needs_compaction:
+            dropped += self._compact_arena(carry, swapped)
+        if swapped:
+            _LOG.debug("data-plane segment swap: %d circuits", len(swapped))
+        self._refresh_live_links()
+        self._compiled_names = tuple(installed)
         self._compiled_circuits = current
         return dropped
 
@@ -1119,99 +949,64 @@ class DataPlane:
     def _refresh_live_links(self) -> None:
         """Recompute the live-link index + published key list.
 
-        Called after any segment install or tombstone; the fresh list
-        identity signals estimator column caches to rebuild.
+        Called once per structural sync; the fresh list identity
+        signals estimator column caches to rebuild.
         """
         self._live_links = self._arena.live_link_rows()
         self._live_link_names = [self._link_names[i] for i in self._live_links]
 
-    def _install_segment(self, circuit) -> None:
-        """Append one circuit as a new live segment at the arena end."""
-        seg_cols = self._derive_circuit(circuit)
-        sids = seg_cols["sids"]
-        n = len(sids)
-        n_links = int(seg_cols["out_offsets"][-1])
-        seg = self._arena.append(circuit.name, n, n_links)
-        base, link_base = seg.op_base, seg.link_base
-        cat = np.concatenate
-        self._kind = cat((self._kind, seg_cols["kind"]))
-        self._in_deg = cat((self._in_deg, seg_cols["in_deg"]))
-        self._op_sel = cat((self._op_sel, seg_cols["op_sel"]))
-        self._op_factor = cat((self._op_factor, seg_cols["op_factor"]))
-        self._op_pmatch = cat((self._op_pmatch, seg_cols["op_pmatch"]))
-        self._op_domain = cat((self._op_domain, seg_cols["op_domain"]))
-        self._op_replicas = cat((self._op_replicas, seg_cols["op_replicas"]))
-        self._slack = cat((self._slack, seg_cols["slack"]))
-        self._out_deg = cat((self._out_deg, seg_cols["out_deg"]))
-        self._out_offsets = cat(
-            (self._out_offsets, seg_cols["out_offsets"][:-1] + link_base)
-        )
-        self._is_sink = cat(
-            (
-                self._is_sink,
-                (seg_cols["out_deg"] == 0) & (seg_cols["in_deg"] > 0),
-            )
-        )
-        self._kind_cost = self._model.kind_costs()[self._kind]
-        self._gid = cat(
-            (
-                self._gid,
-                np.asarray(
-                    [self._resolve_gid(k) for k in seg_cols["gid_keys"]],
-                    dtype=np.int64,
-                ).reshape(n),
-            )
-        )
-        self._agg_credit = cat((self._agg_credit, np.zeros(n)))
-        self._link_dst = cat((self._link_dst, seg_cols["link_dst"] + base))
-        self._link_port = cat((self._link_port, seg_cols["link_port"]))
-        self._link_src_op = cat((self._link_src_op, seg_cols["link_src"] + base))
-        self._link_group = cat((self._link_group, seg_cols["link_group"]))
-        self._link_index = cat((self._link_index, seg_cols["link_index"]))
-        self._has_partitioned = bool((self._link_group > 1).any())
-        self._link_names.extend(seg_cols["link_names"])
-        self._link_tuples = cat(
-            (self._link_tuples, np.zeros(n_links, dtype=np.int64))
-        )
-        self._link_size = cat((self._link_size, np.zeros(n_links)))
-        for i, sid in enumerate(sids):
-            self._op_index[(circuit.name, sid)] = base + i
-            self._op_names.append((circuit.name, sid))
-        if seg_cols["src_ops"]:
-            self._src_ops = cat(
-                (
-                    self._src_ops,
-                    np.asarray(seg_cols["src_ops"], dtype=np.int64) + base,
-                )
-            )
-            self._src_rate = cat(
-                (
-                    self._src_rate,
-                    np.asarray(seg_cols["src_rate"], dtype=np.float64),
-                )
-            )
-            self._src_domain = cat(
-                (
-                    self._src_domain,
-                    np.asarray(seg_cols["src_domain"], dtype=np.float64),
-                )
-            )
-            self._src_pos = {int(op): i for i, op in enumerate(self._src_ops)}
-        self._hw_append(n, seg_cols["slack"])
-        self._num_ops = self._arena.num_ops
-        if self._host_cache is not None:
-            self._host_cache = cat(
-                (self._host_cache, np.zeros(n, dtype=np.int64))
-            )
-        self._arena_rows.append((circuit, sids, seg))
-        self._refresh_live_links()
+    def _install_segments(self, circuits) -> None:
+        """Append circuits as new live segments at the arena end, in order.
 
-    def _uninstall_segment(self, name: str) -> int:
-        """Tombstone one circuit's segment; returns in-flight drops."""
+        Each circuit is derived once, then every column grows with one
+        concatenate for the whole batch (a concatenate per circuit
+        would make an N-circuit build quadratic in copies).  Gids
+        resolve in batch order, which is overlay order.
+        """
+        if not circuits:
+            return
+        parts = {
+            name: [getattr(self, name)]
+            for name in (*_OP_COLUMNS, *_LINK_COLUMNS, *_SRC_COLUMNS)
+        }
+        for circuit in circuits:
+            cols = self._derive_circuit(circuit)
+            sids = cols["sids"]
+            seg = self._arena.append(circuit.name, len(sids), len(cols["link_names"]))
+            base = seg.op_base
+            cols["_out_offsets"] += seg.link_base
+            for name in ("_link_dst", "_link_src_op", "_src_ops"):
+                cols[name] += base
+            for name, col in parts.items():
+                col.append(cols[name])
+            self._link_names.extend(cols["link_names"])
+            for i, sid in enumerate(sids):
+                self._op_index[(circuit.name, sid)] = base + i
+                self._op_names.append((circuit.name, sid))
+            self._arena_rows.append((circuit, sids, seg))
+        added = self._arena.num_ops - self._num_ops
+        self._hw_append(added, np.concatenate(parts["_slack"][1:]))
+        for name, cols in parts.items():
+            setattr(self, name, np.concatenate(cols))
+        self._num_ops = self._arena.num_ops
+        self._has_partitioned = bool((self._link_group > 1).any())
+        self._src_pos = {int(op): i for i, op in enumerate(self._src_ops)}
+        if self._host_cache is not None:
+            self._host_cache = np.concatenate(
+                (self._host_cache, np.zeros(added, dtype=np.int64))
+            )
+
+    def _retire_segment(self, name: str) -> ArenaSegment:
+        """Tombstone one circuit's segment, leaving its tuples and state.
+
+        Folds the segment's measured per-link stats, unindexes its ops
+        and drops its sources; what becomes of the rows' in-flight
+        tuples, join state and aggregate credit is the caller's
+        (dropped on uninstall, re-homed by a swap's compaction).
+        """
         seg = self._arena.tombstone(name)
         op_end = seg.op_base + seg.num_ops
         link_end = seg.link_base + seg.num_links
-        # Fold the segment's measured per-link stats before zeroing.
         for i in range(seg.link_base, link_end):
             if self._link_tuples[i] or self._link_size[i]:
                 entry = self._link_stats_folded.setdefault(
@@ -1221,26 +1016,28 @@ class DataPlane:
                 entry[1] += float(self._link_size[i])
         self._link_tuples[seg.link_base : link_end] = 0
         self._link_size[seg.link_base : link_end] = 0.0
-        self._agg_credit[seg.op_base : op_end] = 0.0
         for row in range(seg.op_base, op_end):
             self._op_index.pop(self._op_names[row], None)
         # Sources stay *compact* (not tombstoned): the per-tick Poisson
-        # draw consumes the source-rate vector in row order, which must
-        # equal a full recompile's install-order vector exactly.
+        # draw consumes the source-rate vector in row order.
         src_dead = (self._src_ops >= seg.op_base) & (self._src_ops < op_end)
         if src_dead.any():
             keep = ~src_dead
-            self._src_ops = self._src_ops[keep]
-            self._src_rate = self._src_rate[keep]
-            self._src_domain = self._src_domain[keep]
+            for name in _SRC_COLUMNS:
+                setattr(self, name, getattr(self, name)[keep])
             self._src_pos = {int(op): i for i, op in enumerate(self._src_ops)}
+        self._arena_rows = [r for r in self._arena_rows if r[2] is not seg]
+        return seg
+
+    def _uninstall_segment(self, name: str) -> int:
+        """Tombstone one circuit's segment; returns in-flight drops."""
+        seg = self._retire_segment(name)
+        self._agg_credit[seg.op_base : seg.op_base + seg.num_ops] = 0.0
         dropped = 0
         if self._transport is not None:
             dropped = self._transport.remap_ops(self._arena.op_mapping())
             self.dropped_uninstalled += dropped
         self._drop_dead_state()
-        self._arena_rows = [r for r in self._arena_rows if r[2] is not seg]
-        self._refresh_live_links()
         return dropped
 
     def _drop_dead_state(self) -> None:
@@ -1259,7 +1056,7 @@ class DataPlane:
                 self._hw_deaths[:, dead] = 0
             ring = []
             for ch in self._ring:
-                keep = alive[(ch.comp >> _U(33)).astype(np.int64)]
+                keep = alive[(ch.comp >> U64(33)).astype(np.int64)]
                 if keep.all():
                     ring.append(ch)
                 elif keep.any():
@@ -1271,7 +1068,7 @@ class DataPlane:
                     )
             self._ring = ring
             if self._epb_comp.size:
-                keep = alive[(self._epb_comp >> _U(33)).astype(np.int64)]
+                keep = alive[(self._epb_comp >> U64(33)).astype(np.int64)]
                 if not keep.all():
                     self._epb_comp = self._epb_comp[keep]
                     self._epb_ts = self._epb_ts[keep]
@@ -1286,77 +1083,86 @@ class DataPlane:
                 if alive[key[0]]
             }
 
-    def _compact_arena(self) -> None:
-        """Gather live rows over every column; unobservable in records.
+    def _compact_arena(self, carry: dict, swapped) -> int:
+        """Gather the live segments into overlay order over every column.
 
-        Global op ids (the hash salts) move with their rows, state and
-        in-flight tuples are remapped with the order-preserving
-        old->new mapping, and the published live-link key list keeps
-        its identity (contents are unchanged), so estimator caches and
-        every subsequent :class:`TrafficRecord` are unaffected.
+        Global op ids (the hash salts) move with their rows, and state
+        and in-flight tuples are remapped old->new.  Without a swap
+        (empty ``carry``) the live order is unchanged and compaction is
+        unobservable in records.  With one, ``carry`` maps each retired
+        row's ``(circuit, sid)`` to ``(old row, old service)``: the
+        retired row's tuples, join state and aggregate credit move to
+        the replacement's row of the same sid, or by key bucket where
+        the replica family changed (:meth:`_scale_transitions`).
+        Returns the in-flight tuples dropped (retired rows with no
+        successor).
         """
-        op_gather, link_gather, op_map, _link_map = self._arena.compaction()
-        for attr in (
-            "_kind",
-            "_in_deg",
-            "_op_sel",
-            "_op_factor",
-            "_op_pmatch",
-            "_op_domain",
-            "_op_replicas",
-            "_slack",
-            "_out_deg",
-            "_is_sink",
-            "_kind_cost",
-            "_gid",
-            "_agg_credit",
-        ):
-            setattr(self, attr, getattr(self, attr)[op_gather])
-        self._link_dst = op_map[self._link_dst[link_gather]]
-        self._link_src_op = op_map[self._link_src_op[link_gather]]
-        self._link_port = self._link_port[link_gather]
-        self._link_group = self._link_group[link_gather]
-        self._link_index = self._link_index[link_gather]
-        self._has_partitioned = bool((self._link_group > 1).any())
-        self._link_names = [self._link_names[i] for i in link_gather]
-        self._link_tuples = self._link_tuples[link_gather]
-        self._link_size = self._link_size[link_gather]
+        op_gather, link_gather, op_map, _link_map = self._arena.compaction(
+            tuple(self.overlay.circuits)
+        )
+        old_credit = self._agg_credit
+        for name in _OP_COLUMNS:
+            setattr(self, name, getattr(self, name)[op_gather])
+        for name in _LINK_COLUMNS:
+            setattr(self, name, getattr(self, name)[link_gather])
+        self._link_dst = op_map[self._link_dst]
+        self._link_src_op = op_map[self._link_src_op]
         # Live link rows stay grouped by (live) source op in row order,
         # so offsets rebuild from the gathered out-degrees.
-        offsets = np.zeros(op_gather.size + 1, dtype=np.int64)
-        np.cumsum(self._out_deg, out=offsets[1:])
-        self._out_offsets = offsets[:-1]
+        self._out_offsets = np.cumsum(self._out_deg) - self._out_deg
+        self._link_names = [self._link_names[i] for i in link_gather]
         self._op_names = [self._op_names[i] for i in op_gather]
         self._op_index = {name: i for i, name in enumerate(self._op_names)}
+        # A swap's sources were appended last; row order is draw order.
+        src_order = np.argsort(op_map[self._src_ops])
+        for name in _SRC_COLUMNS:
+            setattr(self, name, getattr(self, name)[src_order])
         self._src_ops = op_map[self._src_ops]
         self._src_pos = {int(op): i for i, op in enumerate(self._src_ops)}
+        mapping, key_split = op_map, None
+        if carry:
+            # A swap re-keys join state: the ledger recounts.
+            self._hw_dirty = True
+            key_split, credit_moves = self._scale_transitions(carry, swapped)
+            for key, (old_i, _svc) in carry.items():
+                new_i = self._op_index.get(key)
+                if new_i is None:
+                    continue
+                mapping[old_i] = new_i
+                # Members of a changed replica family re-home by key
+                # bucket instead (a rescale keeps low-index sids on
+                # both sides — the plain copy would leave their state
+                # on a stale key range).
+                if old_i not in key_split:
+                    self._agg_credit[new_i] = old_credit[old_i]
+            for old_i, dest in credit_moves:
+                self._agg_credit[dest] = (
+                    self._agg_credit[dest] + old_credit[old_i]
+                ) % 1.0
+        dropped = 0
         if self._transport is not None:
-            self._transport.remap_ops(op_map)  # all live: drops nothing
+            dropped = self._transport.remap_ops(mapping, key_split or None)
+            self.dropped_uninstalled += dropped
         if self._hw_valid():
             pairs = (2 * op_gather[:, None] + np.arange(2)).ravel()
             self._hw_counts = self._hw_counts[pairs]
             self._hw_deaths = self._hw_deaths[:, pairs]
-        self._remap_state(op_map)
+        self._remap_state(mapping, key_split or None)
         if self._host_cache is not None:
             self._host_cache = self._host_cache[op_gather]
-        live_names = self._live_link_names
         self._arena.apply_compaction()
         self._num_ops = self._arena.num_ops
-        self._live_links = self._arena.live_link_rows()
-        # Contents and order of the live links are unchanged by
-        # compaction; keeping the published list identity keeps
-        # estimator column caches valid (compaction is unobservable).
-        self._live_link_names = live_names
         _LOG.debug(
             "arena compacted: %d ops / %d links live",
             self._num_ops,
             len(self._link_names),
         )
+        return dropped
 
     def _remap_state(
         self, mapping: np.ndarray, key_split: dict | None = None
     ) -> None:
-        """Re-address join state after a recompile (both step paths).
+        """Re-address join state after a compaction (both step paths).
 
         ``key_split`` (see the transports) re-homes split ops' state by
         key bucket — the partition each key's state lands on is the
@@ -1378,11 +1184,11 @@ class DataPlane:
             ts0 = np.concatenate([ch.ts for ch in self._ring])
             size0 = np.concatenate([ch.size for ch in self._ring])
             self._ring = []
-            ops = (comp0 >> _U(33)).astype(np.int64)
-            rest = comp0 & _U((1 << 33) - 1)
+            ops = (comp0 >> U64(33)).astype(np.int64)
+            rest = comp0 & U64((1 << 33) - 1)
             new_ops = mapping[ops]
             if key_split:
-                keys = (comp0 & _U((1 << 32) - 1)).astype(np.int64)
+                keys = (comp0 & U64((1 << 32) - 1)).astype(np.int64)
                 for old, (targets, _port) in key_split.items():
                     mask = ops == old
                     if not mask.any():
@@ -1392,7 +1198,7 @@ class DataPlane:
                     ]
             keep = new_ops >= 0
             # Stored expiries are recomputed against the *new* slack
-            # column (placement-dependent, refreshed by the compile);
+            # column (placement-dependent, re-derived by a swap);
             # the scalar oracle derives its eviction threshold from the
             # live slack every tick, so the remapped ring must too.
             new_ops = new_ops[keep]
@@ -1402,7 +1208,7 @@ class DataPlane:
             if not live.all():
                 new_ops, ts0, e = new_ops[live], ts0[live], e[live]
                 keep = np.flatnonzero(keep)[live]
-            comp = (new_ops.astype(_U) << _U(33)) | rest[keep]
+            comp = (new_ops.astype(U64) << U64(33)) | rest[keep]
             if comp.size:
                 order = np.argsort(comp, kind="stable")
                 self._ring = [
@@ -1506,7 +1312,7 @@ class DataPlane:
 
         Deterministic (no RNG) and applied identically by both step
         paths, so twin data planes remain tick-for-tick equivalent; the
-        specs re-assert themselves after recompiles because this runs
+        specs re-assert themselves after segment swaps because this runs
         at the start of every tick.
         """
         for spec in self.config.drift:
@@ -1542,9 +1348,7 @@ class DataPlane:
         traffic but must not leak into the control plane's estimator.
         """
         diff = self._link_tuples - self._snap_link
-        self.tick_link_tuples = (
-            diff if self._live_links is None else diff[self._live_links]
-        )
+        self.tick_link_tuples = diff[self._live_links]
         self.tick_node_drops = self.dropped_by_node - self._snap_drops
         self.tick_node_processed = self.processed_by_node - self._snap_processed
         self.tick_node_kind_processed = (
@@ -1605,7 +1409,7 @@ class DataPlane:
             levels = [(ch.comp, ch.e) for ch in self._ring]
             levels.append((self._epb_comp, self._epb_e))
             for comp, e in levels:
-                idx = (comp[e >= now] >> _U(32)).astype(np.int64)
+                idx = (comp[e >= now] >> U64(32)).astype(np.int64)
                 if idx.size:
                     counts += np.bincount(idx, minlength=2 * self._num_ops)
         elif self._mode == "heap":
@@ -1633,7 +1437,7 @@ class DataPlane:
     # ops' columns — exactly the rows ``_drop_dead_state`` removes;
     # compaction gathers the columns by (op, side) pair like every
     # other op column.  Only what re-keys join state marks the ledger
-    # dirty — a compile (same-name replacement, scale events) and
+    # dirty — a segment swap (same-name replacement, scale events) and
     # ``set_load_model`` — and the next price computation recounts it
     # from state (:meth:`_hw_rebuild`).
 
@@ -1678,7 +1482,7 @@ class DataPlane:
             if not live.all():
                 comp = comp[live]
                 e = e[live]
-            opside = (comp >> _U(32)).astype(np.int64)
+            opside = (comp >> U64(32)).astype(np.int64)
             if opside.size:
                 counts += np.bincount(opside, minlength=num2)
                 np.add.at(self._hw_deaths, (e % self._hw_h, opside), 1)
@@ -1690,12 +1494,12 @@ class DataPlane:
         if not self._hw_valid():
             return
         if e_sched.size and int(e_sched.max()) - self._hw_clock >= self._hw_h:
-            # Horizon outgrown — installs widen it and compiles
+            # Horizon outgrown — installs widen it and swaps
             # recount, so this is a safety net: rebuild at the next
             # pricing rather than alias two expiry ticks.
             self._hw_dirty = True
             return
-        opside = (comp >> _U(32)).astype(np.int64)
+        opside = (comp >> U64(32)).astype(np.int64)
         self._hw_counts += np.bincount(opside, minlength=self._hw_counts.size)
         np.add.at(self._hw_deaths, (e_sched % self._hw_h, opside), 1)
 
@@ -2317,7 +2121,7 @@ class DataPlane:
         """
         if op.size == 0 or (not self._ring and not self._epb_comp.size):
             return None
-        qcomp = (op.astype(_U) << _U(33)) | (_U(side) << _U(32)) | key.astype(_U)
+        qcomp = (op.astype(U64) << U64(33)) | (U64(side) << U64(32)) | key.astype(U64)
         now = self.tick
         arange_q = np.arange(op.size)
         hits: list[tuple] = []
@@ -2427,7 +2231,7 @@ class DataPlane:
         O(state)); the epoch ring absorbs it when the buffer seals."""
         if op.size == 0:
             return
-        comp = (op.astype(_U) << _U(33)) | (_U(side) << _U(32)) | key.astype(_U)
+        comp = (op.astype(U64) << U64(33)) | (U64(side) << U64(32)) | key.astype(U64)
         # Stored expiry, clamped up to the insert tick: rows dead on
         # arrival stay probe-visible until the next tick start, exactly
         # as under eager tick-start eviction.
@@ -2905,8 +2709,8 @@ class DataPlane:
         order :attr:`tick_link_tuples` reports counts.
 
         The returned list object is reused until the next structural
-        change (compaction keeps it: live contents are unchanged), so
-        estimators can cache index maps keyed by its identity.
+        sync (install, uninstall or segment swap), so estimators can
+        cache index maps keyed by its identity.
         """
         return self._live_link_names
 
@@ -2966,14 +2770,9 @@ class DataPlane:
                 pending[dst] -= 1
                 if pending[dst] == 0:
                     ready.append(dst)
-        rows = (
-            range(len(self._link_names))
-            if self._live_links is None
-            else self._live_links
-        )
         return {
             name: float(out_rate[self._link_src_op[i]] / self._link_group[i])
-            for i, name in zip(rows, self._live_link_names)
+            for i, name in zip(self._live_links, self._live_link_names)
         }
 
     def measured_usage_rate(self) -> float:
@@ -2985,12 +2784,7 @@ class DataPlane:
         out: dict[tuple[str, str, str], dict[str, float]] = {}
         for name, (tuples, sized) in self._link_stats_folded.items():
             out[name] = {"tuples": float(tuples), "size": sized}
-        rows = (
-            range(len(self._link_names))
-            if self._live_links is None
-            else self._live_links
-        )
-        for i, name in zip(rows, self._live_link_names):
+        for i, name in zip(self._live_links, self._live_link_names):
             entry = out.setdefault(name, {"tuples": 0.0, "size": 0.0})
             entry["tuples"] += float(self._link_tuples[i])
             entry["size"] += float(self._link_size[i])

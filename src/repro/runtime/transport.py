@@ -383,10 +383,12 @@ class ArrayTransport:
         return hits
 
     def remap_ops(self, mapping: np.ndarray, key_split: dict | None = None) -> int:
-        """Re-address in-flight and parked tuples after a recompile.
+        """Re-address in-flight and parked tuples after an arena change.
 
         ``mapping[old_op]`` is the new operator index, or -1 when the
-        operator's circuit was uninstalled.  Tuples bound for removed
+        operator's circuit was uninstalled (an uninstall maps live rows
+        to themselves; a compaction, segment swaps included, maps every
+        live row to its gathered row).  Tuples bound for removed
         operators are dropped *with accounting* (they count as both
         delivered-out-of-the-transport and dropped); everything else is
         re-homed in place.  A dropped slotted row is only marked dead —

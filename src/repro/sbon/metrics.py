@@ -52,10 +52,10 @@ class TickRecord:
             to processed tuple counts under the unit load model).
         cpu_dropped: CPU cost units of admission demand rejected this
             tick (capacity + shed, at the admission price).
-        recompiles: full data-plane arena recompiles this tick — only
-            same-name circuit replacement (scale events included)
-            recompiles; installs and uninstalls append and tombstone
-            arena segments — the observable for compile churn.
+        recompiles: data-plane segment swaps this tick — one per
+            same-name circuit replacement (scale events included);
+            installs and uninstalls append and tombstone arena
+            segments — the observable for compile churn.
     """
 
     tick: int

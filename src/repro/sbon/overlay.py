@@ -411,7 +411,8 @@ class Overlay:
         plane's per-tick source draw consumes, so an executing twin
         pair stays tick-for-tick equivalent across the swap.  The data
         plane notices the new object identity on its next ``_sync`` and
-        recompiles with keyed state re-homing.
+        makes a segment swap: it derives this circuit alone, gathers the
+        new segment into the old one's place and re-homes keyed state.
         """
         old = self.circuits.get(circuit.name)
         if old is None:

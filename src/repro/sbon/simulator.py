@@ -281,9 +281,9 @@ class Simulation:
 
         # 6b. Elastic scaling: the autoscaler folds this tick's measured
         # per-family CPU into its EWMAs and may re-split or merge a
-        # replica family (the data plane recompiles on its next sync,
-        # re-homing in-flight tuples and per-key state).  Decisions are
-        # RNG-free, so scalar/vector twins scale identically.
+        # replica family (the data plane swaps that circuit's segment on
+        # its next sync, re-homing in-flight tuples and per-key state).
+        # Decisions are RNG-free, so scalar/vector twins scale identically.
         if self.autoscaler is not None and traffic is not None:
             if prof is not None:
                 prof.begin("scaling")

@@ -198,7 +198,8 @@ class TestScratchArena:
 class TestCircuitArena:
     def test_append_tombstone_compaction_roundtrip(self):
         arena = CircuitArena(compact_threshold=0.25)
-        arena.reset([("a", 3, 4), ("b", 2, 2), ("c", 4, 5)])
+        for name, n_ops, n_links in (("a", 3, 4), ("b", 2, 2), ("c", 4, 5)):
+            arena.append(name, n_ops, n_links)
         assert arena.num_ops == 9 and arena.num_links == 11
         seg = arena.tombstone("b")
         assert isinstance(seg, ArenaSegment) and seg.op_base == 3
@@ -218,21 +219,46 @@ class TestCircuitArena:
 
     def test_threshold_gate(self):
         arena = CircuitArena(compact_threshold=0.5)
-        arena.reset([("a", 5, 5), ("b", 5, 5)])
+        arena.append("a", 5, 5)
+        arena.append("b", 5, 5)
         arena.tombstone("a")
         assert not arena.needs_compaction  # exactly at 0.5, not above
         arena2 = CircuitArena(compact_threshold=0.25)
-        arena2.reset([("a", 5, 5), ("b", 5, 5)])
+        arena2.append("a", 5, 5)
+        arena2.append("b", 5, 5)
         arena2.tombstone("a")
         assert arena2.needs_compaction
 
     def test_append_after_tombstone_extends_tail(self):
         arena = CircuitArena()
-        arena.reset([("a", 2, 1)])
+        arena.append("a", 2, 1)
         arena.tombstone("a")
         seg = arena.append("b", 3, 2)
         assert seg.op_base == 2 and seg.link_base == 1
         assert arena.live_op_rows().tolist() == [2, 3, 4]
+
+    def test_ordered_compaction_puts_a_swapped_segment_back(self):
+        arena = CircuitArena()
+        for name, n_ops, n_links in (("a", 3, 4), ("b", 2, 2), ("c", 4, 5)):
+            arena.append(name, n_ops, n_links)
+        arena.tombstone("b")
+        arena.append("b", 3, 1)  # the replacement lands at the end
+        op_gather, link_gather, op_map, link_map = arena.compaction(["a", "b", "c"])
+        np.testing.assert_array_equal(op_gather, [0, 1, 2, 9, 10, 11, 5, 6, 7, 8])
+        np.testing.assert_array_equal(
+            link_gather, [0, 1, 2, 3, 11, 6, 7, 8, 9, 10]
+        )
+        assert list(op_map[[9, 10, 11]]) == [3, 4, 5]
+        assert list(op_map[[3, 4]]) == [-1, -1]
+        assert list(link_map[link_gather]) == list(range(10))
+        assert list(arena.segments) == ["a", "b", "c"]
+        arena.apply_compaction()
+        bases = [(s.op_base, s.link_base) for s in arena.segments.values()]
+        assert bases == [(0, 0), (3, 4), (6, 5)]
+        assert arena.num_ops == 10 and arena.num_links == 10
+        assert arena.tombstone_fraction == 0.0
+        with pytest.raises(ValueError):
+            arena.compaction(["a", "c"])
 
     def test_duplicate_segment_rejected(self):
         arena = CircuitArena()
@@ -442,7 +468,6 @@ class TestCompactionUnobservable:
         for ra, rb in zip(a.simulation.series.records, b.simulation.series.records):
             assert_records_equal(ra, rb)
             assert ra.recompiles == rb.recompiles == 0
-        # link_keys() identity survives compaction (estimator contract).
         assert a.data_plane.accounting() == b.data_plane.accounting()
 
     def test_conservation_every_tick_under_churn_and_compaction(self):
@@ -457,6 +482,47 @@ class TestCompactionUnobservable:
                 s.churn_tick(installs=1, uninstalls=1)
         assert s.data_plane.dropped_uninstalled > 0
         assert s.simulation.series.total_delivered() > 0
+
+    @pytest.mark.parametrize("path", ["step", "step_scalar"])
+    def test_segment_swap_restores_the_circuit_position(self, path):
+        """Swapping a circuit for an equal copy is unobservable: the new
+        segment must land back in its circuit's place (the source draw
+        consumes rows in overlay order) and inherit the retired rows'
+        tuples, join state and aggregate credit."""
+
+        def plane():
+            overlay, _ = traffic_overlay(seed=6, num_circuits=4)
+            p = DataPlane(
+                overlay,
+                RuntimeConfig(
+                    seed=5, node_capacity=40.0, load_model=LoadModel(), window=8
+                ),
+            )
+            p._epoch_flush_limit = 16
+            p.sink_log = []
+            return overlay, p
+
+        ov_a, a = plane()
+        _, b = plane()
+        derived = spy(a, "_derive_circuit")
+        for tick in range(30):
+            if tick == 15:
+                ov_a.replace_circuit(ov_a.circuits["q1"].copy())
+            ra, rb = getattr(a, path)(), getattr(b, path)()
+            for name in TRAFFIC_FIELDS:
+                if name != "recompiles":
+                    assert getattr(ra, name) == getattr(rb, name), (tick, name)
+            assert ra.usage == pytest.approx(rb.usage, rel=1e-9, abs=1e-9)
+            if tick == 15:
+                assert ra.recompiles == 1 and len(derived) == 1
+        assert a.recompiles == 1 and b.recompiles == 0
+        assert a.accounting() == b.accounting()
+        assert a.sink_log == b.sink_log and a.sink_log
+        stats_a, stats_b = a.link_stats(), b.link_stats()
+        assert stats_a.keys() == stats_b.keys()
+        for key, sa in stats_a.items():
+            assert sa["tuples"] == stats_b[key]["tuples"]
+            assert sa["size"] == pytest.approx(stats_b[key]["size"], rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
