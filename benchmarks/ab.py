@@ -1,0 +1,176 @@
+"""Paired A/B verdict of the end-to-end benchmark between two commits.
+
+    python benchmarks/ab.py BASE [HEAD] --workload W --seeds 0-9
+
+checks BASE (and HEAD, when given; the working tree otherwise) out into
+a temporary directory with ``git archive``, then runs
+
+    python3 -m bench --workload W --seed N --seconds S --trace 0
+
+(``S`` is ``run_seconds`` from BENCHMARK.json) once per tree for every
+seed, alternating which tree runs first from pair to pair (host drift
+then hits both sides alike).  It prints, per metric, the parent and
+change medians with their quartiles, the median per-pair change/parent
+ratio and "change better in k of n".  The exact metrics
+(``bench.metrics.EXACT``) are compared pair by pair, exactly.  Exits 1
+when any run reports ``correct: false`` or an exact metric differs
+within a pair.
+
+Timings only compare between runs made back to back on one host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
+
+from bench.metrics import END_TO_END, EXACT, PER_LAYER  # noqa: E402
+
+__all__ = ["parse_seeds", "parse_result", "summarize", "main"]
+
+
+def parse_seeds(spec: str) -> list[int]:
+    """``"0-9"`` → 0..9, ``"1,4,7"`` → those, and mixes of both."""
+    seeds: list[int] = []
+    for part in spec.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def parse_result(output: str) -> dict:
+    """The JSON object a ``python3 -m bench`` run prints last."""
+    return json.loads(output.strip().splitlines()[-1])
+
+
+#: Metric name → ``"lower"`` / ``"higher"``.
+BETTER = {
+    **{name: row[1] for name, row in PER_LAYER.items()},
+    **{name: row[1] for name, row in END_TO_END.items()},
+}
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
+    """Judge ``(parent, change)`` result pairs.
+
+    Returns ``{"rows": [...], "incorrect": n, "exact_mismatch": [...]}``
+    where each row holds a metric's parent / change quartiles
+    ``(q1, median, q3)``, the median per-pair ratio change/parent and
+    the number of pairs in which the change was strictly better.
+    """
+    incorrect = sum(
+        1 for pair in pairs for run in pair
+        if not run.get("correct", False) or run.get("failed", 0)
+    )
+    names = [n for n in pairs[0][0]["metrics"] if all(
+        n in run["metrics"] for pair in pairs for run in pair
+    )]
+    rows, mismatch = [], []
+    for name in names:
+        a = np.array([p["metrics"][name]["value"] for p, _ in pairs], dtype=float)
+        b = np.array([c["metrics"][name]["value"] for _, c in pairs], dtype=float)
+        if name in EXACT:
+            mismatch.extend((name, i) for i in np.flatnonzero(a != b).tolist())
+        ratio = float(np.median(b / a)) if a.all() else float("nan")
+        way = better.get(name)
+        wins = None
+        if way is not None:
+            wins = int(((b < a) if way == "lower" else (b > a)).sum())
+        rows.append({
+            "name": name,
+            "unit": pairs[0][0]["metrics"][name].get("unit", ""),
+            "parent": tuple(np.percentile(a, [25, 50, 75]).tolist()),
+            "change": tuple(np.percentile(b, [25, 50, 75]).tolist()),
+            "ratio": ratio,
+            "better": way,
+            "wins": wins,
+        })
+    return {"rows": rows, "incorrect": incorrect, "exact_mismatch": mismatch}
+
+
+def _report(summary: dict, n: int) -> None:
+    print(
+        f"{'metric':<40} {'parent q1 / med / q3':>32} {'change q1 / med / q3':>32}"
+        f" {'ratio':>7}  better"
+    )
+    for row in summary["rows"]:
+        fmt = lambda q: " / ".join(f"{v:.4g}" for v in q)  # noqa: E731
+        wins = "" if row["wins"] is None else f"change better in {row['wins']} of {n}"
+        print(
+            f"{row['name']:<40} {fmt(row['parent']):>32} {fmt(row['change']):>32}"
+            f" {row['ratio']:>7.3f}  {wins}"
+        )
+    exact = ", ".join(EXACT)
+    if summary["exact_mismatch"]:
+        print(f"exact metrics differ: {summary['exact_mismatch']}")
+    else:
+        print(f"exact metrics ({exact}) equal in all {n} pairs")
+    print(f"incorrect or failed runs: {summary['incorrect']}")
+
+
+def _checkout(rev: str, into: Path) -> Path:
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", rev], check=True, capture_output=True
+    ).stdout
+    into.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return into
+
+
+def _run(tree: Path, args, seed: int, seconds: int) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    cmd = [
+        "python3", "-m", "bench", "--workload", args.workload,
+        "--seed", str(seed), "--seconds", str(seconds),
+        "--trace", str(args.trace),
+    ]
+    out = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    try:
+        return parse_result(out.stdout)
+    except (IndexError, ValueError):
+        raise RuntimeError(
+            f"{' '.join(cmd)} in {tree} printed no result:\n{out.stderr[-2000:]}"
+        ) from None
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", help="parent revision")
+    parser.add_argument("head", nargs="?", help="change revision (default: working tree)")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", default="0-9")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    args = parser.parse_args(argv)
+    seeds = parse_seeds(args.seeds)
+    seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        parent = _checkout(args.base, Path(tmp) / "base")
+        change = _checkout(args.head, Path(tmp) / "head") if args.head else ROOT
+        pairs = []
+        for i, seed in enumerate(seeds):
+            if i % 2:
+                c = _run(change, args, seed, seconds)
+                p = _run(parent, args, seed, seconds)
+            else:
+                p = _run(parent, args, seed, seconds)
+                c = _run(change, args, seed, seconds)
+            pairs.append((p, c))
+            print(f"seed {seed}: pair {i + 1} of {len(seeds)} done", flush=True)
+    print(f"{args.workload}: parent {args.base}, change {args.head or 'working tree'}")
+    summary = summarize(pairs, BETTER)
+    _report(summary, len(pairs))
+    return 1 if summary["incorrect"] or summary["exact_mismatch"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

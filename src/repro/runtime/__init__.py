@@ -20,6 +20,9 @@ what the network really carries under churn, hotspots, and migration.
   per-tick measured link/node statistics for the control plane, and
   can drift the realized operator parameters away from the compiled
   estimates (:class:`ParameterDrift`).
+* :mod:`repro.runtime.join_state` — the batched path's windowed join
+  state: one slot table (an append-only row pool chained per
+  (op, side, key) slot, walked newest-first, compacted only when full).
 * :mod:`repro.runtime.arena` — the arena building blocks:
   :class:`CircuitArena` segment bookkeeping (append on install,
   tombstone on uninstall, compact past a dead-row threshold; a scale

@@ -19,12 +19,12 @@ tick, moves actual tuple batches through all of them concurrently:
    retransmit buffer and redelivered once the host returns.
 4. **Operators run in batch** — relays forward, filters hash-thin,
    aggregates decimate with per-operator credit, joins match arrivals
-   against windowed struct-of-arrays state via one composite-key
-   ``searchsorted`` pass over all joins at once.  Join state is an
-   epoch ring — sealed, sorted chunks in two generations plus an
-   append buffer sealed every ``_epoch_flush_limit`` rows — so inserts
-   cost O(batch), not O(state), and eviction drops whole expired
-   chunks.
+   against windowed state in one chain walk per delivery round over
+   all joins at once.  Join state is one slot table
+   (:class:`~repro.runtime.join_state.JoinState`): an append-only row
+   pool chained per (op, side, key) slot, so inserts cost O(batch),
+   eviction is a ledger step, and dead rows leave only when a full
+   pool compacts.
 5. **Results are measured** — sink deliveries, end-to-end tuple
    latencies, per-link carried traffic, and Σ latency over every tuple
    actually sent (the *measured* network usage).  Per-tick per-link
@@ -111,7 +111,7 @@ per-tuple Python loops over a heapq transport and per-key join tables,
 consuming the *same* RNG draws (the per-tick source draw is shared), so
 twin data planes stepped through either path agree exactly — tuple for
 tuple — and the pair is the before/after of the E18 benchmark.  It is
-the one reference of the batched path: the epoch ring, the high-water
+the one reference of the batched path: the slot table, the high-water
 admission ledger and the arena's install / tombstone / compaction are
 each pinned directly to it (``tests/property/test_dataplane_properties.py``,
 ``tests/property/test_arena_properties.py``).  A single instance
@@ -153,6 +153,7 @@ from repro.runtime.hashing import (
     route_bucket,
     route_bucket_int,
 )
+from repro.runtime.join_state import JoinState
 from repro.runtime.transport import ArrayTransport, HeapTransport
 
 _LOG = logging.getLogger(__name__)
@@ -352,7 +353,7 @@ class RuntimeConfig:
             :class:`~repro.runtime.arena.CircuitArena`).
 
     Every field shapes behaviour; none selects an implementation.  The
-    batched path has one layout (epoch-ring join state, high-water
+    batched path has one layout (slot-table join state, high-water
     admission ledger, incrementally maintained arena) and one
     reference, :meth:`DataPlane.step_scalar`.
     """
@@ -433,63 +434,6 @@ class TrafficRecord:
     recompiles: int = 0
 
 
-class _EpochChunk:
-    """One sorted generation of the epoch-ring join state.
-
-    Rows are sorted by composite key; within equal keys they sit in
-    insertion order, and every row of an older chunk was inserted
-    before every equal-key row of a younger one — the invariant that
-    lets cross-chunk rank offsets reproduce the scalar oracle's
-    insertion-order match enumeration exactly.  ``e`` is the stored
-    expiry tick (``ts + window + slack``, clamped up to the insert
-    tick so dead-on-arrival rows stay probe-visible for the remainder
-    of their insert tick, exactly like the oracle, which only
-    evicts at tick starts); a row is live at tick ``now`` iff
-    ``e >= now``.  ``max_e`` gates the O(1) whole-chunk drop;
-    ``min_e`` gates the probe fast path (a chunk with ``min_e >= now``
-    holds no dead rows, so probes skip the liveness mask entirely).
-
-    Because a chunk is immutable between merges, probes amortise a
-    run-index over its lifetime: the distinct composite keys plus the
-    row offset of every run (:meth:`index`).  One binary-search sweep
-    over the distinct keys then replaces two sweeps over all rows —
-    the dominant probe cost at scale.
-    """
-
-    __slots__ = ("comp", "ts", "size", "e", "max_e", "min_e", "_runs")
-
-    def __init__(
-        self,
-        comp: np.ndarray,
-        ts: np.ndarray,
-        size: np.ndarray,
-        e: np.ndarray,
-    ) -> None:
-        self.comp = comp
-        self.ts = ts
-        self.size = size
-        self.e = e
-        self.max_e = int(e.max()) if e.size else -1
-        self.min_e = int(e.min()) if e.size else -1
-        self._runs: tuple[np.ndarray, np.ndarray] | None = None
-
-    def index(self) -> tuple[np.ndarray, np.ndarray]:
-        """(distinct comps, run starts + end sentinel), cached.
-
-        ``starts`` has one more entry than ``uniq``: run ``i`` spans
-        rows ``starts[i]:starts[i + 1]``.
-        """
-        if self._runs is None:
-            comp = self.comp
-            if comp.size:
-                head = np.flatnonzero(comp[1:] != comp[:-1]) + 1
-                starts = np.concatenate(([0], head, [comp.size]))
-                self._runs = (comp[starts[:-1]], starts)
-            else:
-                self._runs = (comp, np.zeros(1, dtype=np.int64))
-        return self._runs
-
-
 class DataPlane:
     """Executes every installed circuit on the overlay, tick for tick."""
 
@@ -540,10 +484,9 @@ class DataPlane:
         # Controller-set per-node shed limits (inf = inactive).
         self._shed = np.full(n, np.inf)
         self._shed_active = 0
-        # Epoch append-buffer seal bound (array path only; the scalar
-        # per-key tables ignore it).  Tests shrink it to force many
-        # seals and generation folds.
-        self._epoch_flush_limit = 2048
+        # Join state of the array path (the scalar path keeps per-key
+        # tables); its slot layout follows every arena change.
+        self._join = JoinState()
         # High-water admission ledger: exact per-(op, side) live-state
         # counts plus a circular death histogram indexed by expiry tick
         # modulo the horizon.  Rebuilt lazily (dirty flag) after any
@@ -986,6 +929,11 @@ class DataPlane:
             self._arena_rows.append((circuit, sids, seg))
         added = self._arena.num_ops - self._num_ops
         self._hw_append(added, np.concatenate(parts["_slack"][1:]))
+        if self._mode != "heap":  # the scalar path keeps per-key tables
+            self._join.extend(
+                np.concatenate(parts["_kind"][1:]),
+                np.concatenate(parts["_op_domain"][1:]),
+            )
         for name, cols in parts.items():
             setattr(self, name, np.concatenate(cols))
         self._num_ops = self._arena.num_ops
@@ -1041,12 +989,13 @@ class DataPlane:
         return dropped
 
     def _drop_dead_state(self) -> None:
-        """Drop join state owned by tombstoned ops.
+        """Forget the state of tombstoned ops.
 
-        Survivor rows keep their composite keys and relative order (the
-        mapping is the identity on live ops), so a mask is enough — no
-        comp rewrite, no re-sort.  The ledger zeroes the dead ops'
-        columns: exactly the rows removed here.
+        The slot table keeps their rows: tombstoned ops receive no
+        tuples, so the rows are never walked, the recounts mask them by
+        ``op_alive``, and the next arena compaction drops them.  The
+        ledger zeroes the dead ops' columns — exactly the rows the
+        recount masks.
         """
         alive = self._arena.op_alive
         if self._mode == "array":
@@ -1054,28 +1003,6 @@ class DataPlane:
                 dead = np.repeat(~alive, 2)
                 self._hw_counts[dead] = 0
                 self._hw_deaths[:, dead] = 0
-            ring = []
-            for ch in self._ring:
-                keep = alive[(ch.comp >> U64(33)).astype(np.int64)]
-                if keep.all():
-                    ring.append(ch)
-                elif keep.any():
-                    ring.append(
-                        _EpochChunk(
-                            ch.comp[keep], ch.ts[keep],
-                            ch.size[keep], ch.e[keep],
-                        )
-                    )
-            self._ring = ring
-            if self._epb_comp.size:
-                keep = alive[(self._epb_comp >> U64(33)).astype(np.int64)]
-                if not keep.all():
-                    self._epb_comp = self._epb_comp[keep]
-                    self._epb_ts = self._epb_ts[keep]
-                    self._epb_size = self._epb_size[keep]
-                    self._epb_e = self._epb_e[keep]
-                    self._epb_sorted = None
-                    self._epb_runs = None
         elif self._mode == "heap" and self._tables:
             self._tables = {
                 key: entries
@@ -1170,55 +1097,7 @@ class DataPlane:
         which is what keeps replicated join results exact across scale
         events.
         """
-        if self._mode == "array":
-            self._flush_epoch(merge=False)
-            if not self._ring:
-                return
-            # Chunks concatenated in ring order preserve global
-            # insertion order within equal composite keys, so one
-            # stable re-sort by the rewritten keys rebuilds a single
-            # chunk with the scalar oracle's enumeration order (split
-            # siblings own disjoint key ranges, so no two old sources
-            # collide under one new key).
-            comp0 = np.concatenate([ch.comp for ch in self._ring])
-            ts0 = np.concatenate([ch.ts for ch in self._ring])
-            size0 = np.concatenate([ch.size for ch in self._ring])
-            self._ring = []
-            ops = (comp0 >> U64(33)).astype(np.int64)
-            rest = comp0 & U64((1 << 33) - 1)
-            new_ops = mapping[ops]
-            if key_split:
-                keys = (comp0 & U64((1 << 32) - 1)).astype(np.int64)
-                for old, (targets, _port) in key_split.items():
-                    mask = ops == old
-                    if not mask.any():
-                        continue
-                    new_ops[mask] = targets[
-                        route_bucket(keys[mask], len(targets))
-                    ]
-            keep = new_ops >= 0
-            # Stored expiries are recomputed against the *new* slack
-            # column (placement-dependent, re-derived by a swap);
-            # the scalar oracle derives its eviction threshold from the
-            # live slack every tick, so the remapped ring must too.
-            new_ops = new_ops[keep]
-            ts0 = ts0[keep]
-            e = ts0 + self.config.window + self._slack[new_ops]
-            live = e >= self.tick
-            if not live.all():
-                new_ops, ts0, e = new_ops[live], ts0[live], e[live]
-                keep = np.flatnonzero(keep)[live]
-            comp = (new_ops.astype(U64) << U64(33)) | rest[keep]
-            if comp.size:
-                order = np.argsort(comp, kind="stable")
-                self._ring = [
-                    _EpochChunk(
-                        comp[order], ts0[order],
-                        size0[keep][order],
-                        e[order].astype(np.int32),
-                    )
-                ]
-        elif self._mode == "heap" and self._tables:
+        if self._mode == "heap":
             split = key_split or {}
             tables: dict = {}
             for (op, side, key), entries in self._tables.items():
@@ -1236,6 +1115,30 @@ class DataPlane:
                 if dest is not entries:
                     dest.extend(entries)
             self._tables = tables
+            return
+        # The slot table is re-laid out for the new op rows; within a
+        # new slot, equal keys come from one old slot (split siblings
+        # own disjoint key ranges), so their position order — their
+        # insertion order — survives the table's (slot, position) sort.
+        pair, key, ts, _e = self._join.rows()
+        ops = pair >> 1
+        new_ops = mapping[ops]
+        if key_split:
+            for old, (targets, _port) in key_split.items():
+                mask = ops == old
+                if mask.any():
+                    new_ops[mask] = targets[route_bucket(key[mask], len(targets))]
+        # Stored expiries are recomputed against the *new* slack column
+        # (placement-dependent, re-derived by a swap); the scalar oracle
+        # derives its eviction threshold from the live slack every
+        # tick, so the remapped rows must too.
+        keep = new_ops >= 0
+        e = ts.astype(np.int64) + self.config.window
+        e[keep] += self._slack[new_ops[keep]]
+        keep &= e >= self.tick
+        self._join.remap(
+            2 * new_ops + (pair & 1), e, keep, self._kind, self._op_domain
+        )
 
     # -- shared per-tick helpers -------------------------------------------
 
@@ -1245,22 +1148,6 @@ class DataPlane:
             bound = self.config.retransmit_buffer if self.config.reliable else 0
             if mode == "array":
                 self._transport = ArrayTransport(self._scratch, bound)
-                # Epoch-ring join state: a ring of sorted chunks (older
-                # first) plus an append buffer carrying stored expiry
-                # ticks; see _flush_epoch / _probe_array.  Tick columns
-                # (ts, e) are int32 — step() refuses a tick whose
-                # expiries would pass 2^31 - 1 (_TICK_LIMIT) — and
-                # halving their width halves the merge and gather
-                # bandwidth of the hottest columns (_pair_bucket casts
-                # operands through uint64, so hashes are unchanged, and
-                # arithmetic against int64 upcasts before any output).
-                self._ring: list[_EpochChunk] = []
-                self._epb_comp = np.empty(0, dtype=np.uint64)
-                self._epb_ts = np.empty(0, dtype=np.int32)
-                self._epb_size = np.empty(0, dtype=np.float64)
-                self._epb_e = np.empty(0, dtype=np.int32)
-                self._epb_sorted: tuple[np.ndarray, np.ndarray] | None = None
-                self._epb_runs: tuple[np.ndarray, np.ndarray] | None = None
             else:
                 self._transport = HeapTransport(bound)
                 self._tables = {}
@@ -1399,23 +1286,24 @@ class DataPlane:
 
         The O(state) full scan: the scalar path's admission pricing and
         the recount the high-water ledger must equal on every clean
-        tick.  On the epoch ring only live rows (``e >= now``) count:
-        they are exactly the rows the eagerly evicting per-key tables
-        still hold.
+        tick.  In the slot table only live rows of live ops count: they
+        are exactly the rows the eagerly evicting per-key tables still
+        hold.
         """
         counts = np.zeros(2 * self._num_ops)
         if self._mode == "array":
-            now = self.tick
-            levels = [(ch.comp, ch.e) for ch in self._ring]
-            levels.append((self._epb_comp, self._epb_e))
-            for comp, e in levels:
-                idx = (comp[e >= now] >> U64(32)).astype(np.int64)
-                if idx.size:
-                    counts += np.bincount(idx, minlength=2 * self._num_ops)
+            pair, _e = self._live_state()
+            counts += np.bincount(pair, minlength=2 * self._num_ops)
         elif self._mode == "heap":
             for (op, side, _key), entries in self._tables.items():
                 counts[2 * op + side] += len(entries)
         return counts.reshape(self._num_ops, 2)
+
+    def _live_state(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pair, expiry) of every live join-state row of a live op."""
+        pair, _key, _ts, e = self._join.rows()
+        live = (e >= self.tick) & self._arena.op_alive[pair >> 1]
+        return pair[live], e[live]
 
     # -- high-water admission ledger ---------------------------------------
     #
@@ -1434,7 +1322,7 @@ class DataPlane:
     # tenant churn costs O(tenant), not a recount.  A segment install
     # appends zero columns (widening the histogram first if the new
     # segment's horizon is longer); an uninstall zeroes the tombstoned
-    # ops' columns — exactly the rows ``_drop_dead_state`` removes;
+    # ops' columns — exactly the rows the recount masks by ``op_alive``;
     # compaction gathers the columns by (op, side) pair like every
     # other op column.  Only what re-keys join state marks the ledger
     # dirty — a segment swap (same-name replacement, scale events) and
@@ -1473,24 +1361,14 @@ class DataPlane:
         self._hw_h = self.config.window + slack_max + 2
         self._hw_deaths = np.zeros((self._hw_h, num2), dtype=np.int64)
         self._hw_clock = now
-        counts = np.zeros(num2, dtype=np.int64)
-        levels = [(ch.comp, ch.e) for ch in self._ring]
-        if self._epb_comp.size:
-            levels.append((self._epb_comp, self._epb_e))
-        for comp, e in levels:
-            live = e >= now
-            if not live.all():
-                comp = comp[live]
-                e = e[live]
-            opside = (comp >> U64(32)).astype(np.int64)
-            if opside.size:
-                counts += np.bincount(opside, minlength=num2)
-                np.add.at(self._hw_deaths, (e % self._hw_h, opside), 1)
-        self._hw_counts = counts
+        pair, e = self._live_state()
+        self._hw_counts = np.bincount(pair, minlength=num2)
+        np.add.at(self._hw_deaths, (e % self._hw_h, pair), 1)
         self._hw_dirty = False
 
-    def _hw_insert(self, comp: np.ndarray, e_sched: np.ndarray) -> None:
-        """Fold one insert batch into the ledger (O(batch), no sort)."""
+    def _hw_insert(self, pair: np.ndarray, e_sched: np.ndarray) -> None:
+        """Fold one insert batch, by (op, side) pair, into the ledger
+        (O(batch), no sort)."""
         if not self._hw_valid():
             return
         if e_sched.size and int(e_sched.max()) - self._hw_clock >= self._hw_h:
@@ -1499,9 +1377,8 @@ class DataPlane:
             # pricing rather than alias two expiry ticks.
             self._hw_dirty = True
             return
-        opside = (comp >> U64(32)).astype(np.int64)
-        self._hw_counts += np.bincount(opside, minlength=self._hw_counts.size)
-        np.add.at(self._hw_deaths, (e_sched % self._hw_h, opside), 1)
+        self._hw_counts += np.bincount(pair, minlength=self._hw_counts.size)
+        np.add.at(self._hw_deaths, (e_sched % self._hw_h, pair), 1)
 
     def _hw_append(self, n: int, slack: np.ndarray) -> None:
         """Give a freshly installed segment's ``n`` ops zero columns.
@@ -1907,135 +1784,11 @@ class DataPlane:
         return record
 
     def _evict_state_array(self, now: int) -> None:
-        # O(expired): drop whole chunks whose youngest row expired;
-        # partially-expired chunks stay — their dead rows are invisible
-        # to probes (liveness mask) and to the admission counts, and
-        # are physically shed at the next merge that touches them.
-        if self._ring and any(ch.max_e < now for ch in self._ring):
-            self._ring = [ch for ch in self._ring if ch.max_e >= now]
+        # Expired rows stay in the slot table, invisible to walks and
+        # recounts, until a full pool compacts; only the ledger retires
+        # them here.
         if self._hw_on:
             self._hw_advance(now)
-
-    def _epb_sorted_view(self) -> tuple[np.ndarray, np.ndarray]:
-        """(stable order, sorted comps) view of the epoch buffer, cached."""
-        if self._epb_sorted is None:
-            order = np.argsort(self._epb_comp, kind="stable")
-            self._epb_sorted = (order, self._epb_comp[order])
-        return self._epb_sorted
-
-    def _epb_runs_view(self) -> tuple[np.ndarray, np.ndarray]:
-        """(distinct comps, run starts + sentinel) of the sorted buffer.
-
-        Same layout as :meth:`_EpochChunk.index`, so buffer probes use
-        the identical one-sweep run lookup as ring chunks.
-        """
-        if self._epb_runs is None:
-            _order, comp = self._epb_sorted_view()
-            head = np.flatnonzero(comp[1:] != comp[:-1]) + 1
-            starts = np.concatenate(([0], head, [comp.size]))
-            self._epb_runs = (comp[starts[:-1]], starts)
-        return self._epb_runs
-
-    def _flush_epoch(self, merge: bool = True) -> None:
-        """Seal the append buffer into a fresh youngest chunk.
-
-        Only the batch is sorted (stable, preserving insertion order
-        within equal keys — every row here is younger than every
-        equal-key row already in the ring).  With ``merge`` the ring
-        then rebalances under the two-generation discipline: the
-        sealed chunk folds into the young generation (O(young)), and
-        the young generation folds into the old one only once it
-        reaches a quarter of its size — so probes see at most three
-        sorted levels (old, young, buffer) while each row is copied
-        O(log state) times over its life, instead of an O(state)
-        rewrite per seal.
-        """
-        if self._epb_comp.size:
-            order, comp = self._epb_sorted_view()
-            live = self._epb_e >= self.tick
-            if live.all():
-                chunk = _EpochChunk(
-                    comp, self._epb_ts[order],
-                    self._epb_size[order], self._epb_e[order],
-                )
-            else:
-                keep = order[live[order]]
-                chunk = _EpochChunk(
-                    self._epb_comp[keep], self._epb_ts[keep],
-                    self._epb_size[keep], self._epb_e[keep],
-                )
-            if chunk.comp.size:
-                self._ring.append(chunk)
-            self._epb_comp = np.empty(0, dtype=np.uint64)
-            self._epb_ts = np.empty(0, dtype=np.int32)
-            self._epb_size = np.empty(0, dtype=np.float64)
-            self._epb_e = np.empty(0, dtype=np.int32)
-            self._epb_sorted = None
-            self._epb_runs = None
-        if merge:
-            ring = self._ring
-            if len(ring) > 2:
-                sealed = ring.pop()
-                young = self._merge_chunks(ring.pop(), sealed)
-                if young is not None:
-                    ring.append(young)
-            if len(ring) == 2 and ring[1].comp.size * 4 >= ring[0].comp.size:
-                young = ring.pop()
-                merged = self._merge_chunks(ring.pop(), young, shed=True)
-                if merged is not None:
-                    ring.append(merged)
-
-    def _merge_chunks(
-        self, old: _EpochChunk, young: _EpochChunk, shed: bool = False
-    ) -> _EpochChunk | None:
-        """Merge two adjacent generations (older rows before equal keys).
-
-        With ``shed``, the older side drops its expired rows first —
-        they are invisible to probes and counts, so dropping them here
-        is unobservable; young-side generations skip the check (their
-        dead rows are shed when they eventually reach the old
-        generation).  The two sorted runs then interleave: one
-        ``side="right"`` searchsorted of the younger (smaller) run
-        into the older one places younger rows after equal-key older
-        rows, preserving global insertion order within equal composite
-        keys, and integer placement vectors move both runs (int fancy
-        indexing runs several times faster than np.insert's boolean
-        masks at these sizes).
-        """
-        now = self.tick
-        a, b = old, young
-        if a.max_e < now:
-            a = None
-        elif shed and a.min_e < now:
-            keep = np.flatnonzero(a.e >= now)
-            if keep.size < a.comp.size:
-                a = _EpochChunk(
-                    a.comp[keep], a.ts[keep], a.size[keep], a.e[keep]
-                )
-        if b is not None and b.max_e < now:
-            b = None
-        if a is None:
-            return b
-        if b is None:
-            return a
-        na, nb = a.comp.size, b.comp.size
-        pos_b = np.arange(nb) + np.searchsorted(a.comp, b.comp, side="right")
-        is_b = np.zeros(na + nb, dtype=bool)
-        is_b[pos_b] = True
-        pos_a = np.flatnonzero(~is_b)
-        comp = np.empty(na + nb, dtype=np.uint64)
-        ts = np.empty(na + nb, dtype=np.int32)
-        size = np.empty(na + nb, dtype=np.float64)
-        e = np.empty(na + nb, dtype=np.int32)
-        for out, left, right in (
-            (comp, a.comp, b.comp),
-            (ts, a.ts, b.ts),
-            (size, a.size, b.size),
-            (e, a.e, b.e),
-        ):
-            out[pos_a] = left
-            out[pos_b] = right
-        return _EpochChunk(comp, ts, size, e)
 
     def _process_array(self, op, port, key, ts, size, pos, now):
         """Run one round's kept non-sink arrivals through the operators.
@@ -2082,16 +1835,17 @@ class DataPlane:
                 )
         m = k == _JOIN
         if m.any():
-            p0 = m & (port == 0)
-            p1 = m & (port == 1)
-            pairs = self._probe_array(op[p0], key[p0], ts[p0], size[p0], pos[p0], side=1)
+            # The scalar oracle handles an op's port-0 arrivals before
+            # its port-1 ones: port 1 sees this round's port-0 inserts,
+            # port 0 none of this round's port-1 inserts.
+            jop, jport, jkey, jts, jsize = op[m], port[m], key[m], ts[m], size[m]
+            p0 = jport == 0
+            p1 = ~p0
+            self._insert_state_array(jop[p0], jkey[p0], jts[p0], jsize[p0], side=0)
+            pairs = self._probe_array(jop, jport, jkey, jts, jsize, pos[m])
             if pairs is not None:
                 outs.append(pairs)
-            self._insert_state_array(op[p0], key[p0], ts[p0], size[p0], side=0)
-            pairs = self._probe_array(op[p1], key[p1], ts[p1], size[p1], pos[p1], side=0)
-            if pairs is not None:
-                outs.append(pairs)
-            self._insert_state_array(op[p1], key[p1], ts[p1], size[p1], side=1)
+            self._insert_state_array(jop[p1], jkey[p1], jts[p1], jsize[p1], side=1)
 
         if not outs:
             return None
@@ -2104,111 +1858,24 @@ class DataPlane:
         order = np.lexsort((o_rank, o_pos))
         return o_op[order], o_key[order], o_ts[order], o_size[order]
 
-    def _probe_array(self, op, key, ts, size, pos, side: int):
+    def _probe_array(self, op, port, key, ts, size, pos):
         """Match arrivals against the other side's windowed join state.
 
-        One composite-key ``searchsorted`` per ring level over *all*
-        joins at once.  Each chunk is probed oldest-first, then the
-        append buffer (through its cached stable sort); per-query rank
-        offsets accumulate the *enumerated* candidate count across
-        levels, so live candidates carry strictly increasing ranks in
-        global insertion order — dead rows in partially-expired chunks
-        bump the offsets but never match, and ranks only order outputs,
-        so the canonical ``(input position, match rank)`` output order
-        is bit-identical to the scalar oracle's per-key table walk.
-        Probe costs charge live candidates only (exactly the rows the
-        eagerly evicting oracle still holds).
+        One walk over all joins' arrivals at once (port ``p`` probes
+        side ``1 - p``): each chain is enumerated newest-first and rank
+        is minus the depth, so the canonical ``(input position, match
+        rank)`` output order is the scalar oracle's per-key insertion
+        order.  Probe costs charge every live equal-key row walked —
+        exactly the rows the eagerly evicting oracle still holds.
         """
-        if op.size == 0 or (not self._ring and not self._epb_comp.size):
+        slot = self._join.slots(2 * op + 1 - port, key)
+        rep, rank, sts, ssize = self._join.walk(slot, key, self.tick)
+        if not rep.size:
             return None
-        qcomp = (op.astype(U64) << U64(33)) | (U64(side) << U64(32)) | key.astype(U64)
-        now = self.tick
-        arange_q = np.arange(op.size)
-        hits: list[tuple] = []
-        probes = np.zeros(op.size, dtype=np.int64)
-        base = np.zeros(op.size, dtype=np.int64)
-
-        enumerated = False
-
-        def level(lo, cnt, ts_col, size_col, e_col, all_live, order=None):
-            nonlocal enumerated
-            total = int(cnt.sum())
-            if not total:
-                return
-            rep = np.repeat(arange_q, cnt)
-            starts = np.concatenate(([0], np.cumsum(cnt)[:-1]))
-            within = np.arange(total) - starts[rep]
-            sidx = lo[rep] + within
-            if order is not None:
-                sidx = order[sidx]
-            rank = base[rep] + within if enumerated else within
-            enumerated = True
-            if all_live:
-                hits.append((rep, rank, ts_col[sidx], size_col[sidx]))
-                probes[:] += cnt
-            else:
-                live = e_col[sidx] >= now
-                nlive = int(np.count_nonzero(live))
-                if nlive == total:
-                    hits.append((rep, rank, ts_col[sidx], size_col[sidx]))
-                    probes[:] += cnt
-                elif nlive:
-                    # Dead candidates are the minority: charge the
-                    # full enumeration, then refund them.
-                    probes[:] += cnt
-                    probes[:] -= np.bincount(
-                        rep[~live], minlength=op.size
-                    )
-                    keep = np.flatnonzero(live)
-                    sidx = sidx[keep]
-                    hits.append(
-                        (rep[keep], rank[keep],
-                         ts_col[sidx], size_col[sidx])
-                    )
-            base[:] += cnt
-
-        for ch in self._ring:
-            # One binary-search sweep over the chunk's distinct keys
-            # (amortised over its immutable lifetime) instead of two
-            # row-level sweeps.
-            uniq, starts = ch.index()
-            if not uniq.size:
-                continue
-            j = np.searchsorted(uniq, qcomp, side="left")
-            jc = np.minimum(j, uniq.size - 1)
-            eq = uniq[jc] == qcomp
-            level(
-                starts[jc], (starts[jc + 1] - starts[jc]) * eq,
-                ch.ts, ch.size, ch.e, ch.min_e >= now,
+        if self._model.probe_cost:
+            self._tick_op_cost += self._model.probe_cost * np.bincount(
+                op[rep], minlength=self._num_ops
             )
-        if self._epb_comp.size:
-            border, _bcomp = self._epb_sorted_view()
-            uniq, starts = self._epb_runs_view()
-            j = np.searchsorted(uniq, qcomp, side="left")
-            jc = np.minimum(j, uniq.size - 1)
-            eq = uniq[jc] == qcomp
-            level(
-                starts[jc], (starts[jc + 1] - starts[jc]) * eq,
-                self._epb_ts, self._epb_size, self._epb_e,
-                int(self._epb_e.min()) >= now, border,
-            )
-
-        if self._model.probe_cost and probes.any():
-            # Probes are charged whether or not they produced a match:
-            # every live candidate state row examined costs c₂.
-            self._tick_op_cost += np.bincount(
-                op, weights=self._model.probe_cost * probes,
-                minlength=self._num_ops,
-            )
-        if not hits:
-            return None
-        if len(hits) == 1:
-            rep, rank, sts, ssize = hits[0]
-        else:
-            rep = np.concatenate([h[0] for h in hits])
-            rank = np.concatenate([h[1] for h in hits])
-            sts = np.concatenate([h[2] for h in hits])
-            ssize = np.concatenate([h[3] for h in hits])
         ats = ts[rep]
         ok = np.abs(ats - sts) <= self.config.window
         ok &= (
@@ -2227,27 +1894,17 @@ class DataPlane:
         )
 
     def _insert_state_array(self, op, key, ts, size, side: int) -> None:
-        """Append new join state to the buffer level (O(batch), not
-        O(state)); the epoch ring absorbs it when the buffer seals."""
+        """Append new join state to the slot table (O(batch))."""
         if op.size == 0:
             return
-        comp = (op.astype(U64) << U64(33)) | (U64(side) << U64(32)) | key.astype(U64)
         # Stored expiry, clamped up to the insert tick: rows dead on
         # arrival stay probe-visible until the next tick start, exactly
         # as under eager tick-start eviction.
         e = np.maximum(ts + self.config.window + self._slack[op], self.tick)
-        # Cast BEFORE concatenating: mixing an int32 column with an
-        # int64 batch would silently upcast the whole buffer.
-        self._epb_comp = np.concatenate((self._epb_comp, comp))
-        self._epb_ts = np.concatenate((self._epb_ts, ts.astype(np.int32)))
-        self._epb_size = np.concatenate((self._epb_size, size))
-        self._epb_e = np.concatenate((self._epb_e, e.astype(np.int32)))
-        self._epb_sorted = None
-        self._epb_runs = None
+        pair = 2 * op + side
+        self._join.insert(self._join.slots(pair, key), key, ts, size, e, self.tick)
         if self._hw_on:
-            self._hw_insert(comp, e)
-        if self._epb_comp.size >= self._epoch_flush_limit:
-            self._flush_epoch()
+            self._hw_insert(pair, e)
 
     def _send_array(
         self, ops, keys, ts, sizes, now, host, lat, trace=None, emit=False

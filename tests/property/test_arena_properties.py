@@ -80,6 +80,35 @@ def spy(obj, name):
     return log
 
 
+def pool_log(plane, rows=16):
+    """Start ``plane``'s join slot table at ``rows`` rows and log every
+    pool compaction as ``(rows held, capacity before, capacity after)``.
+
+    Call before the first step (the pool is allocated by the first
+    insert).
+    """
+    table = plane._join
+    table.capacity = rows
+    log = []
+    compact = table.compact
+
+    def logged(now, extra):
+        before = (table.top, table.capacity)
+        compact(now, extra)
+        log.append((*before, table.capacity))
+
+    table.compact = logged
+    return log
+
+
+def assert_pool_cycled(log):
+    """At least one compaction of a non-empty pool, and one growth of it."""
+    assert any(top for top, _, _ in log), "the pool never compacted"
+    assert any(top and after > before for top, before, after in log), (
+        "the pool never grew"
+    )
+
+
 def traffic_overlay(seed=0, num_circuits=3, side=5):
     n = side * side
     overlay = Overlay.build(
@@ -345,7 +374,7 @@ class TestArenaEquivalence:
         assert a.data_plane.recompiles == b.data_plane.recompiles == 0
 
     def test_replacement_recompiles_both_modes(self):
-        """Same-name circuit replacement forces a logged full recompile
+        """Same-name circuit replacement forces a logged segment swap
         on either step path (they share the arena sync)."""
         for path in ("step", "step_scalar"):
             ov, _ = traffic_overlay(seed=4)
@@ -498,12 +527,11 @@ class TestCompactionUnobservable:
                     seed=5, node_capacity=40.0, load_model=LoadModel(), window=8
                 ),
             )
-            p._epoch_flush_limit = 16
             p.sink_log = []
-            return overlay, p
+            return overlay, p, pool_log(p)
 
-        ov_a, a = plane()
-        _, b = plane()
+        ov_a, a, pool = plane()
+        _, b, _ = plane()
         derived = spy(a, "_derive_circuit")
         for tick in range(30):
             if tick == 15:
@@ -518,6 +546,8 @@ class TestCompactionUnobservable:
         assert a.recompiles == 1 and b.recompiles == 0
         assert a.accounting() == b.accounting()
         assert a.sink_log == b.sink_log and a.sink_log
+        if path == "step":
+            assert_pool_cycled(pool)
         stats_a, stats_b = a.link_stats(), b.link_stats()
         assert stats_a.keys() == stats_b.keys()
         for key, sa in stats_a.items():

@@ -4,8 +4,8 @@ Same discipline as the data-plane properties: every vectorized path
 keeps a scalar reference consuming identical inputs, and twin instances
 stepped through either path must agree exactly — here extended to the
 retransmit buffer (tuples bound to failed nodes), the controller's
-estimator banks and decisions, and the epoch-ring join state (whose
-seal threshold must be unobservable).
+estimator banks and decisions, and the slot-table join state (whose
+compaction point and pool size must be unobservable).
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from repro.core.load_model import LoadModel
 from repro.runtime import DataPlane, RuntimeConfig
 from repro.sbon.simulator import Simulation, SimulationConfig
 from repro.workloads.scenarios import selectivity_drift_scenario
+from tests.property.test_arena_properties import assert_pool_cycled, pool_log
 from tests.property.test_dataplane_properties import (
     assert_traffic_equal,
     traffic_overlay,
@@ -105,28 +106,31 @@ class TestReliableTwins:
 
 
 class TestJoinStateLayout:
-    """The epoch ring's seal threshold is unobservable.
+    """The slot table's compaction point is unobservable.
 
     Run under the CPU-cost model with binding capacity, so the probe
-    charges and the admission ledger see every seal and fold.
+    charges and the admission ledger see every compaction and growth.
     """
 
-    @pytest.mark.parametrize("flush_limit", [1, 16, 1 << 30])
-    def test_merge_threshold_never_changes_results(self, flush_limit):
+    @pytest.mark.parametrize("capacity", [16, 1024, 1 << 20])
+    def test_compaction_point_never_changes_results(self, capacity):
         cfg = RuntimeConfig(
             seed=3, window=30, node_capacity=40.0, load_model=LoadModel()
         )
         reference = DataPlane(traffic_overlay(seed=11)[0], cfg)
         tuned = DataPlane(traffic_overlay(seed=11)[0], cfg)
-        tuned._epoch_flush_limit = flush_limit
+        pool = pool_log(tuned, capacity)
         for _ in range(25):
             rv, rs = tuned.step(), reference.step()
             assert rv == rs
         assert tuned.accounting() == reference.accounting()
         assert tuned.cpu_dropped_total > 0
-        # The threshold took effect: small bounds sealed chunks, the
-        # huge one kept every row in the append buffer.
-        assert bool(tuned._ring) == (flush_limit < 1 << 30)
+        # The capacity took effect: small pools compacted and grew, the
+        # huge one never had to.
+        compacted = any(top for top, _, _ in pool)
+        assert compacted == (capacity < 1 << 20)
+        if capacity == 16:
+            assert_pool_cycled(pool)
 
     def test_layout_matches_scalar_reference_with_large_windows(self):
         cfg = RuntimeConfig(
@@ -134,12 +138,12 @@ class TestJoinStateLayout:
         )
         a = DataPlane(traffic_overlay(seed=12)[0], cfg)
         b = DataPlane(traffic_overlay(seed=12)[0], cfg)
-        a._epoch_flush_limit = 8  # force frequent seals mid-tick
+        pool = pool_log(a, 8)  # force frequent compactions mid-tick
         for _ in range(30):
             assert_traffic_equal(a.step(), b.step_scalar())
         assert a.accounting() == b.accounting()
         assert a.accounting()["balanced"]
-        assert a._ring
+        assert_pool_cycled(pool)
 
 
 class TestControllerTwins:

@@ -20,6 +20,7 @@ from repro.core.rewriting import replicate_operator
 from repro.network.dynamics import ChurnProcess, HotspotEvent, LatencyDriftProcess, LoadProcess
 from repro.network.topology import grid_topology
 from repro.query.operators import ServiceSpec
+from repro.runtime import join_state
 from repro.runtime.dataplane import (
     DataPlane,
     RuntimeConfig,
@@ -34,7 +35,12 @@ from repro.sbon.overlay import Overlay
 from repro.sbon.simulator import Simulation, SimulationConfig
 from repro.workloads.queries import WorkloadParams, random_query
 from repro.workloads.scenarios import chaos_scenario, tenant_churn_scenario
-from tests.property.test_arena_properties import assert_simulations_agree, spy
+from tests.property.test_arena_properties import (
+    assert_pool_cycled,
+    assert_simulations_agree,
+    pool_log,
+    spy,
+)
 from tests.property.test_scaling_properties import join_circuit, make_overlay
 
 PARAMS = WorkloadParams(
@@ -172,14 +178,30 @@ def _oracle_case(case):
             chaotic_simulation(seed=int(case[10:]), window=8, load_model=cost)
             for _ in range(2)
         )
-        # A tiny seal bound makes expiring windows cross epoch
-        # boundaries constantly instead of staying in the buffer.
-        a.data_plane._epoch_flush_limit = 16
+        # A tiny pool compacts and grows constantly, with expiring
+        # windows on both sides of every compaction.
+        pool = pool_log(a.data_plane)
 
         def check():
-            assert a.data_plane._ring, "the ring never sealed a chunk"
+            assert_pool_cycled(pool)
             assert a.data_plane.cpu_dropped_total > 0
             assert a.series.total_migrations() > 0
+
+    elif case == "folded-slots":
+        # The caller caps join slots at 8 (join domains are larger), so
+        # distinct keys share chains and the walk must compare keys.
+        a, b = (
+            chaotic_simulation(seed=5, window=8, load_model=cost)
+            for _ in range(2)
+        )
+
+        def check():
+            table = a.data_plane._join
+            pairs = np.unique(
+                np.stack((table._slot[: table.top], table._key[: table.top])), axis=1
+            )
+            assert np.bincount(pairs[0]).max() >= 2, "no slot held two keys"
+            assert a.data_plane.cpu_dropped_total > 0
 
     elif case == "window-0":
         a, b = (
@@ -243,13 +265,15 @@ def _oracle_case(case):
 
 
 class TestScalarOracle:
-    """The batched path — epoch-ring join state, high-water admission
+    """The batched path — slot-table join state, high-water admission
     ledger, capacity gate — is pinned directly to the per-tuple scalar
     oracle on every ``TRAFFIC_FIELDS`` entry
     (``tests/property/test_arena_properties.py``): under the full chaos
     mix (churn, live migration, capacity backpressure, window expiry)
-    on two seeds, and on four hostile inputs — the last runs right up to
-    the int32 tick columns' limit, where the next step() must refuse.
+    on two seeds, once more with join slots capped at 8 so distinct
+    keys share chains (no bench workload folds slots), and on four
+    hostile inputs — the last runs right up to the int32 tick columns'
+    limit, where the next step() must refuse.
     """
 
     @pytest.mark.parametrize(
@@ -257,13 +281,16 @@ class TestScalarOracle:
         [
             "chaos-seed5",
             "chaos-seed7",
+            "folded-slots",
             "window-0",
             "all-uninstalled",
             "all-dead-reliable",
             "tick-at-int32-limit",
         ],
     )
-    def test_step_matches_scalar_oracle(self, case):
+    def test_step_matches_scalar_oracle(self, case, monkeypatch):
+        if case == "folded-slots":
+            monkeypatch.setattr(join_state, "_SLOT_CAP", 8)
         a, b, hook, check = _oracle_case(case)
         assert_simulations_agree(a, b, ticks=40, between=hook)
         check()
@@ -456,10 +483,10 @@ class TestLedgerRecount:
     def test_ledger_equals_recount_under_chaos(self):
         sim = chaotic_simulation(seed=5, window=8, load_model=LoadModel())
         plane = sim.data_plane
-        plane._epoch_flush_limit = 16
+        pool = pool_log(plane)
         assert all(self._clean_ticks(plane, sim.step, 40))
         assert plane.load_model.probe_cost > 0
-        assert plane._ring
+        assert_pool_cycled(pool)
 
     def test_state_rows_never_rebuilds_the_ledger(self):
         sim = chaotic_simulation(seed=5, window=8, load_model=LoadModel())

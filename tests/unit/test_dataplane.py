@@ -308,6 +308,20 @@ class TestTraffic:
         np.testing.assert_allclose(sorted(plane._src_rate), [50.0, 50.0])
         assert plane.accounting()["balanced"]
 
+    def test_scalar_path_churn_leaves_slot_table_alone(self):
+        # The slot table serves step() only; installs on the scalar
+        # path must not keep growing its layout.
+        overlay, _ = planted_join_overlay(rate_a=5.0, rate_b=5.0)
+        plane = DataPlane(overlay, RuntimeConfig(seed=13))
+        plane.step_scalar()
+        slots = plane._join._head.size
+        for rate in (10.0, 20.0, 30.0):
+            overlay.uninstall("q")
+            replacement, _ = planted_join_overlay(rate_a=rate, rate_b=rate)
+            overlay.install_circuit(replacement.circuits["q"])
+            plane.step_scalar()
+        assert plane._join._head.size == slots
+
 
 class TestModeLocking:
     def test_mixed_paths_rejected(self):
