@@ -177,6 +177,7 @@ class Circuit:
         query: QuerySpec,
         stats: Statistics,
         name: str | None = None,
+        taps: dict[frozenset[str], int] | None = None,
     ) -> "Circuit":
         """Compile a logical plan into a circuit for ``query``.
 
@@ -185,14 +186,31 @@ class Circuit:
         aggregate (``query.aggregate_factor``) is appended before the
         pinned consumer sink.  Link rates come from the product-form
         rate model over *effective* (post-filter) statistics.
+
+        ``taps`` maps a join subtree's producer set to a node: that
+        subtree's output stream already runs there (multi-query reuse),
+        so it compiles to one RELAY ``tap{n}`` pinned to the node, and
+        producers only it consumed get no source.
         """
         if plan.producers != frozenset(query.producer_names):
             raise ValueError("plan covers different producers than the query")
+        taps = taps or {}
         effective = effective_statistics(query, stats)
         circuit = cls(name=name or query.name)
 
+        def sourced(node: PlanNode) -> set[str]:
+            """Producers the compiled circuit still reads directly."""
+            if isinstance(node, LeafNode):
+                return {node.producer}
+            if node.producers in taps:
+                return set()
+            return sourced(node.left) | sourced(node.right)
+
         # Pinned producer sources.
+        needed = sourced(plan.root)
         for producer in query.producers:
+            if producer.name not in needed:
+                continue
             circuit.add_service(
                 Service(
                     service_id=f"{circuit.name}/src:{producer.name}",
@@ -211,6 +229,19 @@ class Circuit:
                 sid = f"{circuit.name}/src:{node.producer}"
                 return sid, effective.rate(node.producer)
             assert isinstance(node, JoinNode)
+            tap = taps.get(node.producers)
+            if tap is not None:
+                sid = f"{circuit.name}/tap{counter}"
+                counter += 1
+                circuit.add_service(
+                    Service(
+                        service_id=sid,
+                        spec=ServiceSpec.relay(),
+                        pinned_node=tap,
+                        producers=node.producers,
+                    )
+                )
+                return sid, node.output_rate(effective)
             left_id, left_rate = build(node.left)
             right_id, right_rate = build(node.right)
             sid = f"{circuit.name}/join{counter}"

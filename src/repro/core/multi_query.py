@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.circuit import Circuit, Service, effective_statistics
+from repro.core.circuit import Circuit
 from repro.core.costs import CircuitCost, CostEvaluator, CostSpaceEvaluator
 from repro.core.cost_space import CostSpace
 from repro.core.optimizer import (
@@ -41,8 +41,8 @@ from repro.core.optimizer import (
 from repro.core.physical_mapping import CatalogMapper, ExhaustiveMapper, map_circuit
 from repro.core.virtual_placement import relaxation_placement
 from repro.query.model import QuerySpec
-from repro.query.operators import ServiceKind, ServiceSpec
-from repro.query.plan import JoinNode, LeafNode, LogicalPlan, PlanNode
+from repro.query.operators import ServiceKind
+from repro.query.plan import JoinNode, LeafNode, PlanNode
 from repro.query.selectivity import Statistics
 
 __all__ = ["DeployedService", "MultiQueryResult", "MultiQueryOptimizer"]
@@ -243,7 +243,6 @@ class MultiQueryOptimizer:
             return result
 
         plan = standalone.plan
-        effective = effective_statistics(query, stats)
         scalar_dims = len(self.cost_space.spec.scalar_dimensions)
 
         # Walk the winning plan top-down; greedily tap the largest
@@ -292,7 +291,13 @@ class MultiQueryOptimizer:
         if not taps:
             return result
 
-        rewritten = self._build_with_taps(plan, query, effective, taps)
+        rewritten = Circuit.from_plan(
+            plan,
+            query,
+            stats,
+            name=f"{query.name}+reuse",
+            taps={producers: tap.node for producers, tap in taps.items()},
+        )
         pinned = pinned_vector_positions(rewritten, self.cost_space)
         placement = self.placement_fn(rewritten, pinned)
         map_circuit(rewritten, placement, self.cost_space, self.mapper)
@@ -303,103 +308,3 @@ class MultiQueryOptimizer:
             result.cost = cost
             result.reused = list(taps.values())
         return result
-
-    def _build_with_taps(
-        self,
-        plan: LogicalPlan,
-        query: QuerySpec,
-        effective: Statistics,
-        taps: dict[frozenset[str], DeployedService],
-    ) -> Circuit:
-        """Compile ``plan`` replacing tapped subtrees with pinned taps."""
-        circuit = Circuit(name=f"{query.name}+reuse")
-        needed_producers = self._producers_outside_taps(plan.root, taps)
-        for producer in query.producers:
-            if producer.name in needed_producers:
-                circuit.add_service(
-                    Service(
-                        service_id=f"{circuit.name}/src:{producer.name}",
-                        spec=ServiceSpec.relay(),
-                        pinned_node=producer.node,
-                        producers=frozenset((producer.name,)),
-                    )
-                )
-
-        counter = 0
-
-        def build(node: PlanNode) -> tuple[str, float]:
-            nonlocal counter
-            tap = taps.get(node.producers) if isinstance(node, JoinNode) else None
-            if tap is not None:
-                sid = f"{circuit.name}/tap{counter}"
-                counter += 1
-                circuit.add_service(
-                    Service(
-                        service_id=sid,
-                        spec=ServiceSpec.relay(),
-                        pinned_node=tap.node,
-                        producers=node.producers,
-                    )
-                )
-                return sid, node.output_rate(effective)
-            if isinstance(node, LeafNode):
-                return (
-                    f"{circuit.name}/src:{node.producer}",
-                    effective.rate(node.producer),
-                )
-            assert isinstance(node, JoinNode)
-            left_id, left_rate = build(node.left)
-            right_id, right_rate = build(node.right)
-            sid = f"{circuit.name}/join{counter}"
-            counter += 1
-            circuit.add_service(
-                Service(
-                    service_id=sid,
-                    spec=ServiceSpec.join(),
-                    pinned_node=None,
-                    producers=node.producers,
-                )
-            )
-            circuit.add_link(left_id, sid, left_rate)
-            circuit.add_link(right_id, sid, right_rate)
-            return sid, node.output_rate(effective)
-
-        tail_id, tail_rate = build(plan.root)
-
-        if query.aggregate_factor is not None:
-            agg_id = f"{circuit.name}/agg"
-            circuit.add_service(
-                Service(
-                    service_id=agg_id,
-                    spec=ServiceSpec.aggregate(),
-                    pinned_node=None,
-                    producers=plan.producers,
-                )
-            )
-            circuit.add_link(tail_id, agg_id, tail_rate)
-            tail_id, tail_rate = agg_id, tail_rate * query.aggregate_factor
-
-        sink_id = f"{circuit.name}/sink:{query.consumer.name}"
-        circuit.add_service(
-            Service(
-                service_id=sink_id,
-                spec=ServiceSpec.relay(),
-                pinned_node=query.consumer.node,
-                producers=plan.producers,
-            )
-        )
-        circuit.add_link(tail_id, sink_id, tail_rate)
-        return circuit
-
-    def _producers_outside_taps(
-        self, node: PlanNode, taps: dict[frozenset[str], DeployedService]
-    ) -> set[str]:
-        """Producers still needing a source service after tapping."""
-        if isinstance(node, JoinNode) and node.producers in taps:
-            return set()
-        if isinstance(node, LeafNode):
-            return {node.producer}
-        assert isinstance(node, JoinNode)
-        return self._producers_outside_taps(
-            node.left, taps
-        ) | self._producers_outside_taps(node.right, taps)

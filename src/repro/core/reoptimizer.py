@@ -21,28 +21,28 @@ Performance architecture (struct-of-arrays)
 Each circuit compiles once into a :class:`_CircuitKernel` — a CSR-style
 (service, neighbor, rate) incidence index plus flat link-endpoint
 arrays, mirroring the virtual-placement ``_CircuitArrays`` discipline.
-A local pass then:
+Every local pass runs over a :class:`_ReoptArena`, the kernels'
+concatenation: :meth:`Reoptimizer.step_all` over the arena of all
+circuits (cached across passes), :meth:`Reoptimizer.local_step` and
+:meth:`Reoptimizer.evacuate` over an uncached arena of one.  A pass:
 
 1. computes the spring targets of *all* unpinned services in one
    segment-sum over the current host positions (Jacobi snapshot: all
    targets and candidate nodes are derived from the placement at the
-   start of the pass, like the simultaneous placement sweeps of PR 1 —
-   a deliberate semantic change from the earlier in-place recomputation
-   after each accepted migration; repeated passes converge to the same
-   stable placements, and the scalar references below implement the
-   *same* snapshot semantics so equivalence is testable);
-2. maps all targets in one batched ``map_coordinates`` call (a single
-   chunked cost-space pass, shared across *all* circuits in
-   :meth:`Reoptimizer.step_all`);
-3. prices each candidate migration with vectorized link reductions
-   (``evaluator.latency_array`` / ``penalty_array``) while keeping the
-   accept/revert decisions sequential, so the hysteresis threshold
-   always compares against the up-to-date total.
+   start of the pass; repeated passes converge to the same stable
+   placements, and the scalar references below implement the *same*
+   snapshot semantics so equivalence is testable);
+2. maps all targets in one batched ``map_coordinates`` call;
+3. prices each candidate migration with one speculative
+   ``evaluator.latency_array`` sweep over the incidence table while
+   keeping the accept/revert decisions sequential per circuit, so the
+   hysteresis threshold always compares against the up-to-date total.
 
 The pre-vectorization per-candidate ``evaluator.evaluate`` loops are
-retained as ``local_step_scalar`` / ``evacuate_scalar`` references and
-pinned to the production kernels at 1e-9 by
-``tests/property/test_vectorized_equivalence.py``.
+retained as ``local_step_scalar`` / ``step_all_scalar`` /
+``evacuate_scalar`` oracles and pinned to the arena pass by
+``tests/property/test_vectorized_equivalence.py`` and
+``tests/property/test_arena_properties.py``.
 """
 
 from __future__ import annotations
@@ -188,35 +188,6 @@ class _CircuitKernel:
             (placement[sid] for sid in self.sids), dtype=int, count=len(self.sids)
         )
 
-    def targets(self, hosts: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-        """Spring target of every unpinned service, one segment-sum pass.
-
-        Matches ``Reoptimizer._local_target``: rate-weighted centroid
-        of the neighbors' host vectors; unweighted mean when all rates
-        are zero; the service's own host vector when isolated.
-        """
-        m = len(self.unpinned_sids)
-        dims = vectors.shape[1]
-        points = vectors[hosts[self.inc_nbr]]
-        weighted = np.zeros((m, dims))
-        np.add.at(weighted, self.inc_seg, self.inc_rates[:, None] * points)
-        out = np.empty((m, dims))
-        has_weight = self.seg_weight > 0
-        out[has_weight] = (
-            weighted[has_weight] / self.seg_weight[has_weight, None]
-        )
-        zero_weight = ~has_weight & (self.seg_count > 0)
-        if np.any(zero_weight):
-            sums = np.zeros((m, dims))
-            np.add.at(sums, self.inc_seg, points)
-            out[zero_weight] = (
-                sums[zero_weight] / self.seg_count[zero_weight, None]
-            )
-        isolated = self.seg_count == 0
-        if np.any(isolated):
-            out[isolated] = vectors[hosts[self.unpinned_rows[isolated]]]
-        return out
-
     def total(
         self, hosts: np.ndarray, evaluator: CostEvaluator, load_weight: float
     ) -> float:
@@ -244,22 +215,20 @@ _ARENA_KEY = "__arena__"
 
 
 class _ReoptArena:
-    """Fused concatenation of many circuit kernels.
+    """Fused concatenation of circuit kernels: every local pass's tables.
 
-    One global CSR incidence/link table spanning every active kernel,
-    with per-kernel row/segment/link offsets, so a whole-tick local
-    pass runs **one** segment-sum for all spring targets, **one**
-    batched ``map_coordinates``, and **one** ``latency_array`` sweep
-    each for current link usage and speculative candidate pricing —
-    instead of per-circuit Python dispatch of the same kernels.
+    One global CSR incidence/link table spanning the given kernels, with
+    per-kernel row/segment/link offsets, so a pass runs **one**
+    segment-sum for all spring targets, **one** batched
+    ``map_coordinates``, and **one** ``latency_array`` sweep each for
+    current link usage and speculative candidate pricing.  An arena of
+    one kernel is how a single circuit is re-optimized or evacuated.
 
-    All fused reductions visit each circuit's entries contiguously in
-    the same order as the per-circuit kernel (``np.add.at`` is
-    unbuffered and the evaluators are elementwise), so each circuit's
-    slice equals what :meth:`Reoptimizer.local_step` computes for it.
-    The arena and simulation property tests pin the decisions of
-    :meth:`Reoptimizer.step_all` to the scalar oracle,
-    :meth:`Reoptimizer.step_all_scalar`.
+    Every reduction visits each circuit's entries contiguously and in
+    the kernel's own order (``np.add.at`` is unbuffered and the
+    evaluators are elementwise), so a circuit's decisions do not depend
+    on which other circuits share its arena.  The arena and vectorized
+    equivalence tests pin them to the scalar oracles.
 
     The arena holds *copies* of each kernel's rate columns; it notices
     in-place re-pricing (``_CircuitKernel.set_rates``, driven by the
@@ -328,9 +297,10 @@ class _ReoptArena:
     def targets(self, hosts: np.ndarray, vectors: np.ndarray) -> np.ndarray:
         """Spring targets of every unpinned service of every circuit.
 
-        One global segment-sum; the per-segment math (rate-weighted
-        centroid / unweighted mean / own host when isolated) matches
-        ``_CircuitKernel.targets`` entry for entry.
+        One global segment-sum: the rate-weighted centroid of each
+        service's neighbors' host vectors (``Reoptimizer._local_target``);
+        the unweighted mean when all its rates are zero; its own host
+        vector when isolated.
         """
         m = self.num_segments
         dims = vectors.shape[1]
@@ -362,9 +332,8 @@ class _ReoptArena:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-service incident usage, old vs candidate, fused.
 
-        Two global ``latency_array`` sweeps over the whole incidence
-        table replace two per circuit; segment sums accumulate in the
-        same entry order as the per-circuit twin in ``_accept_pass``.
+        Two ``latency_array`` sweeps over the whole incidence table,
+        segment-summed per service for ``Reoptimizer._accept_pass``.
         """
         inc_nbr_hosts = hosts[self.inc_nbr]
         inc_old = self.inc_rates * evaluator.latency_array(
@@ -389,9 +358,9 @@ def refresh_kernel_rates(
     simulator's kernel cache maps circuit name to ``(weakref, kernel)``;
     when the cached kernel still belongs to this circuit object its
     prices are refreshed in place (``_CircuitKernel.set_rates``), so
-    the next re-optimization pass — batched or not — prices the
-    *measured* objective without recompiling structure.  Returns True
-    when a kernel was refreshed.
+    the next re-optimization pass prices the *measured* objective
+    without recompiling structure.  Returns True when a kernel was
+    refreshed.
 
     The fused reopt arena (cached under ``"__arena__"`` in the same
     cache) holds copies of the kernels' rate columns; ``set_rates``
@@ -478,65 +447,31 @@ class Reoptimizer:
 
     # -- local re-optimization ----------------------------------------------
 
-    def _full_targets(
-        self, kernel: _CircuitKernel, hosts: np.ndarray
-    ) -> np.ndarray:
-        """(m, dims) target coordinates with ideal (zero) scalar parts."""
-        vectors = self.cost_space.vector_matrix()
-        targets = np.zeros((len(kernel.unpinned_sids), self.cost_space.spec.dims))
-        targets[:, : self.cost_space.spec.vector_dims] = kernel.targets(
-            hosts, vectors
-        )
-        return targets
-
     def _accept_pass(
         self,
         circuit: Circuit,
         kernel: _CircuitKernel,
         hosts: np.ndarray,
         candidates: np.ndarray,
-        precomputed: tuple[np.ndarray, np.ndarray, float] | None = None,
-    ) -> tuple[list[Migration], float]:
+        old_usage: np.ndarray,
+        new_usage: np.ndarray,
+        current_total: float,
+    ) -> list[Migration]:
         """Sequential accept/revert sweep over pre-mapped candidates.
 
-        All candidates are priced *speculatively* in one batch first:
-        moving service ``k`` from its snapshot host to ``candidates[k]``
-        only re-prices the links incident to ``k``, so one vectorized
-        pass over the kernel's incidence entries yields every
-        candidate's usage delta at once.  The accept decisions then
+        ``old_usage`` / ``new_usage`` are every candidate's incident
+        link usage at its snapshot host and at its candidate node,
+        priced speculatively in one batch by
+        :meth:`_ReoptArena.speculative_usage` (moving service ``k`` only
+        re-prices the links incident to ``k``); ``current_total`` is the
+        circuit's total at the snapshot.  The accept decisions then
         resolve conflicts sequentially against the running total
-        (Gauss–Seidel over Jacobi targets, exactly the prior
-        semantics): a service whose neighbor already moved re-prices
-        its few incident links against the live hosts, everyone else
-        uses the speculative delta; the load-penalty delta is tracked
-        through a running multiset of occupied hosts.
-
-        ``precomputed`` is ``(old_usage, new_usage, current_total)``
-        from the fused cross-circuit pass (:meth:`step_all`): the same
-        quantities this method would derive itself, already computed in
-        one global sweep, so the per-circuit batch is skipped.
-
-        Returns:
-            (migrations, final total).
+        (Gauss–Seidel over Jacobi targets): a service whose neighbor
+        already moved re-prices its few incident links against the live
+        hosts, everyone else uses the speculative delta; the
+        load-penalty delta is tracked through a running multiset of
+        occupied hosts.
         """
-        if precomputed is None:
-            current_total = kernel.total(hosts, self.evaluator, self.load_weight)
-            # Speculative batch: per-candidate incident usage, old vs
-            # new, from the snapshot hosts (one latency_array pass each).
-            inc_nbr_hosts = hosts[kernel.inc_nbr]
-            inc_old = kernel.inc_rates * self.evaluator.latency_array(
-                hosts[kernel.unpinned_rows[kernel.inc_seg]], inc_nbr_hosts
-            )
-            inc_new = kernel.inc_rates * self.evaluator.latency_array(
-                candidates[kernel.inc_seg], inc_nbr_hosts
-            )
-            m = len(kernel.unpinned_sids)
-            old_usage = np.zeros(m)
-            new_usage = np.zeros(m)
-            np.add.at(old_usage, kernel.inc_seg, inc_old)
-            np.add.at(new_usage, kernel.inc_seg, inc_new)
-        else:
-            old_usage, new_usage, current_total = precomputed
         migrations: list[Migration] = []
         moved = np.zeros(len(hosts), dtype=bool)
 
@@ -611,36 +546,26 @@ class Reoptimizer:
                 self.accepts += 1
             else:
                 self.rejects += 1
-        return migrations, current_total
+        return migrations
 
     def local_step(self, circuit: Circuit) -> ReoptimizationReport:
         """One decentralized pass: re-place and maybe migrate each service.
 
-        Targets and candidate nodes for every unpinned service are
-        computed from the placement at the start of the pass (one
-        segment-sum + one batched mapping); accept decisions are
-        sequential against the up-to-date circuit total, migrating only
-        when the total improves by more than the threshold.
+        The fused pass over an arena of this one circuit, built fresh
+        rather than cached: routed through :meth:`_arena` it would evict
+        the many-circuit arena a shared kernel cache holds.  Unlike
+        :meth:`step_all` the report carries the circuit's full cost
+        breakdowns before and after.
         """
         if not circuit.is_fully_placed():
             raise ValueError("circuit must be placed before re-optimization")
-        report = ReoptimizationReport()
-        report.cost_before = self.evaluator.evaluate(
-            circuit, load_weight=self.load_weight
-        )
-        kernel = self._kernel(circuit)
-        if not kernel.unpinned_sids:
-            report.cost_after = report.cost_before
-            return report
-        hosts = kernel.hosts(circuit)
-        candidates, _ = self.mapper.map_coordinates(
-            self._full_targets(kernel, hosts)
-        )
-        report.migrations, _ = self._accept_pass(circuit, kernel, hosts, candidates)
+        cost_before = self.evaluator.evaluate(circuit, load_weight=self.load_weight)
+        report = self._pass([circuit], _ReoptArena)[0]
+        report.cost_before = cost_before
         report.cost_after = (
             self.evaluator.evaluate(circuit, load_weight=self.load_weight)
             if report.migrations
-            else report.cost_before
+            else cost_before
         )
         return report
 
@@ -722,41 +647,38 @@ class Reoptimizer:
             arena.refresh_rates()
         return arena
 
-    def step_all(self, circuits: list[Circuit]) -> list[ReoptimizationReport]:
-        """One fused local pass over many circuits (the arena path).
+    def _target_coords(self, arena: _ReoptArena, hosts: np.ndarray) -> np.ndarray:
+        """(segments, dims) spring targets with ideal (zero) scalar parts."""
+        targets = np.zeros((arena.num_segments, self.cost_space.spec.dims))
+        targets[:, : self.cost_space.spec.vector_dims] = arena.targets(
+            hosts, self.cost_space.vector_matrix()
+        )
+        return targets
 
-        The active kernels are concatenated into one global incidence
-        table (:class:`_ReoptArena`, cached across passes), so the
-        whole tick costs **one** spring-target segment-sum, **one**
-        batched ``map_coordinates``, **one** link-usage sweep, and
-        **one** speculative candidate-pricing sweep — no per-circuit
-        kernel dispatch.  Only the accept/revert decisions stay
-        sequential per circuit (they must: the hysteresis threshold
-        compares against the live running total).  Makes the same
-        migrations as :meth:`step_all_scalar`, its oracle.  Reports
-        carry migrations only — the full :class:`CircuitCost`
-        breakdowns (which need the consumer-latency DP) are skipped in
-        this bulk path.
+    def _pass(self, circuits: list[Circuit], arena_of) -> list[ReoptimizationReport]:
+        """One local pass over ``circuits`` through the arena ``arena_of`` builds.
+
+        The active kernels' concatenation costs **one** spring-target
+        segment-sum, **one** batched ``map_coordinates``, **one**
+        link-usage sweep and **one** speculative candidate-pricing
+        sweep.  Only the accept/revert decisions stay sequential per
+        circuit (they must: the hysteresis threshold compares against
+        the live running total).  Reports carry migrations only.
         """
         reports = [ReoptimizationReport() for _ in circuits]
         kernels, hosts_list, active = self._collect_active(circuits)
         if not active:
             return reports
-        arena = self._arena(kernels)
+        arena = arena_of(kernels)
         ghosts = np.concatenate(hosts_list)
-        vdims = self.cost_space.spec.vector_dims
-        targets = np.zeros((arena.num_segments, self.cost_space.spec.dims))
-        targets[:, :vdims] = arena.targets(
-            ghosts, self.cost_space.vector_matrix()
-        )
-        candidates, _ = self.mapper.map_coordinates(targets)
+        candidates, _ = self.mapper.map_coordinates(self._target_coords(arena, ghosts))
         old_usage, new_usage = arena.speculative_usage(
             ghosts, candidates, self.evaluator
         )
         # One global latency sweep prices every circuit's current links;
-        # the per-circuit total then reduces slices exactly the way
+        # each circuit's total reduces its slice the way
         # ``_CircuitKernel.total`` does (same dot, same distinct-host
-        # penalty), so accept thresholds match the per-circuit path.
+        # penalty).
         link_lat = self.evaluator.latency_array(
             ghosts[arena.link_src], ghosts[arena.link_dst]
         )
@@ -768,18 +690,27 @@ class Reoptimizer:
                 self.evaluator.penalty_array(np.asarray(distinct)).sum()
             )
             s0, s1 = arena.seg_offsets[idx], arena.seg_offsets[idx + 1]
-            reports[i].migrations, _ = self._accept_pass(
+            reports[i].migrations = self._accept_pass(
                 circuits[i],
                 kernel,
                 hosts,
                 candidates[s0:s1],
-                precomputed=(
-                    old_usage[s0:s1],
-                    new_usage[s0:s1],
-                    usage + self.load_weight * penalty,
-                ),
+                old_usage[s0:s1],
+                new_usage[s0:s1],
+                usage + self.load_weight * penalty,
             )
         return reports
+
+    def step_all(self, circuits: list[Circuit]) -> list[ReoptimizationReport]:
+        """One fused local pass over many circuits (the arena path).
+
+        :meth:`_pass` over the arena cached across passes
+        (:meth:`_arena`).  Makes the same migrations as
+        :meth:`step_all_scalar`, its oracle.  Reports carry migrations
+        only — the full :class:`CircuitCost` breakdowns (which need the
+        consumer-latency DP) are skipped in this bulk path.
+        """
+        return self._pass(circuits, self._arena)
 
     def step_all_scalar(self, circuits: list[Circuit]) -> list[ReoptimizationReport]:
         """Per-circuit scalar passes (retained reference for step_all)."""
@@ -804,21 +735,6 @@ class Reoptimizer:
         if total <= 0:
             return points.mean(axis=0)
         return weights_arr @ points / total
-
-    def run_until_stable(
-        self, circuit: Circuit, max_passes: int = 20
-    ) -> ReoptimizationReport:
-        """Repeat local passes until no migration happens (or cap)."""
-        combined = ReoptimizationReport()
-        for _ in range(max_passes):
-            report = self.local_step(circuit)
-            if combined.cost_before is None:
-                combined.cost_before = report.cost_before
-            combined.cost_after = report.cost_after
-            combined.migrations.extend(report.migrations)
-            if not report.migrated:
-                break
-        return combined
 
     # -- local plan rewriting ------------------------------------------------
 
@@ -925,8 +841,8 @@ class Reoptimizer:
     def evacuate(self, circuit: Circuit, failed_node: int) -> list[Migration]:
         """Force services off a failed node, ignoring thresholds.
 
-        Targets are snapshot at entry; per-service before/after totals
-        come from the vectorized kernel.
+        Targets are snapshot at entry, from a one-circuit arena;
+        per-service before/after totals come from the circuit's kernel.
         """
         migrations: list[Migration] = []
         was_excluded = failed_node in self.mapper.excluded
@@ -941,7 +857,9 @@ class Reoptimizer:
             ]
             if not affected:
                 return migrations
-            targets = self._full_targets(kernel, hosts)[affected]
+            # An uncached one-circuit arena, so the shared cache's
+            # many-circuit arena survives every churn evacuation.
+            targets = self._target_coords(_ReoptArena([kernel]), hosts)[affected]
             candidates, _ = self.mapper.map_coordinates(targets)
             for k, candidate in zip(affected, candidates):
                 sid = kernel.unpinned_sids[k]

@@ -434,6 +434,33 @@ class TrafficRecord:
     recompiles: int = 0
 
 
+@dataclass(slots=True)
+class _Tick:
+    """One tick's inputs, fixed when it opens, and its running counts.
+
+    :meth:`DataPlane._open_tick` builds it for either step path and
+    :meth:`DataPlane._close_tick` totals it into the
+    :class:`TrafficRecord`; the paths' operator loops fill the counts.
+    """
+
+    now: int
+    host: np.ndarray
+    alive: np.ndarray
+    lat: np.ndarray
+    cap: np.ndarray | None
+    node_used: np.ndarray | None
+    adm: np.ndarray | None
+    trace: object
+    prof: object
+    dropped: int
+    emitted: int = 0
+    delivered: int = 0
+    processed: int = 0
+    shed: int = 0
+    redelivered: int = 0
+    cpu_dropped: float = 0.0
+
+
 class DataPlane:
     """Executes every installed circuit on the overlay, tick for tick."""
 
@@ -1515,11 +1542,15 @@ class DataPlane:
         p50, p95, p99 = np.percentile(lat, [50.0, 95.0, 99.0])
         return float(p50), float(p95), float(p99)
 
-    # -- vectorized path ---------------------------------------------------
+    def _open_tick(self, mode: str) -> _Tick:
+        """Open one tick on the ``"array"`` or ``"heap"`` step path.
 
-    def step(self) -> TrafficRecord:
-        """Advance one tick through the batched kernels."""
-        self._use_mode("array")
+        Everything both paths do before sources emit: arena sync, the
+        clock, parameter drift, the stats snapshot, state eviction,
+        admission prices frozen from the post-eviction state, and
+        reliable redelivery.
+        """
+        self._use_mode(mode)
         trace = self._trace_handle()
         prof = self._prof_handle()
         self._transport.trace = trace
@@ -1545,45 +1576,98 @@ class DataPlane:
         self._begin_tick_stats()
         host = self._host_array()
         alive = self._alive()
-        lat = self.overlay.latencies.values
         cap = self._effective_cap()
-        node_used = (
-            self._scratch.zeros("node_used", self.overlay.num_nodes)
-            if cap is not None
-            else None
-        )
-        reliable = self.config.reliable
         self._tick_usage = 0.0
-        t_emitted = t_delivered = t_processed = 0
-        t_dropped = dropped_sync
-        t_shed = 0
-        t_cpu_dropped = 0.0
-        tick_lat: list[np.ndarray] = []
 
         if prof is not None:
             prof.begin("evict")
-        self._evict_state_array(now)
+        if mode == "array":
+            self._evict_state_array(now)
+        else:
+            self._evict_state_scalar(now)
         if prof is not None:
             prof.end()
             prof.begin("pricing")
         # Per-op measured CPU cost of this tick (reused scratch; views
-        # into it never outlive the tick); admission prices are frozen
-        # now, from the post-eviction state (twin-identical).
+        # into it never outlive the tick).
         self._tick_op_cost = self._scratch.zeros("op_cost", self._num_ops)
-        adm = self._admission_costs() if cap is not None else None
+        t = _Tick(
+            now=now,
+            host=host,
+            alive=alive,
+            lat=self.overlay.latencies.values,
+            cap=cap,
+            node_used=(
+                self._scratch.zeros("node_used", self.overlay.num_nodes)
+                if cap is not None
+                else None
+            ),
+            adm=self._admission_costs() if cap is not None else None,
+            trace=trace,
+            prof=prof,
+            dropped=dropped_sync,
+        )
         if prof is not None:
             prof.end()
 
-        # 0. Reliable redelivery: buffered tuples whose target service's
-        # current host is alive again rejoin this tick's first round.
-        t_redelivered = 0
-        if reliable:
+        # Buffered tuples whose target service's current host is alive
+        # again rejoin this tick's first round.
+        if self.config.reliable:
             if prof is not None:
                 prof.begin("redeliver")
-            t_redelivered = self._transport.redeliver(alive[host], now)
-            self.redelivered += t_redelivered
+            t.redelivered = self._transport.redeliver(alive[host], now)
+            self.redelivered += t.redelivered
             if prof is not None:
                 prof.end()
+        return t
+
+    def _close_tick(self, t: _Tick, tick_lat: list) -> TrafficRecord:
+        """Total the tick: usage, stats, CPU, latencies, the record.
+
+        ``tick_lat`` holds the tick's sink latencies (ms), as arrays or
+        single floats.
+        """
+        if t.prof is not None:
+            t.prof.begin("record")
+        self._usage_total += self._tick_usage
+        self._end_tick_stats()
+        tick_cpu = self._finish_tick_cpu(t.host, t.cpu_dropped)
+        lat_all = np.hstack(tick_lat) if tick_lat else np.empty(0, dtype=np.float64)
+        p50, p95, p99 = self._percentiles(lat_all)
+        if self._obs is not None:
+            self._obs.data_plane_tick(self, lat_all)
+        record = TrafficRecord(
+            tick=t.now,
+            emitted=t.emitted,
+            delivered=t.delivered,
+            dropped=t.dropped,
+            processed=t.processed,
+            in_flight=self._transport.in_flight,
+            usage=self._tick_usage,
+            latency_p50=p50,
+            latency_p95=p95,
+            latency_p99=p99,
+            shed=t.shed,
+            redelivered=t.redelivered,
+            buffered=self._transport.buffered,
+            cpu_cost=tick_cpu,
+            cpu_dropped=t.cpu_dropped,
+            recompiles=self._tick_recompiles,
+        )
+        if t.prof is not None:
+            t.prof.end()
+        return record
+
+    # -- vectorized path ---------------------------------------------------
+
+    def step(self) -> TrafficRecord:
+        """Advance one tick through the batched kernels."""
+        t = self._open_tick("array")
+        now, host, alive, lat = t.now, t.host, t.alive, t.lat
+        cap, node_used, adm = t.cap, t.node_used, t.adm
+        trace, prof = t.trace, t.prof
+        reliable = self.config.reliable
+        tick_lat: list[np.ndarray] = []
 
         # 1. Sources emit (one Poisson draw + one uniform draw, total).
         if prof is not None:
@@ -1596,7 +1680,7 @@ class DataPlane:
             keys = keys[live]
             m = ops.size
             if m:
-                t_emitted = m
+                t.emitted = m
                 self.emitted += m
                 self._send_array(
                     ops, keys, np.full(m, now, dtype=np.int64), np.ones(m), now, host, lat,
@@ -1639,7 +1723,7 @@ class DataPlane:
                         op[dead], port[dead], key[dead], ts[dead], size[dead], seq[dead]
                     )
                     self.dropped_overflow += overflow
-                    t_dropped += overflow
+                    t.dropped += overflow
                     if trace is not None:
                         # buffer() accepts a canonical-order prefix, so
                         # the accepted/overflowed split is positional.
@@ -1654,7 +1738,7 @@ class DataPlane:
                         )
                 else:
                     self.dropped_dead += ndead
-                    t_dropped += ndead
+                    t.dropped += ndead
                     if trace is not None:
                         dead = ~live
                         trace.record(trace.DROP_DEAD, seq[dead], op[dead], node[dead])
@@ -1672,10 +1756,10 @@ class DataPlane:
                     shed_mask = self._shed_attribution(rejected)
                     nshed = int(shed_mask.sum())
                     self.dropped_shed += nshed
-                    t_shed += nshed
+                    t.shed += nshed
                     self.dropped_capacity += ncap - nshed
-                    t_dropped += ncap
-                    t_cpu_dropped += float(costs[~keep].sum())
+                    t.dropped += ncap
+                    t.cpu_dropped += float(costs[~keep].sum())
                     np.add.at(self.dropped_by_node, rejected, 1)
                     if trace is not None:
                         rseq, rop = seq[~keep], op[~keep]
@@ -1697,7 +1781,7 @@ class DataPlane:
             m = op.size
             if m == 0:
                 continue
-            t_processed += m
+            t.processed += m
             self.processed += m
             np.add.at(self.processed_by_node, host[op], 1)
             np.add.at(
@@ -1716,7 +1800,7 @@ class DataPlane:
             sink = self._is_sink[op]
             ns = int(sink.sum())
             if ns:
-                t_delivered += ns
+                t.delivered += ns
                 self.sink_delivered += ns
                 tick_lat.append(
                     (now - ts[sink]).astype(np.float64) * self.config.tick_ms
@@ -1750,38 +1834,7 @@ class DataPlane:
                         prof.end()
         if prof is not None:
             prof.end()
-            prof.begin("record")
-
-        self._usage_total += self._tick_usage
-        self._end_tick_stats()
-        tick_cpu = self._finish_tick_cpu(host, t_cpu_dropped)
-        lat_all = (
-            np.concatenate(tick_lat) if tick_lat else np.empty(0, dtype=np.float64)
-        )
-        p50, p95, p99 = self._percentiles(lat_all)
-        if self._obs is not None:
-            self._obs.data_plane_tick(self, lat_all)
-        record = TrafficRecord(
-            tick=now,
-            emitted=t_emitted,
-            delivered=t_delivered,
-            dropped=t_dropped,
-            processed=t_processed,
-            in_flight=self._transport.in_flight,
-            usage=self._tick_usage,
-            latency_p50=p50,
-            latency_p95=p95,
-            latency_p99=p99,
-            shed=t_shed,
-            redelivered=t_redelivered,
-            buffered=self._transport.buffered,
-            cpu_cost=tick_cpu,
-            cpu_dropped=t_cpu_dropped,
-            recompiles=self._tick_recompiles,
-        )
-        if prof is not None:
-            prof.end()
-        return record
+        return self._close_tick(t, tick_lat)
 
     def _evict_state_array(self, now: int) -> None:
         # Expired rows stay in the slot table, invisible to walks and
@@ -1964,62 +2017,14 @@ class DataPlane:
         Same semantics, same RNG draws, per-tuple heapq transport and
         per-key join tables — the "before" side of E18.
         """
-        self._use_mode("heap")
-        trace = self._trace_handle()
-        prof = self._prof_handle()
-        self._transport.trace = trace
-        if trace is not None:
-            trace.begin_tick(self.tick + 1)
-        self._tick_recompiles = 0
-        if prof is not None:
-            prof.begin("compile")
-        dropped_sync = self._sync()
-        if prof is not None:
-            prof.end()
-        self.tick += 1
-        now = self.tick
-        self._apply_drift(now)
-        self._begin_tick_stats()
-        host = self._host_array()
-        alive = self._alive()
-        latm = self.overlay.latencies.values
-        cap = self._effective_cap()
-        node_used = (
-            np.zeros(self.overlay.num_nodes) if cap is not None else None
-        )
+        t = self._open_tick("heap")
+        now, host, alive, latm = t.now, t.host, t.alive, t.lat
+        cap, node_used, adm, trace = t.cap, t.node_used, t.adm, t.trace
+        prof = t.prof
         reliable = self.config.reliable
-        self._tick_usage = 0.0
-        t_emitted = t_delivered = t_processed = 0
-        t_dropped = dropped_sync
-        t_shed = 0
-        t_cpu_dropped = 0.0
         tick_lat: list[float] = []
         w = self.config.window
         tick_ms = self.config.tick_ms
-
-        if prof is not None:
-            prof.begin("evict")
-        self._evict_state_scalar(now)
-        if prof is not None:
-            prof.end()
-            prof.begin("pricing")
-        # Same per-tick cost state as step(): admission prices frozen
-        # from the post-eviction state, per-op costs accumulated as
-        # tuples are processed.
-        self._tick_op_cost = np.zeros(self._num_ops)
-        adm = self._admission_costs() if cap is not None else None
-        if prof is not None:
-            prof.end()
-
-        # 0. Reliable redelivery (per-tuple walk over the buffer).
-        t_redelivered = 0
-        if reliable:
-            if prof is not None:
-                prof.begin("redeliver")
-            t_redelivered = self._transport.redeliver(alive[host], now)
-            self.redelivered += t_redelivered
-            if prof is not None:
-                prof.end()
 
         # 1. Sources emit, consuming the same per-tick draws.
         if prof is not None:
@@ -2036,7 +2041,7 @@ class DataPlane:
             dom = float(self._src_domain[s])
             for x in seg:
                 self._send_scalar(opx, int(x * dom), now, 1.0, now, 0, host, latm, trace)
-            t_emitted += c
+            t.emitted += c
             self.emitted += c
         if prof is not None:
             prof.end()
@@ -2061,7 +2066,7 @@ class DataPlane:
                             opx, portx, key, ts, size, _seq
                         ):
                             self.dropped_overflow += 1
-                            t_dropped += 1
+                            t.dropped += 1
                             if trace is not None:
                                 trace.record_one(
                                     trace.DROP_OVERFLOW, _seq, opx, node
@@ -2070,7 +2075,7 @@ class DataPlane:
                             trace.record_one(trace.BUFFER, _seq, opx, node)
                     else:
                         self.dropped_dead += 1
-                        t_dropped += 1
+                        t.dropped += 1
                         if trace is not None:
                             trace.record_one(trace.DROP_DEAD, _seq, opx, node)
                     continue
@@ -2081,7 +2086,7 @@ class DataPlane:
                             np.inf if self._cap is None else self._cap[node]
                         ):
                             self.dropped_shed += 1
-                            t_shed += 1
+                            t.shed += 1
                             if trace is not None:
                                 trace.record_one(trace.DROP_SHED, _seq, opx, node)
                         else:
@@ -2090,12 +2095,12 @@ class DataPlane:
                                 trace.record_one(
                                     trace.DROP_CAPACITY, _seq, opx, node
                                 )
-                        t_dropped += 1
-                        t_cpu_dropped += cost
+                        t.dropped += 1
+                        t.cpu_dropped += cost
                         self.dropped_by_node[node] += 1
                         continue
                     node_used[node] += cost
-                t_processed += 1
+                t.processed += 1
                 self.processed += 1
                 self.processed_by_node[node] += 1
                 self.processed_node_kind[node * 4 + int(self._kind[opx])] += 1
@@ -2103,7 +2108,7 @@ class DataPlane:
                     trace.record_one(trace.PROCESS, _seq, opx, node)
                 self._tick_op_cost[opx] += self._kind_cost[opx]
                 if self._is_sink[opx]:
-                    t_delivered += 1
+                    t.delivered += 1
                     self.sink_delivered += 1
                     tick_lat.append(float(now - ts) * tick_ms)
                     if self.sink_log is not None:
@@ -2155,36 +2160,7 @@ class DataPlane:
             round_ += 1
         if prof is not None:
             prof.end()
-            prof.begin("record")
-
-        self._usage_total += self._tick_usage
-        self._end_tick_stats()
-        tick_cpu = self._finish_tick_cpu(host, t_cpu_dropped)
-        lat_all = np.asarray(tick_lat, dtype=np.float64)
-        p50, p95, p99 = self._percentiles(lat_all)
-        if self._obs is not None:
-            self._obs.data_plane_tick(self, lat_all)
-        record = TrafficRecord(
-            tick=now,
-            emitted=t_emitted,
-            delivered=t_delivered,
-            dropped=t_dropped,
-            processed=t_processed,
-            in_flight=self._transport.in_flight,
-            usage=self._tick_usage,
-            latency_p50=p50,
-            latency_p95=p95,
-            latency_p99=p99,
-            shed=t_shed,
-            redelivered=t_redelivered,
-            buffered=self._transport.buffered,
-            cpu_cost=tick_cpu,
-            cpu_dropped=t_cpu_dropped,
-            recompiles=self._tick_recompiles,
-        )
-        if prof is not None:
-            prof.end()
-        return record
+        return self._close_tick(t, tick_lat)
 
     def _evict_state_scalar(self, now: int) -> None:
         w = self.config.window

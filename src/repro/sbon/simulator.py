@@ -424,7 +424,7 @@ class Simulation:
         migrations = 0
         for circuit, report in zip(circuits, reports):
             for migration in report.migrations:
-                # local_step already updated circuit.placement; sync the
+                # step_all already updated circuit.placement; sync the
                 # node-level hosting (load bookkeeping).
                 self.overlay.apply_migration(
                     circuit.name, migration.service_id, migration.to_node

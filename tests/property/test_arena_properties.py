@@ -460,6 +460,15 @@ class TestFusedReopt:
         k = arena.kernels.index(kernel)
         s0, s1 = arena.seg_offsets[k], arena.seg_offsets[k + 1]
         np.testing.assert_array_equal(arena.seg_weight[s0:s1], kernel.seg_weight)
+        # One-circuit passes build their own arena and leave the cached
+        # one in place.
+        builds = reopt.arena_builds
+        other = circuits[1]
+        assert reopt.evacuate(other, other.host_of(other.unpinned_ids()[0]))
+        reopt.local_step(other)
+        reopt.step_all(circuits)
+        assert reopt.arena_builds == builds
+        assert cache[_ARENA_KEY] is arena
 
     def test_fused_simulation_twin(self):
         a = chaotic_simulation(seed=15)

@@ -32,7 +32,7 @@ from repro.core.physical_mapping import (
     map_circuit,
     map_circuits,
 )
-from repro.core.reoptimizer import Reoptimizer, _CircuitKernel
+from repro.core.reoptimizer import Reoptimizer, _CircuitKernel, _ReoptArena
 from repro.core.weighting import exponential, linear, squared, threshold, zero
 from repro.dht import hilbert as hb
 from repro.dht.catalog import CoordinateCatalog
@@ -412,7 +412,9 @@ class TestReoptimizerEquivalence:
         circuit, space, loads, latencies = _placed_circuit_and_space(seed)
         reopt = Reoptimizer(space)
         kernel = _CircuitKernel(circuit)
-        batched = kernel.targets(kernel.hosts(circuit), space.vector_matrix())
+        batched = _ReoptArena([kernel]).targets(
+            kernel.hosts(circuit), space.vector_matrix()
+        )
         for k, sid in enumerate(kernel.unpinned_sids):
             assert np.allclose(batched[k], reopt._local_target(circuit, sid), atol=1e-9)
 

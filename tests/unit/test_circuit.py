@@ -82,6 +82,28 @@ class TestFromPlan:
         assert (ServiceKind.JOIN, frozenset({"A", "B"})) in keys
         assert (ServiceKind.JOIN, frozenset({"A", "B", "C"})) in keys
 
+    def test_tapped_subtree_becomes_pinned_relay(self):
+        query, stats = query3()
+        query.filters["A"] = 0.1
+        full = Circuit.from_plan(plan_abc(), query, stats)
+        tapped = Circuit.from_plan(
+            plan_abc(), query, stats, taps={frozenset({"A", "B"}): 7}
+        )
+        assert list(tapped.services) == [
+            "q/src:C", "q/tap0", "q/join1", "q/sink:C0",
+        ]
+        assert tapped.services["q/tap0"].kind is ServiceKind.RELAY
+        assert tapped.placement["q/tap0"] == 7
+        assert tapped.unpinned_ids() == ["q/join1"]
+        rates = {(l.source, l.target): l.rate for l in tapped.links}
+        full_rates = {(l.source, l.target): l.rate for l in full.links}
+        assert rates == {
+            ("q/tap0", "q/join1"): full_rates[("q/join0", "q/join1")],
+            ("q/src:C", "q/join1"): full_rates[("q/src:C", "q/join1")],
+            ("q/join1", "q/sink:C0"): full_rates[("q/join1", "q/sink:C0")],
+        }
+        assert rates[("q/tap0", "q/join1")] == pytest.approx(0.5)
+
     def test_every_enumerated_plan_compiles(self):
         query, stats = query3()
         for plan in enumerate_all_plans(["A", "B", "C"]):
