@@ -16,6 +16,12 @@ ratio and "change better in k of n".  The exact metrics
 when any run reports ``correct: false`` or an exact metric differs
 within a pair.
 
+With ``--trace 1`` the runs also report per-layer lines; every
+count-valued one (unit ``1/op`` or ``count``, host and trace
+bookkeeping excluded) that differs within any pair is listed with its
+pairs — a refactor should move only timings, so a decision count that
+moved is worth a look (a call count may move by design).
+
 Timings only compare between runs made back to back on one host.
 """
 
@@ -36,7 +42,7 @@ sys.path.insert(0, str(ROOT))
 
 from bench.metrics import END_TO_END, EXACT, PER_LAYER  # noqa: E402
 
-__all__ = ["parse_seeds", "parse_result", "summarize", "main"]
+__all__ = ["parse_seeds", "parse_result", "summarize", "is_count_line", "main"]
 
 
 def parse_seeds(spec: str) -> list[int]:
@@ -60,13 +66,27 @@ BETTER = {
 }
 
 
+#: Units of the count-valued per-layer lines.
+COUNT_UNITS = ("1/op", "count")
+
+
+def is_count_line(name: str, unit: str) -> bool:
+    """Whether a metric is a count-valued per-layer line worth pairing:
+    unit ``1/op`` or ``count``, not a ``host.*`` or ``trace.*`` line."""
+    return unit in COUNT_UNITS and not name.startswith(("host.", "trace."))
+
+
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     """Judge ``(parent, change)`` result pairs.
 
-    Returns ``{"rows": [...], "incorrect": n, "exact_mismatch": [...]}``
-    where each row holds a metric's parent / change quartiles
-    ``(q1, median, q3)``, the median per-pair ratio change/parent and
-    the number of pairs in which the change was strictly better.
+    Returns ``{"rows": [...], "incorrect": n, "exact_mismatch": [...],
+    "counts": n, "count_mismatch": [...]}`` where each row holds a
+    metric's parent / change quartiles ``(q1, median, q3)``, the median
+    per-pair ratio change/parent and the number of pairs in which the
+    change was strictly better; ``counts`` is how many count-valued
+    per-layer lines (:func:`is_count_line`) were compared and
+    ``count_mismatch`` lists ``(name, [pair index, ...])`` for each
+    that differs within some pair.
     """
     incorrect = sum(
         1 for pair in pairs for run in pair
@@ -75,12 +95,16 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     names = [n for n in pairs[0][0]["metrics"] if all(
         n in run["metrics"] for pair in pairs for run in pair
     )]
-    rows, mismatch = [], []
+    rows, mismatch, count_mismatch, counts = [], [], [], 0
     for name in names:
         a = np.array([p["metrics"][name]["value"] for p, _ in pairs], dtype=float)
         b = np.array([c["metrics"][name]["value"] for _, c in pairs], dtype=float)
         if name in EXACT:
             mismatch.extend((name, i) for i in np.flatnonzero(a != b).tolist())
+        if is_count_line(name, pairs[0][0]["metrics"][name].get("unit", "")):
+            counts += 1
+            if (a != b).any():
+                count_mismatch.append((name, np.flatnonzero(a != b).tolist()))
         ratio = float(np.median(b / a)) if a.all() else float("nan")
         way = better.get(name)
         wins = None
@@ -95,7 +119,13 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
             "better": way,
             "wins": wins,
         })
-    return {"rows": rows, "incorrect": incorrect, "exact_mismatch": mismatch}
+    return {
+        "rows": rows,
+        "incorrect": incorrect,
+        "exact_mismatch": mismatch,
+        "counts": counts,
+        "count_mismatch": count_mismatch,
+    }
 
 
 def _report(summary: dict, n: int) -> None:
@@ -115,6 +145,12 @@ def _report(summary: dict, n: int) -> None:
         print(f"exact metrics differ: {summary['exact_mismatch']}")
     else:
         print(f"exact metrics ({exact}) equal in all {n} pairs")
+    if summary["count_mismatch"]:
+        print("count-valued lines that differ (pair indices):")
+        for name, where in summary["count_mismatch"]:
+            print(f"  {name}: {where}")
+    elif summary["counts"]:
+        print(f"all {summary['counts']} count-valued lines equal in all {n} pairs")
     print(f"incorrect or failed runs: {summary['incorrect']}")
 
 

@@ -9,14 +9,18 @@ that loop each tick:
    drop fraction and delivery-latency p95) feed the
    :class:`~repro.control.estimator.RateEstimator` banks.
 2. **Calibrate** — every ``calibrate_interval`` ticks past warmup, the
-   measured EWMA link rates are written back into the circuits'
-   estimated link rates (``Circuit.set_link_rates``) and pushed into
-   the re-optimizer's cached :class:`_CircuitKernel` prices
-   (``refresh_kernel_rates``), so the next re-optimization pass
+   measured EWMA link rates (or windowed quantiles) are written back
+   into the circuits' estimated link rates (``Circuit.set_link_rates``)
+   and pushed into the re-optimizer's cached :class:`_CircuitKernel`
+   prices (``refresh_kernel_rates``), so the next re-optimization pass
    minimizes the *measured* objective rather than the stale estimate.
    Oracle mode short-circuits measurement and calibrates from
    :meth:`DataPlane.true_link_rates` — the upper bound a perfect
-   estimator could reach.
+   estimator could reach.  Calibration is one gather: the installed
+   links are flattened into a :class:`_LinkTable` once per structural
+   change (circuit set or identity), every link's rate is picked in
+   one array expression from one estimator call (or one truth
+   lookup), and only circuits whose rates moved are written.
 3. **React** — when the measured drop fraction (or latency p95) EWMA
    breaches the policy threshold, the controller requests an immediate
    *backpressure-aware* re-placement: the record names the nodes whose
@@ -43,12 +47,15 @@ Scalar reference: :meth:`step_scalar` routes the identical inputs
 through the estimator banks' per-key scalar twins, so twin controllers
 (one per step path, like the data-plane twins) make bit-identical
 decisions — the E19 benchmark's before/after pair.  Policy state
-(EWMAs, cooldowns, shed sets) is plain Python arithmetic shared by both
-paths.
+(EWMAs, cooldowns, shed sets) and the calibration gather are shared by
+both paths; the controller reads the estimators only through their
+public calls (``rates``, ``quantile``, ``seen_counts``), which answer
+alike on either path.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -195,6 +202,38 @@ class ControlRecord:
     evacuate_services: tuple[tuple[str, str], ...] = ()
 
 
+class _LinkTable:
+    """Every installed link in overlay order, as calibration sees it.
+
+    ``keys[i]`` is link i's ``(circuit, source, target)`` measurement
+    key, circuit ``c`` owns links ``bounds[c]:bounds[c + 1]``,
+    ``circuit_of`` maps a link to its circuit and ``aliased`` marks
+    links whose key another link of the same circuit shares.  Valid
+    while the installed circuit objects are unchanged.
+    """
+
+    __slots__ = ("circuits", "keys", "bounds", "circuit_of", "aliased")
+
+    def __init__(self, circuits):
+        self.circuits = circuits
+        self.keys: list[tuple[str, str, str]] = []
+        aliased: list[bool] = []
+        for circuit in circuits:
+            mine = [(circuit.name, l.source, l.target) for l in circuit.links]
+            uses = Counter(mine)
+            aliased.extend(uses[key] > 1 for key in mine)
+            self.keys.extend(mine)
+        sizes = np.array([len(c.links) for c in circuits], dtype=np.int64)
+        self.bounds = np.concatenate(([0], np.cumsum(sizes)))
+        self.circuit_of = np.repeat(np.arange(len(circuits)), sizes)
+        self.aliased = np.asarray(aliased, dtype=bool)
+
+    def current(self, circuits) -> bool:
+        return len(circuits) == len(self.circuits) and all(
+            a is b for a, b in zip(circuits, self.circuits)
+        )
+
+
 class Controller:
     """Feeds the data plane's measurements back into placement decisions.
 
@@ -246,6 +285,7 @@ class Controller:
         self.buffer_evacuations = 0
         self.shed_nodes: set[int] = set()
         self._last_trigger: int | None = None
+        self._links: _LinkTable | None = None
         # Load-model drift fit: accumulate the normal equations of
         # measured per-node cost against per-(node, kind) processed
         # counts; solved at each calibration (see cost_drift).
@@ -360,72 +400,70 @@ class Controller:
 
     # -- calibration ---------------------------------------------------------
 
-    def calibrated_rates(self, circuit) -> np.ndarray | None:
-        """Per-link calibrated rates aligned with ``circuit.links``.
-
-        Measured mode returns the EWMA of each link's realized
-        tuples/tick — or, with ``calibrate_quantile`` set, the windowed
-        quantile of the raw samples, provisioning for bursts above the
-        mean (links with fewer than ``min_observations`` samples keep
-        their current estimate); oracle mode returns the data plane's
-        analytic true rates.  Parallel links sharing a (source, target)
-        pair alias one measurement key (their counts sum), so they keep
-        their priors rather than absorb each other's traffic.  None
-        when nothing would change.
-        """
-        cfg = self.config
-        truth = self.data_plane.true_link_rates() if self.oracle else None
-        key_uses: dict[tuple, int] = {}
-        for link in circuit.links:
-            key = (circuit.name, link.source, link.target)
-            key_uses[key] = key_uses.get(key, 0) + 1
-        qvals = None
-        if truth is None and cfg.calibrate_quantile is not None:
-            qvals = self.link_rates.quantile(
-                cfg.calibrate_quantile,
-                [(circuit.name, l.source, l.target) for l in circuit.links],
-            )
-        rates = []
-        changed = False
-        for i, link in enumerate(circuit.links):
-            key = (circuit.name, link.source, link.target)
-            if key_uses[key] > 1:
-                value = None
-            elif truth is not None:
-                value = truth.get(key)
-            elif self.link_rates.seen(key) >= cfg.min_observations:
-                value = (
-                    float(qvals[i]) if qvals is not None else self.link_rates.rate(key)
-                )
-            else:
-                value = None
-            rate = link.rate if value is None else max(cfg.min_rate, value)
-            changed = changed or rate != link.rate
-            rates.append(rate)
-        return np.asarray(rates) if changed else None
+    def _link_table(self) -> "_LinkTable":
+        """Every installed link, flattened; rebuilt per structural change."""
+        circuits = tuple(self.overlay.circuits.values())
+        table = self._links
+        if table is None or not table.current(circuits):
+            table = self._links = _LinkTable(circuits)
+        return table
 
     def calibrate(self) -> int:
         """Write calibrated rates into every installed circuit now.
 
-        Updates both the circuits' link estimates (what evaluators and
-        the scalar re-optimizer references price) and any cached
-        compiled kernels (what the batched passes price), then drops
-        the overlay's usage-index cache so estimated-usage reporting
-        reflects the calibration.  Returns the number of links whose
-        rate changed.
+        Measured mode takes the EWMA of each link's realized
+        tuples/tick — or, with ``calibrate_quantile`` set, the windowed
+        quantile of the raw samples, provisioning for bursts above the
+        mean; links with fewer than ``min_observations`` samples keep
+        their current estimate.  Oracle mode takes the data plane's
+        analytic true rates.  Parallel links sharing a (source, target)
+        pair alias one measurement key (their counts sum), so they keep
+        their priors rather than absorb each other's traffic.  Rates
+        are floored at ``min_rate``.
+
+        Every installed link is priced in one gather over the cached
+        link table (one estimator call, or one truth lookup), and only
+        circuits whose rates changed are written: their link estimates
+        (what evaluators and the scalar re-optimizer references price)
+        and any cached compiled kernels (what the batched passes
+        price).  The overlay's usage-index cache is then dropped so
+        estimated-usage reporting reflects the calibration.  Returns
+        the number of links whose rate changed.
         """
-        changed = 0
-        for circuit in self.overlay.circuits.values():
-            rates = self.calibrated_rates(circuit)
-            if rates is None:
-                continue
-            before = np.array([l.rate for l in circuit.links])
-            circuit.set_link_rates(rates)
-            refresh_kernel_rates(self.kernel_cache, circuit, rates)
-            changed += int((before != rates).sum())
-        if changed:
-            self.overlay.invalidate_usage_cache()
-            self.calibrations += 1
+        cfg = self.config
+        table = self._link_table()
+        keys = table.keys
+        prior = np.fromiter(
+            (link.rate for circuit in table.circuits for link in circuit.links),
+            dtype=float,
+            count=len(keys),
+        )
+        if self.oracle:
+            truth = self.data_plane.true_link_rates()
+            value = np.fromiter(
+                (truth.get(key, np.nan) for key in keys), dtype=float, count=len(keys)
+            )
+            use = ~np.isnan(value)
+        else:
+            if cfg.calibrate_quantile is not None:
+                value = self.link_rates.quantile(cfg.calibrate_quantile, keys)
+            else:
+                value = self.link_rates.rates(keys)
+            use = self.link_rates.seen_counts(keys) >= cfg.min_observations
+        use &= ~table.aliased
+        rates = np.where(use, np.maximum(cfg.min_rate, value), prior)
+        moved = rates != prior
+        changed = int(moved.sum())
+        if not changed:
+            return 0
+        bounds = table.bounds
+        for c in np.unique(table.circuit_of[moved]):
+            circuit = table.circuits[c]
+            mine = rates[bounds[c] : bounds[c + 1]]
+            circuit.set_link_rates(mine)
+            refresh_kernel_rates(self.kernel_cache, circuit, mine)
+        self.overlay.invalidate_usage_cache()
+        self.calibrations += 1
         return changed
 
     def cpu_reference(self) -> float | None:

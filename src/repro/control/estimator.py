@@ -11,10 +11,21 @@ Performance architecture (struct-of-arrays)
 The production path is fully array-backed: keys map to columns of a
 contiguous state block — ``ewma (m,)``, ``seen (m,)`` and a
 ``(window, m)`` sample ring — and one :meth:`observe` call updates
-every observed column with three vectorized expressions.  The column
-index of a stable key list is cached by list identity, so the steady
-state does no per-key Python work at all (the data plane reuses its
-``link_keys()`` list object between structural syncs).
+every observed column with a few vectorized expressions.  Everything
+derived from a stable key list is cached by list identity (the data
+plane reuses its ``link_keys()`` list object between structural
+syncs): the column of every value, the sorted distinct columns and
+whether any key repeats.  A steady-state call therefore does no
+per-key Python work, no sort and no scatter-add — the ring row is
+written by assignment.  Only an observation with *aliased* keys
+(parallel circuit links sharing a (source, target) pair) sums its
+duplicates with ``np.add.at``.  Integer-keyed banks (``keys=None``)
+take the identity path: key k is column k, addressed by a slice.
+
+:meth:`rates`, :meth:`quantile` and :meth:`seen_counts` resolve a key
+list to columns once per list object and key-set size, so a caller
+that keeps one key list per structural change (the controller's
+calibration gather) pays for the lookup once.
 
 Scalar reference
 ----------------
@@ -65,7 +76,12 @@ class RateEstimator:
         self._ring = np.zeros((window, 0))
         self._filled = 0
         self._cursor = 0
-        self._idx_cache: tuple[Sequence[Hashable], np.ndarray] | None = None
+        # observe(): (keys, column per value, sorted distinct columns
+        # or None when no key repeats) of the last keyed call.
+        self._idx_cache: tuple | None = None
+        # rates() / quantile() / seen_counts(): (keys, key count at
+        # resolution, column per key with -1 for unknown keys).
+        self._lookup_cache: tuple | None = None
         # True while every key ever observed came from a keys=None call
         # (so key k is column k) — enables the identity fast path.
         self._identity_keys = True
@@ -112,20 +128,27 @@ class RateEstimator:
             (self._ring, np.zeros((self.window, extra))), axis=1
         )
 
-    def _column_index(self, values: np.ndarray, keys) -> np.ndarray:
+    def _columns(self, values: np.ndarray, keys):
+        """Where one observation lands: ``(cols, distinct)``.
+
+        ``cols`` addresses each value's column (a slice on the identity
+        path); ``distinct`` is the sorted distinct columns when keys
+        repeat, else None.
+        """
+        n = len(values)
         if keys is None and self._identity_keys:
-            # Fast path: key k IS column k, no per-key Python work.
-            n = len(values)
+            # Key k IS column k: no per-key Python work.
             if n > len(self._keys):
                 for k in range(len(self._keys), n):
                     self._index[k] = k
                     self._keys.append(k)
                 self._grow(n - self._ewma.size)
-            return np.arange(n)
-        if keys is not None and self._idx_cache is not None:
-            cached_obj, idx = self._idx_cache
-            if cached_obj is keys and idx.size == len(values):
-                return idx
+            return slice(0, n), None
+        cached = self._idx_cache
+        if keys is not None and cached is not None:
+            cached_obj, idx, distinct = cached
+            if cached_obj is keys and idx.size == n:
+                return idx, distinct
         self._identity_keys = False
         key_iter = self._as_keys(values, keys)
         fresh = 0
@@ -139,11 +162,14 @@ class RateEstimator:
         idx = np.fromiter(
             (self._index[k] for k in self._as_keys(values, keys)),
             dtype=np.int64,
-            count=len(values),
+            count=n,
         )
+        distinct = np.unique(idx)
+        if distinct.size == n:
+            distinct = None
         if keys is not None:
-            self._idx_cache = (keys, idx)
-        return idx
+            self._idx_cache = (keys, idx, distinct)
+        return idx, distinct
 
     def observe(self, values: np.ndarray, keys: Sequence[Hashable] | None = None) -> None:
         """Ingest one tick of per-key counts (vectorized).
@@ -157,16 +183,21 @@ class RateEstimator:
         """
         self._use_mode("array")
         values = np.asarray(values, dtype=float)
-        idx = self._column_index(values, keys)
+        cols, distinct = self._columns(values, keys)
         self.ticks += 1
-        self._ring[self._cursor, :] = 0.0
-        np.add.at(self._ring, (self._cursor, idx), values)
-        uidx = np.unique(idx)
-        summed = self._ring[self._cursor, uidx]
-        first = self._seen[uidx] == 0
-        blended = (1.0 - self.alpha) * self._ewma[uidx] + self.alpha * summed
-        self._ewma[uidx] = np.where(first, summed, blended)
-        self._seen[uidx] += 1
+        row = self._ring[self._cursor]
+        row[:] = 0.0
+        if distinct is None:
+            row[cols] = values
+            summed = values
+        else:
+            np.add.at(row, cols, values)
+            cols = distinct
+            summed = row[cols]
+        first = self._seen[cols] == 0
+        blended = (1.0 - self.alpha) * self._ewma[cols] + self.alpha * summed
+        self._ewma[cols] = np.where(first, summed, blended)
+        self._seen[cols] += 1
         self._cursor = (self._cursor + 1) % self.window
         self._filled = min(self._filled + 1, self.window)
 
@@ -219,6 +250,34 @@ class RateEstimator:
         col = self._index.get(key)
         return int(self._seen[col]) if col is not None else 0
 
+    def _lookup(self, keys: Sequence[Hashable]) -> np.ndarray:
+        """Column of every key (-1 when never observed).
+
+        Cached per key-list object until the key set grows, so a caller
+        passing the same list each time resolves it once.
+        """
+        cached = self._lookup_cache
+        if cached is not None and cached[0] is keys and cached[1] == len(self._keys):
+            return cached[2]
+        cols = np.fromiter(
+            (self._index.get(k, -1) for k in keys), dtype=np.int64, count=len(keys)
+        )
+        self._lookup_cache = (keys, len(self._keys), cols)
+        return cols
+
+    def _gather(self, column: np.ndarray, keys: Sequence[Hashable]) -> np.ndarray:
+        cols = self._lookup(keys)
+        out = np.zeros(cols.size, dtype=column.dtype)
+        hit = cols >= 0
+        out[hit] = column[cols[hit]]
+        return out
+
+    def seen_counts(self, keys: Sequence[Hashable]) -> np.ndarray:
+        """:meth:`seen` for every key of ``keys``, as one array."""
+        if self._mode == "scalar":
+            return np.array([self._seen_d.get(k, 0) for k in keys], dtype=np.int64)
+        return self._gather(self._seen, keys)
+
     def rates(self, keys: Sequence[Hashable] | None = None) -> np.ndarray:
         """EWMA rates for ``keys`` (default: all, first-seen order)."""
         if self._mode == "scalar":
@@ -228,13 +287,7 @@ class RateEstimator:
             return np.array([source.get(k, 0.0) for k in keys], dtype=float)
         if keys is None:
             return self._ewma.copy()
-        cols = np.fromiter(
-            (self._index.get(k, -1) for k in keys), dtype=np.int64, count=len(keys)
-        )
-        out = np.zeros(len(keys))
-        hit = cols >= 0
-        out[hit] = self._ewma[cols[hit]]
-        return out
+        return self._gather(self._ewma, keys)
 
     def quantile(self, q: float, keys: Sequence[Hashable] | None = None) -> np.ndarray:
         """Windowed per-key quantile over the last ``window`` samples.
@@ -256,13 +309,8 @@ class RateEstimator:
             )
         block = self._ring[: self._filled]
         if keys is None:
-            cols = np.arange(len(self._keys))
-        else:
-            cols = np.fromiter(
-                (self._index.get(k, -1) for k in keys),
-                dtype=np.int64,
-                count=len(keys),
-            )
+            return np.percentile(block, q * 100.0, axis=0)
+        cols = self._lookup(keys)
         out = np.zeros(cols.size)
         hit = cols >= 0
         if hit.any():

@@ -12,7 +12,8 @@ budget:
   per-replica EWMA above ``up_threshold * budget``, the family is
   re-split to ``ceil(ewma / (target_util * budget))`` replicas (capped
   at ``k_max``), with the *new* replicas placed on the least-CPU alive
-  nodes so the split spreads instead of herding onto the hot host;
+  nodes so the split spreads instead of herding onto the hot host
+  (replicas beyond the alive-node count stay on the base host);
 * **scale down** — after ``cold_ticks`` consecutive ticks below
   ``down_threshold * budget`` per replica, the family shrinks toward
   the same sizing target (folding back to the single base at k=1).
@@ -24,11 +25,27 @@ simulations stepped through :meth:`~repro.sbon.simulator.Simulation.
 step` and :meth:`~repro.sbon.simulator.Simulation.step_scalar` make
 identical scaling decisions on identical ticks.
 
+The monitor is array-resident; the trigger is rare.  Every scalable
+family of the installed circuits lives in one :class:`_FamilyTable` —
+member op rows, the family index of each row, k and the highest
+member row (-1 while a member is not compiled) — rebuilt only when the data plane re-syncs its
+structure (a new :meth:`~repro.runtime.dataplane.DataPlane.link_keys`
+list) or an installed circuit object is replaced.  The per-family
+policy state (EWMA, breach / cold counters, cooldown and reopt-hold
+deadlines) are arrays aligned with the table, carried across rebuilds
+by ``(circuit, base)``; a family whose circuit is uninstalled is
+forgotten.  A tick costs one weighted ``bincount`` of the op CPU into
+families (summed in member order from 0.0, bit-equal to a per-member
+Python sum), a few array expressions for the EWMA and counters, and
+Python only for the families whose counters crossed a threshold.
+
 Rewrites go through :func:`repro.core.rewriting.replicate_operator`
 (which preserves the family's exact link rates) and are installed with
-:meth:`repro.sbon.overlay.Overlay.replace_circuit`; the data plane
-detects the replaced circuit on its next sync and migrates in-flight
-tuples and per-key operator state onto the new replica homes.
+:meth:`repro.sbon.overlay.Overlay.replace_circuit`, always applied to
+the circuit currently installed — two families of one circuit can
+re-split in the same tick.  The data plane detects the replaced
+circuit on its next sync and migrates in-flight tuples and per-key
+operator state onto the new replica homes.
 
 Observability: ``scale_up`` / ``scale_down`` structured events (with
 the service, old/new k, and the trigger reason) when an
@@ -108,6 +125,101 @@ class AutoScalerConfig:
             raise ValueError("reopt_hold must be >= 0")
 
 
+class _FamilyTable:
+    """Every scalable family of the installed circuits, as arrays.
+
+    Family ``f`` is ``keys[f] == (circuit name, base)`` with k
+    ``k[f]`` and member sids ``members[f]`` (replicas in index order,
+    then the merge relay).  ``rows`` / ``fam_of`` list the arena op
+    row of every member of every *complete* family (all members
+    compiled), in member order; ``max_row`` is -1 for an incomplete
+    family.  The policy-state arrays are aligned with ``keys``.
+    """
+
+    STATE = ("ewma", "seen", "breach", "cold", "hold", "reopt")
+
+    __slots__ = (
+        "circuits", "link_keys", "keys", "members", "k", "rows", "fam_of", "max_row",
+    ) + STATE
+
+    def __init__(self, circuits, link_keys, op_index, old: "_FamilyTable | None"):
+        self.circuits = circuits
+        self.link_keys = link_keys
+        self.keys: list[tuple[str, str]] = []
+        self.members: list[list[str]] = []
+        k: list[int] = []
+        for circuit in circuits:
+            for base, count, members in _scalable_families(circuit):
+                self.keys.append((circuit.name, base))
+                self.members.append(members)
+                k.append(count)
+        n = len(self.keys)
+        self.k = np.asarray(k, dtype=np.int64)
+        rows: list[int] = []
+        fam_of: list[int] = []
+        self.max_row = np.full(n, -1, dtype=np.int64)
+        for f, ((name, _base), members) in enumerate(zip(self.keys, self.members)):
+            found = [op_index.get((name, sid)) for sid in members]
+            if None in found:
+                continue
+            rows.extend(found)
+            fam_of.extend([f] * len(found))
+            self.max_row[f] = max(found)
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.fam_of = np.asarray(fam_of, dtype=np.int64)
+        self.ewma = np.zeros(n)
+        self.seen = np.zeros(n, dtype=bool)
+        self.breach = np.zeros(n, dtype=np.int64)
+        self.cold = np.zeros(n, dtype=np.int64)
+        self.hold = np.zeros(n, dtype=np.int64)
+        self.reopt = np.zeros(n, dtype=np.int64)
+        if old is not None and old.keys:
+            where = {key: f for f, key in enumerate(old.keys)}
+            src = np.fromiter(
+                (where.get(key, -1) for key in self.keys), dtype=np.int64, count=n
+            )
+            have = src >= 0
+            for name in self.STATE:
+                getattr(self, name)[have] = getattr(old, name)[src[have]]
+
+    def current(self, circuits, link_keys) -> bool:
+        """Still describes this circuit set and data-plane layout."""
+        return (
+            link_keys is self.link_keys
+            and len(circuits) == len(self.circuits)
+            and all(a is b for a, b in zip(circuits, self.circuits))
+        )
+
+
+def _scalable_families(circuit):
+    """Every scalable family of one circuit: (base, k, member sids).
+
+    Replicated families (replicas plus the merge relay) come first, in
+    service order of their first member; then every unreplicated,
+    unpinned join / aggregate with inputs and outputs, as a k=1 family
+    of itself.
+    """
+    for base, fam in replica_families(circuit).items():
+        members = [sid for sid in fam["replicas"] if sid is not None]
+        if fam["merge"] is not None:
+            members.append(fam["merge"])
+        yield base, fam["count"], members
+    has_in: set[str] = set()
+    has_out: set[str] = set()
+    for link in circuit.links:
+        has_in.add(link.target)
+        has_out.add(link.source)
+    for sid, service in circuit.services.items():
+        if (
+            service.replica is None
+            and service.kind in _SCALABLE
+            and not service.is_pinned
+            and sid in has_in
+            and sid in has_out
+        ):
+            yield sid, 1, [sid]
+
+
 class AutoScaler:
     """Watches measured per-family CPU; splits hot operators, folds cold ones.
 
@@ -128,45 +240,19 @@ class AutoScaler:
         self.tick = 0
         self.scale_ups = 0
         self.scale_downs = 0
-        # Per-(circuit, base) policy state.  Keys survive scale events:
-        # the family is tracked under its base id at every k.
-        self._ewma: dict[tuple[str, str], float] = {}
-        self._breach: dict[tuple[str, str], int] = {}
-        self._cold: dict[tuple[str, str], int] = {}
-        self._hold_until: dict[tuple[str, str], int] = {}
-        self._reopt_hold_until: dict[tuple[str, str], int] = {}
+        self._table: _FamilyTable | None = None
 
-    # -- candidate discovery -------------------------------------------
-
-    def _candidates(self) -> list[tuple[object, str, int, list[str]]]:
-        """Every scalable family: (circuit, base, k, member sids).
-
-        Unreplicated joins/aggregates are k=1 families of themselves;
-        replicated ones list their replicas plus the merge relay.
-        """
-        out = []
-        for circuit in self.overlay.circuits.values():
-            families = replica_families(circuit)
-            for base, fam in families.items():
-                members = [sid for sid in fam["replicas"] if sid is not None]
-                if fam["merge"] is not None:
-                    members.append(fam["merge"])
-                out.append((circuit, base, fam["count"], members))
-            has_in: set[str] = set()
-            has_out: set[str] = set()
-            for link in circuit.links:
-                has_in.add(link.target)
-                has_out.add(link.source)
-            for sid, service in circuit.services.items():
-                if (
-                    service.replica is None
-                    and service.kind in _SCALABLE
-                    and not service.is_pinned
-                    and sid in has_in
-                    and sid in has_out
-                ):
-                    out.append((circuit, sid, 1, [sid]))
-        return out
+    def _families(self) -> _FamilyTable:
+        """The family table, rebuilt only after a structural change."""
+        circuits = tuple(self.overlay.circuits.values())
+        link_keys = self.data_plane.link_keys()
+        table = self._table
+        if table is None or not table.current(circuits, link_keys):
+            table = _FamilyTable(
+                circuits, link_keys, self.data_plane._op_index, table
+            )
+            self._table = table
+        return table
 
     def frozen_services(self) -> set[tuple[str, str]]:
         """Member sids of families still inside a ``reopt_hold`` window.
@@ -180,26 +266,12 @@ class AutoScaler:
         back.  Empty unless ``config.reopt_hold`` > 0 (see the config
         docstring for why the default leaves the placement pass free).
         """
-        out: set[tuple[str, str]] = set()
-        if not self._reopt_hold_until:
-            return out
-        for circuit, base, _k, members in self._candidates():
-            if self.tick < self._reopt_hold_until.get((circuit.name, base), 0):
-                for sid in members:
-                    out.add((circuit.name, sid))
-        return out
-
-    def _family_cpu(self, circuit_name: str, members: list[str]) -> float | None:
-        """Summed measured CPU of the family's arena rows this tick."""
-        dp = self.data_plane
-        cpu = dp.tick_op_cpu
-        total = 0.0
-        for sid in members:
-            row = dp._op_index.get((circuit_name, sid))
-            if row is None or row >= cpu.size:
-                return None  # not compiled yet this tick
-            total += float(cpu[row])
-        return total
+        t = self._families()
+        return {
+            (t.keys[f][0], sid)
+            for f in np.flatnonzero(t.reopt > self.tick)
+            for sid in t.members[f]
+        }
 
     def _spread_hints(
         self, circuit, base: str, old_k: int, new_k: int, members: list[str]
@@ -237,85 +309,91 @@ class AutoScaler:
         """One decision pass; returns the number of scale events applied."""
         self.tick += 1
         cfg = self.config
+        t = self._families()
+        cpu = self.data_plane.tick_op_cpu
+        n = len(t.keys)
+        # A family is measured this tick only when every member has a
+        # row in the tick's CPU vector (a fresh rewrite compiles on the
+        # data plane's next sync).
+        measured = (t.max_row >= 0) & (t.max_row < cpu.size)
+        family_cpu = (
+            np.bincount(t.fam_of, weights=cpu.take(t.rows, mode="clip"), minlength=n)
+            if cpu.size
+            else np.zeros(n)
+        )
+        blend = cfg.alpha * family_cpu + (1.0 - cfg.alpha) * t.ewma
+        t.ewma = np.where(measured, np.where(t.seen, blend, family_cpu), t.ewma)
+        t.seen |= measured
+        per_replica = t.ewma / t.k
+        hot = measured & (per_replica > cfg.up_threshold * cfg.budget)
+        cool = (
+            measured & ~hot & (t.k > 1)
+            & (per_replica < cfg.down_threshold * cfg.budget)
+        )
+        t.breach = np.where(hot, t.breach + 1, np.where(measured, 0, t.breach))
+        t.cold = np.where(cool, t.cold + 1, np.where(measured, 0, t.cold))
+        due = measured & (self.tick >= t.hold)
+        up = due & (t.breach >= cfg.breach_ticks) & (t.k < cfg.k_max)
+        down = due & ~up & (t.cold >= cfg.cold_ticks) & (t.k > 1)
+        k_now = t.k.astype(float)
         scaled = 0
-        gauge_keys: list[tuple] = []
-        gauge_vals: list[float] = []
-        for circuit, base, k, members in self._candidates():
-            key = (circuit.name, base)
-            measured = self._family_cpu(circuit.name, members)
-            if measured is None:
-                gauge_keys.append(key)
-                gauge_vals.append(float(k))
-                continue
-            prev = self._ewma.get(key)
-            ewma = (
-                measured
-                if prev is None
-                else cfg.alpha * measured + (1.0 - cfg.alpha) * prev
-            )
-            self._ewma[key] = ewma
-            per_replica = ewma / k
-            if per_replica > cfg.up_threshold * cfg.budget:
-                self._breach[key] = self._breach.get(key, 0) + 1
-                self._cold[key] = 0
-            elif k > 1 and per_replica < cfg.down_threshold * cfg.budget:
-                self._cold[key] = self._cold.get(key, 0) + 1
-                self._breach[key] = 0
-            else:
-                self._breach[key] = 0
-                self._cold[key] = 0
-
-            k_new = k
-            reason = None
-            if self.tick >= self._hold_until.get(key, 0):
-                target = max(
-                    1, math.ceil(ewma / (cfg.target_util * cfg.budget))
-                )
-                if self._breach.get(key, 0) >= cfg.breach_ticks and k < cfg.k_max:
-                    k_new = min(cfg.k_max, max(k + 1, target))
-                    reason = "cpu_breach"
-                elif self._cold.get(key, 0) >= cfg.cold_ticks and k > 1:
-                    k_new = max(1, min(k - 1, target))
-                    reason = "cold"
-            if k_new != k and reason is not None:
-                hints = (
-                    self._spread_hints(circuit, base, k, k_new, members)
-                    if k_new > 1
-                    else None
-                )
-                result = replicate_operator(circuit, base, k_new, placement=hints)
-                if result.applied:
-                    self.overlay.replace_circuit(result.circuit)
-                    scaled += 1
-                    self._hold_until[key] = self.tick + cfg.cooldown
-                    if cfg.reopt_hold > 0:
-                        self._reopt_hold_until[key] = (
-                            self.tick + cfg.reopt_hold
-                        )
-                    self._breach[key] = 0
-                    self._cold[key] = 0
-                    if k_new > k:
-                        self.scale_ups += 1
-                    else:
-                        self.scale_downs += 1
-                    if self.events is not None:
-                        self.events.emit(
-                            self.tick,
-                            "scale_up" if k_new > k else "scale_down",
-                            circuit=circuit.name,
-                            service=base,
-                            k_from=k,
-                            k_to=k_new,
-                            reason=reason,
-                            family_cpu=round(ewma, 3),
-                        )
-                    k = k_new
-            gauge_keys.append(key)
-            gauge_vals.append(float(k))
-        if self.registry is not None and gauge_keys:
+        for f in np.flatnonzero(up | down):
+            k_new = self._rescale(t, int(f), bool(up[f]))
+            if k_new:
+                scaled += 1
+                k_now[f] = k_new
+        if self.registry is not None and n:
             self.registry.keyed_gauge(
                 "replica_count",
                 ("circuit", "service"),
                 help="key-partitioned replicas per operator family",
-            ).set(gauge_keys, np.asarray(gauge_vals))
+            ).set(t.keys, k_now)
         return scaled
+
+    def _rescale(self, t: _FamilyTable, f: int, grow: bool) -> int:
+        """Re-split family ``f`` of the installed circuit.
+
+        Returns the new k, or 0 when the rewrite did not apply.
+        """
+        cfg = self.config
+        name, base = t.keys[f]
+        k = int(t.k[f])
+        ewma = float(t.ewma[f])
+        target = max(1, math.ceil(ewma / (cfg.target_util * cfg.budget)))
+        if grow:
+            k_new = min(cfg.k_max, max(k + 1, target))
+        else:
+            k_new = max(1, min(k - 1, target))
+        # The installed object, not the table's: an earlier rewrite this
+        # tick may already have replaced this circuit.
+        circuit = self.overlay.circuits[name]
+        hints = (
+            self._spread_hints(circuit, base, k, k_new, t.members[f])
+            if k_new > 1
+            else None
+        )
+        result = replicate_operator(circuit, base, k_new, placement=hints)
+        if not result.applied:
+            return 0
+        self.overlay.replace_circuit(result.circuit)
+        t.hold[f] = self.tick + cfg.cooldown
+        if cfg.reopt_hold > 0:
+            t.reopt[f] = self.tick + cfg.reopt_hold
+        t.breach[f] = 0
+        t.cold[f] = 0
+        if grow:
+            self.scale_ups += 1
+        else:
+            self.scale_downs += 1
+        if self.events is not None:
+            self.events.emit(
+                self.tick,
+                "scale_up" if grow else "scale_down",
+                circuit=name,
+                service=base,
+                k_from=k,
+                k_to=k_new,
+                reason="cpu_breach" if grow else "cold",
+                family_cpu=round(ewma, 3),
+            )
+        return k_new

@@ -14,8 +14,13 @@ PR 9's replication invariants, as stated in ROADMAP:
 * **deterministic routing** — the key-bucket router draws no RNG
   (SplitMix64 of the tuple key), so the vectorized and scalar twins
   route, process, and account identically through scale events, live
-  migration, and churn.
+  migration, and churn;
+* **hostile sizing** — a scale-up asking for more replicas than there
+  are alive nodes still applies: the surplus replicas share the base
+  host, and the twins and conservation hold through the swap.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +40,7 @@ from repro.query.operators import ServiceSpec
 from repro.runtime.dataplane import DataPlane, RuntimeConfig
 from repro.sbon.overlay import Overlay
 from repro.sbon.simulator import Simulation, SimulationConfig
+from repro.scaling import AutoScaler, AutoScalerConfig
 
 TICKS = 40
 
@@ -271,3 +277,52 @@ class TestTwinEquivalenceUnderScaling:
         if reliable:
             assert parked_at_scale_event > 0
             assert sims[0].data_plane.redelivered > 0
+
+
+class TestHostileScaleUp:
+    """A scale-up asking for more replicas than there are alive nodes."""
+
+    def test_more_replicas_than_alive_nodes(self):
+        """``_spread_hints`` spreads the new replicas over every other
+        alive node and pads the rest onto the base host; the rewrite
+        applies, the step / scalar twins agree through the swap and
+        conservation holds."""
+        config = AutoScalerConfig(budget=0.05, breach_ticks=1, cooldown=100, k_max=12)
+        sims = []
+        for _ in range(2):
+            overlay = make_overlay(join_circuit())
+            plane = DataPlane(overlay, RuntimeConfig(seed=7))
+            sims.append(
+                Simulation(
+                    overlay,
+                    config=SimulationConfig(reopt_interval=0),
+                    data_plane=plane,
+                    autoscaler=AutoScaler(overlay, plane, config),
+                )
+            )
+        alive = int(sims[0].overlay.alive_mask().sum())
+        assert config.k_max > alive
+        for t in range(TICKS):
+            vec, ref = sims[0].step(), sims[1].step_scalar()
+            # The estimated usage sums a 12-way split's link rates in a
+            # different order on the two paths (one ulp apart); every
+            # measured field agrees exactly.
+            assert vec.network_usage == pytest.approx(ref.network_usage, rel=1e-12)
+            assert replace(vec, network_usage=0.0) == replace(ref, network_usage=0.0), t
+            for sim in sims:
+                assert sim.data_plane.accounting()["balanced"], t
+        for sim in sims:
+            assert sim.autoscaler.scale_ups == 1
+            circuit = sim.overlay.circuits["t"]
+            family = replica_families(circuit)["j"]
+            assert family["count"] == config.k_max
+            hosts = [circuit.host_of(sid) for sid in family["replicas"]]
+            # Replica 0 keeps the base's host; one new replica on every
+            # other alive node, the remaining ones padded onto the base.
+            assert hosts[0] == 0
+            assert set(hosts) == set(range(alive))
+            assert hosts[alive:] == [0] * (config.k_max - alive)
+            assert sim.data_plane.recompiles == 1
+        assert sims[0].overlay.circuits["t"].placement == (
+            sims[1].overlay.circuits["t"].placement
+        )

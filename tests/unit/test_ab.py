@@ -101,3 +101,79 @@ class TestSummarize:
             (line(10.0, 100.0), line(9.0, 100.0, failed=2)),
         )
         assert ab.summarize(runs, BETTER)["incorrect"] == 2
+
+
+def traced(p50, counts, units=None):
+    """A traced run's last line: ``op_ms_p50`` plus per-layer lines."""
+    metrics = {"op_ms_p50": {"value": p50, "unit": "ms"}}
+    for name, value in counts.items():
+        unit = (units or {}).get(name, "1/op")
+        metrics[name] = {"value": value, "unit": unit}
+    return json.dumps({"correct": True, "failed": 0, "metrics": metrics})
+
+
+class TestCountLines:
+    def test_which_lines_count(self):
+        assert ab.is_count_line("scaling.autoscaler.events", "1/op")
+        assert ab.is_count_line("runtime.transport.buffered_peak", "count")
+        assert not ab.is_count_line("control.estimator.self_ms", "ms")
+        assert not ab.is_count_line("core.reoptimizer.accept_share", "ratio")
+        assert not ab.is_count_line("host.disturbed_passes", "count")
+        assert not ab.is_count_line("trace.spans", "1/op")
+        assert not ab.is_count_line("ops_per_s", "1/s")
+
+    def test_differing_count_lines_are_listed_with_their_pairs(self):
+        units = {
+            "runtime.transport.buffered_peak": "count",
+            "host.disturbed_passes": "count",
+            "control.estimator.self_ms": "ms",
+        }
+        base = {
+            "scaling.autoscaler.events": 0.0,
+            "control.estimator.calls": 4.3,
+            "runtime.transport.buffered_peak": 12.0,
+            "trace.spans": 101.0,
+            "host.disturbed_passes": 0.0,
+            "control.estimator.self_ms": 1.2,
+        }
+        moved = dict(
+            base,
+            **{
+                "control.estimator.calls": 4.5,
+                "trace.spans": 102.0,
+                "host.disturbed_passes": 1.0,
+                "control.estimator.self_ms": 0.2,
+            },
+        )
+        runs = pairs(
+            (traced(10.0, base, units), traced(9.0, base, units)),
+            (traced(10.0, base, units), traced(9.0, moved, units)),
+            (traced(10.0, moved, units), traced(9.0, moved, units)),
+        )
+        summary = ab.summarize(runs, BETTER)
+        # Three count lines compared; only the one that moved within a
+        # pair is listed, and only with that pair.  Timings, host and
+        # trace lines never are.
+        assert summary["counts"] == 3
+        assert summary["count_mismatch"] == [("control.estimator.calls", [1])]
+        assert summary["exact_mismatch"] == []
+
+    def test_untraced_runs_compare_no_count_lines(self):
+        summary = ab.summarize(TestSummarize.RUNS, BETTER)
+        assert summary["counts"] == 0
+        assert summary["count_mismatch"] == []
+
+    def test_report_names_the_differing_lines(self, capsys):
+        runs = pairs(
+            (traced(10.0, {"scaling.autoscaler.events": 0.0}),
+             traced(9.0, {"scaling.autoscaler.events": 0.1})),
+        )
+        ab._report(ab.summarize(runs, BETTER), 1)
+        out = capsys.readouterr().out
+        assert "scaling.autoscaler.events: [0]" in out
+        runs = pairs(
+            (traced(10.0, {"scaling.autoscaler.events": 0.0}),
+             traced(9.0, {"scaling.autoscaler.events": 0.0})),
+        )
+        ab._report(ab.summarize(runs, BETTER), 1)
+        assert "all 1 count-valued lines equal in all 1 pairs" in capsys.readouterr().out

@@ -105,6 +105,54 @@ class TestRateEstimator:
             np.testing.assert_array_equal(fast.rates(), keyed.rates(keys))
         assert fast.keys() == keys
 
+    def test_steady_state_observe_neither_sorts_nor_scatter_adds(self, monkeypatch):
+        # The column layout of a key list is derived once per list
+        # object; afterwards a call without aliased keys writes its
+        # ring row by assignment.
+        keyed, identity = RateEstimator(), RateEstimator()
+        keys = ["a", "b", "c"]
+        keyed.observe(np.array([1.0, 2.0, 3.0]), keys=keys)
+        identity.observe(np.array([1.0, 2.0, 3.0]))
+
+        def boom(*args, **kwargs):
+            raise AssertionError("steady-state observe sorted or scatter-added")
+
+        class NoAt:
+            at = staticmethod(boom)
+
+        monkeypatch.setattr(np, "unique", boom)
+        monkeypatch.setattr(np, "add", NoAt())
+        for t in range(5):
+            keyed.observe(np.array([4.0, 5.0, 6.0]) + t, keys=keys)
+            identity.observe(np.array([4.0, 5.0, 6.0]) + t)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(keyed.rates(keys), identity.rates())
+        assert keyed.seen("a") == 6
+
+    def test_seen_counts_match_seen_on_both_paths(self):
+        a, b = RateEstimator(), RateEstimator()
+        for keys in (["x", "y"], ["y"], ["y", "z", "y"]):
+            values = np.ones(len(keys))
+            a.observe(values, keys=keys)
+            b.observe_scalar(values, keys=keys)
+        probe = ["x", "y", "z", "never"]
+        expected = [a.seen(k) for k in probe]
+        assert expected == [1, 3, 1, 0]
+        np.testing.assert_array_equal(a.seen_counts(probe), expected)
+        np.testing.assert_array_equal(b.seen_counts(probe), expected)
+
+    def test_cached_lookup_follows_key_set_growth(self):
+        # A key list resolved before a key was first observed must see
+        # the key once it is.
+        est = RateEstimator(alpha=0.5)
+        probe = ["a", "b"]
+        est.observe(np.array([2.0]), keys=["a"])
+        np.testing.assert_array_equal(est.rates(probe), [2.0, 0.0])
+        est.observe(np.array([4.0, 6.0]), keys=["a", "b"])
+        np.testing.assert_array_equal(est.rates(probe), [3.0, 6.0])
+        np.testing.assert_array_equal(est.seen_counts(probe), [2, 1])
+        np.testing.assert_array_equal(est.quantile(1.0, probe), [4.0, 6.0])
+
     def test_mode_commitment(self):
         est = RateEstimator()
         est.observe(np.array([1.0]), keys=["a"])
@@ -365,3 +413,93 @@ class TestController:
         overlay, _ = self.make_plane()
         with pytest.raises(ValueError):
             Simulation(overlay, control=True)
+
+
+def reference_rates(controller, circuit):
+    """The per-circuit calibration rule, one link at a time: the
+    reference :meth:`Controller.calibrate`'s gather must match."""
+    cfg = controller.config
+    truth = controller.data_plane.true_link_rates() if controller.oracle else None
+    key_uses: dict[tuple, int] = {}
+    for link in circuit.links:
+        key = (circuit.name, link.source, link.target)
+        key_uses[key] = key_uses.get(key, 0) + 1
+    qvals = None
+    if truth is None and cfg.calibrate_quantile is not None:
+        qvals = controller.link_rates.quantile(
+            cfg.calibrate_quantile,
+            [(circuit.name, l.source, l.target) for l in circuit.links],
+        )
+    rates = []
+    for i, link in enumerate(circuit.links):
+        key = (circuit.name, link.source, link.target)
+        if key_uses[key] > 1:
+            value = None
+        elif truth is not None:
+            value = truth.get(key)
+        elif controller.link_rates.seen(key) >= cfg.min_observations:
+            value = (
+                float(qvals[i])
+                if qvals is not None
+                else controller.link_rates.rate(key)
+            )
+        else:
+            value = None
+        rates.append(link.rate if value is None else max(cfg.min_rate, value))
+    return rates
+
+
+class TestCalibrationGather:
+    """One gather over every installed link equals the per-circuit rule."""
+
+    @pytest.mark.parametrize(
+        "mode", ["ewma", "quantile", "oracle", "ewma-scalar", "quantile-scalar"]
+    )
+    def test_gather_matches_per_circuit_reference(self, mode):
+        overlay = planted_overlay()
+        aliased = chain_circuit("c0", rate=6.0, sel=0.5)
+        # A parallel link: one (source, target) key, summed counts.
+        aliased.add_link("c0/f", "c0/sink", 1.5)
+        overlay.install_circuit(aliased)
+        overlay.install_circuit(
+            chain_circuit("c1", producer=3, middle=4, sink=5, rate=4.0, sel=0.25)
+        )
+        overlay.install_circuit(
+            chain_circuit("c2", producer=6, middle=7, sink=8, rate=2.0, sel=0.9)
+        )
+        drift = (ParameterDrift("c1", "c1/f", "selectivity", 0.25, 0.75, 6, 10),)
+        plane = DataPlane(overlay, RuntimeConfig(seed=4, drift=drift))
+        cache: dict = {}
+        reopt = Reoptimizer(overlay.cost_space, kernel_cache=cache)
+        kernels = {name: reopt._kernel(c) for name, c in overlay.circuits.items()}
+        controller = Controller(
+            plane,
+            ControlConfig(calibrate_interval=10_000, min_observations=3),
+            kernel_cache=cache,
+            oracle=mode == "oracle",
+            calibrate_quantile=0.95 if mode.startswith("quantile") else None,
+        )
+        step = controller.step_scalar if mode.endswith("scalar") else controller.step
+        calibrated = 0
+        for tick in range(30):
+            step(plane.step())
+            if tick % 4:
+                continue
+            before = {n: [l.rate for l in c.links] for n, c in overlay.circuits.items()}
+            expected = {
+                n: reference_rates(controller, c) for n, c in overlay.circuits.items()
+            }
+            moved = sum(
+                int(a != b)
+                for n in before
+                for a, b in zip(before[n], expected[n])
+            )
+            assert controller.calibrate() == moved, tick
+            calibrated += moved
+            for name, circuit in overlay.circuits.items():
+                rates = [l.rate for l in circuit.links]
+                assert rates == expected[name], (tick, name)
+                np.testing.assert_array_equal(kernels[name].link_rates, rates)
+            # The aliased pair keeps its priors.
+            assert [l.rate for l in overlay.circuits["c0"].links[1:]] == [3.0, 1.5]
+        assert calibrated > 0
