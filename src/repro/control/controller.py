@@ -400,7 +400,7 @@ class Controller:
 
     # -- calibration ---------------------------------------------------------
 
-    def _link_table(self) -> "_LinkTable":
+    def _link_table(self) -> _LinkTable:
         """Every installed link, flattened; rebuilt per structural change."""
         circuits = tuple(self.overlay.circuits.values())
         table = self._links

@@ -142,7 +142,7 @@ class _FamilyTable:
         "circuits", "link_keys", "keys", "members", "k", "rows", "fam_of", "max_row",
     ) + STATE
 
-    def __init__(self, circuits, link_keys, op_index, old: "_FamilyTable | None"):
+    def __init__(self, circuits, link_keys, op_index, old: _FamilyTable | None):
         self.circuits = circuits
         self.link_keys = link_keys
         self.keys: list[tuple[str, str]] = []

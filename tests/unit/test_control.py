@@ -482,6 +482,11 @@ class TestCalibrationGather:
         step = controller.step_scalar if mode.endswith("scalar") else controller.step
         calibrated = 0
         for tick in range(30):
+            if tick == 14:
+                # A replaced circuit object is a structural change: the
+                # gather must price and write the installed copy.
+                overlay.replace_circuit(overlay.circuits["c2"].copy())
+                kernels["c2"] = reopt._kernel(overlay.circuits["c2"])
             step(plane.step())
             if tick % 4:
                 continue
