@@ -34,9 +34,14 @@ circuits (cached across passes), :meth:`Reoptimizer.local_step` and
    snapshot semantics so equivalence is testable);
 2. maps all targets in one batched ``map_coordinates`` call;
 3. prices each candidate migration with one speculative
-   ``evaluator.latency_array`` sweep over the incidence table while
-   keeping the accept/revert decisions sequential per circuit, so the
-   hysteresis threshold always compares against the up-to-date total.
+   ``evaluator.latency_array`` sweep over the incidence table, and
+   every circuit's snapshot total in a few batched expressions;
+4. decides in one lockstep sweep: step *j* accepts or reverts the
+   *j*-th unpinned service of every circuit at once.  Circuits share
+   no state, so each still sees its own services in order against its
+   own running total, and the hysteresis threshold always compares
+   against the up-to-date total (Gauss–Seidel within a circuit over
+   the Jacobi candidates).
 
 The pre-vectorization per-candidate ``evaluator.evaluate`` loops are
 retained as ``local_step_scalar`` / ``step_all_scalar`` /
@@ -47,6 +52,7 @@ retained as ``local_step_scalar`` / ``step_all_scalar`` /
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -115,7 +121,8 @@ class _CircuitKernel:
 
     Attributes:
         sids: all service ids, row order.
-        unpinned_sids / unpinned_rows: the migratable services.
+        unpinned_sids / unpinned_rows: the migratable services;
+            unpinned_pos maps a service id to its position among them.
         link_src / link_dst / link_rates: flat link-endpoint rows.
         inc_seg / inc_nbr / inc_rates: CSR-style (unpinned service,
             neighbor row, link rate) incidence entries, grouped by
@@ -153,18 +160,14 @@ class _CircuitKernel:
         self.inc_seg = np.asarray(seg, dtype=int)[order]
         self.inc_nbr = np.asarray(nbr, dtype=int)[order]
         self.inc_link = np.asarray(inc_link, dtype=int)[order]
-        # CSR bounds of each unpinned service's incidence slice (inc_seg
-        # is sorted): entries of service k live in [inc_lo[k], inc_hi[k]).
-        m = len(self.unpinned_sids)
-        self.inc_lo = np.searchsorted(self.inc_seg, np.arange(m), side="left")
-        self.inc_hi = np.searchsorted(self.inc_seg, np.arange(m), side="right")
-        self.seg_count = np.bincount(self.inc_seg, minlength=m)
+        self.unpinned_pos = unpinned_pos
+        self.seg_count = np.bincount(self.inc_seg, minlength=len(self.unpinned_sids))
         self.set_rates(np.asarray(rates, dtype=float))
 
     def set_rates(self, rates: np.ndarray) -> None:
         """Re-price the kernel's links in place (calibrated rates).
 
-        Structure (incidence, CSR bounds) is placement- and
+        Structure (incidence) is placement- and
         rate-independent, so the control plane can push measured rates
         into a cached kernel without recompiling: one gather refreshes
         the incidence weights and one segment-sum the spring weights.
@@ -220,20 +223,25 @@ class _ReoptArena:
     One global CSR incidence/link table spanning the given kernels, with
     per-kernel row/segment/link offsets, so a pass runs **one**
     segment-sum for all spring targets, **one** batched
-    ``map_coordinates``, and **one** ``latency_array`` sweep each for
-    current link usage and speculative candidate pricing.  An arena of
-    one kernel is how a single circuit is re-optimized or evacuated.
+    ``map_coordinates``, **one** ``latency_array`` sweep each for
+    current link usage and speculative candidate pricing, and **one**
+    lockstep accept sweep (:meth:`sweep`).  An arena of one kernel is
+    how a single circuit is re-optimized or evacuated.
 
     Every reduction visits each circuit's entries contiguously and in
-    the kernel's own order (``np.add.at`` is unbuffered and the
-    evaluators are elementwise), so a circuit's decisions do not depend
-    on which other circuits share its arena.  The arena and vectorized
+    the kernel's own order (``np.add.at`` is unbuffered, the evaluators
+    are elementwise and each circuit's dot products are row-by-column
+    ``np.matmul``), so a circuit's decisions do not depend on which
+    other circuits share its arena.  The arena and vectorized
     equivalence tests pin them to the scalar oracles.
 
     The arena holds *copies* of each kernel's rate columns; it notices
     in-place re-pricing (``_CircuitKernel.set_rates``, driven by the
     control plane through :func:`refresh_kernel_rates`) via the
-    kernels' ``rates_version`` counters and refreshes lazily.
+    kernels' ``rates_version`` counters and refreshes lazily.  The sweep
+    tables and the link-rate copy are built on the first sweep, so an
+    arena built only for spring targets (:meth:`Reoptimizer.evacuate`)
+    never pays for them.
     """
 
     def __init__(self, kernels: list["_CircuitKernel"]):
@@ -269,6 +277,7 @@ class _ReoptArena:
             [k.link_dst + r for k, r in zip(self.kernels, self.row_offsets)], int
         )
         self.seg_count = cat([k.seg_count for k in self.kernels], int)
+        self._steps: list[tuple] | None = None
         self.refresh_rates()
 
     def refresh_rates(self) -> None:
@@ -281,6 +290,7 @@ class _ReoptArena:
         self.seg_weight = (
             np.concatenate(parts_seg) if parts_seg else np.zeros(0)
         )
+        self._group_rates: list[np.ndarray] | None = None
         self._versions = [k.rates_version for k in self.kernels]
 
     def matches(self, kernels: list["_CircuitKernel"]) -> bool:
@@ -333,7 +343,9 @@ class _ReoptArena:
         """Per-service incident usage, old vs candidate, fused.
 
         Two ``latency_array`` sweeps over the whole incidence table,
-        segment-summed per service for ``Reoptimizer._accept_pass``.
+        segment-summed per service: the speculative usage delta
+        :meth:`sweep` uses for every service none of whose neighbors
+        has moved yet.
         """
         inc_nbr_hosts = hosts[self.inc_nbr]
         inc_old = self.inc_rates * evaluator.latency_array(
@@ -347,6 +359,198 @@ class _ReoptArena:
         np.add.at(old_usage, self.inc_seg, inc_old)
         np.add.at(new_usage, self.inc_seg, inc_new)
         return old_usage, new_usage
+
+    def _build_sweep(self) -> None:
+        """Lockstep sweep tables (structure only), built on the first sweep.
+
+        Step *j* holds the *j*-th unpinned service of every circuit with
+        more than *j* of them: its segments, their circuits and rows,
+        its incidence entries (step-local segment index, neighbor row)
+        and its *peers* — every unpinned row of each segment's circuit,
+        the host multiset the load penalty counts.  Circuits are grouped
+        by link count, each group with a ``(g, n)`` link-index matrix.
+        """
+        seg_counts = np.diff(self.seg_offsets)
+        self.seg_circ = np.repeat(np.arange(len(self.kernels)), seg_counts)
+        self.seg_pos = np.arange(self.num_segments) - self.seg_offsets[self.seg_circ]
+        self.inc_start = np.cumsum(self.seg_count) - self.seg_count
+        ent_pos = self.seg_pos[self.inc_seg]
+        local = np.empty(self.num_segments, dtype=int)
+        self._steps = []
+        for j in range(int(seg_counts.max())):
+            segs = np.flatnonzero(self.seg_pos == j)
+            circ = self.seg_circ[segs]
+            local[segs] = np.arange(segs.size)
+            ents = np.flatnonzero(ent_pos == j)
+            m = seg_counts[circ]
+            peers = np.arange(m.sum()) + np.repeat(
+                self.seg_offsets[circ] - (np.cumsum(m) - m), m
+            )
+            self._steps.append(
+                (
+                    segs,
+                    circ,
+                    self.unpinned_rows[segs],
+                    local[self.inc_seg[ents]],
+                    self.inc_nbr[ents],
+                    np.repeat(np.arange(segs.size), m),
+                    self.unpinned_rows[peers],
+                )
+            )
+        link_counts = np.diff(self.link_offsets)
+        self._link_groups = []
+        for n in np.unique(link_counts):
+            circs = np.flatnonzero(link_counts == n)
+            self._link_groups.append(
+                (circs, self.link_offsets[circs][:, None] + np.arange(n))
+            )
+
+    def totals(
+        self,
+        hosts: np.ndarray,
+        evaluator: CostEvaluator,
+        penalty_of,
+        load_weight: float,
+    ) -> np.ndarray:
+        """Every circuit's total at ``hosts``, as ``_CircuitKernel.total``.
+
+        Each link-count group's usage is one row-by-column ``np.matmul``,
+        bit-equal to the per-circuit ``np.dot``.  The penalty sums each
+        circuit's distinct unpinned hosts in first-seen order (with
+        three or more, a ``set``-order sum may differ in the last bit).
+        """
+        if self._group_rates is None:
+            rates = np.concatenate([k.link_rates for k in self.kernels])
+            self._group_rates = [rates[idx] for _, idx in self._link_groups]
+        link_lat = evaluator.latency_array(
+            hosts[self.link_src], hosts[self.link_dst]
+        )
+        usage = np.empty(len(self.kernels))
+        for (circs, idx), rates in zip(self._link_groups, self._group_rates):
+            usage[circs] = np.matmul(
+                rates[:, None, :], link_lat[idx][:, :, None]
+            )[:, 0, 0]
+        unpinned = hosts[self.unpinned_rows]
+        _, first = np.unique(
+            self.seg_circ * (int(unpinned.max()) + 1) + unpinned,
+            return_index=True,
+        )
+        first.sort()
+        penalty = np.bincount(
+            self.seg_circ[first],
+            penalty_of(unpinned[first]),
+            minlength=len(self.kernels),
+        )
+        return usage + load_weight * penalty
+
+    def _reprice(
+        self,
+        segs: np.ndarray,
+        old: np.ndarray,
+        cand: np.ndarray,
+        hosts: np.ndarray,
+        evaluator: CostEvaluator,
+    ) -> np.ndarray:
+        """Incident usage delta of moving ``segs``, against the live hosts.
+
+        Grouped by slice length, so each slice reduces with the
+        row-by-column ``np.matmul`` (the per-service ``np.dot`` pair).
+        """
+        lengths = self.seg_count[segs]
+        out = np.empty(segs.size)
+        for n in np.unique(lengths):
+            sel = lengths == n
+            idx = self.inc_start[segs[sel]][:, None] + np.arange(n)
+            nbr = hosts[self.inc_nbr[idx]].ravel()
+            rates = self.inc_rates[idx][:, None, :]
+            new = evaluator.latency_array(np.repeat(cand[sel], n), nbr)
+            was = evaluator.latency_array(np.repeat(old[sel], n), nbr)
+            out[sel] = (
+                np.matmul(rates, new.reshape(-1, n, 1))
+                - np.matmul(rates, was.reshape(-1, n, 1))
+            )[:, 0, 0]
+        return out
+
+    def sweep(
+        self,
+        hosts: np.ndarray,
+        candidates: np.ndarray,
+        evaluator: CostEvaluator,
+        load_weight: float,
+        threshold: float,
+        frozen: np.ndarray | None = None,
+    ) -> tuple[list[np.ndarray], int]:
+        """Lockstep accept/revert sweep over every circuit at once.
+
+        Step *j* decides the *j*-th unpinned service of every circuit.
+        Circuits share no state, so each still sees its own services in
+        kernel order against its own running total and host multiset:
+        every decision is the one a per-circuit loop makes.  A service
+        whose neighbor already moved is re-priced against the live
+        hosts; the rest take the speculative delta.  A move is accepted
+        when it cuts its circuit's total by ``threshold``; unmoved and
+        ``frozen`` segments are skipped, not rejected.
+
+        Updates ``hosts``; returns the accepted moves as ``[segments,
+        from, to, total before, total after]`` in segment order, and the
+        reject count.
+        """
+        if self._steps is None:
+            self._build_sweep()
+        old_usage, new_usage = self.speculative_usage(hosts, candidates, evaluator)
+        involved = np.unique(
+            np.concatenate((hosts[self.unpinned_rows], candidates))
+        )
+        penalties = evaluator.penalty_array(involved)
+
+        def penalty_of(nodes: np.ndarray) -> np.ndarray:
+            return penalties[np.searchsorted(involved, nodes)]
+
+        current = self.totals(hosts, evaluator, penalty_of, load_weight)
+        moved = np.zeros(self.num_rows, dtype=bool)
+        moves = []
+        rejects = 0
+        for segs, circ, rows, ent_loc, ent_nbr, peer_loc, peer_row in self._steps:
+            old = hosts[rows]
+            cand = candidates[segs]
+            act = cand != old
+            if frozen is not None:
+                act &= ~frozen[segs]
+            if not act.any():
+                continue
+            delta = new_usage[segs] - old_usage[segs]
+            if moves:
+                conflict = act & (
+                    np.bincount(ent_loc, moved[ent_nbr], minlength=segs.size) > 0
+                )
+                if conflict.any():
+                    delta[conflict] = self._reprice(
+                        segs[conflict], old[conflict], cand[conflict], hosts, evaluator
+                    )
+            peer_hosts = hosts[peer_row]
+            n_cand = np.bincount(
+                peer_loc, peer_hosts == cand[peer_loc], minlength=segs.size
+            )
+            n_old = np.bincount(
+                peer_loc, peer_hosts == old[peer_loc], minlength=segs.size
+            )
+            dpen = np.where(n_cand == 0, penalty_of(cand), 0.0) - np.where(
+                n_old == 1, penalty_of(old), 0.0
+            )
+            before = current[circ]
+            after = before + delta + load_weight * dpen
+            ok = act & (after < before * (1 - threshold))
+            rejects += int(np.count_nonzero(act) - np.count_nonzero(ok))
+            if ok.any():
+                hosts[rows[ok]] = cand[ok]
+                moved[rows[ok]] = True
+                current[circ[ok]] = after[ok]
+                moves.append((segs[ok], old[ok], cand[ok], before[ok], after[ok]))
+        if not moves:
+            return [np.zeros(0, dtype=int)] * 5, rejects
+        columns = [np.concatenate(col) for col in zip(*moves)]
+        order = np.argsort(columns[0])
+        return [col[order] for col in columns], rejects
 
 
 def refresh_kernel_rates(
@@ -392,8 +596,9 @@ class Reoptimizer:
         mapper: physical-mapping backend for migrations.
         evaluator: circuit pricing (cost-space estimates by default).
         migration_threshold: minimum *relative* total-cost improvement
-            required to perform a migration (hysteresis).
-        load_weight: load-penalty weight, as in the optimizers.
+            required to perform a migration (hysteresis); finite, >= 0.
+        load_weight: load-penalty weight, as in the optimizers; finite,
+            >= 0.
         kernel_cache: optional dict that persists compiled circuit
             kernels across Reoptimizer instances (the simulator passes
             one so structure is compiled once per circuit, not per
@@ -409,8 +614,12 @@ class Reoptimizer:
         load_weight: float = 1.0,
         kernel_cache: dict | None = None,
     ):
-        if migration_threshold < 0:
-            raise ValueError("migration_threshold must be non-negative")
+        for name, value in (
+            ("migration_threshold", migration_threshold),
+            ("load_weight", load_weight),
+        ):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative")
         self.cost_space = cost_space
         self.mapper = mapper or ExhaustiveMapper(cost_space)
         self.evaluator = evaluator or CostSpaceEvaluator(cost_space)
@@ -446,107 +655,6 @@ class Reoptimizer:
         return kernel
 
     # -- local re-optimization ----------------------------------------------
-
-    def _accept_pass(
-        self,
-        circuit: Circuit,
-        kernel: _CircuitKernel,
-        hosts: np.ndarray,
-        candidates: np.ndarray,
-        old_usage: np.ndarray,
-        new_usage: np.ndarray,
-        current_total: float,
-    ) -> list[Migration]:
-        """Sequential accept/revert sweep over pre-mapped candidates.
-
-        ``old_usage`` / ``new_usage`` are every candidate's incident
-        link usage at its snapshot host and at its candidate node,
-        priced speculatively in one batch by
-        :meth:`_ReoptArena.speculative_usage` (moving service ``k`` only
-        re-prices the links incident to ``k``); ``current_total`` is the
-        circuit's total at the snapshot.  The accept decisions then
-        resolve conflicts sequentially against the running total
-        (Gauss–Seidel over Jacobi targets): a service whose neighbor
-        already moved re-prices its few incident links against the live
-        hosts, everyone else uses the speculative delta; the
-        load-penalty delta is tracked through a running multiset of
-        occupied hosts.
-        """
-        migrations: list[Migration] = []
-        moved = np.zeros(len(hosts), dtype=bool)
-
-        # Penalty bookkeeping: multiset of hosts over unpinned services
-        # plus a penalty lookup for every node that can appear.
-        occupancy: dict[int, int] = {}
-        for node in hosts[kernel.unpinned_rows]:
-            occupancy[int(node)] = occupancy.get(int(node), 0) + 1
-        involved = np.unique(
-            np.concatenate((hosts[kernel.unpinned_rows], candidates))
-        )
-        penalty_of = dict(
-            zip(
-                (int(n) for n in involved),
-                self.evaluator.penalty_array(involved),
-            )
-        )
-
-        frozen = self.frozen
-        for k, sid in enumerate(kernel.unpinned_sids):
-            row = kernel.unpinned_rows[k]
-            old_node = int(hosts[row])
-            candidate = int(candidates[k])
-            if candidate == old_node:
-                continue
-            if frozen and (circuit.name, sid) in frozen:
-                continue
-            lo, hi = kernel.inc_lo[k], kernel.inc_hi[k]
-            if moved[kernel.inc_nbr[lo:hi]].any():
-                # A neighbor migrated earlier in this sweep: re-price
-                # this service's incident slice against the live hosts.
-                nbr_hosts = hosts[kernel.inc_nbr[lo:hi]]
-                rates = kernel.inc_rates[lo:hi]
-                delta_usage = float(
-                    np.dot(
-                        rates,
-                        self.evaluator.latency_array(
-                            np.full(hi - lo, candidate), nbr_hosts
-                        ),
-                    )
-                    - np.dot(
-                        rates,
-                        self.evaluator.latency_array(
-                            np.full(hi - lo, old_node), nbr_hosts
-                        ),
-                    )
-                )
-            else:
-                delta_usage = float(new_usage[k] - old_usage[k])
-            delta_penalty = 0.0
-            if occupancy.get(candidate, 0) == 0:
-                delta_penalty += penalty_of[candidate]
-            if occupancy[old_node] == 1:
-                delta_penalty -= penalty_of[old_node]
-            new_total = current_total + delta_usage + self.load_weight * delta_penalty
-            if new_total < current_total * (1 - self.migration_threshold):
-                hosts[row] = candidate
-                moved[row] = True
-                occupancy[old_node] -= 1
-                occupancy[candidate] = occupancy.get(candidate, 0) + 1
-                circuit.assign(sid, candidate)
-                migrations.append(
-                    Migration(
-                        service_id=sid,
-                        from_node=old_node,
-                        to_node=candidate,
-                        cost_before=current_total,
-                        cost_after=new_total,
-                    )
-                )
-                current_total = new_total
-                self.accepts += 1
-            else:
-                self.rejects += 1
-        return migrations
 
     def local_step(self, circuit: Circuit) -> ReoptimizationReport:
         """One decentralized pass: re-place and maybe migrate each service.
@@ -655,50 +763,54 @@ class Reoptimizer:
         )
         return targets
 
+    def _frozen_segments(
+        self, arena: _ReoptArena, circuits: list[Circuit]
+    ) -> np.ndarray | None:
+        """Arena segments of ``self.frozen``, found pair by pair."""
+        if not self.frozen:
+            return None
+        index = {circuit.name: c for c, circuit in enumerate(circuits)}
+        mask = np.zeros(arena.num_segments, dtype=bool)
+        for name, sid in self.frozen:
+            c = index.get(name)
+            k = None if c is None else arena.kernels[c].unpinned_pos.get(sid)
+            if k is not None:
+                mask[arena.seg_offsets[c] + k] = True
+        return mask
+
     def _pass(self, circuits: list[Circuit], arena_of) -> list[ReoptimizationReport]:
         """One local pass over ``circuits`` through the arena ``arena_of`` builds.
 
         The active kernels' concatenation costs **one** spring-target
-        segment-sum, **one** batched ``map_coordinates``, **one**
-        link-usage sweep and **one** speculative candidate-pricing
-        sweep.  Only the accept/revert decisions stay sequential per
-        circuit (they must: the hysteresis threshold compares against
-        the live running total).  Reports carry migrations only.
+        segment-sum, **one** batched ``map_coordinates`` and **one**
+        lockstep accept sweep (:meth:`_ReoptArena.sweep`) deciding every
+        circuit's *j*-th service at once.  The accepted moves are then
+        assigned in (circuit, position) order.  Reports carry migrations
+        only.
         """
         reports = [ReoptimizationReport() for _ in circuits]
         kernels, hosts_list, active = self._collect_active(circuits)
         if not active:
             return reports
         arena = arena_of(kernels)
-        ghosts = np.concatenate(hosts_list)
-        candidates, _ = self.mapper.map_coordinates(self._target_coords(arena, ghosts))
-        old_usage, new_usage = arena.speculative_usage(
-            ghosts, candidates, self.evaluator
+        hosts = np.concatenate(hosts_list)
+        candidates, _ = self.mapper.map_coordinates(self._target_coords(arena, hosts))
+        frozen = self._frozen_segments(arena, [circuits[i] for i in active])
+        moves, rejects = arena.sweep(
+            hosts, candidates, self.evaluator, self.load_weight,
+            self.migration_threshold, frozen,
         )
-        # One global latency sweep prices every circuit's current links;
-        # each circuit's total reduces its slice the way
-        # ``_CircuitKernel.total`` does (same dot, same distinct-host
-        # penalty).
-        link_lat = self.evaluator.latency_array(
-            ghosts[arena.link_src], ghosts[arena.link_dst]
-        )
-        for idx, (kernel, hosts, i) in enumerate(zip(kernels, hosts_list, active)):
-            l0, l1 = arena.link_offsets[idx], arena.link_offsets[idx + 1]
-            usage = float(np.dot(kernel.link_rates, link_lat[l0:l1]))
-            distinct = list({int(h) for h in hosts[kernel.unpinned_rows]})
-            penalty = float(
-                self.evaluator.penalty_array(np.asarray(distinct)).sum()
-            )
-            s0, s1 = arena.seg_offsets[idx], arena.seg_offsets[idx + 1]
-            reports[i].migrations = self._accept_pass(
-                circuits[i],
-                kernel,
-                hosts,
-                candidates[s0:s1],
-                old_usage[s0:s1],
-                new_usage[s0:s1],
-                usage + self.load_weight * penalty,
-            )
+        segs = moves[0]
+        self.accepts += segs.size
+        self.rejects += rejects
+        for c, k, *move in zip(
+            arena.seg_circ[segs].tolist(),
+            arena.seg_pos[segs].tolist(),
+            *(col.tolist() for col in moves[1:]),
+        ):
+            sid = arena.kernels[c].unpinned_sids[k]
+            circuits[active[c]].assign(sid, move[1])
+            reports[active[c]].migrations.append(Migration(sid, *move))
         return reports
 
     def step_all(self, circuits: list[Circuit]) -> list[ReoptimizationReport]:

@@ -47,6 +47,7 @@ of the E17 benchmark.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.control.controller import Controller
@@ -67,11 +68,13 @@ class SimulationConfig:
     Attributes:
         reopt_interval: ticks between re-optimization passes; 0 disables
             re-optimization entirely (the static baseline).
-        migration_threshold: hysteresis passed to the re-optimizer.
+        migration_threshold: hysteresis passed to the re-optimizer;
+            finite and >= 0 (checked here, not at the first reopt tick).
         use_ground_truth_for_reopt: if True the re-optimizer prices
             circuits with true latencies/loads (omniscient variant);
             if False it uses cost-space estimates (deployable variant).
-        load_weight: load-penalty weight in re-optimization decisions.
+        load_weight: load-penalty weight in re-optimization decisions;
+            finite and >= 0.
 
     Bulk re-optimization always runs the fused cross-circuit pass
     (:meth:`Reoptimizer.step_all`); :meth:`Simulation.step_scalar`
@@ -86,6 +89,10 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         if self.reopt_interval < 0:
             raise ValueError("reopt_interval must be >= 0")
+        for name in ("migration_threshold", "load_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 class Simulation:

@@ -9,6 +9,7 @@ from repro.core.reoptimizer import Reoptimizer
 from repro.query.model import Consumer, Producer, QuerySpec
 from repro.query.plan import JoinNode, LeafNode, LogicalPlan
 from repro.query.selectivity import Statistics
+from repro.sbon.simulator import SimulationConfig
 from repro.workloads.scenarios import perfect_cost_space
 
 
@@ -73,6 +74,41 @@ class TestLocalStep:
         space, _, _, _ = line_setup()
         with pytest.raises(ValueError):
             Reoptimizer(space, migration_threshold=-0.1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"migration_threshold": float("nan")},
+            {"migration_threshold": float("inf")},
+            {"load_weight": float("nan")},
+            {"load_weight": float("inf")},
+            {"load_weight": -1.0},
+        ],
+    )
+    def test_non_finite_or_negative_settings_rejected(self, kwargs):
+        # NaN or inf would silently reject every candidate move.
+        space, _, _, _ = line_setup()
+        with pytest.raises(ValueError):
+            Reoptimizer(space, **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"migration_threshold": -0.1},
+            {"migration_threshold": float("nan")},
+            {"load_weight": float("inf")},
+            {"load_weight": -1.0},
+        ],
+    )
+    def test_simulation_config_rejects_bad_reopt_settings(self, kwargs):
+        # Raised at construction, not at the first reopt tick.
+        with pytest.raises(ValueError):
+            SimulationConfig(**kwargs)
+
+    def test_zero_threshold_and_weight_accepted(self):
+        space, _, _, _ = line_setup()
+        Reoptimizer(space, migration_threshold=0.0, load_weight=0.0)
+        SimulationConfig(migration_threshold=0.0, load_weight=0.0)
 
 
 class TestFullReoptimize:
