@@ -5,6 +5,10 @@ scalar reference implementations (per-node / per-service Python loops)
 versus the vectorized production paths, measured on the same inputs.
 
 * ``nearest_node`` / ``nodes_within`` throughput at n ∈ {100, 1k, 10k}.
+* ``nearest_nodes`` at the re-optimizer pass's shape (200 targets with
+  zero load parts, 1 200 nodes, 2 vector + 1 load dims, 60 excluded)
+  against a per-target ``nearest_node_scalar`` loop, answers asserted
+  equal.
 * Relaxation virtual placement of a 200-unpinned-service circuit.
 
 Set ``BENCH_QUICK=1`` to shrink sizes for CI smoke runs.
@@ -35,6 +39,7 @@ QUICK = os.environ.get("BENCH_QUICK", "") == "1"
 SIZES = [100, 1000] if QUICK else [100, 1000, 10000]
 PLACEMENT_SERVICES = 50 if QUICK else 200
 QUERIES_PER_SIZE = {100: 200, 1000: 50, 10000: 10}
+PASS_NODES, PASS_TARGETS, PASS_EXCLUDED = 1200, 200, 60
 
 
 def _timed(fn, repeats: int = 3) -> float:
@@ -64,6 +69,18 @@ def _query_targets(n: int, count: int) -> list[CostCoordinate]:
         )
         for _ in range(count)
     ]
+
+
+def _pass_shape() -> tuple[CostSpace, np.ndarray, set[int]]:
+    """One reopt pass's mapping call: spring targets with zero load parts."""
+    rng = np.random.default_rng(PASS_NODES + 2)
+    targets = np.column_stack(
+        [rng.uniform(0, 200, size=(PASS_TARGETS, 2)), np.zeros(PASS_TARGETS)]
+    )
+    exclude = set(
+        int(i) for i in rng.choice(PASS_NODES, size=PASS_EXCLUDED, replace=False)
+    )
+    return _space(PASS_NODES), targets, exclude
 
 
 @lru_cache(maxsize=None)
@@ -155,6 +172,24 @@ def cost_space_table() -> tuple[list[list], float, float]:
         rows.append(
             ["nodes_within", n, t_sw * 1e3, t_vw * 1e3, t_sw / t_vw]
         )
+
+    space, pass_targets, exclude = _pass_shape()
+    coords = [CostCoordinate((float(x), float(y)), (0.0,)) for x, y, _ in pass_targets]
+    start = time.perf_counter()
+    scalar_nodes = [nearest_node_scalar(space, c, exclude) for c in coords]
+    t_scalar = time.perf_counter() - start
+    batched_nodes = space.nearest_nodes(pass_targets, exclude=exclude)
+    assert list(batched_nodes) == scalar_nodes
+    t_batched = _timed(lambda: space.nearest_nodes(pass_targets, exclude=exclude))
+    rows.append(
+        [
+            f"nearest_nodes ({PASS_TARGETS} targets, one call)",
+            PASS_NODES,
+            t_scalar * 1e3,
+            t_batched * 1e3,
+            t_scalar / t_batched,
+        ]
+    )
 
     circuit, pinned = _placement_circuit(PLACEMENT_SERVICES)
     pinned_positions = {sid: np.asarray(p) for sid, p in pinned}

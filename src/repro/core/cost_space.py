@@ -48,9 +48,10 @@ __all__ = [
     "nodes_within_scalar",
 ]
 
-#: Cap on elements in one batched-query difference tensor (~32 MB of
-#: float64); larger target batches are processed in chunks of this size.
-_BATCH_ELEMENT_BUDGET = 4_000_000
+#: Elements in each of the two scratch buffers of the batched
+#: nearest-node scan (512 KB of float64 apiece); targets are scanned in
+#: blocks of ``_BLOCK_ELEMENTS // eligible nodes`` rows.
+_BLOCK_ELEMENTS = 65_536
 
 
 @dataclass(frozen=True)
@@ -331,12 +332,15 @@ class CostSpace:
     def _target_array(self, target: CostCoordinate | np.ndarray) -> np.ndarray:
         if isinstance(target, CostCoordinate):
             self._check_shape(target)
-            return target.full_array()
-        target = np.asarray(target, dtype=float)
-        if target.shape != (self.spec.dims,):
-            raise ValueError(
-                f"target must have {self.spec.dims} dims, got {target.shape}"
-            )
+            target = target.full_array()
+        else:
+            target = np.asarray(target, dtype=float)
+            if target.shape != (self.spec.dims,):
+                raise ValueError(
+                    f"target must have {self.spec.dims} dims, got {target.shape}"
+                )
+        if not np.isfinite(target).all():
+            raise ValueError("targets must be finite")
         return target
 
     def distances_from(self, target: CostCoordinate | np.ndarray) -> np.ndarray:
@@ -376,11 +380,20 @@ class CostSpace:
     ) -> np.ndarray:
         """Nearest node for each of ``m`` targets in one batched pass.
 
+        Exact: a full scan of squared distances over the eligible
+        nodes, ties going to the lowest node index.  Scratch memory is
+        two buffers of at most ``_BLOCK_ELEMENTS`` floats, whatever
+        ``m``.
+
         Args:
             targets: ``(m, dims)`` array or list of coordinates.
 
         Returns:
             ``(m,)`` int array of node indices.
+
+        Raises:
+            ValueError: a target is not finite, or no node is eligible
+                (all excluded, or a NaN distance).
         """
         if len(targets) == 0:
             return np.zeros(0, dtype=int)
@@ -390,41 +403,53 @@ class CostSpace:
                 raise ValueError(
                     f"targets must be (m, {self.spec.dims}), got {t.shape}"
                 )
+            if not np.isfinite(t).all():
+                raise ValueError("targets must be finite")
         else:
             t = np.empty((len(targets), self.spec.dims), dtype=float)
             for i, coord in enumerate(targets):
                 t[i] = self._target_array(coord)
-        n = self.num_nodes
-        if n == 0:
+        # Exact scan over the eligible nodes' columns, gathered once so
+        # an excluded node never enters the arithmetic.  ``rows`` is
+        # ascending, so argmin's first minimum is still the lowest node
+        # index on ties.
+        if exclude:
+            keep = np.ones(self.num_nodes, dtype=bool)
+            keep[[node for node in exclude if 0 <= node < self.num_nodes]] = False
+            rows = np.flatnonzero(keep)
+            cols = self._matrix.T.take(rows, axis=1)
+        else:
+            rows = None
+            cols = self._matrix.T.copy()
+        eligible = cols.shape[1]
+        if eligible == 0:
             raise ValueError("no eligible node")
-        excluded = (
-            [node for node in exclude if 0 <= node < n] if exclude else []
-        )
-        # Squared distances suffice for the argmin; ties resolve to the
-        # lowest index, matching the scalar reference scan.  Direct
-        # per-dimension differences accumulated in place (not the
-        # expanded cross-term form) keep the arithmetic shape of
-        # single-target queries — no catastrophic cancellation — while
-        # avoiding the (chunk, n, dims) intermediate tensor.  Targets
-        # are chunked so the (chunk, n) buffers stay bounded.
-        chunk = max(1, _BATCH_ELEMENT_BUDGET // max(n, 1))
-        result = np.empty(t.shape[0], dtype=int)
-        for start in range(0, t.shape[0], chunk):
-            block = t[start:start + chunk]
-            d2: np.ndarray | None = None
-            for k in range(self.spec.dims):
-                part = np.subtract.outer(block[:, k], self._matrix[:, k])
-                np.multiply(part, part, out=part)
-                if d2 is None:
-                    d2 = part
-                else:
-                    np.add(d2, part, out=d2)
-            if excluded:
-                d2[:, excluded] = np.inf
-            if not np.all(np.isfinite(d2.min(axis=1))):
+        # Squared distances, accumulated dimension by dimension from
+        # direct differences (no expanded cross-term form, so no
+        # cancellation), in blocks of target rows through two reused
+        # buffers that stay in cache.  argmin returns the first NaN of a
+        # row, so checking the chosen entry alone catches NaN and
+        # all-inf rows.
+        m = t.shape[0]
+        block = max(1, _BLOCK_ELEMENTS // eligible)
+        acc = np.empty((min(block, m), eligible))
+        part = np.empty_like(acc)
+        result = np.empty(m, dtype=int)
+        for start in range(0, m, block):
+            chunk = t[start:start + block]
+            r = chunk.shape[0]
+            d2, sq = acc[:r], part[:r]
+            np.subtract.outer(chunk[:, 0], cols[0], out=d2)
+            np.multiply(d2, d2, out=d2)
+            for k in range(1, cols.shape[0]):
+                np.subtract.outer(chunk[:, k], cols[k], out=sq)
+                np.multiply(sq, sq, out=sq)
+                np.add(d2, sq, out=d2)
+            best = d2.argmin(axis=1)
+            if not np.isfinite(d2[np.arange(r), best]).all():
                 raise ValueError("no eligible node")
-            result[start:start + chunk] = np.argmin(d2, axis=1)
-        return result
+            result[start:start + r] = best
+        return result if rows is None else rows[result]
 
     def nodes_within(
         self,
@@ -433,8 +458,8 @@ class CostSpace:
         exclude: set[int] | None = None,
     ) -> list[int]:
         """All nodes within ``radius`` of ``target`` in the full space."""
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
+        if not radius >= 0:
+            raise ValueError("radius must be non-negative, not NaN")
         dists = self.distances_from(target)
         inside = np.flatnonzero(dists <= radius)
         if exclude:
@@ -469,7 +494,7 @@ def nearest_node_scalar(
     exclude: set[int] | None = None,
 ) -> int:
     """Per-node Python-loop nearest node (reference implementation)."""
-    space._check_shape(target)
+    space._target_array(target)
     exclude = exclude or set()
     best_node = -1
     best_dist = float("inf")
@@ -492,9 +517,9 @@ def nodes_within_scalar(
     exclude: set[int] | None = None,
 ) -> list[int]:
     """Per-node Python-loop radius query (reference implementation)."""
-    space._check_shape(target)
-    if radius < 0:
-        raise ValueError("radius must be non-negative")
+    space._target_array(target)
+    if not radius >= 0:
+        raise ValueError("radius must be non-negative, not NaN")
     exclude = exclude or set()
     return [
         node

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.coordinates import CostCoordinate
-from repro.core.cost_space import CostSpace, CostSpaceSpec, ScalarDimension
+from repro.core.cost_space import (
+    CostSpace,
+    CostSpaceSpec,
+    ScalarDimension,
+    nearest_node_scalar,
+    nodes_within_scalar,
+)
 from repro.core.weighting import linear, squared
 
 
@@ -175,6 +181,21 @@ class TestBatchedQueries:
         with pytest.raises(ValueError):
             space.nearest_nodes(targets, exclude={0, 1, 2})
 
+    def test_nearest_nodes_ignores_out_of_range_exclusions(self):
+        space = load_space(loads=(0.0, 0.0, 0.0))
+        targets = np.array([[9.0, 0.0, 0.0], [0.0, 9.0, 0.0]])
+        assert list(space.nearest_nodes(targets, exclude={-1, 3, 99})) == [1, 2]
+        assert list(space.nearest_nodes(targets, exclude={-1, 1, 2, 7})) == [0, 0]
+
+    def test_nearest_nodes_ties_go_to_lowest_index(self):
+        spec = CostSpaceSpec.latency_only(vector_dims=2)
+        space = CostSpace.from_embedding(
+            spec, np.array([[5.0, 5.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
+        )
+        targets = np.array([[1.0, 1.0], [0.0, 0.0]])
+        assert list(space.nearest_nodes(targets)) == [1, 1]
+        assert list(space.nearest_nodes(targets, exclude={1})) == [2, 2]
+
     def test_matrices_are_read_only_views(self):
         space = load_space()
         with pytest.raises(ValueError):
@@ -204,3 +225,50 @@ class TestBatchedQueries:
         after = space.coordinate(1)
         assert before.scalar == (0.0,)
         assert after.scalar[0] == pytest.approx(100.0)
+
+
+class TestNonFiniteArguments:
+    """Bad coordinates fail at the cost space, not as 'no eligible node'."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_targets_rejected(self, bad):
+        space = load_space()
+        coord = CostCoordinate((bad, 0.0), (0.0,))
+        with pytest.raises(ValueError, match="targets must be finite"):
+            space.nearest_nodes(np.array([[0.0, 0.0, 0.0], [bad, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="targets must be finite"):
+            space.nearest_nodes([CostCoordinate((0.0, 0.0), (0.0,)), coord])
+        with pytest.raises(ValueError, match="targets must be finite"):
+            space.nearest_node(coord)
+        with pytest.raises(ValueError, match="targets must be finite"):
+            nearest_node_scalar(space, coord)
+        with pytest.raises(ValueError, match="targets must be finite"):
+            space.distances_from(np.array([0.0, bad, 0.0]))
+        with pytest.raises(ValueError, match="targets must be finite"):
+            space.nodes_within(coord, 10.0)
+        with pytest.raises(ValueError, match="targets must be finite"):
+            nodes_within_scalar(space, coord, 10.0)
+
+    def test_nan_radius_rejected(self):
+        space = load_space()
+        target = CostCoordinate((0.0, 0.0), (0.0,))
+        with pytest.raises(ValueError, match="radius"):
+            space.nodes_within(target, float("nan"))
+        with pytest.raises(ValueError, match="radius"):
+            nodes_within_scalar(space, target, float("nan"))
+
+    def test_infinite_radius_returns_every_eligible_node(self):
+        space = load_space()
+        target = CostCoordinate((0.0, 0.0), (0.0,))
+        assert space.nodes_within(target, float("inf"), exclude={1}) == [0, 2]
+        assert nodes_within_scalar(space, target, float("inf"), exclude={1}) == [0, 2]
+
+    def test_nan_node_row_raises_only_while_eligible(self):
+        spec = CostSpaceSpec.latency_only(vector_dims=2)
+        space = CostSpace.from_embedding(
+            spec, np.array([[0.0, 0.0], [np.nan, 1.0], [4.0, 4.0]])
+        )
+        targets = np.array([[3.0, 3.0]])
+        with pytest.raises(ValueError, match="no eligible node"):
+            space.nearest_nodes(targets)
+        assert list(space.nearest_nodes(targets, exclude={1})) == [2]
