@@ -248,10 +248,6 @@ class Controller:
         oracle: calibrate from :meth:`DataPlane.true_link_rates`
             instead of measurements (the perfect-information upper
             bound for closed-loop experiments).
-        calibrate_quantile: convenience override of
-            ``ControlConfig.calibrate_quantile`` — e.g.
-            ``Controller(plane, calibrate_quantile=0.95)`` prices from
-            the estimators' windowed p95 instead of the EWMA mean.
     """
 
     def __init__(
@@ -260,15 +256,10 @@ class Controller:
         config: ControlConfig | None = None,
         kernel_cache: dict | None = None,
         oracle: bool = False,
-        calibrate_quantile: float | None = None,
     ):
         self.data_plane = data_plane
         self.overlay = data_plane.overlay
         self.config = config or ControlConfig()
-        if calibrate_quantile is not None:
-            self.config = replace(
-                self.config, calibrate_quantile=calibrate_quantile
-            )
         self.kernel_cache = kernel_cache
         self.oracle = oracle
         cfg = self.config

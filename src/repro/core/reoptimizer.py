@@ -212,9 +212,9 @@ class _CircuitKernel:
         return usage + load_weight * penalty
 
 
-#: Reserved kernel-cache key the fused reopt arena is cached under
-#: (never a circuit name: circuit names come from query specs).
-_ARENA_KEY = "__arena__"
+#: Kernel-cache key the fused reopt arena is cached under.  It is not a
+#: ``str``, so no circuit name can equal it.
+_ARENA_KEY = object()
 
 
 class _ReoptArena:
@@ -566,7 +566,7 @@ def refresh_kernel_rates(
     without recompiling structure.  Returns True when a kernel was
     refreshed.
 
-    The fused reopt arena (cached under ``"__arena__"`` in the same
+    The fused reopt arena (cached under a non-``str`` key in the same
     cache) holds copies of the kernels' rate columns; ``set_rates``
     bumps the kernel's ``rates_version``, which the arena checks each
     pass, so a refresh here reaches the fused path lazily with no
@@ -747,7 +747,7 @@ class Reoptimizer:
     def _arena(self, kernels: list[_CircuitKernel]) -> _ReoptArena:
         """The fused arena for these kernels, cached and lazily refreshed."""
         arena = self._kernels.get(_ARENA_KEY)
-        if not isinstance(arena, _ReoptArena) or not arena.matches(kernels):
+        if arena is None or not arena.matches(kernels):
             arena = _ReoptArena(kernels)
             self._kernels[_ARENA_KEY] = arena
             self.arena_builds += 1

@@ -23,16 +23,13 @@ what the network really carries under churn, hotspots, and migration.
 * :mod:`repro.runtime.join_state` — the batched path's windowed join
   state: one slot table (an append-only row pool chained per
   (op, side, key) slot, walked newest-first, compacted only when full).
-* :mod:`repro.runtime.arena` — the arena building blocks:
-  :class:`CircuitArena` segment bookkeeping (append on install,
-  tombstone on uninstall, compact past a dead-row threshold; a scale
-  event swaps one segment) and :class:`ScratchArena`
-  reusable per-tick scratch buffers (preallocated, grown
-  geometrically; never hold a view across ticks).
+* :mod:`repro.runtime.arena` — :class:`CircuitArena` segment
+  bookkeeping (append on install, tombstone on uninstall, compact past
+  a dead-row threshold; a scale event swaps one segment).
 """
 
 from repro.core.load_model import LoadModel
-from repro.runtime.arena import ArenaSegment, CircuitArena, ScratchArena
+from repro.runtime.arena import ArenaSegment, CircuitArena
 from repro.runtime.dataplane import (
     DataPlane,
     ParameterDrift,
@@ -45,7 +42,6 @@ __all__ = [
     "LoadModel",
     "ArenaSegment",
     "CircuitArena",
-    "ScratchArena",
     "DataPlane",
     "ParameterDrift",
     "RuntimeConfig",

@@ -1,39 +1,23 @@
-"""Global circuit arena: shared segment bookkeeping + reusable scratch.
+"""Global circuit arena: segment bookkeeping for the data plane.
 
-Two small, dependency-free building blocks behind the arena runtime
-path:
+:class:`CircuitArena` keeps the segment bookkeeping for the one global
+CSR op/link table the data plane compiles every installed circuit
+into.  Each circuit owns a contiguous *segment* of op rows and link
+rows.  :meth:`~CircuitArena.append`, :meth:`~CircuitArena.tombstone`
+and :meth:`~CircuitArena.apply_compaction` are the only structural
+calls: installs append a new segment at the end, uninstalls
+*tombstone* the segment (rows stay allocated, marked dead), and
+compaction gathers the live segments in a given order using the
+mapping this class computes.  A segment swap (same-name circuit
+replacement) is a tombstone plus an append, then a compaction that
+gathers the new segment back into its circuit's place.
 
-:class:`ScratchArena`
-    A pool of named, geometrically grown numpy buffers reused across
-    ticks.  Hot per-tick kernels (transport batch extraction, per-op
-    cost accumulators, admission bookkeeping) ask for a view of the
-    size they need this tick instead of allocating fresh arrays.
-
-    **Buffer-reuse contract**: a view handed out by :meth:`array` /
-    :meth:`zeros` is valid only until the *next* request for the same
-    name — in practice, within the current tick.  Never hold a view
-    into a scratch buffer across ticks; copy if a value must survive.
-
-:class:`CircuitArena`
-    Segment bookkeeping for the one global CSR op/link table the data
-    plane compiles every installed circuit into.  Each circuit owns a
-    contiguous *segment* of op rows and link rows.
-    :meth:`~CircuitArena.append`, :meth:`~CircuitArena.tombstone` and
-    :meth:`~CircuitArena.apply_compaction` are the only structural
-    calls: installs append a new segment at the end, uninstalls
-    *tombstone* the segment (rows stay allocated, marked dead), and
-    compaction gathers the live segments in a given order using the
-    mapping this class computes.  A segment swap (same-name circuit
-    replacement) is a tombstone plus an append, then a compaction
-    that gathers the new segment back into its circuit's place.
-
-    Segment-boundary invariant: after every sync, live segments follow
-    the overlay's circuit order, each occupying contiguous
-    ``[op_base, op_base + num_ops)`` / ``[link_base, link_base +
-    num_links)`` row ranges; link rows are grouped by source op in
-    op-row order.  Installs keep it (a new circuit is last in the
-    overlay too), tombstones only leave holes, and the compaction
-    that follows a swap restores it.
+Segment-boundary invariant: after every sync, live segments follow the
+overlay's circuit order, each occupying contiguous ``[op_base, op_base
++ num_ops)`` / ``[link_base, link_base + num_links)`` row ranges; link
+rows are grouped by source op in op-row order.  Installs keep it (a new
+circuit is last in the overlay too), tombstones only leave holes, and
+the compaction that follows a swap restores it.
 
 The actual column arrays (operator kinds/parameters, CSR link table,
 join state) live with their owner — :class:`~repro.runtime.dataplane.
@@ -47,47 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ScratchArena", "ArenaSegment", "CircuitArena"]
-
-
-class ScratchArena:
-    """Named reusable scratch buffers with geometric growth.
-
-    Example::
-
-        scratch = ScratchArena()
-        buf = scratch.zeros("op_cost", num_ops)   # zeroed view, len num_ops
-        idx = scratch.array("due_idx", m, np.int64)  # uninitialized view
-
-    Views are only valid until the same name is requested again (never
-    hold one across ticks).  Buffers never shrink; growth doubles, so
-    total allocation work is O(max size ever requested).
-    """
-
-    def __init__(self) -> None:
-        self._pool: dict[str, np.ndarray] = {}
-
-    def array(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
-        """An *uninitialized* length-``size`` view of the named buffer."""
-        buf = self._pool.get(name)
-        if buf is None or buf.size < size or buf.dtype != np.dtype(dtype):
-            cap = max(16, int(size))
-            if buf is not None and buf.dtype == np.dtype(dtype):
-                cap = max(cap, 2 * buf.size)
-            buf = np.empty(cap, dtype=dtype)
-            self._pool[name] = buf
-        return buf[:size]
-
-    def zeros(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
-        """A zero-filled length-``size`` view of the named buffer."""
-        out = self.array(name, size, dtype)
-        out.fill(0)
-        return out
-
-    @property
-    def allocated_bytes(self) -> int:
-        """Total bytes currently held by the pool (observability)."""
-        return sum(buf.nbytes for buf in self._pool.values())
+__all__ = ["ArenaSegment", "CircuitArena"]
 
 
 @dataclass

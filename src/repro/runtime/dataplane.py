@@ -97,11 +97,7 @@ same-name replacement (every scale event) is a *segment swap*: the old
 segment retires, the new circuit appends, and a compaction puts it
 back in its circuit's place and re-homes the retired rows' tuples,
 join state and aggregate credit.  Only the swapped circuit is derived;
-swaps are counted in ``TrafficRecord.recompiles``.  Per-tick scratch
-(transport extraction, cost accumulators, admission bookkeeping) comes
-from a :class:`~repro.runtime.arena.ScratchArena` — preallocated, grown
-geometrically, reused across ticks; never hold a view into a scratch
-buffer across ticks.
+swaps are counted in ``TrafficRecord.recompiles``.
 
 Scalar oracle
 -------------
@@ -141,7 +137,7 @@ from repro.core.load_model import (
     LoadModel,
 )
 from repro.query.operators import ServiceKind
-from repro.runtime.arena import ArenaSegment, CircuitArena, ScratchArena
+from repro.runtime.arena import ArenaSegment, CircuitArena
 from repro.runtime.hashing import (
     M1,
     M2,
@@ -501,8 +497,8 @@ class DataPlane:
         self.tick_node_processed = np.zeros(n, dtype=np.int64)
         self.tick_node_cpu = np.zeros(n)
         self.tick_node_kind_processed = np.zeros((n, 4), dtype=np.int64)
-        # Per-op measured CPU cost of the last finished tick (a copy;
-        # the underlying scratch is reused).  The autoscaler's signal.
+        # Per-op measured CPU cost of the last finished tick.  The
+        # autoscaler's signal.
         self.tick_op_cpu = np.zeros(0)
         if self.config.node_capacity is None:
             self._cap = None
@@ -526,9 +522,8 @@ class DataPlane:
         # Per-(circuit, link) stats of tombstoned segments.
         self._link_stats_folded: dict[tuple[str, str, str], list] = {}
         # Global circuit arena: segment bookkeeping, stable global op
-        # ids (hash salts that survive row moves), reusable scratch.
+        # ids (hash salts that survive row moves).
         self._arena = CircuitArena(self.config.compact_threshold)
-        self._scratch = ScratchArena()
         self._next_gid = 0
         # Persistent gid registry: (circuit, service-family) -> salt;
         # replica siblings share their base's entry (see _resolve_gid).
@@ -1174,7 +1169,7 @@ class DataPlane:
             self._mode = mode
             bound = self.config.retransmit_buffer if self.config.reliable else 0
             if mode == "array":
-                self._transport = ArrayTransport(self._scratch, bound)
+                self._transport = ArrayTransport(bound)
             else:
                 self._transport = HeapTransport(bound)
                 self._tables = {}
@@ -1281,7 +1276,7 @@ class DataPlane:
             host, weights=self._tick_op_cost, minlength=self.overlay.num_nodes
         )
         self.tick_node_cpu = node_cpu
-        self.tick_op_cpu = self._tick_op_cost.copy()
+        self.tick_op_cpu = self._tick_op_cost
         self.cpu_by_node += node_cpu
         tick_cpu = float(self._tick_op_cost.sum())
         self.cpu_cost_total += tick_cpu
@@ -1588,20 +1583,15 @@ class DataPlane:
         if prof is not None:
             prof.end()
             prof.begin("pricing")
-        # Per-op measured CPU cost of this tick (reused scratch; views
-        # into it never outlive the tick).
-        self._tick_op_cost = self._scratch.zeros("op_cost", self._num_ops)
+        # Per-op measured CPU cost of this tick.
+        self._tick_op_cost = np.zeros(self._num_ops)
         t = _Tick(
             now=now,
             host=host,
             alive=alive,
             lat=self.overlay.latencies.values,
             cap=cap,
-            node_used=(
-                self._scratch.zeros("node_used", self.overlay.num_nodes)
-                if cap is not None
-                else None
-            ),
+            node_used=None if cap is None else np.zeros(self.overlay.num_nodes),
             adm=self._admission_costs() if cap is not None else None,
             trace=trace,
             prof=prof,

@@ -92,7 +92,6 @@ import heapq
 
 import numpy as np
 
-from repro.runtime.arena import ScratchArena
 from repro.runtime.hashing import route_bucket, route_bucket_int
 
 __all__ = ["ArrayTransport", "HeapTransport"]
@@ -111,13 +110,6 @@ class ArrayTransport:
     the pool only when the free list runs dry.  Buffered tuples are
     parked rows of the same pool.  See the module docstring for the
     row-ownership rule, the cursor and the memory contract.
-
-    Extraction writes into reusable :class:`~repro.runtime.arena.
-    ScratchArena` buffers (shared with the owning data plane when one
-    is passed) instead of allocating six fresh arrays per delivery
-    round.  Buffer-reuse contract: the batch returned by :meth:`due` is
-    only valid until the next :meth:`due` call — consume (or copy) it
-    within the round, never hold it across ticks.
     """
 
     _INITIAL = 1024
@@ -126,12 +118,9 @@ class ArrayTransport:
     # NumPy's stable argsort radix-sorts in O(n).
     _RADIX_SPAN = 1 << 15
 
-    def __init__(
-        self, scratch: ScratchArena | None = None, max_buffer: int = 0
-    ) -> None:
+    def __init__(self, max_buffer: int = 0) -> None:
         if max_buffer < 0:
             raise ValueError("max_buffer must be non-negative")
-        self._scratch = scratch or ScratchArena()
         self._cap = self._INITIAL
         # np.empty, never np.full: capacity beyond _top is never read,
         # so it is never touched and costs no resident memory.
@@ -287,8 +276,9 @@ class ArrayTransport:
         """Extract every tuple with ``arrival <= now``.
 
         ``now`` never decreases across calls.  Returns the extracted
-        columns (unordered — callers sort canonically), or None when
-        nothing is due.  Every popped row, live or dead, is reclaimed.
+        columns as fresh arrays the caller owns (unordered — callers
+        sort canonically), or None when nothing is due.  Every popped
+        row, live or dead, is reclaimed.
         """
         slots = self._slots
         cursor = self._cursor
@@ -318,16 +308,7 @@ class ArrayTransport:
                 if at.size == 0:
                     return None
         hits = at.size
-        # Extract the due rows into reusable scratch views (valid until
-        # the next due() call) — one gather per column, no allocation
-        # on the steady-state path.
-        scratch = self._scratch
-        batch = {}
-        for name in self._COLUMNS:
-            col = getattr(self, "_" + name)
-            out = scratch.array("due_" + name, hits, col.dtype)
-            np.take(col, at, out=out)
-            batch[name] = out
+        batch = {name: getattr(self, "_" + name)[at] for name in self._COLUMNS}
         self._op[at] = -1  # delivered rows leave the live mask
         self._count -= hits
         self.delivered += hits

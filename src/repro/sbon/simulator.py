@@ -147,8 +147,12 @@ class Simulation:
             self.controller = None
         else:
             self.controller = control
-            if self.controller.kernel_cache is None:
-                self.controller.kernel_cache = self._kernel_cache
+            # One cache for both: calibration must re-price the kernels
+            # the passes read.
+            if control.kernel_cache is None:
+                control.kernel_cache = self._kernel_cache
+            else:
+                self._kernel_cache = control.kernel_cache
         if obs is not None and self.controller is not None:
             self.controller.events = obs.events
         # Optional elastic-scaling policy (repro.scaling.AutoScaler):

@@ -1,7 +1,7 @@
 """Properties of the global circuit arena runtime path.
 
 The arena (segment install / tombstone / compaction, cached host
-columns, scratch buffers) and the fused re-optimizer are pinned
+columns) and the fused re-optimizer are pinned
 directly to the scalar oracle: a twin stepped through
 ``step_scalar`` (per-tuple heapq transport, per-key join tables,
 per-candidate re-optimization) must agree with ``step`` *tick for
@@ -19,7 +19,7 @@ import pytest
 from repro.core.load_model import LoadModel
 from repro.network.dynamics import ChurnProcess, LatencyDriftProcess, LoadProcess
 from repro.network.topology import grid_topology
-from repro.runtime.arena import ArenaSegment, CircuitArena, ScratchArena
+from repro.runtime.arena import ArenaSegment, CircuitArena
 from repro.runtime.dataplane import DataPlane, RuntimeConfig
 from repro.sbon.overlay import Overlay
 from repro.sbon.simulator import Simulation, SimulationConfig
@@ -179,44 +179,6 @@ def assert_simulations_agree(a, b, ticks, between=None):
     for name, circuit in a.overlay.circuits.items():
         assert circuit.placement == b.overlay.circuits[name].placement
     return log_a
-
-
-# ---------------------------------------------------------------------------
-# Scratch arena unit behavior
-# ---------------------------------------------------------------------------
-
-
-class TestScratchArena:
-    def test_views_reuse_one_growing_buffer(self):
-        scratch = ScratchArena()
-        a = scratch.array("x", 10, np.int64)
-        assert a.size == 10 and a.dtype == np.int64
-        b = scratch.array("x", 4, np.int64)
-        # Same backing memory: no allocation for a smaller request.
-        assert b.base is a.base or b.base is a or a.base is b.base
-        before = scratch.allocated_bytes
-        scratch.array("x", 8, np.int64)
-        assert scratch.allocated_bytes == before
-
-    def test_growth_is_geometric(self):
-        scratch = ScratchArena()
-        scratch.array("x", 100, np.float64)
-        buf0 = scratch._pool["x"]
-        scratch.array("x", buf0.size + 1, np.float64)
-        assert scratch._pool["x"].size >= 2 * buf0.size
-
-    def test_zeros_is_zeroed_even_after_dirty_use(self):
-        scratch = ScratchArena()
-        view = scratch.array("z", 16, np.float64)
-        view.fill(7.0)
-        again = scratch.zeros("z", 16)
-        np.testing.assert_array_equal(again, np.zeros(16))
-
-    def test_dtype_change_reallocates(self):
-        scratch = ScratchArena()
-        scratch.array("x", 8, np.int64)
-        f = scratch.array("x", 8, np.float64)
-        assert f.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,33 @@ class TestController:
         sim.run(3)
         assert sim.controller.ticks == 3
 
+    def test_simulation_adopts_a_controllers_own_kernel_cache(self):
+        # Calibration must re-price the kernels the simulation's passes
+        # read, or step() and step_scalar() optimize different objectives.
+        from repro.sbon.simulator import Simulation, SimulationConfig
+
+        overlay, plane = self.make_plane()
+        controller = Controller(
+            plane,
+            ControlConfig(warmup=2, calibrate_interval=3, min_observations=2),
+            kernel_cache={},
+        )
+        sim = Simulation(
+            overlay,
+            config=SimulationConfig(reopt_interval=2),
+            data_plane=plane,
+            control=controller,
+        )
+        sim.run(12)
+        circuit = overlay.circuits["c0"]
+        assert controller.calibrations > 0
+        assert [l.rate for l in circuit.links] != [6.0, 3.0]
+        ref, kernel = sim._kernel_cache[circuit.name]
+        assert ref() is circuit
+        np.testing.assert_array_equal(
+            kernel.link_rates, [l.rate for l in circuit.links]
+        )
+
     def test_simulation_control_requires_data_plane(self):
         from repro.sbon.simulator import Simulation
 
@@ -474,10 +501,13 @@ class TestCalibrationGather:
         kernels = {name: reopt._kernel(c) for name, c in overlay.circuits.items()}
         controller = Controller(
             plane,
-            ControlConfig(calibrate_interval=10_000, min_observations=3),
+            ControlConfig(
+                calibrate_interval=10_000,
+                min_observations=3,
+                calibrate_quantile=0.95 if mode.startswith("quantile") else None,
+            ),
             kernel_cache=cache,
             oracle=mode == "oracle",
-            calibrate_quantile=0.95 if mode.startswith("quantile") else None,
         )
         step = controller.step_scalar if mode.endswith("scalar") else controller.step
         calibrated = 0

@@ -492,7 +492,9 @@ class TestControllerCpuLoop:
             warmup=4, calibrate_interval=5, min_observations=3,
             drop_threshold=None,
         )
-        quantile = Controller(plane_q, cfg, calibrate_quantile=0.95)
+        quantile = Controller(
+            plane_q, dataclasses.replace(cfg, calibrate_quantile=0.95)
+        )
         assert quantile.config.calibrate_quantile == 0.95
         mean = Controller(plane_m, cfg)
         for _ in range(40):

@@ -102,6 +102,24 @@ class TestArrayTransportBuffer:
         assert park(tr, tr.due(5)) == 3 and tr.buffered == 0
         assert balance(tr)
 
+    def test_due_batch_belongs_to_its_caller(self):
+        """A later round of the same tick leaves an earlier batch intact."""
+        tr = ArrayTransport()
+        send_batch(tr, 3, arrival=1, op=2)
+        first = tr.due(1)
+        kept = {name: col.copy() for name, col in first.items()}
+        # Zero-delay outputs of round 1 cascade into the open tick.
+        tr.send(
+            np.ones(2, dtype=np.int64), np.full(2, 7, dtype=np.int64),
+            np.ones(2, dtype=np.int64), np.full(2, 9, dtype=np.int64),
+            np.full(2, 4, dtype=np.int64), np.full(2, 5.0),
+            np.array([10, 11], dtype=np.int64),
+        )
+        second = tr.due(1)
+        assert sorted(second["seq"]) == [10, 11]
+        for name, col in kept.items():
+            np.testing.assert_array_equal(first[name], col)
+
     def test_negative_bound_rejected(self):
         for transport in (ArrayTransport, HeapTransport):
             with pytest.raises(ValueError):

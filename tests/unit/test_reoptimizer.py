@@ -13,12 +13,12 @@ from repro.sbon.simulator import SimulationConfig
 from repro.workloads.scenarios import perfect_cost_space
 
 
-def line_setup():
+def line_setup(name="q"):
     """Nodes on a line at x = 0..10 (scaled by 10); 2-producer join."""
     positions = [(10.0 * x, 0.0) for x in range(11)]
     space = perfect_cost_space(positions)
     query = QuerySpec(
-        name="q",
+        name=name,
         producers=[
             Producer("A", node=0, rate=5.0),
             Producer("B", node=10, rate=5.0),
@@ -104,6 +104,18 @@ class TestLocalStep:
         # Raised at construction, not at the first reopt tick.
         with pytest.raises(ValueError):
             SimulationConfig(**kwargs)
+
+    def test_any_query_name_survives_repeated_passes(self):
+        # The fused arena shares the kernel cache with circuits keyed by
+        # name; a query named like a string key must not collide with it.
+        space, _, _, circuit = line_setup(name="__arena__")
+        circuit.assign("__arena__/join0", 0)
+        reopt = Reoptimizer(space, kernel_cache={})
+        first = reopt.step_all([circuit])
+        second = reopt.step_all([circuit])
+        assert first[0].migrated
+        assert not second[0].migrated
+        assert reopt.arena_builds == 1
 
     def test_zero_threshold_and_weight_accepted(self):
         space, _, _, _ = line_setup()
