@@ -182,6 +182,50 @@ def assert_simulations_agree(a, b, ticks, between=None):
 
 
 # ---------------------------------------------------------------------------
+# Per-tick accumulators
+# ---------------------------------------------------------------------------
+
+
+class TestTickAccumulators:
+    def test_tick_op_cpu_outlives_later_ticks(self):
+        # Each tick's per-op cost array is the caller's to keep: a later
+        # tick neither writes into it nor starts from its totals.
+        overlay, _ = traffic_overlay(seed=1)
+        plane = DataPlane(overlay, RuntimeConfig(seed=3, load_model=LoadModel()))
+        held = []
+        for _ in range(12):
+            record = plane.step()
+            held.append((plane.tick_op_cpu, plane.tick_op_cpu.copy(), record))
+        assert sum(r.cpu_cost for _, _, r in held) > 0
+        for cpu, snapshot, record in held:
+            np.testing.assert_array_equal(cpu, snapshot)
+            assert cpu.sum() == pytest.approx(record.cpu_cost, rel=1e-12)
+        assert plane.tick_node_cpu.sum() == pytest.approx(held[-1][0].sum())
+
+    def test_node_capacity_budget_restarts_every_tick(self):
+        # A capacity that holds any one tick's admitted cost but not the
+        # sum of two sheds nothing, however long the plane runs.
+        overlay, _ = traffic_overlay(seed=1)
+        free = DataPlane(overlay, RuntimeConfig(seed=3, load_model=LoadModel()))
+        peak = 0.0
+        for _ in range(20):
+            free.step()
+            peak = max(peak, float(free.tick_node_cpu.max()))
+        assert peak > 0
+        overlay, _ = traffic_overlay(seed=1)
+        capped = DataPlane(
+            overlay,
+            RuntimeConfig(seed=3, load_model=LoadModel(), node_capacity=1.5 * peak),
+        )
+        used = np.zeros(overlay.num_nodes)
+        for _ in range(20):
+            record = capped.step()
+            assert record.dropped == 0 and record.cpu_dropped == 0
+            used += capped.tick_node_cpu
+        assert used.max() > 1.5 * peak
+
+
+# ---------------------------------------------------------------------------
 # Circuit arena bookkeeping
 # ---------------------------------------------------------------------------
 
