@@ -292,14 +292,6 @@ class ChordRing:
         result = self.lookup(key, origin)
         return self._nodes[result.owner].store.get(key % self.modulus), result
 
-    def stored_keys(self) -> dict[int, int]:
-        """Map of key -> owning node id across the whole ring."""
-        out: dict[int, int] = {}
-        for node in self._nodes.values():
-            for key in node.store:
-                out[key] = node.node_id
-        return out
-
     def verify_invariants(self) -> None:
         """Assert ring-structure invariants (used by property tests)."""
         ids = self._sorted_ids

@@ -428,16 +428,3 @@ class HilbertMapper:
     def point_for(self, key: int) -> np.ndarray:
         """Approximate continuous point at the center of a key's cell."""
         return self.dequantize(hilbert_decode(key, self.bits, self.dims))
-
-    def points_for(self, keys: np.ndarray) -> np.ndarray:
-        """Batched :meth:`point_for`: ``(m,)`` keys to cell-center points."""
-        if self.key_bits <= 64:
-            cells = hilbert_decode_batch(np.asarray(keys, dtype=np.uint64), self.bits, self.dims)
-        else:
-            cells = np.array(
-                [hilbert_decode(int(k), self.bits, self.dims) for k in keys]
-            )
-        cell_count = (1 << self.bits) - 1
-        lows = np.asarray(self.lows)
-        highs = np.asarray(self.highs)
-        return lows + (cells.astype(float) / cell_count) * (highs - lows)

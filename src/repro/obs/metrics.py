@@ -262,11 +262,6 @@ class MetricsRegistry:
             name, lambda: VectorMetric(name, "counter", size, label, help)
         )
 
-    def vector_gauge(
-        self, name: str, size: int, label: str = "node", help: str = ""
-    ) -> VectorMetric:
-        return self._get(name, lambda: VectorMetric(name, "gauge", size, label, help))
-
     def keyed_counter(
         self, name: str, labels: tuple[str, ...], help: str = ""
     ) -> KeyedMetric:

@@ -22,9 +22,9 @@ tick, moves actual tuple batches through all of them concurrently:
    against windowed state in one chain walk per delivery round over
    all joins at once.  Join state is one slot table
    (:class:`~repro.runtime.join_state.JoinState`): an append-only row
-   pool chained per (op, side, key) slot, so inserts cost O(batch),
-   eviction is a ledger step, and dead rows leave only when a full
-   pool compacts.
+   pool chained per (op, side, key) slot that counts its own live rows
+   per (op, side), so inserts cost O(batch), eviction is one histogram
+   row per tick, and dead rows leave only when a full pool compacts.
 5. **Results are measured** — sink deliveries, end-to-end tuple
    latencies, per-link carried traffic, and Σ latency over every tuple
    actually sent (the *measured* network usage).  Per-tick per-link
@@ -107,9 +107,10 @@ per-tuple Python loops over a heapq transport and per-key join tables,
 consuming the *same* RNG draws (the per-tick source draw is shared), so
 twin data planes stepped through either path agree exactly — tuple for
 tuple — and the pair is the before/after of the E18 benchmark.  It is
-the one reference of the batched path: the slot table, the high-water
-admission ledger and the arena's install / tombstone / compaction are
-each pinned directly to it (``tests/property/test_dataplane_properties.py``,
+the one reference of the batched path: the slot table and its live-row
+counts, the admission prices read from them and the arena's install /
+tombstone / compaction are each pinned directly to it
+(``tests/property/test_dataplane_properties.py``,
 ``tests/property/test_arena_properties.py``).  A single instance
 commits to one path on first use (the two paths keep different state
 layouts); build a twin to compare.
@@ -349,9 +350,9 @@ class RuntimeConfig:
             :class:`~repro.runtime.arena.CircuitArena`).
 
     Every field shapes behaviour; none selects an implementation.  The
-    batched path has one layout (slot-table join state, high-water
-    admission ledger, incrementally maintained arena) and one
-    reference, :meth:`DataPlane.step_scalar`.
+    batched path has one layout (slot-table join state that counts its
+    own rows, incrementally maintained arena) and one reference,
+    :meth:`DataPlane.step_scalar`.
     """
 
     window: int = 20
@@ -508,17 +509,9 @@ class DataPlane:
         self._shed = np.full(n, np.inf)
         self._shed_active = 0
         # Join state of the array path (the scalar path keeps per-key
-        # tables); its slot layout follows every arena change.
+        # tables); its slot layout and live-row counts follow every
+        # arena change.
         self._join = JoinState()
-        # High-water admission ledger: exact per-(op, side) live-state
-        # counts plus a circular death histogram indexed by expiry tick
-        # modulo the horizon.  Rebuilt lazily (dirty flag) after any
-        # structural remap.
-        self._hw_counts = np.zeros(0, dtype=np.int64)
-        self._hw_deaths = np.zeros((0, 0), dtype=np.int64)
-        self._hw_h = 1
-        self._hw_clock = 0
-        self._hw_dirty = True
         # Per-(circuit, link) stats of tombstoned segments.
         self._link_stats_folded: dict[tuple[str, str, str], list] = {}
         # Global circuit arena: segment bookkeeping, stable global op
@@ -950,7 +943,6 @@ class DataPlane:
                 self._op_names.append((circuit.name, sid))
             self._arena_rows.append((circuit, sids, seg))
         added = self._arena.num_ops - self._num_ops
-        self._hw_append(added, np.concatenate(parts["_slack"][1:]))
         if self._mode != "heap":  # the scalar path keeps per-key tables
             self._join.extend(
                 np.concatenate(parts["_kind"][1:]),
@@ -1014,18 +1006,11 @@ class DataPlane:
         """Forget the state of tombstoned ops.
 
         The slot table keeps their rows: tombstoned ops receive no
-        tuples, so the rows are never walked, the recounts mask them by
-        ``op_alive``, and the next arena compaction drops them.  The
-        ledger zeroes the dead ops' columns — exactly the rows the
-        recount masks.
+        tuples, so the rows are never walked, the counts are masked by
+        ``op_alive``, and the next arena compaction drops them.
         """
-        alive = self._arena.op_alive
-        if self._mode == "array":
-            if self._hw_valid():
-                dead = np.repeat(~alive, 2)
-                self._hw_counts[dead] = 0
-                self._hw_deaths[:, dead] = 0
-        elif self._mode == "heap" and self._tables:
+        if self._mode == "heap" and self._tables:
+            alive = self._arena.op_alive
             self._tables = {
                 key: entries
                 for key, entries in self._tables.items()
@@ -1070,8 +1055,6 @@ class DataPlane:
         self._src_pos = {int(op): i for i, op in enumerate(self._src_ops)}
         mapping, key_split = op_map, None
         if carry:
-            # A swap re-keys join state: the ledger recounts.
-            self._hw_dirty = True
             key_split, credit_moves = self._scale_transitions(carry, swapped)
             for key, (old_i, _svc) in carry.items():
                 new_i = self._op_index.get(key)
@@ -1092,10 +1075,6 @@ class DataPlane:
         if self._transport is not None:
             dropped = self._transport.remap_ops(mapping, key_split or None)
             self.dropped_uninstalled += dropped
-        if self._hw_valid():
-            pairs = (2 * op_gather[:, None] + np.arange(2)).ravel()
-            self._hw_counts = self._hw_counts[pairs]
-            self._hw_deaths = self._hw_deaths[:, pairs]
         self._remap_state(mapping, key_split or None)
         if self._host_cache is not None:
             self._host_cache = self._host_cache[op_gather]
@@ -1159,7 +1138,7 @@ class DataPlane:
         e[keep] += self._slack[new_ops[keep]]
         keep &= e >= self.tick
         self._join.remap(
-            2 * new_ops + (pair & 1), e, keep, self._kind, self._op_domain
+            2 * new_ops + (pair & 1), e, keep, self._kind, self._op_domain, self.tick
         )
 
     # -- shared per-tick helpers -------------------------------------------
@@ -1295,152 +1274,32 @@ class DataPlane:
         """Live join-state rows per (op, side), shape ``(num_ops, 2)``.
 
         Rows are arena op rows (a tombstoned op reads 0).  Equals the
-        full recount (:meth:`_state_counts`): read from the high-water
-        ledger when it is clean, recounted otherwise — reading never
-        rebuilds the ledger.
+        full recount (:meth:`_state_counts`); on the batched path it is
+        the slot table's own counts, masked by ``op_alive`` — O(ops).
         """
-        if self._mode == "array" and self._hw_valid():
-            return self._hw_counts.astype(np.float64).reshape(self._num_ops, 2)
-        return self._state_counts()
+        if self._mode == "heap":
+            return self._state_counts()
+        counts = self._join.live.reshape(self._num_ops, 2).astype(np.float64)
+        counts[~self._arena.op_alive] = 0.0
+        return counts
 
     def _state_counts(self) -> np.ndarray:
         """Windowed join-state entries per (op, side), committed mode.
 
         The O(state) full scan: the scalar path's admission pricing and
-        the recount the high-water ledger must equal on every clean
-        tick.  In the slot table only live rows of live ops count: they
-        are exactly the rows the eagerly evicting per-key tables still
-        hold.
+        the recount the slot table's counts must equal.  In the slot
+        table only live rows of live ops count: they are exactly the
+        rows the eagerly evicting per-key tables still hold.
         """
         counts = np.zeros(2 * self._num_ops)
         if self._mode == "array":
-            pair, _e = self._live_state()
-            counts += np.bincount(pair, minlength=2 * self._num_ops)
+            pair, _key, _ts, e = self._join.rows()
+            live = (e >= self.tick) & self._arena.op_alive[pair >> 1]
+            counts += np.bincount(pair[live], minlength=2 * self._num_ops)
         elif self._mode == "heap":
             for (op, side, _key), entries in self._tables.items():
                 counts[2 * op + side] += len(entries)
         return counts.reshape(self._num_ops, 2)
-
-    def _live_state(self) -> tuple[np.ndarray, np.ndarray]:
-        """(pair, expiry) of every live join-state row of a live op."""
-        pair, _key, _ts, e = self._join.rows()
-        live = (e >= self.tick) & self._arena.op_alive[pair >> 1]
-        return pair[live], e[live]
-
-    # -- high-water admission ledger ---------------------------------------
-    #
-    # The batched path prices admission from an exact incremental
-    # ledger instead of a tick-start O(state) scan: per-(op, side) live
-    # counts plus a circular death histogram indexed by stored expiry
-    # tick modulo the expiry horizon (window + max slack + margin).
-    # Inserts are a bincount plus one scatter-add into the histogram —
-    # O(batch) with no sort; the tick boundary retires exactly one
-    # histogram row — O(ops).  At every tick start a clean ledger
-    # equals the full scan (:meth:`_state_counts`), so the
-    # 1/256-quantized admission prices are bit-identical to the scalar
-    # oracle's.
-    #
-    # Lifecycle: the ledger's columns move with the arena's op rows, so
-    # tenant churn costs O(tenant), not a recount.  A segment install
-    # appends zero columns (widening the histogram first if the new
-    # segment's horizon is longer); an uninstall zeroes the tombstoned
-    # ops' columns — exactly the rows the recount masks by ``op_alive``;
-    # compaction gathers the columns by (op, side) pair like every
-    # other op column.  Only what re-keys join state marks the ledger
-    # dirty — a segment swap (same-name replacement, scale events) and
-    # ``set_load_model`` — and the next price computation recounts it
-    # from state (:meth:`_hw_rebuild`).
-
-    @property
-    def _hw_on(self) -> bool:
-        """Ledger maintenance needed?  Only join probe prices read it."""
-        return self._model.probe_cost != 0
-
-    def _hw_valid(self) -> bool:
-        """Is the ledger current?  A stale one stays dirty until rebuilt."""
-        if self._hw_dirty or self._hw_counts.size != 2 * self._num_ops:
-            self._hw_dirty = True
-            return False
-        return True
-
-    def _hw_state_counts(self) -> np.ndarray:
-        """Ledger view of :meth:`_state_counts`, rebuilt when dirty."""
-        if not self._hw_valid():
-            self._hw_rebuild()
-        return self.state_rows()
-
-    def _hw_rebuild(self) -> None:
-        """Recount live state and re-derive the death histogram."""
-        num2 = 2 * self._num_ops
-        now = self.tick
-        # Every live row's stored expiry sits in [now, now + window +
-        # max slack], so a circular histogram over that horizon (plus a
-        # margin row so "just inserted" and "about to retire" never
-        # alias) indexes deaths by ``e % horizon``.  Slack changes
-        # funnel through remap, which marks the ledger dirty — the
-        # horizon is re-derived here every rebuild.
-        slack_max = int(self._slack.max()) if self._slack.size else 0
-        self._hw_h = self.config.window + slack_max + 2
-        self._hw_deaths = np.zeros((self._hw_h, num2), dtype=np.int64)
-        self._hw_clock = now
-        pair, e = self._live_state()
-        self._hw_counts = np.bincount(pair, minlength=num2)
-        np.add.at(self._hw_deaths, (e % self._hw_h, pair), 1)
-        self._hw_dirty = False
-
-    def _hw_insert(self, pair: np.ndarray, e_sched: np.ndarray) -> None:
-        """Fold one insert batch, by (op, side) pair, into the ledger
-        (O(batch), no sort)."""
-        if not self._hw_valid():
-            return
-        if e_sched.size and int(e_sched.max()) - self._hw_clock >= self._hw_h:
-            # Horizon outgrown — installs widen it and swaps
-            # recount, so this is a safety net: rebuild at the next
-            # pricing rather than alias two expiry ticks.
-            self._hw_dirty = True
-            return
-        self._hw_counts += np.bincount(pair, minlength=self._hw_counts.size)
-        np.add.at(self._hw_deaths, (e_sched % self._hw_h, pair), 1)
-
-    def _hw_append(self, n: int, slack: np.ndarray) -> None:
-        """Give a freshly installed segment's ``n`` ops zero columns.
-
-        Called before ``_num_ops`` grows.  A segment whose expiry
-        horizon exceeds the histogram's widens it first: every counted
-        row expires in ``[clock, clock + H)``, so re-indexing those H
-        rows by the new modulus moves each death to its new bucket.
-        """
-        if not self._hw_valid():
-            return
-        if slack.size:
-            h = self.config.window + int(slack.max()) + 2
-            if h > self._hw_h:
-                t = np.arange(self._hw_clock, self._hw_clock + self._hw_h)
-                deaths = np.zeros((h, self._hw_deaths.shape[1]), dtype=np.int64)
-                deaths[t % h] = self._hw_deaths[t % self._hw_h]
-                self._hw_deaths = deaths
-                self._hw_h = h
-        self._hw_counts = np.concatenate(
-            (self._hw_counts, np.zeros(2 * n, dtype=np.int64))
-        )
-        self._hw_deaths = np.concatenate(
-            (self._hw_deaths, np.zeros((self._hw_h, 2 * n), dtype=np.int64)),
-            axis=1,
-        )
-
-    def _hw_advance(self, now: int) -> None:
-        """Retire expired histogram rows at the tick boundary (O(ops))."""
-        if self._hw_dirty or now <= self._hw_clock:
-            return
-        if now - self._hw_clock >= self._hw_h:
-            self._hw_counts -= self._hw_deaths.sum(axis=0)
-            self._hw_deaths[:] = 0
-        else:
-            for t in range(self._hw_clock, now):
-                row = self._hw_deaths[t % self._hw_h]
-                self._hw_counts -= row
-                row[:] = 0
-        self._hw_clock = now
 
     def _admission_costs(self) -> np.ndarray:
         """Expected per-tuple admission cost of every (op, in-port).
@@ -1462,11 +1321,7 @@ class DataPlane:
         if model.probe_cost:
             joins = self._kind == _JOIN
             if joins.any():
-                counts = (
-                    self._hw_state_counts()
-                    if self._mode == "array"
-                    else self._state_counts()
-                )
+                counts = self.state_rows()
                 # A k-replica join sees only its domain/k key slice, so
                 # the expected candidates per admitted tuple scale by k.
                 expected = counts[:, ::-1] / np.maximum(
@@ -1508,14 +1363,12 @@ class DataPlane:
         """Swap the active load model (the controller's calibration hook).
 
         Takes effect at the next tick's admission pricing and cost
-        attribution: the per-op kind-cost column is re-gathered and the
-        high-water ledger invalidated (its schedule is model-gated).
-        Keep coefficients dyadic (1/256 grid) to preserve the
+        attribution: the per-op kind-cost column is re-gathered.  Keep
+        coefficients dyadic (1/256 grid) to preserve the
         exact-accumulation discipline.
         """
         self._model = model
         self._kind_cost = model.kind_costs()[self._kind]
-        self._hw_dirty = True
 
     def _shed_attribution(self, nodes: np.ndarray) -> np.ndarray:
         """True where an admission drop at ``nodes`` is shed-attributed.
@@ -1828,10 +1681,9 @@ class DataPlane:
 
     def _evict_state_array(self, now: int) -> None:
         # Expired rows stay in the slot table, invisible to walks and
-        # recounts, until a full pool compacts; only the ledger retires
+        # recounts, until a full pool compacts; only its counts retire
         # them here.
-        if self._hw_on:
-            self._hw_advance(now)
+        self._join.advance(now)
 
     def _process_array(self, op, port, key, ts, size, pos, now):
         """Run one round's kept non-sink arrivals through the operators.
@@ -1944,10 +1796,7 @@ class DataPlane:
         # arrival stay probe-visible until the next tick start, exactly
         # as under eager tick-start eviction.
         e = np.maximum(ts + self.config.window + self._slack[op], self.tick)
-        pair = 2 * op + side
-        self._join.insert(self._join.slots(pair, key), key, ts, size, e, self.tick)
-        if self._hw_on:
-            self._hw_insert(pair, e)
+        self._join.insert(2 * op + side, key, ts, size, e, self.tick)
 
     def _send_array(
         self, ops, keys, ts, sizes, now, host, lat, trace=None, emit=False

@@ -26,6 +26,23 @@ append-only pool whose rows are chained per slot, newest first:
 A walk enumerates an arrival's matches newest-first, so ``rank =
 −depth`` orders them oldest-first: exactly the scalar oracle's per-key
 insertion order.
+
+The table also counts its own rows, per (op, side) pair — the opposite
+side's state a join's admission price is set by:
+
+* **Counts.** ``live[pair]`` is the number of pooled rows of ``pair``
+  with ``e >= clock``, exactly, after every call: ``rows()`` masked by
+  ``e >= clock`` recounts it.  ``clock`` is the latest ``now`` seen;
+  every call that takes ``now`` first advances it.
+* **Deaths.** A circular histogram ``deaths[e % horizon, pair]`` holds
+  every counted row under its expiry tick; every counted row expires in
+  ``[clock, clock + horizon)``, so no two pending ticks share a bucket.
+  :meth:`advance` retires one bucket per tick — O(pairs), whatever the
+  state size.  An insert whose expiry outgrows the horizon widens it
+  first, re-indexing the pending buckets by the new modulus.
+* **Lifecycle.** Inserts add O(batch); :meth:`extend` appends zero
+  columns; :meth:`remap` recounts the rows it keeps with one bincount.
+  Nothing is ever stale, so reading ``live`` costs nothing.
 """
 
 from __future__ import annotations
@@ -45,7 +62,9 @@ _INITIAL_ROWS = 1024
 
 
 class JoinState:
-    """Append-only row pool chained per slot, with a per-slot head array.
+    """Append-only row pool chained per slot, with a per-slot head array
+    and the live-row count of every (op, side) pair (``live``, exact at
+    ``clock``).
 
     Args:
         capacity: rows the pool is first allocated with (the floor of
@@ -62,6 +81,9 @@ class JoinState:
         for name in ("_slot", "_key", "_ts", "_e", "_next"):
             setattr(self, name, np.empty(0, dtype=np.int32))
         self._size = np.empty(0, dtype=np.float64)
+        self.clock = 0
+        self.live = np.zeros(0, dtype=np.int64)  # live rows per pair
+        self._deaths = np.zeros((1, 0), dtype=np.int64)  # [e % horizon, pair]
 
     # -- layout ------------------------------------------------------------
 
@@ -77,6 +99,10 @@ class JoinState:
         self._head = np.concatenate(
             (self._head, np.full(int(nb.sum()), -1, dtype=np.int32))
         )
+        self.live = np.concatenate((self.live, np.zeros(nb.size, dtype=np.int64)))
+        self._deaths = np.concatenate(
+            (self._deaths, np.zeros((self.horizon, nb.size), dtype=np.int64)), axis=1
+        )
 
     def slots(self, pair: np.ndarray, key: np.ndarray) -> np.ndarray:
         """Slot of each (``pair = 2·op + side``, key)."""
@@ -90,17 +116,20 @@ class JoinState:
 
     # -- rows --------------------------------------------------------------
 
-    def insert(self, slot, key, ts, size, e, now: int) -> None:
-        """Append a batch (given in insertion order) and chain it onto
-        its slots.
+    def insert(self, pair, key, ts, size, e, now: int) -> None:
+        """Append a batch (given in insertion order) of (``pair = 2·op +
+        side``, key) rows, chain it onto its slots and count it.
 
         The batch is written grouped by slot, in insertion order within
         each slot (one sort of ``slot·2^k + i``), so a slot's rows in it
         are adjacent and the invariant holds.
         """
-        n = slot.size
+        n = pair.size
         if n == 0:
             return
+        self.advance(now)
+        self._count(pair, e)
+        slot = self.slots(pair, key)
         if self.top + n > self._key.size:
             self.compact(now, n)
         lo = self.top
@@ -156,20 +185,85 @@ class JoinState:
 
     def compact(self, now: int, extra: int) -> None:
         """Drop dead rows and make room for ``extra`` more."""
-        self._rebuild(self._e[: self.top] >= now, extra)
+        self.advance(now)
+        self._rebuild(self._e[: self.top] >= self.clock, extra)
 
-    def remap(self, pair, e, keep, kind, domain) -> None:
+    def remap(self, pair, e, keep, kind, domain, now: int) -> None:
         """Re-home every pooled row under a fresh layout of ``kind`` /
         ``domain``: row ``i`` moves to ``pair[i]`` with expiry ``e[i]``
-        if ``keep[i]``, and is dropped otherwise."""
+        if ``keep[i]``, and is dropped otherwise.  The kept rows are
+        recounted."""
+        self.clock = max(self.clock, now)
         self._nb = np.zeros(0, dtype=np.int64)
         self._base = np.zeros(0, dtype=np.int64)
         self._head = np.zeros(0, dtype=np.int32)
+        self.live = np.zeros(0, dtype=np.int64)
+        self._deaths = np.zeros((self.horizon, 0), dtype=np.int64)
         self.extend(kind, domain)
         rows = np.flatnonzero(keep)
         self._slot[rows] = self.slots(pair[rows], self._key[rows])
         self._e[rows] = e[rows]
         self._rebuild(keep, 0)
+        counted = keep & (e >= self.clock)
+        self._recount(pair[counted], e[counted])
+
+    # -- counts ------------------------------------------------------------
+
+    @property
+    def horizon(self) -> int:
+        """Ticks the death histogram spans."""
+        return self._deaths.shape[0]
+
+    def advance(self, now: int) -> None:
+        """Move the clock to ``now``, retiring the rows that expired
+        before it (O(pairs) a tick)."""
+        if now <= self.clock:
+            return
+        h = self.horizon
+        if now - self.clock >= h:
+            self.live -= self._deaths.sum(axis=0)
+            self._deaths[:] = 0
+        else:
+            for t in range(self.clock, now):
+                row = self._deaths[t % h]
+                self.live -= row
+                row[:] = 0
+        self.clock = now
+
+    def _count(self, pair: np.ndarray, e: np.ndarray) -> None:
+        """Count a batch's rows that are live at the clock."""
+        live = e >= self.clock
+        if not live.all():
+            pair, e = pair[live], e[live]
+            if not pair.size:
+                return
+        span = int(e.max()) - self.clock + 1
+        if span > self.horizon:
+            self._widen(span)
+        self.live += np.bincount(pair, minlength=self.live.size)
+        np.add.at(self._deaths, (e % self.horizon, pair), 1)
+
+    def _widen(self, h: int) -> None:
+        """Grow the horizon to ``h``: every pending death sits at a tick
+        in ``[clock, clock + horizon)``, so re-indexing those buckets by
+        the new modulus moves each to its own new bucket."""
+        t = np.arange(self.clock, self.clock + self.horizon)
+        deaths = np.zeros((h, self.live.size), dtype=np.int64)
+        deaths[t % h] = self._deaths[t % self.horizon]
+        self._deaths = deaths
+
+    def _recount(self, pair: np.ndarray, e: np.ndarray) -> None:
+        """Rebuild the counts from every live row, in one flat bincount."""
+        num = self.live.size
+        h = self.horizon
+        if e.size:
+            h = max(h, int(e.max()) - self.clock + 1)
+        flat = np.asarray(e, dtype=np.int64) % h
+        flat *= num
+        flat += pair
+        self._deaths = np.bincount(flat, minlength=h * num).reshape(h, num)
+        self.live = self._deaths.sum(axis=0)
+
 
     def _rebuild(self, keep: np.ndarray, extra: int) -> None:
         """Gather the ``keep`` rows to the pool front in (slot, position)

@@ -128,13 +128,6 @@ class TimeSeries:
         series = self.usage_series()
         return float(series.max()) if series.size else 0.0
 
-    def usage_percentile(self, q: float) -> float:
-        series = self.usage_series()
-        return float(np.percentile(series, q)) if series.size else 0.0
-
-    def delivered_series(self) -> np.ndarray:
-        return np.array([r.delivered for r in self.records])
-
     def total_delivered(self) -> int:
         return sum(r.delivered for r in self.records)
 
@@ -156,9 +149,6 @@ class TimeSeries:
 
     def total_shed(self) -> int:
         return sum(r.shed for r in self.records)
-
-    def cpu_series(self) -> np.ndarray:
-        return np.array([r.cpu_cost for r in self.records])
 
     def total_cpu_cost(self) -> float:
         return float(sum(r.cpu_cost for r in self.records))

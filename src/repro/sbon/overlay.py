@@ -36,7 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.cost_space import CostSpace, CostSpaceSpec
-from repro.core.costs import CostSpaceEvaluator, GroundTruthEvaluator
+from repro.core.costs import CostSpaceEvaluator
 from repro.core.circuit import Circuit
 from repro.core.optimizer import (
     IntegratedOptimizer,
@@ -464,10 +464,6 @@ class Overlay:
         self._usage_rewrite(circuit_name)
 
     # -- factories ---------------------------------------------------------
-
-    def ground_truth_evaluator(self) -> GroundTruthEvaluator:
-        """Evaluator pricing circuits with true latencies and loads."""
-        return GroundTruthEvaluator(self.latencies, self.loads())
 
     def estimate_evaluator(self) -> CostSpaceEvaluator:
         """Evaluator pricing circuits with cost-space estimates."""

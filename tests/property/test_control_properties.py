@@ -109,7 +109,8 @@ class TestJoinStateLayout:
     """The slot table's compaction point is unobservable.
 
     Run under the CPU-cost model with binding capacity, so the probe
-    charges and the admission ledger see every compaction and growth.
+    charges and the admission prices, read from the table's own
+    live-row counts, see every compaction and growth.
     """
 
     @pytest.mark.parametrize("capacity", [16, 1024, 1 << 20])

@@ -19,8 +19,10 @@ from repro.core.load_model import LoadModel
 from repro.core.rewriting import replicate_operator
 from repro.network.dynamics import ChurnProcess, HotspotEvent, LatencyDriftProcess, LoadProcess
 from repro.network.topology import grid_topology
-from repro.query.operators import ServiceSpec
+from repro.query.operators import ServiceKind, ServiceSpec
 from repro.runtime import join_state
+from repro.runtime.arena import CircuitArena
+from repro.runtime.join_state import JoinState
 from repro.runtime.dataplane import (
     DataPlane,
     RuntimeConfig,
@@ -39,7 +41,6 @@ from tests.property.test_arena_properties import (
     assert_pool_cycled,
     assert_simulations_agree,
     pool_log,
-    spy,
 )
 from tests.property.test_scaling_properties import join_circuit, make_overlay
 
@@ -165,11 +166,29 @@ class TestStepEquivalence:
         assert a.accounting()["balanced"]
 
 
+def _zero_rate_circuit():
+    c = Circuit(name="z")
+    for sid, spec, host, producers in (
+        ("a", ServiceSpec.relay(), 1, {"a"}),
+        ("b", ServiceSpec.relay(), 2, {"b"}),
+        ("f", ServiceSpec(ServiceKind.FILTER), 0, {"b"}),
+        ("j", ServiceSpec.join(), 0, {"a", "b"}),
+        ("k", ServiceSpec.relay(), 3, {"a", "b"}),
+    ):
+        c.add_service(Service(sid, spec, host, frozenset(producers)))
+    c.add_link("a", "j", 8.0)  # port 0
+    c.add_link("b", "f", 6.0)
+    c.add_link("f", "j", 0.0)  # port 1
+    c.add_link("j", "k", 0.0)
+    return c
+
+
 def _oracle_case(case):
     """(fast twin, oracle twin, per-tick hook, fixture check) of a case.
 
     Every case prices admission with the CPU-cost model, so join probe
-    charges reach ``cpu_cost`` and the high-water ledger is live.
+    charges reach ``cpu_cost`` and admission reads the join state's
+    counts.
     """
     cost = LoadModel()
     hook = None
@@ -238,6 +257,30 @@ def _oracle_case(case):
             with pytest.raises(OverflowError, match="int32"):
                 a.step()
 
+    elif case == "zero-rate-links":
+        # A spec-less filter whose out-link is estimated at rate 0 feeds
+        # port 1 of a join whose own out-link is 0-rate too: the filter
+        # passes nothing, the join holds port-0 state it never matches,
+        # and the join's node is over capacity.
+        cfg = RuntimeConfig(seed=3, node_capacity=6.0, load_model=cost)
+        a, b = (
+            Simulation(
+                overlay,
+                config=SimulationConfig(reopt_interval=0),
+                data_plane=DataPlane(overlay, cfg),
+            )
+            for overlay in (make_overlay(_zero_rate_circuit()) for _ in range(2))
+        )
+
+        def check():
+            plane = a.data_plane
+            stats = plane.link_stats()
+            assert stats[("z", "b", "f")]["tuples"] > 0
+            assert stats[("z", "f", "j")]["tuples"] == 0
+            assert stats[("z", "j", "k")]["tuples"] == 0
+            assert plane.state_rows()[:, 0].sum() > 0
+            assert plane.cpu_dropped_total > 0
+
     else:  # all-dead-reliable: no churn process, so nothing evacuates
         cfg = RuntimeConfig(
             seed=7, node_capacity=40.0, reliable=True, load_model=cost
@@ -265,14 +308,15 @@ def _oracle_case(case):
 
 
 class TestScalarOracle:
-    """The batched path — slot-table join state, high-water admission
-    ledger, capacity gate — is pinned directly to the per-tuple scalar
-    oracle on every ``TRAFFIC_FIELDS`` entry
-    (``tests/property/test_arena_properties.py``): under the full chaos
-    mix (churn, live migration, capacity backpressure, window expiry)
-    on two seeds, once more with join slots capped at 8 so distinct
-    keys share chains (no bench workload folds slots), and on four
-    hostile inputs — the last runs right up to the int32 tick columns'
+    """The batched path — slot-table join state and its live-row
+    counts, the admission prices read from them, capacity gate — is
+    pinned directly to the per-tuple scalar oracle on every
+    ``TRAFFIC_FIELDS`` entry (``tests/property/test_arena_properties.py``):
+    under the full chaos mix (churn, live migration, capacity
+    backpressure, window expiry) on two seeds, once more with join
+    slots capped at 8 so distinct keys share chains (no bench workload
+    folds slots), and on five hostile inputs — zero-rate links into and
+    out of a join, and one run right up to the int32 tick columns'
     limit, where the next step() must refuse.
     """
 
@@ -286,6 +330,7 @@ class TestScalarOracle:
             "all-uninstalled",
             "all-dead-reliable",
             "tick-at-int32-limit",
+            "zero-rate-links",
         ],
     )
     def test_step_matches_scalar_oracle(self, case, monkeypatch):
@@ -457,57 +502,69 @@ class TestStatelessOperatorOracles:
         assert plane.accounting()["delivered"] == len(plane.sink_log)
 
 
+LOAD_MODELS = pytest.mark.parametrize(
+    "model", [LoadModel(), LoadModel.unit()], ids=["cost", "unit"]
+)
+
+
 class TestLedgerRecount:
-    """The high-water admission ledger equals a full recount of live
-    join state (:meth:`DataPlane._state_counts`) at the end of every
-    tick on which it is clean — the ledger's reference.  Its columns
-    move with the arena's op rows, so tenant churn (install, uninstall,
-    compaction) keeps it clean; only a recompile recounts."""
+    """The slot table counts its own live rows: ``state_rows()`` equals a
+    full recount of live join state (``_state_counts()``) at the end of
+    every tick, under the CPU-cost model and the unit model alike (the
+    unit model prices no probes; the counts are kept all the same).
+
+    Only an arena compaction recounts: ``JoinState.remap`` runs exactly
+    once per compaction and never otherwise, so installs and uninstalls
+    stay O(tenant)."""
 
     @staticmethod
-    def _clean_ticks(plane, step, ticks, between=None):
-        """Per tick, whether the ledger was clean after it."""
-        clean = []
+    def _recounts(monkeypatch):
+        """Log ``JoinState.remap`` calls and arena compactions, by name."""
+        log = {"remap": 0, "compaction": 0, "tombstone": 0}
+        for cls, name, entry in (
+            (JoinState, "remap", "remap"),
+            (CircuitArena, "apply_compaction", "compaction"),
+            (CircuitArena, "tombstone", "tombstone"),
+        ):
+            method = getattr(cls, name)
+
+            def counted(self, *args, _method=method, _entry=entry, **kwargs):
+                log[_entry] += 1
+                return _method(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+        return log
+
+    @staticmethod
+    def _run(plane, step, ticks, between=None):
+        """Step ``ticks`` times, checking the counts after every tick;
+        returns the most rows any tick ended with."""
+        most = 0.0
         for tick in range(ticks):
             step()
-            clean.append(not plane._hw_dirty)
-            if clean[-1]:
-                # Sized for the current arena, so state_rows() reads the
-                # ledger itself; the check would be vacuous otherwise.
-                assert plane._hw_counts.size == 2 * plane._num_ops
-            np.testing.assert_array_equal(plane.state_rows(), plane._state_counts())
+            rows = plane.state_rows()
+            np.testing.assert_array_equal(rows, plane._state_counts())
+            most = max(most, rows.sum())
             if between is not None:
                 between(tick)
-        return clean
+        return most
 
-    def test_ledger_equals_recount_under_chaos(self):
-        sim = chaotic_simulation(seed=5, window=8, load_model=LoadModel())
-        plane = sim.data_plane
-        pool = pool_log(plane)
-        assert all(self._clean_ticks(plane, sim.step, 40))
-        assert plane.load_model.probe_cost > 0
+    @LOAD_MODELS
+    def test_counts_equal_recount_under_chaos(self, model, monkeypatch):
+        log = self._recounts(monkeypatch)
+        sim = chaotic_simulation(seed=5, window=8, load_model=model)
+        pool = pool_log(sim.data_plane)
+        assert self._run(sim.data_plane, sim.step, 40) > 0
         assert_pool_cycled(pool)
+        assert log["remap"] == log["compaction"] == 0
 
-    def test_state_rows_never_rebuilds_the_ledger(self):
-        sim = chaotic_simulation(seed=5, window=8, load_model=LoadModel())
-        plane = sim.data_plane
-        rebuilds = spy(plane, "_hw_rebuild")
-        np.testing.assert_array_equal(plane.state_rows(), np.zeros((plane._num_ops, 2)))
-        for _ in range(10):
-            sim.step()
-        assert len(rebuilds) == 1
-        plane.set_load_model(LoadModel())  # dirty: read from the recount
-        np.testing.assert_array_equal(plane.state_rows(), plane._state_counts())
-        assert plane._hw_dirty and len(rebuilds) == 1
-        assert plane.state_rows().sum() > 0
-
-    def test_ledger_equals_recount_through_scale_events(self):
+    @LOAD_MODELS
+    def test_counts_equal_recount_through_scale_events(self, model, monkeypatch):
+        log = self._recounts(monkeypatch)
         overlay = make_overlay(join_circuit())
         plane = DataPlane(
-            overlay,
-            RuntimeConfig(seed=7, node_capacity=30.0, load_model=LoadModel()),
+            overlay, RuntimeConfig(seed=7, node_capacity=30.0, load_model=model)
         )
-        rebuilds = spy(plane, "_hw_rebuild")
 
         def rescale(tick):
             if tick in (9, 19):  # split into 3 key-range replicas, then merge
@@ -515,25 +572,22 @@ class TestLedgerRecount:
                 rewrite = replicate_operator(overlay.circuits["t"], "j", k)
                 overlay.replace_circuit(rewrite.circuit)
 
-        assert all(self._clean_ticks(plane, plane.step, 30, rescale))
-        # Each scale event re-keys join state: one recount apiece.
+        assert self._run(plane, plane.step, 30, rescale) > 0
+        # Each scale event is a segment swap, which compacts: one
+        # recount apiece.
         assert plane.recompiles == 2
-        assert len(rebuilds) == 3
-        assert plane.state_rows().sum() > 0
+        assert log["remap"] == log["compaction"] == 2
 
-    @classmethod
-    def _churn(cls, replace_at=None):
-        """24 churn ticks, compacting every tombstone; optionally swap
-        the oldest (already compiled) tenant for an equal copy under its
-        name (a recompile) after tick ``replace_at``.  Returns (plane,
-        _hw_rebuild calls)."""
-        scenario = tenant_churn_scenario(
-            num_nodes=20, initial_circuits=5, seed=11, compact_threshold=0.01
-        )
+    @staticmethod
+    def _churn(model, monkeypatch, replace_at=None):
+        """24 churn ticks at the default compaction threshold (so most
+        uninstalls only tombstone); optionally swap the oldest (already
+        compiled) tenant for an equal copy under its name after tick
+        ``replace_at``.  Returns (plane, remap / compaction log)."""
+        log = TestLedgerRecount._recounts(monkeypatch)
+        scenario = tenant_churn_scenario(num_nodes=20, initial_circuits=5, seed=11)
         plane = scenario.data_plane
-        plane.set_load_model(LoadModel())
-        rebuilds = spy(plane, "_hw_rebuild")
-        compactions = spy(plane._arena, "apply_compaction")
+        plane.set_load_model(model)
 
         def between(tick):
             scenario.churn_tick()
@@ -541,25 +595,21 @@ class TestLedgerRecount:
                 oldest = scenario.overlay.circuits[scenario.installed[0]]
                 scenario.overlay.replace_circuit(oldest.copy())
 
-        clean = cls._clean_ticks(plane, scenario.simulation.step, 24, between)
-        # The first step prices admission, so every tick ends clean.
-        assert all(clean), clean
-        assert len(compactions) >= 1
-        assert plane.load_model.probe_cost > 0
+        assert TestLedgerRecount._run(plane, scenario.simulation.step, 24, between) > 0
         assert plane.dropped_uninstalled > 0
-        return plane, rebuilds
+        assert log["tombstone"] > log["compaction"] >= 1
+        assert log["remap"] == log["compaction"]
+        return plane
 
-    def test_ledger_equals_recount_under_tenant_churn(self):
-        plane, rebuilds = self._churn()
-        # Installs, uninstalls and compactions carry the ledger: the
-        # only recount is the first pricing after set_load_model.
-        assert len(rebuilds) == 1
+    @LOAD_MODELS
+    def test_counts_equal_recount_under_tenant_churn(self, model, monkeypatch):
+        plane = self._churn(model, monkeypatch)
         assert plane.recompiles == 0
 
-    def test_same_name_replacement_recounts_and_equals_recount(self):
-        plane, rebuilds = self._churn(replace_at=11)
+    @LOAD_MODELS
+    def test_same_name_replacement_equals_recount(self, model, monkeypatch):
+        plane = self._churn(model, monkeypatch, replace_at=11)
         assert plane.recompiles == 1
-        assert len(rebuilds) == 2
 
 
 class TestConservation:
