@@ -156,6 +156,9 @@ class ControlConfig:
             raise ValueError("min_rate must be positive")
         if self.trigger_cooldown < 0:
             raise ValueError("trigger_cooldown must be non-negative")
+        # ``not x >= 0`` also rejects NaN (an inf limit stays legal).
+        if self.shed_limit is not None and not self.shed_limit >= 0:
+            raise ValueError("shed_limit must be non-negative")
         if not 0 < self.shed_release <= 1:
             raise ValueError("shed_release must be in (0, 1]")
         if self.calibrate_quantile is not None and not 0 < self.calibrate_quantile < 1:

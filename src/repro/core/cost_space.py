@@ -272,10 +272,6 @@ class CostSpace:
         vd = self.spec.vector_dims
         return float(np.linalg.norm(self._matrix[u, :vd] - self._matrix[v, :vd]))
 
-    def estimated_latency(self, u: int, v: int) -> float:
-        """Alias for :meth:`vector_distance`, named for intent."""
-        return self.vector_distance(u, v)
-
     def scalar_penalty(self, node: int) -> float:
         """Euclidean magnitude of one node's scalar part (0 if none)."""
         return float(np.linalg.norm(self._matrix[node, self.spec.vector_dims:]))

@@ -424,7 +424,3 @@ class HilbertMapper:
         if self.key_bits <= 64:
             return hilbert_encode_batch(cells, self.bits)
         return [hilbert_encode(tuple(int(c) for c in row), self.bits) for row in cells]
-
-    def point_for(self, key: int) -> np.ndarray:
-        """Approximate continuous point at the center of a key's cell."""
-        return self.dequantize(hilbert_decode(key, self.bits, self.dims))

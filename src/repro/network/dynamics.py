@@ -135,10 +135,6 @@ class LoadProcess:
                     )
         return effective / self._norm
 
-    def load_of(self, node: int) -> float:
-        """Current effective load of one node."""
-        return float(self.loads()[node])
-
     def _draw(self) -> np.ndarray:
         """The one per-tick noise draw (shared by both step variants)."""
         return self._rng.normal(0.0, self.sigma, size=self.num_nodes)
@@ -306,13 +302,6 @@ class ChurnProcess:
     def alive_mask(self) -> np.ndarray:
         """Per-node liveness as a boolean array (copy)."""
         return self._alive.copy()
-
-    def alive_nodes(self) -> list[int]:
-        """Indices of currently-alive nodes."""
-        return [int(i) for i in np.flatnonzero(self._alive)]
-
-    def is_alive(self, node: int) -> bool:
-        return bool(self._alive[node])
 
     def _draw(self) -> np.ndarray:
         """The one per-tick uniform draw (shared by both step variants)."""

@@ -2,7 +2,7 @@
 
 A *span* is the life of one wire tuple, identified by its globally
 unique transport sequence number (``seq`` is assigned in
-``DataPlane._send_array`` / ``_send_scalar`` and, by the twin
+``DataPlane._send_array`` / ``repro.runtime.oracle._send`` and, by the twin
 discipline, identical across the vectorized and scalar step paths).
 Sampling is a deterministic SplitMix64 bucket of the seq — the *same*
 hash family the data plane's filters and joins use — so twin data
@@ -50,7 +50,7 @@ import json
 
 import numpy as np
 
-from repro.runtime.dataplane import _filter_bucket, _filter_bucket_int
+from repro.runtime.hashing import filter_bucket, filter_bucket_int
 
 __all__ = ["TupleTracer", "EVENT_NAMES"]
 
@@ -127,13 +127,13 @@ class TupleTracer:
         # The 0-d salt deliberately wraps mod 2^64; silence the
         # scalar-overflow warning NumPy raises only for 0-d operands.
         with np.errstate(over="ignore"):
-            return _filter_bucket(seqs, self._salt64) < self.sample_rate
+            return filter_bucket(seqs, self._salt64) < self.sample_rate
 
     def sample_one(self, seq: int) -> bool:
         """Per-tuple twin of :meth:`sampled` (same hash, same salt)."""
         return (
             self.sample_rate >= 1.0
-            or _filter_bucket_int(int(seq), self.salt) < self.sample_rate
+            or filter_bucket_int(int(seq), self.salt) < self.sample_rate
         )
 
     # -- recording ---------------------------------------------------------

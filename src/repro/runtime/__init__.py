@@ -7,10 +7,10 @@ what the network really carries under churn, hotspots, and migration.
 
 * :mod:`repro.runtime.transport` — in-flight tuple storage: a
   struct-of-arrays pool filed in a calendar queue keyed by arrival
-  tick (delivery costs O(due)), plus the per-tuple heapq reference
-  twin.  Both carry a bounded retransmit buffer for tuples bound to
-  failed nodes (``RuntimeConfig.reliable`` sizes it), extending
-  conservation to ``sent == delivered + in_flight + buffered``.
+  tick (delivery costs O(due)), with a bounded retransmit buffer for
+  tuples bound to failed nodes (``RuntimeConfig.reliable`` sizes it),
+  extending conservation to ``sent == delivered + in_flight +
+  buffered``.
 * :mod:`repro.runtime.dataplane` — the :class:`DataPlane` coordinator:
   compiles *all* installed circuits into one global CSR arena (flat op
   and link arrays with per-circuit segments), steps sources and
@@ -23,6 +23,9 @@ what the network really carries under churn, hotspots, and migration.
 * :mod:`repro.runtime.join_state` — the batched path's windowed join
   state: one slot table (an append-only row pool chained per
   (op, side, key) slot, walked newest-first, compacted only when full).
+* :mod:`repro.runtime.oracle` — the per-tuple oracle every batched
+  piece is pinned to: the heapq transport, per-key join tables and the
+  tuple-at-a-time tick loop behind :meth:`DataPlane.step_scalar`.
 * :mod:`repro.runtime.arena` — :class:`CircuitArena` segment
   bookkeeping (append on install, tombstone on uninstall, compact past
   a dead-row threshold; a scale event swaps one segment).
@@ -36,7 +39,8 @@ from repro.runtime.dataplane import (
     RuntimeConfig,
     TrafficRecord,
 )
-from repro.runtime.transport import ArrayTransport, HeapTransport
+from repro.runtime.oracle import HeapTransport
+from repro.runtime.transport import ArrayTransport
 
 __all__ = [
     "LoadModel",

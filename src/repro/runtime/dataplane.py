@@ -102,18 +102,10 @@ swaps are counted in ``TrafficRecord.recompiles``.
 Scalar oracle
 -------------
 
-:meth:`DataPlane.step_scalar` implements the *same* tick semantics with
-per-tuple Python loops over a heapq transport and per-key join tables,
-consuming the *same* RNG draws (the per-tick source draw is shared), so
-twin data planes stepped through either path agree exactly — tuple for
-tuple — and the pair is the before/after of the E18 benchmark.  It is
-the one reference of the batched path: the slot table and its live-row
-counts, the admission prices read from them and the arena's install /
-tombstone / compaction are each pinned directly to it
-(``tests/property/test_dataplane_properties.py``,
-``tests/property/test_arena_properties.py``).  A single instance
-commits to one path on first use (the two paths keep different state
-layouts); build a twin to compare.
+:meth:`DataPlane.step_scalar` runs the per-tuple oracle of
+:mod:`repro.runtime.oracle` on this plane's tick frame and columns; its
+first tick swaps in the oracle's transport and join tables, and an
+instance stays on the path it first stepped.
 
 Randomness discipline: the only RNG draws are the per-tick source
 draws.  Filter predicates and join match thinning are deterministic
@@ -139,19 +131,10 @@ from repro.core.load_model import (
 )
 from repro.query.operators import ServiceKind
 from repro.runtime.arena import ArenaSegment, CircuitArena
-from repro.runtime.hashing import (
-    M1,
-    M2,
-    M3,
-    MASK64,
-    U64,
-    mix64,
-    mix64_int,
-    route_bucket,
-    route_bucket_int,
-)
+from repro.runtime import oracle
+from repro.runtime.hashing import filter_bucket, pair_bucket, route_bucket
 from repro.runtime.join_state import JoinState
-from repro.runtime.transport import ArrayTransport, HeapTransport
+from repro.runtime.transport import ArrayTransport
 
 _LOG = logging.getLogger(__name__)
 
@@ -199,33 +182,6 @@ _SRC_COLUMNS = {
     "_src_rate": np.float64,
     "_src_domain": np.float64,
 }
-
-
-def _filter_bucket(key: np.ndarray, salt: np.ndarray) -> np.ndarray:
-    """Deterministic uniform-[0,1) bucket of (key, operator) pairs."""
-    x = key.astype(U64) * U64(M1) + salt.astype(U64) * U64(M3)
-    return (mix64(x) >> U64(11)).astype(np.float64) * 2.0 ** -53
-
-
-def _filter_bucket_int(key: int, salt: int) -> float:
-    x = (key * M1 + salt * M3) & MASK64
-    return (mix64_int(x) >> 11) * 2.0 ** -53
-
-
-def _pair_bucket(
-    key: np.ndarray, ts_a: np.ndarray, ts_b: np.ndarray, salt: np.ndarray
-) -> np.ndarray:
-    """Symmetric match bucket of a candidate join pair (order-free)."""
-    lo = np.minimum(ts_a, ts_b).astype(U64)
-    hi = np.maximum(ts_a, ts_b).astype(U64)
-    x = key.astype(U64) * U64(M1) + lo * U64(M2) + hi * U64(M3) + salt.astype(U64)
-    return (mix64(x) >> U64(11)).astype(np.float64) * 2.0 ** -53
-
-
-def _pair_bucket_int(key: int, ts_a: int, ts_b: int, salt: int) -> float:
-    lo, hi = (ts_a, ts_b) if ts_a <= ts_b else (ts_b, ts_a)
-    x = (key * M1 + lo * M2 + hi * M3 + salt) & MASK64
-    return (mix64_int(x) >> 11) * 2.0 ** -53
 
 
 def _capacity_gate(
@@ -369,9 +325,10 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         if self.window < 0:
             raise ValueError("window must be non-negative")
-        if self.tick_ms <= 0:
-            raise ValueError("tick_ms must be positive")
-        if self.node_capacity is not None and self.node_capacity < 0:
+        if not 0 < self.tick_ms < math.inf:
+            raise ValueError("tick_ms must be positive and finite")
+        # ``not x >= 0`` also rejects NaN, which every comparison fails.
+        if self.node_capacity is not None and not self.node_capacity >= 0:
             raise ValueError("node_capacity must be non-negative")
         if self.eviction_slack is not None and self.eviction_slack < 0:
             raise ValueError("eviction_slack must be non-negative")
@@ -467,8 +424,12 @@ class DataPlane:
         self._model = self.config.load_model or LoadModel.unit()
         self.tick = 0
         self._rng = np.random.default_rng(self.config.seed)
-        self._mode: str | None = None
-        self._transport = None
+        # The batched path's transport and join state; the first
+        # step_scalar() swaps in the oracle's (see _open_tick).
+        self._transport = ArrayTransport(
+            self.config.retransmit_buffer if self.config.reliable else 0
+        )
+        self._stepped = False
         self._next_seq = 0
         # Cumulative accounting.
         self.emitted = 0
@@ -508,9 +469,8 @@ class DataPlane:
         # Controller-set per-node shed limits (inf = inactive).
         self._shed = np.full(n, np.inf)
         self._shed_active = 0
-        # Join state of the array path (the scalar path keeps per-key
-        # tables); its slot layout and live-row counts follow every
-        # arena change.
+        # Join state: its layout and live-row counts follow every arena
+        # change.
         self._join = JoinState()
         # Per-(circuit, link) stats of tombstoned segments.
         self._link_stats_folded: dict[tuple[str, str, str], list] = {}
@@ -943,11 +903,10 @@ class DataPlane:
                 self._op_names.append((circuit.name, sid))
             self._arena_rows.append((circuit, sids, seg))
         added = self._arena.num_ops - self._num_ops
-        if self._mode != "heap":  # the scalar path keeps per-key tables
-            self._join.extend(
-                np.concatenate(parts["_kind"][1:]),
-                np.concatenate(parts["_op_domain"][1:]),
-            )
+        self._join.extend(
+            np.concatenate(parts["_kind"][1:]),
+            np.concatenate(parts["_op_domain"][1:]),
+        )
         for name, cols in parts.items():
             setattr(self, name, np.concatenate(cols))
         self._num_ops = self._arena.num_ops
@@ -995,27 +954,11 @@ class DataPlane:
         """Tombstone one circuit's segment; returns in-flight drops."""
         seg = self._retire_segment(name)
         self._agg_credit[seg.op_base : seg.op_base + seg.num_ops] = 0.0
-        dropped = 0
-        if self._transport is not None:
-            dropped = self._transport.remap_ops(self._arena.op_mapping())
-            self.dropped_uninstalled += dropped
-        self._drop_dead_state()
+        # Tombstoned ops' join state stays (never probed, masked by
+        # ``op_alive``) until a compaction maps the ops to -1.
+        dropped = self._transport.remap_ops(self._arena.op_mapping())
+        self.dropped_uninstalled += dropped
         return dropped
-
-    def _drop_dead_state(self) -> None:
-        """Forget the state of tombstoned ops.
-
-        The slot table keeps their rows: tombstoned ops receive no
-        tuples, so the rows are never walked, the counts are masked by
-        ``op_alive``, and the next arena compaction drops them.
-        """
-        if self._mode == "heap" and self._tables:
-            alive = self._arena.op_alive
-            self._tables = {
-                key: entries
-                for key, entries in self._tables.items()
-                if alive[key[0]]
-            }
 
     def _compact_arena(self, carry: dict, swapped) -> int:
         """Gather the live segments into overlay order over every column.
@@ -1071,10 +1014,8 @@ class DataPlane:
                 self._agg_credit[dest] = (
                     self._agg_credit[dest] + old_credit[old_i]
                 ) % 1.0
-        dropped = 0
-        if self._transport is not None:
-            dropped = self._transport.remap_ops(mapping, key_split or None)
-            self.dropped_uninstalled += dropped
+        dropped = self._transport.remap_ops(mapping, key_split or None)
+        self.dropped_uninstalled += dropped
         self._remap_state(mapping, key_split or None)
         if self._host_cache is not None:
             self._host_cache = self._host_cache[op_gather]
@@ -1098,24 +1039,8 @@ class DataPlane:
         which is what keeps replicated join results exact across scale
         events.
         """
-        if self._mode == "heap":
-            split = key_split or {}
-            tables: dict = {}
-            for (op, side, key), entries in self._tables.items():
-                route = split.get(op)
-                if route is not None:
-                    targets = route[0]
-                    new = int(targets[route_bucket_int(key, len(targets))])
-                else:
-                    new = int(mapping[op])
-                    if new < 0:
-                        continue
-                # Key ranges of split siblings are disjoint, so no two
-                # sources collide; extend defensively all the same.
-                dest = tables.setdefault((new, side, key), entries)
-                if dest is not entries:
-                    dest.extend(entries)
-            self._tables = tables
+        if isinstance(self._join, oracle.KeyTables):
+            self._join.remap(mapping, key_split, self.config.window + self._slack)
             return
         # The slot table is re-laid out for the new op rows; within a
         # new slot, equal keys come from one old slot (split siblings
@@ -1142,21 +1067,6 @@ class DataPlane:
         )
 
     # -- shared per-tick helpers -------------------------------------------
-
-    def _use_mode(self, mode: str) -> None:
-        if self._mode is None:
-            self._mode = mode
-            bound = self.config.retransmit_buffer if self.config.reliable else 0
-            if mode == "array":
-                self._transport = ArrayTransport(bound)
-            else:
-                self._transport = HeapTransport(bound)
-                self._tables = {}
-        elif self._mode != mode:
-            raise RuntimeError(
-                "DataPlane committed to the other step path; build a twin "
-                "instance to compare step() against step_scalar()"
-            )
 
     def _host_array(self) -> np.ndarray:
         """Current hosting node of every op, from live placements.
@@ -1273,33 +1183,26 @@ class DataPlane:
     def state_rows(self) -> np.ndarray:
         """Live join-state rows per (op, side), shape ``(num_ops, 2)``.
 
-        Rows are arena op rows (a tombstoned op reads 0).  Equals the
-        full recount (:meth:`_state_counts`); on the batched path it is
-        the slot table's own counts, masked by ``op_alive`` — O(ops).
+        Rows are arena op rows (a tombstoned op reads 0): the join
+        state's own counts, masked by ``op_alive``.  On the batched path
+        that is O(ops) and equals the full recount
+        (:meth:`_state_counts`); the oracle's tables recount on read.
         """
-        if self._mode == "heap":
-            return self._state_counts()
         counts = self._join.live.reshape(self._num_ops, 2).astype(np.float64)
         counts[~self._arena.op_alive] = 0.0
         return counts
 
     def _state_counts(self) -> np.ndarray:
-        """Windowed join-state entries per (op, side), committed mode.
+        """The slot table's live rows per (op, side), recounted.
 
-        The O(state) full scan: the scalar path's admission pricing and
-        the recount the slot table's counts must equal.  In the slot
-        table only live rows of live ops count: they are exactly the
-        rows the eagerly evicting per-key tables still hold.
+        The O(state) full scan the slot table's counts must equal: only
+        live rows of live ops count, exactly the rows the oracle's
+        eagerly evicting tables hold for live ops.
         """
-        counts = np.zeros(2 * self._num_ops)
-        if self._mode == "array":
-            pair, _key, _ts, e = self._join.rows()
-            live = (e >= self.tick) & self._arena.op_alive[pair >> 1]
-            counts += np.bincount(pair[live], minlength=2 * self._num_ops)
-        elif self._mode == "heap":
-            for (op, side, _key), entries in self._tables.items():
-                counts[2 * op + side] += len(entries)
-        return counts.reshape(self._num_ops, 2)
+        pair, _key, _ts, e = self._join.rows()
+        live = (e >= self.tick) & self._arena.op_alive[pair >> 1]
+        counts = np.bincount(pair[live], minlength=2 * self._num_ops)
+        return counts.reshape(self._num_ops, 2).astype(np.float64)
 
     def _admission_costs(self) -> np.ndarray:
         """Expected per-tuple admission cost of every (op, in-port).
@@ -1341,7 +1244,7 @@ class DataPlane:
         """
         if not 0 <= node < self.overlay.num_nodes:
             raise ValueError(f"node {node} outside overlay")
-        if limit is not None and limit < 0:
+        if limit is not None and not limit >= 0:
             raise ValueError("shed limit must be non-negative")
         was_active = bool(np.isfinite(self._shed[node]))
         self._shed[node] = np.inf if limit is None else float(limit)
@@ -1390,15 +1293,26 @@ class DataPlane:
         p50, p95, p99 = np.percentile(lat, [50.0, 95.0, 99.0])
         return float(p50), float(p95), float(p99)
 
-    def _open_tick(self, mode: str) -> _Tick:
-        """Open one tick on the ``"array"`` or ``"heap"`` step path.
+    def _open_tick(self, layout: type) -> _Tick:
+        """Open one tick on the path whose join state is a ``layout``.
 
         Everything both paths do before sources emit: arena sync, the
         clock, parameter drift, the stats snapshot, state eviction,
         admission prices frozen from the post-eviction state, and
         reliable redelivery.
         """
-        self._use_mode(mode)
+        if not isinstance(self._join, layout):
+            # The oracle's first tick swaps in its transport and join
+            # tables; the batched ones are still empty.
+            if self._stepped:
+                raise RuntimeError(
+                    "DataPlane committed to the other step path; build a twin "
+                    "instance to compare step() against step_scalar()"
+                )
+            self._transport = oracle.HeapTransport(self._transport.max_buffer)
+            self._join = oracle.KeyTables()
+            self._join.extend(self._kind, self._op_domain)
+        self._stepped = True
         trace = self._trace_handle()
         prof = self._prof_handle()
         self._transport.trace = trace
@@ -1429,10 +1343,7 @@ class DataPlane:
 
         if prof is not None:
             prof.begin("evict")
-        if mode == "array":
-            self._evict_state_array(now)
-        else:
-            self._evict_state_scalar(now)
+        self._join.advance(now)
         if prof is not None:
             prof.end()
             prof.begin("pricing")
@@ -1505,7 +1416,7 @@ class DataPlane:
 
     def step(self) -> TrafficRecord:
         """Advance one tick through the batched kernels."""
-        t = self._open_tick("array")
+        t = self._open_tick(JoinState)
         now, host, alive, lat = t.now, t.host, t.alive, t.lat
         cap, node_used, adm = t.cap, t.node_used, t.adm
         trace, prof = t.trace, t.prof
@@ -1679,12 +1590,6 @@ class DataPlane:
             prof.end()
         return self._close_tick(t, tick_lat)
 
-    def _evict_state_array(self, now: int) -> None:
-        # Expired rows stay in the slot table, invisible to walks and
-        # recounts, until a full pool compacts; only its counts retire
-        # them here.
-        self._join.advance(now)
-
     def _process_array(self, op, port, key, ts, size, pos, now):
         """Run one round's kept non-sink arrivals through the operators.
 
@@ -1700,7 +1605,7 @@ class DataPlane:
             outs.append((op[m], key[m], ts[m], size[m], pos[m], np.zeros(int(m.sum()), dtype=np.int64)))
         m = k == _FILTER
         if m.any():
-            b = _filter_bucket(key[m], self._gid[op[m]])
+            b = filter_bucket(key[m], self._gid[op[m]])
             keep = b < self._op_sel[op[m]]
             if keep.any():
                 outs.append(
@@ -1774,7 +1679,7 @@ class DataPlane:
         ats = ts[rep]
         ok = np.abs(ats - sts) <= self.config.window
         ok &= (
-            _pair_bucket(key[rep], ats, sts, self._gid[op[rep]])
+            pair_bucket(key[rep], ats, sts, self._gid[op[rep]])
             < self._op_pmatch[op[rep]]
         )
         if not ok.any():
@@ -1851,202 +1756,9 @@ class DataPlane:
     # -- per-tuple reference path ------------------------------------------
 
     def step_scalar(self) -> TrafficRecord:
-        """Advance one tick through the retained per-tuple reference.
-
-        Same semantics, same RNG draws, per-tuple heapq transport and
-        per-key join tables — the "before" side of E18.
-        """
-        t = self._open_tick("heap")
-        now, host, alive, latm = t.now, t.host, t.alive, t.lat
-        cap, node_used, adm, trace = t.cap, t.node_used, t.adm, t.trace
-        prof = t.prof
-        reliable = self.config.reliable
-        tick_lat: list[float] = []
-        w = self.config.window
-        tick_ms = self.config.tick_ms
-
-        # 1. Sources emit, consuming the same per-tick draws.
-        if prof is not None:
-            prof.begin("sources")
-        counts, u = self._draw_tick()
-        offset = 0
-        for s in range(counts.size):
-            c = int(counts[s])
-            seg = u[offset : offset + c]
-            offset += c
-            opx = int(self._src_ops[s])
-            if not alive[host[opx]]:
-                continue
-            dom = float(self._src_domain[s])
-            for x in seg:
-                self._send_scalar(opx, int(x * dom), now, 1.0, now, 0, host, latm, trace)
-            t.emitted += c
-            self.emitted += c
-        if prof is not None:
-            prof.end()
-
-        # 2. Delivery rounds, one tuple at a time in canonical order.
-        if prof is not None:
-            prof.begin("delivery")
-        round_ = 1
-        while True:
-            batch = self._transport.due(now, round_)
-            if not batch:
-                break
-            batch.sort(key=lambda e: (e[3], e[4], e[2]))  # (op, port, seq)
-            agg_rank: dict[int, int] = {}
-            for _arr, _rnd, _seq, opx, portx, key, ts, size in batch:
-                node = int(host[opx])
-                if trace is not None:
-                    trace.record_one(trace.DELIVER, _seq, opx, node)
-                if not alive[node]:
-                    if reliable:
-                        if not self._transport.buffer_one(
-                            opx, portx, key, ts, size, _seq
-                        ):
-                            self.dropped_overflow += 1
-                            t.dropped += 1
-                            if trace is not None:
-                                trace.record_one(
-                                    trace.DROP_OVERFLOW, _seq, opx, node
-                                )
-                        elif trace is not None:
-                            trace.record_one(trace.BUFFER, _seq, opx, node)
-                    else:
-                        self.dropped_dead += 1
-                        t.dropped += 1
-                        if trace is not None:
-                            trace.record_one(trace.DROP_DEAD, _seq, opx, node)
-                    continue
-                if cap is not None:
-                    cost = float(adm[opx, min(portx, 1)])
-                    if node_used[node] >= cap[node]:
-                        if self._shed[node] < (
-                            np.inf if self._cap is None else self._cap[node]
-                        ):
-                            self.dropped_shed += 1
-                            t.shed += 1
-                            if trace is not None:
-                                trace.record_one(trace.DROP_SHED, _seq, opx, node)
-                        else:
-                            self.dropped_capacity += 1
-                            if trace is not None:
-                                trace.record_one(
-                                    trace.DROP_CAPACITY, _seq, opx, node
-                                )
-                        t.dropped += 1
-                        t.cpu_dropped += cost
-                        self.dropped_by_node[node] += 1
-                        continue
-                    node_used[node] += cost
-                t.processed += 1
-                self.processed += 1
-                self.processed_by_node[node] += 1
-                self.processed_node_kind[node * 4 + int(self._kind[opx])] += 1
-                if trace is not None:
-                    trace.record_one(trace.PROCESS, _seq, opx, node)
-                self._tick_op_cost[opx] += self._kind_cost[opx]
-                if self._is_sink[opx]:
-                    t.delivered += 1
-                    self.sink_delivered += 1
-                    tick_lat.append(float(now - ts) * tick_ms)
-                    if self.sink_log is not None:
-                        self.sink_log.append(
-                            (self._op_names[opx][1], key, ts, float(size))
-                        )
-                    continue
-                kindx = int(self._kind[opx])
-                if kindx == _RELAY:
-                    outs = [(key, ts, size)]
-                elif kindx == _FILTER:
-                    if _filter_bucket_int(key, int(self._gid[opx])) < self._op_sel[opx]:
-                        outs = [(key, ts, size)]
-                    else:
-                        outs = []
-                elif kindx == _AGG:
-                    r = agg_rank.get(opx, 0)
-                    c0 = float(self._agg_credit[opx])
-                    f = float(self._op_factor[opx])
-                    if math.floor(c0 + (r + 1) * f) > math.floor(c0 + r * f):
-                        outs = [(key, ts, size)]
-                    else:
-                        outs = []
-                    agg_rank[opx] = r + 1
-                else:  # _JOIN
-                    outs = []
-                    pm = float(self._op_pmatch[opx])
-                    entries = self._tables.get((opx, 1 - portx, key), ())
-                    if self._model.probe_cost and entries:
-                        self._tick_op_cost[opx] += self._model.probe_cost * len(
-                            entries
-                        )
-                    gidx = int(self._gid[opx])
-                    for sts, ssz in entries:
-                        if abs(ts - sts) <= w and _pair_bucket_int(key, ts, sts, gidx) < pm:
-                            outs.append((key, max(ts, sts), size + ssz))
-                    self._tables.setdefault((opx, portx, key), []).append((ts, size))
-                for k2, t2, s2 in outs:
-                    self._send_scalar(opx, k2, t2, s2, now, round_, host, latm, trace)
-            for opx, r in agg_rank.items():
-                self._agg_credit[opx] = (
-                    self._agg_credit[opx] + r * float(self._op_factor[opx])
-                ) % 1.0
-                if self._model.aggregate_batch_cost:
-                    # Each of the round batch's r tuples cost an extra c₁·r.
-                    self._tick_op_cost[opx] += (
-                        self._model.aggregate_batch_cost * float(r) * r
-                    )
-            round_ += 1
-        if prof is not None:
-            prof.end()
-        return self._close_tick(t, tick_lat)
-
-    def _evict_state_scalar(self, now: int) -> None:
-        w = self.config.window
-        dead_keys = []
-        for (opx, side, key), entries in self._tables.items():
-            thr = now - w - int(self._slack[opx])
-            kept = [e for e in entries if e[0] >= thr]
-            if kept:
-                self._tables[(opx, side, key)] = kept
-            else:
-                dead_keys.append((opx, side, key))
-        for key in dead_keys:
-            del self._tables[key]
-
-    def _send_scalar(
-        self, opx, key, ts, size, now, round_, host, latm, trace=None
-    ) -> None:
-        base = int(self._out_offsets[opx])
-        for li in range(base, base + int(self._out_deg[opx])):
-            g = int(self._link_group[li])
-            if g > 1 and route_bucket_int(key, g) != int(self._link_index[li]):
-                continue  # hash-router: not this replica's key slice
-            dst = int(self._link_dst[li])
-            l = float(latm[host[opx], host[dst]])
-            dt = int(np.rint(l / self.config.tick_ms))
-            seq = self._next_seq
-            self._next_seq += 1
-            if trace is not None:
-                trace.record_one(
-                    trace.EMIT if round_ == 0 else trace.SEND,
-                    seq,
-                    dst,
-                    int(host[opx]),
-                )
-            self._link_tuples[li] += 1
-            self._link_size[li] += size
-            self._tick_usage += l
-            self._transport.send_one(
-                now + dt,
-                round_ + 1 if dt == 0 else 1,
-                seq,
-                dst,
-                int(self._link_port[li]),
-                key,
-                ts,
-                size,
-            )
+        """Advance one tick through the per-tuple oracle
+        (:func:`repro.runtime.oracle.step`)."""
+        return oracle.step(self)
 
     # -- reporting ---------------------------------------------------------
 
@@ -2075,23 +1787,20 @@ class DataPlane:
         collapses the first line to the PR-3 invariant.)
         """
         tr = self._transport
-        sent = tr.sent if tr is not None else 0
-        delivered = tr.delivered if tr is not None else 0
-        in_flight = tr.in_flight if tr is not None else 0
-        buffered = tr.buffered if tr is not None else 0
+        sent, delivered = tr.sent, tr.delivered
         return {
             "emitted": self.emitted,
             "sent": sent,
             "transport_delivered": delivered,
-            "in_flight": in_flight,
-            "buffered": buffered,
+            "in_flight": tr.in_flight,
+            "buffered": tr.buffered,
             "processed": self.processed,
             "dropped": self.dropped,
             "delivered": self.sink_delivered,
             "cpu_cost": self.cpu_cost_total,
             "cpu_dropped": self.cpu_dropped_total,
             "balanced": (
-                sent == delivered + in_flight + buffered
+                sent == delivered + tr.in_flight + tr.buffered
                 and delivered == self.processed + self.dropped
             ),
         }
@@ -2140,10 +1849,6 @@ class DataPlane:
         if tracer is None:
             raise RuntimeError("no tracer attached (see attach_obs)")
         tr = self._transport
-        if tr is None:
-            return tracer.check_completeness(
-                np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-            )
         totals = None
         if tracer.sample_rate >= 1.0:
             totals = {
@@ -2169,7 +1874,7 @@ class DataPlane:
         this to force re-placement of services whose backlog grows.
         """
         tr = self._transport
-        if tr is None or tr.buffered == 0:
+        if tr.buffered == 0:
             return {}
         counts = tr.buffered_by_op(self._num_ops)
         return {

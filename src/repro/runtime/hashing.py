@@ -1,10 +1,11 @@
-"""SplitMix64 hashing shared by the data plane and the transports.
+"""SplitMix64 hashing shared by the data plane, its oracle and the tracer.
 
 All non-source randomness in the runtime is a deterministic hash of
 tuple content (the randomness discipline: the only RNG draws are the
-per-tick source draws).  The primitives live here so the data plane's
-operator kernels and the transports' scale-event re-routing consume the
-*same* finalizer — in particular the key-partition routing rule::
+per-tick source draws).  The primitives live here so the batched
+kernels, the per-tuple oracle (:mod:`repro.runtime.oracle`), the
+transports' scale-event re-routing and the tracer's sampling consume
+the *same* finalizer — in particular the key-partition routing rule::
 
     bucket(key, g) = SplitMix64(key * M1) mod g
 
@@ -28,6 +29,10 @@ __all__ = [
     "mix64_int",
     "route_bucket",
     "route_bucket_int",
+    "filter_bucket",
+    "filter_bucket_int",
+    "pair_bucket",
+    "pair_bucket_int",
 ]
 
 MASK64 = (1 << 64) - 1
@@ -66,3 +71,32 @@ def route_bucket(key: np.ndarray, group: np.ndarray | int) -> np.ndarray:
 def route_bucket_int(key: int, group: int) -> int:
     """Scalar twin of :func:`route_bucket` (must agree bit-for-bit)."""
     return mix64_int((key * M1) & MASK64) % group
+
+
+def filter_bucket(key: np.ndarray, salt: np.ndarray) -> np.ndarray:
+    """Deterministic uniform-[0,1) bucket of (key, operator) pairs."""
+    x = key.astype(U64) * U64(M1) + salt.astype(U64) * U64(M3)
+    return (mix64(x) >> U64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def filter_bucket_int(key: int, salt: int) -> float:
+    """Scalar twin of :func:`filter_bucket` (must agree bit-for-bit)."""
+    x = (key * M1 + salt * M3) & MASK64
+    return (mix64_int(x) >> 11) * 2.0 ** -53
+
+
+def pair_bucket(
+    key: np.ndarray, ts_a: np.ndarray, ts_b: np.ndarray, salt: np.ndarray
+) -> np.ndarray:
+    """Symmetric match bucket of a candidate join pair (order-free)."""
+    lo = np.minimum(ts_a, ts_b).astype(U64)
+    hi = np.maximum(ts_a, ts_b).astype(U64)
+    x = key.astype(U64) * U64(M1) + lo * U64(M2) + hi * U64(M3) + salt.astype(U64)
+    return (mix64(x) >> U64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def pair_bucket_int(key: int, ts_a: int, ts_b: int, salt: int) -> float:
+    """Scalar twin of :func:`pair_bucket` (must agree bit-for-bit)."""
+    lo, hi = (ts_a, ts_b) if ts_a <= ts_b else (ts_b, ts_a)
+    x = (key * M1 + lo * M2 + hi * M3 + salt) & MASK64
+    return (mix64_int(x) >> 11) * 2.0 ** -53

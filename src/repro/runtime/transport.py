@@ -1,22 +1,15 @@
-"""In-flight tuple storage for the data-plane runtime.
+"""In-flight tuple storage of the batched data plane.
 
-Two interchangeable transports move tuples between circuit services:
+:class:`ArrayTransport` moves tuples between circuit services as a
+**calendar queue keyed by arrival tick**: delivery costs O(due), not
+O(in flight).  Its per-tuple reference is the oracle's
+:class:`~repro.runtime.oracle.HeapTransport`, which the equivalence
+properties pin it to tick for tick.  Delivery is grouped into
+*rounds*: round 1 of a tick delivers everything in flight that is due,
+and each later round delivers the zero-delay outputs of the previous
+round (colocated services cascade within a tick).
 
-* :class:`ArrayTransport` — the production path, a **calendar queue
-  keyed by arrival tick**: delivery costs O(due), not O(in flight).
-* :class:`HeapTransport` — the retained per-tuple reference.  Tuples
-  are individual heap entries popped one at a time, exactly the
-  pre-vectorization shape, and the "before" side of the E18 benchmark.
-
-Both transports implement identical delivery semantics — the data plane
-steps one through batched kernels and the other through per-tuple
-loops, and the equivalence properties pin them to each other tick for
-tick.  Delivery is grouped into *rounds*: round 1 of a tick delivers
-everything in flight that is due, and each later round delivers the
-zero-delay outputs of the previous round (colocated services cascade
-within a tick).
-
-Both carry a *bounded retransmit buffer* of ``max_buffer`` tuples (0,
+It carries a *bounded retransmit buffer* of ``max_buffer`` tuples (0,
 the default, rejects everything): a tuple delivered to a failed node is
 handed back via ``buffer`` instead of being dropped, parked until its
 target service's host is alive again, and re-injected by ``redeliver``
@@ -88,13 +81,11 @@ tick) and nothing on the per-tick path may touch all of it:
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
-from repro.runtime.hashing import route_bucket, route_bucket_int
+from repro.runtime.hashing import route_bucket
 
-__all__ = ["ArrayTransport", "HeapTransport"]
+__all__ = ["ArrayTransport"]
 
 
 class ArrayTransport:
@@ -454,142 +445,3 @@ class ArrayTransport:
 # bench/ wraps ``buffer`` / ``redeliver`` under this name, from when the
 # retransmit buffer was a subclass of its own.
 ReliableTransport = ArrayTransport
-
-
-class HeapTransport:
-    """Per-tuple heapq transport (the retained scalar reference).
-
-    Entries are ``(arrival, round, seq, op, port, key, ts, size)``
-    tuples; the heap order ``(arrival, round, seq)`` reproduces exactly
-    the delivery grouping of :class:`ArrayTransport` — all in-flight
-    due tuples form round 1 of a tick, zero-delay cascade outputs of
-    round *r* form round *r + 1*.  The retransmit buffer is a list of
-    ``(op, port, key, ts, size, seq)`` in acceptance order:
-    :meth:`buffer_one` accepts until the bound is hit and
-    :meth:`redeliver` walks it, pushing released tuples back onto the
-    heap as round-1 arrivals at ``now``.
-    """
-
-    def __init__(self, max_buffer: int = 0) -> None:
-        if max_buffer < 0:
-            raise ValueError("max_buffer must be non-negative")
-        self._heap: list[tuple] = []
-        self._buffer: list[tuple] = []
-        self.max_buffer = max_buffer
-        self.sent = 0
-        self.delivered = 0
-        self.dropped = 0
-        self.buffered_total = 0  # tuples buffer_one() ever accepted
-        # Duck-typed tracer handle (see repro.obs.trace); None means no
-        # tracing and every hook is a single attribute check.
-        self.trace = None
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._heap)
-
-    @property
-    def buffered(self) -> int:
-        """Tuples parked in the retransmit buffer."""
-        return len(self._buffer)
-
-    def buffered_by_op(self, num_ops: int) -> np.ndarray:
-        """Per-op backlog (per-tuple twin of the bincount version)."""
-        counts = np.zeros(num_ops, dtype=np.int64)
-        for entry in self._buffer:
-            counts[entry[0]] += 1
-        return counts
-
-    def inflight_seqs(self) -> np.ndarray:
-        """Sequence numbers currently in the in-flight heap."""
-        return np.array([entry[2] for entry in self._heap], dtype=np.int64)
-
-    def buffered_seqs(self) -> np.ndarray:
-        """Sequence numbers parked in the retransmit buffer."""
-        return np.array([entry[5] for entry in self._buffer], dtype=np.int64)
-
-    def send_one(
-        self,
-        arrival: int,
-        round_: int,
-        seq: int,
-        op: int,
-        port: int,
-        key: int,
-        ts: int,
-        size: float,
-    ) -> None:
-        heapq.heappush(self._heap, (arrival, round_, seq, op, port, key, ts, size))
-        self.sent += 1
-
-    def due(self, now: int, round_: int) -> list[tuple]:
-        """Pop every tuple due at ``now`` for this delivery round."""
-        out = []
-        heap = self._heap
-        while heap and heap[0][0] <= now and heap[0][1] <= round_:
-            out.append(heapq.heappop(heap))
-        self.delivered += len(out)
-        return out
-
-    def buffer_one(
-        self, op: int, port: int, key: int, ts: int, size: float, seq: int
-    ) -> bool:
-        """Park one dead-bound tuple; False when the bound rejects it."""
-        if len(self._buffer) >= self.max_buffer:
-            return False
-        self._buffer.append((op, port, key, ts, size, seq))
-        self.delivered -= 1
-        self.buffered_total += 1
-        return True
-
-    def redeliver(self, alive_of_op: np.ndarray, now: int) -> int:
-        """Re-inject buffered tuples whose target op is alive again."""
-        kept = []
-        hits = 0
-        for entry in self._buffer:
-            op, port, key, ts, size, seq = entry
-            if alive_of_op[op]:
-                if self.trace is not None:
-                    self.trace.record_redeliver_one(seq, op)
-                heapq.heappush(self._heap, (now, 1, seq, op, port, key, ts, size))
-                hits += 1
-            else:
-                kept.append(entry)
-        self._buffer = kept
-        return hits
-
-    def _reroute(self, op, port, key, seq, mapping, split):
-        """``(new op, port)`` of one tuple, or None when its op is gone."""
-        route = split.get(op)
-        if route is not None:
-            targets, new_port = route
-            new = int(targets[route_bucket_int(key, len(targets))])
-            return new, port if new_port is None else new_port
-        new = int(mapping[op])
-        if new < 0:
-            if self.trace is not None:
-                self.trace.record_drop_uninstall_one(seq, op)
-            return None
-        return new, port
-
-    def remap_ops(self, mapping: np.ndarray, key_split: dict | None = None) -> int:
-        """Re-address in-flight and buffered tuples (see the array twin)."""
-        split = key_split or {}
-        kept = []
-        for arrival, round_, seq, op, port, key, ts, size in self._heap:
-            hop = self._reroute(op, port, key, seq, mapping, split)
-            if hop is not None:
-                kept.append((arrival, round_, seq, *hop, key, ts, size))
-        parked = []
-        for op, port, key, ts, size, seq in self._buffer:
-            hop = self._reroute(op, port, key, seq, mapping, split)
-            if hop is not None:
-                parked.append((*hop, key, ts, size, seq))
-        dropped = len(self._heap) + len(self._buffer) - len(kept) - len(parked)
-        if kept != self._heap:
-            heapq.heapify(kept)
-            self._heap = kept
-        self._buffer = parked
-        self.delivered += dropped
-        self.dropped += dropped
-        return dropped

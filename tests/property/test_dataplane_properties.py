@@ -23,15 +23,13 @@ from repro.query.operators import ServiceKind, ServiceSpec
 from repro.runtime import join_state
 from repro.runtime.arena import CircuitArena
 from repro.runtime.join_state import JoinState
-from repro.runtime.dataplane import (
-    DataPlane,
-    RuntimeConfig,
-    _JOIN,
-    _TICK_LIMIT,
-    _filter_bucket,
-    _filter_bucket_int,
-    _pair_bucket,
-    _pair_bucket_int,
+from repro.runtime.oracle import KeyTables
+from repro.runtime.dataplane import DataPlane, RuntimeConfig, _JOIN, _TICK_LIMIT
+from repro.runtime.hashing import (
+    filter_bucket as _filter_bucket,
+    filter_bucket_int as _filter_bucket_int,
+    pair_bucket as _pair_bucket,
+    pair_bucket_int as _pair_bucket_int,
 )
 from repro.sbon.overlay import Overlay
 from repro.sbon.simulator import Simulation, SimulationConfig
@@ -523,6 +521,7 @@ class TestLedgerRecount:
         log = {"remap": 0, "compaction": 0, "tombstone": 0}
         for cls, name, entry in (
             (JoinState, "remap", "remap"),
+            (KeyTables, "remap", "remap"),
             (CircuitArena, "apply_compaction", "compaction"),
             (CircuitArena, "tombstone", "tombstone"),
         ):
@@ -579,31 +578,78 @@ class TestLedgerRecount:
         assert log["remap"] == log["compaction"] == 2
 
     @staticmethod
-    def _churn(model, monkeypatch, replace_at=None):
+    def _churn(model, monkeypatch, replace_at=None, oracle=False):
         """24 churn ticks at the default compaction threshold (so most
         uninstalls only tombstone); optionally swap the oldest (already
         compiled) tenant for an equal copy under its name after tick
-        ``replace_at``.  Returns (plane, remap / compaction log)."""
+        ``replace_at``.  With ``oracle``, a twin scenario steps through
+        ``step_scalar()`` beside it: its ``state_rows()`` must equal the
+        batched plane's after every tick, and after each of its arena
+        compactions every key its tables hold must name a live op (the
+        state of tombstoned ops lasts until a compaction, no longer).
+        Returns the batched plane."""
         log = TestLedgerRecount._recounts(monkeypatch)
-        scenario = tenant_churn_scenario(num_nodes=20, initial_circuits=5, seed=11)
+        scenarios = [
+            tenant_churn_scenario(num_nodes=20, initial_circuits=5, seed=11)
+            for _ in range(2 if oracle else 1)
+        ]
+        scenario = scenarios[0]
         plane = scenario.data_plane
-        plane.set_load_model(model)
+        for s in scenarios:
+            s.data_plane.set_load_model(model)
+        step = scenario.simulation.step
+        checked = []
+        if oracle:
+            twin = scenarios[1]
+            arena = twin.data_plane._arena
+            compact = arena.apply_compaction
+
+            def compact_and_check():
+                compact()
+                ops = np.array(
+                    [op for op, _side, _key in twin.data_plane._join.tables],
+                    dtype=np.int64,
+                )
+                assert ((ops >= 0) & (ops < arena.op_alive.size)).all()
+                assert arena.op_alive[ops].all()
+                checked.append(ops.size)
+
+            monkeypatch.setattr(arena, "apply_compaction", compact_and_check)
+
+            def step():
+                scenario.simulation.step()
+                twin.simulation.step_scalar()
+                np.testing.assert_array_equal(
+                    twin.data_plane.state_rows(), plane.state_rows()
+                )
 
         def between(tick):
-            scenario.churn_tick()
-            if tick == replace_at:
-                oldest = scenario.overlay.circuits[scenario.installed[0]]
-                scenario.overlay.replace_circuit(oldest.copy())
+            for s in scenarios:
+                s.churn_tick()
+                if tick == replace_at:
+                    oldest = s.overlay.circuits[s.installed[0]]
+                    s.overlay.replace_circuit(oldest.copy())
 
-        assert TestLedgerRecount._run(plane, scenario.simulation.step, 24, between) > 0
+        assert TestLedgerRecount._run(plane, step, 24, between) > 0
+        if oracle:
+            assert checked and max(checked) > 0
         assert plane.dropped_uninstalled > 0
         assert log["tombstone"] > log["compaction"] >= 1
         assert log["remap"] == log["compaction"]
         return plane
 
-    @LOAD_MODELS
-    def test_counts_equal_recount_under_tenant_churn(self, model, monkeypatch):
-        plane = self._churn(model, monkeypatch)
+    @pytest.mark.parametrize(
+        "model, oracle",
+        [
+            (LoadModel(), False),
+            (LoadModel.unit(), False),
+            (LoadModel(), True),
+            (LoadModel.unit(), True),
+        ],
+        ids=["cost", "unit", "cost-oracle", "unit-oracle"],
+    )
+    def test_counts_equal_recount_under_tenant_churn(self, model, oracle, monkeypatch):
+        plane = self._churn(model, monkeypatch, oracle=oracle)
         assert plane.recompiles == 0
 
     @LOAD_MODELS

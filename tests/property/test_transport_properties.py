@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from repro.network.dynamics import ChurnProcess, LatencyDriftProcess, LoadProcess
 from repro.network.topology import random_geometric_topology
 from repro.runtime.dataplane import DataPlane, RuntimeConfig
-from repro.runtime.transport import ArrayTransport, HeapTransport
+from repro.runtime.oracle import HeapTransport
+from repro.runtime.transport import ArrayTransport
 from repro.sbon.overlay import Overlay
 from repro.sbon.simulator import Simulation, SimulationConfig
 from repro.workloads.queries import WorkloadParams, random_query

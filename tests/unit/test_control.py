@@ -397,6 +397,19 @@ class TestController:
         assert plane.dropped_shed == shed_drops
         assert plane.accounting()["balanced"]
 
+    @pytest.mark.parametrize("limit", [float("nan"), -1.0])
+    def test_shed_limit_validation(self, limit):
+        # A NaN limit would cap its node at nothing and blame capacity;
+        # both bad limits must fail when set, not at the first shed.
+        with pytest.raises(ValueError):
+            ControlConfig(shed_limit=limit)
+        plane = DataPlane(planted_overlay(), RuntimeConfig(seed=1))
+        with pytest.raises(ValueError):
+            plane.set_shed_limit(0, limit)
+        # An unbounded limit stays legal on both.
+        ControlConfig(shed_limit=float("inf"))
+        plane.set_shed_limit(0, float("inf"))
+
     def test_simulation_control_true_wires_default_controller(self):
         from repro.sbon.simulator import Simulation
 

@@ -82,7 +82,6 @@ class TestDistances:
     def test_vector_distance_is_embedding_distance(self):
         space = load_space()
         assert space.vector_distance(0, 1) == pytest.approx(10.0)
-        assert space.estimated_latency(0, 1) == pytest.approx(10.0)
 
     def test_full_distance_includes_load(self):
         space = load_space(loads=(0.0, 0.0, 1.0))

@@ -30,9 +30,9 @@ class TestLoadProcess:
         proc = LoadProcess(num_nodes=4, mean_load=0.2, sigma=0.0, theta=1.0, seed=0)
         proc.add_hotspot(HotspotEvent(start_tick=2, duration=3, nodes=(1,), extra_load=0.7))
         proc.step(2)  # tick = 2 -> active
-        assert proc.load_of(1) > 0.8
+        assert proc.loads()[1] > 0.8
         proc.step(3)  # tick = 5 -> expired
-        assert proc.load_of(1) < 0.5
+        assert proc.loads()[1] < 0.5
 
     def test_hotspot_validation(self):
         proc = LoadProcess(num_nodes=2)
@@ -121,8 +121,9 @@ class TestChurn:
     def test_protected_nodes_never_fail(self):
         churn = ChurnProcess(10, fail_prob=1.0, recover_prob=0.0, protected={0, 1}, seed=0)
         churn.step(5)
-        assert churn.is_alive(0) and churn.is_alive(1)
-        assert not churn.is_alive(5)
+        alive = churn.alive_mask()
+        assert alive[0] and alive[1]
+        assert not alive[5]
 
     def test_failures_reported_once(self):
         churn = ChurnProcess(10, fail_prob=1.0, recover_prob=0.0, seed=0)
@@ -144,7 +145,7 @@ class TestChurn:
     def test_alive_nodes_listing(self):
         churn = ChurnProcess(4, fail_prob=0.0, seed=0)
         churn.step(3)
-        assert churn.alive_nodes() == [0, 1, 2, 3]
+        assert np.flatnonzero(churn.alive_mask()).tolist() == [0, 1, 2, 3]
 
     def test_invalid_probs(self):
         with pytest.raises(ValueError):

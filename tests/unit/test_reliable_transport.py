@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.runtime.transport import ArrayTransport, HeapTransport
+from repro.runtime.oracle import HeapTransport
+from repro.runtime.transport import ArrayTransport
 
 
 def send_batch(tr, n, arrival=5, op=0):
