@@ -4,8 +4,9 @@ The PR-3 data plane *measures* what the overlay really carries; the
 optimizer stack *estimates*.  This package feeds the measurements back:
 
 * :mod:`repro.control.estimator` — :class:`RateEstimator`: array-backed
-  EWMA + windowed quantiles over keyed per-tick counts, with a per-key
-  scalar twin (``observe_scalar``) consuming identical inputs.
+  EWMA + windowed quantiles over keyed per-tick counts, and
+  :class:`KeyedRateEstimator`, its per-key twin with the same calls,
+  consuming identical inputs.
 * :mod:`repro.control.controller` — :class:`Controller`: calibrates the
   circuits' estimated link rates (and the re-optimizer's cached kernel
   prices) from measured rates, triggers backpressure-aware
@@ -18,6 +19,8 @@ data plane each tick and honors its triggered re-placements.
 """
 
 from repro.control.controller import ControlConfig, Controller, ControlRecord
-from repro.control.estimator import RateEstimator
+from repro.control.estimator import KeyedRateEstimator, RateEstimator
 
-__all__ = ["ControlConfig", "Controller", "ControlRecord", "RateEstimator"]
+__all__ = [
+    "ControlConfig", "Controller", "ControlRecord", "KeyedRateEstimator", "RateEstimator",
+]

@@ -44,13 +44,13 @@ that loop each tick:
    dead host to return.
 
 Scalar reference: :meth:`step_scalar` routes the identical inputs
-through the estimator banks' per-key scalar twins, so twin controllers
-(one per step path, like the data-plane twins) make bit-identical
+through per-key :class:`~repro.control.estimator.KeyedRateEstimator`
+banks (the first one swaps them in; once a controller has ticked on
+one path the other raises), so twin controllers make bit-identical
 decisions — the E19 benchmark's before/after pair.  Policy state
 (EWMAs, cooldowns, shed sets) and the calibration gather are shared by
-both paths; the controller reads the estimators only through their
-public calls (``rates``, ``quantile``, ``seen_counts``), which answer
-alike on either path.
+both paths; the banks are read only through the calls (``rates``,
+``quantile``, ``seen_counts``) both estimator classes answer alike.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.control.estimator import RateEstimator
+from repro.control.estimator import KeyedRateEstimator, RateEstimator
 from repro.core.load_model import (
     KIND_AGGREGATE,
     KIND_FILTER,
@@ -152,18 +152,23 @@ class ControlConfig:
             raise ValueError("warmup must be >= 0 and calibrate_interval > 0")
         if self.min_observations < 1:
             raise ValueError("min_observations must be >= 1")
-        if self.min_rate <= 0:
+        # ``not x > 0`` / ``not x >= 0`` also reject NaN (an inf limit
+        # or threshold stays legal).
+        if not self.min_rate > 0:
             raise ValueError("min_rate must be positive")
         if self.trigger_cooldown < 0:
             raise ValueError("trigger_cooldown must be non-negative")
-        # ``not x >= 0`` also rejects NaN (an inf limit stays legal).
-        if self.shed_limit is not None and not self.shed_limit >= 0:
-            raise ValueError("shed_limit must be non-negative")
+        for name in (
+            "drop_threshold", "latency_threshold_ms", "exclude_drop_rate", "shed_limit"
+        ):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be non-negative")
         if not 0 < self.shed_release <= 1:
             raise ValueError("shed_release must be in (0, 1]")
         if self.calibrate_quantile is not None and not 0 < self.calibrate_quantile < 1:
             raise ValueError("calibrate_quantile must be in (0, 1)")
-        if self.cpu_ref is not None and self.cpu_ref <= 0:
+        if self.cpu_ref is not None and not self.cpu_ref > 0:
             raise ValueError("cpu_ref must be positive")
         if self.buffer_evacuate_backlog is not None and self.buffer_evacuate_backlog < 1:
             raise ValueError("buffer_evacuate_backlog must be >= 1")
@@ -265,11 +270,7 @@ class Controller:
         self.config = config or ControlConfig()
         self.kernel_cache = kernel_cache
         self.oracle = oracle
-        cfg = self.config
-        self.link_rates = RateEstimator(cfg.alpha, cfg.quantile_window)
-        self.node_drops = RateEstimator(cfg.alpha, cfg.quantile_window)
-        self.node_processed = RateEstimator(cfg.alpha, cfg.quantile_window)
-        self.node_cpu = RateEstimator(cfg.alpha, cfg.quantile_window)
+        self._build_banks(RateEstimator)
         self.drop_ewma = 0.0
         self.latency_ewma = 0.0
         self.ticks = 0
@@ -296,25 +297,36 @@ class Controller:
 
     # -- tick entry points ---------------------------------------------------
 
+    def _build_banks(self, bank: type) -> None:
+        cfg = self.config
+        self.link_rates = bank(cfg.alpha, cfg.quantile_window)
+        self.node_drops = bank(cfg.alpha, cfg.quantile_window)
+        self.node_processed = bank(cfg.alpha, cfg.quantile_window)
+        self.node_cpu = bank(cfg.alpha, cfg.quantile_window)
+
     def step(self, traffic) -> ControlRecord:
         """Ingest one tick's measurements and act (vectorized path)."""
-        return self._step(traffic, scalar=False)
+        return self._step(traffic, RateEstimator)
 
     def step_scalar(self, traffic) -> ControlRecord:
         """Per-key twin of :meth:`step` consuming identical inputs."""
-        return self._step(traffic, scalar=True)
+        return self._step(traffic, KeyedRateEstimator)
 
-    def _step(self, traffic, scalar: bool) -> ControlRecord:
+    def _step(self, traffic, bank: type) -> ControlRecord:
+        if not isinstance(self.link_rates, bank):
+            if self.ticks:
+                raise RuntimeError(
+                    "Controller committed to the other step path; build a twin "
+                    "instance to compare step() against step_scalar()"
+                )
+            self._build_banks(bank)
         dp = self.data_plane
         cfg = self.config
         self.ticks += 1
-        observe = "observe_scalar" if scalar else "observe"
-        getattr(self.link_rates, observe)(
-            dp.tick_link_tuples.astype(float), dp.link_keys()
-        )
-        getattr(self.node_drops, observe)(dp.tick_node_drops.astype(float))
-        getattr(self.node_processed, observe)(dp.tick_node_processed.astype(float))
-        getattr(self.node_cpu, observe)(dp.tick_node_cpu)
+        self.link_rates.observe(dp.tick_link_tuples.astype(float), dp.link_keys())
+        self.node_drops.observe(dp.tick_node_drops.astype(float))
+        self.node_processed.observe(dp.tick_node_processed.astype(float))
+        self.node_cpu.observe(dp.tick_node_cpu)
         x = dp.tick_node_kind_processed.astype(float)
         if x.shape[0] == dp.tick_node_cpu.shape[0]:
             self._drift_xtx += x.T @ x

@@ -27,16 +27,15 @@ list to columns once per list object and key-set size, so a caller
 that keeps one key list per structural change (the controller's
 calibration gather) pays for the lookup once.
 
-Scalar reference
-----------------
+Keyed reference
+---------------
 
-:meth:`observe_scalar` is the retained per-key twin: plain dict lookups
-and Python-float EWMA updates consuming *identical* inputs, kept
-sample-aligned with the ring (unobserved known keys record an explicit
-0, late-arriving keys are zero-backfilled) so both paths answer
-:meth:`rates` and :meth:`quantile` bit-for-bit equally.  One estimator
-instance commits to one path on first use — build a twin to compare —
-mirroring the :class:`~repro.runtime.dataplane.DataPlane` discipline.
+:class:`KeyedRateEstimator` is the per-key twin with the same calls:
+plain dict lookups and Python-float EWMA updates over *identical*
+inputs, sample-aligned with the ring (unobserved known keys record an
+explicit 0, late keys are zero-backfilled), so both classes answer
+bit-for-bit equally.  A :class:`~repro.control.controller.Controller`
+picks one class for all its banks on its first tick.
 """
 
 from __future__ import annotations
@@ -46,7 +45,22 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-__all__ = ["RateEstimator"]
+__all__ = ["KeyedRateEstimator", "RateEstimator"]
+
+
+def _check(alpha: float, window: int) -> None:
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must be in (0, 1]")
+    if window <= 0:
+        raise ValueError("window must be positive")
+
+
+def _as_keys(values: np.ndarray, keys: Sequence[Hashable] | None):
+    if keys is None:
+        return range(len(values))
+    if len(keys) != len(values):
+        raise ValueError("keys and values must have equal length")
+    return keys
 
 
 class RateEstimator:
@@ -60,15 +74,10 @@ class RateEstimator:
     """
 
     def __init__(self, alpha: float = 0.3, window: int = 32):
-        if not 0 < alpha <= 1:
-            raise ValueError("alpha must be in (0, 1]")
-        if window <= 0:
-            raise ValueError("window must be positive")
+        _check(alpha, window)
         self.alpha = alpha
         self.window = window
         self.ticks = 0
-        self._mode: str | None = None
-        # Array path.
         self._index: dict[Hashable, int] = {}
         self._keys: list[Hashable] = []
         self._ewma = np.empty(0)
@@ -85,41 +94,14 @@ class RateEstimator:
         # True while every key ever observed came from a keys=None call
         # (so key k is column k) — enables the identity fast path.
         self._identity_keys = True
-        # Scalar path.
-        self._ewma_d: dict[Hashable, float] = {}
-        self._seen_d: dict[Hashable, int] = {}
-        self._ring_d: dict[Hashable, deque] = {}
-
-    # -- shared -------------------------------------------------------------
-
-    def _use_mode(self, mode: str) -> None:
-        if self._mode is None:
-            self._mode = mode
-        elif self._mode != mode:
-            raise RuntimeError(
-                "RateEstimator committed to the other observe path; build "
-                "a twin instance to compare observe() vs observe_scalar()"
-            )
-
-    @staticmethod
-    def _as_keys(values: np.ndarray, keys: Sequence[Hashable] | None):
-        if keys is None:
-            return range(len(values))
-        if len(keys) != len(values):
-            raise ValueError("keys and values must have equal length")
-        return keys
 
     @property
     def num_keys(self) -> int:
-        return len(self._keys) if self._mode != "scalar" else len(self._ewma_d)
+        return len(self._keys)
 
     def keys(self) -> list[Hashable]:
         """All keys ever observed, in first-observation order."""
-        if self._mode == "scalar":
-            return list(self._ewma_d)
         return list(self._keys)
-
-    # -- array path ---------------------------------------------------------
 
     def _grow(self, extra: int) -> None:
         self._ewma = np.concatenate((self._ewma, np.zeros(extra)))
@@ -150,7 +132,7 @@ class RateEstimator:
             if cached_obj is keys and idx.size == n:
                 return idx, distinct
         self._identity_keys = False
-        key_iter = self._as_keys(values, keys)
+        key_iter = _as_keys(values, keys)
         fresh = 0
         for key in key_iter:
             if key not in self._index:
@@ -160,9 +142,7 @@ class RateEstimator:
         if fresh:
             self._grow(fresh)
         idx = np.fromiter(
-            (self._index[k] for k in self._as_keys(values, keys)),
-            dtype=np.int64,
-            count=n,
+            (self._index[k] for k in key_iter), dtype=np.int64, count=n
         )
         distinct = np.unique(idx)
         if distinct.size == n:
@@ -178,10 +158,9 @@ class RateEstimator:
         Known keys absent from ``keys`` record an implicit 0 sample in
         the ring (their EWMA freezes); unseen keys grow the state.
         Duplicate keys in one observation are *summed* into one sample
-        (both paths), so aliased keys — e.g. parallel circuit links
-        sharing a (source, target) pair — stay well-defined.
+        (in both classes), so aliased keys — e.g. parallel circuit
+        links sharing a (source, target) pair — stay well-defined.
         """
-        self._use_mode("array")
         values = np.asarray(values, dtype=float)
         cols, distinct = self._columns(values, keys)
         self.ticks += 1
@@ -201,52 +180,13 @@ class RateEstimator:
         self._cursor = (self._cursor + 1) % self.window
         self._filled = min(self._filled + 1, self.window)
 
-    # -- scalar reference path ----------------------------------------------
-
-    def observe_scalar(
-        self, values: np.ndarray, keys: Sequence[Hashable] | None = None
-    ) -> None:
-        """Per-key Python-loop twin of :meth:`observe` (same inputs)."""
-        self._use_mode("scalar")
-        values = np.asarray(values, dtype=float)
-        key_list = list(self._as_keys(values, keys))
-        self.ticks += 1
-        # Duplicate keys sum into one sample, as in the array path.
-        observed: dict[Hashable, float] = {}
-        for key, value in zip(key_list, values):
-            observed[key] = observed.get(key, 0.0) + float(value)
-        for key, value in observed.items():
-            if key not in self._ewma_d:
-                # Zero-backfill so the per-key sample list aligns with
-                # the array ring's pre-existing all-zero column.
-                backfill = min(self._filled, self.window)
-                self._ring_d[key] = deque(
-                    [0.0] * backfill, maxlen=self.window
-                )
-                self._ewma_d[key] = value
-                self._seen_d[key] = 1
-            else:
-                self._ewma_d[key] = (
-                    (1.0 - self.alpha) * self._ewma_d[key] + self.alpha * value
-                )
-                self._seen_d[key] += 1
-        for key, ring in self._ring_d.items():
-            ring.append(observed.get(key, 0.0))
-        self._filled = min(self._filled + 1, self.window)
-
-    # -- queries (both paths) -----------------------------------------------
-
     def rate(self, key: Hashable, default: float = 0.0) -> float:
         """Current EWMA rate of one key (``default`` when never seen)."""
-        if self._mode == "scalar":
-            return self._ewma_d.get(key, default)
         col = self._index.get(key)
         return float(self._ewma[col]) if col is not None else default
 
     def seen(self, key: Hashable) -> int:
         """How many ticks actually observed this key."""
-        if self._mode == "scalar":
-            return self._seen_d.get(key, 0)
         col = self._index.get(key)
         return int(self._seen[col]) if col is not None else 0
 
@@ -274,17 +214,10 @@ class RateEstimator:
 
     def seen_counts(self, keys: Sequence[Hashable]) -> np.ndarray:
         """:meth:`seen` for every key of ``keys``, as one array."""
-        if self._mode == "scalar":
-            return np.array([self._seen_d.get(k, 0) for k in keys], dtype=np.int64)
         return self._gather(self._seen, keys)
 
     def rates(self, keys: Sequence[Hashable] | None = None) -> np.ndarray:
         """EWMA rates for ``keys`` (default: all, first-seen order)."""
-        if self._mode == "scalar":
-            source = self._ewma_d
-            if keys is None:
-                return np.array(list(source.values()), dtype=float)
-            return np.array([source.get(k, 0.0) for k in keys], dtype=float)
         if keys is None:
             return self._ewma.copy()
         return self._gather(self._ewma, keys)
@@ -292,21 +225,10 @@ class RateEstimator:
     def quantile(self, q: float, keys: Sequence[Hashable] | None = None) -> np.ndarray:
         """Windowed per-key quantile over the last ``window`` samples.
 
-        Unobserved ticks count as explicit 0 samples, in both paths.
+        Unobserved ticks count as explicit 0 samples.
         """
         if self._filled == 0:
-            size = self.num_keys if keys is None else len(keys)
-            return np.zeros(size)
-        if self._mode == "scalar":
-            key_list = list(self._ewma_d) if keys is None else list(keys)
-            return np.array(
-                [
-                    float(np.percentile(np.asarray(self._ring_d[k]), q * 100.0))
-                    if k in self._ring_d
-                    else 0.0
-                    for k in key_list
-                ]
-            )
+            return np.zeros(self.num_keys if keys is None else len(keys))
         block = self._ring[: self._filled]
         if keys is None:
             return np.percentile(block, q * 100.0, axis=0)
@@ -316,3 +238,85 @@ class RateEstimator:
         if hit.any():
             out[hit] = np.percentile(block[:, cols[hit]], q * 100.0, axis=0)
         return out
+
+
+class KeyedRateEstimator:
+    """Per-key twin of :class:`RateEstimator`: same arguments, calls and
+    answers (see the module docstring)."""
+
+    def __init__(self, alpha: float = 0.3, window: int = 32):
+        _check(alpha, window)
+        self.alpha = alpha
+        self.window = window
+        self.ticks = 0
+        self._filled = 0
+        self._ewma: dict[Hashable, float] = {}
+        self._seen: dict[Hashable, int] = {}
+        self._ring: dict[Hashable, deque] = {}
+
+    @property
+    def num_keys(self) -> int:
+        return len(self._ewma)
+
+    def keys(self) -> list[Hashable]:
+        """All keys ever observed, in first-observation order."""
+        return list(self._ewma)
+
+    def observe(self, values: np.ndarray, keys: Sequence[Hashable] | None = None) -> None:
+        """Ingest one tick of per-key counts, one key at a time."""
+        values = np.asarray(values, dtype=float)
+        key_list = _as_keys(values, keys)
+        self.ticks += 1
+        # Duplicate keys sum into one sample, as in RateEstimator.
+        observed: dict[Hashable, float] = {}
+        for key, value in zip(key_list, values):
+            observed[key] = observed.get(key, 0.0) + float(value)
+        for key, value in observed.items():
+            if key not in self._ewma:
+                # Zero-backfill so the per-key sample list aligns with
+                # the array ring's pre-existing all-zero column.
+                self._ring[key] = deque([0.0] * self._filled, maxlen=self.window)
+                self._ewma[key] = value
+                self._seen[key] = 1
+            else:
+                self._ewma[key] = (
+                    (1.0 - self.alpha) * self._ewma[key] + self.alpha * value
+                )
+                self._seen[key] += 1
+        for key, ring in self._ring.items():
+            ring.append(observed.get(key, 0.0))
+        self._filled = min(self._filled + 1, self.window)
+
+    def rate(self, key: Hashable, default: float = 0.0) -> float:
+        """Current EWMA rate of one key (``default`` when never seen)."""
+        return self._ewma.get(key, default)
+
+    def seen(self, key: Hashable) -> int:
+        """How many ticks actually observed this key."""
+        return self._seen.get(key, 0)
+
+    def seen_counts(self, keys: Sequence[Hashable]) -> np.ndarray:
+        """:meth:`seen` for every key of ``keys``, as one array."""
+        return np.array([self._seen.get(k, 0) for k in keys], dtype=np.int64)
+
+    def rates(self, keys: Sequence[Hashable] | None = None) -> np.ndarray:
+        """EWMA rates for ``keys`` (default: all, first-seen order)."""
+        if keys is None:
+            return np.array(list(self._ewma.values()), dtype=float)
+        return np.array([self._ewma.get(k, 0.0) for k in keys], dtype=float)
+
+    def quantile(self, q: float, keys: Sequence[Hashable] | None = None) -> np.ndarray:
+        """Windowed per-key quantile over the last ``window`` samples.
+
+        Unobserved ticks count as explicit 0 samples.
+        """
+        if self._filled == 0:
+            return np.zeros(self.num_keys if keys is None else len(keys))
+        return np.array(
+            [
+                float(np.percentile(np.asarray(self._ring[k]), q * 100.0))
+                if k in self._ring
+                else 0.0
+                for k in (self._ewma if keys is None else keys)
+            ]
+        )

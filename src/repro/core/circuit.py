@@ -359,10 +359,6 @@ class Circuit:
                 total += processing_load(service.spec, self.input_rate(sid))
         return total
 
-    def total_rate(self) -> float:
-        """Sum of all link rates (data volume the circuit moves)."""
-        return sum(l.rate for l in self.links)
-
     def set_link_rates(self, rates) -> None:
         """Re-estimate every link's rate in place (calibration).
 

@@ -110,19 +110,6 @@ class LoadModel:
             probe_cost=0.0,
         )
 
-    @property
-    def is_unit(self) -> bool:
-        """True when the model degenerates to plain tuple counting."""
-        return (
-            self.relay_cost
-            == self.filter_cost
-            == self.aggregate_cost
-            == self.join_cost
-            == 1.0
-            and self.aggregate_batch_cost == 0.0
-            and self.probe_cost == 0.0
-        )
-
     def kind_costs(self) -> np.ndarray:
         """Base per-tuple cost indexed by operator-kind code (0..3)."""
         return np.array(

@@ -212,10 +212,6 @@ class CoordinateCatalog:
         """Physical node ids currently published."""
         return sorted(self._published)
 
-    def entry_for(self, physical_node: int) -> CatalogEntry:
-        """The published entry of one node."""
-        return self._published[physical_node]
-
     # -- queries ---------------------------------------------------------
 
     def nearest(

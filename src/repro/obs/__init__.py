@@ -24,8 +24,9 @@ Attach it at construction time::
                                  # events.jsonl
 
 The whole layer is **behaviorally unobservable**: it draws no RNG,
-mutates no simulation state, and every hot-path hook hides behind a
-single ``is not None`` check resolved once per tick — an obs-on run
+mutates no simulation state, every tracer hook hides behind a single
+``is not None`` check, and an unprofiled tick times its phases with a
+no-op profiler (``repro.runtime.dataplane.NO_PHASES``) — an obs-on run
 produces tick-for-tick identical :class:`~repro.sbon.metrics.
 TickRecord` streams to an obs-off run (pinned by
 ``tests/property/test_obs_properties.py`` and asserted by E22).
@@ -126,13 +127,10 @@ class Observability:
         reg.counter("recompiles_total").set(plane.recompiles)
 
         transport = plane._transport
-        if transport is not None:
-            reg.gauge("in_flight", help="tuples on the wire").set(
-                transport.in_flight
-            )
-            reg.gauge("buffered", help="tuples in the retransmit buffer").set(
-                transport.buffered
-            )
+        reg.gauge("in_flight", help="tuples on the wire").set(transport.in_flight)
+        reg.gauge("buffered", help="tuples in the retransmit buffer").set(
+            transport.buffered
+        )
         if latencies.size:
             reg.histogram(
                 "latency_ms",
@@ -178,7 +176,7 @@ class Observability:
                 reg.gauge("shed_nodes").set(len(controller.shed_nodes))
                 reg.gauge("drop_ewma").set(controller.drop_ewma)
                 reg.gauge("latency_ewma_ms").set(controller.latency_ewma)
-        if self.profiler is not None and self.profiler.enabled:
+        if self.profiler is not None:
             self.profiler.mark_tick(record.tick)
 
     # -- export ------------------------------------------------------------

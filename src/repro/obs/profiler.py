@@ -8,10 +8,11 @@ the data plane opens ``extract`` inside it, and the total lands under
 through :class:`~repro.obs.Observability` yields the full phase tree
 without the layers knowing about each other.
 
-Cost discipline: every call site guards with ``prof is not None``
-(resolved once per tick), so a disabled profiler costs one attribute
-check per tick and an absent one costs nothing; enabled, each phase is
-two ``perf_counter`` calls plus a dict update.  The profiler only
+Cost discipline: a tick resolves its profiler once, and a tick with
+none attached gets ``repro.runtime.dataplane.NO_PHASES``, whose
+:meth:`begin`/:meth:`end` do nothing — so call sites carry no guard and
+an unprofiled phase costs two empty method calls.  Attached, each phase
+is two ``perf_counter`` calls plus a dict update.  The profiler only
 *reads* the clock — it never touches simulation state or RNG, so
 profiling is behaviorally unobservable (pinned by the obs property
 suite).
@@ -32,8 +33,7 @@ __all__ = ["PhaseProfiler"]
 class PhaseProfiler:
     """Nested named timers with per-tick deltas (see module docstring)."""
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._stack: list[tuple[str, float]] = []
         self.totals: dict[str, float] = {}
         self.counts: dict[str, int] = {}

@@ -80,9 +80,6 @@ class TupleTracer:
         salt: hash salt of the sampling bucket — distinct from any
             operator gid so trace sampling never correlates with
             filter/join decisions.
-        enabled: start recording immediately (callers re-check
-            :attr:`enabled` once per tick, so flipping it pauses
-            tracing with zero hot-loop cost).
     """
 
     EMIT = 0
@@ -100,15 +97,12 @@ class TupleTracer:
     _FIRST_TERMINAL = PROCESS
     _INITIAL = 1024
 
-    def __init__(
-        self, sample_rate: float = 0.01, salt: int = 0xB5, enabled: bool = True
-    ) -> None:
+    def __init__(self, sample_rate: float = 0.01, salt: int = 0xB5) -> None:
         if not 0.0 < sample_rate <= 1.0:
             raise ValueError("sample_rate must be in (0, 1]")
         self.sample_rate = float(sample_rate)
         self.salt = int(salt)
         self._salt64 = np.int64(salt)
-        self.enabled = enabled
         self.current_tick = 0
         self._cap = self._INITIAL
         self._t = np.empty(self._cap, dtype=np.int64)
@@ -166,7 +160,7 @@ class TupleTracer:
         ``nodes`` is -1 when the site has no meaningful node (e.g.
         transport-side uninstall drops).
         """
-        if not self.enabled or seqs.size == 0:
+        if seqs.size == 0:
             return
         mask = self.sampled(seqs)
         if mask is not None:
@@ -189,7 +183,7 @@ class TupleTracer:
 
     def record_one(self, event: int, seq: int, op: int, node: int = -1) -> None:
         """Per-tuple twin of :meth:`record` (the scalar step path)."""
-        if not self.enabled or not self.sample_one(seq):
+        if not self.sample_one(seq):
             return
         if self._n + 1 > self._cap:
             self._grow(self._n + 1)

@@ -262,7 +262,8 @@ class ParameterDrift:
             raise ValueError(f"param must be one of {self._PARAMS}")
         if self.begin < 0 or self.duration < 0:
             raise ValueError("begin and duration must be non-negative")
-        if self.start < 0 or self.end < 0:
+        # ``not x >= 0`` also rejects NaN.
+        if not (self.start >= 0 and self.end >= 0):
             raise ValueError("drift values must be non-negative")
 
     def value(self, tick: int) -> float:
@@ -386,6 +387,21 @@ class TrafficRecord:
     cpu_cost: float = 0.0
     cpu_dropped: float = 0.0
     recompiles: int = 0
+
+
+class _NoPhases:
+    """The profiler of an unprofiled tick: its phases record nothing."""
+
+    __slots__ = ()
+
+    def begin(self, name: str) -> None:
+        pass
+
+    def end(self) -> None:
+        pass
+
+
+NO_PHASES = _NoPhases()
 
 
 @dataclass(slots=True)
@@ -1313,17 +1329,16 @@ class DataPlane:
             self._join = oracle.KeyTables()
             self._join.extend(self._kind, self._op_domain)
         self._stepped = True
-        trace = self._trace_handle()
-        prof = self._prof_handle()
+        obs = self._obs
+        trace = None if obs is None else obs.tracer
+        prof = NO_PHASES if obs is None or obs.profiler is None else obs.profiler
         self._transport.trace = trace
         if trace is not None:
             trace.begin_tick(self.tick + 1)
         self._tick_recompiles = 0
-        if prof is not None:
-            prof.begin("compile")
+        prof.begin("compile")
         dropped_sync = self._sync()
-        if prof is not None:
-            prof.end()
+        prof.end()
         horizon = self.tick + 1 + self.config.window
         if self._slack.size:
             horizon += int(self._slack.max())
@@ -1341,12 +1356,10 @@ class DataPlane:
         cap = self._effective_cap()
         self._tick_usage = 0.0
 
-        if prof is not None:
-            prof.begin("evict")
+        prof.begin("evict")
         self._join.advance(now)
-        if prof is not None:
-            prof.end()
-            prof.begin("pricing")
+        prof.end()
+        prof.begin("pricing")
         # Per-op measured CPU cost of this tick.
         self._tick_op_cost = np.zeros(self._num_ops)
         t = _Tick(
@@ -1361,18 +1374,15 @@ class DataPlane:
             prof=prof,
             dropped=dropped_sync,
         )
-        if prof is not None:
-            prof.end()
+        prof.end()
 
         # Buffered tuples whose target service's current host is alive
         # again rejoin this tick's first round.
         if self.config.reliable:
-            if prof is not None:
-                prof.begin("redeliver")
+            prof.begin("redeliver")
             t.redelivered = self._transport.redeliver(alive[host], now)
             self.redelivered += t.redelivered
-            if prof is not None:
-                prof.end()
+            prof.end()
         return t
 
     def _close_tick(self, t: _Tick, tick_lat: list) -> TrafficRecord:
@@ -1381,8 +1391,7 @@ class DataPlane:
         ``tick_lat`` holds the tick's sink latencies (ms), as arrays or
         single floats.
         """
-        if t.prof is not None:
-            t.prof.begin("record")
+        t.prof.begin("record")
         self._usage_total += self._tick_usage
         self._end_tick_stats()
         tick_cpu = self._finish_tick_cpu(t.host, t.cpu_dropped)
@@ -1408,8 +1417,7 @@ class DataPlane:
             cpu_dropped=t.cpu_dropped,
             recompiles=self._tick_recompiles,
         )
-        if t.prof is not None:
-            t.prof.end()
+        t.prof.end()
         return record
 
     # -- vectorized path ---------------------------------------------------
@@ -1424,8 +1432,7 @@ class DataPlane:
         tick_lat: list[np.ndarray] = []
 
         # 1. Sources emit (one Poisson draw + one uniform draw, total).
-        if prof is not None:
-            prof.begin("sources")
+        prof.begin("sources")
         counts, u = self._draw_tick()
         if counts.size and counts.sum():
             live = np.repeat(alive[host[self._src_ops]], counts)
@@ -1440,19 +1447,15 @@ class DataPlane:
                     ops, keys, np.full(m, now, dtype=np.int64), np.ones(m), now, host, lat,
                     trace=trace, emit=True,
                 )
-        if prof is not None:
-            prof.end()
+        prof.end()
 
         # 2. Delivery rounds until nothing further is due this tick.
-        if prof is not None:
-            prof.begin("delivery")
+        prof.begin("delivery")
         while True:
-            if prof is not None:
-                prof.begin("extract")
+            prof.begin("extract")
             batch = self._transport.due(now)
             if batch is None:
-                if prof is not None:
-                    prof.end()
+                prof.end()
                 break
             order = np.lexsort((batch["seq"], batch["port"], batch["op"]))
             op = batch["op"][order]
@@ -1462,9 +1465,8 @@ class DataPlane:
             size = batch["size"][order]
             seq = batch["seq"][order]
             node = host[op]
-            if prof is not None:
-                prof.end()
-                prof.begin("admission")
+            prof.end()
+            prof.begin("admission")
             if trace is not None:
                 trace.record(trace.DELIVER, seq, op, node)
 
@@ -1530,8 +1532,7 @@ class DataPlane:
                     )
                     if trace is not None:
                         seq = seq[keep]
-            if prof is not None:
-                prof.end()
+            prof.end()
             m = op.size
             if m == 0:
                 continue
@@ -1573,21 +1574,16 @@ class DataPlane:
             rest = ~sink
             if rest.any():
                 pos = np.flatnonzero(rest)
-                if prof is not None:
-                    prof.begin("operators")
+                prof.begin("operators")
                 out = self._process_array(
                     op[rest], port[rest], key[rest], ts[rest], size[rest], pos, now
                 )
-                if prof is not None:
-                    prof.end()
+                prof.end()
                 if out is not None:
-                    if prof is not None:
-                        prof.begin("fanout")
+                    prof.begin("fanout")
                     self._send_array(*out, now, host, lat, trace=trace)
-                    if prof is not None:
-                        prof.end()
-        if prof is not None:
-            prof.end()
+                    prof.end()
+        prof.end()
         return self._close_tick(t, tick_lat)
 
     def _process_array(self, op, port, key, ts, size, pos, now):
@@ -1818,22 +1814,6 @@ class DataPlane:
         assumes every live tuple's birth was recorded.
         """
         self._obs = obs
-
-    def _trace_handle(self):
-        """The active tracer, resolved once per tick (None = no tracing)."""
-        obs = self._obs
-        if obs is None:
-            return None
-        tracer = obs.tracer
-        return tracer if tracer is not None and tracer.enabled else None
-
-    def _prof_handle(self):
-        """The active profiler, resolved once per tick (None = off)."""
-        obs = self._obs
-        if obs is None:
-            return None
-        prof = obs.profiler
-        return prof if prof is not None and prof.enabled else None
 
     def trace_completeness(self) -> dict:
         """Check the attached tracer's completeness invariant now.

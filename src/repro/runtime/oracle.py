@@ -251,8 +251,7 @@ def step(plane):
     model = plane._model
 
     # 1. Sources emit, consuming the same per-tick draws.
-    if prof is not None:
-        prof.begin("sources")
+    prof.begin("sources")
     counts, u = plane._draw_tick()
     offset = 0
     for s in range(counts.size):
@@ -267,12 +266,10 @@ def step(plane):
             _send(plane, opx, int(x * dom), now, 1.0, now, 0, host, latm, trace)
         t.emitted += c
         plane.emitted += c
-    if prof is not None:
-        prof.end()
+    prof.end()
 
     # 2. Delivery rounds, one tuple at a time in canonical order.
-    if prof is not None:
-        prof.begin("delivery")
+    prof.begin("delivery")
     round_ = 1
     while True:
         batch = transport.due(now, round_)
@@ -372,8 +369,7 @@ def step(plane):
                 # Each of the round batch's r tuples cost an extra c₁·r.
                 plane._tick_op_cost[opx] += model.aggregate_batch_cost * float(r) * r
         round_ += 1
-    if prof is not None:
-        prof.end()
+    prof.end()
     return plane._close_tick(t, tick_lat)
 
 

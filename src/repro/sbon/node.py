@@ -86,11 +86,6 @@ class SBONNode:
         return min(max(raw, 0.0), 1.0)
 
     @property
-    def headroom(self) -> float:
-        """Remaining load fraction before saturation."""
-        return 1.0 - self.effective_load
-
-    @property
     def memory_units(self) -> float:
         """Buffered state held by hosted services."""
         return sum(service.state_units for service in self.hosted)

@@ -54,7 +54,7 @@ from repro.control.controller import Controller
 from repro.core.costs import GroundTruthEvaluator
 from repro.core.reoptimizer import Reoptimizer
 from repro.network.dynamics import ChurnProcess, LatencyDriftProcess, LoadProcess
-from repro.runtime.dataplane import DataPlane
+from repro.runtime.dataplane import NO_PHASES, DataPlane
 from repro.sbon.metrics import TickRecord, TimeSeries
 from repro.sbon.overlay import Overlay
 
@@ -192,9 +192,7 @@ class Simulation:
         migrations = 0
         failures = 0
         obs = self.obs
-        prof = None
-        if obs is not None and obs.profiler is not None and obs.profiler.enabled:
-            prof = obs.profiler
+        prof = NO_PHASES if obs is None or obs.profiler is None else obs.profiler
 
         # 1. Background load drift.  A cost-typed process (cpu_capacity
         # set) hands the overlay raw cost units plus its reference, so
@@ -202,8 +200,7 @@ class Simulation:
         # keep the legacy write.  Either way the step consumed the same
         # RNG draw, so scalar/vector twins stay aligned.
         if self.load_process is not None:
-            if prof is not None:
-                prof.begin("load")
+            prof.begin("load")
             loads = (
                 self.load_process.step_scalar()
                 if scalar
@@ -215,25 +212,21 @@ class Simulation:
                 )
             else:
                 self.overlay.set_background_loads(loads)
-            if prof is not None:
-                prof.end()
+            prof.end()
 
         # 2. Latency drift.
         if self.latency_drift is not None:
-            if prof is not None:
-                prof.begin("drift")
+            prof.begin("drift")
             self.overlay.latencies = (
                 self.latency_drift.step_scalar()
                 if scalar
                 else self.latency_drift.step()
             )
-            if prof is not None:
-                prof.end()
+            prof.end()
 
         # 3. Churn: fail nodes, evacuate their services.
         if self.churn is not None:
-            if prof is not None:
-                prof.begin("churn")
+            prof.begin("churn")
             newly_failed = (
                 self.churn.step_scalar() if scalar else self.churn.step()
             )
@@ -241,39 +234,33 @@ class Simulation:
             self.overlay.apply_liveness(self.churn.alive_mask())
             if newly_failed:
                 self._evacuate(newly_failed, scalar=scalar)
-            if prof is not None:
-                prof.end()
+            prof.end()
 
         # 4. Refresh cost space; maybe re-optimize.
-        if prof is not None:
-            prof.begin("reopt")
+        prof.begin("reopt")
         self.overlay.refresh_cost_space()
         if (
             self.config.reopt_interval
             and self.tick % self.config.reopt_interval == 0
         ):
             migrations += self._reoptimize_all(scalar=scalar)
-        if prof is not None:
-            prof.end()
+        prof.end()
 
         # 5. Execute the data plane: real tuples flow over the (possibly
         # just-migrated) placements, re-homing in-flight traffic.
         traffic = None
         if self.data_plane is not None:
-            if prof is not None:
-                prof.begin("data_plane")
+            prof.begin("data_plane")
             traffic = (
                 self.data_plane.step_scalar() if scalar else self.data_plane.step()
             )
-            if prof is not None:
-                prof.end()
+            prof.end()
 
         # 6. Close the loop: the controller ingests the measurements,
         # calibrates estimates, and may demand a re-placement now.
         control = None
         if self.controller is not None and traffic is not None:
-            if prof is not None:
-                prof.begin("control")
+            prof.begin("control")
             control = (
                 self.controller.step_scalar(traffic)
                 if scalar
@@ -287,8 +274,7 @@ class Simulation:
                 migrations += self._evacuate_buffered(
                     control.evacuate_services, scalar=scalar
                 )
-            if prof is not None:
-                prof.end()
+            prof.end()
 
         # 6b. Elastic scaling: the autoscaler folds this tick's measured
         # per-family CPU into its EWMAs and may re-split or merge a
@@ -296,15 +282,12 @@ class Simulation:
         # its next sync, re-homing in-flight tuples and per-key state).
         # Decisions are RNG-free, so scalar/vector twins scale identically.
         if self.autoscaler is not None and traffic is not None:
-            if prof is not None:
-                prof.begin("scaling")
+            prof.begin("scaling")
             self.autoscaler.step()
-            if prof is not None:
-                prof.end()
+            prof.end()
 
         # 7. Record.
-        if prof is not None:
-            prof.begin("record")
+        prof.begin("record")
         loads = self.overlay.loads_scalar() if scalar else self.overlay.loads()
         usage = (
             self.overlay.total_network_usage_scalar()
@@ -336,8 +319,7 @@ class Simulation:
             recompiles=traffic.recompiles if traffic else 0,
         )
         self.series.append(record)
-        if prof is not None:
-            prof.end()
+        prof.end()
         if obs is not None:
             obs.simulation_tick(self, record)
         return record

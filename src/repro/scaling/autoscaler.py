@@ -113,12 +113,22 @@ class AutoScalerConfig:
     alpha: float = 0.4
 
     def __post_init__(self) -> None:
-        if self.budget <= 0:
+        # ``not x > 0`` / ``not x >= 0`` also reject NaN (an inf budget
+        # or threshold stays legal).
+        if not self.budget > 0:
             raise ValueError("budget must be positive")
         if not 0 < self.target_util <= 1:
             raise ValueError("target_util must be in (0, 1]")
-        if self.down_threshold >= self.up_threshold:
-            raise ValueError("down_threshold must be below up_threshold")
+        if not 0 <= self.down_threshold < self.up_threshold:
+            raise ValueError(
+                "down_threshold must be non-negative and below up_threshold"
+            )
+        if self.breach_ticks < 1 or self.cold_ticks < 1:
+            raise ValueError("breach_ticks and cold_ticks must be >= 1")
+        if self.cooldown < 0:
+            raise ValueError("cooldown must be >= 0")
+        if not 0 < self.alpha <= 1:
+            raise ValueError("alpha must be in (0, 1]")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
         if self.reopt_hold < 0:

@@ -357,6 +357,31 @@ def flash_crowd(scaler_cls, config):
     return sim, scaler
 
 
+class TestAutoScalerConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("budget", float("nan")),
+            ("up_threshold", float("nan")),
+            ("down_threshold", float("nan")),
+            ("alpha", 0.0),
+            ("alpha", 1.5),
+            ("breach_ticks", -1),
+            ("breach_ticks", 0),
+            ("cold_ticks", -1),
+            ("cold_ticks", 0),
+            ("cooldown", -1),
+        ],
+    )
+    def test_rejects(self, field, value):
+        with pytest.raises(ValueError):
+            AutoScalerConfig(**{field: value})
+
+    def test_unbounded_budget_and_threshold_stay_legal(self):
+        inf = float("inf")
+        AutoScalerConfig(budget=inf, up_threshold=inf)
+
+
 class TestMonitorMatchesDictReference:
     """The family table decides exactly as the per-family dict loop."""
 

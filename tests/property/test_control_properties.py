@@ -10,8 +10,10 @@ compaction point and pool size must be unobservable).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.control import ControlConfig, Controller
+from repro.control import ControlConfig, Controller, KeyedRateEstimator, RateEstimator
 from repro.core.load_model import LoadModel
 from repro.runtime import DataPlane, RuntimeConfig
 from repro.sbon.simulator import Simulation, SimulationConfig
@@ -145,6 +147,66 @@ class TestJoinStateLayout:
         assert a.accounting() == b.accounting()
         assert a.accounting()["balanced"]
         assert_pool_cycled(pool)
+
+
+# Integer keys alias what a keys=None call observes; the tuple is a
+# link-shaped key as the controller passes them.
+KEY_POOL = (0, 1, 2, "a", "b", ("c0", "src", "sink"))
+
+
+@st.composite
+def observation_runs(draw):
+    """(alpha, window, [(keys or None, values), ...]).
+
+    Keyed calls reuse a few list objects, as the controller reuses its
+    ``link_keys()`` list, so the estimators' per-list caches are hit; a
+    list may repeat a key (aliased links), leave some out, or hold keys
+    no earlier call used.
+    """
+    alpha = draw(st.floats(0.01, 1.0))
+    window = draw(st.integers(1, 6))
+    lists = draw(
+        st.lists(
+            st.lists(st.sampled_from(KEY_POOL), max_size=6), min_size=1, max_size=4
+        )
+    )
+    calls = []
+    for _ in range(draw(st.integers(1, 20))):
+        pick = draw(st.integers(-1, len(lists) - 1))
+        keys = None if pick < 0 else lists[pick]
+        n = draw(st.integers(0, 5)) if keys is None else len(keys)
+        values = draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n))
+        calls.append((keys, np.asarray(values, dtype=float)))
+    return alpha, window, calls
+
+
+def assert_bits_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes(), (a, b)
+
+
+class TestEstimatorTwins:
+    @given(observation_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_answer_bit_equal_after_every_call(self, run):
+        alpha, window, calls = run
+        fast = RateEstimator(alpha, window)
+        keyed = KeyedRateEstimator(alpha, window)
+        probe = list(KEY_POOL) + ["never"]
+        for keys, values in calls:
+            fast.observe(values, keys)
+            keyed.observe(values, keys)
+            assert fast.keys() == keyed.keys()
+            assert fast.num_keys == keyed.num_keys
+            assert_bits_equal(fast.rates(), keyed.rates())
+            assert_bits_equal(fast.rates(probe), keyed.rates(probe))
+            assert_bits_equal(fast.seen_counts(probe), keyed.seen_counts(probe))
+            for q in (0.0, 0.5, 0.9, 1.0):
+                assert_bits_equal(fast.quantile(q), keyed.quantile(q))
+                assert_bits_equal(fast.quantile(q, probe), keyed.quantile(q, probe))
+        for key in probe:
+            assert fast.rate(key) == keyed.rate(key)
+            assert fast.seen(key) == keyed.seen(key)
 
 
 class TestControllerTwins:

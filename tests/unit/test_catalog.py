@@ -24,7 +24,7 @@ class TestPublish:
         catalog.publish(1, [10.0, 10.0])
         catalog.publish(2, [90.0, 90.0])
         catalog.publish(1, [89.0, 89.0])  # node 1 moved
-        assert catalog.entry_for(1).coordinate == (89.0, 89.0)
+        assert catalog._published[1].coordinate == (89.0, 89.0)
         entry, _ = catalog.nearest([0.0, 0.0])
         # nobody is near the origin anymore; nearest is whichever of the
         # two is closer: both ~126 away, node 1 at (89,89) is closest.

