@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.query.model import QuerySpec
-from repro.query.operators import ServiceKind, ServiceSpec, processing_load
+from repro.query.operators import ServiceKind, ServiceSpec
 from repro.query.plan import JoinNode, LeafNode, LogicalPlan, PlanNode
 from repro.query.selectivity import Statistics
 
@@ -314,11 +314,6 @@ class Circuit:
     def output_links(self, service_id: str) -> list[CircuitLink]:
         return [l for l in self.links if l.source == service_id]
 
-    def source_ids(self) -> list[str]:
-        """Services with no incoming links (the producers)."""
-        targets = {l.target for l in self.links}
-        return [sid for sid in self.services if sid not in targets]
-
     def sink_ids(self) -> list[str]:
         """Services with no outgoing links (the consumer side)."""
         sources = {l.source for l in self.links}
@@ -350,14 +345,6 @@ class Circuit:
     def hosts(self) -> set[int]:
         """All physical nodes used by the current placement."""
         return set(self.placement.values())
-
-    def load_on(self, node: int) -> float:
-        """CPU load this circuit's services add to ``node``."""
-        total = 0.0
-        for sid, service in self.services.items():
-            if self.placement.get(sid) == node:
-                total += processing_load(service.spec, self.input_rate(sid))
-        return total
 
     def set_link_rates(self, rates) -> None:
         """Re-estimate every link's rate in place (calibration).

@@ -80,18 +80,8 @@ class MappingResult:
         return sum(m.mapping_error for m in self.mappings)
 
     @property
-    def max_error(self) -> float:
-        return max((m.mapping_error for m in self.mappings), default=0.0)
-
-    @property
     def total_dht_hops(self) -> int:
         return sum(m.dht_hops for m in self.mappings)
-
-    def node_of(self, service_id: str) -> int:
-        for m in self.mappings:
-            if m.service_id == service_id:
-                return m.node
-        raise KeyError(f"service {service_id} was not mapped")
 
 
 class ExhaustiveMapper:

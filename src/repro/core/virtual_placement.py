@@ -72,25 +72,9 @@ __all__ = [
 ]
 
 #: Circuits with at least this many unpinned services use the sparse
-#: Laplacian solver (when scipy is present); below it the dense solve
-#: is faster and allocates trivially.
+#: Laplacian solver; below it the dense solve is faster and allocates
+#: trivially.
 SPARSE_SOLVER_THRESHOLD = 64
-
-_sparse_modules: tuple | None = None
-
-
-def _sparse() -> tuple | None:
-    """scipy.sparse modules if importable, cached; None otherwise."""
-    global _sparse_modules
-    if _sparse_modules is None:
-        try:
-            from scipy.sparse import csr_matrix
-            from scipy.sparse.linalg import factorized
-
-            _sparse_modules = (csr_matrix, factorized)
-        except ImportError:
-            _sparse_modules = ()
-    return _sparse_modules or None
 
 
 @dataclass
@@ -415,11 +399,10 @@ def exact_spring_equilibrium(
     which is a (symmetric, diagonally dominant) linear system — the
     graph Laplacian restricted to unpinned services.  Large circuits
     solve it with ``scipy.sparse`` (the Laplacian has one entry per
-    link, not O(n²)); a dense ``np.linalg.solve`` fallback covers small
-    systems and scipy-less environments.  This is the ground truth the
-    iterative :func:`relaxation_placement` converges to; tests verify
-    their agreement, and it is useful when exactness matters more than
-    decentralizability.
+    link, not O(n²)); small systems use a dense ``np.linalg.solve``.
+    This is the ground truth the iterative :func:`relaxation_placement`
+    converges to; tests verify their agreement, and it is useful when
+    exactness matters more than decentralizability.
     """
     positions, unpinned = _pinned_and_unpinned(circuit, pinned_positions)
     if not unpinned:
@@ -459,9 +442,10 @@ def exact_spring_equilibrium(
         diag[isolated] = 1.0
         rhs[isolated] = center
 
-    sparse = _sparse()
-    if sparse is not None and n >= SPARSE_SOLVER_THRESHOLD:
-        csr_matrix, factorized = sparse
+    if n >= SPARSE_SOLVER_THRESHOLD:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.linalg import factorized
+
         rows = np.concatenate([np.arange(n), np.asarray(off_rows, dtype=int)])
         cols = np.concatenate([np.arange(n), np.asarray(off_cols, dtype=int)])
         vals = np.concatenate([diag, np.asarray(off_vals, dtype=float)])

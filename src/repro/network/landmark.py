@@ -8,9 +8,9 @@ INFOCOM'02] and Lighthouses [Pias et al., IPTPS'03], both cited by the
 paper as cost-space constructions.
 
 The optimizer is a simple coordinate-descent / random-restart downhill
-search implemented from scratch (no scipy dependency is required,
-keeping the substrate self-contained), which is plenty for the modest
-dimensionalities (2-8) the paper considers.
+search implemented from scratch (no ``scipy.optimize`` solver is
+needed), which is plenty for the modest dimensionalities (2-8) the
+paper considers.
 """
 
 from __future__ import annotations

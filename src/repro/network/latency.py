@@ -8,10 +8,9 @@ embedding experiments: triangle-inequality-violation (TIV) statistics,
 synthetic TIV injection, and matrix perturbation for churn experiments.
 
 All-pairs construction runs through ``scipy.sparse.csgraph.dijkstra``
-when scipy is available (one C-level pass over a CSR adjacency — what
-makes 1000+-node topology builds instant); the per-source Python loop
-is retained as :func:`shortest_path_latencies_scalar`, the equivalence
-reference and the no-scipy fallback.
+(one C-level pass over a CSR adjacency — what makes 1000+-node topology
+builds instant); the per-source Python loop is retained as
+:func:`shortest_path_latencies_scalar`, the equivalence reference.
 """
 
 from __future__ import annotations
@@ -20,15 +19,10 @@ import heapq
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from repro.network.topology import Topology
-
-try:  # pragma: no cover - exercised via both backends in tests
-    from scipy.sparse import csr_matrix as _csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-except ImportError:  # pragma: no cover
-    _csr_matrix = None
-    _csgraph_dijkstra = None
 
 __all__ = [
     "LatencyMatrix",
@@ -66,8 +60,7 @@ def dijkstra(topology: Topology, source: int) -> list[float]:
 def shortest_path_latencies_scalar(topology: Topology) -> np.ndarray:
     """All-pairs latencies via the per-source Python Dijkstra loop.
 
-    Retained as the scalar reference for the scipy backend (and the
-    fallback when scipy is absent).
+    Retained as the scalar reference for :func:`shortest_path_latencies`.
     """
     n = topology.num_nodes
     matrix = np.zeros((n, n), dtype=float)
@@ -78,10 +71,11 @@ def shortest_path_latencies_scalar(topology: Topology) -> np.ndarray:
     return matrix
 
 
-def _scipy_all_pairs(topology: Topology) -> np.ndarray:
-    """All-pairs latencies via one ``scipy.sparse.csgraph`` pass.
+def shortest_path_latencies(topology: Topology) -> np.ndarray:
+    """All-pairs shortest-path latency matrix of a connected topology.
 
-    Parallel links between the same pair are min-reduced before the CSR
+    One ``scipy.sparse.csgraph`` pass.  Parallel links between the same
+    pair are min-reduced before the CSR
     build (``csr_matrix`` *sums* duplicate entries, which would be
     wrong), matching the relaxation the scalar loop performs.
     """
@@ -101,29 +95,11 @@ def _scipy_all_pairs(topology: Topology) -> np.ndarray:
     flat, wts = flat[order], wts[order]
     uniq, starts = np.unique(flat, return_index=True)
     min_w = np.minimum.reduceat(wts, starts)
-    graph = _csr_matrix((min_w, (uniq // n, uniq % n)), shape=(n, n))
-    matrix = _csgraph_dijkstra(graph, directed=False)
+    graph = csr_matrix((min_w, (uniq // n, uniq % n)), shape=(n, n))
+    matrix = csgraph_dijkstra(graph, directed=False)
     if not np.all(np.isfinite(matrix)):
         raise ValueError("topology is disconnected; latency matrix undefined")
     return matrix
-
-
-def shortest_path_latencies(topology: Topology, method: str = "auto") -> np.ndarray:
-    """All-pairs shortest-path latency matrix of a connected topology.
-
-    Args:
-        topology: the physical network.
-        method: ``"scipy"`` forces the ``scipy.sparse.csgraph`` backend,
-            ``"python"`` forces the per-source loop, ``"auto"`` (the
-            default) uses scipy when available.
-    """
-    if method not in ("auto", "scipy", "python"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "scipy" and _csgraph_dijkstra is None:
-        raise RuntimeError("scipy is not available")
-    if method != "python" and _csgraph_dijkstra is not None:
-        return _scipy_all_pairs(topology)
-    return shortest_path_latencies_scalar(topology)
 
 
 class LatencyMatrix:

@@ -100,10 +100,6 @@ class Topology:
             adj[link.v].append((link.u, link.latency_ms))
         return adj
 
-    def degree(self, node: int) -> int:
-        """Return the number of links incident to ``node``."""
-        return sum(1 for link in self.links if node in (link.u, link.v))
-
     def is_connected(self) -> bool:
         """Return True if every node is reachable from node 0."""
         if self.num_nodes == 1:

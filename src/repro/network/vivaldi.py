@@ -260,10 +260,6 @@ class VivaldiSystem:
         """Current ``(n, d)`` coordinate matrix."""
         return np.array([node.position for node in self.nodes])
 
-    def predicted_latency(self, u: int, v: int) -> float:
-        """Latency predicted by current coordinates between ``u`` and ``v``."""
-        return self.nodes[u].distance_to(self.nodes[v])
-
     def relative_errors(self) -> np.ndarray:
         """Per-pair relative prediction errors (flattened upper triangle)."""
         n = self.latencies.num_nodes

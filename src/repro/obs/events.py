@@ -27,9 +27,6 @@ class EventLog:
     def emit(self, tick: int, kind: str, **fields) -> None:
         self.events.append({"tick": tick, "kind": kind, **fields})
 
-    def of_kind(self, kind: str) -> list[dict]:
-        return [e for e in self.events if e["kind"] == kind]
-
     def __len__(self) -> int:
         return len(self.events)
 

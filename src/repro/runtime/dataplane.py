@@ -262,9 +262,9 @@ class ParameterDrift:
             raise ValueError(f"param must be one of {self._PARAMS}")
         if self.begin < 0 or self.duration < 0:
             raise ValueError("begin and duration must be non-negative")
-        # ``not x >= 0`` also rejects NaN.
-        if not (self.start >= 0 and self.end >= 0):
-            raise ValueError("drift values must be non-negative")
+        # ``not 0 <= x < inf`` also rejects NaN.
+        if not (0 <= self.start < math.inf and 0 <= self.end < math.inf):
+            raise ValueError("drift values must be finite and non-negative")
 
     def value(self, tick: int) -> float:
         """The realized parameter value at ``tick`` (linear ramp)."""

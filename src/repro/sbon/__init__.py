@@ -1,7 +1,7 @@
-"""SBON runtime substrate: nodes, the overlay assembly, tick simulation."""
+"""SBON runtime substrate: the overlay assembly, hosted services, tick simulation."""
 
 from repro.sbon.metrics import TickRecord, TimeSeries
-from repro.sbon.node import HostedService, SBONNode
+from repro.sbon.node import HostedService
 from repro.sbon.overlay import Overlay
 from repro.sbon.simulator import Simulation, SimulationConfig
 
@@ -9,7 +9,6 @@ __all__ = [
     "TickRecord",
     "TimeSeries",
     "HostedService",
-    "SBONNode",
     "Overlay",
     "Simulation",
     "SimulationConfig",

@@ -18,17 +18,15 @@ Load and memory state lives in contiguous ``(n,)`` arrays maintained
 incrementally by the circuit-lifecycle methods: ``set_background_loads``
 is a single array write, :meth:`loads` / :meth:`memory_loads` are single
 vectorized expressions, and :meth:`total_network_usage` reduces one
-cached (link-endpoint, rate) index over the latency matrix.  The
-:class:`SBONNode` objects remain the API for hosting and liveness, but
-their ``background_load`` attribute is synchronized lazily — access
-them through the :attr:`nodes` property (as all code here does) rather
-than a stashed reference taken before a ``set_background_loads`` call.
-Batch liveness changes should go through :meth:`apply_liveness`; the
-per-node reference loops are retained as ``loads_scalar`` /
-``total_network_usage_scalar``.  Capacities are cached in arrays at
-construction — change them via :meth:`set_node_capacity` (or call
-:meth:`sync_capacities` after mutating node objects directly) so the
-vectorized paths see the update.
+cached (link-endpoint, rate) index over the latency matrix.  These
+arrays are the only store of node state: liveness, capacities and
+background load are ``(n,)`` arrays too, and the one hosting record is
+``_host_of``, mapping ``(circuit, service id)`` to the hosting node and
+its :class:`HostedService`.  Batch liveness changes go through
+:meth:`apply_liveness`, capacity changes through
+:meth:`set_node_capacity`.  The per-node reference loops are retained
+as ``loads_scalar`` (which recounts induced load from ``_host_of``) and
+``total_network_usage_scalar``.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from repro.core.weighting import WeightingFunction, squared
 from repro.network.latency import LatencyMatrix
 from repro.network.topology import Topology
 from repro.network.vivaldi import embed_latency_matrix
-from repro.sbon.node import HostedService, SBONNode
+from repro.sbon.node import HostedService
 
 __all__ = ["Overlay"]
 
@@ -71,9 +69,7 @@ class Overlay:
         self.cost_space = cost_space
         self.topology = topology
         n = latencies.num_nodes
-        self._nodes = [SBONNode(index=i) for i in range(n)]
-        # Per-node liveness, mirrored on the node objects; written only
-        # by apply_liveness (the sole caller of SBONNode.fail/recover).
+        # Per-node liveness; written only by apply_liveness.
         self._alive = np.ones(n, dtype=bool)
         self.circuits: dict[str, Circuit] = {}
         # Array-backed load/memory state (source of truth for loads()).
@@ -84,17 +80,15 @@ class Overlay:
         # accounting (see set_measured_cpu); inactive until first write.
         self._measured_cpu = np.zeros(n)
         self._measured_active = False
-        self._capacity = np.array([node.capacity for node in self._nodes])
-        self._memory_capacity = np.array(
-            [node.memory_capacity for node in self._nodes]
-        )
-        self._background_synced = True
+        self._capacity = np.ones(n)
+        self._memory_capacity = np.full(n, 10_000.0)
         # CPU-cost reference a cost-unit background feed was normalized
         # with (set_background_cost); None until the load process speaks
         # the unified cost currency.
         self._cpu_ref: float | None = None
-        # (circuit name, service id) -> hosting node index.
-        self._host_of: dict[tuple[str, str], int] = {}
+        # (circuit name, service id) -> (hosting node, hosted service):
+        # the one hosting record, behind _induced / _memory.
+        self._host_of: dict[tuple[str, str], tuple[int, HostedService]] = {}
         # Segmented usage link index (PR 7): per-circuit contiguous
         # (src host, dst host, rate) rows in grow-only columns.
         # Installs append a segment, uninstalls tombstone it (compacting
@@ -154,15 +148,6 @@ class Overlay:
     def num_nodes(self) -> int:
         return self.latencies.num_nodes
 
-    @property
-    def nodes(self) -> list[SBONNode]:
-        """The node objects, with background loads synchronized."""
-        if not self._background_synced:
-            for node, load in zip(self._nodes, self._background):
-                node.background_load = float(load)
-            self._background_synced = True
-        return self._nodes
-
     # -- load & liveness ---------------------------------------------------
 
     def loads(self) -> np.ndarray:
@@ -180,8 +165,22 @@ class Overlay:
         return raw
 
     def loads_scalar(self) -> np.ndarray:
-        """Per-node loop over node state (retained scalar reference)."""
-        base = np.array([node.effective_load for node in self.nodes])
+        """Per-node loop over the hosting record (retained scalar reference).
+
+        Recounts every node's induced load from ``_host_of`` instead of
+        reading the incrementally maintained ``_induced`` array.
+        """
+        induced = [0.0] * self.num_nodes
+        for node, service in self._host_of.values():
+            induced[node] += service.load
+        base = np.array(
+            [
+                min(max((background + load) / capacity, 0.0), 1.0)
+                for background, load, capacity in zip(
+                    self._background.tolist(), induced, self._capacity.tolist()
+                )
+            ]
+        )
         if self._measured_active:
             base = np.array(
                 [min(1.0, b + m) for b, m in zip(base, self._measured_cpu)]
@@ -193,16 +192,13 @@ class Overlay:
         return np.clip(self._memory / self._memory_capacity, 0.0, 1.0)
 
     def set_background_loads(self, loads: np.ndarray | list[float]) -> None:
-        """Update background loads (from a :class:`LoadProcess`).
-
-        One array write; node objects are synchronized lazily on the
-        next :attr:`nodes` access.
-        """
+        """Update background loads (from a :class:`LoadProcess`): one array write."""
         loads = np.asarray(loads, dtype=float)
         if loads.shape != (self.num_nodes,):
             raise ValueError("load vector has wrong shape")
+        if np.isnan(loads).any():
+            raise ValueError("background loads must not be NaN")
         self._background = loads.astype(float, copy=True)
-        self._background_synced = False
 
     def set_background_cost(
         self, costs: np.ndarray | list[float], cpu_ref: float
@@ -220,13 +216,13 @@ class Overlay:
         :meth:`cpu_reference` so the control plane can share the same
         reference instead of guessing its own.
         """
-        if cpu_ref <= 0:
+        if not cpu_ref > 0:  # also rejects NaN
             raise ValueError("cpu_ref must be positive")
         costs = np.asarray(costs, dtype=float)
         if costs.shape != (self.num_nodes,):
             raise ValueError("cost vector has wrong shape")
-        self._cpu_ref = float(cpu_ref)
         self.set_background_loads(np.clip(costs / cpu_ref, 0.0, 1.0))
+        self._cpu_ref = float(cpu_ref)
 
     def cpu_reference(self) -> float | None:
         """The CPU-cost reference of the background feed, if cost-typed.
@@ -249,7 +245,7 @@ class Overlay:
         fractions = np.asarray(fractions, dtype=float)
         if fractions.shape != (self.num_nodes,):
             raise ValueError("measured CPU vector has wrong shape")
-        if np.any(fractions < 0) or np.any(fractions > 1):
+        if not np.all((fractions >= 0) & (fractions <= 1)):  # also rejects NaN
             raise ValueError("measured CPU fractions must be in [0, 1]")
         self._measured_cpu = fractions.copy()
         self._measured_active = True
@@ -265,36 +261,18 @@ class Overlay:
         capacity: float | None = None,
         memory_capacity: float | None = None,
     ) -> None:
-        """Change a node's capacity after construction.
-
-        Writes through to both the :class:`SBONNode` object and the
-        cached arrays behind the vectorized :meth:`loads` /
-        :meth:`memory_loads` paths, which snapshot capacities at build
-        time and would otherwise serve stale values.
-        """
+        """Change a node's CPU and/or memory capacity (infinite is legal)."""
         if not 0 <= node < self.num_nodes:
             raise ValueError(f"node {node} outside overlay")
+        # ``not x > 0`` also rejects NaN.
         if capacity is not None:
-            if capacity <= 0:
+            if not capacity > 0:
                 raise ValueError("capacity must be positive")
-            self._nodes[node].capacity = float(capacity)
             self._capacity[node] = float(capacity)
         if memory_capacity is not None:
-            if memory_capacity <= 0:
+            if not memory_capacity > 0:
                 raise ValueError("memory capacity must be positive")
-            self._nodes[node].memory_capacity = float(memory_capacity)
             self._memory_capacity[node] = float(memory_capacity)
-
-    def sync_capacities(self) -> None:
-        """Re-read capacities from the node objects into the cached arrays.
-
-        For callers that mutated ``node.capacity`` directly instead of
-        going through :meth:`set_node_capacity`.
-        """
-        self._capacity = np.array([node.capacity for node in self._nodes])
-        self._memory_capacity = np.array(
-            [node.memory_capacity for node in self._nodes]
-        )
 
     def alive_flags(self) -> list[bool]:
         return self._alive.tolist()
@@ -324,14 +302,12 @@ class Overlay:
         newly_failed = np.flatnonzero(current & ~alive).tolist()
         newly_recovered = np.flatnonzero(~current & alive).tolist()
         current[:] = alive
-        for idx in newly_failed:
-            orphans = self._nodes[idx].fail()
-            for service in orphans:
-                self._host_of.pop((service.circuit_name, service.service_id), None)
-            self._induced[idx] = 0.0
-            self._memory[idx] = 0.0
-        for idx in newly_recovered:
-            self._nodes[idx].recover()
+        if newly_failed:
+            down = set(newly_failed)
+            for key in [k for k, (node, _) in self._host_of.items() if node in down]:
+                del self._host_of[key]
+            self._induced[newly_failed] = 0.0
+            self._memory[newly_failed] = 0.0
         return newly_failed, newly_recovered
 
     def refresh_cost_space(self) -> None:
@@ -354,28 +330,28 @@ class Overlay:
 
     # -- circuit lifecycle ---------------------------------------------------
 
-    def _host_service(self, node_index: int, service: HostedService) -> None:
-        """Host a service and update the induced-load arrays."""
-        self._nodes[node_index].host(service)
-        self._induced[node_index] += service.load
-        self._memory[node_index] += service.state_units
-        self._host_of[(service.circuit_name, service.service_id)] = node_index
+    def _host_service(self, circuit: Circuit, service_id: str, node: int) -> None:
+        """Host one of a circuit's services on a live node."""
+        if not self._alive[node]:
+            raise RuntimeError(f"node {node} is down")
+        service = HostedService(
+            circuit_name=circuit.name,
+            service_id=service_id,
+            spec=circuit.services[service_id].spec,
+            input_rate=circuit.input_rate(service_id),
+        )
+        self._induced[node] += service.load
+        self._memory[node] += service.state_units
+        self._host_of[(circuit.name, service_id)] = (node, service)
 
     def _evict_service(self, circuit_name: str, service_id: str) -> None:
-        """Evict one service (wherever the hosting map says it lives)."""
-        node_index = self._host_of.pop((circuit_name, service_id), None)
-        if node_index is None:
+        """Evict one service, releasing exactly the load it was hosted with."""
+        entry = self._host_of.pop((circuit_name, service_id), None)
+        if entry is None:
             return
-        node = self._nodes[node_index]
-        for service in node.hosted:
-            if (
-                service.circuit_name == circuit_name
-                and service.service_id == service_id
-            ):
-                node.hosted.remove(service)
-                self._induced[node_index] -= service.load
-                self._memory[node_index] -= service.state_units
-                return
+        node, service = entry
+        self._induced[node] -= service.load
+        self._memory[node] -= service.state_units
 
     def install(self, result: OptimizationResult) -> None:
         """Deploy an optimized circuit: host its services on nodes."""
@@ -388,15 +364,7 @@ class Overlay:
         if not circuit.is_fully_placed():
             raise ValueError("circuit must be fully placed before installation")
         for sid in circuit.unpinned_ids():
-            self._host_service(
-                circuit.host_of(sid),
-                HostedService(
-                    circuit_name=circuit.name,
-                    service_id=sid,
-                    spec=circuit.services[sid].spec,
-                    input_rate=circuit.input_rate(sid),
-                ),
-            )
+            self._host_service(circuit, sid, circuit.host_of(sid))
         self.circuits[circuit.name] = circuit
         self._usage_append(circuit)
 
@@ -422,15 +390,7 @@ class Overlay:
         for sid in old.unpinned_ids():
             self._evict_service(circuit.name, sid)
         for sid in circuit.unpinned_ids():
-            self._host_service(
-                circuit.host_of(sid),
-                HostedService(
-                    circuit_name=circuit.name,
-                    service_id=sid,
-                    spec=circuit.services[sid].spec,
-                    input_rate=circuit.input_rate(sid),
-                ),
-            )
+            self._host_service(circuit, sid, circuit.host_of(sid))
         self.circuits[circuit.name] = circuit
         # Link count usually changes (split links appear/disappear), so
         # the usage segment is rebuilt rather than rewritten.
@@ -451,15 +411,7 @@ class Overlay:
         """Move one hosted service to a new node (post-reoptimization)."""
         circuit = self.circuits[circuit_name]
         self._evict_service(circuit_name, service_id)
-        self._host_service(
-            to_node,
-            HostedService(
-                circuit_name=circuit_name,
-                service_id=service_id,
-                spec=circuit.services[service_id].spec,
-                input_rate=circuit.input_rate(service_id),
-            ),
-        )
+        self._host_service(circuit, service_id, to_node)
         circuit.assign(service_id, to_node)
         self._usage_rewrite(circuit_name)
 

@@ -498,7 +498,7 @@ class TestSameTickRewrites:
             if scaler.step():
                 break
         assert scaler.scale_ups == 2
-        ups = scaler.events.of_kind("scale_up")
+        ups = [e for e in scaler.events if e["kind"] == "scale_up"]
         assert [e["service"] for e in ups] == ["c0/j1", "c0/j2"]
         assert ups[0]["tick"] == ups[1]["tick"]
         families = replica_families(overlay.circuits["c0"])

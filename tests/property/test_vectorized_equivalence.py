@@ -45,6 +45,7 @@ from repro.network.dynamics import (
 )
 from repro.network.latency import LatencyMatrix
 from repro.query.operators import ServiceSpec
+from repro.sbon.node import HostedService
 
 
 @st.composite
@@ -254,8 +255,6 @@ class TestPlacementSweeps:
 class TestExactEquilibriumSolvers:
     @pytest.mark.parametrize("seed", range(3))
     def test_sparse_and_dense_solvers_agree(self, seed, monkeypatch):
-        if vp._sparse() is None:
-            pytest.skip("scipy not available")
         circuit, pinned_positions = random_circuit(seed, num_unpinned=80)
         monkeypatch.setattr(vp, "SPARSE_SOLVER_THRESHOLD", 1)
         sparse = vp.exact_spring_equilibrium(circuit, pinned_positions)
@@ -268,8 +267,6 @@ class TestExactEquilibriumSolvers:
             )
 
     def test_large_circuit_uses_sparse_path(self):
-        if vp._sparse() is None:
-            pytest.skip("scipy not available")
         circuit, pinned_positions = random_circuit(1, num_unpinned=vp.SPARSE_SOLVER_THRESHOLD + 10)
         result = vp.exact_spring_equilibrium(circuit, pinned_positions)
         relax = vp.relaxation_placement(
@@ -605,7 +602,13 @@ class TestOverlayAndSimulationEquivalence:
         overlay.set_background_loads(rng.uniform(0, 0.8, size=16))
         sim.run(5)
         assert np.allclose(overlay.loads(), overlay.loads_scalar(), atol=1e-9)
-        memory_scalar = np.array([node.memory_load for node in overlay.nodes])
+        units = np.zeros(16)
+        for circuit in overlay.circuits.values():
+            for sid in circuit.unpinned_ids():
+                units[circuit.host_of(sid)] += HostedService(
+                    circuit.name, sid, circuit.services[sid].spec, circuit.input_rate(sid)
+                ).state_units
+        memory_scalar = np.clip(units / 10_000.0, 0.0, 1.0)
         assert np.allclose(overlay.memory_loads(), memory_scalar, atol=1e-9)
         assert overlay.total_network_usage() == pytest.approx(
             overlay.total_network_usage_scalar(), rel=1e-9

@@ -5,7 +5,7 @@ import pytest
 from repro.core.circuit import Circuit, Service, effective_statistics
 from repro.query.generator import enumerate_all_plans
 from repro.query.model import Consumer, Producer, QuerySpec
-from repro.query.operators import ServiceKind, ServiceSpec
+from repro.query.operators import ServiceKind, ServiceSpec, processing_load
 from repro.query.plan import JoinNode, LeafNode, LogicalPlan
 from repro.query.selectivity import Statistics
 
@@ -118,7 +118,9 @@ class TestStructureQueries:
 
     def test_sources_and_sinks(self):
         circuit = self._circuit()
-        assert set(circuit.source_ids()) == {"q/src:A", "q/src:B", "q/src:C"}
+        targets = {link.target for link in circuit.links}
+        sources = {sid for sid in circuit.services if sid not in targets}
+        assert sources == {"q/src:A", "q/src:B", "q/src:C"}
         assert circuit.sink_ids() == ["q/sink:C0"]
 
     def test_neighbors_bidirectional(self):
@@ -166,7 +168,11 @@ class TestPlacement:
         circuit = self._circuit()
         circuit.assign("q/join0", 5)
         circuit.assign("q/join1", 5)
-        load = circuit.load_on(5)
+        load = sum(
+            processing_load(service.spec, circuit.input_rate(sid))
+            for sid, service in circuit.services.items()
+            if circuit.placement.get(sid) == 5
+        )
         # join0 input 15, join1 input 7; coefficient 0.02.
         assert load == pytest.approx(0.02 * (15.0 + 7.0))
 

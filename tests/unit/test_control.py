@@ -185,6 +185,8 @@ class TestParameterDrift:
             ("selectivity", -0.1, 0.9),
             ("selectivity", nan, 0.9),
             ("source_rate", 1.0, nan),
+            ("source_rate", float("inf"), 6.0),
+            ("source_rate", 6.0, float("inf")),
         ):
             with pytest.raises(ValueError):
                 ParameterDrift("c", "s", param, start, end)

@@ -57,7 +57,7 @@ class TestShortestPathMatrix:
 
     def test_disconnected_raises_scalar(self):
         with pytest.raises(ValueError):
-            shortest_path_latencies(Topology(num_nodes=2), method="python")
+            shortest_path_latencies_scalar(Topology(num_nodes=2))
 
 
 class TestScipyBackend:
@@ -65,15 +65,15 @@ class TestScipyBackend:
 
     def test_matches_scalar_on_geometric(self):
         topo = random_geometric_topology(60, radius=0.3, seed=3)
-        fast = shortest_path_latencies(topo, method="scipy")
+        fast = shortest_path_latencies(topo)
         slow = shortest_path_latencies_scalar(topo)
         np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=1e-9)
 
     def test_matches_scalar_on_grid(self):
         topo = grid_topology(5, 5, link_latency_ms=2.5)
         np.testing.assert_allclose(
-            shortest_path_latencies(topo, method="scipy"),
-            shortest_path_latencies(topo, method="python"),
+            shortest_path_latencies(topo),
+            shortest_path_latencies_scalar(topo),
             rtol=1e-9,
             atol=1e-9,
         )
@@ -84,17 +84,13 @@ class TestScipyBackend:
         topo = Topology(num_nodes=2)
         topo.add_link(0, 1, 10.0)
         topo.add_link(0, 1, 3.0)
-        fast = shortest_path_latencies(topo, method="scipy")
+        fast = shortest_path_latencies(topo)
         assert fast[0, 1] == 3.0
         np.testing.assert_allclose(fast, shortest_path_latencies_scalar(topo))
 
     def test_single_node(self):
-        matrix = shortest_path_latencies(Topology(num_nodes=1), method="scipy")
+        matrix = shortest_path_latencies(Topology(num_nodes=1))
         assert matrix.shape == (1, 1) and matrix[0, 0] == 0.0
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            shortest_path_latencies(grid_topology(2, 2), method="fast")
 
 
 class TestLatencyMatrix:

@@ -7,7 +7,7 @@ from repro.core.cost_space import CostSpace, CostSpaceSpec
 from repro.core.optimizer import IntegratedOptimizer
 from repro.network.topology import grid_topology
 from repro.query.operators import ServiceSpec
-from repro.sbon.node import HostedService, SBONNode
+from repro.sbon.node import HostedService
 from repro.sbon.overlay import Overlay
 from repro.workloads.queries import random_query
 
@@ -29,23 +29,6 @@ class TestStateUnits:
         filt = HostedService("q", "f", ServiceSpec.filter(0.5), 100.0)
         assert relay.state_units == 0.0
         assert filt.state_units == 0.0
-
-
-class TestNodeMemory:
-    def test_memory_load_fraction(self):
-        node = SBONNode(index=0, memory_capacity=1000.0)
-        node.host(HostedService("q", "j", ServiceSpec.join(window_seconds=50), 4.0))
-        assert node.memory_units == pytest.approx(200.0)
-        assert node.memory_load == pytest.approx(0.2)
-
-    def test_memory_load_clamped(self):
-        node = SBONNode(index=0, memory_capacity=10.0)
-        node.host(HostedService("q", "j", ServiceSpec.join(window_seconds=100), 5.0))
-        assert node.memory_load == 1.0
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            SBONNode(index=0, memory_capacity=0.0)
 
 
 class TestMemoryCostSpace:

@@ -228,7 +228,7 @@ class TestEventLog:
         log.emit(1, "calibration", links=3)
         log.emit(2, "shed_set", nodes=[4], limit=10.0)
         assert len(log) == 2
-        assert log.of_kind("calibration")[0]["links"] == 3
+        assert [e for e in log.events if e["kind"] == "calibration"][0]["links"] == 3
         path = tmp_path / "events.jsonl"
         log.to_jsonl(path)
         rows = [json.loads(line) for line in path.read_text().splitlines()]
@@ -293,7 +293,7 @@ class TestControllerEvents:
         controller.events = EventLog()
         for _ in range(12):
             controller.step(plane.step())
-        triggers = controller.events.of_kind("replace_triggered")
+        triggers = [e for e in controller.events if e["kind"] == "replace_triggered"]
         assert triggers, "drop breach never produced an event"
         assert triggers[0]["reason"] == "drop_ewma"
         assert triggers[0]["excluded_nodes"]
@@ -308,7 +308,7 @@ class TestControllerEvents:
         controller.events = EventLog()
         for _ in range(10):
             controller.step(plane.step())
-        cals = controller.events.of_kind("calibration")
+        cals = [e for e in controller.events if e["kind"] == "calibration"]
         assert cals and all("links" in e and "cpu_nodes" in e for e in cals)
 
     def test_no_event_log_is_fine(self):

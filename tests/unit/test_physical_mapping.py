@@ -185,10 +185,10 @@ class TestMapCircuit:
     def test_result_accessors(self):
         space, circuit, placement = self._setup()
         result = map_circuit(circuit, placement, space, ExhaustiveMapper(space))
-        assert result.node_of("q/join0") == result.mappings[0].node
-        with pytest.raises(KeyError):
-            result.node_of("nope")
-        assert result.max_error == result.total_error  # single service
+        (mapping,) = result.mappings  # single service
+        assert mapping.service_id == "q/join0"
+        assert circuit.host_of("q/join0") == mapping.node
+        assert max(m.mapping_error for m in result.mappings) == result.total_error
         assert result.total_dht_hops == 0
 
     def test_exhaustive_error_lower_bound_for_catalog(self):

@@ -1,71 +1,32 @@
-"""Unit tests for SBON nodes, the overlay, and metrics."""
+"""Unit tests for the overlay and metrics."""
 
 import numpy as np
 import pytest
 
+from repro.core.circuit import Circuit, Service
 from repro.query.operators import ServiceSpec
 from repro.sbon.metrics import TickRecord, TimeSeries
-from repro.sbon.node import HostedService, SBONNode
+from repro.sbon.node import HostedService
 from repro.sbon.overlay import Overlay
 from repro.network.topology import grid_topology
 from repro.workloads.queries import random_query
 
 
-class TestSBONNode:
-    def _service(self, name="q", sid="q/join0", rate=10.0) -> HostedService:
-        return HostedService(name, sid, ServiceSpec.join(), rate)
-
-    def test_effective_load_combines_background_and_induced(self):
-        node = SBONNode(index=0, background_load=0.3)
-        node.host(self._service(rate=10.0))  # join: 0.02 * 10 = 0.2
-        assert node.effective_load == pytest.approx(0.5)
-
-    def test_load_clamped_to_one(self):
-        node = SBONNode(index=0, background_load=0.9)
-        node.host(self._service(rate=100.0))
-        assert node.effective_load == 1.0
-        assert 1.0 - node.effective_load == 0.0
-
-    def test_capacity_scales_load(self):
-        node = SBONNode(index=0, capacity=2.0, background_load=0.5)
-        assert node.effective_load == 0.25
-
-    def test_duplicate_hosting_rejected(self):
-        node = SBONNode(index=0)
-        node.host(self._service())
-        with pytest.raises(ValueError):
-            node.host(self._service())
-
-    def test_evict_by_circuit(self):
-        node = SBONNode(index=0)
-        node.host(self._service(sid="q/join0"))
-        node.host(self._service(sid="q/join1"))
-        assert node.evict("q") == 2
-        assert node.induced_load == 0.0
-
-    def test_evict_specific_service(self):
-        node = SBONNode(index=0)
-        node.host(self._service(sid="q/join0"))
-        node.host(self._service(sid="q/join1"))
-        assert node.evict("q", "q/join0") == 1
-        assert len(node.hosted) == 1
-
-    def test_fail_evacuates(self):
-        node = SBONNode(index=0)
-        node.host(self._service())
-        orphans = node.fail()
-        assert len(orphans) == 1
-        assert not node.alive
-        with pytest.raises(RuntimeError):
-            node.host(self._service())
-        node.recover()
-        assert node.alive
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SBONNode(index=0, capacity=0.0)
-        with pytest.raises(ValueError):
-            SBONNode(index=0, background_load=-1.0)
+def _join_circuit(name="q", host=5, rate=10.0, window=50.0) -> Circuit:
+    """Two pinned producers feed one unpinned join on ``host``."""
+    circuit = Circuit(name=name)
+    for producer, node in (("A", 0), ("B", 1)):
+        circuit.add_service(
+            Service(f"{name}/src:{producer}", ServiceSpec.relay(), node, frozenset(producer))
+        )
+    join = ServiceSpec.join(window_seconds=window)
+    circuit.add_service(Service(f"{name}/join", join, None, frozenset("AB")))
+    circuit.add_service(Service(f"{name}/sink", ServiceSpec.relay(), 15, frozenset("AB")))
+    circuit.add_link(f"{name}/src:A", f"{name}/join", rate / 2)
+    circuit.add_link(f"{name}/src:B", f"{name}/join", rate / 2)
+    circuit.add_link(f"{name}/join", f"{name}/sink", 1.0)
+    circuit.assign(f"{name}/join", host)
+    return circuit
 
 
 class TestOverlay:
@@ -125,12 +86,8 @@ class TestOverlay:
         new = (old + 1) % 16
         overlay.apply_migration(result.circuit.name, sid, new)
         assert result.circuit.host_of(sid) == new
-        assert any(
-            s.service_id == sid for s in overlay.nodes[new].hosted
-        )
-        assert not any(
-            s.service_id == sid for s in overlay.nodes[old].hosted
-        )
+        assert overlay._host_of[(result.circuit.name, sid)][0] == new
+        np.testing.assert_allclose(overlay.loads(), overlay.loads_scalar())
 
     def test_bad_load_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -155,17 +112,15 @@ class TestOverlay:
         node = overlay.circuits[query.name].host_of(hosts[0])
         overlay.set_node_capacity(node, memory_capacity=1.0)
         memory = overlay.memory_loads()
-        assert memory[node] == pytest.approx(
-            min(1.0, overlay.nodes[node].memory_units / 1.0)
+        circuit = overlay.circuits[query.name]
+        units = sum(
+            HostedService(
+                query.name, sid, circuit.services[sid].spec, circuit.input_rate(sid)
+            ).state_units
+            for sid in circuit.unpinned_ids()
+            if circuit.host_of(sid) == node
         )
-
-    def test_sync_capacities_reads_direct_mutation(self):
-        overlay = self._overlay()
-        overlay.set_background_loads(np.full(16, 0.4))
-        overlay.nodes[5].capacity = 4.0  # direct mutation, then sync
-        overlay.sync_capacities()
-        assert overlay.loads()[5] == pytest.approx(0.1)
-        np.testing.assert_allclose(overlay.loads(), overlay.loads_scalar())
+        assert memory[node] == pytest.approx(min(1.0, units / 1.0))
 
     def test_set_node_capacity_validation(self):
         overlay = self._overlay()
@@ -176,7 +131,76 @@ class TestOverlay:
         with pytest.raises(ValueError):
             overlay.set_node_capacity(0, memory_capacity=-1.0)
 
-    def test_liveness_array_agrees_with_node_objects(self):
+    @pytest.mark.parametrize(
+        "setter",
+        [
+            lambda o: o.set_node_capacity(0, capacity=np.nan),
+            lambda o: o.set_node_capacity(0, memory_capacity=np.nan),
+            lambda o: o.set_background_cost(np.zeros(16), cpu_ref=np.nan),
+            lambda o: o.set_measured_cpu(np.r_[np.nan, np.zeros(15)]),
+            lambda o: o.set_background_loads(np.r_[np.nan, np.zeros(15)]),
+        ],
+        ids=["capacity", "memory-capacity", "cpu-ref", "measured-cpu", "background"],
+    )
+    def test_setters_reject_nan(self, setter):
+        overlay = self._overlay()
+        before = overlay.loads()
+        with pytest.raises(ValueError):
+            setter(overlay)
+        np.testing.assert_array_equal(overlay.loads(), before)
+
+    def test_infinite_capacity_stays_legal(self):
+        overlay = self._overlay()
+        overlay.set_background_loads(np.full(16, 0.5))
+        overlay.set_node_capacity(0, capacity=np.inf, memory_capacity=np.inf)
+        assert overlay.loads()[0] == 0.0 and overlay.memory_loads()[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "background, rate, capacity, expected",
+        [
+            (0.3, 10.0, 1.0, 0.5),  # join: 0.02 * 10 = 0.2 induced
+            (0.9, 100.0, 1.0, 1.0),  # over capacity: clamped to one
+            (0.5, 0.0, 2.0, 0.25),  # capacity scales the sum
+        ],
+        ids=["combined", "clamped", "capacity-scaled"],
+    )
+    def test_loads_are_background_plus_induced_over_capacity(
+        self, background, rate, capacity, expected
+    ):
+        overlay = self._overlay()
+        overlay.set_background_loads(np.full(16, background))
+        overlay.set_node_capacity(5, capacity=capacity)
+        overlay.install_circuit(_join_circuit(host=5, rate=rate))
+        assert overlay.loads()[5] == pytest.approx(expected)
+        assert overlay.loads_scalar()[5] == pytest.approx(expected)
+        np.testing.assert_allclose(overlay.loads(), overlay.loads_scalar())
+
+    def test_memory_load_is_state_over_memory_capacity(self):
+        overlay = self._overlay()
+        overlay.set_node_capacity(5, memory_capacity=1000.0)
+        overlay.install_circuit(_join_circuit(host=5, rate=4.0, window=50.0))
+        assert overlay.memory_loads()[5] == pytest.approx(0.2)  # 4 * 50 / 1000
+        overlay.set_node_capacity(5, memory_capacity=10.0)
+        assert overlay.memory_loads()[5] == 1.0
+
+    def test_failure_drops_hosted_load_and_refuses_installs(self):
+        overlay = self._overlay()
+        overlay.set_background_loads(np.full(16, 0.3))
+        overlay.install_circuit(_join_circuit(host=5))
+        down = np.ones(16, dtype=bool)
+        down[5] = False
+        overlay.apply_liveness(down)
+        assert overlay.loads()[5] == pytest.approx(0.3)
+        assert overlay.memory_loads()[5] == 0.0
+        np.testing.assert_allclose(overlay.loads(), overlay.loads_scalar())
+        with pytest.raises(RuntimeError):
+            overlay.install_circuit(_join_circuit(name="r", host=5))
+        overlay.apply_liveness(np.ones(16, dtype=bool))  # back, empty-handed
+        assert overlay.loads()[5] == pytest.approx(0.3)
+        overlay.install_circuit(_join_circuit(name="s", host=5))
+        assert overlay.loads()[5] == pytest.approx(0.5)
+
+    def test_liveness_array_follows_masks(self):
         overlay = self._overlay()
         up = np.ones(16, dtype=bool)
         down = up.copy()
@@ -190,17 +214,15 @@ class TestOverlay:
         ]
         for mask, expected in steps:
             assert overlay.apply_liveness(mask) == expected
-            from_nodes = [node.alive for node in overlay.nodes]
-            assert overlay.alive_mask().tolist() == from_nodes == mask.tolist()
-            assert overlay.alive_flags() == from_nodes
-            assert overlay.failed_nodes() == {
-                node.index for node in overlay.nodes if not node.alive
-            }
+            assert overlay.alive_mask().tolist() == mask.tolist()
+            assert overlay.alive_flags() == mask.tolist()
+            assert overlay.failed_nodes() == set(np.flatnonzero(~mask).tolist())
         # Masks handed out and masks handed in are copies: writing
         # either afterwards changes nothing.
+        expected = again.tolist()
         overlay.alive_mask()[:] = False
         again[0] = False
-        assert overlay.alive_flags() == [node.alive for node in overlay.nodes]
+        assert overlay.alive_flags() == expected
 
 
 class TestTimeSeries:

@@ -76,8 +76,8 @@ class TestVivaldiSystem:
         lm = LatencyMatrix.from_topology(grid_topology(3, 3))
         system = VivaldiSystem(lm, seed=0)
         system.run(rounds=20)
-        assert system.predicted_latency(0, 5) == pytest.approx(
-            system.predicted_latency(5, 0)
+        assert system.nodes[0].distance_to(system.nodes[5]) == pytest.approx(
+            system.nodes[5].distance_to(system.nodes[0])
         )
 
     def test_node_update_rejects_negative_latency(self):
