@@ -10,6 +10,7 @@ from repro.query.operators import ServiceSpec
 from repro.sbon.node import HostedService
 from repro.sbon.overlay import Overlay
 from repro.workloads.queries import random_query
+from tests.unit.test_sbon import pinned_join_circuit
 
 
 class TestStateUnits:
@@ -29,6 +30,32 @@ class TestStateUnits:
         filt = HostedService("q", "f", ServiceSpec.filter(0.5), 100.0)
         assert relay.state_units == 0.0
         assert filt.state_units == 0.0
+
+
+class TestNodeMemory:
+    def _overlay(self, memory_capacity: float) -> Overlay:
+        overlay = Overlay.build(grid_topology(4, 4), vector_dims=2, embedding_rounds=20, seed=0)
+        overlay.set_node_capacity(5, memory_capacity=memory_capacity)
+        return overlay
+
+    def test_memory_load_fraction(self):
+        overlay = self._overlay(memory_capacity=1000.0)
+        overlay.install_circuit(pinned_join_circuit(host=5, rate=4.0, window=50.0))
+        state = overlay._host_of[("q", "q/join")][1].state_units
+        assert state == pytest.approx(200.0)  # 4 tuples/s * 50 s
+        assert overlay.memory_loads()[5] == pytest.approx(0.2)
+
+    def test_memory_load_clamped(self):
+        overlay = self._overlay(memory_capacity=10.0)
+        overlay.install_circuit(pinned_join_circuit(host=5, rate=5.0, window=100.0))
+        assert overlay.memory_loads()[5] == 1.0
+
+    def test_capacity_validation(self):
+        overlay = self._overlay(memory_capacity=1000.0)
+        overlay.install_circuit(pinned_join_circuit(host=5, rate=4.0, window=50.0))
+        with pytest.raises(ValueError):
+            overlay.set_node_capacity(5, memory_capacity=0.0)
+        assert overlay.memory_loads()[5] == pytest.approx(0.2)  # capacity kept
 
 
 class TestMemoryCostSpace:

@@ -12,7 +12,7 @@ from repro.network.topology import grid_topology
 from repro.workloads.queries import random_query
 
 
-def _join_circuit(name="q", host=5, rate=10.0, window=50.0) -> Circuit:
+def pinned_join_circuit(name="q", host=5, rate=10.0, window=50.0) -> Circuit:
     """Two pinned producers feed one unpinned join on ``host``."""
     circuit = Circuit(name=name)
     for producer, node in (("A", 0), ("B", 1)):
@@ -170,23 +170,32 @@ class TestOverlay:
         overlay = self._overlay()
         overlay.set_background_loads(np.full(16, background))
         overlay.set_node_capacity(5, capacity=capacity)
-        overlay.install_circuit(_join_circuit(host=5, rate=rate))
+        overlay.install_circuit(pinned_join_circuit(host=5, rate=rate))
         assert overlay.loads()[5] == pytest.approx(expected)
         assert overlay.loads_scalar()[5] == pytest.approx(expected)
         np.testing.assert_allclose(overlay.loads(), overlay.loads_scalar())
 
-    def test_memory_load_is_state_over_memory_capacity(self):
+    def test_evict_by_circuit(self):
+        # Two circuits share node 5; tearing one down releases exactly
+        # its own load and state, and leaves the other's hosted.
         overlay = self._overlay()
-        overlay.set_node_capacity(5, memory_capacity=1000.0)
-        overlay.install_circuit(_join_circuit(host=5, rate=4.0, window=50.0))
-        assert overlay.memory_loads()[5] == pytest.approx(0.2)  # 4 * 50 / 1000
-        overlay.set_node_capacity(5, memory_capacity=10.0)
-        assert overlay.memory_loads()[5] == 1.0
+        overlay.set_background_loads(np.full(16, 0.1))
+        overlay.install_circuit(pinned_join_circuit(name="q", host=5, rate=10.0))
+        overlay.install_circuit(pinned_join_circuit(name="r", host=5, rate=5.0))
+        assert overlay.loads()[5] == pytest.approx(0.1 + 0.2 + 0.1)
+        overlay.uninstall("q")
+        assert ("q", "q/join") not in overlay._host_of
+        assert overlay._host_of[("r", "r/join")][0] == 5
+        assert overlay.loads()[5] == pytest.approx(0.1 + 0.1)
+        np.testing.assert_allclose(overlay.loads(), overlay.loads_scalar())
+        overlay.uninstall("r")
+        assert overlay.loads()[5] == pytest.approx(0.1)
+        assert overlay.memory_loads()[5] == 0.0
 
     def test_failure_drops_hosted_load_and_refuses_installs(self):
         overlay = self._overlay()
         overlay.set_background_loads(np.full(16, 0.3))
-        overlay.install_circuit(_join_circuit(host=5))
+        overlay.install_circuit(pinned_join_circuit(host=5))
         down = np.ones(16, dtype=bool)
         down[5] = False
         overlay.apply_liveness(down)
@@ -194,10 +203,10 @@ class TestOverlay:
         assert overlay.memory_loads()[5] == 0.0
         np.testing.assert_allclose(overlay.loads(), overlay.loads_scalar())
         with pytest.raises(RuntimeError):
-            overlay.install_circuit(_join_circuit(name="r", host=5))
+            overlay.install_circuit(pinned_join_circuit(name="r", host=5))
         overlay.apply_liveness(np.ones(16, dtype=bool))  # back, empty-handed
         assert overlay.loads()[5] == pytest.approx(0.3)
-        overlay.install_circuit(_join_circuit(name="s", host=5))
+        overlay.install_circuit(pinned_join_circuit(name="s", host=5))
         assert overlay.loads()[5] == pytest.approx(0.5)
 
     def test_liveness_array_follows_masks(self):
