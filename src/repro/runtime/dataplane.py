@@ -198,22 +198,80 @@ def _capacity_gate(
     grows).  With unit costs the condition degenerates to the
     historical count rule ``rank + used < cap``.  Mutates
     ``node_used`` with the admitted costs; returns the keep mask.
+
+    One ``bincount`` totals the round per node.  A node whose
+    ``used + total`` is below its cap admits every tuple (a tuple's
+    cost before it is at most ``total`` minus its own cost), so only
+    the tuples of the remaining *tight* nodes are sorted by node and
+    walked.  Exactness: admission prices sit on the 1/256 grid
+    (``DataPlane._admission_costs``) and ``node_used`` only ever sums
+    them, so every partial sum here — in whatever order it is taken —
+    is exact while it stays below 2^45 cost units (53 mantissa bits
+    less the grid's 8), and the mask and ``node_used`` are
+    bit-identical to a per-tuple walk in canonical order.
     """
-    order = np.argsort(nodes, kind="stable")
+    total = np.bincount(nodes, weights=costs, minlength=node_used.size)
+    tight = node_used + total >= cap
+    np.add(node_used, total, out=node_used, where=~tight)
+    keep = np.ones(nodes.size, dtype=bool)
+    # A tight node (say one already at its cap) may have no tuple in
+    # this round at all.
+    rows = np.flatnonzero(tight[nodes])
+    if not rows.size:
+        return keep
+    order = rows[np.argsort(nodes[rows], kind="stable")]
     sn = nodes[order]
     sc = costs[order]
-    _, starts, cnts = np.unique(sn, return_index=True, return_counts=True)
+    edge = np.empty(sn.size, dtype=bool)
+    edge[0] = True
+    np.not_equal(sn[1:], sn[:-1], out=edge[1:])
+    starts = np.flatnonzero(edge)
     cum = np.cumsum(sc)
+    cnts = np.diff(starts, append=sn.size)
     group_base = np.repeat(cum[starts] - sc[starts], cnts)
     # Group-local running cost before self; once it crosses the cap
     # every later tuple's total is larger too, so the admitted set is
     # a prefix and "before" equals the admitted cost within it.
     before = cum - group_base - sc
     keep_sorted = before + node_used[sn] < cap[sn]
-    keep = np.empty(nodes.size, dtype=bool)
     keep[order] = keep_sorted
-    np.add.at(node_used, nodes[keep], costs[keep])
+    node_used += np.bincount(
+        sn[keep_sorted], weights=sc[keep_sorted], minlength=node_used.size
+    )
     return keep
+
+
+def _canonical_order(op: np.ndarray, port: np.ndarray, seq: np.ndarray) -> np.ndarray:
+    """The permutation sorting a delivery batch by (op, port, seq).
+
+    The order ``np.lexsort((seq, port, op))`` gives, from one in-place
+    sort of a packed int64 key: ``op·P + port`` (``P`` the batch's port
+    count, 2 where only joins have two inputs), then ``seq − min seq``
+    in ``w`` bits (the batch's seq span), then the row's position in
+    ``b`` bits (its size).  Sequence numbers are unique, so the position
+    bits never decide the order; they only read it back.  Raises
+    OverflowError when the key would need more than 63 bits, as
+    ``_TICK_LIMIT`` does for the int32 tick columns.
+    """
+    n = op.size
+    lo = int(seq.min())
+    w = (int(seq.max()) - lo).bit_length()
+    b = n.bit_length()
+    ports = int(port.max()) + 1
+    if (int(op.max()) * ports + ports - 1).bit_length() + w + b > 63:
+        raise OverflowError(
+            f"delivery batch of {n} tuples over {ports} ports with a seq "
+            f"span of 2^{w} needs a sort key past 63 bits"
+        )
+    key = op * ports
+    key += port
+    key <<= w
+    key |= seq - lo
+    key <<= b
+    key |= np.arange(n)
+    key.sort()
+    key &= (1 << b) - 1
+    return key
 
 
 @dataclass(frozen=True)
@@ -1247,7 +1305,7 @@ class DataPlane:
                     self._op_domain[:, None] / self._op_replicas[:, None],
                     1.0,
                 )
-                adm[joins] += model.probe_cost * expected[joins]
+                np.add(adm, model.probe_cost * expected, out=adm, where=joins[:, None])
         return np.round(adm * 256.0) / 256.0
 
     def set_shed_limit(self, node: int, limit: float | None) -> None:
@@ -1429,16 +1487,20 @@ class DataPlane:
         cap, node_used, adm = t.cap, t.node_used, t.adm
         trace, prof = t.trace, t.prof
         reliable = self.config.reliable
+        nn = self.overlay.num_nodes
         tick_lat: list[np.ndarray] = []
 
         # 1. Sources emit (one Poisson draw + one uniform draw, total).
         prof.begin("sources")
         counts, u = self._draw_tick()
-        if counts.size and counts.sum():
-            live = np.repeat(alive[host[self._src_ops]], counts)
+        if u.size:
+            up = alive[host[self._src_ops]]
+            if not up.all():
+                # Every source draws; a dead source's tuples are dropped.
+                u = u[np.repeat(up, counts)]
+                counts = np.where(up, counts, 0)
+            ops = np.repeat(self._src_ops, counts)
             keys = np.floor(u * np.repeat(self._src_domain, counts)).astype(np.int64)
-            ops = np.repeat(self._src_ops, counts)[live]
-            keys = keys[live]
             m = ops.size
             if m:
                 t.emitted = m
@@ -1457,13 +1519,11 @@ class DataPlane:
             if batch is None:
                 prof.end()
                 break
-            order = np.lexsort((batch["seq"], batch["port"], batch["op"]))
-            op = batch["op"][order]
-            port = batch["port"][order]
-            key = batch["key"][order]
-            ts = batch["ts"][order]
-            size = batch["size"][order]
-            seq = batch["seq"][order]
+            order = _canonical_order(batch["op"], batch["port"], batch["seq"])
+            op, port, key, ts, size, seq = (
+                batch[name][order]
+                for name in ("op", "port", "key", "ts", "size", "seq")
+            )
             node = host[op]
             prof.end()
             prof.begin("admission")
@@ -1516,7 +1576,7 @@ class DataPlane:
                     self.dropped_capacity += ncap - nshed
                     t.dropped += ncap
                     t.cpu_dropped += float(costs[~keep].sum())
-                    np.add.at(self.dropped_by_node, rejected, 1)
+                    self.dropped_by_node += np.bincount(rejected, minlength=nn)
                     if trace is not None:
                         rseq, rop = seq[~keep], op[~keep]
                         trace.record(
@@ -1538,14 +1598,13 @@ class DataPlane:
                 continue
             t.processed += m
             self.processed += m
-            np.add.at(self.processed_by_node, host[op], 1)
-            np.add.at(
-                self.processed_node_kind,
-                host[op] * 4 + self._kind[op].astype(np.int64),
-                1,
+            hop = host[op]
+            self.processed_by_node += np.bincount(hop, minlength=nn)
+            self.processed_node_kind += np.bincount(
+                hop * 4 + self._kind[op], minlength=4 * nn
             )
             if trace is not None:
-                trace.record(trace.PROCESS, seq, op, host[op])
+                trace.record(trace.PROCESS, seq, op, hop)
             # Base per-tuple kind costs; aggregates and joins add their
             # batch / probe terms inside _process_array.
             self._tick_op_cost += np.bincount(
@@ -1668,25 +1727,30 @@ class DataPlane:
         rep, rank, sts, ssize = self._join.walk(slot, key, self.tick)
         if not rep.size:
             return None
+        rop = op[rep]
         if self._model.probe_cost:
             self._tick_op_cost += self._model.probe_cost * np.bincount(
-                op[rep], minlength=self._num_ops
+                rop, minlength=self._num_ops
             )
+        # The window test first, so only in-window pairs are hashed.
         ats = ts[rep]
-        ok = np.abs(ats - sts) <= self.config.window
-        ok &= (
-            pair_bucket(key[rep], ats, sts, self._gid[op[rep]])
-            < self._op_pmatch[op[rep]]
+        win = np.flatnonzero(np.abs(ats - sts) <= self.config.window)
+        rep, rop, ats, sts = rep[win], rop[win], ats[win], sts[win]
+        rkey = key[rep]
+        ok = np.flatnonzero(
+            pair_bucket(rkey, ats, sts, self._gid[rop]) < self._op_pmatch[rop]
         )
-        if not ok.any():
+        if not ok.size:
             return None
+        hit = win[ok]
+        rep = rep[ok]
         return (
-            op[rep][ok],
-            key[rep][ok],
-            np.maximum(ats, sts)[ok],
-            (size[rep] + ssize)[ok],
-            pos[rep][ok],
-            rank[ok],
+            rop[ok],
+            rkey[ok],
+            np.maximum(ats[ok], sts[ok]),
+            size[rep] + ssize[hit],
+            pos[rep],
+            rank[hit],
         )
 
     def _insert_state_array(self, op, key, ts, size, side: int) -> None:
@@ -1709,11 +1773,16 @@ class DataPlane:
         total = int(deg.sum())
         if total == 0:
             return
-        rep = np.repeat(np.arange(ops.size), deg)
-        cum = np.cumsum(deg)
-        starts = np.concatenate(([0], cum[:-1]))
-        within = np.arange(total) - starts[rep]
-        link = self._out_offsets[ops[rep]] + within
+        first = self._out_offsets[ops]
+        if total == ops.size and deg.min() == 1:
+            # One out-link each (every chain op): no fan-out to expand.
+            rep = slice(None)
+            link = first
+        else:
+            rep = np.repeat(np.arange(ops.size), deg)
+            # Link j of an op's run is its first link + j.
+            link = np.repeat(first - (np.cumsum(deg) - deg), deg)
+            link += np.arange(total)
         if self._has_partitioned:
             # Hash-router: a link into replica i of a k-family only
             # carries tuples whose key bucket is i, so each tuple
@@ -1726,12 +1795,13 @@ class DataPlane:
                 route = (group == 1) | (
                     route_bucket(keys[rep], group) == self._link_index[link]
                 )
-                rep = rep[route]
+                rep = np.arange(ops.size)[rep][route]
                 link = link[route]
                 total = int(link.size)
                 if total == 0:
                     return
         dst = self._link_dst[link]
+        sizes = sizes[rep]
         u = host[ops[rep]]
         v = host[dst]
         l = lat[u, v]
@@ -1742,11 +1812,12 @@ class DataPlane:
             # A wire tuple's span is keyed by its target op (like every
             # delivery-side event); the node column carries the sender.
             trace.record(trace.EMIT if emit else trace.SEND, seq, dst, u)
-        np.add.at(self._link_tuples, link, 1)
-        np.add.at(self._link_size, link, sizes[rep])
+        nl = self._link_tuples.size
+        self._link_tuples += np.bincount(link, minlength=nl)
+        self._link_size += np.bincount(link, weights=sizes, minlength=nl)
         self._tick_usage += float(l.sum())
         self._transport.send(
-            now + dt, dst, self._link_port[link], keys[rep], ts[rep], sizes[rep], seq
+            now + dt, dst, self._link_port[link], keys[rep], ts[rep], sizes, seq
         )
 
     # -- per-tuple reference path ------------------------------------------

@@ -66,6 +66,14 @@ class JoinState:
     and the live-row count of every (op, side) pair (``live``, exact at
     ``clock``).
 
+    Exactness and widths: tuple sizes are integer-valued floats, so the
+    ``size`` sums a join emits, and any reordered sum of them (the data
+    plane's per-link ``bincount`` totals), are exact below 2^53.  Rows,
+    slots, keys and ticks are int32 columns (the data plane refuses a
+    tick past the int32 limit), so the sort keys ``slot << bits(n) | i``
+    of :meth:`insert` and :meth:`_rebuild` fit in 62 bits, and the flat
+    ``deaths`` index ``(e % horizon) · pairs + pair`` is an int64.
+
     Args:
         capacity: rows the pool is first allocated with (the floor of
             every later size).  The pool is allocated by the first
@@ -153,23 +161,25 @@ class JoinState:
         the inputs and ``rank = −depth`` on the chain, so ``(query,
         rank)`` enumerates each query's matches oldest-first.
         """
+        keys, expiry, nxt = self._key, self._e, self._next
         cur = self._head[slot]
         q = np.flatnonzero(cur >= 0)
         cur = cur[q]
         qkey = key[q]
-        hits_q, hits_rank, hits_row = [], [], []
+        hits_q, hits_row, ranks, counts = [], [], [], []
         depth = 0
         while q.size:
-            hit = self._key[cur] == qkey
-            hit &= self._e[cur] >= now
+            hit = keys[cur] == qkey
+            hit &= expiry[cur] >= now
             idx = np.flatnonzero(hit)
             if idx.size:
                 hits_q.append(q[idx])
                 hits_row.append(cur[idx])
-                hits_rank.append(np.full(idx.size, -depth, dtype=np.int64))
-            cur = self._next[cur]
-            more = cur >= 0
-            if not more.all():
+                ranks.append(-depth)
+                counts.append(idx.size)
+            cur = nxt[cur]
+            more = np.flatnonzero(cur >= 0)
+            if more.size < cur.size:
                 q, cur, qkey = q[more], cur[more], qkey[more]
             depth += 1
         if not hits_q:
@@ -178,7 +188,7 @@ class JoinState:
         row = np.concatenate(hits_row)
         return (
             np.concatenate(hits_q),
-            np.concatenate(hits_rank),
+            np.repeat(np.array(ranks, dtype=np.int64), counts),
             self._ts[row],
             self._size[row],
         )
@@ -240,8 +250,13 @@ class JoinState:
         span = int(e.max()) - self.clock + 1
         if span > self.horizon:
             self._widen(span)
-        self.live += np.bincount(pair, minlength=self.live.size)
-        np.add.at(self._deaths, (e % self.horizon, pair), 1)
+        num = self.live.size
+        self.live += np.bincount(pair, minlength=num)
+        # One 1-D scatter into the flat (C-ordered) histogram.
+        flat = np.asarray(e, dtype=np.int64) % self.horizon
+        flat *= num
+        flat += pair
+        np.add.at(self._deaths.reshape(-1), flat, 1)
 
     def _widen(self, h: int) -> None:
         """Grow the horizon to ``h``: every pending death sits at a tick
@@ -314,11 +329,14 @@ class JoinState:
         edge[0] = True
         np.not_equal(slot[1:], slot[:-1], out=edge[1:])
         start = np.flatnonzero(edge)
+        del edge
         nxt = self._next[lo : lo + n]
         nxt[:] = np.arange(lo - 1, lo + n - 1, dtype=np.int32)
-        nxt[start] = self._head[slot[start]]
-        del start
-        edge[:-1] = edge[1:]
-        edge[-1] = True
-        end = np.flatnonzero(edge)
-        self._head[slot[end]] = lo + end
+        run = slot[start]
+        nxt[start] = self._head[run]
+        # A run ends one row before the next one starts.
+        end = start
+        end[:-1] = start[1:] - 1
+        end[-1] = n - 1
+        end += lo
+        self._head[run] = end

@@ -89,6 +89,9 @@ class Overlay:
         # (circuit name, service id) -> (hosting node, hosted service):
         # the one hosting record, behind _induced / _memory.
         self._host_of: dict[tuple[str, str], tuple[int, HostedService]] = {}
+        # Entries of _host_of per node, so a failure that hits only
+        # empty nodes skips the scan of _host_of.
+        self._hosted = np.zeros(n, dtype=np.int64)
         # Segmented usage link index (PR 7): per-circuit contiguous
         # (src host, dst host, rate) rows in grow-only columns.
         # Installs append a segment, uninstalls tombstone it (compacting
@@ -302,12 +305,13 @@ class Overlay:
         newly_failed = np.flatnonzero(current & ~alive).tolist()
         newly_recovered = np.flatnonzero(~current & alive).tolist()
         current[:] = alive
-        if newly_failed:
+        if newly_failed and self._hosted[newly_failed].any():
             down = set(newly_failed)
             for key in [k for k, (node, _) in self._host_of.items() if node in down]:
                 del self._host_of[key]
             self._induced[newly_failed] = 0.0
             self._memory[newly_failed] = 0.0
+            self._hosted[newly_failed] = 0
         return newly_failed, newly_recovered
 
     def refresh_cost_space(self) -> None:
@@ -330,10 +334,19 @@ class Overlay:
 
     # -- circuit lifecycle ---------------------------------------------------
 
+    def _require_alive(self, nodes) -> None:
+        """Raise RuntimeError if any of ``nodes`` is down.
+
+        Every hosting method calls it before its first write, so a
+        refused install, replacement or migration changes nothing.
+        """
+        for node in nodes:
+            if not self._alive[node]:
+                raise RuntimeError(f"node {node} is down")
+
     def _host_service(self, circuit: Circuit, service_id: str, node: int) -> None:
-        """Host one of a circuit's services on a live node."""
-        if not self._alive[node]:
-            raise RuntimeError(f"node {node} is down")
+        """Host one of a circuit's services on a node the caller has
+        checked with :meth:`_require_alive`."""
         service = HostedService(
             circuit_name=circuit.name,
             service_id=service_id,
@@ -342,6 +355,7 @@ class Overlay:
         )
         self._induced[node] += service.load
         self._memory[node] += service.state_units
+        self._hosted[node] += 1
         self._host_of[(circuit.name, service_id)] = (node, service)
 
     def _evict_service(self, circuit_name: str, service_id: str) -> None:
@@ -352,6 +366,7 @@ class Overlay:
         node, service = entry
         self._induced[node] -= service.load
         self._memory[node] -= service.state_units
+        self._hosted[node] -= 1
 
     def install(self, result: OptimizationResult) -> None:
         """Deploy an optimized circuit: host its services on nodes."""
@@ -363,7 +378,9 @@ class Overlay:
             raise ValueError(f"circuit {circuit.name} already installed")
         if not circuit.is_fully_placed():
             raise ValueError("circuit must be fully placed before installation")
-        for sid in circuit.unpinned_ids():
+        unpinned = circuit.unpinned_ids()
+        self._require_alive(circuit.host_of(sid) for sid in unpinned)
+        for sid in unpinned:
             self._host_service(circuit, sid, circuit.host_of(sid))
         self.circuits[circuit.name] = circuit
         self._usage_append(circuit)
@@ -387,9 +404,11 @@ class Overlay:
             raise KeyError(f"no circuit {circuit.name} installed")
         if not circuit.is_fully_placed():
             raise ValueError("circuit must be fully placed before installation")
+        unpinned = circuit.unpinned_ids()
+        self._require_alive(circuit.host_of(sid) for sid in unpinned)
         for sid in old.unpinned_ids():
             self._evict_service(circuit.name, sid)
-        for sid in circuit.unpinned_ids():
+        for sid in unpinned:
             self._host_service(circuit, sid, circuit.host_of(sid))
         self.circuits[circuit.name] = circuit
         # Link count usually changes (split links appear/disappear), so
@@ -410,9 +429,11 @@ class Overlay:
     def apply_migration(self, circuit_name: str, service_id: str, to_node: int) -> None:
         """Move one hosted service to a new node (post-reoptimization)."""
         circuit = self.circuits[circuit_name]
+        self._require_alive((to_node,))
+        # assign validates the move before the hosting record changes.
+        circuit.assign(service_id, to_node)
         self._evict_service(circuit_name, service_id)
         self._host_service(circuit, service_id, to_node)
-        circuit.assign(service_id, to_node)
         self._usage_rewrite(circuit_name)
 
     # -- factories ---------------------------------------------------------

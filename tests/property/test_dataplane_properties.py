@@ -181,6 +181,49 @@ def _zero_rate_circuit():
     return c
 
 
+def _zero_selectivity_circuit():
+    """A filter, an aggregate and a join, each fed at a positive rate and
+    estimated to emit nothing: selectivity, aggregate factor and match
+    probability all compile to 0.  Their zero-rate out-links meet at one
+    three-port sink."""
+    c = Circuit(name="s")
+    for sid, spec, host, producers in (
+        ("a", ServiceSpec.relay(), 1, {"a"}),
+        ("b", ServiceSpec.relay(), 2, {"b"}),
+        ("c", ServiceSpec.relay(), 4, {"c"}),
+        ("f", ServiceSpec(ServiceKind.FILTER), 0, {"a"}),
+        ("g", ServiceSpec(ServiceKind.AGGREGATE), 0, {"b"}),
+        ("j", ServiceSpec.join(), 0, {"a", "c"}),
+        ("k", ServiceSpec.relay(), 3, {"a", "b", "c"}),
+    ):
+        c.add_service(Service(sid, spec, host, frozenset(producers)))
+    c.add_link("a", "f", 6.0)
+    c.add_link("b", "g", 5.0)
+    c.add_link("a", "j", 8.0)  # port 0
+    c.add_link("c", "j", 4.0)  # port 1
+    for sid in ("f", "g", "j"):
+        c.add_link(sid, "k", 0.0)
+    return c
+
+
+def _keyless_split_circuit(window):
+    """A join whose rates imply a key domain of 1 (every key is 0), split
+    into 3 key-partitioned replicas: every tuple hashes to one replica."""
+    c = Circuit(name="t")
+    c.add_service(Service("s1", ServiceSpec.relay(), 1, frozenset({"a"})))
+    c.add_service(Service("s2", ServiceSpec.relay(), 2, frozenset({"b"})))
+    c.add_service(Service("j", ServiceSpec.join(), None, frozenset({"a", "b"})))
+    c.add_service(Service("k", ServiceSpec.relay(), 3, frozenset({"a", "b"})))
+    c.add_link("s1", "j", 4.0)
+    c.add_link("s2", "j", 4.0)
+    # 4 · 4 · (2w + 1) / out < 2, so the derived domain rounds to 1.
+    c.add_link("j", "k", 12.0 * (2 * window + 1))
+    c.assign("j", 0)
+    rewrite = replicate_operator(c, "j", 3, placement=[0, 4, 8])
+    assert rewrite.applied
+    return rewrite.circuit
+
+
 def _oracle_case(case):
     """(fast twin, oracle twin, per-tick hook, fixture check) of a case.
 
@@ -279,6 +322,58 @@ def _oracle_case(case):
             assert plane.state_rows()[:, 0].sum() > 0
             assert plane.cpu_dropped_total > 0
 
+    elif case == "zero-selectivity-links":
+        cfg = RuntimeConfig(seed=3, node_capacity=20.0, load_model=cost)
+        a, b = (
+            Simulation(
+                overlay,
+                config=SimulationConfig(reopt_interval=0),
+                data_plane=DataPlane(overlay, cfg),
+            )
+            for overlay in (make_overlay(_zero_selectivity_circuit()) for _ in range(2))
+        )
+
+        def check():
+            plane = a.data_plane
+            op = {sid: plane._op_index[("s", sid)] for sid in "fgjk"}
+            assert plane._op_sel[op["f"]] == 0.0
+            assert plane._op_factor[op["g"]] == 0.0
+            assert plane._op_pmatch[op["j"]] == 0.0
+            assert plane._in_deg[op["k"]] == 3
+            stats = plane.link_stats()
+            for src, dst in (("a", "f"), ("b", "g"), ("a", "j"), ("c", "j")):
+                assert stats[("s", src, dst)]["tuples"] > 0
+            for src in "fgj":
+                assert stats[("s", src, "k")]["tuples"] == 0
+            # The join held state on both sides, so its arrivals probed.
+            assert (plane.state_rows()[op["j"]] > 0).all()
+            assert plane.sink_delivered == 0
+            assert plane.cpu_dropped_total > 0
+
+    elif case == "keyless-split":
+        cfg = RuntimeConfig(seed=3, window=2, node_capacity=60.0, load_model=cost)
+        a, b = (
+            Simulation(
+                overlay,
+                config=SimulationConfig(reopt_interval=0),
+                data_plane=DataPlane(overlay, cfg),
+            )
+            for overlay in (
+                make_overlay(_keyless_split_circuit(cfg.window)) for _ in range(2)
+            )
+        )
+
+        def check():
+            plane = a.data_plane
+            assert (plane._op_domain == 1.0).all()
+            stats = plane.link_stats()
+            for src in ("s1", "s2"):
+                carried = [stats[("t", src, f"j@r{i}")]["tuples"] for i in range(3)]
+                assert sorted(carried)[:2] == [0.0, 0.0] and max(carried) > 0
+            assert plane._in_deg[plane._op_index[("t", "j@merge")]] == 3
+            assert plane.sink_delivered > 0
+            assert plane.cpu_dropped_total > 0
+
     else:  # all-dead-reliable: no churn process, so nothing evacuates
         cfg = RuntimeConfig(
             seed=7, node_capacity=40.0, reliable=True, load_model=cost
@@ -313,9 +408,11 @@ class TestScalarOracle:
     under the full chaos mix (churn, live migration, capacity
     backpressure, window expiry) on two seeds, once more with join
     slots capped at 8 so distinct keys share chains (no bench workload
-    folds slots), and on five hostile inputs — zero-rate links into and
-    out of a join, and one run right up to the int32 tick columns'
-    limit, where the next step() must refuse.
+    folds slots), and on seven hostile inputs — among them zero-rate
+    links into and out of a join, a filter, an aggregate and a join
+    that each compile to emit nothing (zero selectivity), a k-way split
+    of a stream whose keys are all 0, and one run right up to the int32
+    tick columns' limit, where the next step() must refuse.
     """
 
     @pytest.mark.parametrize(
@@ -329,6 +426,8 @@ class TestScalarOracle:
             "all-dead-reliable",
             "tick-at-int32-limit",
             "zero-rate-links",
+            "zero-selectivity-links",
+            "keyless-split",
         ],
     )
     def test_step_matches_scalar_oracle(self, case, monkeypatch):

@@ -209,6 +209,97 @@ class TestOverlay:
         overlay.install_circuit(pinned_join_circuit(name="s", host=5))
         assert overlay.loads()[5] == pytest.approx(0.5)
 
+    @staticmethod
+    def _hosting_state(overlay):
+        """Everything a hosting call may write, copied."""
+        return (
+            dict(overlay._host_of),
+            overlay._induced.copy(),
+            overlay._memory.copy(),
+            overlay._hosted.copy(),
+            dict(overlay.circuits),
+            {name: dict(c.placement) for name, c in overlay.circuits.items()},
+            overlay.total_network_usage(),
+        )
+
+    def _assert_unchanged(self, overlay, before):
+        after = self._hosting_state(overlay)
+        assert after[0] == before[0]
+        for old, new in zip(before[1:4], after[1:4]):
+            np.testing.assert_array_equal(new, old)
+        assert after[4:] == before[4:]
+
+    def _node_down(self, overlay, node):
+        alive = np.ones(16, dtype=bool)
+        alive[node] = False
+        overlay.apply_liveness(alive)
+
+    def test_install_onto_a_dead_node_changes_nothing(self):
+        # The first join's node is alive, the second's is down: the
+        # refusal comes before the first join is hosted.
+        overlay = self._overlay()
+        overlay.install_circuit(pinned_join_circuit(name="r", host=5))
+        self._node_down(overlay, 6)
+        circuit = pinned_join_circuit(name="q", host=5)
+        join2 = Service("q/join2", ServiceSpec.join(), None, frozenset("AB"))
+        circuit.add_service(join2)
+        circuit.add_link("q/join", "q/join2", 1.0)
+        circuit.assign("q/join2", 6)
+        before = self._hosting_state(overlay)
+        with pytest.raises(RuntimeError, match="node 6 is down"):
+            overlay.install_circuit(circuit)
+        self._assert_unchanged(overlay, before)
+        assert ("q", "q/join") not in overlay._host_of
+
+    def test_replace_onto_a_dead_node_changes_nothing(self):
+        overlay = self._overlay()
+        overlay.install_circuit(pinned_join_circuit(name="q", host=5))
+        self._node_down(overlay, 6)
+        before = self._hosting_state(overlay)
+        with pytest.raises(RuntimeError, match="node 6 is down"):
+            overlay.replace_circuit(pinned_join_circuit(name="q", host=6))
+        self._assert_unchanged(overlay, before)
+        assert overlay._host_of[("q", "q/join")][0] == 5
+        assert overlay._induced[5] > 0
+
+    def test_migration_onto_a_dead_node_changes_nothing(self):
+        overlay = self._overlay()
+        overlay.install_circuit(pinned_join_circuit(name="q", host=5))
+        self._node_down(overlay, 6)
+        before = self._hosting_state(overlay)
+        with pytest.raises(RuntimeError, match="node 6 is down"):
+            overlay.apply_migration("q", "q/join", 6)
+        self._assert_unchanged(overlay, before)
+        assert overlay.circuits["q"].host_of("q/join") == 5
+        assert overlay._host_of[("q", "q/join")][0] == 5
+        assert overlay._induced[5] > 0
+
+    def test_hosted_counts_match_the_hosting_record(self):
+        overlay = self._overlay()
+
+        def recount():
+            counts = np.zeros(16, dtype=np.int64)
+            for node, _ in overlay._host_of.values():
+                counts[node] += 1
+            return counts
+
+        overlay.install_circuit(pinned_join_circuit(name="q", host=5))
+        overlay.install_circuit(pinned_join_circuit(name="r", host=5))
+        overlay.install_circuit(pinned_join_circuit(name="s", host=9))
+        np.testing.assert_array_equal(overlay._hosted, recount())
+        overlay.apply_migration("r", "r/join", 6)
+        np.testing.assert_array_equal(overlay._hosted, recount())
+        assert overlay._hosted[[5, 6, 9]].tolist() == [1, 1, 1]
+        self._node_down(overlay, 3)  # hosts nothing: no entry moves
+        np.testing.assert_array_equal(overlay._hosted, recount())
+        self._node_down(overlay, 5)  # 3 recovers, 5 fails with an entry
+        np.testing.assert_array_equal(overlay._hosted, recount())
+        assert overlay._hosted[5] == 0 and ("q", "q/join") not in overlay._host_of
+        overlay.uninstall("s")
+        overlay.uninstall("q")
+        np.testing.assert_array_equal(overlay._hosted, recount())
+        assert overlay._hosted.tolist() == [0] * 6 + [1] + [0] * 9
+
     def test_liveness_array_follows_masks(self):
         overlay = self._overlay()
         up = np.ones(16, dtype=bool)
