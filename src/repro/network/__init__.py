@@ -36,7 +36,6 @@ from repro.network.topology import (
 from repro.network.vivaldi import (
     EmbeddingResult,
     VivaldiConfig,
-    VivaldiNode,
     VivaldiSystem,
     embed_latency_matrix,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "uniform_delay_topology",
     "EmbeddingResult",
     "VivaldiConfig",
-    "VivaldiNode",
     "VivaldiSystem",
     "embed_latency_matrix",
 ]

@@ -15,20 +15,17 @@ supports an optional *height* component modelling access-link delay.
 Performance architecture (struct-of-arrays)
 -------------------------------------------
 
-:meth:`VivaldiSystem.run` applies a whole round of samples with array
-math: per probe slot, every node draws a random neighbor from one
-``np.random.Generator`` call and all n spring updates execute as a
-handful of (n, d) matrix expressions against the slot-start snapshot.
-Node state is gathered into contiguous arrays for the run and scattered
-back to the :class:`VivaldiNode` objects afterwards, so the per-node
-scalar API (``nodes[i].update``) stays available; the per-sample
-sequential loop is retained as :meth:`VivaldiSystem.run_sequential` for
-reference and comparison benchmarks.
+Node state lives only in :class:`VivaldiSystem`'s ``positions``,
+``heights`` and ``errors`` arrays.  :meth:`VivaldiSystem.run` applies a
+whole round of samples with array math: per probe slot, every node
+draws a random neighbor from one ``np.random.Generator`` call and all n
+spring updates execute as a handful of (n, d) matrix expressions
+against the slot-start snapshot.  Consecutive calls continue one gossip
+schedule: ``run(5, k)`` then ``run(7, k)`` equals ``run(12, k)``.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -38,7 +35,6 @@ from repro.network.latency import LatencyMatrix
 
 __all__ = [
     "VivaldiConfig",
-    "VivaldiNode",
     "VivaldiSystem",
     "EmbeddingResult",
     "embed_latency_matrix",
@@ -68,63 +64,6 @@ class VivaldiConfig:
             raise ValueError("dimensions must be >= 1")
         if not 0 < self.cc <= 1 or not 0 < self.ce <= 1:
             raise ValueError("cc and ce must be in (0, 1]")
-
-
-class VivaldiNode:
-    """A single node's Vivaldi state: coordinate, height, local error."""
-
-    def __init__(self, config: VivaldiConfig, rng: random.Random):
-        self.config = config
-        # Start near the origin with a tiny random offset so that two
-        # coincident nodes have a well-defined repulsion direction.
-        self.position = np.array(
-            [rng.uniform(-0.1, 0.1) for _ in range(config.dimensions)], dtype=float
-        )
-        self.height = 0.0
-        self.error = config.initial_error
-
-    def distance_to(self, other: "VivaldiNode") -> float:
-        """Predicted latency to ``other`` (Euclidean + heights)."""
-        euclidean = float(np.linalg.norm(self.position - other.position))
-        if self.config.use_height:
-            return euclidean + self.height + other.height
-        return euclidean
-
-    def update(self, other: "VivaldiNode", measured_latency: float, rng: random.Random) -> None:
-        """Apply one Vivaldi sample: spring force toward/away from ``other``.
-
-        Args:
-            other: the remote node whose coordinate was piggybacked on
-                the latency probe.
-            measured_latency: the sampled RTT-like latency (ms).
-            rng: RNG for breaking ties when nodes coincide.
-        """
-        if measured_latency < 0:
-            raise ValueError("latency must be non-negative")
-        predicted = self.distance_to(other)
-        sample_error = abs(predicted - measured_latency) / max(measured_latency, 1e-9)
-
-        # Confidence-weighted adaptive timestep.
-        total_error = self.error + other.error
-        weight = self.error / total_error if total_error > 0 else 0.5
-        self.error = sample_error * self.config.ce * weight + self.error * (
-            1 - self.config.ce * weight
-        )
-        delta = self.config.cc * weight
-
-        direction = self.position - other.position
-        norm = float(np.linalg.norm(direction))
-        if norm < 1e-12:
-            direction = np.array(
-                [rng.gauss(0, 1) for _ in range(self.config.dimensions)], dtype=float
-            )
-            norm = float(np.linalg.norm(direction))
-        unit = direction / norm
-
-        force = measured_latency - predicted
-        self.position = self.position + delta * force * unit
-        if self.config.use_height:
-            self.height = max(0.0, self.height + delta * force * 0.5)
 
 
 @dataclass
@@ -165,11 +104,17 @@ class VivaldiSystem:
     ):
         self.latencies = latencies
         self.config = config or VivaldiConfig()
-        self._rng = random.Random(seed)
+        # Start near the origin with a tiny random offset, drawn node by
+        # node, so that two coincident nodes have a well-defined
+        # repulsion direction.
+        rng = random.Random(seed)
+        n, d = latencies.num_nodes, self.config.dimensions
+        self.positions = np.array(
+            [[rng.uniform(-0.1, 0.1) for _ in range(d)] for _ in range(n)], dtype=float
+        ).reshape(n, d)
+        self.heights = np.zeros(n)
+        self.errors = np.full(n, float(self.config.initial_error))
         self._np_rng = np.random.default_rng(seed)
-        self.nodes = [
-            VivaldiNode(self.config, self._rng) for _ in range(latencies.num_nodes)
-        ]
         self.samples_used = 0
 
     def run(self, rounds: int = 50, neighbors_per_round: int = 8) -> None:
@@ -188,9 +133,7 @@ class VivaldiSystem:
             return
         config = self.config
         rng = self._np_rng
-        positions = np.array([node.position for node in self.nodes], dtype=float)
-        errors = np.array([node.error for node in self.nodes], dtype=float)
-        heights = np.array([node.height for node in self.nodes], dtype=float)
+        positions, errors, heights = self.positions, self.errors, self.heights
         latency_matrix = self.latencies.values
         rows = np.arange(n)
 
@@ -228,49 +171,22 @@ class VivaldiSystem:
                 heights = np.maximum(0.0, heights + delta * force * 0.5)
             self.samples_used += n
 
-        for i, node in enumerate(self.nodes):
-            node.position = positions[i]
-            node.error = float(errors[i])
-            node.height = float(heights[i])
-
-    def run_sequential(self, rounds: int = 50, neighbors_per_round: int = 8) -> None:
-        """Per-sample sequential gossip (reference implementation).
-
-        The pre-batching update loop, retained for equivalence studies
-        and before/after benchmarks; :meth:`run` is the production path.
-        """
-        if rounds < 0 or neighbors_per_round < 1:
-            raise ValueError("rounds must be >= 0 and neighbors_per_round >= 1")
-        n = self.latencies.num_nodes
-        if n < 2:
-            return
-        population = range(n)
-        for _ in range(rounds):
-            for i in population:
-                for _ in range(neighbors_per_round):
-                    j = self._rng.randrange(n - 1)
-                    if j >= i:
-                        j += 1
-                    self.nodes[i].update(
-                        self.nodes[j], self.latencies.latency(i, j), self._rng
-                    )
-                    self.samples_used += 1
+        self.positions, self.errors, self.heights = positions, errors, heights
 
     def coordinates(self) -> np.ndarray:
         """Current ``(n, d)`` coordinate matrix."""
-        return np.array([node.position for node in self.nodes])
+        return self.positions.copy()
 
     def relative_errors(self) -> np.ndarray:
         """Per-pair relative prediction errors (flattened upper triangle)."""
         n = self.latencies.num_nodes
         if n < 2:
             return np.zeros(0)
-        positions = self.coordinates()
+        positions = self.positions
         diff = positions[:, None, :] - positions[None, :, :]
         predicted = np.sqrt(np.einsum("uvd,uvd->uv", diff, diff))
         if self.config.use_height:
-            heights = np.array([node.height for node in self.nodes])
-            predicted = predicted + heights[:, None] + heights[None, :]
+            predicted = predicted + self.heights[:, None] + self.heights[None, :]
         upper = np.triu_indices(n, k=1)
         actual = self.latencies.values[upper]
         return np.abs(predicted[upper] - actual) / np.maximum(actual, 1e-9)

@@ -195,20 +195,6 @@ class TupleTracer:
         self._nd[i] = node
         self._n = i + 1
 
-    # Transport-facing hooks: transports hold a duck-typed ``trace``
-    # attribute and never import event codes.
-    def record_redeliver(self, seqs: np.ndarray, ops: np.ndarray) -> None:
-        self.record(self.REDELIVER, seqs, ops)
-
-    def record_redeliver_one(self, seq: int, op: int) -> None:
-        self.record_one(self.REDELIVER, seq, op)
-
-    def record_drop_uninstall(self, seqs: np.ndarray, ops: np.ndarray) -> None:
-        self.record(self.DROP_UNINSTALL, seqs, ops)
-
-    def record_drop_uninstall_one(self, seq: int, op: int) -> None:
-        self.record_one(self.DROP_UNINSTALL, seq, op)
-
     # -- reading -----------------------------------------------------------
 
     @property

@@ -3,9 +3,11 @@
 "Service" generalizes the database operator (§2): any processing code
 that can be placed on an in-network node.  This module defines the
 built-in relational service kinds and their resource model — how much
-CPU load a service induces on its host as a function of the stream
-rates flowing through it.  The load feeds the scalar dimension of the
-cost space (Figure 2's squared-CPU-load axis).
+CPU load (:func:`processing_load`) and buffered state
+(:func:`state_units`) a service induces on its host as a function of
+the stream rates flowing through it.  The load feeds the scalar
+dimension of the cost space (Figure 2's squared-CPU-load axis), the
+state its optional memory dimension.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-__all__ = ["ServiceKind", "ServiceSpec", "processing_load"]
+__all__ = ["ServiceKind", "ServiceSpec", "processing_load", "state_units"]
 
 
 class ServiceKind(enum.Enum):
@@ -104,3 +106,21 @@ def processing_load(spec: ServiceSpec, input_rate: float) -> float:
     if input_rate < 0:
         raise ValueError("input rate must be non-negative")
     return spec.effective_load_coefficient * input_rate
+
+
+def state_units(spec: ServiceSpec, input_rate: float) -> float:
+    """Buffered state a service holds at a given total input rate.
+
+    Windowed operators hold their window of input: a JOIN buffers
+    ``input_rate x window`` tuples on both sides; an AGGREGATE holds a
+    compressed summary (~10% of the window); stateless services hold
+    nothing.
+    """
+    if input_rate < 0:
+        raise ValueError("input rate must be non-negative")
+    window_state = input_rate * spec.window_seconds
+    if spec.kind is ServiceKind.JOIN:
+        return window_state
+    if spec.kind is ServiceKind.AGGREGATE:
+        return 0.1 * window_state
+    return 0.0

@@ -113,7 +113,7 @@ class HeapTransport:
             op, port, key, ts, size, seq = entry
             if alive_of_op[op]:
                 if self.trace is not None:
-                    self.trace.record_redeliver_one(seq, op)
+                    self.trace.record_one(self.trace.REDELIVER, seq, op)
                 heapq.heappush(self._heap, (now, 1, seq, op, port, key, ts, size))
                 hits += 1
             else:
@@ -131,7 +131,7 @@ class HeapTransport:
         new = int(mapping[op])
         if new < 0:
             if self.trace is not None:
-                self.trace.record_drop_uninstall_one(seq, op)
+                self.trace.record_one(self.trace.DROP_UNINSTALL, seq, op)
             return None
         return new, port
 

@@ -349,7 +349,7 @@ class ArrayTransport:
         if hits == 0:
             return 0
         if self.trace is not None:
-            self.trace.record_redeliver(self._seq[rows], self._op[rows])
+            self.trace.record(self.trace.REDELIVER, self._seq[rows], self._op[rows])
         self._parked = parked[~mask]
         self._file(rows, [max(now, self._cursor + 1)], [hits])
         return hits
@@ -395,7 +395,9 @@ class ArrayTransport:
         dropped = int(np.count_nonzero(drop))
         if dropped:
             if self.trace is not None:
-                self.trace.record_drop_uninstall(self._seq[:top][drop], ops[drop])
+                self.trace.record(
+                    self.trace.DROP_UNINSTALL, self._seq[:top][drop], ops[drop]
+                )
             gone = drop[parked]
             unparked = int(np.count_nonzero(gone))
             if unparked:

@@ -21,8 +21,12 @@ vectorized expressions, and :meth:`total_network_usage` reduces one
 cached (link-endpoint, rate) index over the latency matrix.  These
 arrays are the only store of node state: liveness, capacities and
 background load are ``(n,)`` arrays too, and the one hosting record is
-``_host_of``, mapping ``(circuit, service id)`` to the hosting node and
-its :class:`HostedService`.  Batch liveness changes go through
+``_host_of``, mapping ``(circuit, service id)`` to ``(node, load,
+state_units)``: the hosting node and the two numbers the install added
+to ``_induced`` and ``_memory`` (priced once by
+:func:`~repro.query.operators.processing_load` and
+:func:`~repro.query.operators.state_units`), which an eviction
+subtracts again.  Batch liveness changes go through
 :meth:`apply_liveness`, capacity changes through
 :meth:`set_node_capacity`.  The per-node reference loops are retained
 as ``loads_scalar`` (which recounts induced load from ``_host_of``) and
@@ -49,7 +53,7 @@ from repro.core.weighting import WeightingFunction, squared
 from repro.network.latency import LatencyMatrix
 from repro.network.topology import Topology
 from repro.network.vivaldi import embed_latency_matrix
-from repro.sbon.node import HostedService
+from repro.query.operators import processing_load, state_units
 
 __all__ = ["Overlay"]
 
@@ -86,9 +90,9 @@ class Overlay:
         # with (set_background_cost); None until the load process speaks
         # the unified cost currency.
         self._cpu_ref: float | None = None
-        # (circuit name, service id) -> (hosting node, hosted service):
+        # (circuit name, service id) -> (hosting node, load, state units):
         # the one hosting record, behind _induced / _memory.
-        self._host_of: dict[tuple[str, str], tuple[int, HostedService]] = {}
+        self._host_of: dict[tuple[str, str], tuple[int, float, float]] = {}
         # Entries of _host_of per node, so a failure that hits only
         # empty nodes skips the scan of _host_of.
         self._hosted = np.zeros(n, dtype=np.int64)
@@ -174,8 +178,8 @@ class Overlay:
         reading the incrementally maintained ``_induced`` array.
         """
         induced = [0.0] * self.num_nodes
-        for node, service in self._host_of.values():
-            induced[node] += service.load
+        for node, load, _ in self._host_of.values():
+            induced[node] += load
         base = np.array(
             [
                 min(max((background + load) / capacity, 0.0), 1.0)
@@ -307,7 +311,7 @@ class Overlay:
         current[:] = alive
         if newly_failed and self._hosted[newly_failed].any():
             down = set(newly_failed)
-            for key in [k for k, (node, _) in self._host_of.items() if node in down]:
+            for key in [k for k, entry in self._host_of.items() if entry[0] in down]:
                 del self._host_of[key]
             self._induced[newly_failed] = 0.0
             self._memory[newly_failed] = 0.0
@@ -347,25 +351,22 @@ class Overlay:
     def _host_service(self, circuit: Circuit, service_id: str, node: int) -> None:
         """Host one of a circuit's services on a node the caller has
         checked with :meth:`_require_alive`."""
-        service = HostedService(
-            circuit_name=circuit.name,
-            service_id=service_id,
-            spec=circuit.services[service_id].spec,
-            input_rate=circuit.input_rate(service_id),
-        )
-        self._induced[node] += service.load
-        self._memory[node] += service.state_units
+        spec = circuit.services[service_id].spec
+        rate = circuit.input_rate(service_id)
+        load, units = processing_load(spec, rate), state_units(spec, rate)
+        self._induced[node] += load
+        self._memory[node] += units
         self._hosted[node] += 1
-        self._host_of[(circuit.name, service_id)] = (node, service)
+        self._host_of[(circuit.name, service_id)] = (node, load, units)
 
     def _evict_service(self, circuit_name: str, service_id: str) -> None:
         """Evict one service, releasing exactly the load it was hosted with."""
         entry = self._host_of.pop((circuit_name, service_id), None)
         if entry is None:
             return
-        node, service = entry
-        self._induced[node] -= service.load
-        self._memory[node] -= service.state_units
+        node, load, units = entry
+        self._induced[node] -= load
+        self._memory[node] -= units
         self._hosted[node] -= 1
 
     def install(self, result: OptimizationResult) -> None:
@@ -427,8 +428,14 @@ class Overlay:
         self._usage_remove(circuit_name)
 
     def apply_migration(self, circuit_name: str, service_id: str, to_node: int) -> None:
-        """Move one hosted service to a new node (post-reoptimization)."""
+        """Move one hosted service to a new node (post-reoptimization).
+
+        Only unpinned services are hosted, so a pinned one raises
+        ValueError, like a dead target's RuntimeError, before any write.
+        """
         circuit = self.circuits[circuit_name]
+        if circuit.services[service_id].is_pinned:
+            raise ValueError(f"cannot migrate pinned service {service_id}")
         self._require_alive((to_node,))
         # assign validates the move before the hosting record changes.
         circuit.assign(service_id, to_node)

@@ -44,8 +44,7 @@ from repro.network.dynamics import (
     LoadProcess,
 )
 from repro.network.latency import LatencyMatrix
-from repro.query.operators import ServiceSpec
-from repro.sbon.node import HostedService
+from repro.query.operators import ServiceSpec, state_units
 
 
 @st.composite
@@ -605,9 +604,9 @@ class TestOverlayAndSimulationEquivalence:
         units = np.zeros(16)
         for circuit in overlay.circuits.values():
             for sid in circuit.unpinned_ids():
-                units[circuit.host_of(sid)] += HostedService(
-                    circuit.name, sid, circuit.services[sid].spec, circuit.input_rate(sid)
-                ).state_units
+                units[circuit.host_of(sid)] += state_units(
+                    circuit.services[sid].spec, circuit.input_rate(sid)
+                )
         memory_scalar = np.clip(units / 10_000.0, 0.0, 1.0)
         assert np.allclose(overlay.memory_loads(), memory_scalar, atol=1e-9)
         assert overlay.total_network_usage() == pytest.approx(

@@ -6,8 +6,7 @@ import pytest
 from repro.core.cost_space import CostSpace, CostSpaceSpec
 from repro.core.optimizer import IntegratedOptimizer
 from repro.network.topology import grid_topology
-from repro.query.operators import ServiceSpec
-from repro.sbon.node import HostedService
+from repro.query.operators import ServiceSpec, state_units
 from repro.sbon.overlay import Overlay
 from repro.workloads.queries import random_query
 from tests.unit.test_sbon import pinned_join_circuit
@@ -15,21 +14,19 @@ from tests.unit.test_sbon import pinned_join_circuit
 
 class TestStateUnits:
     def test_join_state_scales_with_rate_and_window(self):
-        small = HostedService("q", "q/j", ServiceSpec.join(window_seconds=10), 2.0)
-        big = HostedService("q", "q/j2", ServiceSpec.join(window_seconds=100), 2.0)
-        assert big.state_units == pytest.approx(10 * small.state_units)
-        assert small.state_units == pytest.approx(20.0)
+        small = state_units(ServiceSpec.join(window_seconds=10), 2.0)
+        big = state_units(ServiceSpec.join(window_seconds=100), 2.0)
+        assert big == pytest.approx(10 * small)
+        assert small == pytest.approx(20.0)
 
     def test_aggregate_state_is_compressed(self):
-        join = HostedService("q", "j", ServiceSpec.join(window_seconds=60), 5.0)
-        agg = HostedService("q", "a", ServiceSpec.aggregate(window_seconds=60), 5.0)
-        assert agg.state_units == pytest.approx(0.1 * join.state_units)
+        join = state_units(ServiceSpec.join(window_seconds=60), 5.0)
+        agg = state_units(ServiceSpec.aggregate(window_seconds=60), 5.0)
+        assert agg == pytest.approx(0.1 * join)
 
     def test_stateless_services_hold_nothing(self):
-        relay = HostedService("q", "r", ServiceSpec.relay(), 100.0)
-        filt = HostedService("q", "f", ServiceSpec.filter(0.5), 100.0)
-        assert relay.state_units == 0.0
-        assert filt.state_units == 0.0
+        assert state_units(ServiceSpec.relay(), 100.0) == 0.0
+        assert state_units(ServiceSpec.filter(0.5), 100.0) == 0.0
 
 
 class TestNodeMemory:
@@ -41,7 +38,8 @@ class TestNodeMemory:
     def test_memory_load_fraction(self):
         overlay = self._overlay(memory_capacity=1000.0)
         overlay.install_circuit(pinned_join_circuit(host=5, rate=4.0, window=50.0))
-        state = overlay._host_of[("q", "q/join")][1].state_units
+        node, _, state = overlay._host_of[("q", "q/join")]
+        assert node == 5
         assert state == pytest.approx(200.0)  # 4 tuples/s * 50 s
         assert overlay.memory_loads()[5] == pytest.approx(0.2)
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.circuit import Circuit, Service
-from repro.query.operators import ServiceSpec
+from repro.query.operators import ServiceSpec, state_units
 from repro.sbon.metrics import TickRecord, TimeSeries
-from repro.sbon.node import HostedService
 from repro.sbon.overlay import Overlay
 from repro.network.topology import grid_topology
 from repro.workloads.queries import random_query
@@ -114,9 +113,7 @@ class TestOverlay:
         memory = overlay.memory_loads()
         circuit = overlay.circuits[query.name]
         units = sum(
-            HostedService(
-                query.name, sid, circuit.services[sid].spec, circuit.input_rate(sid)
-            ).state_units
+            state_units(circuit.services[sid].spec, circuit.input_rate(sid))
             for sid in circuit.unpinned_ids()
             if circuit.host_of(sid) == node
         )
@@ -274,12 +271,26 @@ class TestOverlay:
         assert overlay._host_of[("q", "q/join")][0] == 5
         assert overlay._induced[5] > 0
 
+    def test_migrating_a_pinned_service_changes_nothing(self):
+        # Pinned services are never hosted: uninstall evicts only
+        # unpinned ones, so a hosted pinned sink would keep its load.
+        overlay = self._overlay()
+        overlay.install_circuit(pinned_join_circuit(name="q", host=5))
+        before = self._hosting_state(overlay)
+        with pytest.raises(ValueError, match="pinned service q/sink"):
+            overlay.apply_migration("q", "q/sink", 15)
+        self._assert_unchanged(overlay, before)
+        assert ("q", "q/sink") not in overlay._host_of
+        overlay.uninstall("q")
+        assert overlay._host_of == {} and not overlay._hosted.any()
+        assert overlay.loads()[15] == 0.0
+
     def test_hosted_counts_match_the_hosting_record(self):
         overlay = self._overlay()
 
         def recount():
             counts = np.zeros(16, dtype=np.int64)
-            for node, _ in overlay._host_of.values():
+            for node, _, _ in overlay._host_of.values():
                 counts[node] += 1
             return counts
 
