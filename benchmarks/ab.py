@@ -11,7 +11,8 @@ a temporary directory with ``git archive``, then runs
 seed, alternating which tree runs first from pair to pair (host drift
 then hits both sides alike).  It prints, per metric, the parent and
 change medians with their quartiles, the median per-pair change/parent
-ratio and "change better in k of n".  The exact metrics
+ratio, "change better in k of n" and, for each end-to-end metric, the
+verdict of its bound (:func:`verdict`).  The exact metrics
 (``bench.metrics.EXACT``) are compared pair by pair, exactly.  Exits 1
 when any run reports ``correct: false`` or an exact metric differs
 within a pair.
@@ -42,7 +43,9 @@ sys.path.insert(0, str(ROOT))
 
 from bench.metrics import END_TO_END, EXACT, PER_LAYER  # noqa: E402
 
-__all__ = ["parse_seeds", "parse_result", "summarize", "is_count_line", "main"]
+__all__ = [
+    "parse_seeds", "parse_result", "summarize", "is_count_line", "verdict", "main",
+]
 
 
 def parse_seeds(spec: str) -> list[int]:
@@ -76,16 +79,40 @@ def is_count_line(name: str, unit: str) -> bool:
     return unit in COUNT_UNITS and not name.startswith(("host.", "trace."))
 
 
+def verdict(parent: np.ndarray, change: np.ndarray, better: str, bound: float) -> str:
+    """``"within bound"``, ``"outside bound"`` or ``"unresolved"``.
+
+    A lower-is-better metric is outside its bound when the change
+    median exceeds the parent median × (1 + bound), a higher-is-better
+    one when it falls below parent × (1 − bound).  When the parent's
+    own quartile spread exceeds ``bound`` × its median, the runs are
+    too noisy to judge (``"unresolved"``) unless every change run beats
+    every parent run.
+    """
+    q1, median, q3 = np.percentile(parent, [25, 50, 75])
+    mid = np.median(change)
+    if better == "lower":
+        beats_all = change.max() < parent.min()
+        worse = mid > median * (1 + bound)
+    else:
+        beats_all = change.min() > parent.max()
+        worse = mid < median * (1 - bound)
+    if q3 - q1 > bound * abs(median) and not beats_all:
+        return "unresolved"
+    return "outside bound" if worse else "within bound"
+
+
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     """Judge ``(parent, change)`` result pairs.
 
     Returns ``{"rows": [...], "incorrect": n, "exact_mismatch": [...],
     "counts": n, "count_mismatch": [...]}`` where each row holds a
     metric's parent / change quartiles ``(q1, median, q3)``, the median
-    per-pair ratio change/parent and the number of pairs in which the
-    change was strictly better; ``counts`` is how many count-valued
-    per-layer lines (:func:`is_count_line`) were compared and
-    ``count_mismatch`` lists ``(name, [pair index, ...])`` for each
+    per-pair ratio change/parent, the number of pairs in which the
+    change was strictly better and, for an end-to-end metric, its
+    :func:`verdict` (None for the others); ``counts`` is how many
+    count-valued per-layer lines (:func:`is_count_line`) were compared
+    and ``count_mismatch`` lists ``(name, [pair index, ...])`` for each
     that differs within some pair.
     """
     incorrect = sum(
@@ -107,9 +134,11 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
                 count_mismatch.append((name, np.flatnonzero(a != b).tolist()))
         ratio = float(np.median(b / a)) if a.all() else float("nan")
         way = better.get(name)
-        wins = None
+        wins = judged = None
         if way is not None:
             wins = int(((b < a) if way == "lower" else (b > a)).sum())
+            if name in END_TO_END:
+                judged = verdict(a, b, way, END_TO_END[name][2])
         rows.append({
             "name": name,
             "unit": pairs[0][0]["metrics"][name].get("unit", ""),
@@ -118,6 +147,7 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
             "ratio": ratio,
             "better": way,
             "wins": wins,
+            "verdict": judged,
         })
     return {
         "rows": rows,
@@ -131,14 +161,14 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
 def _report(summary: dict, n: int) -> None:
     print(
         f"{'metric':<40} {'parent q1 / med / q3':>32} {'change q1 / med / q3':>32}"
-        f" {'ratio':>7}  better"
+        f" {'ratio':>7}  {'better':<24}  verdict"
     )
     for row in summary["rows"]:
         fmt = lambda q: " / ".join(f"{v:.4g}" for v in q)  # noqa: E731
         wins = "" if row["wins"] is None else f"change better in {row['wins']} of {n}"
         print(
             f"{row['name']:<40} {fmt(row['parent']):>32} {fmt(row['change']):>32}"
-            f" {row['ratio']:>7.3f}  {wins}"
+            f" {row['ratio']:>7.3f}  {wins:<24}  {row['verdict'] or ''}".rstrip()
         )
     exact = ", ".join(EXACT)
     if summary["exact_mismatch"]:

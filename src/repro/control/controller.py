@@ -10,10 +10,12 @@ that loop each tick:
    :class:`~repro.control.estimator.RateEstimator` banks.
 2. **Calibrate** — every ``calibrate_interval`` ticks past warmup, the
    measured EWMA link rates (or windowed quantiles) are written back
-   into the circuits' estimated link rates (``Circuit.set_link_rates``)
-   and pushed into the re-optimizer's cached :class:`_CircuitKernel`
-   prices (``refresh_kernel_rates``), so the next re-optimization pass
-   minimizes the *measured* objective rather than the stale estimate.
+   into the circuits' estimated link rates through the overlay
+   (``Overlay.set_link_rates``, which also rewrites those circuits'
+   usage rows) and pushed into the re-optimizer's cached
+   :class:`_CircuitKernel` prices (``refresh_kernel_rates``), so the
+   next re-optimization pass minimizes the *measured* objective rather
+   than the stale estimate.
    Oracle mode short-circuits measurement and calibrates from
    :meth:`DataPlane.true_link_rates` — the upper bound a perfect
    estimator could reach.  Calibration is one gather: the installed
@@ -430,11 +432,11 @@ class Controller:
         Every installed link is priced in one gather over the cached
         link table (one estimator call, or one truth lookup), and only
         circuits whose rates changed are written: their link estimates
-        (what evaluators and the scalar re-optimizer references price)
-        and any cached compiled kernels (what the batched passes
-        price).  The overlay's usage-index cache is then dropped so
-        estimated-usage reporting reflects the calibration.  Returns
-        the number of links whose rate changed.
+        (what evaluators and the scalar re-optimizer references price),
+        through :meth:`Overlay.set_link_rates` so the overlay's usage
+        rows move with them, and any cached compiled kernels (what the
+        batched passes price).  Returns the number of links whose rate
+        changed.
         """
         cfg = self.config
         table = self._link_table()
@@ -466,9 +468,8 @@ class Controller:
         for c in np.unique(table.circuit_of[moved]):
             circuit = table.circuits[c]
             mine = rates[bounds[c] : bounds[c + 1]]
-            circuit.set_link_rates(mine)
+            self.overlay.set_link_rates(circuit.name, mine)
             refresh_kernel_rates(self.kernel_cache, circuit, mine)
-        self.overlay.invalidate_usage_cache()
         self.calibrations += 1
         return changed
 

@@ -353,7 +353,10 @@ class Circuit:
         plane to replace stale estimates with measured rates; structure
         and placement are untouched, so an executing data plane keeps
         its compiled realized behavior while every *pricing* consumer
-        (evaluators, re-optimizers) sees the calibrated numbers.
+        (evaluators, re-optimizers) sees the calibrated numbers.  An
+        installed circuit is re-priced through
+        :meth:`Overlay.set_link_rates <repro.sbon.overlay.Overlay.set_link_rates>`,
+        which also rewrites the overlay's usage rows for it.
         """
         if len(rates) != len(self.links):
             raise ValueError("rates must align with the circuit's links")

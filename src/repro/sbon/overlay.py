@@ -17,8 +17,11 @@ Performance architecture (struct-of-arrays)
 Load and memory state lives in contiguous ``(n,)`` arrays maintained
 incrementally by the circuit-lifecycle methods: ``set_background_loads``
 is a single array write, :meth:`loads` / :meth:`memory_loads` are single
-vectorized expressions, and :meth:`total_network_usage` reduces one
-cached (link-endpoint, rate) index over the latency matrix.  These
+vectorized expressions, and :meth:`total_network_usage` is one dot
+product of a dense (link-endpoint, rate) index with the latency matrix:
+one row per installed link, one segment per circuit, rewritten by each
+call that moves an endpoint or a rate (:meth:`apply_migration`,
+:meth:`set_link_rates`) and never rebuilt.  These
 arrays are the only store of node state: liveness, capacities and
 background load are ``(n,)`` arrays too, and the one hosting record is
 ``_host_of``, mapping ``(circuit, service id)`` to ``(node, load,
@@ -96,21 +99,15 @@ class Overlay:
         # Entries of _host_of per node, so a failure that hits only
         # empty nodes skips the scan of _host_of.
         self._hosted = np.zeros(n, dtype=np.int64)
-        # Segmented usage link index (PR 7): per-circuit contiguous
-        # (src host, dst host, rate) rows in grow-only columns.
-        # Installs append a segment, uninstalls tombstone it (compacting
-        # past 25% dead), migrations rewrite one segment in place; only
-        # invalidate_usage_cache forces a full rebuild.
+        # Usage index: one (source host, target host, rate) row per
+        # installed link, exactly the live rows.  _u_seg maps a circuit
+        # to its segment (base, count); the segments tile the rows in
+        # install order.  Every call that moves an endpoint or a rate
+        # rewrites the rows it moved.
         self._u_src = np.zeros(0, dtype=int)
         self._u_dst = np.zeros(0, dtype=int)
         self._u_rate = np.zeros(0)
-        self._u_alive = np.zeros(0, dtype=bool)
-        self._u_len = 0
-        self._u_dead = 0
-        self._u_seg: dict[str, tuple[int, int]] = {}  # name -> (base, count)
-        self._u_stale = False
-        # Cached (live src, live dst, live rates) triple for the reduce.
-        self._usage_index: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._u_seg: dict[str, tuple[int, int]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -413,7 +410,7 @@ class Overlay:
             self._host_service(circuit, sid, circuit.host_of(sid))
         self.circuits[circuit.name] = circuit
         # Link count usually changes (split links appear/disappear), so
-        # the usage segment is rebuilt rather than rewritten.
+        # the old usage segment is closed and the new one appended.
         self._usage_remove(circuit.name)
         self._usage_append(circuit)
 
@@ -441,7 +438,52 @@ class Overlay:
         circuit.assign(service_id, to_node)
         self._evict_service(circuit_name, service_id)
         self._host_service(circuit, service_id, to_node)
-        self._usage_rewrite(circuit_name)
+        self._usage_write(circuit)
+
+    def set_link_rates(self, circuit_name: str, rates) -> None:
+        """Re-price an installed circuit's links (the controller's
+        calibration): :meth:`Circuit.set_link_rates`, then its usage rows.
+
+        An unknown name raises KeyError and a refused rate vector
+        ValueError, both before any write.
+        """
+        circuit = self.circuits[circuit_name]
+        circuit.set_link_rates(rates)
+        self._usage_write(circuit)
+
+    # -- usage index ---------------------------------------------------------
+
+    def _usage_append(self, circuit: Circuit) -> None:
+        """Append a newly installed circuit's segment at the tail."""
+        m = len(circuit.links)
+        self._u_seg[circuit.name] = (self._u_rate.size, m)
+        self._u_src, self._u_dst, self._u_rate = (
+            np.concatenate((column, np.zeros(m, dtype=column.dtype)))
+            for column in (self._u_src, self._u_dst, self._u_rate)
+        )
+        self._usage_write(circuit)
+
+    def _usage_remove(self, name: str) -> None:
+        """Close an uninstalled circuit's segment and rebase the later ones."""
+        base, m = self._u_seg.pop(name)
+        self._u_src, self._u_dst, self._u_rate = (
+            np.concatenate((column[:base], column[base + m :]))
+            for column in (self._u_src, self._u_dst, self._u_rate)
+        )
+        for other, (b, k) in self._u_seg.items():
+            if b > base:
+                self._u_seg[other] = (b - m, k)
+
+    def _usage_write(self, circuit: Circuit) -> None:
+        """(Re)write a circuit's (source host, target host, rate) rows."""
+        base, _ = self._u_seg[circuit.name]
+        placement = circuit.placement
+        # Element writes: circuits have a handful of links, where three
+        # array builds per call would cost several times more.
+        for row, link in enumerate(circuit.links, start=base):
+            self._u_src[row] = placement[link.source]
+            self._u_dst[row] = placement[link.target]
+            self._u_rate[row] = link.rate
 
     # -- factories ---------------------------------------------------------
 
@@ -480,136 +522,14 @@ class Overlay:
 
     # -- reporting ---------------------------------------------------------
 
-    def invalidate_usage_cache(self) -> None:
-        """Rebuild the usage link index from scratch on next use.
-
-        Install/uninstall/migration maintain the segmented index
-        incrementally; call this when circuit *link rates* change in
-        place (the control plane's calibration), which the lifecycle
-        hooks cannot see.
-        """
-        self._u_stale = True
-        self._usage_index = None
-
-    # -- segmented usage index (PR 7) ---------------------------------------
-
-    def _u_grow(self, extra: int) -> None:
-        """Ensure column capacity for ``extra`` more rows (doubling)."""
-        need = self._u_len + extra
-        if need <= self._u_src.size:
-            return
-        cap = max(need, 2 * self._u_src.size, 16)
-        for attr in ("_u_src", "_u_dst", "_u_rate", "_u_alive"):
-            old = getattr(self, attr)
-            buf = np.zeros(cap, dtype=old.dtype)
-            buf[: self._u_len] = old[: self._u_len]
-            setattr(self, attr, buf)
-
-    def _usage_write(self, circuit: Circuit, base: int) -> None:
-        """Write a circuit's link rows at ``base`` (segment-sized slot)."""
-        placement = circuit.placement
-        for j, link in enumerate(circuit.links):
-            self._u_src[base + j] = placement[link.source]
-            self._u_dst[base + j] = placement[link.target]
-            self._u_rate[base + j] = link.rate
-
-    def _usage_append(self, circuit: Circuit) -> None:
-        """Claim and fill a fresh tail segment for a newly installed circuit."""
-        m = len(circuit.links)
-        self._u_grow(m)
-        base = self._u_len
-        self._usage_write(circuit, base)
-        self._u_alive[base : base + m] = True
-        self._u_len = base + m
-        self._u_seg[circuit.name] = (base, m)
-        self._usage_index = None
-
-    def _usage_remove(self, name: str) -> None:
-        """Tombstone an uninstalled circuit's segment; maybe compact."""
-        seg = self._u_seg.pop(name, None)
-        if seg is None:  # unknown to the index — fall back to a rebuild
-            self.invalidate_usage_cache()
-            return
-        base, m = seg
-        self._u_alive[base : base + m] = False
-        self._u_dead += m
-        if self._u_len and self._u_dead / self._u_len > 0.25:
-            self._u_compact()
-        self._usage_index = None
-
-    def _usage_rewrite(self, name: str) -> None:
-        """Rewrite one circuit's segment in place (migration, same shape)."""
-        circuit = self.circuits[name]
-        seg = self._u_seg.get(name)
-        if seg is None or seg[1] != len(circuit.links):
-            self.invalidate_usage_cache()
-            return
-        self._usage_write(circuit, seg[0])
-        self._usage_index = None
-
-    def _u_compact(self) -> None:
-        """Slide live rows left over the tombstoned holes, in order."""
-        live = np.flatnonzero(self._u_alive[: self._u_len])
-        for attr in ("_u_src", "_u_dst", "_u_rate"):
-            col = getattr(self, attr)
-            col[: live.size] = col[live]  # fancy index copies first: safe
-        self._u_alive[: live.size] = True
-        self._u_alive[live.size : self._u_len] = False
-        self._u_len = int(live.size)
-        self._u_dead = 0
-        base = 0
-        # Dict order is install order, which equals row order.
-        for name, (_, m) in list(self._u_seg.items()):
-            self._u_seg[name] = (base, m)
-            base += m
-
-    def _u_rebuild(self) -> None:
-        """Full rebuild from the installed circuits (invalidate path)."""
-        self._u_len = 0
-        self._u_dead = 0
-        self._u_seg = {}
-        self._u_alive[:] = False
-        for circuit in self.circuits.values():
-            if not circuit.is_fully_placed():
-                raise ValueError(f"circuit {circuit.name} is not fully placed")
-            self._usage_append(circuit)
-        self._u_stale = False
-
-    def _link_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cached (source hosts, target hosts, rates) over live rows.
-
-        Maintained incrementally by install / uninstall / migration;
-        the steady-state tick reuses the cached triple untouched.
-        """
-        if self._u_stale:
-            self._u_rebuild()
-        if self._usage_index is None:
-            if self._u_dead:
-                rows = np.flatnonzero(self._u_alive[: self._u_len])
-                self._usage_index = (
-                    self._u_src[rows],
-                    self._u_dst[rows],
-                    self._u_rate[rows],
-                )
-            else:
-                n = self._u_len
-                self._usage_index = (
-                    self._u_src[:n],
-                    self._u_dst[:n],
-                    self._u_rate[:n],
-                )
-        return self._usage_index
-
     def total_network_usage(self) -> float:
         """True Σ rate×latency over all installed circuits (one reduce).
 
         The latency matrix diagonal is zero, so colocated links
         contribute nothing, exactly as in the per-link scalar loop.
         """
-        u, v, rates = self._link_index()
-        if u.size == 0:
-            return 0.0
-        return float(np.dot(rates, self.latencies.values[u, v]))
+        latency = self.latencies.values[self._u_src, self._u_dst]
+        return float(np.dot(self._u_rate, latency))
 
     def total_network_usage_scalar(self) -> float:
         """Per-circuit per-link Python loop (retained scalar reference)."""

@@ -388,8 +388,7 @@ class TestArenaEquivalence:
             step = getattr(plane, path)
             step()
             assert plane.recompiles == 0
-            ov.circuits["q1"] = ov.circuits["q1"].copy()  # equal but not identical
-            ov.invalidate_usage_cache()
+            ov.replace_circuit(ov.circuits["q1"].copy())  # equal but not identical
             record = step()
             assert plane.recompiles == 1
             assert record.recompiles == 1

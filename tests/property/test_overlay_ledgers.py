@@ -7,6 +7,13 @@ included), liveness masks and uninstalls must leave the three arrays
 equal to a recount of that record after every call, every record entry
 priced from the installed circuit it names, and all three arrays back
 at zero once nothing is installed.  A refused call writes nothing.
+
+The usage index is checked the same way, over the same calls plus
+link re-pricing (``Overlay.set_link_rates``): after every call its
+segments tile its rows, every row is its circuit's current (source
+host, target host, rate) and the one-dot usage equals the per-link
+recount.  Re-pricing stays out of the ledger property, since a hosted
+service keeps the price it was installed with.
 """
 
 import numpy as np
@@ -30,21 +37,26 @@ _SHAPES = st.tuples(
     st.sampled_from([0.0, 2.0, 10.0]),
     st.sampled_from([10.0, 50.0]),
 )
-_CALLS = st.lists(
-    st.one_of(
-        st.tuples(st.just("install"), st.sampled_from(_NAMES), _SHAPES),
-        st.tuples(st.just("replace"), st.sampled_from(_NAMES), _SHAPES),
-        # (service index into the sorted ids, target node or None for
-        # the service's own node)
-        st.tuples(
-            st.just("migrate"), st.sampled_from(_NAMES), st.integers(0, 5),
-            st.none() | _NODES,
-        ),
-        st.tuples(st.just("liveness"), st.sets(_NODES, max_size=3)),
-        st.tuples(st.just("uninstall"), st.sampled_from(_NAMES)),
+_LIFECYCLE = (
+    st.tuples(st.just("install"), st.sampled_from(_NAMES), _SHAPES),
+    st.tuples(st.just("replace"), st.sampled_from(_NAMES), _SHAPES),
+    # (service index into the sorted ids, target node or None for the
+    # service's own node)
+    st.tuples(
+        st.just("migrate"), st.sampled_from(_NAMES), st.integers(0, 5),
+        st.none() | _NODES,
     ),
-    max_size=30,
+    st.tuples(st.just("liveness"), st.sets(_NODES, max_size=3)),
+    st.tuples(st.just("uninstall"), st.sampled_from(_NAMES)),
 )
+_CALLS = st.lists(st.one_of(*_LIFECYCLE), max_size=30)
+# A circuit has 3 links, or 4 with its aggregate: a rate vector of
+# another length is refused.
+_RATES = st.tuples(
+    st.just("rates"), st.sampled_from(_NAMES),
+    st.lists(st.sampled_from([0.0, 0.5, 4.0, 12.5]), min_size=2, max_size=5),
+)
+_USAGE_CALLS = st.lists(st.one_of(*_LIFECYCLE, _RATES), max_size=30)
 
 
 def _circuit(name, join_host, agg_host, rate, window):
@@ -59,13 +71,18 @@ def _circuit(name, join_host, agg_host, rate, window):
 
 
 def _state(overlay):
-    """Everything a hosting call may write, copied."""
+    """Everything a hosting or rate call may write, copied."""
     return (
         dict(overlay._host_of),
         overlay._induced.tolist(),
         overlay._memory.tolist(),
         overlay._hosted.tolist(),
         {name: dict(c.placement) for name, c in overlay.circuits.items()},
+        overlay._u_src.tolist(),
+        overlay._u_dst.tolist(),
+        overlay._u_rate.tolist(),
+        dict(overlay._u_seg),
+        {name: [link.rate for link in c.links] for name, c in overlay.circuits.items()},
     )
 
 
@@ -92,6 +109,14 @@ def _run(overlay, call):
     installed = overlay.circuits.get(name)
     if kind == "uninstall":
         _call(overlay, KeyError if installed is None else None, overlay.uninstall, name)
+    elif kind == "rates":
+        if installed is None:
+            error = KeyError
+        elif len(args[1]) != len(installed.links):
+            error = ValueError
+        else:
+            error = None
+        _call(overlay, error, overlay.set_link_rates, name, args[1])
     elif kind == "migrate":
         if installed is None:
             _call(overlay, KeyError, overlay.apply_migration, name, f"{name}/join", 0)
@@ -142,6 +167,28 @@ def _check(overlay):
         assert not overlay._hosted.any()
 
 
+def _check_usage(overlay):
+    """The usage index against the installed circuits it indexes."""
+    rows = overlay._u_rate.size
+    assert overlay._u_src.size == overlay._u_dst.size == rows
+    assert set(overlay._u_seg) == set(overlay.circuits)
+    end = 0
+    for base, count in sorted(overlay._u_seg.values()):
+        assert base == end
+        end += count
+    assert end == rows
+    for name, (base, count) in overlay._u_seg.items():
+        circuit = overlay.circuits[name]
+        assert count == len(circuit.links)
+        for row, link in enumerate(circuit.links, start=base):
+            assert (
+                overlay._u_src[row], overlay._u_dst[row], overlay._u_rate[row]
+            ) == (circuit.host_of(link.source), circuit.host_of(link.target), link.rate)
+    assert overlay.total_network_usage() == pytest.approx(
+        overlay.total_network_usage_scalar(), rel=1e-9, abs=1e-9
+    )
+
+
 @pytest.fixture(scope="module")
 def build():
     base = Overlay.build(grid_topology(4, 4), vector_dims=2, embedding_rounds=20, seed=0)
@@ -166,3 +213,24 @@ def test_ledgers_equal_a_recount_after_every_call(build, calls):
     for name in list(overlay.circuits):
         overlay.uninstall(name)
     _check(overlay)
+
+
+@settings(max_examples=200, deadline=None)
+@given(calls=_USAGE_CALLS)
+# An uninstall closes its segment: the later segment moves down.
+@example(calls=[("install", "q", (5, None, 10.0, 50.0)),
+                ("install", "r", (6, 7, 2.0, 10.0)), ("uninstall", "q")])
+# A re-price rewrites the circuit's rates.
+@example(calls=[("install", "q", (5, None, 10.0, 50.0)),
+                ("rates", "q", [0.5, 4.0, 12.5])])
+# A migration rewrites the moved service's endpoints.
+@example(calls=[("install", "q", (5, 6, 10.0, 50.0)), ("migrate", "q", 1, 9)])
+def test_usage_rows_equal_their_circuits_after_every_call(build, calls):
+    overlay = build()
+    _check_usage(overlay)
+    for call in calls:
+        _run(overlay, call)
+        _check_usage(overlay)
+    for name in list(overlay.circuits):
+        overlay.uninstall(name)
+    _check_usage(overlay)

@@ -4,6 +4,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _PATH = Path(__file__).resolve().parents[2] / "benchmarks" / "ab.py"
@@ -101,6 +102,60 @@ class TestSummarize:
             (line(10.0, 100.0), line(9.0, 100.0, failed=2)),
         )
         assert ab.summarize(runs, BETTER)["incorrect"] == 2
+
+
+class TestVerdict:
+    """The gate on end-to-end metrics, at ``bench.metrics`` bounds."""
+
+    PARENT = [10.0, 10.1, 10.2, 10.3]  # quartiles 10.075 / 10.15 / 10.225
+
+    def judge(self, change, better="lower", bound=0.25, parent=PARENT):
+        return ab.verdict(np.array(parent), np.array(change), better, bound)
+
+    def test_lower_is_better_is_outside_above_parent_times_one_plus_bound(self):
+        # Bound at 10.15 × 1.25 = 12.6875.
+        assert self.judge([12.6, 12.65, 12.7, 12.75]) == "within bound"
+        assert self.judge([12.7, 12.75, 12.8, 12.85]) == "outside bound"
+        assert self.judge([5.0, 5.0, 5.0, 5.0]) == "within bound"
+
+    def test_higher_is_better_is_outside_below_parent_times_one_minus_bound(self):
+        # Bound at 10.15 × 0.95 = 9.6425.
+        assert self.judge([9.6, 9.65, 9.7, 9.75], "higher", 0.05) == "within bound"
+        assert self.judge([9.5, 9.55, 9.6, 9.65], "higher", 0.05) == "outside bound"
+        assert self.judge([20.0] * 4, "higher", 0.05) == "within bound"
+
+    def test_a_noisy_parent_leaves_the_verdict_unresolved(self):
+        # Quartile spread 3.0 over a median of 10.0 exceeds 0.25.
+        noisy = [6.0, 9.0, 11.0, 14.0]
+        assert self.judge([9.0, 10.0, 10.0, 11.0], parent=noisy) == "unresolved"
+        assert self.judge([30.0] * 4, parent=noisy) == "unresolved"
+        # Unless every change run beats every parent run.
+        assert self.judge([5.0, 5.5, 5.8, 5.9], parent=noisy) == "within bound"
+        assert self.judge(
+            [15.0, 16.0, 17.0, 18.0], "higher", parent=noisy
+        ) == "within bound"
+
+    def test_summary_and_report_name_the_end_to_end_verdicts(self, capsys):
+        runs = pairs(
+            (line(10.0, 100.0), line(13.0, 101.0)),
+            (line(10.2, 100.0), line(13.2, 99.0)),
+            (line(10.1, 100.0), line(13.1, 100.0)),
+        )
+        summary = ab.summarize(runs, BETTER)
+        assert row(summary, "op_ms_p50")["verdict"] == "outside bound"
+        assert row(summary, "ops_per_s")["verdict"] == "within bound"
+        ab._report(summary, len(runs))
+        out = capsys.readouterr().out.splitlines()
+        assert next(r for r in out if r.startswith("op_ms_p50")).endswith("outside bound")
+        assert next(r for r in out if r.startswith("ops_per_s")).endswith("within bound")
+
+    def test_per_layer_lines_get_no_verdict(self):
+        runs = pairs(
+            (traced(10.0, {"control.estimator.calls": 4.0}),
+             traced(10.0, {"control.estimator.calls": 9.0})),
+        )
+        summary = ab.summarize(runs, ab.BETTER)
+        assert row(summary, "control.estimator.calls")["verdict"] is None
 
 
 def traced(p50, counts, units=None):

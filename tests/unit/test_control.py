@@ -361,6 +361,22 @@ class TestController:
         assert circuit.links[0].rate == pytest.approx(6.0)
         assert circuit.links[1].rate == pytest.approx(5.4)
 
+    def test_calibration_reprices_the_overlays_usage_rows(self):
+        overlay, plane = self.make_plane(sel=0.1, drift_to=0.9)
+        # Warmup past the run: only the explicit call below calibrates.
+        cfg = ControlConfig(warmup=1000)
+        controller = Controller(plane, cfg)
+        self.run_controller(plane, controller, cfg.min_observations + 2)
+        assert controller.calibrate() > 0
+        circuit = overlay.circuits["c0"]
+        rates = [link.rate for link in circuit.links]
+        assert rates != [6.0, 0.6]
+        base, count = overlay._u_seg["c0"]
+        assert overlay._u_rate[base : base + count].tolist() == rates
+        assert overlay.total_network_usage() == pytest.approx(
+            overlay.total_network_usage_scalar(), rel=1e-9
+        )
+
     def test_young_links_keep_their_priors(self):
         overlay, plane = self.make_plane(sel=0.5)
         controller = Controller(
