@@ -180,9 +180,6 @@ class _CircuitKernel:
         m = len(self.unpinned_sids)
         self.seg_weight = np.zeros(m)
         np.add.at(self.seg_weight, self.inc_seg, self.inc_rates)
-        # Monotone re-pricing counter: the fused reopt arena caches
-        # copies of the rate columns and uses this to notice staleness.
-        self.rates_version = getattr(self, "rates_version", 0) + 1
 
     def hosts(self, circuit: Circuit) -> np.ndarray:
         """Current placement as a row-indexed node array."""
@@ -235,11 +232,12 @@ class _ReoptArena:
     other circuits share its arena.  The arena and vectorized
     equivalence tests pin them to the scalar oracles.
 
-    The arena holds *copies* of each kernel's rate columns; it notices
-    in-place re-pricing (``_CircuitKernel.set_rates``, driven by the
-    control plane through :func:`refresh_kernel_rates`) via the
-    kernels' ``rates_version`` counters and refreshes lazily.  The sweep
-    tables and the link-rate copy are built on the first sweep, so an
+    The arena's structure is cached across passes; its rate columns are
+    *copies* of the kernels', re-read once per pass
+    (:meth:`refresh_rates`), so in-place re-pricing
+    (``_CircuitKernel.set_rates``, driven by the control plane through
+    :func:`refresh_kernel_rates`) reaches the next pass with no
+    invalidation.  The sweep tables are built on the first sweep, so an
     arena built only for spring targets (:meth:`Reoptimizer.evacuate`)
     never pays for them.
     """
@@ -281,27 +279,15 @@ class _ReoptArena:
         self.refresh_rates()
 
     def refresh_rates(self) -> None:
-        """Re-copy every kernel's rate columns (after re-pricing)."""
-        parts_inc = [k.inc_rates for k in self.kernels]
-        parts_seg = [k.seg_weight for k in self.kernels]
-        self.inc_rates = (
-            np.concatenate(parts_inc) if parts_inc else np.zeros(0)
-        )
-        self.seg_weight = (
-            np.concatenate(parts_seg) if parts_seg else np.zeros(0)
-        )
-        self._group_rates: list[np.ndarray] | None = None
-        self._versions = [k.rates_version for k in self.kernels]
+        """Re-copy every kernel's rate columns (once per pass)."""
+        for name in ("inc_rates", "seg_weight", "link_rates"):
+            parts = [getattr(k, name) for k in self.kernels]
+            setattr(self, name, np.concatenate(parts) if parts else np.zeros(0))
 
     def matches(self, kernels: list["_CircuitKernel"]) -> bool:
         """True when built from exactly these kernel objects, in order."""
         return len(kernels) == len(self.kernels) and all(
             a is b for a, b in zip(kernels, self.kernels)
-        )
-
-    def rates_stale(self) -> bool:
-        return any(
-            k.rates_version != v for k, v in zip(self.kernels, self._versions)
         )
 
     def targets(self, hosts: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -419,16 +405,13 @@ class _ReoptArena:
         circuit's distinct unpinned hosts in first-seen order (with
         three or more, a ``set``-order sum may differ in the last bit).
         """
-        if self._group_rates is None:
-            rates = np.concatenate([k.link_rates for k in self.kernels])
-            self._group_rates = [rates[idx] for _, idx in self._link_groups]
         link_lat = evaluator.latency_array(
             hosts[self.link_src], hosts[self.link_dst]
         )
         usage = np.empty(len(self.kernels))
-        for (circs, idx), rates in zip(self._link_groups, self._group_rates):
+        for circs, idx in self._link_groups:
             usage[circs] = np.matmul(
-                rates[:, None, :], link_lat[idx][:, :, None]
+                self.link_rates[idx][:, None, :], link_lat[idx][:, :, None]
             )[:, 0, 0]
         unpinned = hosts[self.unpinned_rows]
         _, first = np.unique(
@@ -567,10 +550,9 @@ def refresh_kernel_rates(
     refreshed.
 
     The fused reopt arena (cached under a non-``str`` key in the same
-    cache) holds copies of the kernels' rate columns; ``set_rates``
-    bumps the kernel's ``rates_version``, which the arena checks each
-    pass, so a refresh here reaches the fused path lazily with no
-    explicit invalidation.
+    cache) re-reads the kernels' rate columns at the start of every
+    pass, so a refresh here reaches the fused path with no explicit
+    invalidation.
     """
     if not kernel_cache:
         return False
@@ -745,13 +727,13 @@ class Reoptimizer:
         return kernels, hosts_list, active
 
     def _arena(self, kernels: list[_CircuitKernel]) -> _ReoptArena:
-        """The fused arena for these kernels, cached and lazily refreshed."""
+        """The fused arena for these kernels: structure cached, rates re-read."""
         arena = self._kernels.get(_ARENA_KEY)
         if arena is None or not arena.matches(kernels):
             arena = _ReoptArena(kernels)
             self._kernels[_ARENA_KEY] = arena
             self.arena_builds += 1
-        elif arena.rates_stale():
+        else:
             arena.refresh_rates()
         return arena
 

@@ -134,7 +134,7 @@ class CoordinateCatalog:
         the same quantization cell do not collide in the store.
         """
         coordinate = _finite(coordinate)
-        key = self._salted_key(physical_node, coordinate)
+        key = self._salt(physical_node, self.mapper.key_for(coordinate))
         entry = CatalogEntry(physical_node, tuple(float(v) for v in coordinate))
         previous = self._published.get(physical_node)
         if previous is not None:
@@ -145,39 +145,27 @@ class CoordinateCatalog:
         return key
 
     def publish_batch(
-        self,
-        physical_nodes: list[int],
-        coordinates: np.ndarray,
-        route: bool = False,
+        self, physical_nodes: list[int], coordinates: np.ndarray
     ) -> list[int]:
         """Publish many coordinates at once; returns their DHT keys.
 
         All Hilbert keys are computed in one batched encode pass
-        (:meth:`HilbertMapper.keys_for`).  With ``route=False`` (the
-        default) entries are stored directly at their ground-truth
-        owners via one ``np.searchsorted`` pass — bulk catalog builds
-        do not need per-entry routing hops; pass ``route=True`` to go
-        through hop-counted :meth:`ChordRing.put` like :meth:`publish`.
+        (:meth:`HilbertMapper.keys_for`) and salted as :meth:`publish`
+        salts them.  Entries are stored directly at their ground-truth
+        owners (:meth:`ChordRing.owners_of`) — bulk catalog builds do
+        not need per-entry routing hops.
         """
         coordinates = _finite(coordinates)
         if coordinates.ndim != 2 or coordinates.shape[0] != len(physical_nodes):
             raise ValueError("coordinates must be (len(physical_nodes), dims)")
         base_keys = self.mapper.keys_for(coordinates)
-        spare_bits = self.ring.id_bits - self.mapper.key_bits
-        keys = []
-        for node, base in zip(physical_nodes, base_keys):
-            base = int(base)
-            if spare_bits > 0:
-                keys.append((base << spare_bits) | hash_to_id(node, spare_bits))
-            else:
-                keys.append(base)
+        keys = [
+            self._salt(node, int(base)) for node, base in zip(physical_nodes, base_keys)
+        ]
         for node in physical_nodes:
             if node in self._published:
                 self.withdraw(node)
-        if route or self.ring.id_bits > 62:
-            owners = [self.ring.lookup(key).owner for key in keys]
-        else:
-            owners = [int(o) for o in self.ring.owners_of(np.asarray(keys))]
+        owners = [int(o) for o in self.ring.owners_of(np.asarray(keys))]
         for node, coordinate, key, owner in zip(
             physical_nodes, coordinates, keys, owners
         ):
@@ -197,15 +185,16 @@ class CoordinateCatalog:
         del self._published[physical_node]
         del self._keys[physical_node]
 
-    def _salted_key(self, physical_node: int, coordinate: np.ndarray) -> int:
-        base = self.mapper.key_for(coordinate)
-        # Shift the Hilbert key into the high bits of the ring id space and
-        # salt the low bits, so ring order still follows curve order.
+    def _salt(self, physical_node: int, base_key: int) -> int:
+        """A node's store key for its Hilbert key ``base_key``.
+
+        The Hilbert key fills the high bits of the ring id space and the
+        node's salt the low bits, so ring order still follows curve order.
+        """
         spare_bits = self.ring.id_bits - self.mapper.key_bits
         if spare_bits <= 0:
-            return base
-        salt = hash_to_id(physical_node, spare_bits) if spare_bits > 0 else 0
-        return (base << spare_bits) | salt
+            return base_key
+        return (base_key << spare_bits) | hash_to_id(physical_node, spare_bits)
 
     @property
     def published_nodes(self) -> list[int]:

@@ -19,14 +19,18 @@ rows are grouped by source op in op-row order.  Installs keep it (a new
 circuit is last in the overlay too), tombstones only leave holes, and
 the compaction that follows a swap restores it.
 
-The actual column arrays (operator kinds/parameters, CSR link table,
-join state) live with their owner — :class:`~repro.runtime.dataplane.
-DataPlane` — which consults this bookkeeping for append offsets,
-liveness masks, and compaction gathers.
+Each segment also carries the circuit object it was compiled from and
+its service ids in op-row order: the data plane's one record of which
+circuit owns which rows.  The actual column arrays (operator
+kinds/parameters, hosts, source rates, CSR link table, join state) live
+with their owner — :class:`~repro.runtime.dataplane.DataPlane` — which
+consults this bookkeeping for append offsets, liveness masks, and
+compaction gathers.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +38,9 @@ import numpy as np
 __all__ = ["ArenaSegment", "CircuitArena"]
 
 
-@dataclass
+# Slots: every tick's no-change sync test and host refresh read every
+# segment, and a slots instance is one allocation (fewer cache misses).
+@dataclass(slots=True)
 class ArenaSegment:
     """One circuit's contiguous row ranges in the global arena.
 
@@ -44,8 +50,10 @@ class ArenaSegment:
         num_ops: op-row count.
         link_base: first link row of the segment.
         num_links: link-row count.
-        host_version: the circuit ``_placement_version`` the cached
-            host column was last refreshed at (-1 = never).
+        circuit: the circuit object compiled into the segment.
+        sids: its service ids, one per op row, in row order.
+        host_version: the circuit ``_placement_version`` the segment's
+            rows of the host column were last written at (-1 = never).
     """
 
     name: str
@@ -53,6 +61,8 @@ class ArenaSegment:
     num_ops: int
     link_base: int
     num_links: int
+    circuit: object = None
+    sids: Sequence[str] = ()
     host_version: int = -1
 
 
@@ -73,11 +83,15 @@ class CircuitArena:
 
     # -- structural changes -------------------------------------------------
 
-    def append(self, name: str, n_ops: int, n_links: int) -> ArenaSegment:
+    def append(
+        self, name: str, n_ops: int, n_links: int, circuit=None, sids=()
+    ) -> ArenaSegment:
         """Claim a new segment at the end of the arena; returns it."""
         if name in self.segments:
             raise ValueError(f"circuit {name!r} already has a segment")
-        seg = ArenaSegment(name, self.num_ops, n_ops, self.num_links, n_links)
+        seg = ArenaSegment(
+            name, self.num_ops, n_ops, self.num_links, n_links, circuit, sids
+        )
         self.segments[name] = seg
         self.num_ops += n_ops
         self.num_links += n_links

@@ -99,6 +99,12 @@ back in its circuit's place and re-homes the retired rows' tuples,
 join state and aggregate credit.  Only the swapped circuit is derived;
 swaps are counted in ``TrafficRecord.recompiles``.
 
+The arena's columns and segments are the plane's only record of its
+structure: hosts and source rates are op columns, each segment carries
+its circuit, and the derived indexes (live links, sources) are
+recomputed at the end of every structural sync.  The per-tick draw
+reads the sources in op-row order, which is overlay circuit order.
+
 Scalar oracle
 -------------
 
@@ -149,9 +155,11 @@ _RELAY, _FILTER, _AGG, _JOIN = KIND_RELAY, KIND_FILTER, KIND_AGGREGATE, KIND_JOI
 _TICK_LIMIT = int(np.iinfo(np.int32).max)
 
 # The global arena's columns, each name mapped to its dtype: one row
-# per op, one row per link (grouped by source op), and one per source
-# (compact, in row order — the order the per-tick draw consumes).
-# Empty init, segment install and compaction all iterate these tables.
+# per op and one row per link (grouped by source op).  A source is an
+# op row with no in-link and an out-link; its emission rate sits in
+# ``_op_rate`` (0 elsewhere), and the per-tick draw reads the live
+# sources in row order.  Empty init, segment install and compaction all
+# iterate these tables.
 _OP_COLUMNS = {
     "_kind": np.int8,
     "_in_deg": np.int64,
@@ -167,6 +175,8 @@ _OP_COLUMNS = {
     "_kind_cost": np.float64,
     "_gid": np.int64,
     "_agg_credit": np.float64,
+    "_op_rate": np.float64,
+    "_host": np.int64,
 }
 _LINK_COLUMNS = {
     "_link_dst": np.int64,
@@ -177,12 +187,6 @@ _LINK_COLUMNS = {
     "_link_tuples": np.int64,
     "_link_size": np.float64,
 }
-_SRC_COLUMNS = {
-    "_src_ops": np.int64,
-    "_src_rate": np.float64,
-    "_src_domain": np.float64,
-}
-
 
 def _capacity_gate(
     nodes: np.ndarray,
@@ -555,7 +559,6 @@ class DataPlane:
         # Persistent gid registry: (circuit, service-family) -> salt;
         # replica siblings share their base's entry (see _resolve_gid).
         self._gid_by_key: dict[tuple[str, str], int] = {}
-        self._host_cache: np.ndarray | None = None
         # Optional sink capture for exactness tests: set to a list and
         # every sink delivery appends (service, key, ts, size).  None
         # keeps the hot loop at a single attribute check.
@@ -568,19 +571,16 @@ class DataPlane:
         # hot loop pays a single attribute check.
         self._obs = None
         # The arena starts empty; the first sync installs every circuit.
-        for name, dtype in {**_OP_COLUMNS, **_LINK_COLUMNS, **_SRC_COLUMNS}.items():
+        for name, dtype in {**_OP_COLUMNS, **_LINK_COLUMNS}.items():
             setattr(self, name, np.zeros(0, dtype=dtype))
-        self._num_ops = 0
-        self._has_partitioned = False
         self._op_index: dict[tuple[str, str], int] = {}
         self._op_names: list[tuple[str, str]] = []
         self._link_names: list[tuple[str, str, str]] = []
-        self._src_pos: dict[int, int] = {}
-        self._arena_rows: list = []
-        self._compiled_names: tuple[str, ...] = ()
-        self._compiled_circuits: tuple = ()
+        # Derived indexes, refreshed by every structural sync.
         self._live_links = np.zeros(0, dtype=np.int64)
         self._live_link_names: list[tuple[str, str, str]] = []
+        self._src_ops = np.zeros(0, dtype=np.int64)
+        self._has_partitioned = False
         self._sync()
         self.tick_link_tuples = np.zeros(self._live_links.size, dtype=np.int64)
 
@@ -593,7 +593,8 @@ class DataPlane:
         column name, plus its ``sids`` and ``link_names``.  All op/link
         indices in the returned columns are segment-local;
         :meth:`_install_segments` shifts them by the segment base.
-        Gids resolve here, so a batch resolves them in install order.
+        Gids resolve here, so a batch resolves them in install order;
+        hosts are read from the current placement.
         """
         sids = list(circuit.services.keys())
         local = {(circuit.name, sid): i for i, sid in enumerate(sids)}
@@ -606,9 +607,7 @@ class DataPlane:
         op_pmatch = np.ones(n, dtype=np.float64)
         op_domain = np.ones(n, dtype=np.float64)
         slack = np.zeros(n, dtype=np.int64)
-        src_ops: list[int] = []
-        src_rate: list[float] = []
-        src_domain: list[int] = []
+        op_rate = np.zeros(n, dtype=np.float64)
 
         incoming: dict[str, list] = {sid: [] for sid in circuit.services}
         outgoing: dict[str, list] = {sid: [] for sid in circuit.services}
@@ -704,9 +703,7 @@ class DataPlane:
                     # source's emission rate is the family in-rate of
                     # the port this link lands on, not the /k share.
                     rate = tgt_info.in_rates[port_of[id(first)]]
-                src_ops.append(op)
-                src_rate.append(rate)
-                src_domain.append(domain)
+                op_rate[op] = rate
 
         self._assign_slack(circuit, incoming, local, slack)
 
@@ -750,6 +747,10 @@ class DataPlane:
                 [self._resolve_gid(k) for k in gid_keys], dtype=np.int64
             ),
             "_agg_credit": np.zeros(n),
+            "_op_rate": op_rate,
+            "_host": np.fromiter(
+                (circuit.placement[sid] for sid in sids), dtype=np.int64, count=n
+            ),
             "_link_dst": link_dst,
             "_link_port": link_port,
             "_link_src_op": link_src,
@@ -757,9 +758,6 @@ class DataPlane:
             "_link_index": link_index,
             "_link_tuples": np.zeros(num_links, dtype=np.int64),
             "_link_size": np.zeros(num_links),
-            "_src_ops": np.asarray(src_ops, dtype=np.int64),
-            "_src_rate": np.asarray(src_rate, dtype=np.float64),
-            "_src_domain": np.asarray(src_domain, dtype=np.float64),
         }
 
     def _resolve_gid(self, gid_key: tuple[str, str]) -> int:
@@ -901,19 +899,22 @@ class DataPlane:
         circuits are derived.  Returns the in-flight tuples dropped.
         """
         installed = self.overlay.circuits
-        current = tuple(installed.values())
-        if tuple(installed) == self._compiled_names and all(
-            a is b for a, b in zip(current, self._compiled_circuits)
+        segments = self._arena.segments
+        # Segments follow overlay order after every sync, so an
+        # unchanged circuit set is a pairwise identity match.
+        if len(segments) == len(installed) and all(
+            seg.circuit is circuit
+            for seg, circuit in zip(segments.values(), installed.values())
         ):
             return 0
-        old_by_name = dict(zip(self._compiled_names, self._compiled_circuits))
+        old_by_name = {name: seg.circuit for name, seg in segments.items()}
         dropped = 0
-        for name in self._compiled_names:
+        for name in old_by_name:
             if name not in installed:
                 dropped += self._uninstall_segment(name)
         carry: dict[tuple[str, str], tuple[int, object]] = {}
         swapped = []
-        for circuit in current:
+        for circuit in installed.values():
             old = old_by_name.get(circuit.name)
             if old is None or old is circuit:
                 continue
@@ -925,27 +926,32 @@ class DataPlane:
                 key = self._op_names[row]
                 carry[key] = (row, old.services.get(key[1]))
         self._install_segments(
-            [c for c in current if old_by_name.get(c.name) is not c]
+            [c for c in installed.values() if old_by_name.get(c.name) is not c]
         )
         if swapped or self._arena.needs_compaction:
             dropped += self._compact_arena(carry, swapped)
         if swapped:
             _LOG.debug("data-plane segment swap: %d circuits", len(swapped))
-        self._refresh_live_links()
-        self._compiled_names = tuple(installed)
-        self._compiled_circuits = current
+        self._refresh_derived()
         return dropped
 
     # -- incremental arena maintenance -------------------------------------
 
-    def _refresh_live_links(self) -> None:
-        """Recompute the live-link index + published key list.
+    def _refresh_derived(self) -> None:
+        """Recompute the indexes derived from the arena's columns.
 
-        Called once per structural sync; the fresh list identity
-        signals estimator column caches to rebuild.
+        Called once at the end of every structural sync: the live-link
+        rows and their published key list (a fresh list, whose identity
+        signals estimator column caches to rebuild), the live sources in
+        row order (the per-tick draw's order), and whether any live link
+        is hash-partitioned.
         """
         self._live_links = self._arena.live_link_rows()
         self._live_link_names = [self._link_names[i] for i in self._live_links]
+        self._src_ops = np.flatnonzero(
+            (self._in_deg == 0) & (self._out_deg > 0) & self._arena.op_alive
+        )
+        self._has_partitioned = bool((self._link_group[self._live_links] > 1).any())
 
     def _install_segments(self, circuits) -> None:
         """Append circuits as new live segments at the arena end, in order.
@@ -957,17 +963,17 @@ class DataPlane:
         """
         if not circuits:
             return
-        parts = {
-            name: [getattr(self, name)]
-            for name in (*_OP_COLUMNS, *_LINK_COLUMNS, *_SRC_COLUMNS)
-        }
+        parts = {name: [getattr(self, name)] for name in (*_OP_COLUMNS, *_LINK_COLUMNS)}
         for circuit in circuits:
             cols = self._derive_circuit(circuit)
             sids = cols["sids"]
-            seg = self._arena.append(circuit.name, len(sids), len(cols["link_names"]))
+            seg = self._arena.append(
+                circuit.name, len(sids), len(cols["link_names"]), circuit, sids
+            )
+            seg.host_version = circuit._placement_version
             base = seg.op_base
             cols["_out_offsets"] += seg.link_base
-            for name in ("_link_dst", "_link_src_op", "_src_ops"):
+            for name in ("_link_dst", "_link_src_op"):
                 cols[name] += base
             for name, col in parts.items():
                 col.append(cols[name])
@@ -975,29 +981,21 @@ class DataPlane:
             for i, sid in enumerate(sids):
                 self._op_index[(circuit.name, sid)] = base + i
                 self._op_names.append((circuit.name, sid))
-            self._arena_rows.append((circuit, sids, seg))
-        added = self._arena.num_ops - self._num_ops
         self._join.extend(
             np.concatenate(parts["_kind"][1:]),
             np.concatenate(parts["_op_domain"][1:]),
         )
         for name, cols in parts.items():
             setattr(self, name, np.concatenate(cols))
-        self._num_ops = self._arena.num_ops
-        self._has_partitioned = bool((self._link_group > 1).any())
-        self._src_pos = {int(op): i for i, op in enumerate(self._src_ops)}
-        if self._host_cache is not None:
-            self._host_cache = np.concatenate(
-                (self._host_cache, np.zeros(added, dtype=np.int64))
-            )
 
     def _retire_segment(self, name: str) -> ArenaSegment:
         """Tombstone one circuit's segment, leaving its tuples and state.
 
-        Folds the segment's measured per-link stats, unindexes its ops
-        and drops its sources; what becomes of the rows' in-flight
-        tuples, join state and aggregate credit is the caller's
-        (dropped on uninstall, re-homed by a swap's compaction).
+        Folds the segment's measured per-link stats and unindexes its
+        ops; its sources leave the draw at the sync's index refresh.
+        What becomes of the rows' in-flight tuples, join state and
+        aggregate credit is the caller's (dropped on uninstall, re-homed
+        by a swap's compaction).
         """
         seg = self._arena.tombstone(name)
         op_end = seg.op_base + seg.num_ops
@@ -1013,15 +1011,6 @@ class DataPlane:
         self._link_size[seg.link_base : link_end] = 0.0
         for row in range(seg.op_base, op_end):
             self._op_index.pop(self._op_names[row], None)
-        # Sources stay *compact* (not tombstoned): the per-tick Poisson
-        # draw consumes the source-rate vector in row order.
-        src_dead = (self._src_ops >= seg.op_base) & (self._src_ops < op_end)
-        if src_dead.any():
-            keep = ~src_dead
-            for name in _SRC_COLUMNS:
-                setattr(self, name, getattr(self, name)[keep])
-            self._src_pos = {int(op): i for i, op in enumerate(self._src_ops)}
-        self._arena_rows = [r for r in self._arena_rows if r[2] is not seg]
         return seg
 
     def _uninstall_segment(self, name: str) -> int:
@@ -1064,12 +1053,6 @@ class DataPlane:
         self._link_names = [self._link_names[i] for i in link_gather]
         self._op_names = [self._op_names[i] for i in op_gather]
         self._op_index = {name: i for i, name in enumerate(self._op_names)}
-        # A swap's sources were appended last; row order is draw order.
-        src_order = np.argsort(op_map[self._src_ops])
-        for name in _SRC_COLUMNS:
-            setattr(self, name, getattr(self, name)[src_order])
-        self._src_ops = op_map[self._src_ops]
-        self._src_pos = {int(op): i for i, op in enumerate(self._src_ops)}
         mapping, key_split = op_map, None
         if carry:
             key_split, credit_moves = self._scale_transitions(carry, swapped)
@@ -1091,13 +1074,10 @@ class DataPlane:
         dropped = self._transport.remap_ops(mapping, key_split or None)
         self.dropped_uninstalled += dropped
         self._remap_state(mapping, key_split or None)
-        if self._host_cache is not None:
-            self._host_cache = self._host_cache[op_gather]
         self._arena.apply_compaction()
-        self._num_ops = self._arena.num_ops
         _LOG.debug(
             "arena compacted: %d ops / %d links live",
-            self._num_ops,
+            self._arena.num_ops,
             len(self._link_names),
         )
         return dropped
@@ -1149,30 +1129,27 @@ class DataPlane:
         tuples across migrations for free: delivery looks the target
         service's node up *now*, not at send time.
 
-        The column is cached and refreshed per segment only when the
+        The ``_host`` op column is rewritten per segment only when the
         owning circuit's placement-version counter changed
         (``Circuit.assign`` bumps it), so there is no per-tick Python
         loop over every service.
         """
-        cache = self._host_cache
-        if cache is None or cache.size != self._num_ops:
-            cache = self._host_cache = np.zeros(self._num_ops, dtype=np.int64)
-            for _, _, seg in self._arena_rows:
-                seg.host_version = -1
-        for circuit, sids, seg in self._arena_rows:
+        host = self._host
+        for seg in self._arena.segments.values():
+            circuit = seg.circuit
             version = circuit._placement_version
             if seg.host_version == version:
                 continue
             placement = circuit.placement
             base = seg.op_base
-            for i, sid in enumerate(sids):
-                cache[base + i] = placement[sid]
+            for i, sid in enumerate(seg.sids):
+                host[base + i] = placement[sid]
             seg.host_version = version
-        return cache
+        return host
 
     def _draw_tick(self) -> tuple[np.ndarray, np.ndarray]:
         """The tick's source randomness (shared by both step paths)."""
-        counts = self._rng.poisson(self._src_rate).astype(np.int64)
+        counts = self._rng.poisson(self._op_rate[self._src_ops]).astype(np.int64)
         u = self._rng.random(int(counts.sum()))
         return counts, u
 
@@ -1201,9 +1178,7 @@ class DataPlane:
             elif spec.param == "aggregate_factor":
                 self._op_factor[op] = min(1.0, value)
             else:  # source_rate
-                pos = self._src_pos.get(op)
-                if pos is not None:
-                    self._src_rate[pos] = value
+                self._op_rate[op] = value
 
     def _begin_tick_stats(self) -> None:
         """Snapshot the cumulative counters the per-tick stats diff."""
@@ -1262,7 +1237,7 @@ class DataPlane:
         that is O(ops) and equals the full recount
         (:meth:`_state_counts`); the oracle's tables recount on read.
         """
-        counts = self._join.live.reshape(self._num_ops, 2).astype(np.float64)
+        counts = self._join.live.reshape(self._arena.num_ops, 2).astype(np.float64)
         counts[~self._arena.op_alive] = 0.0
         return counts
 
@@ -1275,8 +1250,8 @@ class DataPlane:
         """
         pair, _key, _ts, e = self._join.rows()
         live = (e >= self.tick) & self._arena.op_alive[pair >> 1]
-        counts = np.bincount(pair[live], minlength=2 * self._num_ops)
-        return counts.reshape(self._num_ops, 2).astype(np.float64)
+        counts = np.bincount(pair[live], minlength=2 * self._arena.num_ops)
+        return counts.reshape(self._arena.num_ops, 2).astype(np.float64)
 
     def _admission_costs(self) -> np.ndarray:
         """Expected per-tuple admission cost of every (op, in-port).
@@ -1419,7 +1394,7 @@ class DataPlane:
         prof.end()
         prof.begin("pricing")
         # Per-op measured CPU cost of this tick.
-        self._tick_op_cost = np.zeros(self._num_ops)
+        self._tick_op_cost = np.zeros(self._arena.num_ops)
         t = _Tick(
             now=now,
             host=host,
@@ -1500,7 +1475,9 @@ class DataPlane:
                 u = u[np.repeat(up, counts)]
                 counts = np.where(up, counts, 0)
             ops = np.repeat(self._src_ops, counts)
-            keys = np.floor(u * np.repeat(self._src_domain, counts)).astype(np.int64)
+            keys = np.floor(
+                u * np.repeat(self._op_domain[self._src_ops], counts)
+            ).astype(np.int64)
             m = ops.size
             if m:
                 t.emitted = m
@@ -1608,7 +1585,7 @@ class DataPlane:
             # Base per-tuple kind costs; aggregates and joins add their
             # batch / probe terms inside _process_array.
             self._tick_op_cost += np.bincount(
-                op, weights=self._kind_cost[op], minlength=self._num_ops
+                op, weights=self._kind_cost[op], minlength=self._arena.num_ops
             )
 
             sink = self._is_sink[op]
@@ -1730,7 +1707,7 @@ class DataPlane:
         rop = op[rep]
         if self._model.probe_cost:
             self._tick_op_cost += self._model.probe_cost * np.bincount(
-                rop, minlength=self._num_ops
+                rop, minlength=self._arena.num_ops
             )
         # The window test first, so only in-window pairs are hashed.
         ats = ts[rep]
@@ -1881,9 +1858,12 @@ class DataPlane:
     def attach_obs(self, obs) -> None:
         """Attach an observability layer (``repro.obs.Observability``).
 
-        Attach before the first tick — the trace-completeness invariant
-        assumes every live tuple's birth was recorded.
+        Only before the first tick — the trace-completeness invariant
+        assumes every live tuple's birth was recorded — so a plane that
+        has ticked raises ``RuntimeError``.
         """
+        if self._stepped:
+            raise RuntimeError("attach_obs must precede the plane's first tick")
         self._obs = obs
 
     def trace_completeness(self) -> dict:
@@ -1927,7 +1907,7 @@ class DataPlane:
         tr = self._transport
         if tr.buffered == 0:
             return {}
-        counts = tr.buffered_by_op(self._num_ops)
+        counts = tr.buffered_by_op(self._arena.num_ops)
         return {
             self._op_names[op]: int(c) for op, c in enumerate(counts) if c
         }
@@ -1953,7 +1933,7 @@ class DataPlane:
         use the expected-match model the compiler inverted:
         ``r0·r1·(2w+1)·pmatch/domain``.
         """
-        num_ops = self._num_ops
+        num_ops = self._arena.num_ops
         in_sum = np.zeros(num_ops)
         join_in = np.zeros((num_ops, 2))
         out_rate = np.zeros(num_ops)
@@ -1964,8 +1944,7 @@ class DataPlane:
             op = ready.pop()
             kind = int(self._kind[op])
             if self._in_deg[op] == 0:
-                pos = self._src_pos.get(op)
-                out = float(self._src_rate[pos]) if pos is not None else 0.0
+                out = float(self._op_rate[op])
             elif kind == _FILTER:
                 out = float(in_sum[op] * self._op_sel[op])
             elif kind == _AGG:

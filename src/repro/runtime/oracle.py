@@ -261,7 +261,7 @@ def step(plane):
         opx = int(plane._src_ops[s])
         if not alive[host[opx]]:
             continue
-        dom = float(plane._src_domain[s])
+        dom = float(plane._op_domain[opx])
         for x in seg:
             _send(plane, opx, int(x * dom), now, 1.0, now, 0, host, latm, trace)
         t.emitted += c

@@ -390,9 +390,10 @@ class Overlay:
         (replicate / merge) and swaps it under the same name.  The old
         version's unpinned services are evicted, the new version's are
         hosted, and the ``circuits`` dict entry is updated *in place* —
-        preserving the dict's key order, which is the order the data
-        plane's per-tick source draw consumes, so an executing twin
-        pair stays tick-for-tick equivalent across the swap.  The data
+        preserving the dict's key order.  The data plane lays its arena
+        segments out in that order and draws its sources in op-row
+        order, so dict order is draw order and an executing twin pair
+        stays tick-for-tick equivalent across the swap.  The data
         plane notices the new object identity on its next ``_sync`` and
         makes a segment swap: it derives this circuit alone, gathers the
         new segment into the old one's place and re-homes keyed state.

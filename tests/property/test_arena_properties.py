@@ -457,14 +457,14 @@ class TestFusedReopt:
         target = circuits[0]
         new_rates = np.array([l.rate for l in target.links]) * 3.0
         assert refresh_kernel_rates(cache, target, new_rates)
-        assert arena.rates_stale()
-        reopt.step_all(circuits)  # lazily refreshed, not rebuilt
+        reopt.step_all(circuits)  # rates re-read, structure not rebuilt
         assert cache[_ARENA_KEY] is arena
-        assert not arena.rates_stale()
         ref, kernel = cache[target.name]
         k = arena.kernels.index(kernel)
         s0, s1 = arena.seg_offsets[k], arena.seg_offsets[k + 1]
         np.testing.assert_array_equal(arena.seg_weight[s0:s1], kernel.seg_weight)
+        l0, l1 = arena.link_offsets[k], arena.link_offsets[k + 1]
+        np.testing.assert_array_equal(arena.link_rates[l0:l1], new_rates)
         # One-circuit passes build their own arena and leave the cached
         # one in place.
         builds = reopt.arena_builds

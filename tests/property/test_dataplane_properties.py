@@ -608,7 +608,8 @@ class TestLedgerRecount:
     """The slot table counts its own live rows: ``state_rows()`` equals a
     full recount of live join state (``_state_counts()``) at the end of
     every tick, under the CPU-cost model and the unit model alike (the
-    unit model prices no probes; the counts are kept all the same).
+    unit model prices no probes; the counts are kept all the same).  The
+    arena's host column, sources and segment order are recounted too.
 
     Only an arena compaction recounts: ``JoinState.remap`` runs exactly
     once per compaction and never otherwise, so installs and uninstalls
@@ -634,14 +635,45 @@ class TestLedgerRecount:
         return log
 
     @staticmethod
+    def _recount_structure(plane):
+        """The arena's structure, recounted from the overlay and the link
+        table: each live segment's host rows are its circuit's placement,
+        the sources are the live ops with no in-link and an out-link, in
+        row order, and the segments name the circuits in overlay order."""
+        arena = plane._arena
+        host = plane._host_array()
+        for seg in arena.segments.values():
+            np.testing.assert_array_equal(
+                host[seg.op_base : seg.op_base + seg.num_ops],
+                [seg.circuit.placement[sid] for sid in seg.sids],
+            )
+        links = np.flatnonzero(arena.link_alive)
+        has_in = np.zeros(arena.num_ops, dtype=bool)
+        has_out = np.zeros(arena.num_ops, dtype=bool)
+        has_in[plane._link_dst[links]] = True
+        has_out[plane._link_src_op[links]] = True
+        np.testing.assert_array_equal(
+            plane._src_ops, np.flatnonzero(~has_in & has_out & arena.op_alive)
+        )
+        assert list(arena.segments) == list(plane.overlay.circuits)
+        assert all(
+            seg.circuit is circuit
+            for seg, circuit in zip(
+                arena.segments.values(), plane.overlay.circuits.values()
+            )
+        )
+
+    @staticmethod
     def _run(plane, step, ticks, between=None):
-        """Step ``ticks`` times, checking the counts after every tick;
-        returns the most rows any tick ended with."""
+        """Step ``ticks`` times, checking the counts and the arena's
+        structure after every tick; returns the most rows any tick ended
+        with."""
         most = 0.0
         for tick in range(ticks):
             step()
             rows = plane.state_rows()
             np.testing.assert_array_equal(rows, plane._state_counts())
+            TestLedgerRecount._recount_structure(plane)
             most = max(most, rows.sum())
             if between is not None:
                 between(tick)
@@ -677,11 +709,12 @@ class TestLedgerRecount:
         assert log["remap"] == log["compaction"] == 2
 
     @staticmethod
-    def _churn(model, monkeypatch, replace_at=None, oracle=False):
+    def _churn(model, monkeypatch, replace_at=None, oracle=False, alternate=False):
         """24 churn ticks at the default compaction threshold (so most
         uninstalls only tombstone); optionally swap the oldest (already
         compiled) tenant for an equal copy under its name after tick
-        ``replace_at``.  With ``oracle``, a twin scenario steps through
+        ``replace_at``.  With ``alternate``, ticks alternate a departure
+        alone and an arrival alone, so every other sync only uninstalls.  With ``oracle``, a twin scenario steps through
         ``step_scalar()`` beside it: its ``state_rows()`` must equal the
         batched plane's after every tick, and after each of its arena
         compactions every key its tables hold must name a live op (the
@@ -724,7 +757,10 @@ class TestLedgerRecount:
 
         def between(tick):
             for s in scenarios:
-                s.churn_tick()
+                if alternate:
+                    s.churn_tick(installs=tick % 2, uninstalls=1 - tick % 2)
+                else:
+                    s.churn_tick()
                 if tick == replace_at:
                     oldest = s.overlay.circuits[s.installed[0]]
                     s.overlay.replace_circuit(oldest.copy())
@@ -755,6 +791,11 @@ class TestLedgerRecount:
     def test_same_name_replacement_equals_recount(self, model, monkeypatch):
         plane = self._churn(model, monkeypatch, replace_at=11)
         assert plane.recompiles == 1
+
+    @LOAD_MODELS
+    def test_uninstall_only_syncs_equal_recount(self, model, monkeypatch):
+        plane = self._churn(model, monkeypatch, alternate=True)
+        assert plane.recompiles == 0
 
 
 class TestConservation:

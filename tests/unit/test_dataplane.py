@@ -168,12 +168,12 @@ class TestCompile:
     def test_structure_detected(self):
         overlay, circuit = planted_join_overlay()
         plane = DataPlane(overlay)
-        assert plane._num_ops == 4
+        assert plane._arena.num_ops == 4
         assert plane._src_ops.size == 2
         assert int((plane._kind == _JOIN).sum()) == 1
         assert int(plane._is_sink.sum()) == 1
         # Source emission rates come from the circuit's link rates.
-        np.testing.assert_allclose(sorted(plane._src_rate), [5.0, 5.0])
+        np.testing.assert_allclose(sorted(plane._op_rate[plane._src_ops]), [5.0, 5.0])
 
     def test_join_pmatch_realizes_estimated_rate(self):
         overlay, circuit = planted_join_overlay(sel=0.4)
@@ -317,7 +317,7 @@ class TestTraffic:
         replacement, _ = planted_join_overlay(rate_a=50.0, rate_b=50.0)
         overlay.install_circuit(replacement.circuits["q"])
         plane.step()
-        np.testing.assert_allclose(sorted(plane._src_rate), [50.0, 50.0])
+        np.testing.assert_allclose(sorted(plane._op_rate[plane._src_ops]), [50.0, 50.0])
         assert plane.accounting()["balanced"]
 
     def test_scalar_path_churn_leaves_slot_table_alone(self):

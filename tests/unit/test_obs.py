@@ -319,6 +319,14 @@ class TestControllerEvents:
 
 
 class TestObservabilityFacade:
+    def test_attach_after_first_tick_is_refused(self):
+        _, plane = _planted_plane()
+        plane.step()
+        with pytest.raises(RuntimeError, match="first tick"):
+            plane.attach_obs(Observability(tracing=True, trace_rate=1.0))
+        assert plane._obs is None
+        plane.step()  # still steps, untraced
+
     def test_disabled_components_are_none(self):
         obs = Observability()
         assert obs.tracer is None and obs.registry is None
