@@ -6,11 +6,12 @@ hook prints all registered tables at the end of the run — so
 ``pytest benchmarks/ --benchmark-only`` emits both pytest-benchmark
 timings and the experiment tables the paper reports.
 
-Tables are also persisted under ``benchmarks/results/`` so that
-EXPERIMENTS.md can quote them verbatim.  Before/after kernel timings
-additionally go to machine-readable ``BENCH_<experiment>.json`` files
-(:func:`write_bench_json`) so the perf trajectory is tracked across
-PRs and CI uploads it as an artifact.
+Tables are also persisted under ``benchmarks/results/``, one text file
+per experiment, so a table can be quoted and diffed verbatim.
+Before/after kernel timings additionally go to machine-readable
+``BENCH_<experiment>.json`` files (:func:`write_bench_json`) so the
+perf trajectory is tracked from change to change and CI uploads it as
+an artifact.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ change medians with their quartiles, the median per-pair change/parent
 ratio, "change better in k of n" and, for each end-to-end metric, the
 verdict of its bound (:func:`verdict`).  The exact metrics
 (``bench.metrics.EXACT``) are compared pair by pair, exactly.  Exits 1
-when any run reports ``correct: false`` or an exact metric differs
-within a pair.
+when any run reports ``correct: false`` or failures, an exact metric
+differs within a pair, or an end-to-end metric is ``outside bound``
+(:func:`exit_code`); an ``unresolved`` verdict is printed but passes.
 
 With ``--trace 1`` the runs also report per-layer lines; every
 count-valued one (unit ``1/op`` or ``count``, host and trace
@@ -44,7 +45,8 @@ sys.path.insert(0, str(ROOT))
 from bench.metrics import END_TO_END, EXACT, PER_LAYER  # noqa: E402
 
 __all__ = [
-    "parse_seeds", "parse_result", "summarize", "is_count_line", "verdict", "main",
+    "parse_seeds", "parse_result", "summarize", "is_count_line", "verdict",
+    "exit_code", "main",
 ]
 
 
@@ -158,6 +160,14 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     }
 
 
+def exit_code(summary: dict) -> int:
+    """1 when a :func:`summarize` result has an incorrect or failed run,
+    an exact-metric mismatch or an end-to-end metric ``outside bound``;
+    0 otherwise (``unresolved`` included)."""
+    outside = any(row["verdict"] == "outside bound" for row in summary["rows"])
+    return int(bool(summary["incorrect"] or summary["exact_mismatch"] or outside))
+
+
 def _report(summary: dict, n: int) -> None:
     print(
         f"{'metric':<40} {'parent q1 / med / q3':>32} {'change q1 / med / q3':>32}"
@@ -181,6 +191,10 @@ def _report(summary: dict, n: int) -> None:
             print(f"  {name}: {where}")
     elif summary["counts"]:
         print(f"all {summary['counts']} count-valued lines equal in all {n} pairs")
+    for judged in ("outside bound", "unresolved"):
+        names = [row["name"] for row in summary["rows"] if row["verdict"] == judged]
+        if names:
+            print(f"{judged}: {', '.join(names)}")
     print(f"incorrect or failed runs: {summary['incorrect']}")
 
 
@@ -235,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{args.workload}: parent {args.base}, change {args.head or 'working tree'}")
     summary = summarize(pairs, BETTER)
     _report(summary, len(pairs))
-    return 1 if summary["incorrect"] or summary["exact_mismatch"] else 0
+    return exit_code(summary)
 
 
 if __name__ == "__main__":

@@ -5,9 +5,9 @@ plane measures what the links really carry.  :class:`Controller` closes
 that loop each tick:
 
 1. **Ingest** — the data plane's per-tick measured statistics
-   (per-link tuple counts, per-node drop / processed counts, the tick's
-   drop fraction and delivery-latency p95) feed the
-   :class:`~repro.control.estimator.RateEstimator` banks.
+   (per-link tuple counts, per-node drop counts and CPU cost) feed the
+   :class:`~repro.control.estimator.RateEstimator` banks, and the
+   tick's drop fraction and delivery-latency p95 the policy EWMAs.
 2. **Calibrate** — every ``calibrate_interval`` ticks past warmup, the
    measured EWMA link rates (or windowed quantiles) are written back
    into the circuits' estimated link rates through the overlay
@@ -303,7 +303,6 @@ class Controller:
         cfg = self.config
         self.link_rates = bank(cfg.alpha, cfg.quantile_window)
         self.node_drops = bank(cfg.alpha, cfg.quantile_window)
-        self.node_processed = bank(cfg.alpha, cfg.quantile_window)
         self.node_cpu = bank(cfg.alpha, cfg.quantile_window)
 
     def step(self, traffic) -> ControlRecord:
@@ -327,7 +326,6 @@ class Controller:
         self.ticks += 1
         self.link_rates.observe(dp.tick_link_tuples.astype(float), dp.link_keys())
         self.node_drops.observe(dp.tick_node_drops.astype(float))
-        self.node_processed.observe(dp.tick_node_processed.astype(float))
         self.node_cpu.observe(dp.tick_node_cpu)
         x = dp.tick_node_kind_processed.astype(float)
         if x.shape[0] == dp.tick_node_cpu.shape[0]:

@@ -92,14 +92,6 @@ class CostCoordinate:
             raise ValueError("coordinates have different vector dimensionality")
         return float(np.linalg.norm(self.vector_array() - other.vector_array()))
 
-    def with_ideal_scalars(self) -> "CostCoordinate":
-        """This point with all scalar components set to the ideal zero.
-
-        Virtual placement targets are expressed this way: "the ideal
-        scalar components will all be zero" (§3.2).
-        """
-        return CostCoordinate(self.vector, tuple(0.0 for _ in self.scalar))
-
     def scalar_penalty(self) -> float:
         """Euclidean magnitude of the scalar part (distance from ideal)."""
         if not self.scalar:

@@ -226,12 +226,5 @@ class GroundTruthEvaluator:
     def penalty_array(self, nodes: np.ndarray) -> np.ndarray:
         return self.load_weighting.apply_array(self.loads[nodes])
 
-    def update_loads(self, loads: np.ndarray | list[float]) -> None:
-        """Refresh the true load vector (driven by the simulator)."""
-        loads = np.asarray(loads, dtype=float)
-        if loads.shape != self.loads.shape:
-            raise ValueError("load vector shape mismatch")
-        self.loads = loads
-
     def evaluate(self, circuit: Circuit, load_weight: float = 1.0) -> CircuitCost:
         return _evaluate(circuit, self.latency, self.node_penalty, load_weight)

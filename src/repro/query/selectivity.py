@@ -105,14 +105,6 @@ class Statistics:
             raise ValueError("selectivity of a producer with itself is undefined")
         return self.selectivities.get(frozenset((a, b)), self.default_selectivity)
 
-    def with_rate(self, name: str, rate: float) -> "Statistics":
-        """Copy with one producer's rate replaced."""
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        rates = dict(self.rates)
-        rates[name] = rate
-        return Statistics(rates, dict(self.selectivities), self.default_selectivity)
-
     def drifted(self, relative_sigma: float = 0.3, seed: int = 0) -> "Statistics":
         """Copy with log-normal noise on rates and selectivities.
 

@@ -27,9 +27,11 @@ tick, moves actual tuple batches through all of them concurrently:
    row per tick, and dead rows leave only when a full pool compacts.
 5. **Results are measured** — sink deliveries, end-to-end tuple
    latencies, per-link carried traffic, and Σ latency over every tuple
-   actually sent (the *measured* network usage).  Per-tick per-link
-   and per-node statistics (``tick_link_tuples``, ``tick_node_drops``,
-   ``tick_node_processed``) are exported for the control plane, and
+   actually sent (the *measured* network usage).  Each event is
+   counted once, into the tick; at tick close the tick is published
+   (the ``TrafficRecord``, ``tick_link_tuples``, ``tick_node_*``) and
+   folded into the cumulative ledgers, so the two agree by
+   construction.
    :meth:`DataPlane.true_link_rates` propagates the *realized*
    parameters analytically for oracle experiments.  Realized operator
    parameters can drift away from the compiled estimates on a
@@ -288,7 +290,10 @@ class ParameterDrift:
     control plane's estimate→measure gap.  The trajectory is a linear
     ramp from ``start`` to ``end`` over ``[begin, begin + duration]``
     ticks (clamped outside), fully deterministic so twin data planes
-    stay tick-for-tick equivalent.
+    stay tick-for-tick equivalent.  Building a :class:`DataPlane` with
+    a spec that can never apply to its installed circuit raises
+    ``ValueError``; a spec naming a circuit installed later is not
+    checked.
 
     Attributes:
         circuit: circuit name the drifting service belongs to.
@@ -407,8 +412,9 @@ class TrafficRecord:
         tick: data-plane tick counter.
         emitted: tuples produced by sources this tick.
         delivered: tuples that reached a consumer sink this tick.
-        dropped: tuples dropped this tick (capacity + dead nodes +
-            uninstalls), never silently lost.
+        dropped: tuples dropped this tick (capacity + shed + dead
+            nodes + retransmit overflow + uninstalls), never silently
+            lost.
         processed: tuples accepted and processed by services.
         in_flight: tuples still on the wire after the tick.
         usage: measured network usage this tick — Σ link latency over
@@ -468,11 +474,15 @@ NO_PHASES = _NoPhases()
 
 @dataclass(slots=True)
 class _Tick:
-    """One tick's inputs, fixed when it opens, and its running counts.
+    """One tick's inputs, fixed when it opens, and the only store of
+    its counts and measurements.
 
-    :meth:`DataPlane._open_tick` builds it for either step path and
-    :meth:`DataPlane._close_tick` totals it into the
-    :class:`TrafficRecord`; the paths' operator loops fill the counts.
+    :meth:`DataPlane._open_tick` builds it for either step path, whose
+    operator loops count each event into it once, and
+    :meth:`DataPlane._close_tick` publishes it and folds it into the
+    ledgers.  Drops are counted by cause.  ``op_cost`` and the
+    ``link_*`` arrays are per arena row, ``node_kind`` per ``node * 4 +
+    kind`` (a node's processed count is its kinds' sum).
     """
 
     now: int
@@ -484,13 +494,27 @@ class _Tick:
     adm: np.ndarray | None
     trace: object
     prof: object
-    dropped: int
+    op_cost: np.ndarray
+    node_kind: np.ndarray
+    node_drops: np.ndarray
+    link_tuples: np.ndarray
+    link_size: np.ndarray
+    uninstalled: int = 0
+    recompiles: int = 0
     emitted: int = 0
     delivered: int = 0
     processed: int = 0
+    dead: int = 0
+    capacity: int = 0
     shed: int = 0
+    overflow: int = 0
     redelivered: int = 0
+    usage: float = 0.0
     cpu_dropped: float = 0.0
+
+    @property
+    def dropped(self) -> int:
+        return self.dead + self.capacity + self.shed + self.overflow + self.uninstalled
 
 
 class DataPlane:
@@ -509,7 +533,7 @@ class DataPlane:
         )
         self._stepped = False
         self._next_seq = 0
-        # Cumulative accounting.
+        # Cumulative ledgers, written only by _close_tick's fold.
         self.emitted = 0
         self.sink_delivered = 0
         self.processed = 0
@@ -523,22 +547,18 @@ class DataPlane:
         n = overlay.num_nodes
         self.dropped_by_node = np.zeros(n, dtype=np.int64)
         self.processed_by_node = np.zeros(n, dtype=np.int64)
-        # Per-(node, kind) processed counts, flat (node * 4 + kind) —
-        # the regressors of the controller's cost-drift fit.
-        self.processed_node_kind = np.zeros(n * 4, dtype=np.int64)
         # Measured CPU cost, in the load model's cost units.
         self.cpu_cost_total = 0.0
         self.cpu_dropped_total = 0.0
         self.cpu_by_node = np.zeros(n)
-        # Per-tick measured statistics (diffed snapshots; see
-        # _begin_tick_stats / _end_tick_stats; tick_link_tuples is sized
-        # once the arena is built).
+        # The last closed tick's statistics (tick_link_tuples is sized
+        # once the arena is built): per (node, kind) counts are the
+        # controller's cost-drift regressors, per-op CPU the
+        # autoscaler's signal.
         self.tick_node_drops = np.zeros(n, dtype=np.int64)
         self.tick_node_processed = np.zeros(n, dtype=np.int64)
         self.tick_node_cpu = np.zeros(n)
         self.tick_node_kind_processed = np.zeros((n, 4), dtype=np.int64)
-        # Per-op measured CPU cost of the last finished tick.  The
-        # autoscaler's signal.
         self.tick_op_cpu = np.zeros(0)
         if self.config.node_capacity is None:
             self._cap = None
@@ -565,7 +585,6 @@ class DataPlane:
         self.sink_log: list | None = None
         # Segment swaps (same-name replacements, scale events).
         self.recompiles = 0
-        self._tick_recompiles = 0
         # Attached observability layer (repro.obs.Observability), or
         # None.  Handles are resolved once per tick; with no layer the
         # hot loop pays a single attribute check.
@@ -582,6 +601,7 @@ class DataPlane:
         self._src_ops = np.zeros(0, dtype=np.int64)
         self._has_partitioned = False
         self._sync()
+        self._check_drift()
         self.tick_link_tuples = np.zeros(self._live_links.size, dtype=np.int64)
 
     # -- compilation -------------------------------------------------------
@@ -896,7 +916,8 @@ class DataPlane:
         with this sync's installs; one compaction then gathers the
         segments back into overlay order and re-homes the retired rows
         onto the new ones (:meth:`_compact_arena`).  Only the swapped
-        circuits are derived.  Returns the in-flight tuples dropped.
+        circuits are derived.  Returns the in-flight tuples dropped,
+        which the opening tick counts as ``uninstalled``.
         """
         installed = self.overlay.circuits
         segments = self._arena.segments
@@ -920,7 +941,6 @@ class DataPlane:
                 continue
             swapped.append(circuit)
             self.recompiles += 1
-            self._tick_recompiles += 1
             seg = self._retire_segment(circuit.name)
             for row in range(seg.op_base, seg.op_base + seg.num_ops):
                 key = self._op_names[row]
@@ -991,8 +1011,10 @@ class DataPlane:
     def _retire_segment(self, name: str) -> ArenaSegment:
         """Tombstone one circuit's segment, leaving its tuples and state.
 
-        Folds the segment's measured per-link stats and unindexes its
-        ops; its sources leave the draw at the sync's index refresh.
+        Copies the segment's per-link totals into the retired-link
+        ledger (``link_stats`` and the published tick arrays read live
+        rows only) and unindexes its ops; its sources leave the draw at
+        the sync's index refresh.
         What becomes of the rows' in-flight tuples, join state and
         aggregate credit is the caller's (dropped on uninstall, re-homed
         by a swap's compaction).
@@ -1007,8 +1029,6 @@ class DataPlane:
                 )
                 entry[0] += int(self._link_tuples[i])
                 entry[1] += float(self._link_size[i])
-        self._link_tuples[seg.link_base : link_end] = 0
-        self._link_size[seg.link_base : link_end] = 0.0
         for row in range(seg.op_base, op_end):
             self._op_index.pop(self._op_names[row], None)
         return seg
@@ -1019,9 +1039,7 @@ class DataPlane:
         self._agg_credit[seg.op_base : seg.op_base + seg.num_ops] = 0.0
         # Tombstoned ops' join state stays (never probed, masked by
         # ``op_alive``) until a compaction maps the ops to -1.
-        dropped = self._transport.remap_ops(self._arena.op_mapping())
-        self.dropped_uninstalled += dropped
-        return dropped
+        return self._transport.remap_ops(self._arena.op_mapping())
 
     def _compact_arena(self, carry: dict, swapped) -> int:
         """Gather the live segments into overlay order over every column.
@@ -1072,7 +1090,6 @@ class DataPlane:
                     self._agg_credit[dest] + old_credit[old_i]
                 ) % 1.0
         dropped = self._transport.remap_ops(mapping, key_split or None)
-        self.dropped_uninstalled += dropped
         self._remap_state(mapping, key_split or None)
         self._arena.apply_compaction()
         _LOG.debug(
@@ -1156,6 +1173,32 @@ class DataPlane:
     def _alive(self) -> np.ndarray:
         return self.overlay.alive_mask()
 
+    def _check_drift(self) -> None:
+        """Raise ``ValueError`` for a drift spec that can never apply.
+
+        A spec whose circuit is installed must name one of its services
+        whose kind reads the parameter: ``selectivity`` a filter,
+        ``match_probability`` a join, ``aggregate_factor`` an aggregate,
+        ``source_rate`` a source (no in-link, an out-link).  Specs
+        naming a circuit installed later are not checked.
+        """
+        for spec in self.config.drift:
+            if spec.circuit not in self.overlay.circuits:
+                continue
+            op = self._op_index.get((spec.circuit, spec.service))
+            reads = op is not None and {
+                "selectivity": self._kind[op] == _FILTER,
+                "match_probability": self._kind[op] == _JOIN,
+                "aggregate_factor": self._kind[op] == _AGG,
+                "source_rate": self._in_deg[op] == 0 and self._out_deg[op] > 0,
+            }[spec.param]
+            if not reads:
+                raise ValueError(
+                    f"drift of {spec.param!r} on {spec.circuit}/{spec.service}"
+                    " can never apply: the circuit has no such service, or "
+                    "its kind does not read that parameter"
+                )
+
     def _apply_drift(self, now: int) -> None:
         """Walk the realized operator parameters along their drift specs.
 
@@ -1179,47 +1222,6 @@ class DataPlane:
                 self._op_factor[op] = min(1.0, value)
             else:  # source_rate
                 self._op_rate[op] = value
-
-    def _begin_tick_stats(self) -> None:
-        """Snapshot the cumulative counters the per-tick stats diff."""
-        self._snap_link = self._link_tuples.copy()
-        self._snap_drops = self.dropped_by_node.copy()
-        self._snap_processed = self.processed_by_node.copy()
-        self._snap_node_kind = self.processed_node_kind.copy()
-
-    def _end_tick_stats(self) -> None:
-        """Publish this tick's per-link / per-node measured statistics.
-
-        With tombstoned arena rows, only *live* link rows are published
-        (in row order, matching :meth:`link_keys`); dead rows carry no
-        traffic but must not leak into the control plane's estimator.
-        """
-        diff = self._link_tuples - self._snap_link
-        self.tick_link_tuples = diff[self._live_links]
-        self.tick_node_drops = self.dropped_by_node - self._snap_drops
-        self.tick_node_processed = self.processed_by_node - self._snap_processed
-        self.tick_node_kind_processed = (
-            self.processed_node_kind - self._snap_node_kind
-        ).reshape(self.overlay.num_nodes, 4)
-
-    def _finish_tick_cpu(self, host: np.ndarray, cpu_dropped: float) -> float:
-        """Scatter the tick's per-op CPU cost to hosting nodes.
-
-        Hosts are fixed for the duration of a tick (migrations happen
-        between ticks), so one weighted bincount attributes every cost
-        unit; the per-tick vector is published as
-        :attr:`tick_node_cpu`.  Returns the tick total.
-        """
-        node_cpu = np.bincount(
-            host, weights=self._tick_op_cost, minlength=self.overlay.num_nodes
-        )
-        self.tick_node_cpu = node_cpu
-        self.tick_op_cpu = self._tick_op_cost
-        self.cpu_by_node += node_cpu
-        tick_cpu = float(self._tick_op_cost.sum())
-        self.cpu_cost_total += tick_cpu
-        self.cpu_dropped_total += cpu_dropped
-        return tick_cpu
 
     def _effective_cap(self) -> np.ndarray | None:
         """Per-node admission limit: capacity ∧ controller shed limits."""
@@ -1345,10 +1347,10 @@ class DataPlane:
     def _open_tick(self, layout: type) -> _Tick:
         """Open one tick on the path whose join state is a ``layout``.
 
-        Everything both paths do before sources emit: arena sync, the
-        clock, parameter drift, the stats snapshot, state eviction,
-        admission prices frozen from the post-eviction state, and
-        reliable redelivery.
+        Everything both paths do before sources emit: arena sync (its
+        in-flight drops and swaps are the tick's first counts), the
+        clock, parameter drift, state eviction, admission prices frozen
+        from the post-eviction state, and reliable redelivery.
         """
         if not isinstance(self._join, layout):
             # The oracle's first tick swaps in its transport and join
@@ -1368,9 +1370,9 @@ class DataPlane:
         self._transport.trace = trace
         if trace is not None:
             trace.begin_tick(self.tick + 1)
-        self._tick_recompiles = 0
+        recompiles = self.recompiles
         prof.begin("compile")
-        dropped_sync = self._sync()
+        uninstalled = self._sync()
         prof.end()
         horizon = self.tick + 1 + self.config.window
         if self._slack.size:
@@ -1383,29 +1385,32 @@ class DataPlane:
         self.tick += 1
         now = self.tick
         self._apply_drift(now)
-        self._begin_tick_stats()
         host = self._host_array()
         alive = self._alive()
         cap = self._effective_cap()
-        self._tick_usage = 0.0
+        n = self.overlay.num_nodes
 
         prof.begin("evict")
         self._join.advance(now)
         prof.end()
         prof.begin("pricing")
-        # Per-op measured CPU cost of this tick.
-        self._tick_op_cost = np.zeros(self._arena.num_ops)
         t = _Tick(
             now=now,
             host=host,
             alive=alive,
             lat=self.overlay.latencies.values,
             cap=cap,
-            node_used=None if cap is None else np.zeros(self.overlay.num_nodes),
+            node_used=None if cap is None else np.zeros(n),
             adm=self._admission_costs() if cap is not None else None,
             trace=trace,
             prof=prof,
-            dropped=dropped_sync,
+            op_cost=np.zeros(self._arena.num_ops),
+            node_kind=np.zeros(4 * n, dtype=np.int64),
+            node_drops=np.zeros(n, dtype=np.int64),
+            link_tuples=np.zeros(self._link_tuples.size, dtype=np.int64),
+            link_size=np.zeros(self._link_size.size),
+            uninstalled=uninstalled,
+            recompiles=self.recompiles - recompiles,
         )
         prof.end()
 
@@ -1414,20 +1419,49 @@ class DataPlane:
         if self.config.reliable:
             prof.begin("redeliver")
             t.redelivered = self._transport.redeliver(alive[host], now)
-            self.redelivered += t.redelivered
             prof.end()
         return t
 
     def _close_tick(self, t: _Tick, tick_lat: list) -> TrafficRecord:
-        """Total the tick: usage, stats, CPU, latencies, the record.
+        """Publish the tick's record and ``tick_*`` statistics, and fold
+        its counts into the cumulative ledgers, before obs flushes.
 
         ``tick_lat`` holds the tick's sink latencies (ms), as arrays or
         single floats.
         """
         t.prof.begin("record")
-        self._usage_total += self._tick_usage
-        self._end_tick_stats()
-        tick_cpu = self._finish_tick_cpu(t.host, t.cpu_dropped)
+        n = self.overlay.num_nodes
+        node_kind = t.node_kind.reshape(n, 4)
+        node_processed = node_kind.sum(axis=1)
+        # Hosts are fixed within a tick (migrations happen between).
+        node_cpu = np.bincount(t.host, weights=t.op_cost, minlength=n)
+        cpu_cost = float(t.op_cost.sum())
+        # Live link rows only, in link_keys() order.
+        self.tick_link_tuples = t.link_tuples[self._live_links]
+        self.tick_node_drops = t.node_drops
+        self.tick_node_processed = node_processed
+        self.tick_node_kind_processed = node_kind
+        self.tick_node_cpu = node_cpu
+        self.tick_op_cpu = t.op_cost
+        # The fold: the only writes to the cumulative ledgers.
+        self.emitted += t.emitted
+        self.sink_delivered += t.delivered
+        self.processed += t.processed
+        self.dropped_dead += t.dead
+        self.dropped_capacity += t.capacity
+        self.dropped_shed += t.shed
+        self.dropped_overflow += t.overflow
+        self.dropped_uninstalled += t.uninstalled
+        self.redelivered += t.redelivered
+        self.processed_by_node += node_processed
+        self.dropped_by_node += t.node_drops
+        self.cpu_by_node += node_cpu
+        self._link_tuples += t.link_tuples
+        self._link_size += t.link_size
+        self.cpu_cost_total += cpu_cost
+        self.cpu_dropped_total += t.cpu_dropped
+        self._usage_total += t.usage
+
         lat_all = np.hstack(tick_lat) if tick_lat else np.empty(0, dtype=np.float64)
         p50, p95, p99 = self._percentiles(lat_all)
         if self._obs is not None:
@@ -1439,16 +1473,16 @@ class DataPlane:
             dropped=t.dropped,
             processed=t.processed,
             in_flight=self._transport.in_flight,
-            usage=self._tick_usage,
+            usage=t.usage,
             latency_p50=p50,
             latency_p95=p95,
             latency_p99=p99,
             shed=t.shed,
             redelivered=t.redelivered,
             buffered=self._transport.buffered,
-            cpu_cost=tick_cpu,
+            cpu_cost=cpu_cost,
             cpu_dropped=t.cpu_dropped,
-            recompiles=self._tick_recompiles,
+            recompiles=t.recompiles,
         )
         t.prof.end()
         return record
@@ -1458,7 +1492,7 @@ class DataPlane:
     def step(self) -> TrafficRecord:
         """Advance one tick through the batched kernels."""
         t = self._open_tick(JoinState)
-        now, host, alive, lat = t.now, t.host, t.alive, t.lat
+        now, host, alive = t.now, t.host, t.alive
         cap, node_used, adm = t.cap, t.node_used, t.adm
         trace, prof = t.trace, t.prof
         reliable = self.config.reliable
@@ -1481,10 +1515,8 @@ class DataPlane:
             m = ops.size
             if m:
                 t.emitted = m
-                self.emitted += m
                 self._send_array(
-                    ops, keys, np.full(m, now, dtype=np.int64), np.ones(m), now, host, lat,
-                    trace=trace, emit=True,
+                    t, ops, keys, np.full(m, now, dtype=np.int64), np.ones(m), emit=True
                 )
         prof.end()
 
@@ -1515,8 +1547,7 @@ class DataPlane:
                     overflow = self._transport.buffer(
                         op[dead], port[dead], key[dead], ts[dead], size[dead], seq[dead]
                     )
-                    self.dropped_overflow += overflow
-                    t.dropped += overflow
+                    t.overflow += overflow
                     if trace is not None:
                         # buffer() accepts a canonical-order prefix, so
                         # the accepted/overflowed split is positional.
@@ -1530,8 +1561,7 @@ class DataPlane:
                             dseq[accept:], dop[accept:], dnode[accept:],
                         )
                 else:
-                    self.dropped_dead += ndead
-                    t.dropped += ndead
+                    t.dead += ndead
                     if trace is not None:
                         dead = ~live
                         trace.record(trace.DROP_DEAD, seq[dead], op[dead], node[dead])
@@ -1548,12 +1578,10 @@ class DataPlane:
                     rejected = node[~keep]
                     shed_mask = self._shed_attribution(rejected)
                     nshed = int(shed_mask.sum())
-                    self.dropped_shed += nshed
                     t.shed += nshed
-                    self.dropped_capacity += ncap - nshed
-                    t.dropped += ncap
+                    t.capacity += ncap - nshed
                     t.cpu_dropped += float(costs[~keep].sum())
-                    self.dropped_by_node += np.bincount(rejected, minlength=nn)
+                    t.node_drops += np.bincount(rejected, minlength=nn)
                     if trace is not None:
                         rseq, rop = seq[~keep], op[~keep]
                         trace.record(
@@ -1574,17 +1602,13 @@ class DataPlane:
             if m == 0:
                 continue
             t.processed += m
-            self.processed += m
             hop = host[op]
-            self.processed_by_node += np.bincount(hop, minlength=nn)
-            self.processed_node_kind += np.bincount(
-                hop * 4 + self._kind[op], minlength=4 * nn
-            )
+            t.node_kind += np.bincount(hop * 4 + self._kind[op], minlength=4 * nn)
             if trace is not None:
                 trace.record(trace.PROCESS, seq, op, hop)
             # Base per-tuple kind costs; aggregates and joins add their
             # batch / probe terms inside _process_array.
-            self._tick_op_cost += np.bincount(
+            t.op_cost += np.bincount(
                 op, weights=self._kind_cost[op], minlength=self._arena.num_ops
             )
 
@@ -1592,7 +1616,6 @@ class DataPlane:
             ns = int(sink.sum())
             if ns:
                 t.delivered += ns
-                self.sink_delivered += ns
                 tick_lat.append(
                     (now - ts[sink]).astype(np.float64) * self.config.tick_ms
                 )
@@ -1612,17 +1635,17 @@ class DataPlane:
                 pos = np.flatnonzero(rest)
                 prof.begin("operators")
                 out = self._process_array(
-                    op[rest], port[rest], key[rest], ts[rest], size[rest], pos, now
+                    t, op[rest], port[rest], key[rest], ts[rest], size[rest], pos
                 )
                 prof.end()
                 if out is not None:
                     prof.begin("fanout")
-                    self._send_array(*out, now, host, lat, trace=trace)
+                    self._send_array(t, *out)
                     prof.end()
         prof.end()
         return self._close_tick(t, tick_lat)
 
-    def _process_array(self, op, port, key, ts, size, pos, now):
+    def _process_array(self, t, op, port, key, ts, size, pos):
         """Run one round's kept non-sink arrivals through the operators.
 
         Outputs are reassembled in canonical order — (input position,
@@ -1657,7 +1680,7 @@ class DataPlane:
             ) % 1.0
             if self._model.aggregate_batch_cost:
                 # Each of the batch's m tuples costs an extra c₁·m.
-                self._tick_op_cost[uniq] += (
+                t.op_cost[uniq] += (
                     self._model.aggregate_batch_cost * cnts.astype(float) * cnts
                 )
             if emit.any():
@@ -1674,7 +1697,7 @@ class DataPlane:
             p0 = jport == 0
             p1 = ~p0
             self._insert_state_array(jop[p0], jkey[p0], jts[p0], jsize[p0], side=0)
-            pairs = self._probe_array(jop, jport, jkey, jts, jsize, pos[m])
+            pairs = self._probe_array(t, jop, jport, jkey, jts, jsize, pos[m])
             if pairs is not None:
                 outs.append(pairs)
             self._insert_state_array(jop[p1], jkey[p1], jts[p1], jsize[p1], side=1)
@@ -1690,7 +1713,7 @@ class DataPlane:
         order = np.lexsort((o_rank, o_pos))
         return o_op[order], o_key[order], o_ts[order], o_size[order]
 
-    def _probe_array(self, op, port, key, ts, size, pos):
+    def _probe_array(self, t, op, port, key, ts, size, pos):
         """Match arrivals against the other side's windowed join state.
 
         One walk over all joins' arrivals at once (port ``p`` probes
@@ -1706,7 +1729,7 @@ class DataPlane:
             return None
         rop = op[rep]
         if self._model.probe_cost:
-            self._tick_op_cost += self._model.probe_cost * np.bincount(
+            t.op_cost += self._model.probe_cost * np.bincount(
                 rop, minlength=self._arena.num_ops
             )
         # The window test first, so only in-window pairs are hashed.
@@ -1740,9 +1763,7 @@ class DataPlane:
         e = np.maximum(ts + self.config.window + self._slack[op], self.tick)
         self._join.insert(2 * op + side, key, ts, size, e, self.tick)
 
-    def _send_array(
-        self, ops, keys, ts, sizes, now, host, lat, trace=None, emit=False
-    ) -> None:
+    def _send_array(self, t, ops, keys, ts, sizes, emit=False) -> None:
         """Fan outputs out over their CSR out-links and hand to transport."""
         if ops.size == 0:
             return
@@ -1779,22 +1800,23 @@ class DataPlane:
                     return
         dst = self._link_dst[link]
         sizes = sizes[rep]
-        u = host[ops[rep]]
-        v = host[dst]
-        l = lat[u, v]
+        u = t.host[ops[rep]]
+        v = t.host[dst]
+        l = t.lat[u, v]
         dt = np.rint(l / self.config.tick_ms).astype(np.int64)
         seq = np.arange(self._next_seq, self._next_seq + total, dtype=np.int64)
         self._next_seq += total
+        trace = t.trace
         if trace is not None:
             # A wire tuple's span is keyed by its target op (like every
             # delivery-side event); the node column carries the sender.
             trace.record(trace.EMIT if emit else trace.SEND, seq, dst, u)
-        nl = self._link_tuples.size
-        self._link_tuples += np.bincount(link, minlength=nl)
-        self._link_size += np.bincount(link, weights=sizes, minlength=nl)
-        self._tick_usage += float(l.sum())
+        nl = t.link_size.size
+        t.link_tuples += np.bincount(link, minlength=nl)
+        t.link_size += np.bincount(link, weights=sizes, minlength=nl)
+        t.usage += float(l.sum())
         self._transport.send(
-            now + dt, dst, self._link_port[link], keys[rep], ts[rep], sizes, seq
+            t.now + dt, dst, self._link_port[link], keys[rep], ts[rep], sizes, seq
         )
 
     # -- per-tuple reference path ------------------------------------------

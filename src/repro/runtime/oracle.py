@@ -239,7 +239,7 @@ def step(plane):
     returns the tick's ``TrafficRecord``.
     """
     t = plane._open_tick(KeyTables)
-    now, host, alive, latm = t.now, t.host, t.alive, t.lat
+    now, host, alive = t.now, t.host, t.alive
     cap, node_used, adm, trace = t.cap, t.node_used, t.adm, t.trace
     prof = t.prof
     reliable = plane.config.reliable
@@ -263,9 +263,8 @@ def step(plane):
             continue
         dom = float(plane._op_domain[opx])
         for x in seg:
-            _send(plane, opx, int(x * dom), now, 1.0, now, 0, host, latm, trace)
+            _send(plane, t, opx, int(x * dom), now, 1.0, 0)
         t.emitted += c
-        plane.emitted += c
     prof.end()
 
     # 2. Delivery rounds, one tuple at a time in canonical order.
@@ -284,15 +283,13 @@ def step(plane):
             if not alive[node]:
                 if reliable:
                     if not transport.buffer_one(opx, portx, key, ts, size, _seq):
-                        plane.dropped_overflow += 1
-                        t.dropped += 1
+                        t.overflow += 1
                         if trace is not None:
                             trace.record_one(trace.DROP_OVERFLOW, _seq, opx, node)
                     elif trace is not None:
                         trace.record_one(trace.BUFFER, _seq, opx, node)
                 else:
-                    plane.dropped_dead += 1
-                    t.dropped += 1
+                    t.dead += 1
                     if trace is not None:
                         trace.record_one(trace.DROP_DEAD, _seq, opx, node)
                 continue
@@ -302,29 +299,24 @@ def step(plane):
                     if plane._shed[node] < (
                         np.inf if plane._cap is None else plane._cap[node]
                     ):
-                        plane.dropped_shed += 1
                         t.shed += 1
                         if trace is not None:
                             trace.record_one(trace.DROP_SHED, _seq, opx, node)
                     else:
-                        plane.dropped_capacity += 1
+                        t.capacity += 1
                         if trace is not None:
                             trace.record_one(trace.DROP_CAPACITY, _seq, opx, node)
-                    t.dropped += 1
                     t.cpu_dropped += cost
-                    plane.dropped_by_node[node] += 1
+                    t.node_drops[node] += 1
                     continue
                 node_used[node] += cost
             t.processed += 1
-            plane.processed += 1
-            plane.processed_by_node[node] += 1
-            plane.processed_node_kind[node * 4 + int(plane._kind[opx])] += 1
+            t.node_kind[node * 4 + int(plane._kind[opx])] += 1
             if trace is not None:
                 trace.record_one(trace.PROCESS, _seq, opx, node)
-            plane._tick_op_cost[opx] += plane._kind_cost[opx]
+            t.op_cost[opx] += plane._kind_cost[opx]
             if plane._is_sink[opx]:
                 t.delivered += 1
-                plane.sink_delivered += 1
                 tick_lat.append(float(now - ts) * tick_ms)
                 if plane.sink_log is not None:
                     plane.sink_log.append((plane._op_names[opx][1], key, ts, float(size)))
@@ -351,7 +343,7 @@ def step(plane):
                 pm = float(plane._op_pmatch[opx])
                 entries = tables.get((opx, 1 - portx, key), ())
                 if model.probe_cost and entries:
-                    plane._tick_op_cost[opx] += model.probe_cost * len(entries)
+                    t.op_cost[opx] += model.probe_cost * len(entries)
                 gidx = int(plane._gid[opx])
                 for sts, ssz, _e in entries:
                     if abs(ts - sts) <= w and pair_bucket_int(key, ts, sts, gidx) < pm:
@@ -360,28 +352,29 @@ def step(plane):
                     (ts, size, ts + w + int(plane._slack[opx]))
                 )
             for k2, t2, s2 in outs:
-                _send(plane, opx, k2, t2, s2, now, round_, host, latm, trace)
+                _send(plane, t, opx, k2, t2, s2, round_)
         for opx, r in agg_rank.items():
             plane._agg_credit[opx] = (
                 plane._agg_credit[opx] + r * float(plane._op_factor[opx])
             ) % 1.0
             if model.aggregate_batch_cost:
                 # Each of the round batch's r tuples cost an extra c₁·r.
-                plane._tick_op_cost[opx] += model.aggregate_batch_cost * float(r) * r
+                t.op_cost[opx] += model.aggregate_batch_cost * float(r) * r
         round_ += 1
     prof.end()
     return plane._close_tick(t, tick_lat)
 
 
-def _send(plane, opx, key, ts, size, now, round_, host, latm, trace) -> None:
+def _send(plane, t, opx, key, ts, size, round_) -> None:
     """Fan one output out over its op's links and hand it to transport."""
+    host, trace = t.host, t.trace
     base = int(plane._out_offsets[opx])
     for li in range(base, base + int(plane._out_deg[opx])):
         g = int(plane._link_group[li])
         if g > 1 and route_bucket_int(key, g) != int(plane._link_index[li]):
             continue  # hash-router: not this replica's key slice
         dst = int(plane._link_dst[li])
-        l = float(latm[host[opx], host[dst]])
+        l = float(t.lat[host[opx], host[dst]])
         dt = int(np.rint(l / plane.config.tick_ms))
         seq = plane._next_seq
         plane._next_seq += 1
@@ -389,10 +382,10 @@ def _send(plane, opx, key, ts, size, now, round_, host, latm, trace) -> None:
             trace.record_one(
                 trace.EMIT if round_ == 0 else trace.SEND, seq, dst, int(host[opx])
             )
-        plane._link_tuples[li] += 1
-        plane._link_size[li] += size
-        plane._tick_usage += l
+        t.link_tuples[li] += 1
+        t.link_size[li] += size
+        t.usage += l
         plane._transport.send_one(
-            now + dt, round_ + 1 if dt == 0 else 1, seq, dst,
+            t.now + dt, round_ + 1 if dt == 0 else 1, seq, dst,
             int(plane._link_port[li]), key, ts, size,
         )

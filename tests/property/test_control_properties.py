@@ -231,9 +231,8 @@ class TestControllerTwins:
             assert cv == cs
         keys = ca.link_rates.keys()
         np.testing.assert_array_equal(ca.link_rates.rates(keys), cb.link_rates.rates(keys))
-        np.testing.assert_array_equal(
-            ca.node_processed.rates(), cb.node_processed.rates()
-        )
+        np.testing.assert_array_equal(ca.node_drops.rates(), cb.node_drops.rates())
+        np.testing.assert_array_equal(ca.node_cpu.rates(), cb.node_cpu.rates())
         assert ca.calibrations == cb.calibrations > 0
         # Calibration wrote identical rates into both twins' circuits.
         for name, circuit in ov_a.circuits.items():

@@ -798,6 +798,148 @@ class TestLedgerRecount:
         assert plane.recompiles == 0
 
 
+class _FoldCheck:
+    """Checks a plane's ledgers against its tick records after every tick.
+
+    Wraps the plane's two step methods.  Each cumulative ledger's delta
+    since the first tick must equal the sum of the ticks' records —
+    counts exactly, the CPU costs bit for bit (the default coefficients
+    are dyadic), usage to 1e-9 — and each per-node ledger the sum of
+    the published per-node tick arrays.  The published per-link tick
+    counts are summed per link key, for :meth:`check_links`."""
+
+    LEDGERS = {
+        "emitted": "emitted",
+        "sink_delivered": "delivered",
+        "processed": "processed",
+        "dropped": "dropped",
+        "dropped_shed": "shed",
+        "redelivered": "redelivered",
+        "recompiles": "recompiles",
+        "cpu_cost_total": "cpu_cost",
+        "cpu_dropped_total": "cpu_dropped",
+    }
+    NODES = {
+        "processed_by_node": "tick_node_processed",
+        "dropped_by_node": "tick_node_drops",
+        "cpu_by_node": "tick_node_cpu",
+    }
+
+    def __init__(self, plane):
+        self.plane = plane
+        self.start = {name: getattr(plane, name) for name in self.LEDGERS}
+        self.start_usage = plane._usage_total
+        self.start_nodes = {name: getattr(plane, name).copy() for name in self.NODES}
+        self.sums = dict.fromkeys(self.LEDGERS.values(), 0)
+        self.usage = 0.0
+        self.nodes = {name: 0 for name in self.NODES}
+        self.links = Counter()
+        for name in ("step", "step_scalar"):
+            setattr(plane, name, self._checked(getattr(plane, name)))
+
+    def _checked(self, step):
+        def checked():
+            record = step()
+            self._check(record)
+            return record
+
+        return checked
+
+    def _check(self, record):
+        plane = self.plane
+        for ledger, field in self.LEDGERS.items():
+            self.sums[field] += getattr(record, field)
+            assert getattr(plane, ledger) - self.start[ledger] == self.sums[field], ledger
+        self.usage += record.usage
+        assert plane._usage_total - self.start_usage == pytest.approx(
+            self.usage, rel=1e-9, abs=1e-9
+        )
+        for ledger, published in self.NODES.items():
+            self.nodes[ledger] = self.nodes[ledger] + getattr(plane, published)
+            np.testing.assert_array_equal(
+                getattr(plane, ledger) - self.start_nodes[ledger], self.nodes[ledger]
+            )
+        for key, n in zip(plane.link_keys(), plane.tick_link_tuples):
+            self.links[key] += int(n)
+
+    def check_links(self):
+        """Every link key's ``link_stats()`` tuples equal its published
+        tick counts summed over the run; returns the keys that carried
+        traffic and are no longer live (uninstalled or swapped out)."""
+        stats = self.plane.link_stats()
+        assert {k: v["tuples"] for k, v in stats.items() if v["tuples"]} == {
+            k: float(n) for k, n in self.links.items() if n
+        }
+        return {k for k, n in self.links.items() if n} - set(self.plane.link_keys())
+
+
+class TestLedgerFold:
+    """The ledgers are the fold of the tick records, on both twins, under
+    chaos (reliable transport, capacity, shed limits, churn), rolling
+    outages that overflow the retransmit buffer, and the tenant churn of
+    :class:`TestLedgerRecount` with and without a same-name replacement;
+    ``link_stats()`` keeps the counts of links whose circuit was
+    uninstalled or swapped."""
+
+    @pytest.mark.parametrize("scalar", [False, True], ids=["fast", "oracle"])
+    def test_ledgers_fold_the_ticks_under_chaos(self, scalar):
+        sim = chaotic_simulation(seed=5, reliable=True)
+        plane = sim.data_plane
+        fold = _FoldCheck(plane)
+        for node in range(0, plane.overlay.num_nodes, 3):
+            plane.set_shed_limit(node, 12.0)
+        for _ in range(40):
+            sim.step_scalar() if scalar else sim.step()
+        fold.check_links()
+        assert plane.dropped_capacity > 0 and plane.dropped_shed > 0
+
+    @pytest.mark.parametrize("scalar", [False, True], ids=["fast", "oracle"])
+    def test_ledgers_fold_the_ticks_across_outages(self, scalar):
+        """Rolling outages of the unpinned hosts fill a small retransmit
+        buffer past its bound, and the returning hosts drain it."""
+        overlay, pinned = traffic_overlay(seed=4)
+        plane = DataPlane(
+            overlay,
+            RuntimeConfig(
+                seed=7, reliable=True, retransmit_buffer=32, node_capacity=45.0
+            ),
+        )
+        fold = _FoldCheck(plane)
+        hosts = sorted(
+            {c.host_of(s) for c in overlay.circuits.values() for s in c.unpinned_ids()}
+            - pinned
+        )
+        for node in hosts[1::3]:
+            plane.set_shed_limit(node, 20.0)
+        for tick in range(35):
+            alive = np.ones(overlay.num_nodes, dtype=bool)
+            if (tick // 7) % 2:
+                alive[hosts[(tick // 7) % len(hosts) :: 2]] = False
+            overlay.apply_liveness(alive)
+            plane.step_scalar() if scalar else plane.step()
+        fold.check_links()
+        for ledger in (
+            "dropped_capacity", "dropped_shed", "dropped_overflow", "redelivered",
+        ):
+            assert getattr(plane, ledger) > 0, ledger
+
+    @pytest.mark.parametrize("scalar", [False, True], ids=["fast", "oracle"])
+    @pytest.mark.parametrize("replace_at", [None, 11], ids=["churn", "swap"])
+    def test_ledgers_fold_the_ticks_under_tenant_churn(self, scalar, replace_at):
+        scenario = tenant_churn_scenario(num_nodes=20, initial_circuits=5, seed=11)
+        sim, plane = scenario.simulation, scenario.data_plane
+        fold = _FoldCheck(plane)
+        for tick in range(24):
+            sim.step_scalar() if scalar else sim.step()
+            scenario.churn_tick()
+            if tick == replace_at:
+                oldest = scenario.overlay.circuits[scenario.installed[0]]
+                scenario.overlay.replace_circuit(oldest.copy())
+        assert fold.check_links()
+        assert plane.dropped_uninstalled > 0
+        assert plane.recompiles == (replace_at is not None)
+
+
 class TestConservation:
     def test_no_tuple_lost_under_chaos(self):
         scenario = chaos_scenario(num_nodes=30, num_circuits=3, node_capacity=40.0, seed=3)

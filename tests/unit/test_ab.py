@@ -149,6 +149,38 @@ class TestVerdict:
         assert next(r for r in out if r.startswith("op_ms_p50")).endswith("outside bound")
         assert next(r for r in out if r.startswith("ops_per_s")).endswith("within bound")
 
+    def test_exit_code_gates_on_the_bound(self, capsys):
+        clean = pairs(*[(line(10.0, 100.0), line(10.0, 100.0))] * 3)
+        assert ab.exit_code(ab.summarize(clean, BETTER)) == 0
+        slow = pairs(
+            (line(10.0, 100.0), line(13.0, 100.0)),
+            (line(10.2, 100.0), line(13.2, 100.0)),
+            (line(10.1, 100.0), line(13.1, 100.0)),
+        )
+        summary = ab.summarize(slow, BETTER)
+        assert ab.exit_code(summary) == 1
+        ab._report(summary, len(slow))
+        assert "outside bound: op_ms_p50" in capsys.readouterr().out.splitlines()
+
+    def test_unresolved_is_printed_and_passes(self, capsys):
+        noisy = pairs(
+            (line(6.0, 100.0), line(9.0, 100.0)),
+            (line(9.0, 100.0), line(10.0, 100.0)),
+            (line(11.0, 100.0), line(10.0, 100.0)),
+            (line(14.0, 100.0), line(11.0, 100.0)),
+        )
+        summary = ab.summarize(noisy, BETTER)
+        assert row(summary, "op_ms_p50")["verdict"] == "unresolved"
+        assert ab.exit_code(summary) == 0
+        ab._report(summary, len(noisy))
+        assert "unresolved: op_ms_p50" in capsys.readouterr().out.splitlines()
+
+    def test_exit_code_gates_on_incorrect_runs_and_exact_mismatches(self):
+        wrong = pairs((line(10.0, 100.0), line(10.0, 100.0, correct=False)))
+        assert ab.exit_code(ab.summarize(wrong, BETTER)) == 1
+        moved = pairs((line(10.0, 100.0), line(10.0, 100.0, share=0.99)))
+        assert ab.exit_code(ab.summarize(moved, BETTER)) == 1
+
     def test_per_layer_lines_get_no_verdict(self):
         runs = pairs(
             (traced(10.0, {"control.estimator.calls": 4.0}),

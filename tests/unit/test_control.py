@@ -11,6 +11,7 @@ from repro.network.latency import LatencyMatrix
 from repro.query.operators import ServiceSpec
 from repro.runtime import DataPlane, ParameterDrift, RuntimeConfig
 from repro.sbon.overlay import Overlay
+from tests.unit.test_obs import _planted_plane
 
 
 def planted_overlay(n=12, seed=0):
@@ -214,6 +215,37 @@ class TestParameterDrift:
         early = sum(plane.step().emitted for _ in range(3))
         late = sum(plane.step().emitted for _ in range(10))
         assert early > 0 and late == 0
+
+
+class TestDriftValidation:
+    """A plane refuses, at build, a drift spec that can never apply to its
+    installed circuit: a missing service, or a parameter its kind never
+    reads."""
+
+    @pytest.mark.parametrize(
+        "service, param",
+        [
+            ("c0/f", "source_rate"),  # a filter emits nothing of its own
+            ("c0/src", "selectivity"),  # a source is no filter
+            ("c0/nope", "selectivity"),  # no such service
+            ("c0/src", "match_probability"),
+            ("c0/sink", "aggregate_factor"),
+            ("c0/sink", "source_rate"),  # a sink has an in-link
+        ],
+    )
+    def test_inert_spec_raises(self, service, param):
+        with pytest.raises(ValueError, match="can never apply"):
+            _planted_plane(drift=[ParameterDrift("c0", service, param, 0.5, 1.0)])
+
+    def test_applicable_and_later_circuit_specs_build(self):
+        _planted_plane(
+            drift=[
+                ParameterDrift("c0", "c0/f", "selectivity", 0.5, 1.0),
+                ParameterDrift("c0", "c0/src", "source_rate", 6.0, 9.0),
+                # Names a circuit not installed yet: left unchecked.
+                ParameterDrift("c9", "c9/src", "selectivity", 0.5, 1.0),
+            ]
+        )
 
 
 class TestControlConfig:

@@ -68,12 +68,6 @@ class TestDistances:
 
 
 class TestHelpers:
-    def test_with_ideal_scalars(self):
-        c = CostCoordinate((1.0, 2.0), (5.0, 6.0))
-        ideal = c.with_ideal_scalars()
-        assert ideal.vector == c.vector
-        assert ideal.scalar == (0.0, 0.0)
-
     def test_scalar_penalty(self):
         c = CostCoordinate((0.0,), (3.0, 4.0))
         assert c.scalar_penalty() == pytest.approx(5.0)

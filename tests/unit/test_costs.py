@@ -93,18 +93,6 @@ class TestEvaluators:
         ev = GroundTruthEvaluator(lm, loads)
         assert ev.evaluate(circuit).load_penalty == 0.0
 
-    def test_update_loads(self):
-        circuit, lm = placed_circuit()
-        ev = GroundTruthEvaluator(lm, np.zeros(4))
-        ev.update_loads(np.array([0, 0, 0, 1.0]))
-        assert ev.evaluate(circuit).load_penalty > 0
-
-    def test_update_loads_shape_checked(self):
-        _, lm = placed_circuit()
-        ev = GroundTruthEvaluator(lm)
-        with pytest.raises(ValueError):
-            ev.update_loads(np.zeros(7))
-
     def test_cost_space_evaluator_matches_ground_truth_on_perfect_embedding(self):
         circuit, lm = placed_circuit()
         spec = CostSpaceSpec.latency_only(vector_dims=2)

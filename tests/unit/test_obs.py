@@ -256,7 +256,7 @@ class TestTickRecordSchema:
         assert all(r["schema"] == SCHEMA_VERSION for r in rows)
 
 
-def _planted_plane(node_capacity=None, rate=6.0):
+def _planted_plane(node_capacity=None, rate=6.0, drift=()):
     rng = np.random.default_rng(0)
     points = rng.uniform(0.0, 100.0, size=(12, 2))
     diff = points[:, None, :] - points[None, :, :]
@@ -272,11 +272,7 @@ def _planted_plane(node_capacity=None, rate=6.0):
     circuit.add_link("c0/f", "c0/sink", rate * 0.5)
     circuit.assign("c0/f", 1)
     overlay.install_circuit(circuit)
-    config = (
-        RuntimeConfig(seed=2, node_capacity=node_capacity)
-        if node_capacity is not None
-        else RuntimeConfig(seed=2)
-    )
+    config = RuntimeConfig(seed=2, node_capacity=node_capacity, drift=tuple(drift))
     return overlay, DataPlane(overlay, config)
 
 

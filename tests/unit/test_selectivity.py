@@ -43,11 +43,6 @@ class TestStatistics:
         with pytest.raises(ValueError):
             Statistics({"A": 1.0}, {frozenset(("A",)): 0.5})
 
-    def test_with_rate(self):
-        stats = simple_stats().with_rate("A", 99.0)
-        assert stats.rate("A") == 99.0
-        assert simple_stats().rate("A") == 10.0  # original untouched
-
     def test_random_stats_valid(self):
         stats = Statistics.random(["X", "Y", "Z"], seed=5)
         for name in ("X", "Y", "Z"):
