@@ -7,7 +7,10 @@ hook prints all registered tables at the end of the run — so
 timings and the experiment tables the paper reports.
 
 Tables are also persisted under ``benchmarks/results/``, one text file
-per experiment, so a table can be quoted and diffed verbatim.
+per experiment, so a table can be quoted and diffed verbatim.  Quick
+smoke runs (``BENCH_QUICK=1``) write under the git-ignored
+``benchmarks/results/quick/`` instead, so they never overwrite the
+tracked full-size tables.
 Before/after kernel timings additionally go to machine-readable
 ``BENCH_<experiment>.json`` files (:func:`write_bench_json`) so the
 perf trajectory is tracked from change to change and CI uploads it as
@@ -17,6 +20,7 @@ an artifact.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
 from pathlib import Path
@@ -24,6 +28,8 @@ from pathlib import Path
 import numpy as np
 
 RESULTS_DIR = Path(__file__).parent / "results"
+if os.environ.get("BENCH_QUICK", "") == "1":
+    RESULTS_DIR = RESULTS_DIR / "quick"
 
 
 def env_metadata() -> dict:
@@ -71,7 +77,7 @@ def _fmt(cell) -> str:
 def report(exp_id: str, title: str, headers: list[str], rows: list[list]) -> str:
     """Format, persist, and return an experiment table."""
     text = format_table(f"{exp_id}: {title}", headers, rows)
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / f"{exp_id}.txt").write_text(text + "\n")
     print("\n" + text)
     return text
@@ -89,7 +95,7 @@ def write_bench_json(exp_id: str, entries: list[dict], quick: bool = False) -> P
     Returns:
         The path of the written ``BENCH_<exp_id>.json``.
     """
-    RESULTS_DIR.mkdir(exist_ok=True)
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"BENCH_{exp_id}.json"
     payload = {
         "experiment": exp_id,

@@ -149,13 +149,6 @@ class Circuit:
     links: list[CircuitLink] = field(default_factory=list)
     placement: dict[str, int] = field(default_factory=dict)
 
-    # Monotone placement-change counter (class default; bumped onto the
-    # instance by :meth:`assign`).  Deliberately *not* a dataclass field
-    # so equality/init/repr are unaffected — consumers that cache
-    # derived placement data (the data plane's arena host column) cheap
-    # -check this instead of re-reading the placement dict every tick.
-    _placement_version = 0
-
     # -- construction ------------------------------------------------------
 
     def add_service(self, service: Service) -> None:
@@ -331,7 +324,6 @@ class Circuit:
         if node < 0:
             raise ValueError("node index must be non-negative")
         self.placement[service_id] = node
-        self._placement_version += 1
 
     def host_of(self, service_id: str) -> int:
         """Physical node hosting a service (raises if unplaced)."""

@@ -24,7 +24,8 @@ arrays, mirroring the virtual-placement ``_CircuitArrays`` discipline.
 Every local pass runs over a :class:`_ReoptArena`, the kernels'
 concatenation: :meth:`Reoptimizer.step_all` over the arena of all
 circuits (cached across passes), :meth:`Reoptimizer.local_step` and
-:meth:`Reoptimizer.evacuate` over an uncached arena of one.  A pass:
+:meth:`Reoptimizer.evacuate` over an uncached arena of one (a *forced*
+pass: the failed node's services move, and nothing else).  A pass:
 
 1. computes the spring targets of *all* unpinned services in one
    segment-sum over the current host positions (Jacobi snapshot: all
@@ -32,7 +33,7 @@ circuits (cached across passes), :meth:`Reoptimizer.local_step` and
    start of the pass; repeated passes converge to the same stable
    placements, and the scalar references below implement the *same*
    snapshot semantics so equivalence is testable);
-2. maps all targets in one batched ``map_coordinates`` call;
+2. maps all (forced) targets in one batched ``map_coordinates`` call;
 3. prices each candidate migration with one speculative
    ``evaluator.latency_array`` sweep over the incidence table, and
    every circuit's snapshot total in a few batched expressions;
@@ -41,7 +42,7 @@ circuits (cached across passes), :meth:`Reoptimizer.local_step` and
    no state, so each still sees its own services in order against its
    own running total, and the hysteresis threshold always compares
    against the up-to-date total (Gauss–Seidel within a circuit over
-   the Jacobi candidates).
+   the Jacobi candidates).  A forced pass skips the threshold test.
 
 The pre-vectorization per-candidate ``evaluator.evaluate`` loops are
 retained as ``local_step_scalar`` / ``step_all_scalar`` /
@@ -188,26 +189,6 @@ class _CircuitKernel:
             (placement[sid] for sid in self.sids), dtype=int, count=len(self.sids)
         )
 
-    def total(
-        self, hosts: np.ndarray, evaluator: CostEvaluator, load_weight: float
-    ) -> float:
-        """Scalarized circuit total (usage + weighted load penalty).
-
-        Colocated links contribute zero latency in both evaluators, so
-        no explicit ``u != v`` mask is needed.
-        """
-        usage = float(
-            np.dot(
-                self.link_rates,
-                evaluator.latency_array(
-                    hosts[self.link_src], hosts[self.link_dst]
-                ),
-            )
-        )
-        distinct = list({int(h) for h in hosts[self.unpinned_rows]})
-        penalty = float(evaluator.penalty_array(np.asarray(distinct)).sum())
-        return usage + load_weight * penalty
-
 
 #: Kernel-cache key the fused reopt arena is cached under.  It is not a
 #: ``str``, so no circuit name can equal it.
@@ -237,9 +218,9 @@ class _ReoptArena:
     (:meth:`refresh_rates`), so in-place re-pricing
     (``_CircuitKernel.set_rates``, driven by the control plane through
     :func:`refresh_kernel_rates`) reaches the next pass with no
-    invalidation.  The sweep tables are built on the first sweep, so an
-    arena built only for spring targets (:meth:`Reoptimizer.evacuate`)
-    never pays for them.
+    invalidation.  The sweep tables are built on the first
+    :meth:`totals`, so an evacuation with nothing to move never pays
+    for them.
     """
 
     def __init__(self, kernels: list["_CircuitKernel"]):
@@ -347,7 +328,7 @@ class _ReoptArena:
         return old_usage, new_usage
 
     def _build_sweep(self) -> None:
-        """Lockstep sweep tables (structure only), built on the first sweep.
+        """Lockstep sweep tables (structure only), built on first use.
 
         Step *j* holds the *j*-th unpinned service of every circuit with
         more than *j* of them: its segments, their circuits and rows,
@@ -398,13 +379,18 @@ class _ReoptArena:
         penalty_of,
         load_weight: float,
     ) -> np.ndarray:
-        """Every circuit's total at ``hosts``, as ``_CircuitKernel.total``.
+        """Every circuit's scalarized total at ``hosts``: link usage plus
+        ``load_weight`` times the load penalty of its distinct unpinned
+        hosts (``penalty_of`` prices nodes).
 
         Each link-count group's usage is one row-by-column ``np.matmul``,
-        bit-equal to the per-circuit ``np.dot``.  The penalty sums each
-        circuit's distinct unpinned hosts in first-seen order (with
-        three or more, a ``set``-order sum may differ in the last bit).
+        bit-equal to a per-circuit ``np.dot``; colocated links cost zero
+        latency in both evaluators, so no ``u != v`` mask is needed.  The
+        penalty sums each circuit's distinct unpinned hosts in first-seen
+        order.
         """
+        if self._steps is None:
+            self._build_sweep()
         link_lat = evaluator.latency_array(
             hosts[self.link_src], hosts[self.link_dst]
         )
@@ -462,6 +448,7 @@ class _ReoptArena:
         load_weight: float,
         threshold: float,
         frozen: np.ndarray | None = None,
+        force: np.ndarray | None = None,
     ) -> tuple[list[np.ndarray], int]:
         """Lockstep accept/revert sweep over every circuit at once.
 
@@ -472,14 +459,15 @@ class _ReoptArena:
         whose neighbor already moved is re-priced against the live
         hosts; the rest take the speculative delta.  A move is accepted
         when it cuts its circuit's total by ``threshold``; unmoved and
-        ``frozen`` segments are skipped, not rejected.
+        ``frozen`` segments are skipped, not rejected.  With a ``force``
+        mask (an evacuation) every forced segment moves to its candidate,
+        whatever ``threshold`` and ``frozen`` say, and no other segment
+        moves.
 
         Updates ``hosts``; returns the accepted moves as ``[segments,
         from, to, total before, total after]`` in segment order, and the
         reject count.
         """
-        if self._steps is None:
-            self._build_sweep()
         old_usage, new_usage = self.speculative_usage(hosts, candidates, evaluator)
         involved = np.unique(
             np.concatenate((hosts[self.unpinned_rows], candidates))
@@ -497,7 +485,9 @@ class _ReoptArena:
             old = hosts[rows]
             cand = candidates[segs]
             act = cand != old
-            if frozen is not None:
+            if force is not None:
+                act &= force[segs]
+            elif frozen is not None:
                 act &= ~frozen[segs]
             if not act.any():
                 continue
@@ -522,7 +512,7 @@ class _ReoptArena:
             )
             before = current[circ]
             after = before + delta + load_weight * dpen
-            ok = act & (after < before * (1 - threshold))
+            ok = act if force is not None else act & (after < before * (1 - threshold))
             rejects += int(np.count_nonzero(act) - np.count_nonzero(ok))
             if ok.any():
                 hosts[rows[ok]] = cand[ok]
@@ -760,7 +750,9 @@ class Reoptimizer:
                 mask[arena.seg_offsets[c] + k] = True
         return mask
 
-    def _pass(self, circuits: list[Circuit], arena_of) -> list[ReoptimizationReport]:
+    def _pass(
+        self, circuits: list[Circuit], arena_of, failed: int | None = None
+    ) -> list[ReoptimizationReport]:
         """One local pass over ``circuits`` through the arena ``arena_of`` builds.
 
         The active kernels' concatenation costs **one** spring-target
@@ -769,6 +761,11 @@ class Reoptimizer:
         circuit's *j*-th service at once.  The accepted moves are then
         assigned in (circuit, position) order.  Reports carry migrations
         only.
+
+        With ``failed`` the pass is forced: only the unpinned services on
+        ``failed`` are mapped (none: it returns before mapping), each moves
+        whatever the threshold and ``frozen`` say, nothing else moves, and
+        the accept/reject counters are left alone.
         """
         reports = [ReoptimizationReport() for _ in circuits]
         kernels, hosts_list, active = self._collect_active(circuits)
@@ -776,15 +773,26 @@ class Reoptimizer:
             return reports
         arena = arena_of(kernels)
         hosts = np.concatenate(hosts_list)
-        candidates, _ = self.mapper.map_coordinates(self._target_coords(arena, hosts))
-        frozen = self._frozen_segments(arena, [circuits[i] for i in active])
+        force = frozen = None
+        if failed is None:
+            targets = self._target_coords(arena, hosts)
+            candidates, _ = self.mapper.map_coordinates(targets)
+            frozen = self._frozen_segments(arena, [circuits[i] for i in active])
+        else:
+            candidates = hosts[arena.unpinned_rows]
+            force = candidates == failed
+            if not force.any():
+                return reports
+            targets = self._target_coords(arena, hosts)[force]
+            candidates[force], _ = self.mapper.map_coordinates(targets)
         moves, rejects = arena.sweep(
             hosts, candidates, self.evaluator, self.load_weight,
-            self.migration_threshold, frozen,
+            self.migration_threshold, frozen, force,
         )
         segs = moves[0]
-        self.accepts += segs.size
-        self.rejects += rejects
+        if force is None:
+            self.accepts += segs.size
+            self.rejects += rejects
         for c, k, *move in zip(
             arena.seg_circ[segs].tolist(),
             arena.seg_pos[segs].tolist(),
@@ -933,42 +941,22 @@ class Reoptimizer:
     # -- failure handling -------------------------------------------------
 
     def evacuate(self, circuit: Circuit, failed_node: int) -> list[Migration]:
-        """Force services off a failed node, ignoring thresholds.
+        """Force every unpinned service off a failed node.
 
-        Targets are snapshot at entry, from a one-circuit arena;
-        per-service before/after totals come from the circuit's kernel.
+        A forced :meth:`_pass` over an uncached arena of this one circuit
+        (the shared cache's many-circuit arena survives every churn
+        evacuation), with ``failed_node`` excluded from the mapper for
+        the call: each service on it moves to its snapshot target
+        whatever ``migration_threshold`` and ``frozen`` say, and the
+        migrations carry the circuit's running totals.
         """
-        migrations: list[Migration] = []
         was_excluded = failed_node in self.mapper.excluded
         self.mapper.exclude(failed_node)
         try:
-            kernel = self._kernel(circuit)
-            hosts = kernel.hosts(circuit)
-            affected = [
-                k
-                for k, row in enumerate(kernel.unpinned_rows)
-                if hosts[row] == failed_node
-            ]
-            if not affected:
-                return migrations
-            # An uncached one-circuit arena, so the shared cache's
-            # many-circuit arena survives every churn evacuation.
-            targets = self._target_coords(_ReoptArena([kernel]), hosts)[affected]
-            candidates, _ = self.mapper.map_coordinates(targets)
-            for k, candidate in zip(affected, candidates):
-                sid = kernel.unpinned_sids[k]
-                row = kernel.unpinned_rows[k]
-                before = kernel.total(hosts, self.evaluator, self.load_weight)
-                hosts[row] = int(candidate)
-                circuit.assign(sid, int(candidate))
-                after = kernel.total(hosts, self.evaluator, self.load_weight)
-                migrations.append(
-                    Migration(sid, failed_node, int(candidate), before, after)
-                )
+            return self._pass([circuit], _ReoptArena, failed_node)[0].migrations
         finally:
             if not was_excluded:
                 self.mapper.include(failed_node)
-        return migrations
 
     def evacuate_scalar(self, circuit: Circuit, failed_node: int) -> list[Migration]:
         """Per-candidate evaluate loop (retained reference for evacuate)."""

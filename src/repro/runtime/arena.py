@@ -38,8 +38,9 @@ import numpy as np
 __all__ = ["ArenaSegment", "CircuitArena"]
 
 
-# Slots: every tick's no-change sync test and host refresh read every
-# segment, and a slots instance is one allocation (fewer cache misses).
+# Slots: every tick's no-change sync test reads every segment (and so
+# does the host refresh on a tick after a move), and a slots instance is
+# one allocation (fewer cache misses).
 @dataclass(slots=True)
 class ArenaSegment:
     """One circuit's contiguous row ranges in the global arena.
@@ -52,8 +53,6 @@ class ArenaSegment:
         num_links: link-row count.
         circuit: the circuit object compiled into the segment.
         sids: its service ids, one per op row, in row order.
-        host_version: the circuit ``_placement_version`` the segment's
-            rows of the host column were last written at (-1 = never).
     """
 
     name: str
@@ -63,7 +62,6 @@ class ArenaSegment:
     num_links: int
     circuit: object = None
     sids: Sequence[str] = ()
-    host_version: int = -1
 
 
 class CircuitArena:

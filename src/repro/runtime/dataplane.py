@@ -600,8 +600,9 @@ class DataPlane:
         self._live_link_names: list[tuple[str, str, str]] = []
         self._src_ops = np.zeros(0, dtype=np.int64)
         self._has_partitioned = False
+        # The overlay's move counter the _host column was last read at.
+        self._host_epoch = overlay.placement_epoch
         self._sync()
-        self._check_drift()
         self.tick_link_tuples = np.zeros(self._live_links.size, dtype=np.int64)
 
     # -- compilation -------------------------------------------------------
@@ -610,11 +611,11 @@ class DataPlane:
         """Compile one circuit into segment-local flat columns.
 
         Returns the circuit's slice of every arena column, keyed by
-        column name, plus its ``sids`` and ``link_names``.  All op/link
-        indices in the returned columns are segment-local;
-        :meth:`_install_segments` shifts them by the segment base.
-        Gids resolve here, so a batch resolves them in install order;
-        hosts are read from the current placement.
+        column name, plus its ``sids``, ``link_names`` and ``gid_keys``.
+        All op/link indices in the returned columns are segment-local;
+        :meth:`_install_segments` shifts them by the segment base and
+        resolves the gids.  Hosts are read from the current placement.
+        Reads no plane state, so a sync derives before it writes.
         """
         sids = list(circuit.services.keys())
         local = {(circuit.name, sid): i for i, sid in enumerate(sids)}
@@ -751,6 +752,7 @@ class DataPlane:
         return {
             "sids": sids,
             "link_names": link_names,
+            "gid_keys": gid_keys,
             "_kind": kind,
             "_in_deg": in_deg,
             "_op_sel": op_sel,
@@ -763,9 +765,6 @@ class DataPlane:
             "_out_offsets": out_offsets[:-1],
             "_is_sink": (out_deg == 0) & (in_deg > 0),
             "_kind_cost": self._model.kind_costs()[kind],
-            "_gid": np.asarray(
-                [self._resolve_gid(k) for k in gid_keys], dtype=np.int64
-            ),
             "_agg_credit": np.zeros(n),
             "_op_rate": op_rate,
             "_host": np.fromiter(
@@ -915,9 +914,10 @@ class DataPlane:
         and join state left in place — and the new circuit is appended
         with this sync's installs; one compaction then gathers the
         segments back into overlay order and re-homes the retired rows
-        onto the new ones (:meth:`_compact_arena`).  Only the swapped
-        circuits are derived.  Returns the in-flight tuples dropped,
-        which the opening tick counts as ``uninstalled``.
+        onto the new ones (:meth:`_compact_arena`).  Only new circuits
+        are derived, before any write, so :meth:`_check_drift` refuses an
+        install cleanly.  Returns the in-flight tuples dropped, which the
+        opening tick counts as ``uninstalled``.
         """
         installed = self.overlay.circuits
         segments = self._arena.segments
@@ -929,15 +929,19 @@ class DataPlane:
         ):
             return 0
         old_by_name = {name: seg.circuit for name, seg in segments.items()}
+        fresh = [c for c in installed.values() if old_by_name.get(c.name) is not c]
+        derived = [self._derive_circuit(c) for c in fresh]
+        installs = zip(fresh, derived)
+        self._check_drift({c.name: d for c, d in installs if c.name not in old_by_name})
         dropped = 0
         for name in old_by_name:
             if name not in installed:
                 dropped += self._uninstall_segment(name)
         carry: dict[tuple[str, str], tuple[int, object]] = {}
         swapped = []
-        for circuit in installed.values():
+        for circuit in fresh:
             old = old_by_name.get(circuit.name)
-            if old is None or old is circuit:
+            if old is None:
                 continue
             swapped.append(circuit)
             self.recompiles += 1
@@ -945,9 +949,7 @@ class DataPlane:
             for row in range(seg.op_base, seg.op_base + seg.num_ops):
                 key = self._op_names[row]
                 carry[key] = (row, old.services.get(key[1]))
-        self._install_segments(
-            [c for c in installed.values() if old_by_name.get(c.name) is not c]
-        )
+        self._install_segments(fresh, derived)
         if swapped or self._arena.needs_compaction:
             dropped += self._compact_arena(carry, swapped)
         if swapped:
@@ -973,24 +975,25 @@ class DataPlane:
         )
         self._has_partitioned = bool((self._link_group[self._live_links] > 1).any())
 
-    def _install_segments(self, circuits) -> None:
+    def _install_segments(self, circuits, derived) -> None:
         """Append circuits as new live segments at the arena end, in order.
 
-        Each circuit is derived once, then every column grows with one
-        concatenate for the whole batch (a concatenate per circuit
-        would make an N-circuit build quadratic in copies).  Gids
-        resolve in batch order, which is overlay order.
+        ``derived`` holds each circuit's :meth:`_derive_circuit` columns;
+        every column grows with one concatenate for the whole batch (a
+        concatenate per circuit would make an N-circuit build quadratic
+        in copies).  Gids resolve in batch order, which is overlay order.
         """
         if not circuits:
             return
         parts = {name: [getattr(self, name)] for name in (*_OP_COLUMNS, *_LINK_COLUMNS)}
-        for circuit in circuits:
-            cols = self._derive_circuit(circuit)
+        for circuit, cols in zip(circuits, derived):
+            cols["_gid"] = np.asarray(
+                [self._resolve_gid(k) for k in cols["gid_keys"]], dtype=np.int64
+            )
             sids = cols["sids"]
             seg = self._arena.append(
                 circuit.name, len(sids), len(cols["link_names"]), circuit, sids
             )
-            seg.host_version = circuit._placement_version
             base = seg.op_base
             cols["_out_offsets"] += seg.link_base
             for name in ("_link_dst", "_link_src_op"):
@@ -1142,26 +1145,24 @@ class DataPlane:
     def _host_array(self) -> np.ndarray:
         """Current hosting node of every op, from live placements.
 
-        Resolved fresh each tick, which is what re-homes in-flight
+        Read at the start of each tick, which is what re-homes in-flight
         tuples across migrations for free: delivery looks the target
         service's node up *now*, not at send time.
 
-        The ``_host`` op column is rewritten per segment only when the
-        owning circuit's placement-version counter changed
-        (``Circuit.assign`` bumps it), so there is no per-tick Python
-        loop over every service.
+        An installed service moves only through
+        ``Overlay.apply_migration``, which bumps the overlay's
+        ``placement_epoch``; a sync writes the hosts of the segments it
+        derives.  So the ``_host`` op column is re-read from every
+        segment's placement only on a tick after that counter moved.
         """
         host = self._host
-        for seg in self._arena.segments.values():
-            circuit = seg.circuit
-            version = circuit._placement_version
-            if seg.host_version == version:
-                continue
-            placement = circuit.placement
-            base = seg.op_base
-            for i, sid in enumerate(seg.sids):
-                host[base + i] = placement[sid]
-            seg.host_version = version
+        epoch = self.overlay.placement_epoch
+        if epoch != self._host_epoch:
+            for seg in self._arena.segments.values():
+                placement = seg.circuit.placement
+                for row, sid in enumerate(seg.sids, start=seg.op_base):
+                    host[row] = placement[sid]
+            self._host_epoch = epoch
         return host
 
     def _draw_tick(self) -> tuple[np.ndarray, np.ndarray]:
@@ -1173,24 +1174,27 @@ class DataPlane:
     def _alive(self) -> np.ndarray:
         return self.overlay.alive_mask()
 
-    def _check_drift(self) -> None:
+    def _check_drift(self, installs: dict[str, dict]) -> None:
         """Raise ``ValueError`` for a drift spec that can never apply.
 
-        A spec whose circuit is installed must name one of its services
-        whose kind reads the parameter: ``selectivity`` a filter,
+        ``installs`` maps each circuit a sync installs to its derived
+        columns.  A spec naming one must name one of its services whose
+        kind reads the parameter: ``selectivity`` a filter,
         ``match_probability`` a join, ``aggregate_factor`` an aggregate,
-        ``source_rate`` a source (no in-link, an out-link).  Specs
-        naming a circuit installed later are not checked.
+        ``source_rate`` a source (no in-link, an out-link).  Swaps are
+        not re-checked: a re-split family leaves its base's specs inert.
         """
         for spec in self.config.drift:
-            if spec.circuit not in self.overlay.circuits:
+            cols = installs.get(spec.circuit)
+            if cols is None:
                 continue
-            op = self._op_index.get((spec.circuit, spec.service))
+            sids, kind = cols["sids"], cols["_kind"]
+            op = sids.index(spec.service) if spec.service in sids else None
             reads = op is not None and {
-                "selectivity": self._kind[op] == _FILTER,
-                "match_probability": self._kind[op] == _JOIN,
-                "aggregate_factor": self._kind[op] == _AGG,
-                "source_rate": self._in_deg[op] == 0 and self._out_deg[op] > 0,
+                "selectivity": kind[op] == _FILTER,
+                "match_probability": kind[op] == _JOIN,
+                "aggregate_factor": kind[op] == _AGG,
+                "source_rate": cols["_in_deg"][op] == 0 and cols["_out_deg"][op] > 0,
             }[spec.param]
             if not reads:
                 raise ValueError(
@@ -1352,18 +1356,11 @@ class DataPlane:
         clock, parameter drift, state eviction, admission prices frozen
         from the post-eviction state, and reliable redelivery.
         """
-        if not isinstance(self._join, layout):
-            # The oracle's first tick swaps in its transport and join
-            # tables; the batched ones are still empty.
-            if self._stepped:
-                raise RuntimeError(
-                    "DataPlane committed to the other step path; build a twin "
-                    "instance to compare step() against step_scalar()"
-                )
-            self._transport = oracle.HeapTransport(self._transport.max_buffer)
-            self._join = oracle.KeyTables()
-            self._join.extend(self._kind, self._op_domain)
-        self._stepped = True
+        if self._stepped and not isinstance(self._join, layout):
+            raise RuntimeError(
+                "DataPlane committed to the other step path; build a twin "
+                "instance to compare step() against step_scalar()"
+            )
         obs = self._obs
         trace = None if obs is None else obs.tracer
         prof = NO_PHASES if obs is None or obs.profiler is None else obs.profiler
@@ -1374,6 +1371,15 @@ class DataPlane:
         prof.begin("compile")
         uninstalled = self._sync()
         prof.end()
+        if not isinstance(self._join, layout):
+            # The oracle's first tick swaps in its transport and join
+            # tables once its sync has passed (the batched ones are
+            # still empty), so a refused install commits to no path.
+            self._transport = oracle.HeapTransport(self._transport.max_buffer)
+            self._transport.trace = trace
+            self._join = oracle.KeyTables()
+            self._join.extend(self._kind, self._op_domain)
+        self._stepped = True
         horizon = self.tick + 1 + self.config.window
         if self._slack.size:
             horizon += int(self._slack.max())

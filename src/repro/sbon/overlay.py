@@ -34,6 +34,10 @@ subtracts again.  Batch liveness changes go through
 :meth:`set_node_capacity`.  The per-node reference loops are retained
 as ``loads_scalar`` (which recounts induced load from ``_host_of``) and
 ``total_network_usage_scalar``.
+
+An installed service moves only through :meth:`apply_migration`, which
+bumps ``placement_epoch``: the data plane re-reads its host column only
+when that counter has moved.
 """
 
 from __future__ import annotations
@@ -108,6 +112,8 @@ class Overlay:
         self._u_dst = np.zeros(0, dtype=int)
         self._u_rate = np.zeros(0)
         self._u_seg: dict[str, tuple[int, int]] = {}
+        # Moves of installed services so far (apply_migration).
+        self.placement_epoch = 0
 
     # -- construction ------------------------------------------------------
 
@@ -428,6 +434,7 @@ class Overlay:
     def apply_migration(self, circuit_name: str, service_id: str, to_node: int) -> None:
         """Move one hosted service to a new node (post-reoptimization).
 
+        The only way an installed service moves; bumps ``placement_epoch``.
         Only unpinned services are hosted, so a pinned one raises
         ValueError, like a dead target's RuntimeError, before any write.
         """
@@ -440,6 +447,7 @@ class Overlay:
         self._evict_service(circuit_name, service_id)
         self._host_service(circuit, service_id, to_node)
         self._usage_write(circuit)
+        self.placement_epoch += 1
 
     def set_link_rates(self, circuit_name: str, rates) -> None:
         """Re-price an installed circuit's links (the controller's

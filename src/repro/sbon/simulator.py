@@ -2,12 +2,18 @@
 
 The simulation advances in discrete ticks.  Each tick:
 
-1. the background-load process steps (and hotspots fire),
+1. background load and latency drift step (and hotspots fire),
 2. optional churn fails/recovers nodes; failed hosts are evacuated,
 3. the cost space refreshes its scalar (load) dimensions,
 4. every ``reopt_interval`` ticks, the re-optimizer runs one local pass
-   per installed circuit and applies the resulting migrations,
-5. the true network usage and load statistics are recorded.
+   over every installed circuit,
+5. the data plane, controller and autoscaler step (a controller may
+   demand a re-placement or a buffer evacuation),
+6. the true network usage and load statistics are recorded.
+
+Every move is applied through ``Overlay.apply_migration``.  Both
+evacuations are forced passes (:meth:`Reoptimizer.evacuate`) run by one
+helper; only buffer evacuations count in ``TickRecord.migrations``.
 
 This is the harness behind the re-optimization experiments (E7): with
 re-optimization disabled the usage series degrades as conditions drift;
@@ -233,7 +239,12 @@ class Simulation:
             failures = len(newly_failed)
             self.overlay.apply_liveness(self.churn.alive_mask())
             if newly_failed:
-                self._evacuate(newly_failed, scalar=scalar)
+                # Not counted in the record's migrations.
+                circuits = self.overlay.circuits.values()
+                self._evacuate(
+                    ((c, n) for c in circuits for n in newly_failed if n in c.hosts()),
+                    scalar,
+                )
             prof.end()
 
         # 4. Refresh cost space; maybe re-optimize.
@@ -271,8 +282,17 @@ class Simulation:
                     scalar=scalar, exclude=control.excluded_nodes
                 )
             if control.evacuate_services:
-                migrations += self._evacuate_buffered(
-                    control.evacuate_services, scalar=scalar
+                # Services under retransmit-buffer pressure leave their
+                # current host, so the buffered tuples re-home and
+                # redeliver this tick; pinned ones cannot move.
+                live = self.overlay.circuits
+                migrations += self._evacuate(
+                    (
+                        (live[name], live[name].host_of(sid))
+                        for name, sid in control.evacuate_services
+                        if name in live and sid in live[name].services
+                    ),
+                    scalar,
                 )
             prof.end()
 
@@ -345,44 +365,19 @@ class Simulation:
             self.step()
         return self.series
 
-    def _evacuate(self, failed: list[int], scalar: bool = False) -> None:
-        """Move services off failed nodes immediately."""
-        reopt = self._make_reoptimizer()
-        for node_id in failed:
-            reopt.mapper.exclude(node_id)
-        evacuate = reopt.evacuate_scalar if scalar else reopt.evacuate
-        for circuit in self.overlay.circuits.values():
-            for node_id in failed:
-                if node_id not in circuit.hosts():
-                    continue
-                for migration in evacuate(circuit, node_id):
-                    self.overlay.apply_migration(
-                        circuit.name, migration.service_id, migration.to_node
-                    )
-        self._harvest_reopt(reopt)
+    def _evacuate(self, pairs, scalar: bool) -> int:
+        """Evacuate each ``(circuit, node)`` pair; returns the moves made.
 
-    def _evacuate_buffered(
-        self, services: tuple[tuple[str, str], ...], scalar: bool = False
-    ) -> int:
-        """Force re-placement of services under retransmit-buffer pressure.
-
-        The controller names (circuit, service) pairs whose buffered
-        backlog breached policy; each one's current host is evacuated
-        with that host excluded as a target, so the buffered tuples
-        re-home to the new placement and redeliver this tick instead of
-        waiting out the outage.  Pinned services cannot move and are
-        skipped by the evacuation pass.
+        ``pairs`` is read lazily, so each pair sees the moves of the
+        pairs before it.  Every move is a forced pass
+        (:meth:`Reoptimizer.evacuate`) followed by
+        ``Overlay.apply_migration``; the reoptimizer's mapper already
+        excludes every failed node.
         """
         reopt = self._make_reoptimizer()
+        evacuate = reopt.evacuate_scalar if scalar else reopt.evacuate
         migrations = 0
-        for circuit_name, service_id in services:
-            circuit = self.overlay.circuits.get(circuit_name)
-            if circuit is None or service_id not in circuit.services:
-                continue
-            node = circuit.host_of(service_id)
-            if node is None:
-                continue
-            evacuate = reopt.evacuate_scalar if scalar else reopt.evacuate
+        for circuit, node in pairs:
             for migration in evacuate(circuit, node):
                 self.overlay.apply_migration(
                     circuit.name, migration.service_id, migration.to_node

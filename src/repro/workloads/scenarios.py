@@ -690,15 +690,18 @@ class DriftScenario:
     filters: list[tuple[str, str]]
 
 
+# Each filter's selectivity: estimate, truth, and the ramp between.
+_SEL_EST = 0.1
+_SEL_TRUE = 0.9
+_DRIFT_BEGIN = 15
+_DRIFT_DURATION = 20
+
+
 def selectivity_drift_scenario(
     mode: str = "control",
     num_nodes: int = 48,
     num_chains: int = 6,
     rate: float = 8.0,
-    sel_est: float = 0.1,
-    sel_true: float = 0.9,
-    drift_begin: int = 15,
-    drift_duration: int = 20,
     reopt_interval: int = 5,
     seed: int = 0,
 ) -> DriftScenario:
@@ -707,9 +710,9 @@ def selectivity_drift_scenario(
     Each chain is ``producer → filter → {two consumers}`` with the
     producer planted far west and both consumers far east.  At the
     *estimated* selectivity the filter's output pull
-    (``2 · rate · sel_est``) is weaker than the producer's, so the
+    (``2 · rate · _SEL_EST``) is weaker than the producer's, so the
     optimal placement sits at the producer; as the realized selectivity
-    ramps to ``sel_true`` the output pull dominates and the optimum
+    ramps to ``_SEL_TRUE`` the output pull dominates and the optimum
     flips to the consumer side.  An optimizer pricing stale estimates
     never moves; one pricing measured (or oracle) rates migrates the
     filter east and wins on *measured* network usage.
@@ -750,7 +753,7 @@ def selectivity_drift_scenario(
         )
         circuit.add_service(
             Service(
-                f"{name}/filter", ServiceSpec.filter(sel_est), None, frozenset((f"P{c}",))
+                f"{name}/filter", ServiceSpec.filter(_SEL_EST), None, frozenset((f"P{c}",))
             )
         )
         circuit.add_service(
@@ -760,8 +763,8 @@ def selectivity_drift_scenario(
             Service(f"{name}/sink1", ServiceSpec.relay(), sink1, frozenset((f"P{c}",)))
         )
         circuit.add_link(f"{name}/src", f"{name}/filter", rate)
-        circuit.add_link(f"{name}/filter", f"{name}/sink0", rate * sel_est)
-        circuit.add_link(f"{name}/filter", f"{name}/sink1", rate * sel_est)
+        circuit.add_link(f"{name}/filter", f"{name}/sink0", rate * _SEL_EST)
+        circuit.add_link(f"{name}/filter", f"{name}/sink1", rate * _SEL_EST)
         # Start at the estimate-optimal placement: colocated with the
         # producer (the dominant pull under the stale selectivity).
         circuit.assign(f"{name}/filter", producer)
@@ -771,10 +774,10 @@ def selectivity_drift_scenario(
                 circuit=name,
                 service=f"{name}/filter",
                 param="selectivity",
-                start=sel_est,
-                end=sel_true,
-                begin=drift_begin,
-                duration=drift_duration,
+                start=_SEL_EST,
+                end=_SEL_TRUE,
+                begin=_DRIFT_BEGIN,
+                duration=_DRIFT_DURATION,
             )
         )
         filters.append((name, f"{name}/filter"))
@@ -802,7 +805,7 @@ def selectivity_drift_scenario(
         data_plane=data_plane,
         controller=simulation.controller,
         drift=tuple(drift),
-        drift_end=drift_begin + drift_duration,
+        drift_end=_DRIFT_BEGIN + _DRIFT_DURATION,
         filters=filters,
     )
 
@@ -853,11 +856,17 @@ class CpuHotspotScenario:
     spike_window: tuple[int, int] | None = None
 
 
+# Escape-ring and producer distances from the shared host; spike timing.
+_RING_RADIUS = 3.0
+_ANCHOR_RADIUS = 40.0
+_SPIKE_BEGIN = 20
+_SPIKE_RAMP = 8
+_SPIKE_HOLD = 25
+
+
 def cpu_hotspot_scenario(
     mode: str = "cost",
     num_chains: int = 6,
-    ring_radius: float = 3.0,
-    anchor_radius: float = 40.0,
     limit: float = 200.0,
     cpu_ref: float = 300.0,
     join_cost: float = 8.0,
@@ -865,19 +874,16 @@ def cpu_hotspot_scenario(
     calibrate_interval: int = 5,
     seed: int = 0,
     lambda_spike: float | None = None,
-    spike_begin: int = 20,
-    spike_ramp: int = 8,
-    spike_hold: int = 25,
     autoscale: AutoScalerConfig | None = None,
 ) -> CpuHotspotScenario:
     """Join-heavy chains whose CPU cost concentrates on one node.
 
     Geometry (planted, exact): chain *c*'s producers sit at
-    ``anchor_radius`` along direction θ_c and its opposite, with the
+    ``_ANCHOR_RADIUS`` along direction θ_c and its opposite, with the
     consumer colocated with the weaker producer; the rate asymmetry
     pulls each chain's spring target a little way (≈1.3 units) toward
     θ_c from the center, where the shared host lives, while its escape
-    ring node waits at ``ring_radius`` along the same direction.  The
+    ring node waits at ``_RING_RADIUS`` along the same direction.  The
     center is therefore every chain's latency optimum — only measured
     CPU pressure in the load dimension can justify moving off it, and
     when it does, each join has a *distinct* nearest alternative.
@@ -887,8 +893,8 @@ def cpu_hotspot_scenario(
             into the load dimension — the count-era baseline) or
             ``"cost"`` (the full unified-currency loop).
         lambda_spike: when set, a flash crowd: every chain's realized
-            source λ ramps up by this factor over ``spike_ramp`` ticks
-            starting at ``spike_begin``, holds for ``spike_hold``
+            source λ ramps up by this factor over ``_SPIKE_RAMP`` ticks
+            starting at ``_SPIKE_BEGIN``, holds for ``_SPIKE_HOLD``
             ticks, then ramps back down (a gated drift spec, so the
             two ramps share the parameter cleanly).  A 10–100× spike
             pushes single joins past any one node's budget — only
@@ -908,17 +914,17 @@ def cpu_hotspot_scenario(
     for c in range(k):
         theta = 2.0 * np.pi * c / k
         positions.append(
-            (ring_radius * np.cos(theta), ring_radius * np.sin(theta))
+            (_RING_RADIUS * np.cos(theta), _RING_RADIUS * np.sin(theta))
         )
     for c in range(k):
         theta = 2.0 * np.pi * c / k
         positions.append(
-            (anchor_radius * np.cos(theta), anchor_radius * np.sin(theta))
+            (_ANCHOR_RADIUS * np.cos(theta), _ANCHOR_RADIUS * np.sin(theta))
         )
     for c in range(k):
         theta = 2.0 * np.pi * c / k + np.pi
         positions.append(
-            (anchor_radius * np.cos(theta), anchor_radius * np.sin(theta))
+            (_ANCHOR_RADIUS * np.cos(theta), _ANCHOR_RADIUS * np.sin(theta))
         )
     n = len(positions)
     latencies = planted_latency_matrix(positions)
@@ -964,8 +970,8 @@ def cpu_hotspot_scenario(
     drift: list[ParameterDrift] = []
     spike_window = None
     if lambda_spike is not None:
-        spike_end = spike_begin + spike_ramp + spike_hold
-        spike_window = (spike_begin, spike_end + spike_ramp)
+        spike_end = _SPIKE_BEGIN + _SPIKE_RAMP + _SPIKE_HOLD
+        spike_window = (_SPIKE_BEGIN, spike_end + _SPIKE_RAMP)
         for c in range(k):
             name = f"cpu{c}"
             for src, rate in ((f"{name}/src1", 8.0), (f"{name}/src2", 5.0)):
@@ -976,8 +982,8 @@ def cpu_hotspot_scenario(
                         param="source_rate",
                         start=rate,
                         end=rate * lambda_spike,
-                        begin=spike_begin,
-                        duration=spike_ramp,
+                        begin=_SPIKE_BEGIN,
+                        duration=_SPIKE_RAMP,
                     )
                 )
                 drift.append(
@@ -988,7 +994,7 @@ def cpu_hotspot_scenario(
                         start=rate * lambda_spike,
                         end=rate,
                         begin=spike_end,
-                        duration=spike_ramp,
+                        duration=_SPIKE_RAMP,
                         gated=True,
                     )
                 )

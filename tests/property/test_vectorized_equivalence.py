@@ -397,11 +397,13 @@ class TestReoptimizerEquivalence:
         evaluator = _evaluator_for(seed, space, loads, latencies)
         kernel = _CircuitKernel(circuit)
         hosts = kernel.hosts(circuit)
+        arena = _ReoptArena([kernel])
         for load_weight in (0.0, 0.7, 1.0):
             expected = evaluator.evaluate(circuit, load_weight=load_weight).total
-            assert kernel.total(hosts, evaluator, load_weight) == pytest.approx(
-                expected, rel=1e-9, abs=1e-9
+            (total,) = arena.totals(
+                hosts, evaluator, evaluator.penalty_array, load_weight
             )
+            assert total == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_kernel_targets_match_local_targets(self, seed):
@@ -453,19 +455,34 @@ class TestReoptimizerEquivalence:
             assert cv.placement == cs.placement
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_evacuate_matches_scalar(self, seed):
+    @pytest.mark.parametrize("threshold, freeze", [(0.02, False), (0.99, True)])
+    def test_evacuate_matches_scalar(self, seed, threshold, freeze):
+        # An evacuation is forced: neither a prohibitive threshold nor a
+        # frozen evacuee keeps a service on the failed node.
         circuit, space, loads, latencies = _placed_circuit_and_space(seed)
         evaluator = _evaluator_for(seed, space, loads, latencies)
-        failed = circuit.host_of(circuit.unpinned_ids()[0])
+        evacuee = circuit.unpinned_ids()[0]
+        failed = circuit.host_of(evacuee)
         vec_circuit, sc_circuit = circuit.copy(), circuit.copy()
-        vec = Reoptimizer(space, evaluator=evaluator)
-        sc = Reoptimizer(space, evaluator=evaluator)
+        vec, sc = (
+            Reoptimizer(space, evaluator=evaluator, migration_threshold=threshold)
+            for _ in range(2)
+        )
+        if freeze:
+            vec.frozen = sc.frozen = {(circuit.name, evacuee)}
         mv = vec.evacuate(vec_circuit, failed)
         ms = sc.evacuate_scalar(sc_circuit, failed)
-        assert [(m.service_id, m.to_node) for m in mv] == [
-            (m.service_id, m.to_node) for m in ms
+        assert [(m.service_id, m.from_node, m.to_node) for m in mv] == [
+            (m.service_id, m.from_node, m.to_node) for m in ms
         ]
+        assert {m.service_id for m in mv} == {
+            sid for sid in circuit.unpinned_ids() if circuit.host_of(sid) == failed
+        }
+        assert failed not in {
+            vec_circuit.host_of(sid) for sid in vec_circuit.unpinned_ids()
+        }
         assert vec_circuit.placement == sc_circuit.placement
+        assert vec.accepts == vec.rejects == 0
         for a, b in zip(mv, ms):
             assert a.cost_before == pytest.approx(b.cost_before, rel=1e-9)
             assert a.cost_after == pytest.approx(b.cost_after, rel=1e-9)

@@ -6,7 +6,12 @@ import pytest
 from repro.control import ControlConfig, Controller, KeyedRateEstimator, RateEstimator
 from repro.core.circuit import Circuit, Service
 from repro.core.cost_space import CostSpace, CostSpaceSpec
-from repro.core.reoptimizer import Reoptimizer, _CircuitKernel, refresh_kernel_rates
+from repro.core.reoptimizer import (
+    Reoptimizer,
+    _CircuitKernel,
+    _ReoptArena,
+    refresh_kernel_rates,
+)
 from repro.network.latency import LatencyMatrix
 from repro.query.operators import ServiceSpec
 from repro.runtime import DataPlane, ParameterDrift, RuntimeConfig
@@ -218,9 +223,9 @@ class TestParameterDrift:
 
 
 class TestDriftValidation:
-    """A plane refuses, at build, a drift spec that can never apply to its
-    installed circuit: a missing service, or a parameter its kind never
-    reads."""
+    """A plane refuses, at build or when its circuit is installed, a drift
+    spec that can never apply to that circuit: a missing service, or a
+    parameter its kind never reads."""
 
     @pytest.mark.parametrize(
         "service, param",
@@ -237,12 +242,32 @@ class TestDriftValidation:
         with pytest.raises(ValueError, match="can never apply"):
             _planted_plane(drift=[ParameterDrift("c0", service, param, 0.5, 1.0)])
 
+    @pytest.mark.parametrize("path", ["step", "step_scalar"])
+    def test_inert_spec_on_later_circuit_raises_at_its_install(self, path):
+        drift = (
+            ParameterDrift("c0", "c0/nope", "selectivity", 0.5, 1.0),
+            ParameterDrift("c0", "c0/src", "selectivity", 0.5, 1.0),
+        )
+        overlay = planted_overlay()
+        plane = DataPlane(overlay, RuntimeConfig(seed=1, drift=drift))
+        overlay.install_circuit(chain_circuit())
+        for _ in range(2):  # a refused install writes nothing, so it repeats
+            with pytest.raises(ValueError, match="can never apply"):
+                getattr(plane, path)()
+            assert plane.tick == 0
+            assert not plane._arena.segments and plane._arena.num_ops == 0
+            assert plane._op_index == {} and plane._gid_by_key == {}
+        # Nor does it commit the plane to a step path.
+        overlay.uninstall("c0")
+        other = "step_scalar" if path == "step" else "step"
+        assert getattr(plane, other)().emitted == 0 and plane.tick == 1
+
     def test_applicable_and_later_circuit_specs_build(self):
         _planted_plane(
             drift=[
                 ParameterDrift("c0", "c0/f", "selectivity", 0.5, 1.0),
                 ParameterDrift("c0", "c0/src", "source_rate", 6.0, 9.0),
-                # Names a circuit not installed yet: left unchecked.
+                # Names a circuit not installed yet: checked at its install.
                 ParameterDrift("c9", "c9/src", "selectivity", 0.5, 1.0),
             ]
         )
@@ -297,11 +322,13 @@ class TestKernelRateHook:
         overlay = planted_overlay()
         circuit = chain_circuit()
         kernel = _CircuitKernel(circuit)
+        arena = _ReoptArena([kernel])
         evaluator = overlay.estimate_evaluator()
         hosts = kernel.hosts(circuit)
-        before = kernel.total(hosts, evaluator, 1.0)
+        (before,) = arena.totals(hosts, evaluator, evaluator.penalty_array, 1.0)
         kernel.set_rates(np.array([12.0, 6.0]))
-        after = kernel.total(hosts, evaluator, 1.0)
+        arena.refresh_rates()
+        (after,) = arena.totals(hosts, evaluator, evaluator.penalty_array, 1.0)
         assert after > before
         np.testing.assert_array_equal(kernel.link_rates, [12.0, 6.0])
         # Spring weights follow the new rates too.

@@ -268,17 +268,27 @@ class TestTraffic:
         record = plane.step()
         assert record.emitted == 0
 
-    def test_migration_rehomes_in_flight_tuples(self):
+    @pytest.mark.parametrize("path", ["step", "step_scalar"])
+    def test_migration_rehomes_in_flight_tuples(self, path):
         overlay, circuit = planted_join_overlay()
         plane = DataPlane(overlay, RuntimeConfig(seed=7))
+        step = getattr(plane, path)
+        joined_on_old = 0
         for _ in range(10):
-            plane.step()
+            step()
+            joined_on_old += plane.tick_node_kind_processed[3, _JOIN]
+        assert joined_on_old > 0
         in_flight = plane.accounting()["in_flight"]
         assert in_flight > 0
-        # Move the join mid-stream; nothing may be lost.
+        # Move the join mid-stream; nothing may be lost, and from the
+        # next tick on every join arrival is processed on the new host.
         overlay.apply_migration("q", "q/join", 2)
+        joined_on_new = 0
         for _ in range(40):
-            plane.step()
+            step()
+            assert plane.tick_node_kind_processed[3, _JOIN] == 0
+            joined_on_new += plane.tick_node_kind_processed[2, _JOIN]
+        assert joined_on_new > 0
         acct = plane.accounting()
         assert acct["balanced"]
         assert acct["dropped"] == 0  # re-homed, not dropped

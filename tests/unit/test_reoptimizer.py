@@ -165,6 +165,20 @@ class TestEvacuate:
         migrations = Reoptimizer(space).evacuate(circuit, failed_node=2)
         assert migrations == []
 
+    def test_pinned_only_node_maps_nothing(self, monkeypatch):
+        # Node 0 hosts only the pinned producer A: nothing may move, and
+        # the evacuation returns before it maps a single target.
+        space, _, _, circuit = line_setup()
+        circuit.assign("q/join0", 5)
+        reopt = Reoptimizer(space)
+
+        def refuse(targets):
+            raise AssertionError("evacuate mapped a target")
+
+        monkeypatch.setattr(reopt.mapper, "map_coordinates", refuse)
+        assert reopt.evacuate(circuit, failed_node=0) == []
+        assert circuit.host_of("q/join0") == 5
+
     def test_preserves_preexisting_exclusions(self):
         space, _, _, circuit = line_setup()
         circuit.assign("q/join0", 5)
