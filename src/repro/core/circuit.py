@@ -5,14 +5,16 @@ and consumer, with pre-defined network locations) plus unpinned services
 (joins, aggregates) that the optimizer is free to place, connected by
 directed links each carrying an estimated stream rate.
 
-``Circuit.from_plan`` compiles a logical plan + query spec into a
-circuit; placement is recorded in ``circuit.placement`` and filled in
+``Circuit.from_plans`` compiles a query's candidate plans into one
+circuit each, building what the plans share once (``from_plan`` is its
+one-plan case); placement is recorded in ``circuit.placement`` and filled in
 by the physical-mapping stage.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.query.model import QuerySpec
@@ -172,7 +174,19 @@ class Circuit:
         name: str | None = None,
         taps: dict[frozenset[str], int] | None = None,
     ) -> "Circuit":
-        """Compile a logical plan into a circuit for ``query``.
+        """Compile one logical plan: the one-plan case of :meth:`from_plans`."""
+        return cls.from_plans([plan], query, stats, name, taps)[0]
+
+    @classmethod
+    def from_plans(
+        cls,
+        plans: Sequence[LogicalPlan],
+        query: QuerySpec,
+        stats: Statistics,
+        name: str | None = None,
+        taps: dict[frozenset[str], int] | None = None,
+    ) -> list["Circuit"]:
+        """Compile every candidate plan of ``query`` into its circuit.
 
         Producers become pinned RELAY sources at their producer nodes;
         each join node becomes an unpinned JOIN service; an optional
@@ -184,12 +198,52 @@ class Circuit:
         subtree's output stream already runs there (multi-query reuse),
         so it compiles to one RELAY ``tap{n}`` pinned to the node, and
         producers only it consumed get no source.
+
+        What the plans share is built once per call: the effective
+        statistics, the pinned source and sink services (frozen, so
+        every circuit holds the same objects), the aggregate and the
+        output rate of each producer set (the same function of the same
+        inputs, so every rate is the one a plan compiled alone gets).
+        Each plan then costs one walk of its tree.
         """
-        if plan.producers != frozenset(query.producer_names):
+        everyone = frozenset(query.producer_names)
+        if any(plan.producers != everyone for plan in plans):
             raise ValueError("plan covers different producers than the query")
         taps = taps or {}
         effective = effective_statistics(query, stats)
-        circuit = cls(name=name or query.name)
+        circuit_name = name or query.name
+        relay, join = ServiceSpec.relay(), ServiceSpec.join()
+        sources = {
+            producer.name: Service(
+                service_id=f"{circuit_name}/src:{producer.name}",
+                spec=relay,
+                pinned_node=producer.node,
+                producers=frozenset((producer.name,)),
+            )
+            for producer in query.producers
+        }
+        aggregate = None
+        if query.aggregate_factor is not None:
+            aggregate = Service(
+                service_id=f"{circuit_name}/agg",
+                spec=ServiceSpec.aggregate(),
+                pinned_node=None,
+                producers=everyone,
+            )
+        sink = Service(
+            service_id=f"{circuit_name}/sink:{query.consumer.name}",
+            spec=relay,
+            pinned_node=query.consumer.node,
+            producers=everyone,
+        )
+        rates: dict[frozenset[str], float] = {}
+
+        def rate(node: PlanNode) -> float:
+            """The node's output rate, computed once per producer set."""
+            value = rates.get(node.producers)
+            if value is None:
+                value = rates[node.producers] = node.output_rate(effective)
+            return value
 
         def sourced(node: PlanNode) -> set[str]:
             """Producers the compiled circuit still reads directly."""
@@ -199,84 +253,48 @@ class Circuit:
                 return set()
             return sourced(node.left) | sourced(node.right)
 
-        # Pinned producer sources.
-        needed = sourced(plan.root)
-        for producer in query.producers:
-            if producer.name not in needed:
-                continue
-            circuit.add_service(
-                Service(
-                    service_id=f"{circuit.name}/src:{producer.name}",
-                    spec=ServiceSpec.relay(),
-                    pinned_node=producer.node,
-                    producers=frozenset((producer.name,)),
-                )
-            )
+        def compile_plan(plan: LogicalPlan) -> "Circuit":
+            circuit = cls(name=circuit_name)
+            needed = sourced(plan.root) if taps else everyone
+            for producer in query.producers:
+                if producer.name in needed:
+                    circuit.add_service(sources[producer.name])
+            counter = 0
 
-        counter = 0
-
-        def build(node: PlanNode) -> tuple[str, float]:
-            """Recursively add services; return (service_id, output_rate)."""
-            nonlocal counter
-            if isinstance(node, LeafNode):
-                sid = f"{circuit.name}/src:{node.producer}"
-                return sid, effective.rate(node.producer)
-            assert isinstance(node, JoinNode)
-            tap = taps.get(node.producers)
-            if tap is not None:
-                sid = f"{circuit.name}/tap{counter}"
+            def build(node: PlanNode) -> str:
+                """Recursively add services; return the node's service id."""
+                nonlocal counter
+                if isinstance(node, LeafNode):
+                    return sources[node.producer].service_id
+                tap = taps.get(node.producers)
+                if tap is not None:
+                    sid = f"{circuit_name}/tap{counter}"
+                    counter += 1
+                    circuit.add_service(Service(sid, relay, tap, node.producers))
+                    return sid
+                left_id = build(node.left)
+                right_id = build(node.right)
+                sid = f"{circuit_name}/join{counter}"
                 counter += 1
-                circuit.add_service(
-                    Service(
-                        service_id=sid,
-                        spec=ServiceSpec.relay(),
-                        pinned_node=tap,
-                        producers=node.producers,
-                    )
-                )
-                return sid, node.output_rate(effective)
-            left_id, left_rate = build(node.left)
-            right_id, right_rate = build(node.right)
-            sid = f"{circuit.name}/join{counter}"
-            counter += 1
-            circuit.add_service(
-                Service(
-                    service_id=sid,
-                    spec=ServiceSpec.join(),
-                    pinned_node=None,
-                    producers=node.producers,
-                )
-            )
-            circuit.add_link(left_id, sid, left_rate)
-            circuit.add_link(right_id, sid, right_rate)
-            return sid, node.output_rate(effective)
+                circuit.add_service(Service(sid, join, None, node.producers))
+                circuit.add_link(left_id, sid, rate(node.left))
+                circuit.add_link(right_id, sid, rate(node.right))
+                return sid
 
-        tail_id, tail_rate = build(plan.root)
-
-        if query.aggregate_factor is not None:
-            agg_id = f"{circuit.name}/agg"
-            circuit.add_service(
-                Service(
-                    service_id=agg_id,
-                    spec=ServiceSpec.aggregate(),
-                    pinned_node=None,
-                    producers=plan.producers,
+            tail_id = build(plan.root)
+            tail_rate = rate(plan.root)
+            if aggregate is not None:
+                circuit.add_service(aggregate)
+                circuit.add_link(tail_id, aggregate.service_id, tail_rate)
+                tail_id, tail_rate = (
+                    aggregate.service_id,
+                    tail_rate * query.aggregate_factor,
                 )
-            )
-            circuit.add_link(tail_id, agg_id, tail_rate)
-            tail_id, tail_rate = agg_id, tail_rate * query.aggregate_factor
+            circuit.add_service(sink)
+            circuit.add_link(tail_id, sink.service_id, tail_rate)
+            return circuit
 
-        sink_id = f"{circuit.name}/sink:{query.consumer.name}"
-        circuit.add_service(
-            Service(
-                service_id=sink_id,
-                spec=ServiceSpec.relay(),
-                pinned_node=query.consumer.node,
-                producers=plan.producers,
-            )
-        )
-        circuit.add_link(tail_id, sink_id, tail_rate)
-        return circuit
+        return [compile_plan(plan) for plan in plans]
 
     # -- structure queries -------------------------------------------------
 

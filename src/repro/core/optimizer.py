@@ -15,8 +15,10 @@ the gap between the two.
 A **random optimizer** provides the floor: random plan, random hosts.
 
 What a query costs: :meth:`_PlacingOptimizerBase.place_plans` is the
-single plan-evaluation loop — it compiles and virtually places each
-candidate plan, maps **all** candidates' services in one mapper batch
+single plan-evaluation loop — it compiles every candidate plan in one
+:meth:`Circuit.from_plans <repro.core.circuit.Circuit.from_plans>` call
+(what the plans share is built once), virtually places each, maps
+**all** candidates' services in one mapper batch
 (:func:`~repro.core.physical_mapping.map_circuits`: one catalog round
 per query, however many plans) and then prices each circuit.
 ``place_plan`` is its one-plan case.
@@ -133,12 +135,13 @@ class _PlacingOptimizerBase:
     def place_plans(
         self, plans: Sequence[LogicalPlan], query: QuerySpec, stats: Statistics
     ) -> list[tuple[Circuit, VirtualPlacement, MappingResult, CircuitCost]]:
-        """Compile and virtually place each plan, map them all, price each.
+        """Compile the plans, virtually place each, map them all, price each.
 
-        Virtual placement stays one opaque ``placement_fn`` call per
-        circuit; physical mapping is one batch for the whole plan set.
+        Compilation is one :meth:`Circuit.from_plans` call and physical
+        mapping one batch for the whole plan set; virtual placement
+        stays one opaque ``placement_fn`` call per circuit.
         """
-        circuits = [Circuit.from_plan(plan, query, stats) for plan in plans]
+        circuits = Circuit.from_plans(plans, query, stats)
         placements = [
             self.placement_fn(
                 circuit, pinned_vector_positions(circuit, self.cost_space)

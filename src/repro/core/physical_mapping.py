@@ -57,16 +57,27 @@ class ServiceMapping:
     Attributes:
         service_id: the mapped (unpinned) service.
         node: chosen physical node.
-        target: the virtual coordinate (ideal scalars).
+        target_row: the target's full-space row — the virtual vector
+            position followed by ideal (zero) scalars.
+        vector_dims: how many leading entries of ``target_row`` are
+            vector dimensions.
         mapping_error: full-space distance from target to chosen node.
         dht_hops: routing hops if the catalog backend was used.
     """
 
     service_id: str
     node: int
-    target: CostCoordinate
+    target_row: np.ndarray = field(repr=False, compare=False)
+    vector_dims: int
     mapping_error: float
     dht_hops: int = 0
+
+    @property
+    def target(self) -> CostCoordinate:
+        """The virtual coordinate (ideal scalars), built on read."""
+        return CostCoordinate.from_arrays(
+            self.target_row[: self.vector_dims], self.target_row[self.vector_dims :]
+        )
 
 
 @dataclass
@@ -221,7 +232,6 @@ def map_circuits(
     assigned, so a failed batch leaves every circuit as it was.
     """
     vector_dims = cost_space.spec.vector_dims
-    ideal_scalars = np.zeros(len(cost_space.spec.scalar_dimensions))
     unpinned = [circuit.unpinned_ids() for circuit in circuits]
     results = [MappingResult() for _ in circuits]
     total = sum(len(ids) for ids in unpinned)
@@ -241,14 +251,12 @@ def map_circuits(
         for service_id in ids:
             node = int(nodes[row])
             circuit.assign(service_id, node)
-            target = CostCoordinate.from_arrays(
-                targets[row, :vector_dims], ideal_scalars
-            )
             result.mappings.append(
                 ServiceMapping(
                     service_id=service_id,
                     node=node,
-                    target=target,
+                    target_row=targets[row],
+                    vector_dims=vector_dims,
                     mapping_error=float(errors[row]),
                     dht_hops=int(hops[row]),
                 )

@@ -32,11 +32,14 @@ CSR-style neighbor index (:class:`_CircuitArrays`: flat segment /
 neighbor / rate arrays over a dense position matrix whose first rows
 are the unpinned services).  Each sweep then updates *every* unpinned
 service simultaneously from the previous iterate with segment-sum
-matrix operations — no per-service Python loop.  What does not depend
-on the positions (the weight column, its per-service totals, the mask
-of services that can move) is computed on the first sweep and kept for
-the rest of the solve; only the Weiszfeld weights, which divide by the
-current link lengths, are recomputed per sweep.  Simultaneous (Jacobi)
+matrix operations — no per-service or per-dimension Python loop: one
+``take`` of the neighbour coordinates from the flat matrix, one multiply
+and one ``bincount`` over the flat ``(service, dimension)`` cells.  What
+does not depend on the positions (the per-entry weights, their
+per-service totals, the mask of services that can move) is computed on
+the first sweep and kept for the rest of the solve; only the Weiszfeld
+weights, which divide by the current link lengths, are recomputed per
+sweep.  Simultaneous (Jacobi)
 sweeps converge to the same unique equilibrium as the earlier in-place
 (Gauss–Seidel) sweeps because the spring energy is strictly convex,
 but propagate information about half as fast per sweep; the default
@@ -128,63 +131,85 @@ class _CircuitArrays:
     * ``seg[e]`` — unpinned row the entry belongs to,
     * ``nbr[e]`` — matrix row of the neighbor,
     * ``rates[e]`` — the connecting link's rate.
+
+    A sweep works on the flat ``(rows · d)`` view of the matrix: entry
+    ``e`` in dimension ``k`` reads cell ``nbr[e]·d + k`` and sums into
+    cell ``seg[e]·d + k`` (the unpinned rows come first, so that is also
+    the service's own cell).  Both flat indices, and the buffer the
+    neighbour coordinates are gathered into, are built here once.
     """
 
     def __init__(self, circuit: Circuit, positions: dict[str, np.ndarray], unpinned: list[str]):
         self.unpinned = unpinned
-        row_of = {sid: i for i, sid in enumerate(unpinned)}
-        pinned = [sid for sid in circuit.services if sid not in row_of]
-        for offset, sid in enumerate(pinned):
-            row_of[sid] = len(unpinned) + offset
+        num_unpinned = len(unpinned)
+        pinned = circuit.pinned_ids()
+        row_of = {sid: i for i, sid in enumerate(unpinned + pinned)}
 
         dims = next(iter(positions.values())).shape[0] if positions else 2
-        pinned_matrix = np.array([positions[sid] for sid in circuit.pinned_ids()])
-        center = pinned_matrix.mean(axis=0)
-        self.matrix = np.empty((len(circuit.services), dims), dtype=float)
-        self.matrix[: len(unpinned)] = center
-        for sid in pinned:
-            self.matrix[row_of[sid]] = positions[sid]
+        pinned_matrix = np.array([positions[sid] for sid in pinned]).reshape(-1, dims)
+        self.matrix = np.empty((len(row_of), dims), dtype=float)
+        self.matrix[:num_unpinned] = pinned_matrix.sum(axis=0) / len(pinned)
+        self.matrix[num_unpinned:] = pinned_matrix
 
         # Per-service incidence lists in link order (the order
         # ``circuit.neighbors`` yields), then flattened.
         per_service: list[list[tuple[int, float]]] = [[] for _ in unpinned]
         for link in circuit.links:
-            if link.source in row_of and row_of[link.source] < len(unpinned):
-                per_service[row_of[link.source]].append((row_of[link.target], link.rate))
-            if link.target in row_of and row_of[link.target] < len(unpinned):
-                per_service[row_of[link.target]].append((row_of[link.source], link.rate))
-        seg: list[int] = []
-        nbr: list[int] = []
-        rates: list[float] = []
-        for i, entries in enumerate(per_service):
-            for neighbor_row, rate in entries:
-                seg.append(i)
-                nbr.append(neighbor_row)
-                rates.append(rate)
-        self.seg = np.asarray(seg, dtype=int)
-        self.nbr = np.asarray(nbr, dtype=int)
-        self.rates = np.asarray(rates, dtype=float)
+            source, target = row_of[link.source], row_of[link.target]
+            if source < num_unpinned:
+                per_service[source].append((target, link.rate))
+            if target < num_unpinned:
+                per_service[target].append((source, link.rate))
+        self.seg = np.array(
+            [i for i, entries in enumerate(per_service) for _ in entries], dtype=int
+        )
+        self.nbr = np.array(
+            [row for entries in per_service for row, _ in entries], dtype=int
+        )
+        self.rates = np.array(
+            [rate for entries in per_service for _, rate in entries], dtype=float
+        )
+        # Flat (incidence, dimension) indices, incidence-major: where
+        # each entry's neighbour coordinate sits in the flat matrix, and
+        # the flat accumulator cell it sums into.
+        columns = np.arange(dims)
+        self._gather = (self.nbr[:, None] * dims + columns).ravel()
+        self._bins = (self.seg[:, None] * dims + columns).ravel()
+        self._entries = np.empty(self._gather.size)
+        self._flat = self.matrix.reshape(-1)
+        self._head = self.matrix[:num_unpinned]
         #: ``rate_weighted`` -> the sweep's position-independent arrays.
         self._fixed: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
-        self._acc = np.empty((len(unpinned), dims))
 
     def _segment_sums(
         self, weights: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """``(weight column, per-service totals column, movable mask)``.
+        """``(per-entry weights, per-cell totals, movable cells)``.
 
-        The mask is None when every service has positive total weight
-        (the usual case), so the sweep can divide without masking.
+        Every array is flat and repeats its per-incidence or per-service
+        value once per dimension, aligned with the flat entries and the
+        flat accumulator.  The mask is None when every service has
+        positive total weight (the usual case), so the sweep can divide
+        without masking.
         """
+        dims = self.matrix.shape[1]
         totals = np.bincount(self.seg, weights=weights, minlength=len(self.unpinned))
         movable = totals > 0
-        return weights[:, None], totals[:, None], None if movable.all() else movable
+        return (
+            np.repeat(weights, dims),
+            np.repeat(totals, dims),
+            None if movable.all() else np.repeat(movable, dims),
+        )
 
     def sweep(self, rate_weighted: bool, distance_weighted: bool) -> float:
         """One simultaneous sweep over all unpinned services, in-place.
 
-        Returns the largest movement distance.  All segment sums are
-        single vectorized passes over the flat incidence arrays.  Without
+        Returns the largest movement distance.  The sweep works on the
+        flat matrix: one ``take`` of every neighbour coordinate into a
+        buffer the arrays own, one multiply by the per-entry weights and
+        one ``bincount`` over the flat ``seg·d + k`` cells, then an
+        in-place divide and subtract.  Each cell sums its entries in
+        incidence order, as a per-dimension segment sum would.  Without
         distance weighting the weights — and so their totals and the
         movable mask — do not change between sweeps: they are computed on
         the first sweep and kept.  The Weiszfeld weights depend on the
@@ -193,32 +218,32 @@ class _CircuitArrays:
         num_unpinned = len(self.unpinned)
         if self.seg.size == 0 or num_unpinned == 0:
             return 0.0
-        neighbor_pos = self.matrix[self.nbr]
+        entries = self._entries
+        self._flat.take(self._gather, out=entries)
         fixed = None if distance_weighted else self._fixed.get(rate_weighted)
         if fixed is None:
             weights = self.rates if rate_weighted else np.ones_like(self.rates)
             if distance_weighted:
-                diff = self.matrix[self.seg] - neighbor_pos
+                diff = self.matrix[self.seg] - entries.reshape(self.nbr.size, -1)
                 dist = np.sqrt(np.einsum("ed,ed->e", diff, diff))
                 weights = weights / np.maximum(dist, 1e-9)
             fixed = self._segment_sums(weights)
             if not distance_weighted:
                 self._fixed[rate_weighted] = fixed
-        column, totals, movable = fixed
-        weighted = column * neighbor_pos
-        acc = self._acc
-        for k in range(acc.shape[1]):
-            acc[:, k] = np.bincount(self.seg, weights=weighted[:, k], minlength=num_unpinned)
-        old = self.matrix[:num_unpinned]
+        repeated, totals, movable = fixed
+        entries *= repeated
+        new = np.bincount(self._bins, weights=entries, minlength=totals.size)
+        old = self._flat[: totals.size]
         if movable is None:
-            new = acc / totals
+            new /= totals
         else:
-            new = old.copy()
-            new[movable] = acc[movable] / totals[movable]
-        delta = new - old
-        old[:] = new
+            new[movable] /= totals[movable]
+            new[~movable] = old[~movable]
+        old -= new
         # sqrt is monotone and correctly rounded: sqrt(max) == max(sqrt).
-        return math.sqrt(np.einsum("ud,ud->u", delta, delta).max())
+        move = math.sqrt(np.einsum("ud,ud->u", self._head, self._head).max())
+        old[:] = new
+        return move
 
     def unpinned_positions(self) -> dict[str, np.ndarray]:
         return {

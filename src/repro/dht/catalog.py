@@ -16,9 +16,10 @@ exhaustive nearest node is the *mapping error* studied in experiments
 E3/E6.
 
 What a round costs: :meth:`CoordinateCatalog.nearest_batch` makes one
-batched Hilbert encode for all its keys, one hop-counted Chord lookup
-per key (the reported metric — intentionally a pointer chase), one ring
-walk per *distinct* owner, and ranks each owner's group of targets
+batched Hilbert encode for all its keys, one batched route
+(:meth:`ChordRing.routes_of`: each key's owner and the hop count of its
+``lookup``, read per ring arc), one ring walk per *distinct* owner, and
+ranks each owner's group of targets
 against that owner's candidate matrix with one array distance and a
 first-minimum ``argmin``.  Candidates are always ranked by Euclidean
 distance in the full coordinate space; every query method goes through
@@ -165,7 +166,7 @@ class CoordinateCatalog:
         for node in physical_nodes:
             if node in self._published:
                 self.withdraw(node)
-        owners = [int(o) for o in self.ring.owners_of(np.asarray(keys))]
+        owners = [int(o) for o in self.ring.owners_of(keys)]
         for node, coordinate, key, owner in zip(
             physical_nodes, coordinates, keys, owners
         ):
@@ -211,7 +212,7 @@ class CoordinateCatalog:
     ) -> tuple[CatalogEntry | None, CatalogQueryStats]:
         """Find the published node nearest to ``coordinate``.
 
-        Performs one Chord lookup for the query's Hilbert key, then
+        Routes the query's Hilbert key (its owner and lookup hops), then
         scans ``scan_width`` published entries in each ring direction
         and returns the candidate at minimum true distance.
 
@@ -273,8 +274,10 @@ class CoordinateCatalog:
     ) -> tuple[list[CatalogEntry | None], list[CatalogQueryStats]]:
         """Batched :meth:`nearest`: one ring walk per distinct owner.
 
-        All Hilbert keys are computed in one batched encode pass, and
-        every key still routes through the DHT individually — per-key
+        All Hilbert keys are computed in one batched encode pass and
+        routed in one :meth:`ChordRing.routes_of` call: each key gets the
+        owner and hop count its own :meth:`ChordRing.lookup` would (the
+        hops of a route depend only on the owner's ring arc), so per-key
         ``dht_hops`` remain the reported metric.  The neighborhood walk,
         however, depends only on ``(owner, scan_width, exclude)``, so
         targets whose lookups land on the same catalog owner share one
@@ -300,28 +303,26 @@ class CoordinateCatalog:
         exclude = exclude or set()
         spare_bits = max(self.ring.id_bits - self.mapper.key_bits, 0)
         base_keys = self.mapper.keys_for(coordinates)
-        routes = [self.ring.lookup(int(base) << spare_bits) for base in base_keys]
+        keys = [int(base) << spare_bits for base in base_keys]
+        owners, hops = self.ring.routes_of(keys)
 
         # owner -> (scanned entries, ring entries scanned, batch rows landing there)
         groups: dict[int, tuple[list[CatalogEntry], int, list[int]]] = {}
         stats_list: list[CatalogQueryStats] = []
-        for row, route in enumerate(routes):
-            if route.owner not in groups:
-                groups[route.owner] = (
-                    *self._scan_from(route.owner, scan_width, exclude),
-                    [],
-                )
-            entries, scanned, rows = groups[route.owner]
+        for row, (owner, route_hops) in enumerate(zip(owners.tolist(), hops.tolist())):
+            if owner not in groups:
+                groups[owner] = (*self._scan_from(owner, scan_width, exclude), [])
+            entries, scanned, rows = groups[owner]
             rows.append(row)
             stats_list.append(
                 CatalogQueryStats(
-                    dht_hops=route.hops,
+                    dht_hops=route_hops,
                     ring_entries_scanned=scanned,
                     candidates=len(entries),
                 )
             )
 
-        results: list[CatalogEntry | None] = [None] * len(routes)
+        results: list[CatalogEntry | None] = [None] * len(coordinates)
         for entries, _, rows in groups.values():
             if entries:
                 best = _distances(coordinates[rows], entries).argmin(axis=1)
@@ -339,11 +340,12 @@ class CoordinateCatalog:
         point = _finite(coordinate)
         spare_bits = self.ring.id_bits - self.mapper.key_bits
         key = self.mapper.key_for(point) << max(spare_bits, 0)
-        route = self.ring.lookup(key)
-        entries, scanned = self._scan_from(route.owner, scan_width, exclude or set())
+        owners, hops = self.ring.routes_of([key])
+        owner = int(owners[0])
+        entries, scanned = self._scan_from(owner, scan_width, exclude or set())
         distances = _distances(point[None, :], entries)[0] if entries else np.empty(0)
         stats = CatalogQueryStats(
-            dht_hops=route.hops, ring_entries_scanned=scanned, candidates=len(entries)
+            dht_hops=int(hops[0]), ring_entries_scanned=scanned, candidates=len(entries)
         )
         return entries, distances, stats
 

@@ -20,10 +20,18 @@ Ground-truth successor resolution is answered by ``np.searchsorted``
 over a cached sorted ring-id array: :meth:`ChordRing.owners_of` maps a
 whole key batch in one pass, and :meth:`_rebuild_pointers` computes
 every node's finger table from a single ``(n, id_bits)`` vectorized
-lookup (identifier spaces beyond 62 bits fall back to the retained
-bisect path, ``_owner_of``, which also remains the reference for
-``verify_invariants``).  Routing itself (:meth:`lookup`) intentionally
-stays a pointer-chasing loop — counted hops are the experiment metric.
+lookup (identifier spaces beyond 62 bits fall back to ``bisect`` over
+Python ints; ``_owner_of`` remains the reference for
+``verify_invariants``).
+
+Hop counts are read per arc.  Fingers are node ids, so every comparison
+:meth:`lookup` makes depends on its key only through the arc
+``(id_{r-1}, id_r]`` the key falls in: a route, and its hop count, is a
+function of the key's owner.  :meth:`ChordRing.routes_of` keeps the hops
+of ``lookup(id_r)`` per membership (built on first use after a
+:meth:`join` / :meth:`leave`) and answers a key batch with one
+``searchsorted`` and one gather.  :meth:`lookup` stays the pointer chase
+— for ``put`` / ``get`` and as the oracle the route table is pinned to.
 """
 
 from __future__ import annotations
@@ -119,6 +127,7 @@ class ChordRing:
         self._nodes: dict[int, ChordNode] = {}
         self._sorted_ids: list[int] = []
         self._ids_array: np.ndarray | None = None  # int64 cache of sorted ids
+        self._arc_hops: np.ndarray | None = None  # lookup(id_r).hops per rank
 
     # -- membership ------------------------------------------------------
 
@@ -186,6 +195,7 @@ class ChordRing:
         """
         ids = self._sorted_ids
         n = len(ids)
+        self._arc_hops = None
         self._ids_array = (
             np.asarray(ids, dtype=np.int64) if self.id_bits <= 62 else None
         )
@@ -218,21 +228,59 @@ class ChordRing:
                 reducible — the method reduces defensively).
 
         Returns:
-            ``(m,)`` int64 array of owning node ids.
+            ``(m,)`` int64 array of owning node ids (an object array of
+            Python ints beyond 62 identifier bits).
         """
+        return self._ids_at(self._arcs_of(keys))
+
+    def routes_of(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """Owner and hop count of :meth:`lookup` (default origin) per key.
+
+        Every finger is a node id, so each comparison a lookup makes
+        depends on its key only through the arc ``(id_{r-1}, id_r]`` the
+        key falls in: the whole route, and so its hop count, is a
+        function of the key's owner.  The hops of ``lookup(id_r)`` are
+        kept per membership (built on first use, dropped by every
+        :meth:`join` / :meth:`leave`), and a batch costs one
+        ``searchsorted`` for the arcs and one gather for the hops.
+        :meth:`lookup` stays the pointer chase and the oracle.
+
+        Returns:
+            ``(owners, hops)``, parallel to ``keys``.
+        """
+        arcs = self._arcs_of(keys)
+        if self._arc_hops is None:
+            self._arc_hops = np.array(
+                [self.lookup(node_id).hops for node_id in self._sorted_ids],
+                dtype=np.int64,
+            )
+        return self._ids_at(arcs), self._arc_hops[arcs]
+
+    def _arcs_of(self, keys) -> np.ndarray:
+        """Rank of each key's owner in the sorted ring ids."""
         if not self._sorted_ids:
             raise ValueError("empty ring")
         if self.id_bits > 62:
-            return np.array(
-                [self._owner_of(int(k)) for k in np.asarray(keys).ravel()],
-                dtype=object,
+            # Python ints throughout: numpy would round a list of ids past
+            # 2**63 to float64.
+            if isinstance(keys, np.ndarray):
+                keys = keys.ravel().tolist()
+            ids = self._sorted_ids
+            arcs = np.array(
+                [bisect.bisect_left(ids, int(k) % self.modulus) for k in keys],
+                dtype=np.intp,
             )
-        if self._ids_array is None or len(self._ids_array) != len(self._sorted_ids):
-            self._ids_array = np.asarray(self._sorted_ids, dtype=np.int64)
-        keys = np.asarray(keys, dtype=np.int64) % self.modulus
-        ranks = np.searchsorted(self._ids_array, keys, side="left")
-        ranks[ranks == len(self._ids_array)] = 0
-        return self._ids_array[ranks]
+        else:
+            keys = np.asarray(keys, dtype=np.int64).ravel() % self.modulus
+            arcs = np.searchsorted(self._ids_array, keys, side="left")
+        arcs[arcs == len(self._sorted_ids)] = 0
+        return arcs
+
+    def _ids_at(self, arcs: np.ndarray) -> np.ndarray:
+        """The node ids at ranks ``arcs``."""
+        if self.id_bits > 62:
+            return np.array([self._sorted_ids[a] for a in arcs], dtype=object)
+        return self._ids_array[arcs]
 
     def _owner_of(self, key: int) -> int:
         """Ground-truth owner: first node id >= key (bisect reference)."""

@@ -57,7 +57,7 @@ class LeafNode(PlanNode):
 
     producer: str
 
-    @property
+    @cached_property
     def producers(self) -> frozenset[str]:
         return frozenset((self.producer,))
 
@@ -89,7 +89,7 @@ class JoinNode(PlanNode):
         if overlap:
             raise ValueError(f"join children share producers {sorted(overlap)}")
 
-    @property
+    @cached_property
     def producers(self) -> frozenset[str]:
         return self.left.producers | self.right.producers
 

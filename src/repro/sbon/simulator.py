@@ -11,9 +11,10 @@ The simulation advances in discrete ticks.  Each tick:
    demand a re-placement or a buffer evacuation),
 6. the true network usage and load statistics are recorded.
 
-Every move is applied through ``Overlay.apply_migration``.  Both
-evacuations are forced passes (:meth:`Reoptimizer.evacuate`) run by one
-helper; only buffer evacuations count in ``TickRecord.migrations``.
+Every move is applied through ``Overlay.apply_migration`` and counts
+once in ``TickRecord.migrations``: re-optimization moves, churn
+evacuations and buffer evacuations alike.  Both evacuations are forced
+passes (:meth:`Reoptimizer.evacuate`) run by one helper.
 
 This is the harness behind the re-optimization experiments (E7): with
 re-optimization disabled the usage series degrades as conditions drift;
@@ -239,9 +240,8 @@ class Simulation:
             failures = len(newly_failed)
             self.overlay.apply_liveness(self.churn.alive_mask())
             if newly_failed:
-                # Not counted in the record's migrations.
                 circuits = self.overlay.circuits.values()
-                self._evacuate(
+                migrations += self._evacuate(
                     ((c, n) for c in circuits for n in newly_failed if n in c.hosts()),
                     scalar,
                 )

@@ -6,6 +6,7 @@ from repro.network.dynamics import ChurnProcess, HotspotEvent, LoadProcess
 from repro.network.topology import grid_topology
 from repro.sbon.overlay import Overlay
 from repro.sbon.simulator import Simulation, SimulationConfig
+from repro.workloads import chaos_scenario
 from repro.workloads.queries import random_query
 
 
@@ -88,6 +89,21 @@ class TestSimulation:
         failed = overlay.failed_nodes()
         for sid in circuit.unpinned_ids():
             assert circuit.host_of(sid) not in failed
+
+    def test_every_applied_move_counts_in_the_record(self, monkeypatch):
+        """Churn evacuations count in ``TickRecord.migrations`` too."""
+        scenario = chaos_scenario(seed=0)
+        applied = []
+        apply = Overlay.apply_migration
+
+        def counted(overlay, *args, **kwargs):
+            applied.append(args)
+            return apply(overlay, *args, **kwargs)
+
+        monkeypatch.setattr(Overlay, "apply_migration", counted)
+        series = scenario.simulation.run(60)
+        assert series.total_failures() > 0
+        assert series.total_migrations() == len(applied) > 0
 
     def test_ground_truth_reopt_variant(self):
         overlay = simulated_overlay()
