@@ -69,7 +69,6 @@ from repro.core.rewriting import (
 from repro.core.virtual_placement import (
     VirtualPlacement,
     centroid_placement,
-    exact_spring_equilibrium,
     gradient_descent_placement,
     placement_energy,
     placement_utilization,
@@ -135,7 +134,6 @@ __all__ = [
     "reorder_adjacent_joins",
     "VirtualPlacement",
     "centroid_placement",
-    "exact_spring_equilibrium",
     "gradient_descent_placement",
     "placement_energy",
     "placement_utilization",

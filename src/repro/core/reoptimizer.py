@@ -65,7 +65,6 @@ from repro.core.costs import CircuitCost, CostEvaluator, CostSpaceEvaluator
 from repro.core.cost_space import CostSpace
 from repro.core.optimizer import IntegratedOptimizer, OptimizationResult
 from repro.core.physical_mapping import CatalogMapper, ExhaustiveMapper
-from repro.core.virtual_placement import relaxation_placement
 from repro.query.model import QuerySpec
 from repro.query.selectivity import Statistics
 

@@ -12,10 +12,9 @@ Algorithms, per the paper:
   modelled as springs whose constant equals the link data rate and
   whose extension is the latency; services are massless bodies.  The
   equilibrium minimizes Σ rate·dist² (a proxy for the network
-  utilization Σ rate·dist), found by iterative relaxation: each
-  unpinned service repeatedly moves to the rate-weighted centroid
-  of its neighbors.
-* **Centroid placement** — unweighted centroid of neighbors, iterated.
+  utilization Σ rate·dist): each unpinned service sits at the
+  rate-weighted centroid of its neighbors.
+* **Centroid placement** — the same equilibrium with unit springs.
 * **Gradient descent placement** [Bonfils & Bonnet] — minimizes the
   *true* utilization objective Σ rate·dist with Weiszfeld-style
   iterations (each service moves to the rate/distance-weighted centroid
@@ -24,27 +23,23 @@ Algorithms, per the paper:
 All three return a :class:`VirtualPlacement` mapping each unpinned
 service id to a vector coordinate, plus convergence diagnostics.
 
-Performance architecture (struct-of-arrays)
--------------------------------------------
+The spring energy is a strictly convex quadratic, so relaxation's
+fixed point is computed directly: one graph-Laplacian solve per
+dimension (:func:`_spring_equilibrium`), not a loop of centroid moves.
+The iterated form is the incremental, decentralized one — each service
+needs only its neighbors' coordinates — and the re-optimizer's one
+spring step per pass (:mod:`repro.core.reoptimizer`) is that form.
 
-The circuit's link structure is compiled once per placement into a
-CSR-style neighbor index (:class:`_CircuitArrays`: flat segment /
-neighbor / rate arrays over a dense position matrix whose first rows
-are the unpinned services).  Each sweep then updates *every* unpinned
-service simultaneously from the previous iterate with segment-sum
-matrix operations — no per-service or per-dimension Python loop: one
-``take`` of the neighbour coordinates from the flat matrix, one multiply
-and one ``bincount`` over the flat ``(service, dimension)`` cells.  What
-does not depend on the positions (the per-entry weights, their
-per-service totals, the mask of services that can move) is computed on
-the first sweep and kept for the rest of the solve; only the Weiszfeld
-weights, which divide by the current link lengths, are recomputed per
-sweep.  Simultaneous (Jacobi)
-sweeps converge to the same unique equilibrium as the earlier in-place
-(Gauss–Seidel) sweeps because the spring energy is strictly convex,
-but propagate information about half as fast per sweep; the default
-iteration budgets are doubled to compensate (a sweep is ~2 orders of
-magnitude cheaper, so the net speedup stands).
+The Weiszfeld weights divide by the current link lengths, so that
+descent iterates.  The circuit's link structure is compiled once per
+placement into a CSR-style neighbor index (:class:`_CircuitArrays`:
+flat segment / neighbor / rate arrays over a dense position matrix
+whose first rows are the unpinned services).  Each sweep then updates
+*every* unpinned service simultaneously from the previous iterate
+(Jacobi) with segment-sum matrix operations — no per-service or
+per-dimension Python loop: one ``take`` of the neighbour coordinates
+from the flat matrix, one multiply and one ``bincount`` over the flat
+``(service, dimension)`` cells.
 
 Scalar reference implementations of one sweep and of both objectives
 are retained (``sweep_scalar``, ``placement_energy_scalar``,
@@ -66,7 +61,6 @@ __all__ = [
     "relaxation_placement",
     "centroid_placement",
     "gradient_descent_placement",
-    "exact_spring_equilibrium",
     "placement_energy",
     "placement_utilization",
     "placement_energy_scalar",
@@ -86,10 +80,12 @@ class VirtualPlacement:
 
     Attributes:
         positions: unpinned service id -> vector coordinate (ndarray).
-        iterations: relaxation sweeps performed.
+        iterations: Weiszfeld sweeps performed; 0 for the spring
+            placements, which are solved, not iterated.
         converged: True if movement fell below tolerance before the
-            iteration cap.
-        objective: final value of the algorithm's objective function.
+            iteration cap; always True for the spring placements.
+        objective: final value of the algorithm's objective function
+            (the spring energy, or the utilization for Weiszfeld).
     """
 
     positions: dict[str, np.ndarray]
@@ -178,65 +174,37 @@ class _CircuitArrays:
         self._entries = np.empty(self._gather.size)
         self._flat = self.matrix.reshape(-1)
         self._head = self.matrix[:num_unpinned]
-        #: ``rate_weighted`` -> the sweep's position-independent arrays.
-        self._fixed: dict[bool, tuple[np.ndarray, np.ndarray, np.ndarray | None]] = {}
 
-    def _segment_sums(
-        self, weights: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """``(per-entry weights, per-cell totals, movable cells)``.
-
-        Every array is flat and repeats its per-incidence or per-service
-        value once per dimension, aligned with the flat entries and the
-        flat accumulator.  The mask is None when every service has
-        positive total weight (the usual case), so the sweep can divide
-        without masking.
-        """
-        dims = self.matrix.shape[1]
-        totals = np.bincount(self.seg, weights=weights, minlength=len(self.unpinned))
-        movable = totals > 0
-        return (
-            np.repeat(weights, dims),
-            np.repeat(totals, dims),
-            None if movable.all() else np.repeat(movable, dims),
-        )
-
-    def sweep(self, rate_weighted: bool, distance_weighted: bool) -> float:
-        """One simultaneous sweep over all unpinned services, in-place.
+    def sweep(self) -> float:
+        """One simultaneous Weiszfeld sweep over all unpinned services, in-place.
 
         Returns the largest movement distance.  The sweep works on the
         flat matrix: one ``take`` of every neighbour coordinate into a
-        buffer the arrays own, one multiply by the per-entry weights and
-        one ``bincount`` over the flat ``seg·d + k`` cells, then an
-        in-place divide and subtract.  Each cell sums its entries in
-        incidence order, as a per-dimension segment sum would.  Without
-        distance weighting the weights — and so their totals and the
-        movable mask — do not change between sweeps: they are computed on
-        the first sweep and kept.  The Weiszfeld weights depend on the
-        current positions and are recomputed every sweep.
+        buffer the arrays own, the rate/distance weights of the current
+        link lengths, one multiply by them and one ``bincount`` over the
+        flat ``seg·d + k`` cells, then an in-place divide and subtract.
+        Each cell sums its entries in incidence order, as a
+        per-dimension segment sum would.  A service whose weights sum to
+        zero (no link, or zero-rate links only) stays where it is.
         """
-        num_unpinned = len(self.unpinned)
-        if self.seg.size == 0 or num_unpinned == 0:
+        if self.seg.size == 0:
             return 0.0
         entries = self._entries
         self._flat.take(self._gather, out=entries)
-        fixed = None if distance_weighted else self._fixed.get(rate_weighted)
-        if fixed is None:
-            weights = self.rates if rate_weighted else np.ones_like(self.rates)
-            if distance_weighted:
-                diff = self.matrix[self.seg] - entries.reshape(self.nbr.size, -1)
-                dist = np.sqrt(np.einsum("ed,ed->e", diff, diff))
-                weights = weights / np.maximum(dist, 1e-9)
-            fixed = self._segment_sums(weights)
-            if not distance_weighted:
-                self._fixed[rate_weighted] = fixed
-        repeated, totals, movable = fixed
-        entries *= repeated
+        dims = self.matrix.shape[1]
+        diff = self.matrix[self.seg] - entries.reshape(self.nbr.size, -1)
+        dist = np.sqrt(np.einsum("ed,ed->e", diff, diff))
+        weights = self.rates / np.maximum(dist, 1e-9)
+        totals = np.bincount(self.seg, weights=weights, minlength=len(self.unpinned))
+        movable = totals > 0
+        entries *= np.repeat(weights, dims)
+        totals = np.repeat(totals, dims)
         new = np.bincount(self._bins, weights=entries, minlength=totals.size)
         old = self._flat[: totals.size]
-        if movable is None:
+        if movable.all():
             new /= totals
         else:
+            movable = np.repeat(movable, dims)
             new[movable] /= totals[movable]
             new[~movable] = old[~movable]
         old -= new
@@ -261,9 +229,11 @@ def sweep_scalar(
     """One simultaneous relaxation sweep, service by service (reference).
 
     The pre-vectorization per-service Python loop, retained as the
-    equivalence/benchmark baseline for :meth:`_CircuitArrays.sweep`.
-    All new positions are computed from the previous iterate and
-    applied together, mirroring the simultaneous matrix sweep.
+    equivalence/benchmark baseline for :meth:`_CircuitArrays.sweep`
+    (``distance_weighted``) and, in its spring modes, as the iterated
+    relaxation the Laplacian solve replaced.  All new positions are
+    computed from the previous iterate and applied together, mirroring
+    the simultaneous matrix sweep.
     """
     max_move = 0.0
     updates: dict[str, np.ndarray] = {}
@@ -288,37 +258,6 @@ def sweep_scalar(
         updates[sid] = new_pos
     positions.update(updates)
     return max_move
-
-
-def _iterate(
-    circuit: Circuit,
-    pinned_positions: dict[str, np.ndarray],
-    rate_weighted: bool,
-    distance_weighted: bool,
-    max_iterations: int,
-    tolerance: float,
-    objective_fn,
-) -> VirtualPlacement:
-    positions, unpinned = _pinned_and_unpinned(circuit, pinned_positions)
-    if not unpinned:
-        return VirtualPlacement({}, 0, True, objective_fn(circuit, positions))
-    arrays = _CircuitArrays(circuit, positions, unpinned)
-
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        move = arrays.sweep(rate_weighted, distance_weighted)
-        if move < tolerance:
-            converged = True
-            break
-    placed = arrays.unpinned_positions()
-    positions.update(placed)
-    return VirtualPlacement(
-        positions=placed,
-        iterations=iterations,
-        converged=converged,
-        objective=objective_fn(circuit, positions),
-    )
 
 
 def _link_geometry(
@@ -367,74 +306,38 @@ def placement_utilization_scalar(
     return total
 
 
-def relaxation_placement(
+def _spring_equilibrium(
     circuit: Circuit,
     pinned_positions: dict[str, np.ndarray],
-    max_iterations: int = 400,
-    tolerance: float = 1e-4,
+    unit_springs: bool,
 ) -> VirtualPlacement:
-    """Spring relaxation: services settle at rate-weighted neighbor centroids.
+    """The spring equilibrium, solved: one Laplacian solve per dimension.
 
-    The fixed point is the global minimum of the spring energy
-    Σ rate·dist² (the energy is convex), so iteration order does not
-    change the answer, only the convergence speed.  The default
-    iteration budget assumes simultaneous sweeps (see module
-    docstring); deep chain circuits may need more.
-    """
-    return _iterate(
-        circuit,
-        pinned_positions,
-        rate_weighted=True,
-        distance_weighted=False,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        objective_fn=placement_energy,
-    )
-
-
-def centroid_placement(
-    circuit: Circuit,
-    pinned_positions: dict[str, np.ndarray],
-    max_iterations: int = 400,
-    tolerance: float = 1e-4,
-) -> VirtualPlacement:
-    """Unweighted centroid placement (rate-oblivious baseline)."""
-    return _iterate(
-        circuit,
-        pinned_positions,
-        rate_weighted=False,
-        distance_weighted=False,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        objective_fn=placement_energy,
-    )
-
-
-def exact_spring_equilibrium(
-    circuit: Circuit,
-    pinned_positions: dict[str, np.ndarray],
-) -> VirtualPlacement:
-    """Closed-form spring equilibrium via a linear solve.
-
-    The spring energy Σ rate·dist² is a convex quadratic, so its
-    minimum satisfies, per unpinned service *i* and per dimension::
+    The spring energy Σ k·dist² (``k`` the link rate, or 1 with
+    ``unit_springs``) is a convex quadratic, so its minimum satisfies,
+    per unpinned service *i* and per dimension::
 
         (Σ_j k_ij) x_i - Σ_{j unpinned} k_ij x_j = Σ_{j pinned} k_ij p_j
 
     which is a (symmetric, diagonally dominant) linear system — the
-    graph Laplacian restricted to unpinned services.  Large circuits
-    solve it with ``scipy.sparse`` (the Laplacian has one entry per
-    link, not O(n²)); small systems use a dense ``np.linalg.solve``.
-    This is the ground truth the iterative :func:`relaxation_placement`
-    converges to; tests verify their agreement, and it is useful when
-    exactness matters more than decentralizability.
+    graph Laplacian restricted to unpinned services, assembled in one
+    pass over the links.  Large circuits solve it with ``scipy.sparse``
+    (the Laplacian has one entry per link, not O(n²)); small systems use
+    a dense ``np.linalg.solve``.
+
+    A service that no positive spring ties, through any path, to a
+    pinned service has no unique minimum: its rows are singular.  It
+    sits at the pinned centroid — where the iteration starts and where
+    it leaves such a service — and only the anchored services, found by
+    a search from those with a spring straight to a pinned service,
+    enter the solve.
     """
     positions, unpinned = _pinned_and_unpinned(circuit, pinned_positions)
     if not unpinned:
         return VirtualPlacement({}, 0, True, placement_energy(circuit, positions))
     index = {sid: rank for rank, sid in enumerate(unpinned)}
     n = len(unpinned)
-    dims = next(iter(positions.values())).shape[0]
+    dims = next(iter(positions.values())).shape[0] if positions else 2
 
     # COO assembly straight from the link list: one diagonal + one
     # off-diagonal (or right-hand-side) contribution per link endpoint.
@@ -443,31 +346,34 @@ def exact_spring_equilibrium(
     off_rows: list[int] = []
     off_cols: list[int] = []
     off_vals: list[float] = []
+    springs: list[list[int]] = [[] for _ in unpinned]
+    anchored = [False] * n
     for link in circuit.links:
-        for sid, other in ((link.source, link.target), (link.target, link.source)):
-            i = index.get(sid)
+        k = 1.0 if unit_springs else link.rate
+        if k <= 0.0:
+            continue
+        source, target = index.get(link.source), index.get(link.target)
+        for i, j, other in ((source, target, link.target), (target, source, link.source)):
             if i is None:
                 continue
-            diag[i] += link.rate
-            j = index.get(other)
-            if j is not None:
+            diag[i] += k
+            if j is None:
+                rhs[i] += k * positions[other]
+                anchored[i] = True
+            else:
                 off_rows.append(i)
                 off_cols.append(j)
-                off_vals.append(-link.rate)
-            else:
-                rhs[i] += link.rate * positions[other]
+                off_vals.append(-k)
+                springs[i].append(j)
+    frontier = [i for i in range(n) if anchored[i]]
+    while frontier:
+        for j in springs[frontier.pop()]:
+            if not anchored[j]:
+                anchored[j] = True
+                frontier.append(j)
 
-    # Isolated services (no links) keep a zero row; pin them to the
-    # pinned centroid to keep the system solvable.
-    isolated = diag == 0
-    if np.any(isolated):
-        center = np.mean(
-            [positions[sid] for sid in circuit.pinned_ids()], axis=0
-        )
-        diag[isolated] = 1.0
-        rhs[isolated] = center
-
-    if n >= SPARSE_SOLVER_THRESHOLD:
+    sparse = n >= SPARSE_SOLVER_THRESHOLD
+    if sparse:
         from scipy.sparse import csr_matrix
         from scipy.sparse.linalg import factorized
 
@@ -475,15 +381,23 @@ def exact_spring_equilibrium(
         cols = np.concatenate([np.arange(n), np.asarray(off_cols, dtype=int)])
         vals = np.concatenate([diag, np.asarray(off_vals, dtype=float)])
         laplacian = csr_matrix((vals, (rows, cols)), shape=(n, n))
-        solve = factorized(laplacian.tocsc())
-        solution = np.column_stack([solve(rhs[:, k]) for k in range(dims)])
     else:
-        laplacian = np.zeros((n, n))
-        laplacian[np.arange(n), np.arange(n)] = diag
+        laplacian = np.diag(diag)
         np.add.at(laplacian, (off_rows, off_cols), off_vals)
-        solution = np.linalg.solve(laplacian, rhs)
 
-    placed = {sid: solution[index[sid]] for sid in unpinned}
+    solution = np.empty((n, dims))
+    keep = [i for i in range(n) if anchored[i]]
+    if len(keep) < n:
+        solution[:] = np.mean([positions[sid] for sid in circuit.pinned_ids()], axis=0)
+        laplacian = laplacian[keep][:, keep]
+        rhs = rhs[keep]
+    if keep and sparse:
+        solve = factorized(laplacian.tocsc())
+        solution[keep] = np.column_stack([solve(rhs[:, k]) for k in range(dims)])
+    elif keep:
+        solution[keep] = np.linalg.solve(laplacian, rhs)
+
+    placed = {sid: solution[rank] for rank, sid in enumerate(unpinned)}
     positions.update(placed)
     return VirtualPlacement(
         positions=placed,
@@ -491,6 +405,30 @@ def exact_spring_equilibrium(
         converged=True,
         objective=placement_energy(circuit, positions),
     )
+
+
+def relaxation_placement(
+    circuit: Circuit,
+    pinned_positions: dict[str, np.ndarray],
+    max_iterations: int = 400,
+    tolerance: float = 1e-4,
+) -> VirtualPlacement:
+    """Spring relaxation: services settle at rate-weighted neighbor centroids.
+
+    That fixed point is the global minimum of the spring energy
+    Σ rate·dist² (the energy is strictly convex), solved directly by
+    :func:`_spring_equilibrium`.  ``max_iterations`` and ``tolerance``
+    bound nothing: they remain only because callers such as the
+    ``bench`` harness still pass them.
+    """
+    return _spring_equilibrium(circuit, pinned_positions, unit_springs=False)
+
+
+def centroid_placement(
+    circuit: Circuit, pinned_positions: dict[str, np.ndarray]
+) -> VirtualPlacement:
+    """Unweighted centroid placement (rate-oblivious baseline): unit springs."""
+    return _spring_equilibrium(circuit, pinned_positions, unit_springs=True)
 
 
 def gradient_descent_placement(
@@ -504,14 +442,24 @@ def gradient_descent_placement(
     Each unpinned service iterates toward the rate/distance-weighted
     centroid of its neighbors — the update of the classic Weiszfeld
     algorithm for the (weighted) geometric median, generalized to the
-    circuit graph.
+    circuit graph.  The descent starts with every unpinned service at
+    the pinned centroid.
     """
-    return _iterate(
-        circuit,
-        pinned_positions,
-        rate_weighted=True,
-        distance_weighted=True,
-        max_iterations=max_iterations,
-        tolerance=tolerance,
-        objective_fn=placement_utilization,
+    positions, unpinned = _pinned_and_unpinned(circuit, pinned_positions)
+    if not unpinned:
+        return VirtualPlacement({}, 0, True, placement_utilization(circuit, positions))
+    arrays = _CircuitArrays(circuit, positions, unpinned)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        if arrays.sweep() < tolerance:
+            converged = True
+            break
+    placed = arrays.unpinned_positions()
+    positions.update(placed)
+    return VirtualPlacement(
+        positions=placed,
+        iterations=iterations,
+        converged=converged,
+        objective=placement_utilization(circuit, positions),
     )

@@ -1,4 +1,9 @@
-"""Property tests: iterative relaxation agrees with the exact solver."""
+"""Property tests: the iterated spring relaxation agrees with the solve.
+
+``relaxation_placement`` solves the spring equilibrium directly; the
+Jacobi loop it replaced (``reference_run`` in
+``test_placement_sweep.py``) is the reference it is checked against.
+"""
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,15 +11,12 @@ from hypothesis import strategies as st
 
 from repro.core.circuit import Circuit
 from repro.core.optimizer import pinned_vector_positions
-from repro.core.virtual_placement import (
-    exact_spring_equilibrium,
-    placement_energy,
-    relaxation_placement,
-)
+from repro.core.virtual_placement import placement_energy, relaxation_placement
 from repro.query.generator import enumerate_all_plans
 from repro.query.model import Consumer, Producer, QuerySpec
 from repro.query.selectivity import Statistics
 from repro.workloads.scenarios import perfect_cost_space
+from test_placement_sweep import pinned_spread, reference_run
 
 position = st.tuples(
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
@@ -51,17 +53,13 @@ def test_relaxation_converges_to_exact_equilibrium(instance):
     circuit = Circuit.from_plan(plan, query, stats)
     pinned = pinned_vector_positions(circuit, space)
 
-    exact = exact_spring_equilibrium(circuit, pinned)
-    iterative = relaxation_placement(
-        circuit, pinned, max_iterations=2000, tolerance=1e-8
-    )
-    scale = max(
-        1.0,
-        float(np.linalg.norm(np.ptp(np.array(list(pinned.values())), axis=0))),
-    )
+    exact = relaxation_placement(circuit, pinned)
+    iterative = reference_run(circuit, pinned, True, False, 1_000_000, 1e-12, placement_energy)
+    assert iterative.converged
+    bound = 1e-6 * pinned_spread(pinned)
     for sid, exact_pos in exact.positions.items():
         gap = float(np.linalg.norm(exact_pos - iterative.position_of(sid)))
-        assert gap <= 1e-3 * scale
+        assert gap <= bound
 
 
 @given(instances())
@@ -73,7 +71,7 @@ def test_exact_equilibrium_is_a_local_minimum(instance):
     plan = plans[plan_idx % len(plans)]
     circuit = Circuit.from_plan(plan, query, stats)
     pinned = pinned_vector_positions(circuit, space)
-    exact = exact_spring_equilibrium(circuit, pinned)
+    exact = relaxation_placement(circuit, pinned)
 
     base = dict(pinned)
     base.update(exact.positions)

@@ -1,4 +1,5 @@
-"""The flattened relaxation sweep against the per-dimension sweep it replaced.
+"""The flattened Weiszfeld sweep against the per-dimension sweep it replaced,
+and the spring placements against the Jacobi loop they replaced.
 
 :meth:`_CircuitArrays.sweep` gathers every neighbour coordinate of the
 flat position matrix with one ``take``, weights the entries with one
@@ -6,11 +7,18 @@ multiply and sums them with one ``bincount`` over ``seg·d + k``.
 ``ReferenceArrays`` below is the class it replaced, kept here verbatim
 as the reference: it sums one dimension at a time, a ``bincount`` per
 column.  Each accumulator cell adds the same products in the same
-(incidence) order either way, so relaxation, centroid and Weiszfeld
-runs must agree bit for bit — positions by ``np.array_equal``,
-``iterations``, ``converged`` and the objective by ``==`` — including an
-isolated service (the movable mask), zero-rate links and 1- to
-3-dimensional vectors.  ``sweep_scalar`` stays the 1e-9 oracle in
+(incidence) order either way, so Weiszfeld runs must agree bit for bit —
+positions by ``np.array_equal``, ``iterations``, ``converged`` and the
+objective by ``==`` — including an isolated service (the movable mask),
+zero-rate links and 1- to 3-dimensional vectors.
+
+``ReferenceArrays`` also keeps the spring sweeps (rate-weighted and
+unit), and :func:`reference_run` is the Jacobi loop that relaxation and
+centroid placement ran before they became one Laplacian solve.  Run to
+a tolerance of 1e-12, that loop's fixed point is the solve's answer to
+within 1e-6 of the pinned spread; a service no positive spring ties to
+a pinned one stays, in both, exactly at the pinned centroid.
+``sweep_scalar`` stays the 1e-9 oracle in
 ``test_vectorized_equivalence.py``.
 """
 
@@ -139,7 +147,7 @@ class ReferenceArrays:
 
 def reference_run(circuit, pinned_positions, rate_weighted, distance_weighted,
                   max_iterations, tolerance, objective_fn):
-    """``_iterate``'s loop over :class:`ReferenceArrays`."""
+    """The Jacobi loop over :class:`ReferenceArrays`, from the pinned centroid."""
     positions, unpinned = vp._pinned_and_unpinned(circuit, pinned_positions)
     arrays = ReferenceArrays(circuit, positions, unpinned)
     converged = False
@@ -166,6 +174,13 @@ def circuits(draw):
     zero_rates = draw(st.booleans())
     isolated = draw(st.booleans())
     rng = np.random.default_rng(seed)
+    low = 0.0 if zero_rates else 0.5
+
+    def rate():
+        if zero_rates and rng.random() < 0.3:
+            return 0.0
+        return float(rng.uniform(low, 8.0))
+
     circuit = Circuit(name="t")
     pinned = {}
     for a in range(num_pinned):
@@ -180,10 +195,9 @@ def circuits(draw):
         circuit.add_service(
             Service(sid, ServiceSpec.join(), pinned_node=None, producers=frozenset((f"S{i}",)))
         )
-        low = 0.0 if zero_rates else 0.5
-        circuit.add_link(str(rng.choice(ids)), sid, float(rng.uniform(low, 8.0)))
+        circuit.add_link(str(rng.choice(ids)), sid, rate())
         if rng.random() < 0.7:
-            circuit.add_link(sid, str(rng.choice(ids)), float(rng.uniform(low, 8.0)))
+            circuit.add_link(sid, str(rng.choice(ids)), rate())
         ids.append(sid)
     if isolated:
         circuit.add_service(
@@ -192,11 +206,12 @@ def circuits(draw):
     return circuit, pinned
 
 
-MODES = [
-    (vp.relaxation_placement, True, False, 400, 1e-4, vp.placement_energy),
-    (vp.centroid_placement, False, False, 400, 1e-4, vp.placement_energy),
-    (vp.gradient_descent_placement, True, True, 1000, 1e-5, vp.placement_utilization),
-]
+SPRING_MODES = [(vp.relaxation_placement, True), (vp.centroid_placement, False)]
+
+
+def pinned_spread(pinned):
+    """The pinned positions' bounding-box diagonal, at least 1."""
+    return max(1.0, float(np.linalg.norm(np.ptp(np.array(list(pinned.values())), axis=0))))
 
 
 # -- properties ---------------------------------------------------------------
@@ -204,31 +219,46 @@ MODES = [
 
 @given(circuits())
 @settings(max_examples=80, deadline=None)
-def test_placements_equal_the_per_dimension_sweep_bit_for_bit(case):
+def test_descent_equals_the_per_dimension_sweep_bit_for_bit(case):
     circuit, pinned = case
-    for placement_fn, rate_weighted, distance_weighted, budget, tolerance, objective in MODES:
+    got = vp.gradient_descent_placement(circuit, pinned)
+    want = reference_run(circuit, pinned, True, True, 1000, 1e-5, vp.placement_utilization)
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert got.objective == want.objective
+    assert list(got.positions) == list(want.positions)
+    for sid, position in want.positions.items():
+        assert np.array_equal(got.positions[sid], position)
+
+
+@given(circuits())
+@settings(max_examples=80, deadline=None)
+def test_spring_placements_are_the_jacobi_fixed_point(case):
+    """Relaxation and centroid solve what the rate-weighted / unit Jacobi loop converges to."""
+    circuit, pinned = case
+    bound = 1e-6 * pinned_spread(pinned)
+    for placement_fn, rate_weighted in SPRING_MODES:
         got = placement_fn(circuit, pinned)
         want = reference_run(
-            circuit, pinned, rate_weighted, distance_weighted, budget, tolerance, objective
+            circuit, pinned, rate_weighted, False, 1_000_000, 1e-12, vp.placement_energy
         )
-        assert (got.iterations, got.converged) == (want.iterations, want.converged)
-        assert got.objective == want.objective
+        assert want.converged
+        assert (got.iterations, got.converged) == (0, True)
         assert list(got.positions) == list(want.positions)
         for sid, position in want.positions.items():
-            assert np.array_equal(got.positions[sid], position)
+            assert np.linalg.norm(got.positions[sid] - position) <= bound
+        if "t/alone" in want.positions:
+            assert np.array_equal(got.positions["t/alone"], want.positions["t/alone"])
+        assert got.objective == vp.placement_energy(circuit, {**pinned, **got.positions})
 
 
-@given(circuits(), st.sampled_from(MODES))
+@given(circuits())
 @settings(max_examples=40, deadline=None)
-def test_every_sweep_moves_alike(case, mode):
+def test_every_sweep_moves_alike(case):
     """Sweep by sweep: the same largest move and the same matrix."""
     circuit, pinned = case
-    _, rate_weighted, distance_weighted, *_ = mode
     positions, unpinned = vp._pinned_and_unpinned(circuit, pinned)
     arrays = vp._CircuitArrays(circuit, dict(positions), unpinned)
     reference = ReferenceArrays(circuit, dict(positions), unpinned)
     for _ in range(12):
-        assert arrays.sweep(rate_weighted, distance_weighted) == reference.sweep(
-            rate_weighted, distance_weighted
-        )
+        assert arrays.sweep() == reference.sweep(True, True)
         assert np.array_equal(arrays.matrix, reference.matrix)

@@ -45,6 +45,7 @@ from repro.network.dynamics import (
 )
 from repro.network.latency import LatencyMatrix
 from repro.query.operators import ServiceSpec, state_units
+from test_placement_sweep import pinned_spread
 
 
 @st.composite
@@ -169,19 +170,26 @@ def random_circuit(seed: int, num_unpinned: int = 12, num_pinned: int = 4):
     return circuit, pinned_positions
 
 
-SWEEP_MODES = [
-    ("relaxation", True, False),
-    ("centroid", False, False),
-    ("weiszfeld", True, True),
-]
+def scalar_jacobi(circuit, pinned_positions, rate_weighted, tolerance=1e-12):
+    """Spring sweeps by ``sweep_scalar`` from the pinned centroid, run to ``tolerance``.
+
+    The iterated relaxation the Laplacian solve replaced: returns the
+    positions (pinned and unpinned) and whether it converged within
+    100 000 sweeps.
+    """
+    positions, unpinned = vp._pinned_and_unpinned(circuit, pinned_positions)
+    center = np.mean([positions[sid] for sid in circuit.pinned_ids()], axis=0)
+    positions.update({sid: center.copy() for sid in unpinned})
+    for _ in range(100_000):
+        if vp.sweep_scalar(circuit, positions, unpinned, rate_weighted, False) < tolerance:
+            return positions, True
+    return positions, False
 
 
 class TestPlacementSweeps:
-    @pytest.mark.parametrize("mode,rate_weighted,distance_weighted", SWEEP_MODES)
     @pytest.mark.parametrize("seed", range(6))
-    def test_matrix_sweep_matches_scalar_sweep(
-        self, seed, mode, rate_weighted, distance_weighted
-    ):
+    def test_matrix_sweep_matches_scalar_sweep(self, seed):
+        """The Weiszfeld matrix sweep against ``sweep_scalar``, sweep by sweep."""
         circuit, pinned_positions = random_circuit(seed)
         positions, unpinned = vp._pinned_and_unpinned(circuit, pinned_positions)
         arrays = vp._CircuitArrays(circuit, positions, unpinned)
@@ -192,14 +200,27 @@ class TestPlacementSweeps:
         scalar_positions.update({sid: center.copy() for sid in unpinned})
 
         for _ in range(5):
-            move_vec = arrays.sweep(rate_weighted, distance_weighted)
-            move_ref = vp.sweep_scalar(
-                circuit, scalar_positions, unpinned, rate_weighted, distance_weighted
-            )
+            move_vec = arrays.sweep()
+            move_ref = vp.sweep_scalar(circuit, scalar_positions, unpinned, True, True)
             assert move_vec == pytest.approx(move_ref, abs=1e-9)
             placed = arrays.unpinned_positions()
             for sid in unpinned:
                 assert np.allclose(placed[sid], scalar_positions[sid], atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "placement_fn,rate_weighted",
+        [(vp.relaxation_placement, True), (vp.centroid_placement, False)],
+        ids=["relaxation", "centroid"],
+    )
+    @pytest.mark.parametrize("seed", range(6))
+    def test_spring_solve_is_a_scalar_sweep_fixed_point(self, seed, placement_fn, rate_weighted):
+        """One ``sweep_scalar`` spring sweep from the solve moves no service past rounding."""
+        circuit, pinned_positions = random_circuit(seed)
+        placement = placement_fn(circuit, pinned_positions)
+        positions, unpinned = vp._pinned_and_unpinned(circuit, pinned_positions)
+        positions.update(placement.positions)
+        move = vp.sweep_scalar(circuit, positions, unpinned, rate_weighted, False)
+        assert move <= 1e-12 * pinned_spread(pinned_positions)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_objectives_match_scalar(self, seed):
@@ -224,31 +245,25 @@ class TestPlacementSweeps:
     def test_full_placements_match_scalar_driver(
         self, seed, placement_fn, rate_weighted, isolated
     ):
-        """Whole runs agree: same sweeps, same convergence, same result.
+        """The solve lands on the scalar spring loop's fixed point.
 
-        The matrix sweep keeps its position-independent arrays between
-        sweeps; an isolated unpinned service (no links, so it never
-        moves) takes it through the masked division.
+        An isolated unpinned service (no links) never moves in the loop,
+        and the solve leaves it at the same pinned centroid, bit for bit.
         """
         circuit, pinned_positions = random_circuit(seed, num_unpinned=20)
         if isolated:
             circuit.add_service(
                 Service("t/alone", ServiceSpec.join(), pinned_node=None, producers=frozenset(("Z",)))
             )
-        positions, unpinned = vp._pinned_and_unpinned(circuit, pinned_positions)
-        center = np.mean([positions[sid] for sid in circuit.pinned_ids()], axis=0)
-        positions.update({sid: center.copy() for sid in unpinned})
-        converged = False
-        for iterations in range(1, 401):
-            if vp.sweep_scalar(circuit, positions, unpinned, rate_weighted, False) < 1e-4:
-                converged = True
-                break
+        positions, converged = scalar_jacobi(circuit, pinned_positions, rate_weighted)
+        assert converged
         placement = placement_fn(circuit, pinned_positions)
-        assert (placement.iterations, placement.converged) == (iterations, converged)
-        for sid in unpinned:
-            assert np.allclose(placement.position_of(sid), positions[sid], atol=1e-9)
+        assert (placement.iterations, placement.converged) == (0, True)
+        bound = 1e-6 * pinned_spread(pinned_positions)
+        for sid in circuit.unpinned_ids():
+            assert np.linalg.norm(placement.position_of(sid) - positions[sid]) <= bound
         if isolated:
-            assert np.array_equal(placement.position_of("t/alone"), center)
+            assert np.array_equal(placement.position_of("t/alone"), positions["t/alone"])
 
 
 class TestExactEquilibriumSolvers:
@@ -256,9 +271,9 @@ class TestExactEquilibriumSolvers:
     def test_sparse_and_dense_solvers_agree(self, seed, monkeypatch):
         circuit, pinned_positions = random_circuit(seed, num_unpinned=80)
         monkeypatch.setattr(vp, "SPARSE_SOLVER_THRESHOLD", 1)
-        sparse = vp.exact_spring_equilibrium(circuit, pinned_positions)
+        sparse = vp.relaxation_placement(circuit, pinned_positions)
         monkeypatch.setattr(vp, "SPARSE_SOLVER_THRESHOLD", 1 << 30)
-        dense = vp.exact_spring_equilibrium(circuit, pinned_positions)
+        dense = vp.relaxation_placement(circuit, pinned_positions)
         assert sparse.positions.keys() == dense.positions.keys()
         for sid in sparse.positions:
             assert np.allclose(
@@ -266,13 +281,14 @@ class TestExactEquilibriumSolvers:
             )
 
     def test_large_circuit_uses_sparse_path(self):
+        """Past the threshold the sparse solve still lands on the loop's fixed point."""
         circuit, pinned_positions = random_circuit(1, num_unpinned=vp.SPARSE_SOLVER_THRESHOLD + 10)
-        result = vp.exact_spring_equilibrium(circuit, pinned_positions)
-        relax = vp.relaxation_placement(
-            circuit, pinned_positions, max_iterations=5000, tolerance=1e-10
-        )
+        result = vp.relaxation_placement(circuit, pinned_positions)
+        positions, converged = scalar_jacobi(circuit, pinned_positions, True)
+        assert converged
+        bound = 1e-6 * pinned_spread(pinned_positions)
         for sid, pos in result.positions.items():
-            assert np.allclose(relax.position_of(sid), pos, atol=1e-4)
+            assert np.linalg.norm(positions[sid] - pos) <= bound
 
 
 # -- dynamics processes ----------------------------------------------------

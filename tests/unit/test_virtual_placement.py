@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.circuit import Circuit
+from repro.core import virtual_placement
+from repro.core.circuit import Circuit, Service
 from repro.core.optimizer import pinned_vector_positions
 from repro.core.virtual_placement import (
     centroid_placement,
@@ -13,6 +14,7 @@ from repro.core.virtual_placement import (
     relaxation_placement,
 )
 from repro.query.model import Consumer, Producer, QuerySpec
+from repro.query.operators import ServiceSpec
 from repro.query.plan import JoinNode, LeafNode, LogicalPlan
 from repro.query.selectivity import Statistics
 
@@ -166,3 +168,41 @@ class TestMultiServicePlacement:
         vp = relaxation_placement(circuit, PINNED)
         with pytest.raises(KeyError):
             vp.position_of("nope")
+
+
+def zero_rate_chain():
+    """``p0 -0.0-> a -2.0-> b -0.0-> p1``: a spring pair tied to no pin."""
+    circuit = Circuit(name="z")
+    for node, sid in enumerate(("z/p0", "z/p1")):
+        circuit.add_service(
+            Service(sid, ServiceSpec.relay(), pinned_node=node, producers=frozenset((sid,)))
+        )
+    for sid in ("z/a", "z/b"):
+        circuit.add_service(
+            Service(sid, ServiceSpec.join(), pinned_node=None, producers=frozenset((sid,)))
+        )
+    circuit.add_link("z/p0", "z/a", 0.0)
+    circuit.add_link("z/a", "z/b", 2.0)
+    circuit.add_link("z/b", "z/p1", 0.0)
+    return circuit, {"z/p0": np.array([0.0, 0.0]), "z/p1": np.array([10.0, 4.0])}
+
+
+class TestZeroRateAnchoring:
+    """A service no positive spring ties to a pin sits at the pinned centroid."""
+
+    @pytest.fixture(params=[1, 1 << 30], ids=["sparse", "dense"])
+    def solver(self, request, monkeypatch):
+        monkeypatch.setattr(virtual_placement, "SPARSE_SOLVER_THRESHOLD", request.param)
+
+    def test_relaxation_leaves_the_floating_pair_at_the_pinned_centroid(self, solver):
+        circuit, pinned = zero_rate_chain()
+        vp = relaxation_placement(circuit, pinned)
+        for sid in ("z/a", "z/b"):
+            assert np.array_equal(vp.position_of(sid), [5.0, 2.0])
+        assert (vp.iterations, vp.converged, vp.objective) == (0, True, 0.0)
+
+    def test_centroid_ties_the_chain_with_unit_springs(self, solver):
+        circuit, pinned = zero_rate_chain()
+        vp = centroid_placement(circuit, pinned)
+        assert np.allclose(vp.position_of("z/a"), [10 / 3, 4 / 3], rtol=0.0, atol=1e-12)
+        assert np.allclose(vp.position_of("z/b"), [20 / 3, 8 / 3], rtol=0.0, atol=1e-12)
