@@ -10,6 +10,9 @@ links without introducing a hard constraint solver.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.circuit import Circuit
@@ -67,12 +70,12 @@ class BandwidthAwareEvaluator(GroundTruthEvaluator):
                 )
         return total
 
-    def evaluate(self, circuit: Circuit, load_weight: float = 1.0) -> CircuitCost:
-        base = super().evaluate(circuit, load_weight=load_weight)
-        penalty = self.congestion_penalty(circuit)
-        return CircuitCost(
-            network_usage=base.network_usage,
-            consumer_latency=base.consumer_latency,
-            load_penalty=base.load_penalty,
-            total=base.total + penalty,
-        )
+    def evaluate_many(
+        self, circuits: Sequence[Circuit], load_weight: float = 1.0
+    ) -> list[CircuitCost]:
+        """Ground-truth prices, each total plus its circuit's congestion."""
+        bases = super().evaluate_many(circuits, load_weight)
+        return [
+            replace(base, total=base.total + self.congestion_penalty(circuit))
+            for circuit, base in zip(circuits, bases)
+        ]

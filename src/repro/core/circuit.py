@@ -128,8 +128,8 @@ class CircuitLink:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ValueError("link rate must be non-negative")
+        if not (math.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError("link rate must be finite and non-negative")
         if self.source == self.target:
             raise ValueError("link endpoints must differ")
 
@@ -370,11 +370,9 @@ class Circuit:
         """
         if len(rates) != len(self.links):
             raise ValueError("rates must align with the circuit's links")
-        rates = [float(rate) for rate in rates]
-        if not all(math.isfinite(rate) and rate >= 0.0 for rate in rates):
-            raise ValueError("link rates must be finite and non-negative")
+        # Every new link is validated before any replaces the old ones.
         self.links = [
-            CircuitLink(link.source, link.target, rate)
+            CircuitLink(link.source, link.target, float(rate))
             for link, rate in zip(self.links, rates)
         ]
 

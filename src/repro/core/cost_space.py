@@ -272,6 +272,19 @@ class CostSpace:
         vd = self.spec.vector_dims
         return float(np.linalg.norm(self._matrix[u, :vd] - self._matrix[v, :vd]))
 
+    def vector_distances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """:meth:`vector_distance` over parallel node-index arrays.
+
+        Each pair is ``sqrt`` of one row dot product — the kernel
+        ``np.linalg.norm`` runs on a vector — so every entry equals the
+        pair's :meth:`vector_distance` bit for bit.  (A ``diff²`` row
+        sum, an ``einsum`` or a row-wise ``norm`` differ in the last bit
+        on some pairs.)
+        """
+        vectors = self._matrix[:, : self.spec.vector_dims]
+        diff = vectors[u] - vectors[v]
+        return np.sqrt(np.vecdot(diff, diff))
+
     def scalar_penalty(self, node: int) -> float:
         """Euclidean magnitude of one node's scalar part (0 if none)."""
         return float(np.linalg.norm(self._matrix[node, self.spec.vector_dims:]))
@@ -281,11 +294,13 @@ class CostSpace:
 
         The re-optimizer prices thousands of candidate migrations per
         tick against the same snapshot; the cache makes each lookup an
-        O(1) fancy-index instead of an O(n) reduction.
+        O(1) fancy-index instead of an O(n) reduction.  Each entry is
+        one row dot product, the kernel of :meth:`scalar_penalty`, so
+        the two agree bit for bit.
         """
         if self._penalty_cache is None:
             scalars = self._matrix[:, self.spec.vector_dims:]
-            self._penalty_cache = np.sqrt(np.einsum("ns,ns->n", scalars, scalars))
+            self._penalty_cache = np.sqrt(np.vecdot(scalars, scalars))
             self._penalty_cache.flags.writeable = False
         return self._penalty_cache
 

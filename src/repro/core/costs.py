@@ -15,10 +15,16 @@ Two evaluators implement the same interface:
 * :class:`GroundTruthEvaluator` — what the *network* actually does:
   latency from the true latency matrix, load from the true load vector.
   Benchmarks report this one.
+
+Both price a batch of circuits in one pass (``evaluate_many``: every
+link's hosts gathered into two index arrays and priced by one array
+call); ``evaluate`` is its one-circuit case.  The batch is bit-equal to
+pricing each circuit link by link.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -78,8 +84,14 @@ class CostEvaluator(Protocol):
         """Batched :meth:`node_penalty` over a node-index array."""
         ...
 
+    def evaluate_many(
+        self, circuits: Sequence[Circuit], load_weight: float = 1.0
+    ) -> list[CircuitCost]:
+        """Price fully placed circuits, one batch for all of them."""
+        ...
+
     def evaluate(self, circuit: Circuit, load_weight: float = 1.0) -> CircuitCost:
-        """Price a fully placed circuit."""
+        """Price a fully placed circuit (the one-circuit batch)."""
         ...
 
 
@@ -140,28 +152,57 @@ def consumer_latency(circuit: Circuit, latency_fn: Callable[[int, int], float]) 
     return _path_delay(circuit, _link_latencies(circuit, latency_fn))
 
 
-def _evaluate(
-    circuit: Circuit,
-    latency_fn: Callable[[int, int], float],
-    penalty_fn: Callable[[int], float],
+def _evaluate_many(
+    circuits: Sequence[Circuit],
+    hops_of: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    penalties_of: Callable[[list[int]], list[float]],
     load_weight: float,
-) -> CircuitCost:
-    # Each link is priced once; both reductions read the same hops.
-    hops = _link_latencies(circuit, latency_fn)
-    usage = _usage(circuit, hops)
-    latency = _path_delay(circuit, hops)
-    # Count each distinct hosting node once, but only for unpinned
-    # services — pinned endpoints are not a placement choice.
-    unpinned_hosts = {
-        circuit.host_of(sid) for sid in circuit.unpinned_ids()
-    }
-    penalty = sum(penalty_fn(node) for node in unpinned_hosts)
-    return CircuitCost(
-        network_usage=usage,
-        consumer_latency=latency,
-        load_penalty=penalty,
-        total=usage + load_weight * penalty,
-    )
+) -> list[CircuitCost]:
+    """Price every circuit: each link once, all links in one gather.
+
+    ``hops_of(u, v)`` prices parallel host arrays (a co-hosted link is
+    0.0) and ``penalties_of(nodes)`` returns one float per node.  Every
+    reduction runs per circuit in the order a one-circuit pricing uses:
+    usage adds ``rate · hop`` in link order, the path delay is the
+    :func:`consumer_latency` DP, and the load penalty is the builtin
+    ``sum`` over the circuit's distinct unpinned hosts, in set order.
+    """
+    sources: list[int] = []
+    targets: list[int] = []
+    host_sets: list[list[int]] = []
+    for circuit in circuits:
+        if not circuit.is_fully_placed():
+            raise ValueError(f"circuit {circuit.name} is not fully placed")
+        host = circuit.placement
+        for link in circuit.links:
+            sources.append(host[link.source])
+            targets.append(host[link.target])
+        # Count each distinct hosting node once, but only for unpinned
+        # services — pinned endpoints are not a placement choice.
+        host_sets.append(list({host[sid] for sid in circuit.unpinned_ids()}))
+    u = np.array(sources, dtype=np.intp)
+    v = np.array(targets, dtype=np.intp)
+    hops = np.where(u == v, 0.0, hops_of(u, v)).tolist()
+    penalties = penalties_of([node for hosts in host_sets for node in hosts])
+
+    costs = []
+    link_start = host_start = 0
+    for circuit, hosts in zip(circuits, host_sets):
+        link_end = link_start + len(circuit.links)
+        host_end = host_start + len(hosts)
+        circuit_hops = hops[link_start:link_end]
+        usage = _usage(circuit, circuit_hops)
+        penalty = sum(penalties[host_start:host_end])
+        costs.append(
+            CircuitCost(
+                network_usage=usage,
+                consumer_latency=_path_delay(circuit, circuit_hops),
+                load_penalty=penalty,
+                total=usage + load_weight * penalty,
+            )
+        )
+        link_start, host_start = link_end, host_end
+    return costs
 
 
 class CostSpaceEvaluator:
@@ -185,8 +226,19 @@ class CostSpaceEvaluator:
     def penalty_array(self, nodes: np.ndarray) -> np.ndarray:
         return self.cost_space.scalar_penalties()[nodes]
 
+    def evaluate_many(
+        self, circuits: Sequence[Circuit], load_weight: float = 1.0
+    ) -> list[CircuitCost]:
+        """Hops by :meth:`CostSpace.vector_distances`, penalties from its cache."""
+        return _evaluate_many(
+            circuits,
+            self.cost_space.vector_distances,
+            lambda nodes: self.cost_space.scalar_penalties()[nodes].tolist(),
+            load_weight,
+        )
+
     def evaluate(self, circuit: Circuit, load_weight: float = 1.0) -> CircuitCost:
-        return _evaluate(circuit, self.latency, self.node_penalty, load_weight)
+        return self.evaluate_many([circuit], load_weight)[0]
 
 
 class GroundTruthEvaluator:
@@ -226,5 +278,20 @@ class GroundTruthEvaluator:
     def penalty_array(self, nodes: np.ndarray) -> np.ndarray:
         return self.load_weighting.apply_array(self.loads[nodes])
 
+    def evaluate_many(
+        self, circuits: Sequence[Circuit], load_weight: float = 1.0
+    ) -> list[CircuitCost]:
+        """Hops read from the latency matrix, penalties by :meth:`node_penalty`.
+
+        Not :meth:`penalty_array`: a weighting's array form may round
+        differently from its scalar form (``np.exp`` vs ``math.exp``).
+        """
+        return _evaluate_many(
+            circuits,
+            lambda u, v: self.latencies.values[u, v],
+            lambda nodes: [self.node_penalty(node) for node in nodes],
+            load_weight,
+        )
+
     def evaluate(self, circuit: Circuit, load_weight: float = 1.0) -> CircuitCost:
-        return _evaluate(circuit, self.latency, self.node_penalty, load_weight)
+        return self.evaluate_many([circuit], load_weight)[0]

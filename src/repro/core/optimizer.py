@@ -20,7 +20,8 @@ single plan-evaluation loop — it compiles every candidate plan in one
 (what the plans share is built once), virtually places each, maps
 **all** candidates' services in one mapper batch
 (:func:`~repro.core.physical_mapping.map_circuits`: one catalog round
-per query, however many plans) and then prices each circuit.
+per query, however many plans) and then prices all circuits in one
+``evaluate_many`` batch.
 ``place_plan`` is its one-plan case.
 """
 
@@ -135,11 +136,12 @@ class _PlacingOptimizerBase:
     def place_plans(
         self, plans: Sequence[LogicalPlan], query: QuerySpec, stats: Statistics
     ) -> list[tuple[Circuit, VirtualPlacement, MappingResult, CircuitCost]]:
-        """Compile the plans, virtually place each, map them all, price each.
+        """Compile the plans, virtually place each, map them all, price them all.
 
-        Compilation is one :meth:`Circuit.from_plans` call and physical
-        mapping one batch for the whole plan set; virtual placement
-        stays one opaque ``placement_fn`` call per circuit.
+        Compilation is one :meth:`Circuit.from_plans` call, physical
+        mapping one batch and pricing one ``evaluate_many`` call for the
+        whole plan set; virtual placement stays one opaque
+        ``placement_fn`` call per circuit.
         """
         circuits = Circuit.from_plans(plans, query, stats)
         placements = [
@@ -149,15 +151,8 @@ class _PlacingOptimizerBase:
             for circuit in circuits
         ]
         mappings = map_circuits(circuits, placements, self.cost_space, self.mapper)
-        return [
-            (
-                circuit,
-                placement,
-                mapping,
-                self.evaluator.evaluate(circuit, load_weight=self.load_weight),
-            )
-            for circuit, placement, mapping in zip(circuits, placements, mappings)
-        ]
+        costs = self.evaluator.evaluate_many(circuits, load_weight=self.load_weight)
+        return list(zip(circuits, placements, mappings, costs))
 
     def place_plan(
         self, plan: LogicalPlan, query: QuerySpec, stats: Statistics
@@ -353,7 +348,7 @@ class RandomOptimizer(_PlacingOptimizerBase):
         for sid in circuit.unpinned_ids():
             circuit.assign(sid, self._rng.randrange(self.cost_space.num_nodes))
         cost = self.evaluator.evaluate(circuit, load_weight=self.load_weight)
-        placement = VirtualPlacement({}, 0, True, 0.0)
+        placement = VirtualPlacement({}, 0, True)
         return OptimizationResult(
             query_name=query.name,
             plan=plan,

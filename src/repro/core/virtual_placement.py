@@ -84,14 +84,15 @@ class VirtualPlacement:
             placements, which are solved, not iterated.
         converged: True if movement fell below tolerance before the
             iteration cap; always True for the spring placements.
-        objective: final value of the algorithm's objective function
-            (the spring energy, or the utilization for Weiszfeld).
+
+    The objective's value is not carried: :func:`placement_energy` /
+    :func:`placement_utilization` of the returned positions compute it,
+    and only then, for a caller that needs it.
     """
 
     positions: dict[str, np.ndarray]
     iterations: int
     converged: bool
-    objective: float
 
     def position_of(self, service_id: str) -> np.ndarray:
         if service_id not in self.positions:
@@ -334,15 +335,18 @@ def _spring_equilibrium(
     """
     positions, unpinned = _pinned_and_unpinned(circuit, pinned_positions)
     if not unpinned:
-        return VirtualPlacement({}, 0, True, placement_energy(circuit, positions))
+        return VirtualPlacement({}, 0, True)
     index = {sid: rank for rank, sid in enumerate(unpinned)}
     n = len(unpinned)
     dims = next(iter(positions.values())).shape[0] if positions else 2
 
     # COO assembly straight from the link list: one diagonal + one
     # off-diagonal (or right-hand-side) contribution per link endpoint.
-    diag = np.zeros(n)
-    rhs = np.zeros((n, dims))
+    # Python floats round each product and each sum once, as numpy row
+    # operations would, without an array call per term.
+    diag = [0.0] * n
+    rhs = [[0.0] * dims for _ in range(n)]
+    pinned_rows = {sid: point.tolist() for sid, point in positions.items()}
     off_rows: list[int] = []
     off_cols: list[int] = []
     off_vals: list[float] = []
@@ -358,7 +362,9 @@ def _spring_equilibrium(
                 continue
             diag[i] += k
             if j is None:
-                rhs[i] += k * positions[other]
+                row, point = rhs[i], pinned_rows[other]
+                for d in range(dims):
+                    row[d] += k * point[d]
                 anchored[i] = True
             else:
                 off_rows.append(i)
@@ -382,8 +388,13 @@ def _spring_equilibrium(
         vals = np.concatenate([diag, np.asarray(off_vals, dtype=float)])
         laplacian = csr_matrix((vals, (rows, cols)), shape=(n, n))
     else:
-        laplacian = np.diag(diag)
-        np.add.at(laplacian, (off_rows, off_cols), off_vals)
+        dense = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            dense[i][i] = diag[i]
+        for i, j, value in zip(off_rows, off_cols, off_vals):
+            dense[i][j] += value
+        laplacian = np.array(dense)
+    rhs = np.array(rhs)
 
     solution = np.empty((n, dims))
     keep = [i for i in range(n) if anchored[i]]
@@ -398,13 +409,7 @@ def _spring_equilibrium(
         solution[keep] = np.linalg.solve(laplacian, rhs)
 
     placed = {sid: solution[rank] for rank, sid in enumerate(unpinned)}
-    positions.update(placed)
-    return VirtualPlacement(
-        positions=placed,
-        iterations=0,
-        converged=True,
-        objective=placement_energy(circuit, positions),
-    )
+    return VirtualPlacement(positions=placed, iterations=0, converged=True)
 
 
 def relaxation_placement(
@@ -447,7 +452,7 @@ def gradient_descent_placement(
     """
     positions, unpinned = _pinned_and_unpinned(circuit, pinned_positions)
     if not unpinned:
-        return VirtualPlacement({}, 0, True, placement_utilization(circuit, positions))
+        return VirtualPlacement({}, 0, True)
     arrays = _CircuitArrays(circuit, positions, unpinned)
     converged = False
     iterations = 0
@@ -455,11 +460,8 @@ def gradient_descent_placement(
         if arrays.sweep() < tolerance:
             converged = True
             break
-    placed = arrays.unpinned_positions()
-    positions.update(placed)
     return VirtualPlacement(
-        positions=placed,
+        positions=arrays.unpinned_positions(),
         iterations=iterations,
         converged=converged,
-        objective=placement_utilization(circuit, positions),
     )

@@ -50,36 +50,69 @@ def enumerate_all_plans(producers: list[str]) -> list[LogicalPlan]:
 
     Uses the classic recursive split: partition the producer set into
     two non-empty halves (first producer fixed to the left half to kill
-    the mirror symmetry), recurse, and combine.
+    the mirror symmetry), recurse, and combine.  The split depends only
+    on the producers' sorted order, so the tree shapes are enumerated
+    once per producer count over ranks (:func:`_shapes`) and each call
+    names their leaves: rank ``r`` is ``sorted(producers)[r]``.  Equal
+    subtrees of one call are one (frozen) node, shared by its plans.
     """
     _check_names(producers)
     if len(producers) > 9:
         raise ValueError(
             "full enumeration beyond 9 producers is intractable; use top_k_plans"
         )
-    trees = _all_trees(frozenset(producers))
-    return [LogicalPlan(tree) for tree in trees]
+    names = sorted(producers)
+    nodes: dict[object, PlanNode] = {}
+
+    def named(shape) -> PlanNode:
+        node = nodes.get(shape)
+        if node is None:
+            if isinstance(shape, int):
+                node = LeafNode(names[shape])
+            else:
+                node = JoinNode(named(shape[0]), named(shape[1]))
+            nodes[shape] = node
+        return node
+
+    return [LogicalPlan(named(shape)) for shape in _shapes(len(names))]
 
 
-def _all_trees(names: frozenset[str]) -> list[PlanNode]:
-    if len(names) == 1:
-        (only,) = names
-        return [LeafNode(only)]
-    ordered = sorted(names)
+#: Shapes are kept for producer counts up to this one (10 395 shapes at
+#: 7); larger counts, at most 9, are enumerated on every call.
+_SHAPE_CACHE_LIMIT = 7
+_SHAPE_CACHE: dict[int, tuple] = {}
+
+
+def _shapes(count: int) -> tuple:
+    """Every join-tree shape over ranks ``0..count-1``, in enumeration order."""
+    shapes = _SHAPE_CACHE.get(count)
+    if shapes is None:
+        shapes = tuple(_all_trees(frozenset(range(count))))
+        if count <= _SHAPE_CACHE_LIMIT:
+            _SHAPE_CACHE[count] = shapes
+    return shapes
+
+
+def _all_trees(ranks: frozenset[int]) -> list:
+    """Shapes over ``ranks``: a leaf is its rank, a join the pair (left, right)."""
+    if len(ranks) == 1:
+        (only,) = ranks
+        return [only]
+    ordered = sorted(ranks)
     anchor = ordered[0]
     rest = ordered[1:]
-    trees: list[PlanNode] = []
+    trees: list = []
     # Left half always contains the anchor -> each unordered split
     # enumerated exactly once.
     for size in range(0, len(rest)):
         for extra in itertools.combinations(rest, size):
-            left_names = frozenset((anchor,) + extra)
-            right_names = names - left_names
-            if not right_names:
+            left_ranks = frozenset((anchor,) + extra)
+            right_ranks = ranks - left_ranks
+            if not right_ranks:
                 continue
-            for left in _all_trees(left_names):
-                for right in _all_trees(right_names):
-                    trees.append(JoinNode(left, right))
+            for left in _all_trees(left_ranks):
+                for right in _all_trees(right_ranks):
+                    trees.append((left, right))
     return trees
 
 

@@ -54,7 +54,7 @@ def test_relaxation_converges_to_exact_equilibrium(instance):
     pinned = pinned_vector_positions(circuit, space)
 
     exact = relaxation_placement(circuit, pinned)
-    iterative = reference_run(circuit, pinned, True, False, 1_000_000, 1e-12, placement_energy)
+    iterative = reference_run(circuit, pinned, True, False, 1_000_000, 1e-12)
     assert iterative.converged
     bound = 1e-6 * pinned_spread(pinned)
     for sid, exact_pos in exact.positions.items():

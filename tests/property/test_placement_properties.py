@@ -64,7 +64,8 @@ def test_relaxation_energy_at_most_endpoint_heuristics(instance):
         candidate = dict(pinned)
         for sid in circuit.unpinned_ids():
             candidate[sid] = np.asarray(anchor, dtype=float)
-        assert vp.objective <= placement_energy(circuit, candidate) + 1e-6
+        energy = placement_energy(circuit, {**pinned, **vp.positions})
+        assert energy <= placement_energy(circuit, candidate) + 1e-6
 
 
 @given(placement_instances())

@@ -196,6 +196,15 @@ class TestServiceAndHelpers:
         with pytest.raises(ValueError):
             circuit.add_link("a", "b", 1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_link_rate_must_be_finite_and_non_negative(self, bad):
+        circuit = Circuit(name="x")
+        circuit.add_service(Service("x/a", ServiceSpec.relay(), 0, frozenset({"A"})))
+        circuit.add_service(Service("x/b", ServiceSpec.join(), None, frozenset({"A"})))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            circuit.add_link("x/a", "x/b", bad)
+        assert circuit.links == []
+
     def test_effective_statistics(self):
         query, stats = query3()
         query.filters["A"] = 0.2

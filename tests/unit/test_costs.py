@@ -161,14 +161,16 @@ class TestLinksPricedOnce:
                 )
 
     def test_each_link_priced_once(self):
-        circuit, latencies = placed_circuit()
+        """One array call prices every link of every circuit in a batch."""
+        circuit, _ = placed_circuit()
+        space = perfect_cost_space([(0.0, 0.0), (10.0, 0.0), (5.0, 5.0), (5.0, 0.0)])
         calls = []
+        vector_distances = space.vector_distances
 
-        def latency_fn(u, v):
-            calls.append((u, v))
-            return latencies.latency(u, v)
+        def counted(u, v):
+            calls.append(len(u))
+            return vector_distances(u, v)
 
-        evaluator = GroundTruthEvaluator(latencies)
-        evaluator.latency = latency_fn
-        evaluator.evaluate(circuit)
-        assert len(calls) == len(circuit.links)
+        space.vector_distances = counted
+        CostSpaceEvaluator(space).evaluate_many([circuit, circuit.copy()])
+        assert calls == [2 * len(circuit.links)]
