@@ -1,6 +1,6 @@
 """Paired A/B verdict of the end-to-end benchmark between two commits.
 
-    python benchmarks/ab.py BASE [HEAD] --workload W --seeds 0-9
+    python benchmarks/ab.py BASE [HEAD] --workload W[,W2,...] --seeds 0-9
 
 checks BASE (and HEAD, when given; the working tree otherwise) out into
 a temporary directory with ``git archive``, then runs
@@ -17,6 +17,11 @@ verdict of its bound (:func:`verdict`).  The exact metrics
 when any run reports ``correct: false`` or failures, an exact metric
 differs within a pair, or an end-to-end metric is ``outside bound``
 (:func:`exit_code`); an ``unresolved`` verdict is printed but passes.
+
+``--workload`` takes a comma-separated list: the pairs then run
+workload by workload, one table is printed per workload, and the exit
+code is 1 when any workload's would be — a change's claimed workload
+and the ones it must not move are one command.
 
 With ``--trace 1`` the runs also report per-layer lines; every
 count-valued one (unit ``1/op`` or ``count``, host and trace
@@ -45,8 +50,8 @@ sys.path.insert(0, str(ROOT))
 from bench.metrics import END_TO_END, EXACT, PER_LAYER  # noqa: E402
 
 __all__ = [
-    "parse_seeds", "parse_result", "summarize", "is_count_line", "verdict",
-    "exit_code", "main",
+    "parse_seeds", "parse_workloads", "parse_result", "summarize",
+    "is_count_line", "verdict", "exit_code", "main",
 ]
 
 
@@ -57,6 +62,14 @@ def parse_seeds(spec: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
+
+
+def parse_workloads(spec: str) -> list[str]:
+    """``"closed_loop"`` → that one, ``"a,b"`` → both, in order."""
+    names = [name.strip() for name in spec.split(",")]
+    if not all(names):
+        raise ValueError(f"empty workload name in {spec!r}")
+    return names
 
 
 def parse_result(output: str) -> dict:
@@ -207,12 +220,12 @@ def _checkout(rev: str, into: Path) -> Path:
     return into
 
 
-def _run(tree: Path, args, seed: int, seconds: int) -> dict:
+def _run(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     cmd = [
-        "python3", "-m", "bench", "--workload", args.workload,
+        "python3", "-m", "bench", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds),
-        "--trace", str(args.trace),
+        "--trace", str(trace),
     ]
     out = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     try:
@@ -223,33 +236,43 @@ def _run(tree: Path, args, seed: int, seconds: int) -> dict:
         ) from None
 
 
+def _pairs(parent: Path, change: Path, workload: str, seeds, seconds: int, trace: int):
+    """(parent, change) results per seed, alternating which runs first."""
+    pairs = []
+    for i, seed in enumerate(seeds):
+        if i % 2:
+            c = _run(change, workload, seed, seconds, trace)
+            p = _run(parent, workload, seed, seconds, trace)
+        else:
+            p = _run(parent, workload, seed, seconds, trace)
+            c = _run(change, workload, seed, seconds, trace)
+        pairs.append((p, c))
+        print(f"{workload} seed {seed}: pair {i + 1} of {len(seeds)} done", flush=True)
+    return pairs
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", help="parent revision")
     parser.add_argument("head", nargs="?", help="change revision (default: working tree)")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="one name, or several comma-separated")
     parser.add_argument("--seeds", default="0-9")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
+    workloads = parse_workloads(args.workload)
     seeds = parse_seeds(args.seeds)
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
+    code = 0
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         parent = _checkout(args.base, Path(tmp) / "base")
         change = _checkout(args.head, Path(tmp) / "head") if args.head else ROOT
-        pairs = []
-        for i, seed in enumerate(seeds):
-            if i % 2:
-                c = _run(change, args, seed, seconds)
-                p = _run(parent, args, seed, seconds)
-            else:
-                p = _run(parent, args, seed, seconds)
-                c = _run(change, args, seed, seconds)
-            pairs.append((p, c))
-            print(f"seed {seed}: pair {i + 1} of {len(seeds)} done", flush=True)
-    print(f"{args.workload}: parent {args.base}, change {args.head or 'working tree'}")
-    summary = summarize(pairs, BETTER)
-    _report(summary, len(pairs))
-    return exit_code(summary)
+        for workload in workloads:
+            pairs = _pairs(parent, change, workload, seeds, seconds, args.trace)
+            print(f"{workload}: parent {args.base}, change {args.head or 'working tree'}")
+            summary = summarize(pairs, BETTER)
+            _report(summary, len(pairs))
+            code = max(code, exit_code(summary))
+    return code
 
 
 if __name__ == "__main__":

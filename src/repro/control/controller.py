@@ -10,12 +10,11 @@ that loop each tick:
    tick's drop fraction and delivery-latency p95 the policy EWMAs.
 2. **Calibrate** — every ``calibrate_interval`` ticks past warmup, the
    measured EWMA link rates (or windowed quantiles) are written back
-   into the circuits' estimated link rates through the overlay
+   into the circuits' rate columns through the overlay
    (``Overlay.set_link_rates``, which also rewrites those circuits'
-   usage rows) and pushed into the re-optimizer's cached
-   :class:`_CircuitKernel` prices (``refresh_kernel_rates``), so the
-   next re-optimization pass minimizes the *measured* objective rather
-   than the stale estimate.
+   usage rows in one slice each); the re-optimizer reads those columns
+   at the start of every pass, so the next pass minimizes the
+   *measured* objective rather than the stale estimate.
    Oracle mode short-circuits measurement and calibrates from
    :meth:`DataPlane.true_link_rates` — the upper bound a perfect
    estimator could reach.  Calibration is one gather: the installed
@@ -57,6 +56,7 @@ both paths; the banks are read only through the calls (``rates``,
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, replace
 
@@ -70,7 +70,9 @@ from repro.core.load_model import (
     KIND_RELAY,
     LoadModel,
 )
-from repro.core.reoptimizer import refresh_kernel_rates
+# Not called here: kept importable under this module for callers that
+# wrap it by name (the benchmark harness's span table).
+from repro.core.reoptimizer import refresh_kernel_rates  # noqa: F401
 
 __all__ = ["ControlConfig", "ControlRecord", "Controller"]
 
@@ -251,10 +253,9 @@ class Controller:
         data_plane: the executing :class:`~repro.runtime.dataplane.DataPlane`.
         config: policy knobs (defaults: calibration on, trigger on
             drops, shedding off).
-        kernel_cache: the simulator's compiled-circuit kernel cache;
-            calibration refreshes cached ``_CircuitKernel`` prices in
-            place.  The simulator wires its own cache in when it owns
-            the controller.
+        kernel_cache: accepted and kept as an attribute, not used:
+            compiled re-optimizer kernels hold no rates, so calibration
+            has nothing to refresh in them.
         oracle: calibrate from :meth:`DataPlane.true_link_rates`
             instead of measurements (the perfect-information upper
             bound for closed-loop experiments).
@@ -429,18 +430,16 @@ class Controller:
 
         Every installed link is priced in one gather over the cached
         link table (one estimator call, or one truth lookup), and only
-        circuits whose rates changed are written: their link estimates
-        (what evaluators and the scalar re-optimizer references price),
-        through :meth:`Overlay.set_link_rates` so the overlay's usage
-        rows move with them, and any cached compiled kernels (what the
-        batched passes price).  Returns the number of links whose rate
-        changed.
+        circuits whose rates changed are written, through
+        :meth:`Overlay.set_link_rates`: their rate columns (what the
+        evaluators and every re-optimizer pass price) and their usage
+        rows.  Returns the number of links whose rate changed.
         """
         cfg = self.config
         table = self._link_table()
         keys = table.keys
         prior = np.fromiter(
-            (link.rate for circuit in table.circuits for link in circuit.links),
+            itertools.chain.from_iterable(c.link_rates for c in table.circuits),
             dtype=float,
             count=len(keys),
         )
@@ -465,9 +464,7 @@ class Controller:
         bounds = table.bounds
         for c in np.unique(table.circuit_of[moved]):
             circuit = table.circuits[c]
-            mine = rates[bounds[c] : bounds[c + 1]]
-            self.overlay.set_link_rates(circuit.name, mine)
-            refresh_kernel_rates(self.kernel_cache, circuit, mine)
+            self.overlay.set_link_rates(circuit.name, rates[bounds[c] : bounds[c + 1]])
         self.calibrations += 1
         return changed
 

@@ -9,13 +9,23 @@ directed links each carrying an estimated stream rate.
 circuit each, building what the plans share once (``from_plan`` is its
 one-plan case); placement is recorded in ``circuit.placement`` and filled in
 by the physical-mapping stage.
+
+A circuit's link rates live in one column, ``Circuit.link_rates``, in
+link order: a :class:`CircuitLink` holds its endpoints and reads its rate
+from that column, so re-pricing a circuit (``set_link_rates``, the
+control plane's calibration) writes the column once and rebuilds no
+link, and every consumer — evaluators, the re-optimizer's arena, the
+overlay's usage rows — reads the same numbers.  A link belongs to one
+circuit: ``copy`` gives the copy its own links and column.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.query.model import QuerySpec
 from repro.query.operators import ServiceKind, ServiceSpec
@@ -119,19 +129,42 @@ class Service:
         return (self.spec.kind, self.producers)
 
 
-@dataclass(frozen=True)
 class CircuitLink:
-    """A directed stream link between two services of a circuit."""
+    """A directed stream link between two services of a circuit.
 
-    source: str
-    target: str
-    rate: float
+    Made by :meth:`Circuit.add_link` and owned by that one circuit:
+    ``rate`` reads the circuit's rate column (always a Python
+    ``float``), so a re-priced circuit re-prices its links in place.
+    Links compare by endpoints and current rate.
+    """
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rate) and self.rate >= 0):
-            raise ValueError("link rate must be finite and non-negative")
-        if self.source == self.target:
-            raise ValueError("link endpoints must differ")
+    __slots__ = ("source", "target", "_column", "_index")
+
+    def __init__(self, source: str, target: str, column: list[float], index: int):
+        self.source = source
+        self.target = target
+        self._column = column
+        self._index = index
+
+    @property
+    def rate(self) -> float:
+        return self._column[self._index]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CircuitLink):
+            return NotImplemented
+        return (self.source, self.target, self.rate) == (
+            other.source, other.target, other.rate
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target))
+
+    def __repr__(self) -> str:
+        return (
+            f"CircuitLink(source={self.source!r}, target={self.target!r}, "
+            f"rate={self.rate!r})"
+        )
 
 
 @dataclass
@@ -141,15 +174,26 @@ class Circuit:
     Attributes:
         name: circuit identifier.
         services: service id -> :class:`Service`.
-        links: directed links with rates.
+        links: directed links (made by :meth:`add_link`, removed by
+            :meth:`drop_links`).
+        link_rates: the links' current rates, in link order — the one
+            rate store every link reads; read-only outside this class
+            (write through :meth:`set_link_rates`).
         placement: service id -> physical node; pinned services are
             pre-assigned, unpinned ones appear once mapped.
     """
 
     name: str
     services: dict[str, Service] = field(default_factory=dict)
-    links: list[CircuitLink] = field(default_factory=list)
+    links: list[CircuitLink] = field(default_factory=list, init=False)
     placement: dict[str, int] = field(default_factory=dict)
+    link_rates: list[float] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+    # (services dict, its size, pinned ids, unpinned ids): the split
+    # pinned_ids / unpinned_ids serve, rebuilt when the services dict
+    # is replaced or changes size (add_service).
+    _split: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     # -- construction ------------------------------------------------------
 
@@ -161,9 +205,25 @@ class Circuit:
             self.placement[service.service_id] = service.pinned_node
 
     def add_link(self, source: str, target: str, rate: float) -> None:
-        if source not in self.services or target not in self.services:
+        services = self.services
+        if source not in services or target not in services:
             raise ValueError("link endpoints must be existing services")
-        self.links.append(CircuitLink(source, target, rate))
+        rate = float(rate)
+        if not (math.isfinite(rate) and rate >= 0):
+            raise ValueError("link rate must be finite and non-negative")
+        if source == target:
+            raise ValueError("link endpoints must differ")
+        column = self.link_rates
+        self.links.append(CircuitLink(source, target, column, len(column)))
+        column.append(rate)
+
+    def drop_links(self, doomed: Callable[[CircuitLink], bool]) -> None:
+        """Remove every link ``doomed`` accepts; the rest keep their order."""
+        kept = [link for link in self.links if not doomed(link)]
+        self.link_rates[:] = [link.rate for link in kept]
+        for index, link in enumerate(kept):
+            link._index = index
+        self.links[:] = kept
 
     @classmethod
     def from_plan(
@@ -282,6 +342,10 @@ class Circuit:
                 return sid
 
             tail_id = build(plan.root)
+            # ``build`` calls itself through its closure, a cycle that
+            # would hold the circuit until the cyclic collector runs;
+            # dropping the name frees both by reference counting.
+            del build
             tail_rate = rate(plan.root)
             if aggregate is not None:
                 circuit.add_service(aggregate)
@@ -298,13 +362,22 @@ class Circuit:
 
     # -- structure queries -------------------------------------------------
 
+    def _pinned_split(self) -> tuple:
+        services = self.services
+        split = self._split
+        if split is None or split[0] is not services or split[1] != len(services):
+            pinned = [sid for sid, s in services.items() if s.is_pinned]
+            unpinned = [sid for sid, s in services.items() if not s.is_pinned]
+            split = self._split = (services, len(services), pinned, unpinned)
+        return split
+
     def pinned_ids(self) -> list[str]:
-        """Ids of pinned services, in insertion order."""
-        return [sid for sid, s in self.services.items() if s.is_pinned]
+        """Ids of pinned services, in insertion order (a fresh list)."""
+        return list(self._pinned_split()[2])
 
     def unpinned_ids(self) -> list[str]:
-        """Ids of unpinned services, in insertion order."""
-        return [sid for sid, s in self.services.items() if not s.is_pinned]
+        """Ids of unpinned services, in insertion order (a fresh list)."""
+        return list(self._pinned_split()[3])
 
     def neighbors(self, service_id: str) -> list[tuple[str, float]]:
         """Services linked to ``service_id`` with the connecting rate."""
@@ -320,7 +393,11 @@ class Circuit:
 
     def input_rate(self, service_id: str) -> float:
         """Total stream rate entering a service."""
-        return sum(l.rate for l in self.links if l.target == service_id)
+        return sum(
+            rate
+            for link, rate in zip(self.links, self.link_rates)
+            if link.target == service_id
+        )
 
     def output_links(self, service_id: str) -> list[CircuitLink]:
         return [l for l in self.links if l.source == service_id]
@@ -359,31 +436,40 @@ class Circuit:
     def set_link_rates(self, rates) -> None:
         """Re-estimate every link's rate in place (calibration).
 
-        ``rates`` aligns with :attr:`links` order.  Used by the control
-        plane to replace stale estimates with measured rates; structure
-        and placement are untouched, so an executing data plane keeps
-        its compiled realized behavior while every *pricing* consumer
-        (evaluators, re-optimizers) sees the calibrated numbers.  An
-        installed circuit is re-priced through
+        ``rates`` aligns with :attr:`links` order.  The whole vector is
+        validated, then written into the rate column once; no link is
+        rebuilt.  Used by the control plane to replace stale estimates
+        with measured rates; structure and placement are untouched, so
+        an executing data plane keeps its compiled realized behavior
+        while every *pricing* consumer (evaluators, re-optimizers) sees
+        the calibrated numbers.  An installed circuit is re-priced
+        through
         :meth:`Overlay.set_link_rates <repro.sbon.overlay.Overlay.set_link_rates>`,
         which also rewrites the overlay's usage rows for it.
         """
-        if len(rates) != len(self.links):
+        column = np.asarray(rates, dtype=float)
+        if column.shape != (len(self.links),):
             raise ValueError("rates must align with the circuit's links")
-        # Every new link is validated before any replaces the old ones.
-        self.links = [
-            CircuitLink(link.source, link.target, float(rate))
-            for link, rate in zip(self.links, rates)
-        ]
+        values = column.tolist()
+        if not all(0.0 <= value < math.inf for value in values):
+            raise ValueError("link rate must be finite and non-negative")
+        self.link_rates[:] = values
 
     def copy(self) -> "Circuit":
-        """Deep-enough copy: shared immutable services, fresh placement."""
-        return Circuit(
+        """Deep-enough copy: shared immutable services, fresh placement,
+        and links of its own over its own rate column."""
+        clone = Circuit(
             name=self.name,
             services=dict(self.services),
-            links=list(self.links),
             placement=dict(self.placement),
         )
+        column = clone.link_rates
+        column.extend(self.link_rates)
+        clone.links = [
+            CircuitLink(link.source, link.target, column, index)
+            for index, link in enumerate(self.links)
+        ]
+        return clone
 
 
 def effective_statistics(query: QuerySpec, stats: Statistics) -> Statistics:

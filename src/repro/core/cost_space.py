@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.core.coordinates import CostCoordinate
 from repro.core.weighting import WeightingFunction, squared
@@ -50,8 +51,22 @@ __all__ = [
 
 #: Elements in each of the two scratch buffers of the batched
 #: nearest-node scan (512 KB of float64 apiece); targets are scanned in
-#: blocks of ``_BLOCK_ELEMENTS // eligible nodes`` rows.
+#: blocks of ``_BLOCK_ELEMENTS // row width`` rows, a row being a
+#: target's window or, in the full scan, every eligible node.
 _BLOCK_ELEMENTS = 65_536
+
+#: Window widths of the windowed nearest-node scan, in nodes: each
+#: target first reads the window of the first width around its place in
+#: the nodes' order along one vector column, and a target that window
+#: cannot settle reads the next, wider one.
+_WINDOWS = (128, 384)
+
+#: Fewest targets a call scans through windows.  Below it the full scan
+#: is cheaper: each window stage costs some twenty array calls whatever
+#: the target count (on the 1 180-node closed-loop cost space, 4–12
+#: targets took 0.12–0.17 ms windowed against 0.08–0.10 ms in full, 32
+#: targets 0.14 ms against 0.21 ms).
+_WINDOWED_TARGETS = 32
 
 
 @dataclass(frozen=True)
@@ -163,6 +178,9 @@ class CostSpace:
             list(coordinates) if coordinates else None
         )
         self._penalty_cache: np.ndarray | None = None
+        # (sort column, node order along it) of the windowed scan; kept
+        # while the vector columns are (update_metrics leaves them).
+        self._order_cache: tuple[int, np.ndarray] | None = None
 
     @classmethod
     def _from_matrix(cls, spec: CostSpaceSpec, matrix: np.ndarray) -> "CostSpace":
@@ -171,6 +189,7 @@ class CostSpace:
         space._matrix = np.ascontiguousarray(matrix, dtype=float)
         space._coord_cache = None
         space._penalty_cache = None
+        space._order_cache = None
         return space
 
     def _check_shape(self, coord: CostCoordinate) -> None:
@@ -325,6 +344,7 @@ class CostSpace:
         self._matrix[node, : self.spec.vector_dims] = vector
         self._coord_cache = None
         self._penalty_cache = None
+        self._order_cache = None
 
     def update_vectors(self, embedding: np.ndarray) -> None:
         """Replace every node's vector part in one batched write."""
@@ -337,6 +357,7 @@ class CostSpace:
         self._matrix[:, : self.spec.vector_dims] = embedding
         self._coord_cache = None
         self._penalty_cache = None
+        self._order_cache = None
 
     # -- queries ---------------------------------------------------------
 
@@ -391,10 +412,18 @@ class CostSpace:
     ) -> np.ndarray:
         """Nearest node for each of ``m`` targets in one batched pass.
 
-        Exact: a full scan of squared distances over the eligible
-        nodes, ties going to the lowest node index.  Scratch memory is
-        two buffers of at most ``_BLOCK_ELEMENTS`` floats, whatever
-        ``m``.
+        Exact, with the full scan's arithmetic: a node's squared
+        distance is accumulated dimension by dimension from direct
+        differences, the smallest wins and ties go to the lowest node
+        index.  In a call of at least ``_WINDOWED_TARGETS`` targets,
+        each target first scans only a window of nodes around its place
+        in the eligible nodes' order along one vector column
+        (:func:`_window_scan`, widths ``_WINDOWS``); a target no window
+        settles, every target of a smaller call and every target of a
+        call whose eligible columns are not all finite go through the
+        full scan (:func:`_blocked_scan`).  Scratch memory is two
+        buffers of at most ``_BLOCK_ELEMENTS`` floats per stage,
+        whatever ``m``.
 
         Args:
             targets: ``(m, dims)`` array or list of coordinates.
@@ -420,47 +449,78 @@ class CostSpace:
             t = np.empty((len(targets), self.spec.dims), dtype=float)
             for i, coord in enumerate(targets):
                 t[i] = self._target_array(coord)
-        # Exact scan over the eligible nodes' columns, gathered once so
-        # an excluded node never enters the arithmetic.  ``rows`` is
-        # ascending, so argmin's first minimum is still the lowest node
-        # index on ties.
+        keep = None
         if exclude:
             keep = np.ones(self.num_nodes, dtype=bool)
             keep[[node for node in exclude if 0 <= node < self.num_nodes]] = False
-            rows = np.flatnonzero(keep)
-            cols = self._matrix.T.take(rows, axis=1)
-        else:
+        result = rest = None
+        if t.shape[0] >= _WINDOWED_TARGETS:
+            result, rest = self._windowed(t, keep)
+            if rest is not None and rest.size == 0:
+                return result
+        # The full scan over the eligible nodes' columns, gathered once
+        # so an excluded node never enters the arithmetic.  ``rows`` is
+        # ascending, so argmin's first minimum is still the lowest node
+        # index on ties.
+        if keep is None:
             rows = None
             cols = self._matrix.T.copy()
-        eligible = cols.shape[1]
-        if eligible == 0:
+        else:
+            rows = np.flatnonzero(keep)
+            cols = self._matrix.T.take(rows, axis=1)
+        if cols.shape[1] == 0:
             raise ValueError("no eligible node")
-        # Squared distances, accumulated dimension by dimension from
-        # direct differences (no expanded cross-term form, so no
-        # cancellation), in blocks of target rows through two reused
-        # buffers that stay in cache.  argmin returns the first NaN of a
-        # row, so checking the chosen entry alone catches NaN and
-        # all-inf rows.
-        m = t.shape[0]
-        block = max(1, _BLOCK_ELEMENTS // eligible)
-        acc = np.empty((min(block, m), eligible))
-        part = np.empty_like(acc)
-        result = np.empty(m, dtype=int)
-        for start in range(0, m, block):
-            chunk = t[start:start + block]
-            r = chunk.shape[0]
-            d2, sq = acc[:r], part[:r]
-            np.subtract.outer(chunk[:, 0], cols[0], out=d2)
-            np.multiply(d2, d2, out=d2)
-            for k in range(1, cols.shape[0]):
-                np.subtract.outer(chunk[:, k], cols[k], out=sq)
-                np.multiply(sq, sq, out=sq)
-                np.add(d2, sq, out=d2)
-            best = d2.argmin(axis=1)
-            if not np.isfinite(d2[np.arange(r), best]).all():
-                raise ValueError("no eligible node")
-            result[start:start + r] = best
-        return result if rows is None else rows[result]
+        found = _blocked_scan(t if rest is None else t[rest], cols)
+        if rows is not None:
+            found = rows[found]
+        if rest is None:
+            return found
+        result[rest] = found
+        return result
+
+    def _windowed(
+        self, t: np.ndarray, keep: np.ndarray | None
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """:func:`_window_scan` stages over the eligible nodes (``keep``).
+
+        Returns the answers and the targets no window settled, or
+        ``(None, None)`` when windows do not apply: no more eligible
+        nodes than the first window holds, or a non-finite eligible
+        column.
+        """
+        dim, order = self._node_order()
+        ranked = order if keep is None else order[keep[order]]
+        if ranked.size <= _WINDOWS[0]:
+            return None, None
+        cols = self._matrix.T.take(ranked, axis=1)
+        if not np.isfinite(cols).all():
+            return None, None
+        result = np.empty(t.shape[0], dtype=int)
+        rest = np.arange(t.shape[0])
+        for width in _WINDOWS:
+            if width >= ranked.size or rest.size == 0:
+                break
+            found, unsettled = _window_scan(t[rest], cols, ranked, dim, width)
+            result[rest] = found
+            rest = rest[unsettled]
+        return result, rest
+
+    def _node_order(self) -> tuple[int, np.ndarray]:
+        """(column, node order along it) for the windowed scan.
+
+        The vector column with the widest range, so windows cut the
+        fewest near nodes; a stable sort, so nodes with equal values
+        keep index order.  Cached until a vector column changes.
+        """
+        if self._order_cache is None:
+            vectors = self._matrix[:, : self.spec.vector_dims]
+            # A non-finite column's range is inf or NaN; the windows skip
+            # any call whose eligible columns are not all finite.
+            with np.errstate(invalid="ignore"):
+                dim = int(np.argmax(np.ptp(vectors, axis=0)))
+            order = np.argsort(self._matrix[:, dim], kind="stable")
+            self._order_cache = (dim, order)
+        return self._order_cache
 
     def nodes_within(
         self,
@@ -491,6 +551,105 @@ class CostSpace:
             tuple(float(v) for v in lows),
             tuple(float(v) for v in highs),
         )
+
+
+# -- the nearest-node scans -------------------------------------------------
+
+
+def _blocked_scan(t: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Full scan: for each target row, the column of ``cols`` nearest it.
+
+    Squared distances, accumulated dimension by dimension from direct
+    differences (no expanded cross-term form, so no cancellation), in
+    blocks of target rows through two reused buffers that stay in
+    cache.  argmin returns the first NaN of a row, so checking the
+    chosen entry alone catches NaN and all-inf rows (``ValueError``).
+    """
+    m, eligible = t.shape[0], cols.shape[1]
+    block = max(1, _BLOCK_ELEMENTS // eligible)
+    acc = np.empty((min(block, m), eligible))
+    part = np.empty_like(acc)
+    result = np.empty(m, dtype=int)
+    for start in range(0, m, block):
+        chunk = t[start:start + block]
+        r = chunk.shape[0]
+        d2, sq = acc[:r], part[:r]
+        np.subtract.outer(chunk[:, 0], cols[0], out=d2)
+        np.multiply(d2, d2, out=d2)
+        for k in range(1, cols.shape[0]):
+            np.subtract.outer(chunk[:, k], cols[k], out=sq)
+            np.multiply(sq, sq, out=sq)
+            np.add(d2, sq, out=d2)
+        best = d2.argmin(axis=1)
+        if not np.isfinite(d2[np.arange(r), best]).all():
+            raise ValueError("no eligible node")
+        result[start:start + r] = best
+    return result
+
+
+def _window_scan(
+    t: np.ndarray, cols: np.ndarray, ranked: np.ndarray, dim: int, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest node per target from a window of ``cols``' ranked columns.
+
+    ``cols`` holds finite node columns in the order ``ranked`` (node
+    ids) gives, ascending along column ``dim``, with more than
+    ``width`` nodes.  Each target scans the ``width`` consecutive nodes
+    around its place in that order, with the full scan's
+    arithmetic; among the window's nearest, the lowest node id wins.
+
+    The window's answer is final when the squared gap along ``dim`` to
+    the nearest node outside it is *strictly greater* than the window's
+    best squared distance: every node outside is at least that gap away
+    along ``dim``, rounding is monotone, and a squared distance is a
+    sum of non-negative terms that never falls below any one of them,
+    so no outside node can beat or tie it.  Returns the node per target
+    and the targets not settled that way (their entries are
+    meaningless), for the full scan to answer.
+    """
+    m, count = t.shape[0], cols.shape[1]
+    key, x = cols[dim], t[:, dim]
+    lo = np.searchsorted(key, x) - width // 2
+    np.minimum(np.maximum(lo, 0, out=lo), count - width, out=lo)
+    # windows[k, j] is column k's window starting at node j (a view), so
+    # windows[k][lo] gathers every target's window, a block at a time.
+    step = cols.strides[1]
+    windows = as_strided(
+        cols,
+        shape=(cols.shape[0], count - width + 1, width),
+        strides=(cols.strides[0], step, step),
+        writeable=False,
+    )
+    block = _BLOCK_ELEMENTS // width
+    pos = np.empty(m, dtype=int)
+    best = np.empty(m)
+    for start in range(0, m, block):
+        chunk = t[start:start + block]
+        starts = lo[start:start + block]
+        d2 = windows[0][starts]
+        np.subtract(chunk[:, :1], d2, out=d2)
+        np.multiply(d2, d2, out=d2)
+        for k in range(1, len(windows)):
+            sq = windows[k][starts]
+            np.subtract(chunk[:, k : k + 1], sq, out=sq)
+            np.multiply(sq, sq, out=sq)
+            np.add(d2, sq, out=d2)
+            del sq  # freed before the next gather: two blocks at most
+        at = d2.argmin(axis=1)
+        # The window runs along ``dim``, not node ids: where the first
+        # and last minimum differ, the lowest id among the minima wins.
+        last = (width - 1) - d2[:, ::-1].argmin(axis=1)
+        for i in np.flatnonzero(last != at):
+            tied = np.flatnonzero(d2[i] == d2[i, at[i]])
+            at[i] = tied[np.argmin(ranked[starts[i] + tied])]
+        pos[start:start + at.size] = starts + at
+        best[start:start + at.size] = d2[np.arange(at.size), at]
+        del d2  # likewise, before the next block's gather
+    # Gaps to the nearest node outside each window, on either side
+    # (none beyond the ends: the padding makes that gap infinite).
+    padded = np.concatenate(([-np.inf], key, [np.inf]))
+    gap = np.minimum(x - padded[lo], padded[lo + (width + 1)] - x)
+    return ranked[pos], np.flatnonzero(~(gap * gap > best))
 
 
 # -- scalar reference implementations ------------------------------------

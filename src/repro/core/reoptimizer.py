@@ -19,10 +19,12 @@ Performance architecture (struct-of-arrays)
 -------------------------------------------
 
 Each circuit compiles once into a :class:`_CircuitKernel` — a CSR-style
-(service, neighbor, rate) incidence index plus flat link-endpoint
+(service, neighbor, link) incidence index plus flat link-endpoint
 arrays, mirroring the virtual-placement ``_CircuitArrays`` discipline.
-Every local pass runs over a :class:`_ReoptArena`, the kernels'
-concatenation: :meth:`Reoptimizer.step_all` over the arena of all
+Kernels hold structure only: the rates are the circuits' own rate
+columns (``Circuit.link_rates``), read once per pass.  Every local pass
+runs over a :class:`_ReoptArena`, the kernels' concatenation:
+:meth:`Reoptimizer.step_all` over the arena of all
 circuits (cached across passes), :meth:`Reoptimizer.local_step` and
 :meth:`Reoptimizer.evacuate` over an uncached arena of one (a *forced*
 pass: the failed node's services move, and nothing else).  A pass:
@@ -53,6 +55,7 @@ retained as ``local_step_scalar`` / ``step_all_scalar`` /
 
 from __future__ import annotations
 
+import itertools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -123,9 +126,9 @@ class _CircuitKernel:
         sids: all service ids, row order.
         unpinned_sids / unpinned_rows: the migratable services;
             unpinned_pos maps a service id to its position among them.
-        link_src / link_dst / link_rates: flat link-endpoint rows.
-        inc_seg / inc_nbr / inc_rates: CSR-style (unpinned service,
-            neighbor row, link rate) incidence entries, grouped by
+        link_src / link_dst: flat link-endpoint rows.
+        inc_seg / inc_nbr / inc_link: CSR-style (unpinned service,
+            neighbor row, link index) incidence entries, grouped by
             service in circuit-link order — exactly the enumeration
             ``circuit.neighbors`` produces.
     """
@@ -138,14 +141,13 @@ class _CircuitKernel:
         self.unpinned_rows = np.array(
             [self.row_of[sid] for sid in self.unpinned_sids], dtype=int
         )
-        src, dst, rates = [], [], []
+        src, dst = [], []
         seg, nbr, inc_link = [], [], []
         for li, link in enumerate(circuit.links):
             s_row = self.row_of[link.source]
             t_row = self.row_of[link.target]
             src.append(s_row)
             dst.append(t_row)
-            rates.append(link.rate)
             if link.source in unpinned_pos:
                 seg.append(unpinned_pos[link.source])
                 nbr.append(t_row)
@@ -162,24 +164,6 @@ class _CircuitKernel:
         self.inc_link = np.asarray(inc_link, dtype=int)[order]
         self.unpinned_pos = unpinned_pos
         self.seg_count = np.bincount(self.inc_seg, minlength=len(self.unpinned_sids))
-        self.set_rates(np.asarray(rates, dtype=float))
-
-    def set_rates(self, rates: np.ndarray) -> None:
-        """Re-price the kernel's links in place (calibrated rates).
-
-        Structure (incidence) is placement- and
-        rate-independent, so the control plane can push measured rates
-        into a cached kernel without recompiling: one gather refreshes
-        the incidence weights and one segment-sum the spring weights.
-        """
-        rates = np.asarray(rates, dtype=float)
-        if rates.shape != self.link_src.shape:
-            raise ValueError("rates must align with the circuit's links")
-        self.link_rates = rates.copy()
-        self.inc_rates = self.link_rates[self.inc_link]
-        m = len(self.unpinned_sids)
-        self.seg_weight = np.zeros(m)
-        np.add.at(self.seg_weight, self.inc_seg, self.inc_rates)
 
     def hosts(self, circuit: Circuit) -> np.ndarray:
         """Current placement as a row-indexed node array."""
@@ -213,13 +197,11 @@ class _ReoptArena:
     equivalence tests pin them to the scalar oracles.
 
     The arena's structure is cached across passes; its rate columns are
-    *copies* of the kernels', re-read once per pass
-    (:meth:`refresh_rates`), so in-place re-pricing
-    (``_CircuitKernel.set_rates``, driven by the control plane through
-    :func:`refresh_kernel_rates`) reaches the next pass with no
-    invalidation.  The sweep tables are built on the first
-    :meth:`totals`, so an evacuation with nothing to move never pays
-    for them.
+    read from the circuits' own rate columns once per pass
+    (:meth:`read_rates`), so a calibration (``Circuit.set_link_rates``)
+    reaches the next pass with no invalidation.  The sweep tables are
+    built on the first :meth:`totals`, so an evacuation with nothing to
+    move never pays for them.
     """
 
     def __init__(self, kernels: list["_CircuitKernel"]):
@@ -254,15 +236,29 @@ class _ReoptArena:
         self.link_dst = cat(
             [k.link_dst + r for k, r in zip(self.kernels, self.row_offsets)], int
         )
+        self.inc_link = cat(
+            [k.inc_link + l for k, l in zip(self.kernels, self.link_offsets)], int
+        )
         self.seg_count = cat([k.seg_count for k in self.kernels], int)
         self._steps: list[tuple] | None = None
-        self.refresh_rates()
 
-    def refresh_rates(self) -> None:
-        """Re-copy every kernel's rate columns (once per pass)."""
-        for name in ("inc_rates", "seg_weight", "link_rates"):
-            parts = [getattr(k, name) for k in self.kernels]
-            setattr(self, name, np.concatenate(parts) if parts else np.zeros(0))
+    def read_rates(self, circuits: list[Circuit]) -> None:
+        """Read the rates of ``circuits`` (the kernels' own, in order).
+
+        One concatenation of their rate columns, one gather of the
+        incidence rates and one ``bincount`` of the spring weights: each
+        weight adds its circuit's incidence rates in kernel order from
+        0.0, as a per-kernel ``np.add.at`` would.
+        """
+        self.link_rates = np.fromiter(
+            itertools.chain.from_iterable(c.link_rates for c in circuits), dtype=float
+        )
+        if self.link_rates.size != self.link_offsets[-1]:
+            raise ValueError("rates must align with the arena's links")
+        self.inc_rates = self.link_rates[self.inc_link]
+        self.seg_weight = np.bincount(
+            self.inc_seg, self.inc_rates, minlength=self.num_segments
+        )
 
     def matches(self, kernels: list["_CircuitKernel"]) -> bool:
         """True when built from exactly these kernel objects, in order."""
@@ -528,31 +524,13 @@ class _ReoptArena:
 def refresh_kernel_rates(
     kernel_cache: dict | None, circuit: Circuit, rates: np.ndarray
 ) -> bool:
-    """Push calibrated link rates into a cached circuit kernel, if any.
+    """Kept by name only, for callers that wrap it; does nothing.
 
-    The calibrated-rate pricing hook the control plane uses: the
-    simulator's kernel cache maps circuit name to ``(weakref, kernel)``;
-    when the cached kernel still belongs to this circuit object its
-    prices are refreshed in place (``_CircuitKernel.set_rates``), so
-    the next re-optimization pass prices the *measured* objective
-    without recompiling structure.  Returns True when a kernel was
-    refreshed.
-
-    The fused reopt arena (cached under a non-``str`` key in the same
-    cache) re-reads the kernels' rate columns at the start of every
-    pass, so a refresh here reaches the fused path with no explicit
-    invalidation.
+    Kernels hold no rates: every pass reads the circuits' own rate
+    columns (:meth:`_ReoptArena.read_rates`), which calibration writes
+    through ``Circuit.set_link_rates``.  Always returns False.
     """
-    if not kernel_cache:
-        return False
-    cached = kernel_cache.get(circuit.name)
-    if cached is None:
-        return False
-    ref, kernel = cached
-    if ref() is not circuit:
-        return False
-    kernel.set_rates(rates)
-    return True
+    return False
 
 
 class Reoptimizer:
@@ -716,14 +694,12 @@ class Reoptimizer:
         return kernels, hosts_list, active
 
     def _arena(self, kernels: list[_CircuitKernel]) -> _ReoptArena:
-        """The fused arena for these kernels: structure cached, rates re-read."""
+        """The fused arena for these kernels, its structure cached."""
         arena = self._kernels.get(_ARENA_KEY)
         if arena is None or not arena.matches(kernels):
             arena = _ReoptArena(kernels)
             self._kernels[_ARENA_KEY] = arena
             self.arena_builds += 1
-        else:
-            arena.refresh_rates()
         return arena
 
     def _target_coords(self, arena: _ReoptArena, hosts: np.ndarray) -> np.ndarray:
@@ -754,10 +730,11 @@ class Reoptimizer:
     ) -> list[ReoptimizationReport]:
         """One local pass over ``circuits`` through the arena ``arena_of`` builds.
 
-        The active kernels' concatenation costs **one** spring-target
-        segment-sum, **one** batched ``map_coordinates`` and **one**
-        lockstep accept sweep (:meth:`_ReoptArena.sweep`) deciding every
-        circuit's *j*-th service at once.  The accepted moves are then
+        The active kernels' concatenation reads the circuits' rates once
+        and costs **one** spring-target segment-sum, **one** batched
+        ``map_coordinates`` and **one** lockstep accept sweep
+        (:meth:`_ReoptArena.sweep`) deciding every circuit's *j*-th
+        service at once.  The accepted moves are then
         assigned in (circuit, position) order.  Reports carry migrations
         only.
 
@@ -773,17 +750,19 @@ class Reoptimizer:
         arena = arena_of(kernels)
         hosts = np.concatenate(hosts_list)
         force = frozen = None
-        if failed is None:
-            targets = self._target_coords(arena, hosts)
-            candidates, _ = self.mapper.map_coordinates(targets)
-            frozen = self._frozen_segments(arena, [circuits[i] for i in active])
-        else:
-            candidates = hosts[arena.unpinned_rows]
-            force = candidates == failed
+        if failed is not None:
+            force = hosts[arena.unpinned_rows] == failed
             if not force.any():
                 return reports
-            targets = self._target_coords(arena, hosts)[force]
-            candidates[force], _ = self.mapper.map_coordinates(targets)
+        live = [circuits[i] for i in active]
+        arena.read_rates(live)
+        targets = self._target_coords(arena, hosts)
+        if force is None:
+            candidates, _ = self.mapper.map_coordinates(targets)
+            frozen = self._frozen_segments(arena, live)
+        else:
+            candidates = hosts[arena.unpinned_rows]
+            candidates[force], _ = self.mapper.map_coordinates(targets[force])
         moves, rejects = arena.sweep(
             hosts, candidates, self.evaluator, self.load_weight,
             self.migration_threshold, frozen, force,

@@ -185,9 +185,7 @@ def decompose_join(
 
     sub_id = f"{service_id}.sub"
     rewritten = circuit.copy()
-    rewritten.services = dict(circuit.services)
-    rewritten.links = [l for l in circuit.links if l not in (a, b)]
-    rewritten.placement = dict(circuit.placement)
+    rewritten.drop_links(lambda l: l in (a, b))
 
     sub_producers = input_producers(a) | input_producers(b)
     rewritten.services[sub_id] = Service(
@@ -196,9 +194,9 @@ def decompose_join(
         pinned_node=None,
         producers=sub_producers,
     )
-    rewritten.links.append(type(a)(a.source, sub_id, a.rate))
-    rewritten.links.append(type(b)(b.source, sub_id, b.rate))
-    rewritten.links.append(type(a)(sub_id, service_id, best_rate))
+    rewritten.add_link(a.source, sub_id, a.rate)
+    rewritten.add_link(b.source, sub_id, b.rate)
+    rewritten.add_link(sub_id, service_id, best_rate)
     rewritten.placement[sub_id] = circuit.host_of(service_id)
     return RewriteResult(
         rewritten, True, f"split {service_id}: new sub-join {sub_id} over {sorted(sub_producers)}"
@@ -252,26 +250,23 @@ def reorder_adjacent_joins(
 
     group, first, second, third = options[best_key]
     rewritten = circuit.copy()
-    rewritten.services = dict(circuit.services)
-    rewritten.links = [
-        l for l in circuit.links if l not in (x_link, y_link, z_link)
-    ]
     rewritten.services[upstream] = Service(
         service_id=upstream,
         spec=up_svc.spec,
         pinned_node=up_svc.pinned_node,
         producers=group,
     )
-    link_cls = type(x_link)
-    rewritten.links.append(link_cls(first.source, upstream, first.rate))
-    rewritten.links.append(link_cls(second.source, upstream, second.rate))
-    rewritten.links.append(link_cls(third.source, downstream, third.rate))
-    # The upstream -> downstream link now carries the new group's rate.
-    rewritten.links = [
-        l for l in rewritten.links
-        if not (l.source == upstream and l.target == downstream)
-    ]
-    rewritten.links.append(link_cls(upstream, downstream, rates[best_key]))
+    # The three inputs are re-wired, and the upstream -> downstream link
+    # is re-added last with the new group's rate (no re-wired input
+    # runs upstream -> downstream, so one pass drops all four).
+    rewritten.drop_links(
+        lambda l: l in (x_link, y_link, z_link)
+        or (l.source == upstream and l.target == downstream)
+    )
+    rewritten.add_link(first.source, upstream, first.rate)
+    rewritten.add_link(second.source, upstream, second.rate)
+    rewritten.add_link(third.source, downstream, third.rate)
+    rewritten.add_link(upstream, downstream, rates[best_key])
     return RewriteResult(
         rewritten, True, f"re-associated {upstream} to join {sorted(group)}"
     )

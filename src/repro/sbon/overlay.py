@@ -20,8 +20,9 @@ is a single array write, :meth:`loads` / :meth:`memory_loads` are single
 vectorized expressions, and :meth:`total_network_usage` is one dot
 product of a dense (link-endpoint, rate) index with the latency matrix:
 one row per installed link, one segment per circuit, rewritten by each
-call that moves an endpoint or a rate (:meth:`apply_migration`,
-:meth:`set_link_rates`) and never rebuilt.  These
+call that moves an endpoint or a rate (:meth:`apply_migrations` once
+per touched circuit, :meth:`set_link_rates` as one rate slice) and
+never rebuilt.  These
 arrays are the only store of node state: liveness, capacities and
 background load are ``(n,)`` arrays too, and the one hosting record is
 ``_host_of``, mapping ``(circuit, service id)`` to ``(node, load,
@@ -35,9 +36,10 @@ subtracts again.  Batch liveness changes go through
 as ``loads_scalar`` (which recounts induced load from ``_host_of``) and
 ``total_network_usage_scalar``.
 
-An installed service moves only through :meth:`apply_migration`, which
-bumps ``placement_epoch``: the data plane re-reads its host column only
-when that counter has moved.
+An installed service moves only through :meth:`apply_migrations` (a
+re-optimization pass's moves in one batch; :meth:`apply_migration` is
+its one-move case), which bumps ``placement_epoch`` once per batch: the
+data plane re-reads its host column only when that counter has moved.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ class Overlay:
         self._u_dst = np.zeros(0, dtype=int)
         self._u_rate = np.zeros(0)
         self._u_seg: dict[str, tuple[int, int]] = {}
-        # Moves of installed services so far (apply_migration).
+        # Batches of moves of installed services so far (apply_migrations).
         self.placement_epoch = 0
 
     # -- construction ------------------------------------------------------
@@ -432,33 +434,53 @@ class Overlay:
         self._usage_remove(circuit_name)
 
     def apply_migration(self, circuit_name: str, service_id: str, to_node: int) -> None:
-        """Move one hosted service to a new node (post-reoptimization).
+        """Move one hosted service to a new node: :meth:`apply_migrations`
+        of one move (churn and buffer evacuations use it)."""
+        self.apply_migrations(((circuit_name, service_id, to_node),))
 
-        The only way an installed service moves; bumps ``placement_epoch``.
-        Only unpinned services are hosted, so a pinned one raises
-        ValueError, like a dead target's RuntimeError, before any write.
+    def apply_migrations(self, moves) -> None:
+        """Move hosted services, ``(circuit, service id, node)`` each, in order.
+
+        The only way an installed service moves.  Every move is checked
+        before any write: an unknown circuit or service raises KeyError,
+        a pinned service (only unpinned ones are hosted) or a negative
+        node ValueError, a dead target RuntimeError, and a refused batch
+        changes nothing.  The moves are then hosted one by one, in
+        order, so the load and memory ledgers add and subtract exactly
+        as a loop of single moves would; each touched circuit's usage
+        rows are written once, and ``placement_epoch`` moves once.
         """
-        circuit = self.circuits[circuit_name]
-        if circuit.services[service_id].is_pinned:
-            raise ValueError(f"cannot migrate pinned service {service_id}")
-        self._require_alive((to_node,))
-        # assign validates the move before the hosting record changes.
-        circuit.assign(service_id, to_node)
-        self._evict_service(circuit_name, service_id)
-        self._host_service(circuit, service_id, to_node)
-        self._usage_write(circuit)
+        moves = list(moves)
+        if not moves:
+            return
+        for circuit_name, service_id, to_node in moves:
+            if self.circuits[circuit_name].services[service_id].is_pinned:
+                raise ValueError(f"cannot migrate pinned service {service_id}")
+            if to_node < 0:
+                raise ValueError("node index must be non-negative")
+        self._require_alive(move[2] for move in moves)
+        touched: dict[str, Circuit] = {}
+        for circuit_name, service_id, to_node in moves:
+            circuit = touched[circuit_name] = self.circuits[circuit_name]
+            circuit.assign(service_id, to_node)
+            self._evict_service(circuit_name, service_id)
+            self._host_service(circuit, service_id, to_node)
+        for circuit in touched.values():
+            self._usage_write(circuit)
         self.placement_epoch += 1
 
     def set_link_rates(self, circuit_name: str, rates) -> None:
         """Re-price an installed circuit's links (the controller's
-        calibration): :meth:`Circuit.set_link_rates`, then its usage rows.
+        calibration): :meth:`Circuit.set_link_rates`, then its usage
+        rows' rates in one slice (a re-pricing moves no host).
 
         An unknown name raises KeyError and a refused rate vector
         ValueError, both before any write.
         """
         circuit = self.circuits[circuit_name]
         circuit.set_link_rates(rates)
-        self._usage_write(circuit)
+        base, count = self._u_seg[circuit_name]
+        self._u_rate[base : base + count] = circuit.link_rates
 
     # -- usage index ---------------------------------------------------------
 
@@ -485,14 +507,14 @@ class Overlay:
 
     def _usage_write(self, circuit: Circuit) -> None:
         """(Re)write a circuit's (source host, target host, rate) rows."""
-        base, _ = self._u_seg[circuit.name]
+        base, count = self._u_seg[circuit.name]
         placement = circuit.placement
-        # Element writes: circuits have a handful of links, where three
-        # array builds per call would cost several times more.
+        # Element writes for the hosts: circuits have a handful of
+        # links, where two array builds per call would cost more.
         for row, link in enumerate(circuit.links, start=base):
             self._u_src[row] = placement[link.source]
             self._u_dst[row] = placement[link.target]
-            self._u_rate[row] = link.rate
+        self._u_rate[base : base + count] = circuit.link_rates
 
     # -- factories ---------------------------------------------------------
 

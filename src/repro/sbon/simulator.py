@@ -11,9 +11,10 @@ The simulation advances in discrete ticks.  Each tick:
    demand a re-placement or a buffer evacuation),
 6. the true network usage and load statistics are recorded.
 
-Every move is applied through ``Overlay.apply_migration`` and counts
-once in ``TickRecord.migrations``: re-optimization moves, churn
-evacuations and buffer evacuations alike.  Both evacuations are forced
+Every move is applied through the overlay and counts once in
+``TickRecord.migrations``: a re-optimization pass's moves in one
+``Overlay.apply_migrations`` batch, churn and buffer evacuation moves
+one ``Overlay.apply_migration`` each.  Both evacuations are forced
 passes (:meth:`Reoptimizer.evacuate`) run by one helper.
 
 This is the harness behind the re-optimization experiments (E7): with
@@ -31,7 +32,7 @@ With ``control=True`` (or an explicit
 :class:`~repro.control.controller.Controller`), the loop closes: right
 after the data plane executes, the controller ingests the tick's
 measured statistics, periodically calibrates the circuits' estimated
-link rates (and the cached re-optimizer kernel prices) from the
+link rates (the columns every re-optimizer pass reads) from the
 measured rates, and — when measured drops or latency breach policy —
 requests an immediate backpressure-aware re-placement, which runs in
 the same tick with the controller's drop-hot nodes excluded as
@@ -141,25 +142,17 @@ class Simulation:
         if obs is not None and self.data_plane is not None:
             self.data_plane.attach_obs(obs)
         # Circuit kernels compiled by the re-optimizer survive across
-        # ticks (structure is immutable; only placements change — and
-        # the controller's calibration re-prices them in place).
+        # ticks (structure only; the rates are the circuits' columns,
+        # which the controller's calibration writes).
         self._kernel_cache: dict = {}
         if control is True:
             if self.data_plane is None:
                 raise ValueError("control=True requires a data plane")
-            self.controller: Controller | None = Controller(
-                self.data_plane, kernel_cache=self._kernel_cache
-            )
+            self.controller: Controller | None = Controller(self.data_plane)
         elif control is False or control is None:
             self.controller = None
         else:
             self.controller = control
-            # One cache for both: calibration must re-price the kernels
-            # the passes read.
-            if control.kernel_cache is None:
-                control.kernel_cache = self._kernel_cache
-            else:
-                self._kernel_cache = control.kernel_cache
         if obs is not None and self.controller is not None:
             self.controller.events = obs.events
         # Optional elastic-scaling policy (repro.scaling.AutoScaler):
@@ -409,14 +402,13 @@ class Simulation:
         circuits = list(self.overlay.circuits.values())
         step_all = reopt.step_all_scalar if scalar else reopt.step_all
         reports = step_all(circuits)
-        migrations = 0
-        for circuit, report in zip(circuits, reports):
-            for migration in report.migrations:
-                # step_all already updated circuit.placement; sync the
-                # node-level hosting (load bookkeeping).
-                self.overlay.apply_migration(
-                    circuit.name, migration.service_id, migration.to_node
-                )
-                migrations += 1
+        # step_all already updated circuit.placement; the batch syncs
+        # the node-level hosting (load bookkeeping) and usage rows.
+        moves = [
+            (circuit.name, migration.service_id, migration.to_node)
+            for circuit, report in zip(circuits, reports)
+            for migration in report.migrations
+        ]
+        self.overlay.apply_migrations(moves)
         self._harvest_reopt(reopt)
-        return migrations
+        return len(moves)

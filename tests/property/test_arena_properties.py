@@ -440,11 +440,7 @@ class TestFusedReopt:
             assert circuit.placement == ov_b.circuits[name].placement
 
     def test_fused_arena_sees_calibrated_rates(self):
-        from repro.core.reoptimizer import (
-            _ARENA_KEY,
-            Reoptimizer,
-            refresh_kernel_rates,
-        )
+        from repro.core.reoptimizer import _ARENA_KEY, Reoptimizer
 
         ov, _ = traffic_overlay(seed=13, num_circuits=3)
         cache = {}
@@ -455,16 +451,23 @@ class TestFusedReopt:
         reopt.step_all(circuits)
         arena = cache[_ARENA_KEY]
         target = circuits[0]
-        new_rates = np.array([l.rate for l in target.links]) * 3.0
-        assert refresh_kernel_rates(cache, target, new_rates)
+        new_rates = np.array(target.link_rates) * 3.0
+        ov.set_link_rates(target.name, new_rates)
         reopt.step_all(circuits)  # rates re-read, structure not rebuilt
         assert cache[_ARENA_KEY] is arena
         ref, kernel = cache[target.name]
         k = arena.kernels.index(kernel)
-        s0, s1 = arena.seg_offsets[k], arena.seg_offsets[k + 1]
-        np.testing.assert_array_equal(arena.seg_weight[s0:s1], kernel.seg_weight)
         l0, l1 = arena.link_offsets[k], arena.link_offsets[k + 1]
         np.testing.assert_array_equal(arena.link_rates[l0:l1], new_rates)
+        np.testing.assert_array_equal(
+            arena.link_rates, np.concatenate([c.link_rates for c in circuits])
+        )
+        # Spring weights: the calibrated rates summed per service in
+        # incidence order, as a per-kernel np.add.at sums them.
+        weights = np.zeros(len(kernel.unpinned_sids))
+        np.add.at(weights, kernel.inc_seg, new_rates[kernel.inc_link])
+        s0, s1 = arena.seg_offsets[k], arena.seg_offsets[k + 1]
+        np.testing.assert_array_equal(arena.seg_weight[s0:s1], weights)
         # One-circuit passes build their own arena and leave the cached
         # one in place.
         builds = reopt.arena_builds

@@ -1,4 +1,4 @@
-"""The blocked nearest-node scan against the unblocked scan it replaced.
+"""The nearest-node scans against the unblocked scan they replaced.
 
 :meth:`CostSpace.nearest_nodes` scans targets in blocks of
 ``_BLOCK_ELEMENTS // eligible`` rows through two reused buffers, over
@@ -8,6 +8,13 @@ reference: whole ``(chunk, n)`` temporaries, excluded columns
 overwritten with ``inf``.  Both compute every squared distance with the
 same arithmetic, so their answers (and whether they raise) must agree
 exactly, ties included, on every shape that crosses a block boundary.
+
+A call of ``_WINDOWED_TARGETS`` or more targets first scans windows of
+the nodes ordered along one vector column and sends the targets no
+window settles through the blocked scan.  ``TestWindowFallback`` builds
+the cases that must reach that fallback — or skip the windows — and
+checks both that they do and that every answer still equals the
+reference.
 """
 
 import tracemalloc
@@ -17,9 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.cost_space as cost_space
 from repro.core.coordinates import CostCoordinate
 from repro.core.cost_space import (
     _BLOCK_ELEMENTS,
+    _WINDOWED_TARGETS,
+    _WINDOWS,
     CostSpace,
     CostSpaceSpec,
     nearest_node_scalar,
@@ -206,3 +216,181 @@ class TestScanStaysBlocked:
         finally:
             tracemalloc.stop()
         assert peak < 1.5e6
+
+
+# -- the window's fallback ------------------------------------------------------
+
+
+@pytest.fixture
+def fallback(monkeypatch):
+    """Rows each call of the blocked scan received, call by call."""
+    seen = []
+    blocked = cost_space._blocked_scan
+
+    def recorded(t, cols):
+        seen.append(t.shape[0])
+        return blocked(t, cols)
+
+    monkeypatch.setattr(cost_space, "_blocked_scan", recorded)
+    return seen
+
+
+def _spread(rng, n, extra=()):
+    """``n`` nodes over a wide first column (the sort column), plus rows."""
+    matrix = np.column_stack(
+        [
+            rng.uniform(-1000.0, 1000.0, size=n),
+            rng.uniform(-100.0, 100.0, size=n),
+            rng.uniform(0.0, 10.0, size=n),
+        ]
+    )
+    return np.vstack([matrix, *extra]) if extra else matrix
+
+
+def _assert_reference(space, targets, exclude=None):
+    got = outcome(lambda: space.nearest_nodes(targets, exclude=exclude))
+    assert got == outcome(lambda: reference_nearest_nodes(space, targets, exclude))
+    return got
+
+
+M = max(_WINDOWED_TARGETS, 40)
+
+
+class TestWindowFallback:
+    def test_more_coincident_nodes_than_the_widest_window(self, fallback):
+        rng = np.random.default_rng(1)
+        crowd = np.tile([[3.0, 4.0, 0.5]], (_WINDOWS[-1] + 50, 1))
+        space = _space(_spread(rng, 800, [crowd]), 2)
+        targets = np.tile([3.0, 4.0, 0.0], (M, 1))
+        targets[::2, :2] += rng.uniform(-1e-9, 1e-9, size=(M // 2, 2))
+        _assert_reference(space, targets)
+        # Every target sits in the crowd: no window can settle it.
+        assert fallback == [M]
+
+    def test_targets_beyond_either_end_of_the_sort_column(self, fallback):
+        rng = np.random.default_rng(2)
+        space = _space(_spread(rng, 1500), 2)
+        targets = np.zeros((M, 3))
+        targets[: M // 2, 0] = rng.uniform(-5000.0, -1500.0, size=M // 2)
+        targets[M // 2 :, 0] = rng.uniform(1500.0, 5000.0, size=M - M // 2)
+        targets[:, 1] = rng.uniform(-100.0, 100.0, size=M)
+        got = _assert_reference(space, targets)
+        assert isinstance(got, list)
+        assert sum(fallback) <= M
+
+    @pytest.mark.parametrize("lower_outside", [True, False])
+    def test_exact_ties_straddling_the_window_edge(self, fallback, lower_outside):
+        # Two nodes at squared distance exactly 25 from every target (at
+        # the origin): one 60 places left of the target's place in the
+        # sort column, inside the first window, the other past 400
+        # fillers on the right, outside every window.  Fillers sit
+        # between them along the sort column but far off in the second.
+        rng = np.random.default_rng(3)
+        left = np.column_stack(
+            [-np.linspace(0.01, 4.99, 60), np.full(60, 900.0), np.zeros(60)]
+        )
+        right = np.column_stack(
+            [np.linspace(0.01, 4.99, 400), np.full(400, -900.0), np.zeros(400)]
+        )
+        far = np.array([[-2000.0, 0.0, 0.0], [2000.0, 0.0, 0.0]])
+        pair = np.array([[-5.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
+        if lower_outside:
+            pair = pair[::-1]
+        matrix = np.vstack([pair, left, right, far, _spread(rng, 300) + [0.0, 3000.0, 0.0]])
+        space = _space(matrix, 2)
+        targets = np.zeros((M, 3))
+        got = _assert_reference(space, targets)
+        assert got == [0] * M
+        assert fallback == [M]
+
+    def test_excluded_nodes_inside_the_window(self, fallback):
+        rng = np.random.default_rng(4)
+        space = _space(_spread(rng, 1500), 2)
+        targets = np.column_stack(
+            [rng.uniform(-900.0, 900.0, size=M), rng.uniform(-90.0, 90.0, size=M), np.zeros(M)]
+        )
+        nearest = set(reference_nearest_nodes(space, targets).tolist())
+        order = np.argsort(space._matrix[:, 0], kind="stable")
+        place = np.searchsorted(space._matrix[order, 0], targets[0, 0])
+        around = set(order[max(0, place - 40) : place + 40].tolist())
+        exclude = nearest | around
+        got = _assert_reference(space, targets, exclude)
+        assert not set(got) & exclude
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("excluded", [False, True])
+    def test_non_finite_node_columns(self, fallback, bad, excluded):
+        rng = np.random.default_rng(5)
+        matrix = _spread(rng, 1500)
+        matrix[17, 1] = bad
+        space = _space(matrix, 2)
+        targets = np.column_stack(
+            [rng.uniform(-900.0, 900.0, size=M), rng.uniform(-90.0, 90.0, size=M), np.zeros(M)]
+        )
+        _assert_reference(space, targets, {17} if excluded else None)
+        if not excluded:
+            # A non-finite eligible column sends the whole call to the
+            # full scan; excluded, it never enters the windows.
+            assert fallback == [M]
+        else:
+            assert sum(fallback) < M
+
+    @pytest.mark.parametrize("gap_node_first", [True, False])
+    def test_a_node_exactly_at_the_gap_is_a_tie_not_a_miss(
+        self, fallback, monkeypatch, gap_node_first
+    ):
+        # Windows of 4 nodes.  The target at the origin sits between x =
+        # -1 and 1; its window holds A = (-3, 4) and three fillers far off
+        # in the second column, and the nearest node outside it along x
+        # is B = (5, 0).  Both are at squared distance exactly 25, so
+        # the gap (25) does not exceed the window's best: B must still
+        # be compared, and the lower index wins.
+        monkeypatch.setattr(cost_space, "_WINDOWS", (4,))
+        a, b = [-3.0, 4.0, 0.0], [5.0, 0.0, 0.0]
+        fillers = [[-1.0, 900.0, 0.0], [1.0, 900.0, 0.0], [2.0, 900.0, 0.0]]
+        far = [[-1000.0, 0.0, 0.0], [1000.0, 0.0, 0.0]]
+        rows = ([b, a] if gap_node_first else [a, b]) + fillers + far
+        space = _space(np.array(rows), 2)
+        targets = np.zeros((M, 3))
+        assert _assert_reference(space, targets) == [0] * M
+        assert fallback == [M]
+
+    def test_a_tie_inside_the_window_goes_to_the_lower_index(
+        self, fallback, monkeypatch
+    ):
+        # (3, 4) and (-3, 4) tie at 25 from the origin; in the window's
+        # order (ascending x) the higher index comes first.
+        monkeypatch.setattr(cost_space, "_WINDOWS", (4,))
+        rows = [
+            [-1000.0, 0.0, 0.0], [9.0, 0.0, 0.0], [3.0, 4.0, 0.0],
+            [-9.0, 0.0, 0.0], [1000.0, 0.0, 0.0], [-3.0, 4.0, 0.0],
+        ]
+        space = _space(np.array(rows), 2)
+        targets = np.zeros((M, 3))
+        assert _assert_reference(space, targets) == [2] * M
+        assert fallback == []
+
+    def test_small_calls_skip_the_windows(self, fallback):
+        rng = np.random.default_rng(6)
+        space = _space(_spread(rng, 1500), 2)
+        targets = np.zeros((_WINDOWED_TARGETS - 1, 3))
+        _assert_reference(space, targets)
+        assert fallback == [_WINDOWED_TARGETS - 1]
+
+    def test_the_node_order_follows_the_vector_columns(self, fallback):
+        # update_metrics keeps the cached order; a vector update drops it.
+        rng = np.random.default_rng(7)
+        space = _space(_spread(rng, 1500), 2)
+        targets = np.column_stack(
+            [rng.uniform(-900.0, 900.0, size=M), rng.uniform(-90.0, 90.0, size=M), np.zeros(M)]
+        )
+        _assert_reference(space, targets)
+        order = space._node_order()
+        space.update_metrics({"cpu_load": rng.uniform(0.0, 1.0, size=1500)})
+        assert space._node_order() is order
+        _assert_reference(space, targets)
+        space.update_vector(3, [5000.0, 0.0])
+        assert space._node_order() is not order
+        _assert_reference(space, targets)
+        space.update_vectors(space.vector_matrix()[::-1].copy())
+        _assert_reference(space, targets)

@@ -13,7 +13,16 @@ link re-pricing (``Overlay.set_link_rates``): after every call its
 segments tile its rows, every row is its circuit's current (source
 host, target host, rate) and the one-dot usage equals the per-link
 recount.  Re-pricing stays out of the ledger property, since a hosted
-service keeps the price it was installed with.
+service keeps the price it was installed with.  Every consumer of a
+circuit's rate column agrees with it after every call: each link's
+``rate`` (a Python float), the usage rows and a fresh re-optimizer
+arena over the installed circuits.
+
+Migrations come one at a time (``apply_migration``) and in batches
+(``apply_migrations``); a batch must leave every ledger, the hosting
+record and the usage rows bit-equal to the loop of single moves it
+replaces, move ``placement_epoch`` once, and change nothing when any of
+its moves is refused.
 """
 
 import numpy as np
@@ -22,6 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.circuit import Service
+from repro.core.reoptimizer import _CircuitKernel, _ReoptArena
 from repro.network.topology import grid_topology
 from repro.query.operators import ServiceSpec, processing_load, state_units
 from repro.sbon.overlay import Overlay
@@ -48,6 +58,14 @@ _LIFECYCLE = (
     ),
     st.tuples(st.just("liveness"), st.sets(_NODES, max_size=3)),
     st.tuples(st.just("uninstall"), st.sampled_from(_NAMES)),
+    # A batch of (circuit, service index, target node or None) picks.
+    st.tuples(
+        st.just("batch"),
+        st.lists(
+            st.tuples(st.sampled_from(_NAMES), st.integers(0, 5), st.none() | _NODES),
+            max_size=4,
+        ),
+    ),
 )
 _CALLS = st.lists(st.one_of(*_LIFECYCLE), max_size=30)
 # A circuit has 3 links, or 4 with its aggregate: a rate vector of
@@ -83,6 +101,7 @@ def _state(overlay):
         overlay._u_rate.tolist(),
         dict(overlay._u_seg),
         {name: [link.rate for link in c.links] for name, c in overlay.circuits.items()},
+        overlay.placement_epoch,
     )
 
 
@@ -97,9 +116,34 @@ def _call(overlay, error, fn, *args):
     assert _state(overlay) == before
 
 
+def _batch(overlay, picks):
+    """The picks as ``(circuit, service, node)`` moves, and the error
+    ``apply_migrations`` must raise for them (None when it applies)."""
+    alive = overlay.alive_mask()
+    moves, error, dead = [], None, False
+    for name, index, node in picks:
+        circuit = overlay.circuits.get(name)
+        if circuit is None:
+            moves.append((name, f"{name}/join", 0))
+            error = error or KeyError
+            continue
+        ids = sorted(circuit.services)
+        sid = ids[index % len(ids)]
+        node = circuit.host_of(sid) if node is None else node
+        moves.append((name, sid, node))
+        if circuit.services[sid].is_pinned:
+            error = error or ValueError
+        dead |= not alive[node]
+    return moves, error or (RuntimeError if dead else None)
+
+
 def _run(overlay, call):
     kind, *args = call
     alive = overlay.alive_mask()
+    if kind == "batch":
+        moves, error = _batch(overlay, args[0])
+        _call(overlay, error, overlay.apply_migrations, moves)
+        return
     if kind == "liveness":
         mask = np.ones(_N, dtype=bool)
         mask[sorted(args[0])] = False
@@ -187,6 +231,14 @@ def _check_usage(overlay):
     assert overlay.total_network_usage() == pytest.approx(
         overlay.total_network_usage_scalar(), rel=1e-9, abs=1e-9
     )
+    # Every rate consumer reads the circuit's one column.
+    circuits = list(overlay.circuits.values())
+    for circuit in circuits:
+        assert all(type(link.rate) is float for link in circuit.links)
+        assert [link.rate for link in circuit.links] == circuit.link_rates
+    arena = _ReoptArena([_CircuitKernel(c) for c in circuits])
+    arena.read_rates(circuits)
+    assert arena.link_rates.tolist() == [r for c in circuits for r in c.link_rates]
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +277,9 @@ def test_ledgers_equal_a_recount_after_every_call(build, calls):
                 ("rates", "q", [0.5, 4.0, 12.5])])
 # A migration rewrites the moved service's endpoints.
 @example(calls=[("install", "q", (5, 6, 10.0, 50.0)), ("migrate", "q", 1, 9)])
+# A batch rewrites the rows of every circuit it moves.
+@example(calls=[("install", "q", (5, 6, 10.0, 50.0)), ("install", "r", (6, 7, 2.0, 10.0)),
+                ("batch", [("q", 1, 9), ("r", 1, 3), ("q", 0, 8)])])
 def test_usage_rows_equal_their_circuits_after_every_call(build, calls):
     overlay = build()
     _check_usage(overlay)
@@ -234,3 +289,49 @@ def test_usage_rows_equal_their_circuits_after_every_call(build, calls):
     for name in list(overlay.circuits):
         overlay.uninstall(name)
     _check_usage(overlay)
+
+
+def _exact(overlay):
+    """What a migration writes, as bytes where it is an array."""
+    return (
+        dict(overlay._host_of),
+        overlay._induced.tobytes(),
+        overlay._memory.tobytes(),
+        overlay._hosted.tobytes(),
+        overlay._u_src.tobytes(),
+        overlay._u_dst.tobytes(),
+        overlay._u_rate.tobytes(),
+        {name: dict(c.placement) for name, c in overlay.circuits.items()},
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(calls=_USAGE_CALLS)
+# Two moves of one service in one batch, then a move to a dead node.
+@example(calls=[("install", "q", (5, 6, 10.0, 50.0)),
+                ("batch", [("q", 1, 9), ("q", 1, 3), ("q", 0, 2)]),
+                ("liveness", {4}), ("batch", [("q", 1, 7), ("q", 0, 4)])])
+# One batch across two circuits.
+@example(calls=[("install", "q", (5, 6, 10.0, 50.0)), ("install", "r", (6, 7, 2.0, 10.0)),
+                ("batch", [("q", 1, 9), ("r", 1, 3), ("r", 0, 12), ("q", 0, 8)])])
+# A batch with a pinned move, after a good one, changes nothing.
+@example(calls=[("install", "q", (5, None, 10.0, 50.0)),
+                ("batch", [("q", 1, 9), ("q", 2, None)])])
+def test_a_batch_equals_its_loop_of_single_moves(build, calls):
+    batched, looped = build(), build()
+    for call in calls:
+        kind, *args = call
+        if kind != "batch":
+            _run(batched, call)
+            _run(looped, call)
+        else:
+            # A refused batch writes nothing (``_call`` checks); a loop
+            # of single moves would stop part way, so it is not run.
+            moves, error = _batch(batched, args[0])
+            epoch = batched.placement_epoch
+            _call(batched, error, batched.apply_migrations, moves)
+            if error is None:
+                for move in moves:
+                    looped.apply_migration(*move)
+                assert batched.placement_epoch == epoch + (1 if moves else 0)
+        assert _exact(batched) == _exact(looped)

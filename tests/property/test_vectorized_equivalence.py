@@ -414,6 +414,7 @@ class TestReoptimizerEquivalence:
         kernel = _CircuitKernel(circuit)
         hosts = kernel.hosts(circuit)
         arena = _ReoptArena([kernel])
+        arena.read_rates([circuit])
         for load_weight in (0.0, 0.7, 1.0):
             expected = evaluator.evaluate(circuit, load_weight=load_weight).total
             (total,) = arena.totals(
@@ -426,9 +427,9 @@ class TestReoptimizerEquivalence:
         circuit, space, loads, latencies = _placed_circuit_and_space(seed)
         reopt = Reoptimizer(space)
         kernel = _CircuitKernel(circuit)
-        batched = _ReoptArena([kernel]).targets(
-            kernel.hosts(circuit), space.vector_matrix()
-        )
+        arena = _ReoptArena([kernel])
+        arena.read_rates([circuit])
+        batched = arena.targets(kernel.hosts(circuit), space.vector_matrix())
         for k, sid in enumerate(kernel.unpinned_sids):
             assert np.allclose(batched[k], reopt._local_target(circuit, sid), atol=1e-9)
 

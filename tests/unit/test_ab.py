@@ -59,6 +59,53 @@ class TestSeeds:
         assert ab.parse_seeds("1,4-6,9") == [1, 4, 5, 6, 9]
 
 
+class TestWorkloads:
+    def test_one_name_or_a_comma_separated_list(self):
+        assert ab.parse_workloads("closed_loop") == ["closed_loop"]
+        assert ab.parse_workloads("closed_loop, tenant_churn,optimize_dht") == [
+            "closed_loop", "tenant_churn", "optimize_dht"
+        ]
+        with pytest.raises(ValueError):
+            ab.parse_workloads("closed_loop,,tenant_churn")
+
+    @staticmethod
+    def fake(monkeypatch, p50_of):
+        """Canned runs: the change's ``op_ms_p50`` per workload, parent 10."""
+        calls = []
+
+        def run(tree, workload, seed, seconds, trace):
+            calls.append((workload, seed, tree.name))
+            p50 = 10.0 if tree.name == "base" else p50_of[workload]
+            return ab.parse_result(line(p50, 100.0))
+
+        monkeypatch.setattr(ab, "_checkout", lambda rev, into: into)
+        monkeypatch.setattr(ab, "_run", run)
+        return calls
+
+    def test_pairs_run_workload_by_workload_one_table_each(self, monkeypatch, capsys):
+        calls = self.fake(monkeypatch, {"a": 10.0, "b": 9.5})
+        assert ab.main(["BASE", "HEAD", "--workload", "a,b", "--seeds", "0-1"]) == 0
+        assert [(w, seed) for w, seed, _ in calls] == [
+            ("a", 0), ("a", 0), ("a", 1), ("a", 1),
+            ("b", 0), ("b", 0), ("b", 1), ("b", 1),
+        ]
+        # Pairs alternate which tree runs first.
+        assert [tree for _, _, tree in calls[:4]] == ["base", "head", "head", "base"]
+        out = capsys.readouterr().out.splitlines()
+        headers = [r for r in out if r.startswith(("a: parent", "b: parent"))]
+        assert headers == ["a: parent BASE, change HEAD", "b: parent BASE, change HEAD"]
+        assert sum(r.startswith("op_ms_p50") for r in out) == 2
+
+    def test_exits_one_when_any_workload_would(self, monkeypatch, capsys):
+        self.fake(monkeypatch, {"a": 10.0, "b": 13.0, "c": 10.0})
+        assert ab.main(["BASE", "HEAD", "--workload", "a,b,c", "--seeds", "0-2"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("outside bound: op_ms_p50") == 1
+        assert "c: parent BASE, change HEAD" in out
+        self.fake(monkeypatch, {"a": 10.0})
+        assert ab.main(["BASE", "HEAD", "--workload", "a", "--seeds", "0-2"]) == 0
+
+
 class TestSummarize:
     RUNS = pairs(
         (line(10.0, 100.0), line(6.0, 150.0)),

@@ -1,5 +1,9 @@
 """Unit tests for circuit compilation and structure."""
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
 from repro.core.circuit import Circuit, Service, effective_statistics
@@ -29,6 +33,25 @@ def plan_abc() -> LogicalPlan:
 
 
 class TestFromPlan:
+    def test_compiled_circuits_are_freed_without_the_cyclic_collector(self):
+        # A circuit carries its rate column and pinned split; held by a
+        # reference cycle it would wait for a collection instead.
+        query, stats = query3()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            circuits = Circuit.from_plans(
+                enumerate_all_plans(query.producer_names), query, stats
+            )
+            refs = [weakref.ref(c) for c in circuits]
+            for circuit in circuits:
+                circuit.unpinned_ids()
+            del circuits, circuit
+            assert all(ref() is None for ref in refs)
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_service_inventory(self):
         query, stats = query3()
         circuit = Circuit.from_plan(plan_abc(), query, stats)
@@ -136,6 +159,62 @@ class TestStructureQueries:
         circuit = self._circuit()
         # Links: A->j0 (10), B->j0 (5), j0->j1 (5), C->j1 (2), j1->sink (1).
         assert sum(l.rate for l in circuit.links) == pytest.approx(23.0)
+
+    def test_pinned_split_follows_add_service_and_hands_out_fresh_lists(self):
+        circuit = self._circuit()
+        pinned, unpinned = circuit.pinned_ids(), circuit.unpinned_ids()
+        assert pinned == ["q/src:A", "q/src:B", "q/src:C", "q/sink:C0"]
+        assert unpinned == ["q/join0", "q/join1"]
+        pinned.append("corrupt")
+        unpinned.clear()
+        assert circuit.pinned_ids() == ["q/src:A", "q/src:B", "q/src:C", "q/sink:C0"]
+        assert circuit.unpinned_ids() == ["q/join0", "q/join1"]
+        circuit.add_service(Service("q/agg", ServiceSpec.aggregate(), None, frozenset("ABC")))
+        circuit.add_service(Service("q/tap", ServiceSpec.relay(), 4, frozenset("AB")))
+        assert circuit.pinned_ids() == [
+            "q/src:A", "q/src:B", "q/src:C", "q/sink:C0", "q/tap"
+        ]
+        assert circuit.unpinned_ids() == ["q/join0", "q/join1", "q/agg"]
+        # A replaced services dict is re-read too.
+        circuit.services = {sid: circuit.services[sid] for sid in ("q/tap", "q/agg")}
+        assert (circuit.pinned_ids(), circuit.unpinned_ids()) == (["q/tap"], ["q/agg"])
+
+
+class TestRateColumn:
+    """Every link reads its circuit's one rate column."""
+
+    def _circuit(self) -> Circuit:
+        query, stats = query3()
+        return Circuit.from_plan(plan_abc(), query, stats)
+
+    def test_links_read_the_column_as_python_floats(self):
+        circuit = self._circuit()
+        assert [l.rate for l in circuit.links] == circuit.link_rates
+        assert all(type(r) is float for r in circuit.link_rates)
+        circuit.set_link_rates(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        assert [l.rate for l in circuit.links] == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert all(type(l.rate) is float for l in circuit.links)
+
+    def test_a_copy_owns_its_links_and_column(self):
+        circuit = self._circuit()
+        clone = circuit.copy()
+        assert clone == circuit
+        assert not {id(l) for l in clone.links} & {id(l) for l in circuit.links}
+        clone.set_link_rates([0.5] * 5)
+        assert [l.rate for l in circuit.links] == [10.0, 5.0, 5.0, 2.0, 1.0]
+        assert clone != circuit
+
+    def test_drop_links_keeps_the_rest_in_order(self):
+        circuit = self._circuit()
+        circuit.drop_links(lambda l: l.target == "q/join1")
+        assert [(l.source, l.target, l.rate) for l in circuit.links] == [
+            ("q/src:A", "q/join0", 10.0),
+            ("q/src:B", "q/join0", 5.0),
+            ("q/join1", "q/sink:C0", 1.0),
+        ]
+        assert circuit.link_rates == [10.0, 5.0, 1.0]
+        circuit.set_link_rates([7.0, 8.0, 9.0])
+        assert [l.rate for l in circuit.links] == [7.0, 8.0, 9.0]
 
 
 class TestPlacement:

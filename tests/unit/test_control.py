@@ -318,53 +318,68 @@ class TestTrueLinkRates:
 
 
 class TestKernelRateHook:
-    def test_set_rates_reprices_kernel(self):
+    """Kernels hold structure only: every pass reads the circuits' columns."""
+
+    def test_calibrated_column_reprices_the_arena(self):
         overlay = planted_overlay()
         circuit = chain_circuit()
         kernel = _CircuitKernel(circuit)
         arena = _ReoptArena([kernel])
+        arena.read_rates([circuit])
         evaluator = overlay.estimate_evaluator()
         hosts = kernel.hosts(circuit)
         (before,) = arena.totals(hosts, evaluator, evaluator.penalty_array, 1.0)
-        kernel.set_rates(np.array([12.0, 6.0]))
-        arena.refresh_rates()
+        circuit.set_link_rates(np.array([12.0, 6.0]))
+        arena.read_rates([circuit])
         (after,) = arena.totals(hosts, evaluator, evaluator.penalty_array, 1.0)
         assert after > before
-        np.testing.assert_array_equal(kernel.link_rates, [12.0, 6.0])
+        np.testing.assert_array_equal(arena.link_rates, [12.0, 6.0])
         # Spring weights follow the new rates too.
-        assert kernel.seg_weight[0] == pytest.approx(18.0)
+        assert arena.seg_weight[0] == pytest.approx(18.0)
 
-    def test_set_rates_shape_validation(self):
-        kernel = _CircuitKernel(chain_circuit())
-        with pytest.raises(ValueError):
-            kernel.set_rates(np.array([1.0]))
-
-    def test_refresh_kernel_rates_only_touches_live_entry(self):
-        import weakref
-
+    def test_read_rates_refuses_columns_that_do_not_tile_the_kernels(self):
         circuit = chain_circuit()
-        kernel = _CircuitKernel(circuit)
-        cache = {"c0": (weakref.ref(circuit), kernel)}
-        assert refresh_kernel_rates(cache, circuit, np.array([9.0, 3.0]))
-        np.testing.assert_array_equal(kernel.link_rates, [9.0, 3.0])
-        other = chain_circuit()  # same name, different object
-        assert not refresh_kernel_rates(cache, other, np.array([1.0, 1.0]))
-        np.testing.assert_array_equal(kernel.link_rates, [9.0, 3.0])
-        assert not refresh_kernel_rates(None, circuit, np.array([1.0, 1.0]))
+        arena = _ReoptArena([_CircuitKernel(circuit)])
+        circuit.add_link("c0/src", "c0/sink", 1.0)
+        with pytest.raises(ValueError, match="align"):
+            arena.read_rates([circuit])
 
-    def test_calibration_path_updates_circuit_and_cached_kernel(self):
-        # The production path: set_link_rates + refresh_kernel_rates
-        # against the re-optimizer's shared kernel cache.
+    def test_each_circuit_prices_its_own_column(self):
         overlay = planted_overlay()
-        circuit = chain_circuit()
         cache: dict = {}
         reopt = Reoptimizer(overlay.cost_space, kernel_cache=cache)
+        circuit = chain_circuit()
+        circuit.set_link_rates([9.0, 3.0])
         kernel = reopt._kernel(circuit)
-        rates = np.array([4.0, 2.0])
-        circuit.set_link_rates(rates)
-        assert refresh_kernel_rates(cache, circuit, rates)
+        other = chain_circuit()  # same name, different object
+        assert reopt._kernel(other) is not kernel
+        for owner, want in ((circuit, [9.0, 3.0]), (other, [6.0, 3.0])):
+            arena = _ReoptArena([reopt._kernel(owner)])
+            arena.read_rates([owner])
+            np.testing.assert_array_equal(arena.link_rates, want)
+        # The by-name hook has nothing left to refresh.
+        assert not refresh_kernel_rates(cache, circuit, np.array([1.0, 1.0]))
+        assert circuit.link_rates == [9.0, 3.0]
+
+    def test_calibration_path_reprices_circuit_usage_rows_and_next_pass(self):
+        # The production path: Overlay.set_link_rates, then the cached
+        # arena of the next step_all pass.
+        from repro.core.reoptimizer import _ARENA_KEY
+
+        overlay = planted_overlay()
+        circuit = chain_circuit()
+        overlay.install_circuit(circuit)
+        cache: dict = {}
+        reopt = Reoptimizer(overlay.cost_space, kernel_cache=cache)
+        reopt.step_all([circuit])
+        arena = cache[_ARENA_KEY]
+        overlay.set_link_rates("c0", np.array([4.0, 2.0]))
         assert [l.rate for l in circuit.links] == [4.0, 2.0]
-        np.testing.assert_array_equal(kernel.link_rates, [4.0, 2.0])
+        assert all(type(l.rate) is float for l in circuit.links)
+        assert overlay._u_rate.tolist() == [4.0, 2.0]
+        reopt.step_all([circuit])
+        assert cache[_ARENA_KEY] is arena
+        np.testing.assert_array_equal(arena.link_rates, [4.0, 2.0])
 
     def test_circuit_set_link_rates_validation(self):
         circuit = chain_circuit()
@@ -374,10 +389,11 @@ class TestKernelRateHook:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
     def test_circuit_set_link_rates_rejects_hostile_rates(self, bad):
         circuit = chain_circuit()
-        before = list(circuit.links)
+        before = list(circuit.link_rates)
         with pytest.raises(ValueError, match="finite and non-negative"):
             circuit.set_link_rates([2.0, bad])
-        assert circuit.links == before
+        assert circuit.link_rates == before
+        assert [l.rate for l in circuit.links] == before
 
 
 class TestController:
@@ -533,13 +549,14 @@ class TestController:
         overlay, plane = self.make_plane()
         sim = Simulation(overlay, data_plane=plane, control=True)
         assert sim.controller is not None
-        assert sim.controller.kernel_cache is sim._kernel_cache
+        assert sim.controller.data_plane is plane
         sim.run(3)
         assert sim.controller.ticks == 3
 
-    def test_simulation_adopts_a_controllers_own_kernel_cache(self):
-        # Calibration must re-price the kernels the simulation's passes
-        # read, or step() and step_scalar() optimize different objectives.
+    def test_simulation_passes_read_the_calibrated_rates(self, monkeypatch):
+        # Calibration must re-price what the simulation's passes read, or
+        # step() and step_scalar() optimize different objectives.  A
+        # controller's own kernel_cache is accepted and plays no part.
         from repro.sbon.simulator import Simulation, SimulationConfig
 
         overlay, plane = self.make_plane()
@@ -554,15 +571,21 @@ class TestController:
             data_plane=plane,
             control=controller,
         )
+        reads = []
+        read_rates = _ReoptArena.read_rates
+
+        def recorded(arena, circuits):
+            read_rates(arena, circuits)
+            reads.append((arena.link_rates.tolist(), list(circuits[0].link_rates)))
+
+        monkeypatch.setattr(_ReoptArena, "read_rates", recorded)
         sim.run(12)
         circuit = overlay.circuits["c0"]
         assert controller.calibrations > 0
         assert [l.rate for l in circuit.links] != [6.0, 3.0]
-        ref, kernel = sim._kernel_cache[circuit.name]
-        assert ref() is circuit
-        np.testing.assert_array_equal(
-            kernel.link_rates, [l.rate for l in circuit.links]
-        )
+        assert len(reads) == 6
+        assert all(seen == column for seen, column in reads)
+        assert any(seen != [6.0, 3.0] for seen, _ in reads)
 
     def test_simulation_control_requires_data_plane(self):
         from repro.sbon.simulator import Simulation
@@ -626,9 +649,7 @@ class TestCalibrationGather:
         )
         drift = (ParameterDrift("c1", "c1/f", "selectivity", 0.25, 0.75, 6, 10),)
         plane = DataPlane(overlay, RuntimeConfig(seed=4, drift=drift))
-        cache: dict = {}
-        reopt = Reoptimizer(overlay.cost_space, kernel_cache=cache)
-        kernels = {name: reopt._kernel(c) for name, c in overlay.circuits.items()}
+        reopt = Reoptimizer(overlay.cost_space, kernel_cache={})
         controller = Controller(
             plane,
             ControlConfig(
@@ -636,7 +657,6 @@ class TestCalibrationGather:
                 min_observations=3,
                 calibrate_quantile=0.95 if mode.startswith("quantile") else None,
             ),
-            kernel_cache=cache,
             oracle=mode == "oracle",
         )
         step = controller.step_scalar if mode.endswith("scalar") else controller.step
@@ -646,7 +666,6 @@ class TestCalibrationGather:
                 # A replaced circuit object is a structural change: the
                 # gather must price and write the installed copy.
                 overlay.replace_circuit(overlay.circuits["c2"].copy())
-                kernels["c2"] = reopt._kernel(overlay.circuits["c2"])
             step(plane.step())
             if tick % 4:
                 continue
@@ -661,10 +680,15 @@ class TestCalibrationGather:
             )
             assert controller.calibrate() == moved, tick
             calibrated += moved
-            for name, circuit in overlay.circuits.items():
+            circuits = list(overlay.circuits.values())
+            arena = _ReoptArena([reopt._kernel(c) for c in circuits])
+            arena.read_rates(circuits)
+            for k, circuit in enumerate(circuits):
                 rates = [l.rate for l in circuit.links]
-                assert rates == expected[name], (tick, name)
-                np.testing.assert_array_equal(kernels[name].link_rates, rates)
+                assert rates == expected[circuit.name], (tick, circuit.name)
+                assert circuit.link_rates == rates
+                l0, l1 = arena.link_offsets[k], arena.link_offsets[k + 1]
+                assert arena.link_rates[l0:l1].tolist() == rates
             # The aliased pair keeps its priors.
             assert [l.rate for l in overlay.circuits["c0"].links[1:]] == [3.0, 1.5]
         assert calibrated > 0

@@ -94,16 +94,22 @@ class TestSimulation:
         """Churn evacuations count in ``TickRecord.migrations`` too."""
         scenario = chaos_scenario(seed=0)
         applied = []
-        apply = Overlay.apply_migration
+        batches = []
+        apply = Overlay.apply_migrations
 
-        def counted(overlay, *args, **kwargs):
-            applied.append(args)
-            return apply(overlay, *args, **kwargs)
+        def counted(overlay, moves):
+            moves = list(moves)
+            applied.extend(moves)
+            batches.append(len(moves))
+            return apply(overlay, moves)
 
-        monkeypatch.setattr(Overlay, "apply_migration", counted)
+        # apply_migration (one move, the evacuations) batches through
+        # apply_migrations too, so this sees every applied move.
+        monkeypatch.setattr(Overlay, "apply_migrations", counted)
         series = scenario.simulation.run(60)
         assert series.total_failures() > 0
         assert series.total_migrations() == len(applied) > 0
+        assert max(batches) > 1
 
     def test_ground_truth_reopt_variant(self):
         overlay = simulated_overlay()
